@@ -13,9 +13,8 @@
 //! The `repro -- server` subcommand additionally runs the [`server_experiments`]
 //! family: the sharded `flit-server` request loop under closed- and open-loop
 //! arrival, recorded to `BENCH_server.json` with latency percentiles from the
-//! dependency-free [`hist::LatencyHistogram`] (now living in `flit-obs`,
-//! re-exported here), plus the server's own `flit-obs-v1` metrics document to
-//! `BENCH_obs.json`.
+//! dependency-free [`LatencyHistogram`] (`flit-obs`'s, re-exported here), plus
+//! the server's own `flit-obs-v1` metrics document to `BENCH_obs.json`.
 //!
 //! This library crate holds the experiment definitions shared by both, and the
 //! `flitctl` introspection binary (`inspect` a pool file read-only, `stats` an
@@ -24,11 +23,10 @@
 #![warn(missing_docs)]
 
 pub mod experiments;
-pub mod hist;
 pub mod server_experiments;
 
 pub use experiments::{Scale, SCALE_FULL, SCALE_QUICK};
-pub use hist::LatencyHistogram;
+pub use flit_obs::LatencyHistogram;
 pub use server_experiments::{
     server_baseline, server_crash_smoke, server_obs_document, ServerBenchRecord,
     ServerCrashSummary, ServerPolicy,

@@ -16,12 +16,12 @@ use std::time::Instant;
 use flit::{presets, FlitDb, Policy};
 use flit_crashtest::{op_of, sweep_server_crash, SweepSettings, VolatileStores};
 use flit_datastructs::{Automatic, HashTable};
+use flit_obs::LatencyHistogram;
 use flit_pmem::{CommitMode, ElisionMode, LatencyModel, SimNvram};
 use flit_server::{KvServer, ServerConfig};
 use flit_workload::{prefill_history, random_map_history, Arrival, ServiceConfig};
 
 use crate::experiments::Scale;
-use crate::hist::LatencyHistogram;
 
 /// The update percentage of the server baseline: a write-heavier mix than the
 /// map baseline's 5%, because the service path adds per-request mailbox writes

@@ -206,14 +206,17 @@ pub fn run_case(
 }
 
 /// The HAMT carries its own durability discipline — MOD copy-on-write with a
-/// single flushed CAS on the recovery root — instead of FliT's per-word
+/// single p-CAS on the recovery root — instead of per-word durability
 /// methods, so the traversal-phase method axis does not apply to it. Only
-/// `automatic` (the real structure) and `volatile-broken` (the
-/// skip-the-root-flush control, [`flit_hamt::BrokenHamt`], which *must* fail)
-/// are swept; `nvtraverse` and `manual` return `None` like an unsupported
-/// policy combination. The policy axis still selects the backend the handles
-/// run on: the HAMT never touches a `FlitAtomic`, so a clean sweep under every
-/// policy demonstrates exactly that policy-independence.
+/// `automatic` (the real structure) and `volatile-broken` (the control whose
+/// root accesses are all v-instructions, [`flit_hamt::BrokenHamt`], which
+/// *must* fail) are swept; `nvtraverse` and `manual` return `None` like an
+/// unsupported policy combination. The policy axis is real: the root cell is a
+/// `P::Word<u64>`, so each policy sweeps its own protocol on the one word the
+/// trie's durability hinges on — counter-tagged under the FliT schemes,
+/// dirty-bit-marked under link-and-persist, flushed on every load under
+/// plain. (That last one is why the control's *loads* are volatile too: a
+/// plain p-load would write back the root the volatile CAS skipped.)
 fn run_hamt_case(
     case: CaseMeta,
     method: MethodKind,

@@ -1,6 +1,6 @@
 //! A copy-on-write persistent **hash array mapped trie** — the workspace's second
-//! persistence *discipline*, following MOD ("Minimally Ordered Durable
-//! Datastructures for Persistent Memory") rather than FliT's per-word tagging.
+//! persistence *discipline*: MOD ("Minimally Ordered Durable Datastructures for
+//! Persistent Memory") for the nodes, FliT for the one word that ever mutates.
 //!
 //! ## Two persistence disciplines
 //!
@@ -15,20 +15,20 @@
 //! writes the nodes with plain stores, issues `pwb`s for their cache lines
 //! (no fence per node), then issues **one** fence and publishes the new trie
 //! with a single CAS on the durable **root cell**. Unreachable-until-published
-//! nodes need no helping and no tagging, so the crate works against a plain
-//! [`FlitHandle`] backend — no `FlitAtomic` anywhere — and the fence count per
-//! update is **O(1) in the path length**: one pre-publish fence plus the
-//! operation-completion fence, regardless of how deep the trie is. (The `pwb`
-//! count still grows with depth — copying is not free — but `pwb`s are
-//! asynchronous; fences are the serialising cost the paper's model charges
-//! for.)
+//! nodes need no helping and no tagging — they are plain words — and the fence
+//! count per update is **O(1) in the path length**: the publishing p-CAS's
+//! leading and trailing fence, however deep the trie is. (The `pwb` count still
+//! grows with depth — copying is not free — but `pwb`s are asynchronous; fences
+//! are the serialising cost the paper's model charges for.)
 //!
-//! The single mutable persistent word is the root cell. Its durability follows
-//! the FliT *spirit* in miniature: the publisher flushes it after the CAS and
-//! fences at operation completion, and every operation (readers included)
-//! help-flushes the root value it observed via
-//! [`pwb_dedup`](flit_pmem::PmemBackend::pwb_dedup), so an operation that
-//! observed a fresh root cannot acknowledge before that root is durable.
+//! The single mutable persistent word is the root cell, and it is a real p-word
+//! of the database's policy (a `P::Word<u64>`: a `FlitAtomic` under the FliT
+//! policies). Every operation p-loads it and an update publishes with one
+//! p-CAS, so Algorithm 4 applies verbatim: the word is tagged only from the
+//! publishing CAS until the publisher's fence, a reader flushes it only inside
+//! that window, and a lookup (or a failed insert/remove) under a settled root
+//! issues **no `pwb` and no fence**. The policy decides the rest: plain flushes
+//! on every p-load (the paper's baseline), `Batched(k)` defers the untag.
 //!
 //! ## Layout
 //!
@@ -79,40 +79,41 @@
 //! can observe points at a fully-durable path. Without it, a concurrent
 //! snapshotter could durably retain a root whose nodes were still pending in
 //! the *publisher's* persist epoch, and a crash would recover a retained
-//! snapshot pointing into nothing. Two fences per update, O(1) in depth,
-//! both elision-aware.
+//! snapshot pointing into nothing. It is the p-CAS's *leading* fence (P-V
+//! Condition 4: a handle's earlier `pwb`s are durable before its next shared
+//! store linearizes). Two fences per update, O(1) in depth, both elision-aware.
 //!
 //! ## Recovery
 //!
 //! Recovery is image-only, like every structure here: root table →
-//! [`roots::HAMT_ROOT`] cell → persisted root word → node walk entirely through
-//! the [`CrashImage`]. A reachable word missing from the image flags
-//! `truncated` — the persist-before-publish argument is *checked*, not
-//! assumed. The broken control ([`BrokenHamt`]) skips only the root-cell `pwb`
-//! after the CAS: every path node is still persisted, but the root never
-//! becomes durable, so the structure recovers to its construction-time
-//! (empty) state and the crash sweep must flag every acknowledged update as
-//! lost.
+//! [`roots::HAMT_ROOT`] cell → persisted root word (at the policy's layout
+//! offset inside the cell) → node walk entirely through the [`CrashImage`]. A
+//! reachable word missing from the image flags `truncated` — the
+//! persist-before-publish argument is *checked*, not assumed. The broken
+//! control ([`BrokenHamt`]) accesses the root with [`PFlag::Volatile`]: every
+//! path node is still persisted, but no CAS writes the root back and no load
+//! helps, so the structure recovers to its construction-time (empty) state and
+//! the crash sweep must flag every acknowledged update as lost.
 //!
 //! ## Scope
 //!
 //! The retained-root table holds at most [`RETAINED_CAPACITY`] live snapshots.
 //! Under `CommitMode::Batched` the pre-publish fence still runs eagerly (it
-//! orders publication, not acknowledgment); only the completion fence is
-//! batched.
+//! orders publication, not acknowledgment); the trailing fence is deferred
+//! where the policy's scheme allows it, and the root stays tagged until then.
 
 #![warn(missing_docs)]
 #![deny(unsafe_op_in_unsafe_fn)]
 
 use std::ops::RangeBounds;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
-use flit::{FlitDb, FlitHandle, PFlag, Policy};
+use flit::{FlitDb, FlitHandle, PFlag, PersistWord, Policy};
 use flit_alloc::{roots, Arena, ArenaConfig, HAMT_NODE_SLOT_BYTES};
 use flit_datastructs::{ConcurrentMap, MapCrashRecovery, RecoverInImage, RecoveredMap};
 use flit_ebr::Guard;
-use flit_pmem::{cache_line_of, CrashImage, PmemBackend, CACHE_LINE_SIZE, WORD_SIZE};
+use flit_pmem::{cache_line_of, CrashImage, PmemBackend, PmemSession, CACHE_LINE_SIZE, WORD_SIZE};
 use parking_lot::Mutex;
 
 /// Branching factor: one 4-bit nibble of the mixed hash per level.
@@ -194,6 +195,35 @@ fn pwb_range<B: PmemBackend>(pm: &B, start: usize, bytes: usize) {
     }
 }
 
+/// Node addresses of one copied path. A path is at most [`MAX_DEPTH`]
+/// interior nodes plus a leaf, so the buffer lives on the stack.
+#[derive(Default)]
+struct NodeBuf {
+    len: usize,
+    addrs: [usize; MAX_DEPTH + 1],
+}
+
+impl NodeBuf {
+    #[inline]
+    fn push(&mut self, addr: usize) {
+        self.addrs[self.len] = addr;
+        self.len += 1;
+    }
+
+    fn as_slice(&self) -> &[usize] {
+        &self.addrs[..self.len]
+    }
+}
+
+/// What one update attempt touches: the nodes it allocated (`fresh`, recycled
+/// if the publishing CAS loses) and the nodes the new path supersedes
+/// (`stale`, retired once it wins).
+#[derive(Default)]
+struct Path {
+    fresh: NodeBuf,
+    stale: NodeBuf,
+}
+
 /// Reclamation bookkeeping shared by updates and snapshots.
 struct SnapState {
     /// Live (unreleased) snapshots.
@@ -212,18 +242,18 @@ struct SnapState {
 pub struct Hamt<P: Policy> {
     arena: Arc<Arena>,
     db: FlitDb<P>,
-    /// Address of the root cell: one slot whose first word is the entry
-    /// encoding of the current trie (0 = empty), registered under
-    /// [`roots::HAMT_ROOT`].
+    /// Address of the root cell, registered under [`roots::HAMT_ROOT`]: one
+    /// slot holding the `P::Word<u64>` root (entry encoding, 0 = empty).
     root_cell: usize,
     /// Address of the retained-root table block, registered under
     /// [`roots::HAMT_RETAINED`].
     retained: usize,
     len: AtomicUsize,
     snaps: Mutex<SnapState>,
-    /// `false` only in the crash-sweep broken control ([`BrokenHamt`]): skip
-    /// the root-cell `pwb` after the publishing CAS.
-    flush_root: bool,
+    /// The p-flag of every root-word access: [`PFlag::Persisted`], except in
+    /// the crash-sweep broken control ([`BrokenHamt`]), whose volatile CAS
+    /// never writes the root back and whose volatile loads never help.
+    root_flag: PFlag,
 }
 
 impl<P: Policy> Hamt<P> {
@@ -238,10 +268,10 @@ impl<P: Policy> Hamt<P> {
     /// copy-on-write churns through roughly `depth + 1` slots per update, so
     /// the capacity-derived [`ArenaConfig::hamt_nodes`] floor also applies.
     pub fn with_config(db: &FlitDb<P>, capacity_hint: usize, config: ArenaConfig) -> Self {
-        Self::build(db, capacity_hint, config, true)
+        Self::build(db, capacity_hint, config, PFlag::Persisted)
     }
 
-    fn build(db: &FlitDb<P>, capacity_hint: usize, config: ArenaConfig, flush_root: bool) -> Self {
+    fn build(db: &FlitDb<P>, capacity_hint: usize, config: ArenaConfig, root_flag: PFlag) -> Self {
         let chunk_slots = config
             .slots_per_chunk
             .max(ArenaConfig::hamt_nodes(capacity_hint).slots_per_chunk)
@@ -254,13 +284,16 @@ impl<P: Policy> Hamt<P> {
         // the empty trie (absent root) or the empty trie (persisted zero).
         let h = db.handle();
         let pm = h.pmem();
-        let cell = arena.alloc(&pm) as *mut u64;
-        write_word(&pm, cell, 0, 0);
+        let cell: *mut P::Word<u64> = arena.alloc_init(&pm, P::Word::<u64>::new(0));
+        // SAFETY: a freshly initialised slot that lives as long as the arena.
+        let root = unsafe { &*cell };
+        // Volatile private store: records the word with the crash tracker.
+        root.store_private(&h, 0, PFlag::Volatile);
         let table = arena.alloc_block(&pm, RETAINED_BYTES) as *mut u64;
         for i in 0..RETAINED_CAPACITY * RETAINED_ENTRY_WORDS {
             write_word(&pm, table, i, 0);
         }
-        h.persist_range(cell as *const u8, WORD_SIZE, PFlag::Persisted);
+        h.persist_object(root, PFlag::Persisted);
         h.persist_range(table as *const u8, RETAINED_BYTES, PFlag::Persisted);
         arena.register_root(&pm, roots::HAMT_ROOT, cell as usize);
         arena.register_root(&pm, roots::HAMT_RETAINED, table as usize);
@@ -277,7 +310,7 @@ impl<P: Policy> Hamt<P> {
                 backlog: Vec::new(),
                 next_version: 1,
             }),
-            flush_root,
+            root_flag,
         }
     }
 
@@ -286,26 +319,24 @@ impl<P: Policy> Hamt<P> {
         &self.arena
     }
 
-    /// Address of the root cell (diagnostics / observability).
+    /// Address of the root word (diagnostics / observability).
     pub fn root_cell_addr(&self) -> usize {
-        self.root_cell
+        self.root().addr()
     }
 
+    /// The root word: the trie's one mutable persistent word.
     #[inline]
-    fn root_ptr(&self) -> &AtomicU64 {
-        // SAFETY: the root cell is a live, word-aligned arena slot owned by
-        // this structure for its whole lifetime.
-        unsafe { &*(self.root_cell as *const AtomicU64) }
+    fn root(&self) -> &P::Word<u64> {
+        // SAFETY: the root cell is a live arena slot initialised in `build`
+        // and owned by this structure for its whole lifetime.
+        unsafe { &*(self.root_cell as *const P::Word<u64>) }
     }
 
-    /// Read-side help: flush the observed root value so an operation that
-    /// saw a fresh root cannot acknowledge before it is durable. The broken
-    /// control skips this too — it must not repair its own skipped flush.
-    #[inline]
-    fn help_flush_root<B: PmemBackend>(&self, pm: &B, root: u64) {
-        if self.flush_root {
-            pm.pwb_dedup(self.root_cell as *const u8, root);
-        }
+    /// Byte offset of the root word inside the root cell (the adjacent scheme
+    /// pads the word with its counter; the table schemes lay it out bare).
+    fn root_word_offset() -> usize {
+        let probe = P::Word::<u64>::new(0);
+        probe.addr() - &probe as *const P::Word<u64> as usize
     }
 
     /// Look up `key` in the trie rooted at `enc` (volatile walk over
@@ -328,32 +359,25 @@ impl<P: Policy> Hamt<P> {
         None
     }
 
-    /// Read `key`'s value, help-flushing the observed root (see the crate
-    /// docs on the root cell's durability).
+    /// Read `key`'s value. The root is a p-load: it flushes only while a
+    /// publish is in flight, so a lookup under a settled root issues no
+    /// persistence instruction at all.
     pub fn get(&self, h: &FlitHandle<'_, P>, key: u64) -> Option<u64> {
         let _guard = h.pin();
-        let pm = h.pmem();
-        let root = self.root_ptr().load(Ordering::Acquire);
-        self.help_flush_root(&pm, root);
+        let root = self.root().load(h, self.root_flag);
         let res = Self::lookup(root, mix_key(key), key);
         h.operation_completion();
         res
     }
 
-    fn alloc_node<B: PmemBackend>(&self, pm: &B, new_nodes: &mut Vec<usize>) -> *mut u64 {
+    fn alloc_node<B: PmemBackend>(&self, pm: &B, fresh: &mut NodeBuf) -> *mut u64 {
         let node = self.arena.alloc(pm) as *mut u64;
-        new_nodes.push(node as usize);
+        fresh.push(node as usize);
         node
     }
 
-    fn new_leaf<B: PmemBackend>(
-        &self,
-        pm: &B,
-        key: u64,
-        value: u64,
-        new_nodes: &mut Vec<usize>,
-    ) -> u64 {
-        let leaf = self.alloc_node(pm, new_nodes);
+    fn new_leaf<B: PmemBackend>(&self, pm: &B, key: u64, value: u64, fresh: &mut NodeBuf) -> u64 {
+        let leaf = self.alloc_node(pm, fresh);
         write_word(pm, leaf, 0, key);
         write_word(pm, leaf, 1, value);
         pwb_range(pm, leaf as usize, 2 * WORD_SIZE);
@@ -372,9 +396,9 @@ impl<P: Policy> Hamt<P> {
         value: u64,
         new_hash: u64,
         depth: usize,
-        new_nodes: &mut Vec<usize>,
+        fresh: &mut NodeBuf,
     ) -> u64 {
-        let new_leaf = self.new_leaf(pm, key, value, new_nodes);
+        let new_leaf = self.new_leaf(pm, key, value, fresh);
         let mut d = depth;
         while nibble(old_hash, d) == nibble(new_hash, d) {
             d += 1;
@@ -382,7 +406,7 @@ impl<P: Policy> Hamt<P> {
         debug_assert!(d < MAX_DEPTH, "bijective hashes diverge within 16 nibbles");
         // Two-child node at the diverging level…
         let (no, nn) = (nibble(old_hash, d), nibble(new_hash, d));
-        let node = self.alloc_node(pm, new_nodes);
+        let node = self.alloc_node(pm, fresh);
         write_word(pm, node, 0, (1u64 << no) | (1u64 << nn));
         let (first, second) = if no < nn {
             (old_leaf, new_leaf)
@@ -395,7 +419,7 @@ impl<P: Policy> Hamt<P> {
         let mut enc = node as u64 | INTERIOR_TAG;
         // …wrapped in single-entry nodes for every shared level above it.
         for dd in (depth..d).rev() {
-            let wrap = self.alloc_node(pm, new_nodes);
+            let wrap = self.alloc_node(pm, fresh);
             write_word(pm, wrap, 0, 1u64 << nibble(new_hash, dd));
             write_word(pm, wrap, 1, enc);
             pwb_range(pm, wrap as usize, 2 * WORD_SIZE);
@@ -418,11 +442,10 @@ impl<P: Policy> Hamt<P> {
         key: u64,
         value: u64,
         depth: usize,
-        new_nodes: &mut Vec<usize>,
-        old_nodes: &mut Vec<usize>,
+        path: &mut Path,
     ) -> Option<u64> {
         if enc == 0 {
-            return Some(self.new_leaf(pm, key, value, new_nodes));
+            return Some(self.new_leaf(pm, key, value, &mut path.fresh));
         }
         let addr = addr_of(enc);
         if !is_interior(enc) {
@@ -430,7 +453,8 @@ impl<P: Policy> Hamt<P> {
             if k0 == key {
                 return None;
             }
-            return Some(self.split(pm, enc, mix_key(k0), key, value, hash, depth, new_nodes));
+            let fresh = &mut path.fresh;
+            return Some(self.split(pm, enc, mix_key(k0), key, value, hash, depth, fresh));
         }
         let bitmap = read_word(addr) & BITMAP_MASK;
         let nib = nibble(hash, depth);
@@ -440,9 +464,8 @@ impl<P: Policy> Hamt<P> {
         } else {
             0
         };
-        let new_child =
-            self.cow_insert(pm, child, hash, key, value, depth + 1, new_nodes, old_nodes)?;
-        let node = self.alloc_node(pm, new_nodes);
+        let new_child = self.cow_insert(pm, child, hash, key, value, depth + 1, path)?;
+        let node = self.alloc_node(pm, &mut path.fresh);
         let new_bitmap = bitmap | bit;
         write_word(pm, node, 0, new_bitmap);
         let mut w = 1;
@@ -459,14 +482,13 @@ impl<P: Policy> Hamt<P> {
             w += 1;
         }
         pwb_range(pm, node as usize, w * WORD_SIZE);
-        old_nodes.push(addr);
+        path.stale.push(addr);
         Some(node as u64 | INTERIOR_TAG)
     }
 
     /// Build the copy-on-write path for removing `key` under `enc`. Returns
     /// the new entry encoding (`0` when the subtree vanishes), or `None` when
     /// the key is absent. Single-leaf interiors contract to the leaf itself.
-    #[allow(clippy::too_many_arguments)]
     fn cow_remove<B: PmemBackend>(
         &self,
         pm: &B,
@@ -474,8 +496,7 @@ impl<P: Policy> Hamt<P> {
         hash: u64,
         key: u64,
         depth: usize,
-        new_nodes: &mut Vec<usize>,
-        old_nodes: &mut Vec<usize>,
+        path: &mut Path,
     ) -> Option<u64> {
         if enc == 0 {
             return None;
@@ -485,7 +506,7 @@ impl<P: Policy> Hamt<P> {
             if read_word(addr) != key {
                 return None;
             }
-            old_nodes.push(addr);
+            path.stale.push(addr);
             return Some(0);
         }
         let bitmap = read_word(addr) & BITMAP_MASK;
@@ -495,8 +516,8 @@ impl<P: Policy> Hamt<P> {
             return None;
         }
         let child = read_word(addr + (1 + rank(bitmap, nib)) * WORD_SIZE);
-        let new_child = self.cow_remove(pm, child, hash, key, depth + 1, new_nodes, old_nodes)?;
-        old_nodes.push(addr);
+        let new_child = self.cow_remove(pm, child, hash, key, depth + 1, path)?;
+        path.stale.push(addr);
         if new_child == 0 {
             let new_bitmap = bitmap & !bit;
             let count = new_bitmap.count_ones() as usize;
@@ -512,7 +533,7 @@ impl<P: Policy> Hamt<P> {
                     return Some(only);
                 }
             }
-            let node = self.alloc_node(pm, new_nodes);
+            let node = self.alloc_node(pm, &mut path.fresh);
             write_word(pm, node, 0, new_bitmap);
             let mut w = 1;
             for i in 0..FANOUT {
@@ -535,7 +556,7 @@ impl<P: Policy> Hamt<P> {
                 // keep contracting.
                 return Some(new_child);
             }
-            let node = self.alloc_node(pm, new_nodes);
+            let node = self.alloc_node(pm, &mut path.fresh);
             write_word(pm, node, 0, bitmap);
             let mut w = 1;
             for i in 0..FANOUT {
@@ -578,90 +599,65 @@ impl<P: Policy> Hamt<P> {
         }
     }
 
-    /// Publish `new_root`: a single pre-publish fence for the whole path, the
-    /// CAS, then the root-cell flush (skipped by the broken control). Returns
-    /// `false` when the CAS lost and the caller must rebuild.
-    fn publish<B: PmemBackend>(&self, pm: &B, expected: u64, new_root: u64) -> bool {
-        pm.pfence_if_dirty();
-        if self
-            .root_ptr()
-            .compare_exchange(expected, new_root, Ordering::AcqRel, Ordering::Acquire)
-            .is_err()
-        {
-            return false;
-        }
-        pm.record_store(self.root_cell as *const u8, new_root);
-        if self.flush_root {
-            pm.pwb(self.root_cell as *const u8);
-        }
-        true
+    /// The shared update loop: p-load the root, let `build` copy the path
+    /// aside (`None` = nothing to change), then publish with **one** p-CAS on
+    /// the root word. The CAS's leading fence *is* MOD's pre-publish fence —
+    /// it commits every path `pwb` before the new root can be observed — and
+    /// its tag → CAS → `pwb` → fence → untag *is* the root flush. A lost CAS
+    /// recycles the never-published nodes and rebuilds.
+    fn update(
+        &self,
+        h: &FlitHandle<'_, P>,
+        build: impl Fn(&PmemSession<'_, P::Backend>, u64, &mut Path) -> Option<u64>,
+    ) -> bool {
+        let guard = h.pin();
+        let pm = h.pmem();
+        let published = loop {
+            let root = self.root().load(h, self.root_flag);
+            let mut path = Path::default();
+            let Some(new_root) = build(&pm, root, &mut path) else {
+                break false;
+            };
+            let cas = self
+                .root()
+                .compare_exchange(h, root, new_root, self.root_flag);
+            if cas.is_ok() {
+                self.retire(&guard, path.stale.as_slice());
+                break true;
+            }
+            for &n in path.fresh.as_slice() {
+                // SAFETY: the CAS lost, so these freshly built nodes were
+                // never published; no other thread can hold a reference.
+                unsafe { self.arena.recycle(n as *mut u8) };
+            }
+        };
+        h.operation_completion();
+        published
     }
 
     /// Insert `(key, value)`; returns `false` (and stores nothing) when the
     /// key is already present.
     pub fn insert(&self, h: &FlitHandle<'_, P>, key: u64, value: u64) -> bool {
-        let guard = h.pin();
-        let pm = h.pmem();
         let hash = mix_key(key);
-        loop {
-            let root = self.root_ptr().load(Ordering::Acquire);
-            self.help_flush_root(&pm, root);
-            let mut new_nodes = Vec::new();
-            let mut old_nodes = Vec::new();
-            let Some(new_root) = self.cow_insert(
-                &pm,
-                root,
-                hash,
-                key,
-                value,
-                0,
-                &mut new_nodes,
-                &mut old_nodes,
-            ) else {
-                h.operation_completion();
-                return false;
-            };
-            if self.publish(&pm, root, new_root) {
-                self.retire(&guard, &old_nodes);
-                self.len.fetch_add(1, Ordering::Relaxed);
-                h.operation_completion();
-                return true;
-            }
-            for &n in &new_nodes {
-                // SAFETY: the CAS lost, so these freshly built nodes were
-                // never published; no other thread can hold a reference.
-                unsafe { self.arena.recycle(n as *mut u8) };
-            }
+        let inserted = self.update(h, |pm, root, path| {
+            self.cow_insert(pm, root, hash, key, value, 0, path)
+        });
+        if inserted {
+            self.len.fetch_add(1, Ordering::Relaxed);
         }
+        inserted
     }
 
     /// Remove `key`; returns `false` when it was absent.
     pub fn remove(&self, h: &FlitHandle<'_, P>, key: u64) -> bool {
-        let guard = h.pin();
-        let pm = h.pmem();
         let hash = mix_key(key);
-        loop {
-            let root = self.root_ptr().load(Ordering::Acquire);
-            self.help_flush_root(&pm, root);
-            let mut new_nodes = Vec::new();
-            let mut old_nodes = Vec::new();
-            let Some(new_root) =
-                self.cow_remove(&pm, root, hash, key, 0, &mut new_nodes, &mut old_nodes)
-            else {
-                h.operation_completion();
-                return false;
-            };
-            if self.publish(&pm, root, new_root) {
-                self.retire(&guard, &old_nodes);
-                self.len.fetch_sub(1, Ordering::Relaxed);
-                h.operation_completion();
-                return true;
-            }
-            for &n in &new_nodes {
-                // SAFETY: the CAS lost; the nodes were never published.
-                unsafe { self.arena.recycle(n as *mut u8) };
-            }
+        let removed = self.update(h, |pm, root, path| {
+            self.cow_remove(pm, root, hash, key, 0, path)
+        });
+        if removed {
+            self.len.fetch_sub(1, Ordering::Relaxed);
         }
+        removed
     }
 
     /// Quiescent size (volatile counter, like the other structures).
@@ -688,8 +684,7 @@ impl<P: Policy> Hamt<P> {
     pub fn snapshot<'t>(&'t self, h: &FlitHandle<'_, P>) -> Snapshot<'t, P> {
         let pm = h.pmem();
         let mut st = self.snaps.lock();
-        let root = self.root_ptr().load(Ordering::Acquire);
-        self.help_flush_root(&pm, root);
+        let root = self.root().load(h, self.root_flag);
         let slot = (0..RETAINED_CAPACITY)
             .find(|&i| read_word(self.retained_entry(i) + WORD_SIZE) == 0)
             .expect("retained-root table full: release a snapshot before taking another");
@@ -762,7 +757,7 @@ impl<P: Policy> Hamt<P> {
         let Some(cell) = arena.root_in_image(image, roots::HAMT_ROOT) else {
             return rec;
         };
-        let Some(root) = image.read(cell) else {
+        let Some(root) = image.read(cell + Self::root_word_offset()) else {
             rec.truncated = true;
             return rec;
         };
@@ -1033,11 +1028,11 @@ impl<P: Policy> RecoverInImage for Hamt<P> {
     }
 }
 
-/// The crash-sweep **broken control**: a [`Hamt`] that skips only the
-/// root-cell `pwb` after the publishing CAS. Every node of every path is still
-/// persisted, but the root word never becomes durable, so the structure always
-/// recovers to its construction-time (empty) state and the sweep must flag
-/// every acknowledged update as lost.
+/// The crash-sweep **broken control**: a [`Hamt`] whose root accesses are all
+/// [`PFlag::Volatile`]. Every node of every path is still persisted, but the
+/// root word never becomes durable, so the structure always recovers to its
+/// construction-time (empty) state and the sweep must flag every acknowledged
+/// update as lost.
 pub struct BrokenHamt<P: Policy>(Hamt<P>);
 
 impl<P: Policy> BrokenHamt<P> {
@@ -1055,7 +1050,7 @@ impl<P: Policy> ConcurrentMap<P> for BrokenHamt<P> {
     }
 
     fn with_capacity_cfg(db: &FlitDb<P>, capacity_hint: usize, config: ArenaConfig) -> Self {
-        BrokenHamt(Hamt::build(db, capacity_hint, config, false))
+        BrokenHamt(Hamt::build(db, capacity_hint, config, PFlag::Volatile))
     }
 
     fn get(&self, h: &FlitHandle<'_, P>, key: u64) -> Option<u64> {
@@ -1166,7 +1161,7 @@ mod tests {
             assert_eq!(t.get(&h, k), None);
         }
         assert!(t.is_empty());
-        assert_eq!(t.root_ptr().load(Ordering::Relaxed), 0);
+        assert_eq!(t.root().load_direct(), 0);
     }
 
     #[test]

@@ -312,7 +312,8 @@ fn run_hamt_with_policy<P: Policy>(
 
 /// Build the HAMT described by `case`, prefill it, run the workload and return
 /// the measurement. Every policy variant applies (the trie's interior is plain
-/// `FlitHandle` traffic, word-aligned CAS only).
+/// session traffic; its root is a `P::Word<u64>` holding word-aligned
+/// addresses, CAS only).
 pub fn run_hamt_case(case: &HamtCase) -> RunResult {
     run_hamt_case_observed(case, None)
 }

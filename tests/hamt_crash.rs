@@ -2,17 +2,21 @@
 //!
 //! 1. **Every-event sweeps** in both elision modes are clean — the MOD
 //!    copy-on-write discipline (pwbs only along the new path, one pre-publish
-//!    fence, one flushed CAS on the recovery root) is durably linearizable at
+//!    fence, one p-CAS on the recovery root) is durably linearizable at
 //!    every persistence event, construction window included;
 //! 2. **Construction-window crashes recover to empty** — an image frozen
 //!    before the root cell became durable must yield the empty trie;
 //! 3. **Snapshot consistency** — a snapshot taken mid-history and held across
 //!    the crash replays to *exactly* its frozen contents from the persisted
 //!    retained-root table, at every crash point past its completion fence;
-//! 4. **The broken control fails** — `BrokenHamt` skips the post-CAS root
-//!    flush (and the read-side help-flush), so its sweeps must report lost
-//!    operations with complete repro strings. A control that passes means the
-//!    harness can no longer see the one flush MOD's correctness hinges on.
+//! 4. **The broken control fails** — `BrokenHamt` publishes and loads its
+//!    root with `PFlag::Volatile` (no write-back, no helping), so its sweeps
+//!    must report lost operations with complete repro strings. A control that
+//!    passes means the harness can no longer see the one flush MOD's
+//!    correctness hinges on.
+//!
+//! (`tests/hamt_flit_root.rs` covers the root word's FliT protocol itself:
+//! instruction counts, the tagged window, and the sweeps under every policy.)
 
 use flit::CommitMode;
 use flit_crashtest::{
@@ -229,8 +233,8 @@ fn killtest_harness_verifies_hamt_pools_in_process() {
     let _ = std::fs::remove_file(&sidecar);
 }
 
-/// The control that must fail: skipping the post-CAS root flush makes every
-/// published update volatile, and the sweep must see completed operations
+/// The control that must fail: a volatile root CAS makes every published
+/// update volatile, and the sweep must see completed operations
 /// vanish — with a complete repro string naming the hamt case.
 #[test]
 fn skipping_the_root_flush_is_caught_with_a_repro_string() {
