@@ -1,6 +1,9 @@
-//! The crash-point sweep engine.
+//! The crash-point sweep driver — `sweep`, the one replay loop in the crate —
+//! and its two simplest subjects, maps ([`sweep_map`]) and the queue
+//! ([`sweep_queue`]). The snapshot and service subjects live in
+//! [`crate::hamt`] and [`crate::server`].
 //!
-//! For one *case* (structure × durability method × policy × history) the engine:
+//! For one *case* (subject × policy × history) the driver:
 //!
 //! 1. runs a **counting pass**: replay the history against a fresh tracking backend
 //!    with a counting [`CrashPlan`], recording how many persistence events
@@ -41,10 +44,10 @@
 
 use std::collections::{BTreeMap, VecDeque};
 
-use flit::{CommitMode, FlitDb, Policy};
+use flit::{CommitMode, FlitDb, FlitHandle, Policy};
 use flit_datastructs::{ConcurrentMap, Durability, MapCrashRecovery, RecoveredMap};
 use flit_pmem::{CrashImage, CrashPlan, ElisionMode, LatencyModel, SimNvram};
-use flit_queues::{ConcurrentQueue, MsQueue};
+use flit_queues::{ConcurrentQueue, MsQueue, RecoveredQueue};
 use flit_workload::{MapOp, QueueOp};
 
 use crate::report::{CaseMeta, SweepReport, Violation};
@@ -82,15 +85,20 @@ pub struct SweepSettings {
     pub broken_acks: bool,
 }
 
-/// The backend a replay runs against: zero latency, tracking, the given plan, and
-/// the sweep's elision mode.
-pub(crate) fn replay_backend(plan: CrashPlan, elision: ElisionMode) -> SimNvram {
-    SimNvram::builder()
+/// A zero-latency tracking backend in the given elision mode, observed by
+/// `plan` when there is one — the only kind of backend the harness builds:
+/// armed or counting for the crashed party, plan-free for a service's
+/// survivors, logging for the round-robin traces.
+pub(crate) fn tracking_backend(plan: Option<CrashPlan>, elision: ElisionMode) -> SimNvram {
+    let builder = SimNvram::builder()
         .latency(LatencyModel::none())
         .tracking(true)
-        .crash_plan(plan)
-        .elision(elision)
-        .build()
+        .elision(elision);
+    match plan {
+        Some(plan) => builder.crash_plan(plan),
+        None => builder,
+    }
+    .build()
 }
 
 /// Evenly spaced crash points over `base..=total`, at most `budget` of them
@@ -113,257 +121,411 @@ pub(crate) fn select_points(base: u64, total: u64, budget: usize) -> Vec<u64> {
 
 /// The label used for the nothing-lost control point (`k == total`).
 const END_EVENT: &str = "end";
+/// The label of a functional violation: a live return value diverged from the
+/// sequential model (linearizability, not durability — the injected crash
+/// never perturbs execution, so any mismatch is a real structure/policy bug).
+const LIVE_RUN: &str = "live-run";
+/// The label of a finding about a party that never crashed.
+const SURVIVOR: &str = "survivor";
 
-/// Outcome of one replay. `boundaries` are *absolute event indices* recorded by
-/// this very run; arena allocation makes them identical across replays of one
-/// history, which is what lets crash points be absolute in the first place.
-struct Replay<R> {
+/// What one step of a history did.
+pub(crate) struct Step {
+    /// The party that performed it: `0` for a single structure, the routed
+    /// shard for a service. Only the crashed party's steps are operation
+    /// boundaries of the swept stream.
+    pub party: usize,
+    /// Set when the live return value diverged from the sequential model.
+    pub mismatch: Option<String>,
+}
+
+/// Where a crash point fell in the crashed party's history.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct CrashWindow {
+    /// The [`acked_floor`]: leading operations a drain had acknowledged.
+    pub acked: usize,
+    /// Operations whose completion boundary lies at or before the crash.
+    pub completed: usize,
+    /// `false` inside the construction window, where no operation had started
+    /// and only the empty structure is admissible.
+    pub in_flight: bool,
+}
+
+/// One thing a subject's check found wrong with a recovered state.
+pub(crate) struct Finding {
+    /// Human-readable description of the divergence.
+    pub detail: String,
+    /// `None` for the crashed party: the driver stamps the event kind the
+    /// crash landed on, the completed-operation count and the flight tail.
+    /// `Some((party, completed))` for a party that never crashed.
+    pub survivor: Option<(usize, usize)>,
+}
+
+impl Finding {
+    /// A finding about the crashed party.
+    pub(crate) fn crashed(detail: String) -> Self {
+        Finding {
+            detail,
+            survivor: None,
+        }
+    }
+}
+
+/// One replay: what a subject builds on, and everything [`Run::drive`]
+/// measured. Boundaries are *absolute event indices* recorded by this very
+/// run; arena allocation makes them identical across replays of one history,
+/// which is what lets crash points be absolute in the first place.
+pub(crate) struct Run<'a> {
+    /// The sweep's settings (commit mode and elision are the subject's to apply).
+    pub settings: &'a SweepSettings,
+    /// The crashed party's backend: it carries the crash plan.
+    pub backend: SimNvram,
+    plan: CrashPlan,
+    crash_at: Option<u64>,
+    /// False for construction-window replays, where the image is frozen before
+    /// any operation begins and the history cannot affect it.
+    run_history: bool,
+    crashed: usize,
     base: u64,
     boundaries: Vec<u64>,
-    /// Per-boundary `(enqueued, committed)` obligation counters of the replay
-    /// handle, sampled right after each operation. Under [`CommitMode::Immediate`]
-    /// both stay 0; under a batched mode they drive the `acked_floor`
-    /// computation for the weaker ticket contract.
+    /// Per-boundary `(enqueued, committed)` obligation counters of the crashed
+    /// party's handle, sampled right after each of its operations. Under
+    /// [`CommitMode::Immediate`] both stay 0; under a batched mode they drive
+    /// the [`acked_floor`] computation for the weaker ticket contract.
     marks: Vec<(u64, u64)>,
     total: u64,
-    recovered: Option<(R, &'static str)>,
-    /// First operation whose *return value* diverged from the sequential model
-    /// during the replay (linearizability, not durability — the injected crash
-    /// never perturbs execution, so any mismatch is a real structure/policy bug).
-    functional: Option<String>,
-    /// The replay handle's flight-recorder tail, sampled at the first operation
+    /// First step whose live return value diverged from the model, and the
+    /// party that performed it.
+    functional: Option<(usize, String)>,
+    /// The crashed party's flight-recorder tail, sampled at its first operation
     /// boundary at or past the armed crash index (so it holds the persistence
     /// events leading *into* the crash, not the whole replay's tail). Empty for
     /// counting passes.
     flight: Vec<flit::FlightEvent>,
+    /// The event kind the crash landed on.
+    on: &'static str,
 }
 
-/// Replay `history` against a fresh `M`; when `crash_at` is set, freeze the image
-/// the instant that absolute event would have applied and recover from it.
-/// `run_history` is false for construction-window replays, where the image is
-/// frozen before any operation begins and the history cannot affect it.
-fn replay_map<P, M, F>(
-    factory: &F,
-    history: &[MapOp],
-    crash_at: Option<u64>,
-    run_history: bool,
-    settings: &SweepSettings,
-) -> Replay<RecoveredMap>
-where
-    P: Policy<Backend = SimNvram>,
-    M: ConcurrentMap<P> + MapCrashRecovery<P>,
-    F: Fn(SimNvram) -> P,
-{
-    let plan = match crash_at {
-        Some(k) => CrashPlan::armed_at(k),
-        None => CrashPlan::counting(),
-    };
-    let backend = replay_backend(plan.clone(), settings.elision);
-    let db = FlitDb::builder(factory(backend.clone()))
-        .commit_mode(settings.commit)
-        .build();
-    let map = M::with_capacity(&db, 64);
-    // The single replay handle: the engine owns it explicitly, which is what the
-    // round-robin harness generalises to N handles (see `roundrobin`). The
-    // harness is the flight recorder's consumer, so arm the ring up front.
-    let h = db.handle();
-    h.arm_flight_recorder();
-    let base = plan.events_seen();
-    let mut boundaries = Vec::with_capacity(history.len());
-    let mut marks = Vec::with_capacity(history.len());
-    let mut model: BTreeMap<u64, u64> = BTreeMap::new();
-    let mut functional = None;
-    let mut flight = Vec::new();
-    if run_history {
-        for (i, op) in history.iter().enumerate() {
-            let mismatch = |got: &dyn std::fmt::Debug, want: &dyn std::fmt::Debug| {
-                format!("op {i} ({op:?}) returned {got:?} but the model says {want:?}")
-            };
-            match *op {
-                MapOp::Insert(k, v) => {
-                    let got = map.insert(&h, k, v);
-                    let want = if let std::collections::btree_map::Entry::Vacant(e) = model.entry(k)
-                    {
-                        e.insert(v);
-                        true
-                    } else {
-                        false
-                    };
-                    if got != want && functional.is_none() {
-                        functional = Some(mismatch(&got, &want));
-                    }
-                }
-                MapOp::Remove(k) => {
-                    let got = map.remove(&h, k);
-                    let want = model.remove(&k).is_some();
-                    if got != want && functional.is_none() {
-                        functional = Some(mismatch(&got, &want));
-                    }
-                }
-                MapOp::Get(k) => {
-                    let got = map.get(&h, k);
-                    let want = model.get(&k).copied();
-                    if got != want && functional.is_none() {
-                        functional = Some(mismatch(&got, &want));
-                    }
-                }
-            }
-            if settings.broken_acks {
+impl Run<'_> {
+    /// The database a replay builds on `backend`: `factory`'s policy under the
+    /// sweep's commit mode.
+    pub(crate) fn db<P, F>(&self, factory: &F, backend: SimNvram) -> FlitDb<P>
+    where
+        P: Policy<Backend = SimNvram>,
+        F: Fn(SimNvram) -> P,
+    {
+        FlitDb::builder(factory(backend))
+            .commit_mode(self.settings.commit)
+            .build()
+    }
+
+    /// **The** replay loop. Construction is over: apply `step(0..steps)` with
+    /// `handles` (one per party, `crashed` the one on [`Run::backend`]; opening
+    /// them must not have generated persistence events), sampling the crashed
+    /// party's boundaries, obligation marks and flight tail, and return the
+    /// image the crash froze — `None` on a counting pass.
+    pub(crate) fn drive<P: Policy>(
+        &mut self,
+        handles: &[FlitHandle<'_, P>],
+        crashed: usize,
+        steps: usize,
+        mut step: impl FnMut(usize) -> Step,
+    ) -> Option<CrashImage> {
+        self.base = self.plan.events_seen();
+        self.crashed = crashed;
+        // The harness is the flight recorder's consumer, so arm the ring up front.
+        handles[crashed].arm_flight_recorder();
+        let steps = if self.run_history { steps } else { 0 };
+        for i in 0..steps {
+            let Step { party, mismatch } = step(i);
+            let h = &handles[party];
+            if self.settings.broken_acks {
                 h.ack_obligations_without_fence();
             }
-            boundaries.push(plan.events_seen());
-            marks.push((h.enqueued_obligations(), h.committed_obligations()));
-            if let Some(k) = crash_at {
-                if flight.is_empty() && plan.events_seen() >= k {
-                    flight = h.flight_events();
-                }
+            if self.functional.is_none() {
+                self.functional = mismatch.map(|detail| (party, detail));
+            }
+            if party != crashed {
+                continue;
+            }
+            let seen = self.plan.events_seen();
+            self.boundaries.push(seen);
+            self.marks
+                .push((h.enqueued_obligations(), h.committed_obligations()));
+            if self.flight.is_empty() && self.crash_at.is_some_and(|k| seen >= k) {
+                self.flight = h.flight_events();
             }
         }
-    }
-    if crash_at.is_some() && flight.is_empty() {
-        // Construction-window or past-the-end crash: no boundary crossed the
-        // armed index, so the tail at replay end is the closest sample.
-        flight = h.flight_events();
-    }
-    let total = plan.events_seen();
-    let recovered = frozen_image(&plan, &backend, crash_at)
-        .map(|(image, kind)| (map.recover_from_image(&image), kind));
-    Replay {
-        base,
-        boundaries,
-        marks,
-        total,
-        recovered,
-        functional,
-        flight,
-    }
-}
-
-/// Replay a queue history; mirrors [`replay_map`] over [`MsQueue`].
-fn replay_queue<P, D, F>(
-    factory: &F,
-    history: &[QueueOp],
-    crash_at: Option<u64>,
-    run_history: bool,
-    settings: &SweepSettings,
-) -> Replay<flit_queues::RecoveredQueue>
-where
-    P: Policy<Backend = SimNvram>,
-    D: Durability,
-    F: Fn(SimNvram) -> P,
-{
-    let plan = match crash_at {
-        Some(k) => CrashPlan::armed_at(k),
-        None => CrashPlan::counting(),
-    };
-    let backend = replay_backend(plan.clone(), settings.elision);
-    let db = FlitDb::builder(factory(backend.clone()))
-        .commit_mode(settings.commit)
-        .build();
-    let queue: MsQueue<P, D> = MsQueue::new(&db);
-    let h = db.handle();
-    h.arm_flight_recorder();
-    let base = plan.events_seen();
-    let mut boundaries = Vec::with_capacity(history.len());
-    let mut marks = Vec::with_capacity(history.len());
-    let mut model: VecDeque<u64> = VecDeque::new();
-    let mut functional = None;
-    let mut flight = Vec::new();
-    if run_history {
-        for (i, op) in history.iter().enumerate() {
-            match *op {
-                QueueOp::Enqueue(v) => {
-                    queue.enqueue(&h, v);
-                    model.push_back(v);
-                }
-                QueueOp::Dequeue => {
-                    let got = queue.dequeue(&h);
-                    let want = model.pop_front();
-                    if got != want && functional.is_none() {
-                        functional = Some(format!(
-                            "op {i} (Dequeue) returned {got:?} but the model says {want:?}"
-                        ));
-                    }
-                }
-            }
-            if settings.broken_acks {
-                h.ack_obligations_without_fence();
-            }
-            boundaries.push(plan.events_seen());
-            marks.push((h.enqueued_obligations(), h.committed_obligations()));
-            if let Some(k) = crash_at {
-                if flight.is_empty() && plan.events_seen() >= k {
-                    flight = h.flight_events();
-                }
-            }
+        self.total = self.plan.events_seen();
+        self.crash_at?;
+        if self.flight.is_empty() {
+            // Construction-window or past-the-end crash: no boundary crossed the
+            // armed index, so the tail at replay end is the closest sample.
+            self.flight = handles[crashed].flight_events();
         }
-    }
-    if crash_at.is_some() && flight.is_empty() {
-        flight = h.flight_events();
-    }
-    let total = plan.events_seen();
-    let recovered =
-        frozen_image(&plan, &backend, crash_at).map(|(image, kind)| (queue.recover(&image), kind));
-    Replay {
-        base,
-        boundaries,
-        marks,
-        total,
-        recovered,
-        functional,
-        flight,
-    }
-}
-
-/// The image a crash freezes: the plan's capture when the armed index fell inside
-/// this run's event span, the tracker's final (nothing lost) state when it fell at
-/// or past the end — the always-included full-history control point.
-pub(crate) fn frozen_image(
-    plan: &CrashPlan,
-    backend: &SimNvram,
-    crash_at: Option<u64>,
-) -> Option<(CrashImage, &'static str)> {
-    crash_at?;
-    match plan.crash_image() {
-        Some(image) => Some((image, plan.triggered_on().map(|e| e.name()).unwrap_or("?"))),
-        None => Some((
-            backend
+        // The plan's capture when the armed index fell inside this run's event
+        // span; the tracker's final (nothing lost) state when it fell at or
+        // past the end — the always-included full-history control point.
+        Some(match self.plan.crash_image() {
+            Some(image) => {
+                self.on = self.plan.triggered_on().map_or("?", |e| e.name());
+                image
+            }
+            None => self
+                .backend
                 .tracker()
                 .expect("crash backend tracks")
                 .crash_image(),
-            END_EVENT,
-        )),
+        })
+    }
+}
+
+/// One replay of a subject on a fresh backend; when `crash_at` is set, the
+/// image is frozen the instant that absolute event would have applied and the
+/// subject recovers from it.
+fn replay_once<'a, T>(
+    subject: &impl Fn(&mut Run<'_>) -> Option<T>,
+    crash_at: Option<u64>,
+    run_history: bool,
+    settings: &'a SweepSettings,
+) -> (Run<'a>, Option<T>) {
+    let plan = match crash_at {
+        Some(k) => CrashPlan::armed_at(k),
+        None => CrashPlan::counting(),
+    };
+    let mut run = Run {
+        settings,
+        backend: tracking_backend(Some(plan.clone()), settings.elision),
+        plan,
+        crash_at,
+        run_history,
+        crashed: 0,
+        base: 0,
+        boundaries: Vec::new(),
+        marks: Vec::new(),
+        total: 0,
+        functional: None,
+        flight: Vec::new(),
+        on: END_EVENT,
+    };
+    let recovered = subject(&mut run);
+    (run, recovered)
+}
+
+/// One violation as the driver records it: a [`Violation`] minus the repro
+/// string, plus the party it blames.
+pub(crate) struct Hit {
+    pub crash_event: u64,
+    pub party: usize,
+    pub on: &'static str,
+    pub completed_ops: usize,
+    pub detail: String,
+    pub flight: Vec<flit::FlightEvent>,
+}
+
+/// What [`sweep`] measured and found.
+pub(crate) struct Sweep {
+    pub events_construction: u64,
+    pub events_total: u64,
+    pub points_tested: usize,
+    pub hits: Vec<Hit>,
+}
+
+impl Sweep {
+    /// The public report of a `crashtest`-addressable case: every hit becomes a
+    /// [`Violation`] carrying the invocation that replays exactly its crash
+    /// point.
+    pub(crate) fn into_report(self, case: CaseMeta) -> SweepReport {
+        let violations = self
+            .hits
+            .into_iter()
+            .map(|hit| Violation {
+                crash_event: hit.crash_event,
+                triggered_on: hit.on,
+                completed_ops: hit.completed_ops,
+                detail: hit.detail,
+                repro: case.repro(hit.crash_event),
+                flight: hit.flight,
+            })
+            .collect();
+        SweepReport {
+            case,
+            events_construction: self.events_construction,
+            events_total: self.events_total,
+            points_tested: self.points_tested,
+            violations,
+        }
+    }
+}
+
+/// **The** sweep: counting pass, crash-point selection, one armed replay per
+/// point, and the check of every recovered state.
+///
+/// A *subject* is the pair of closures. `replay` is one replay: construct on
+/// [`Run::backend`] (a service puts its crashed party there), hand the handles
+/// and the history to [`Run::drive`], and recover purely from the image it
+/// returns and the arena root tables — no live pointer, no live-memory reads.
+/// Everything `drive` was lent is still alive at that point, so the subject
+/// decides what outlives the recovery. `check` lists everything wrong with a
+/// recovered state given where the crash fell. See the crate docs ("Adding a
+/// subject").
+pub(crate) fn sweep<T>(
+    settings: &SweepSettings,
+    replay: impl Fn(&mut Run<'_>) -> Option<T>,
+    check: impl Fn(&T, &CrashWindow) -> Vec<Finding>,
+) -> Sweep {
+    let (counting, _) = replay_once(&replay, None, true, settings);
+    let points = match settings.crash_at {
+        Some(k) => vec![k.min(counting.total)],
+        None => select_points(0, counting.total, settings.budget),
+    };
+    let mut hits = Vec::new();
+    let mut hit = |crash_event, party, on, completed_ops, detail, flight| {
+        hits.push(Hit {
+            crash_event,
+            party,
+            on,
+            completed_ops,
+            detail,
+            flight,
+        })
+    };
+    if let Some((party, detail)) = counting.functional {
+        // The live return values diverged from the sequential model even without a
+        // crash: a linearizability bug, reported before any durability verdicts.
+        hit(0, party, LIVE_RUN, 0, detail, Vec::new());
+    }
+    for &k in &points {
+        let in_flight = k >= counting.base;
+        let (run, recovered) = replay_once(&replay, Some(k), in_flight, settings);
+        // The core invariant, asserted rather than assumed: every replay of one
+        // case reproduces the counting pass's absolute event stream exactly (a
+        // drift would silently misclassify construction-window points).
+        assert_eq!(
+            run.base, counting.base,
+            "event-stream determinism broke: construction span drifted between replays"
+        );
+        if in_flight {
+            assert_eq!(
+                run.total, counting.total,
+                "event-stream determinism broke: total span drifted between replays"
+            );
+            assert_eq!(
+                run.boundaries, counting.boundaries,
+                "event-stream determinism broke: operation boundaries drifted between replays"
+            );
+        }
+        let recovered = recovered.expect("crash point was armed");
+        let completed = completed_before(&run.boundaries, k);
+        let window = CrashWindow {
+            acked: acked_floor(&run.marks, completed),
+            completed,
+            in_flight,
+        };
+        if let Some((party, detail)) = run.functional {
+            hit(k, party, LIVE_RUN, completed, detail, run.flight.clone());
+        }
+        for Finding { detail, survivor } in check(&recovered, &window) {
+            match survivor {
+                None => hit(
+                    k,
+                    run.crashed,
+                    run.on,
+                    completed,
+                    detail,
+                    run.flight.clone(),
+                ),
+                Some((party, completed)) => hit(k, party, SURVIVOR, completed, detail, Vec::new()),
+            }
+        }
+    }
+    Sweep {
+        events_construction: counting.base,
+        events_total: counting.total,
+        points_tested: points.len(),
+        hits,
+    }
+}
+
+/// What a map operation returns, from a structure or from the model.
+#[derive(Debug, PartialEq, Eq)]
+pub(crate) enum Outcome {
+    /// `insert` / `remove`: whether it took effect.
+    Flag(bool),
+    /// `get`: the value found.
+    Value(Option<u64>),
+}
+
+/// Apply `op` to `map` through `h`.
+pub(crate) fn apply_map_op<P: Policy, M: ConcurrentMap<P>>(
+    map: &M,
+    h: &FlitHandle<'_, P>,
+    op: MapOp,
+) -> Outcome {
+    match op {
+        MapOp::Insert(k, v) => Outcome::Flag(map.insert(h, k, v)),
+        MapOp::Remove(k) => Outcome::Flag(map.remove(h, k)),
+        MapOp::Get(k) => Outcome::Value(map.get(h, k)),
+    }
+}
+
+/// Apply `op` to the sequential map model (insert does not overwrite,
+/// mirroring `ConcurrentMap`).
+pub(crate) fn apply_model(model: &mut BTreeMap<u64, u64>, op: MapOp) -> Outcome {
+    match op {
+        MapOp::Insert(k, v) => {
+            let fresh = !model.contains_key(&k);
+            if fresh {
+                model.insert(k, v);
+            }
+            Outcome::Flag(fresh)
+        }
+        MapOp::Remove(k) => Outcome::Flag(model.remove(&k).is_some()),
+        MapOp::Get(k) => Outcome::Value(model.get(&k).copied()),
+    }
+}
+
+/// Step `i` of a single map's history: `op` on the structure and on the model.
+pub(crate) fn map_step<P: Policy, M: ConcurrentMap<P>>(
+    map: &M,
+    h: &FlitHandle<'_, P>,
+    model: &mut BTreeMap<u64, u64>,
+    i: usize,
+    op: MapOp,
+) -> Step {
+    let (got, want) = (apply_map_op(map, h, op), apply_model(model, op));
+    Step {
+        party: 0,
+        mismatch: (got != want)
+            .then(|| format!("op {i} ({op:?}) returned {got:?} but the model says {want:?}")),
     }
 }
 
 /// The model map state after the first `n` operations of `history`, as sorted
-/// `(key, value)` pairs (insert does not overwrite, mirroring `ConcurrentMap`).
+/// `(key, value)` pairs.
 pub(crate) fn map_state(history: &[MapOp], n: usize) -> Vec<(u64, u64)> {
-    let mut model: BTreeMap<u64, u64> = BTreeMap::new();
-    for op in &history[..n] {
-        match *op {
-            MapOp::Insert(k, v) => {
-                model.entry(k).or_insert(v);
-            }
-            MapOp::Remove(k) => {
-                model.remove(&k);
-            }
-            MapOp::Get(_) => {}
-        }
+    let mut model = BTreeMap::new();
+    for &op in &history[..n] {
+        apply_model(&mut model, op);
     }
     model.into_iter().collect()
 }
 
+/// Apply `op` to the sequential queue model; a dequeue returns what it popped.
+fn apply_queue_model(model: &mut VecDeque<u64>, op: QueueOp) -> Option<u64> {
+    match op {
+        QueueOp::Enqueue(v) => {
+            model.push_back(v);
+            None
+        }
+        QueueOp::Dequeue => model.pop_front(),
+    }
+}
+
 /// The model queue state after the first `n` operations of `history`.
 fn queue_state(history: &[QueueOp], n: usize) -> Vec<u64> {
-    let mut model: VecDeque<u64> = VecDeque::new();
-    for op in &history[..n] {
-        match *op {
-            QueueOp::Enqueue(v) => model.push_back(v),
-            QueueOp::Dequeue => {
-                model.pop_front();
-            }
-        }
+    let mut model = VecDeque::new();
+    for &op in &history[..n] {
+        apply_queue_model(&mut model, op);
     }
     model.into_iter().collect()
 }
@@ -408,30 +570,33 @@ pub(crate) fn acked_floor(marks: &[(u64, u64)], completed: usize) -> usize {
     marks[..completed].partition_point(|&(enqueued, _)| enqueued <= committed)
 }
 
-/// Prefix-consistency check shared by maps and queues: the recovered state must
-/// equal the model state after `n` operations for some `n` in
-/// `acked..=completed` — or `completed + 1` when an operation may have been in
-/// flight at the crash (`in_flight`, false for construction-window points where
-/// no operation had started). `acked` is the `acked_floor`: under
-/// [`CommitMode::Immediate`] it equals `completed` and the window collapses to
-/// the strict two-state check; under a batched commit mode the window widens to
-/// the unacknowledged tail, which a crash may legally lose.
-#[allow(clippy::too_many_arguments)]
+/// Prefix-consistency check shared by maps, queues and the service's crashed
+/// shard: the recovered state must equal the model state after `n` operations
+/// for some `n` in `acked..=completed` — or `completed + 1` when an operation
+/// may have been in flight at the crash (`in_flight`, false for
+/// construction-window points where no operation had started). `acked` is the
+/// [`acked_floor`]: under [`CommitMode::Immediate`] it equals `completed` and
+/// the window collapses to the strict two-state check; under a batched commit
+/// mode the window widens to the unacknowledged tail, which a crash may legally
+/// lose.
 pub(crate) fn check_prefix<S: PartialEq + std::fmt::Debug>(
     actual: &[S],
     truncated: bool,
     state: impl Fn(usize) -> Vec<S>,
     history_len: usize,
-    acked: usize,
-    completed: usize,
-    in_flight: bool,
-) -> Option<String> {
+    window: &CrashWindow,
+) -> Vec<Finding> {
+    let CrashWindow {
+        acked,
+        completed,
+        in_flight,
+    } = *window;
     if truncated {
-        return Some(
+        return vec![Finding::crashed(
             "recovery walk truncated: a node was reachable through persisted links but its own \
              recovery words were not in the image (persist-before-publish violated)"
                 .to_string(),
-        );
+        )];
     }
     let hi = if in_flight {
         (completed + 1).min(history_len)
@@ -439,12 +604,10 @@ pub(crate) fn check_prefix<S: PartialEq + std::fmt::Debug>(
         completed
     };
     let lo = acked.min(hi);
-    for n in lo..=hi {
-        if actual == state(n).as_slice() {
-            return None;
-        }
+    if (lo..=hi).any(|n| actual == state(n).as_slice()) {
+        return Vec::new();
     }
-    Some(format!(
+    vec![Finding::crashed(format!(
         "recovered {} but expected the state after n ops for some n in {}..={} \
          (acked floor {}, {} completed{}); state({}) is {}, state({}) is {}{}",
         digest(actual),
@@ -462,10 +625,12 @@ pub(crate) fn check_prefix<S: PartialEq + std::fmt::Debug>(
         } else {
             " (crash inside the construction window: only the empty structure is admissible)"
         }
-    ))
+    ))]
 }
 
-/// Sweep crash points across `history` for a map structure `M` built by `factory`.
+/// Sweep crash points across `history` for a map structure `M` built by
+/// `factory` (any [`ConcurrentMap`] with image-only recovery, the HAMT and its
+/// broken control included): prefix consistency against the sequential map model.
 pub fn sweep_map<P, M, F>(
     case: CaseMeta,
     factory: F,
@@ -477,84 +642,31 @@ where
     M: ConcurrentMap<P> + MapCrashRecovery<P>,
     F: Fn(SimNvram) -> P,
 {
-    let counting = replay_map::<P, M, F>(&factory, history, None, true, settings);
-    let points = match settings.crash_at {
-        Some(k) => vec![k.min(counting.total)],
-        None => select_points(0, counting.total, settings.budget),
+    let replay = |run: &mut Run<'_>| {
+        let db = run.db(&factory, run.backend.clone());
+        let map = M::with_capacity(&db, 64);
+        let h = db.handle();
+        let mut model = BTreeMap::new();
+        let image = run.drive(std::slice::from_ref(&h), 0, history.len(), |i| {
+            map_step(&map, &h, &mut model, i, history[i])
+        })?;
+        Some(map.recover_from_image(&image))
     };
-    let mut violations = Vec::new();
-    if let Some(detail) = counting.functional {
-        // The live return values diverged from the sequential model even without a
-        // crash: a linearizability bug, reported before any durability verdicts.
-        violations.push(Violation {
-            crash_event: 0,
-            triggered_on: "live-run",
-            completed_ops: 0,
-            detail,
-            repro: case.repro(0),
-            flight: Vec::new(),
-        });
-    }
-    for &k in &points {
-        let in_flight = k >= counting.base;
-        let run = replay_map::<P, M, F>(&factory, history, Some(k), in_flight, settings);
-        // The PR-4 core invariant, asserted rather than assumed: every replay of
-        // one case reproduces the counting pass's absolute event stream exactly
-        // (a drift would silently misclassify construction-window points).
-        assert_eq!(
-            run.base, counting.base,
-            "event-stream determinism broke: construction span drifted between replays"
-        );
-        if in_flight {
-            assert_eq!(
-                run.total, counting.total,
-                "event-stream determinism broke: total span drifted between replays"
-            );
-        }
-        let (recovered, kind) = run.recovered.expect("crash point was armed");
-        let completed = completed_before(&run.boundaries, k);
-        let acked = acked_floor(&run.marks, completed);
-        let actual = recovered.sorted_pairs();
-        if let Some(detail) = run.functional {
-            violations.push(Violation {
-                crash_event: k,
-                triggered_on: "live-run",
-                completed_ops: completed,
-                detail,
-                repro: case.repro(k),
-                flight: run.flight.clone(),
-            });
-        }
-        if let Some(detail) = check_prefix(
-            &actual,
+    let check = |recovered: &RecoveredMap, window: &CrashWindow| {
+        check_prefix(
+            &recovered.sorted_pairs(),
             recovered.truncated,
             |n| map_state(history, n),
             history.len(),
-            acked,
-            completed,
-            in_flight,
-        ) {
-            violations.push(Violation {
-                crash_event: k,
-                triggered_on: kind,
-                completed_ops: completed,
-                detail,
-                repro: case.repro(k),
-                flight: run.flight,
-            });
-        }
-    }
-    SweepReport {
-        case,
-        events_construction: counting.base,
-        events_total: counting.total,
-        points_tested: points.len(),
-        violations,
-    }
+            window,
+        )
+    };
+    sweep(settings, replay, check).into_report(case)
 }
 
 /// Sweep crash points across `history` for the Michael–Scott queue under durability
-/// method `D` and the policy built by `factory`.
+/// method `D` and the policy built by `factory`: prefix consistency against
+/// the sequential queue model.
 pub fn sweep_queue<P, D, F>(
     case: CaseMeta,
     factory: F,
@@ -566,80 +678,200 @@ where
     D: Durability,
     F: Fn(SimNvram) -> P,
 {
-    let counting = replay_queue::<P, D, F>(&factory, history, None, true, settings);
-    let points = match settings.crash_at {
-        Some(k) => vec![k.min(counting.total)],
-        None => select_points(0, counting.total, settings.budget),
+    let replay = |run: &mut Run<'_>| {
+        let db = run.db(&factory, run.backend.clone());
+        let queue: MsQueue<P, D> = MsQueue::new(&db);
+        let h = db.handle();
+        let mut model = VecDeque::new();
+        let image = run.drive(std::slice::from_ref(&h), 0, history.len(), |i| {
+            let op = history[i];
+            let got = match op {
+                QueueOp::Enqueue(v) => {
+                    queue.enqueue(&h, v);
+                    None
+                }
+                QueueOp::Dequeue => queue.dequeue(&h),
+            };
+            let want = apply_queue_model(&mut model, op);
+            Step {
+                party: 0,
+                mismatch: (got != want).then(|| {
+                    format!("op {i} ({op:?}) returned {got:?} but the model says {want:?}")
+                }),
+            }
+        })?;
+        Some(queue.recover(&image))
     };
-    let mut violations = Vec::new();
-    if let Some(detail) = counting.functional {
-        violations.push(Violation {
-            crash_event: 0,
-            triggered_on: "live-run",
-            completed_ops: 0,
-            detail,
-            repro: case.repro(0),
-            flight: Vec::new(),
-        });
-    }
-    for &k in &points {
-        let in_flight = k >= counting.base;
-        let run = replay_queue::<P, D, F>(&factory, history, Some(k), in_flight, settings);
-        // See sweep_map: replays must reproduce the counting pass's event stream.
-        assert_eq!(
-            run.base, counting.base,
-            "event-stream determinism broke: construction span drifted between replays"
-        );
-        if in_flight {
-            assert_eq!(
-                run.total, counting.total,
-                "event-stream determinism broke: total span drifted between replays"
-            );
-        }
-        let (recovered, kind) = run.recovered.expect("crash point was armed");
-        let completed = completed_before(&run.boundaries, k);
-        let acked = acked_floor(&run.marks, completed);
-        if let Some(detail) = run.functional {
-            violations.push(Violation {
-                crash_event: k,
-                triggered_on: "live-run",
-                completed_ops: completed,
-                detail,
-                repro: case.repro(k),
-                flight: run.flight.clone(),
-            });
-        }
-        if let Some(detail) = check_prefix(
+    let check = |recovered: &RecoveredQueue, window: &CrashWindow| {
+        check_prefix(
             &recovered.values,
             recovered.truncated,
             |n| queue_state(history, n),
             history.len(),
-            acked,
-            completed,
-            in_flight,
-        ) {
-            violations.push(Violation {
-                crash_event: k,
-                triggered_on: kind,
-                completed_ops: completed,
-                detail,
-                repro: case.repro(k),
-                flight: run.flight,
-            });
-        }
-    }
-    SweepReport {
-        case,
-        events_construction: counting.base,
-        events_total: counting.total,
-        points_tested: points.len(),
-        violations,
-    }
+            window,
+        )
+    };
+    sweep(settings, replay, check).into_report(case)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// [`check_prefix`]'s verdict for one window, as the finding's detail.
+    fn prefix_verdict<S: PartialEq + std::fmt::Debug>(
+        actual: &[S],
+        truncated: bool,
+        state: impl Fn(usize) -> Vec<S>,
+        history_len: usize,
+        acked: usize,
+        completed: usize,
+        in_flight: bool,
+    ) -> Option<String> {
+        let window = CrashWindow {
+            acked,
+            completed,
+            in_flight,
+        };
+        let mut findings = check_prefix(actual, truncated, state, history_len, &window);
+        assert!(findings.len() <= 1 && findings.iter().all(|f| f.survivor.is_none()));
+        findings.pop().map(|f| f.detail)
+    }
+
+    /// What the toy subject saw, per replay and per check.
+    #[derive(Default)]
+    struct ToyLog {
+        /// Steps each replay applied, in replay order (counting pass first).
+        steps_run: Vec<usize>,
+        /// Absolute event index after each step of the latest full replay.
+        boundaries: Vec<u64>,
+        windows: Vec<CrashWindow>,
+    }
+
+    const TOY_STEPS: usize = 5;
+
+    /// Sweep a toy subject — five list inserts whose "recovery" ignores the
+    /// image and whose check is scripted: a finding exactly when three
+    /// operations had completed. `lie_at` scripts a live-run mismatch at that
+    /// step; `drift` makes every construction after the first one longer.
+    fn toy_sweep(settings: &SweepSettings, lie_at: Option<usize>, drift: bool) -> (Sweep, ToyLog) {
+        use flit_datastructs::{Automatic, HarrisList};
+        use std::cell::{Cell, RefCell};
+        type P = flit::FlitPolicy<flit::HashedScheme, SimNvram>;
+        let factory = |b| flit::presets::flit_ht_sized(b, 1 << 12);
+        let log = RefCell::new(ToyLog::default());
+        let builds = Cell::new(0);
+        let replay = |run: &mut Run<'_>| {
+            let db = run.db(&factory, run.backend.clone());
+            let list: HarrisList<P, Automatic> = HarrisList::with_capacity(&db, 64);
+            let h = db.handle();
+            if drift && builds.replace(builds.get() + 1) > 0 {
+                list.insert(&h, 99, 99);
+            }
+            let plan = run
+                .backend
+                .crash_plan()
+                .expect("the driver armed one")
+                .clone();
+            let mut boundaries = Vec::new();
+            let image = run.drive(std::slice::from_ref(&h), 0, TOY_STEPS, |i| {
+                list.insert(&h, i as u64, 0);
+                boundaries.push(plan.events_seen());
+                Step {
+                    party: 0,
+                    mismatch: (lie_at == Some(i)).then(|| format!("scripted lie at {i}")),
+                }
+            });
+            let mut log = log.borrow_mut();
+            log.steps_run.push(boundaries.len());
+            if boundaries.len() == TOY_STEPS {
+                log.boundaries = boundaries;
+            }
+            image.map(|_| ())
+        };
+        let check = |_: &(), window: &CrashWindow| {
+            log.borrow_mut().windows.push(*window);
+            match window.completed {
+                3 => vec![Finding::crashed("scripted loss".to_string())],
+                _ => Vec::new(),
+            }
+        };
+        let found = sweep(settings, replay, check);
+        (found, log.into_inner())
+    }
+
+    fn toy_case() -> CaseMeta {
+        CaseMeta {
+            structure: "list",
+            method: "automatic",
+            policy: "flit-ht",
+            history: crate::HistorySpec::Scripted,
+            elision: ElisionMode::Enabled,
+            commit: CommitMode::Immediate,
+            broken_acks: false,
+        }
+    }
+
+    #[test]
+    fn driver_reports_scripted_findings_at_their_absolute_indices() {
+        let (found, log) = toy_sweep(&SweepSettings::default(), None, false);
+        assert_eq!(found.points_tested as u64, found.events_total + 1);
+        // Three operations had completed exactly for the crash points from the
+        // third boundary up to (not including) the fourth.
+        let expected: Vec<u64> = (log.boundaries[2]..log.boundaries[3]).collect();
+        assert!(!expected.is_empty() && expected[0] > found.events_construction);
+        let report = found.into_report(toy_case());
+        let got: Vec<u64> = report.violations.iter().map(|v| v.crash_event).collect();
+        assert_eq!(got, expected);
+        for v in &report.violations {
+            assert_eq!(v.completed_ops, 3);
+            assert!(["store", "pwb", "pfence"].contains(&v.triggered_on));
+            assert!(!v.flight.is_empty(), "crash point {}", v.crash_event);
+            assert_eq!(v.repro, toy_case().repro(v.crash_event));
+            assert!(v.repro.starts_with("crashtest --structures list"));
+            assert!(v.repro.ends_with(&format!("--crash-at {}", v.crash_event)));
+        }
+    }
+
+    #[test]
+    fn construction_window_points_skip_the_history_and_are_not_in_flight() {
+        let (found, log) = toy_sweep(&SweepSettings::default(), None, false);
+        let construction = found.events_construction as usize;
+        assert!(construction > 0);
+        // One counting pass, then one replay per point in index order.
+        let mut steps = vec![TOY_STEPS];
+        steps.extend(vec![0; construction]);
+        steps.extend(vec![TOY_STEPS; found.points_tested - construction]);
+        assert_eq!(log.steps_run, steps);
+        let quiet = CrashWindow {
+            acked: 0,
+            completed: 0,
+            in_flight: false,
+        };
+        assert!(log.windows[..construction].iter().all(|w| *w == quiet));
+        assert!(log.windows[construction..].iter().all(|w| w.in_flight));
+        assert_eq!(log.windows.last().unwrap().completed, TOY_STEPS);
+    }
+
+    #[test]
+    fn live_run_mismatches_are_reported_by_every_replay_that_ran_the_history() {
+        let (found, _) = toy_sweep(&SweepSettings::default(), Some(1), false);
+        let live: Vec<&Hit> = found.hits.iter().filter(|h| h.on == LIVE_RUN).collect();
+        // The counting pass reports it at index 0 with no flight tail...
+        assert_eq!((live[0].crash_event, live[0].completed_ops), (0, 0));
+        assert!(live[0].flight.is_empty());
+        // ...and so does every armed replay past the construction window.
+        let armed: Vec<u64> = live[1..].iter().map(|h| h.crash_event).collect();
+        let expected: Vec<u64> = (found.events_construction..=found.events_total).collect();
+        assert_eq!(armed, expected);
+        assert!(live.iter().all(|h| h.detail == "scripted lie at 1"));
+    }
+
+    #[test]
+    #[should_panic(expected = "event-stream determinism broke")]
+    fn event_span_drift_between_counting_pass_and_replay_panics() {
+        toy_sweep(&SweepSettings::default(), None, true);
+    }
 
     #[test]
     fn point_selection_covers_the_span_or_respects_the_budget() {
@@ -703,10 +935,10 @@ mod tests {
             _ => vec![(1, 10), (2, 20)],
         };
         // Strict (immediate) contract: acked == completed.
-        assert!(check_prefix(&state(1), false, state, hist_len, 1, 1, true).is_none());
-        assert!(check_prefix(&state(2), false, state, hist_len, 1, 1, true).is_none());
-        assert!(check_prefix(&state(0), false, state, hist_len, 1, 1, true).is_some());
-        assert!(check_prefix(&state(1), true, state, hist_len, 1, 1, true).is_some());
+        assert!(prefix_verdict(&state(1), false, state, hist_len, 1, 1, true).is_none());
+        assert!(prefix_verdict(&state(2), false, state, hist_len, 1, 1, true).is_none());
+        assert!(prefix_verdict(&state(0), false, state, hist_len, 1, 1, true).is_some());
+        assert!(prefix_verdict(&state(1), true, state, hist_len, 1, 1, true).is_some());
     }
 
     #[test]
@@ -716,12 +948,12 @@ mod tests {
         // Batched contract: 3 ops completed, only the first acknowledged — any
         // prefix of the unacknowledged tail may be lost...
         for n in 1..=3 {
-            assert!(check_prefix(&state(n), false, state, hist_len, 1, 3, true).is_none());
+            assert!(prefix_verdict(&state(n), false, state, hist_len, 1, 3, true).is_none());
         }
         // ...but the acknowledged prefix itself must survive.
-        assert!(check_prefix(&state(0), false, state, hist_len, 1, 3, true).is_some());
+        assert!(prefix_verdict(&state(0), false, state, hist_len, 1, 3, true).is_some());
         // Broken-ack control shape: everything claimed acknowledged, tail lost.
-        let verdict = check_prefix(&state(1), false, state, hist_len, 3, 3, true);
+        let verdict = prefix_verdict(&state(1), false, state, hist_len, 3, 3, true);
         assert!(verdict.unwrap().contains("acked floor 3"));
     }
 
@@ -747,8 +979,8 @@ mod tests {
             _ => vec![(1u64, 10u64)],
         };
         // No operation can be in flight during construction: state(1) is a bug.
-        assert!(check_prefix(&state(0), false, state, hist_len, 0, 0, false).is_none());
-        let verdict = check_prefix(&state(1), false, state, hist_len, 0, 0, false);
+        assert!(prefix_verdict(&state(0), false, state, hist_len, 0, 0, false).is_none());
+        let verdict = prefix_verdict(&state(1), false, state, hist_len, 0, 0, false);
         assert!(verdict.is_some());
         assert!(verdict.unwrap().contains("construction window"));
     }

@@ -33,19 +33,16 @@
 //! three entry words are pwb'd together and covered by the same fence, so the
 //! loss model makes the entry all-or-nothing.
 
-use flit::{CommitMode, FlitDb, Policy};
-use flit_datastructs::ConcurrentMap;
+use std::collections::BTreeMap;
+
+use flit::{CommitMode, Policy};
 use flit_hamt::{Hamt, RetainedSnapshot};
-use flit_pmem::{CrashPlan, SimNvram};
+use flit_pmem::SimNvram;
 use flit_workload::MapOp;
 
-use flit::presets;
-
-use crate::engine::{
-    completed_before, frozen_image, map_state, replay_backend, select_points, SweepSettings,
-};
-use crate::matrix::FLIT_HT_SWEEP_BYTES;
-use crate::report::{CaseMeta, HistorySpec, SweepReport, Violation};
+use crate::engine::{map_state, map_step, sweep, CrashWindow, Finding, Run, SweepSettings};
+use crate::matrix::for_policy;
+use crate::report::{CaseMeta, HistorySpec, SweepReport};
 use crate::PolicyKind;
 
 /// The structure key the `crashtest` CLI uses for this sweep (it is not a
@@ -61,107 +58,13 @@ pub fn default_snap_at(history_len: usize) -> usize {
     (history_len / 3).clamp(1, history_len.max(1))
 }
 
-/// One replay with a snapshot taken after `snap_at` operations and held alive
-/// until the end.
-struct SnapReplay {
-    base: u64,
-    /// Absolute event index right after the snapshot call returned (completion
-    /// fence included); `u64::MAX` when the replay skipped the history.
-    snap_boundary: u64,
-    /// Per-operation completion boundaries (absolute event indices).
-    boundaries: Vec<u64>,
-    total: u64,
-    recovered: Option<(Vec<RetainedSnapshot>, &'static str)>,
-    flight: Vec<flit::FlightEvent>,
-}
-
-fn replay_snapshot<P, F>(
-    factory: &F,
-    history: &[MapOp],
-    snap_at: usize,
-    crash_at: Option<u64>,
-    run_history: bool,
-    settings: &SweepSettings,
-) -> SnapReplay
-where
-    P: Policy<Backend = SimNvram>,
-    F: Fn(SimNvram) -> P,
-{
-    let plan = match crash_at {
-        Some(k) => CrashPlan::armed_at(k),
-        None => CrashPlan::counting(),
-    };
-    let backend = replay_backend(plan.clone(), settings.elision);
-    let db = FlitDb::builder(factory(backend.clone()))
-        .commit_mode(settings.commit)
-        .build();
-    let map: Hamt<P> = Hamt::with_capacity(&db, 64);
-    let h = db.handle();
-    h.arm_flight_recorder();
-    let base = plan.events_seen();
-    let mut snap_boundary = u64::MAX;
-    let mut boundaries = Vec::with_capacity(history.len());
-    let mut snapshot = None;
-    let mut flight = Vec::new();
-    if run_history {
-        if snap_at == 0 {
-            snapshot = Some(map.snapshot(&h));
-            snap_boundary = plan.events_seen();
-        }
-        for (i, op) in history.iter().enumerate() {
-            match *op {
-                MapOp::Insert(k, v) => {
-                    map.insert(&h, k, v);
-                }
-                MapOp::Remove(k) => {
-                    map.remove(&h, k);
-                }
-                MapOp::Get(k) => {
-                    map.get(&h, k);
-                }
-            }
-            if settings.broken_acks {
-                h.ack_obligations_without_fence();
-            }
-            if i + 1 == snap_at {
-                snapshot = Some(map.snapshot(&h));
-                snap_boundary = plan.events_seen();
-            }
-            boundaries.push(plan.events_seen());
-            if let Some(k) = crash_at {
-                if flight.is_empty() && plan.events_seen() >= k {
-                    flight = h.flight_events();
-                }
-            }
-        }
-    }
-    if crash_at.is_some() && flight.is_empty() {
-        flight = h.flight_events();
-    }
-    let total = plan.events_seen();
-    // The snapshot must still be alive when the end-control image is taken:
-    // dropping it writes refcount 0, which at `k == total` (nothing lost) would
-    // make the tracker's final image legitimately snapshot-free.
-    let recovered = frozen_image(&plan, &backend, crash_at).map(|(image, kind)| {
-        (
-            Hamt::<P>::recover_snapshots_in_image(map.arena(), &image),
-            kind,
-        )
-    });
-    drop(snapshot);
-    SnapReplay {
-        base,
-        snap_boundary,
-        boundaries,
-        total,
-        recovered,
-        flight,
-    }
-}
-
 /// Sweep crash points across `history`, holding a snapshot taken after
 /// `snap_at` operations, and verify the retained-root table recovered from
 /// every frozen image replays the snapshot to exactly its frozen contents.
+///
+/// The snapshot call belongs to operation `snap_at`'s step (it precedes
+/// operation 1 when `snap_at` is 0), so "the snapshot had completed" is "that
+/// operation had completed".
 pub fn sweep_hamt_snapshot<P, F>(
     case: CaseMeta,
     factory: F,
@@ -174,90 +77,77 @@ where
     F: Fn(SimNvram) -> P,
 {
     let frozen = map_state(history, snap_at);
-    let counting = replay_snapshot::<P, F>(&factory, history, snap_at, None, true, settings);
-    let points = match settings.crash_at {
-        Some(k) => vec![k.min(counting.total)],
-        None => select_points(0, counting.total, settings.budget),
+    let replay = |run: &mut Run<'_>| {
+        let db = run.db(&factory, run.backend.clone());
+        let map: Hamt<P> = Hamt::new(&db, 64);
+        let h = db.handle();
+        let mut model = BTreeMap::new();
+        let mut snapshot = None;
+        let image = run.drive(std::slice::from_ref(&h), 0, history.len(), |i| {
+            if snap_at == 0 && i == 0 {
+                snapshot = Some(map.snapshot(&h));
+            }
+            let step = map_step(&map, &h, &mut model, i, history[i]);
+            if i + 1 == snap_at {
+                snapshot = Some(map.snapshot(&h));
+            }
+            step
+        })?;
+        let retained = Hamt::<P>::recover_snapshots_in_image(map.arena(), &image);
+        // Only now may the snapshot go: dropping it writes refcount 0, which at
+        // the nothing-lost control point would have made the tracker's final
+        // image legitimately snapshot-free.
+        drop(snapshot);
+        Some(retained)
     };
-    let mut violations = Vec::new();
-    for &k in &points {
-        let in_flight = k >= counting.base;
-        let run = replay_snapshot::<P, F>(&factory, history, snap_at, Some(k), in_flight, settings);
-        assert_eq!(
-            run.base, counting.base,
-            "event-stream determinism broke: construction span drifted between replays"
-        );
-        if in_flight {
-            assert_eq!(
-                run.total, counting.total,
-                "event-stream determinism broke: total span drifted between replays"
-            );
-            assert_eq!(
-                run.snap_boundary, counting.snap_boundary,
-                "event-stream determinism broke: snapshot boundary drifted between replays"
-            );
-        }
-        let (retained, kind) = run.recovered.expect("crash point was armed");
-        let completed = completed_before(&run.boundaries, k);
-        let mut fail = |detail: String| {
-            violations.push(Violation {
-                crash_event: k,
-                triggered_on: kind,
-                completed_ops: completed,
-                detail,
-                repro: case.repro(k),
-                flight: run.flight.clone(),
-            });
-        };
+    let check = |retained: &Vec<RetainedSnapshot>, window: &CrashWindow| {
+        let mut findings = Vec::new();
         if retained.len() > 1 {
-            fail(format!(
+            findings.push(Finding::crashed(format!(
                 "recovered {} retained snapshots but the replay took exactly one",
                 retained.len()
-            ));
+            )));
         }
         match retained.first() {
-            Some(snap) => {
-                if snap.rec.truncated {
-                    fail(
-                        "retained snapshot's recovery walk truncated: its root was durably \
-                         retained but part of its frozen path was not in the image \
-                         (persist-before-publish violated for a pinned root)"
-                            .to_string(),
-                    );
-                } else if snap.rec.sorted_pairs() != frozen {
-                    fail(format!(
-                        "retained snapshot (slot {}, version {}) recovered {:?} but its frozen \
-                         contents (model after {} ops) are {:?}",
-                        snap.slot,
-                        snap.version,
-                        snap.rec.sorted_pairs(),
-                        snap_at,
-                        frozen
-                    ));
-                }
+            Some(snap) if snap.rec.truncated => findings.push(Finding::crashed(
+                "retained snapshot's recovery walk truncated: its root was durably \
+                 retained but part of its frozen path was not in the image \
+                 (persist-before-publish violated for a pinned root)"
+                    .to_string(),
+            )),
+            Some(snap) if snap.rec.sorted_pairs() != frozen => {
+                findings.push(Finding::crashed(format!(
+                    "retained snapshot (slot {}, version {}) recovered {:?} but its frozen \
+                     contents (model after {} ops) are {:?}",
+                    snap.slot,
+                    snap.version,
+                    snap.rec.sorted_pairs(),
+                    snap_at,
+                    frozen
+                )))
             }
-            None => {
-                // The entry commits atomically at the snapshot's completion
-                // fence, so under an immediate commit it must be in any image
-                // frozen at or past that boundary.
-                let durable = in_flight && k >= counting.snap_boundary;
-                if durable && matches!(settings.commit, CommitMode::Immediate) {
-                    fail(format!(
-                        "no retained snapshot recovered, but the snapshot completed at event {} \
-                         (crash at {}): its table entry must have been durable",
-                        counting.snap_boundary, k
-                    ));
-                }
+            Some(_) => {}
+            // The entry commits atomically at the snapshot's completion fence —
+            // which only an immediate commit issues before the call returns —
+            // so it must then be in any image frozen at or past the boundary of
+            // the operation the snapshot call rode on.
+            None if matches!(settings.commit, CommitMode::Immediate)
+                && window.in_flight
+                && window.completed >= snap_at.max(1) =>
+            {
+                findings.push(Finding::crashed(format!(
+                    "no retained snapshot recovered, but the snapshot call completed with \
+                     operation {} and {} operations had completed at the crash: its table \
+                     entry must have been durable",
+                    snap_at.max(1),
+                    window.completed
+                )))
             }
+            None => {}
         }
-    }
-    SweepReport {
-        case,
-        events_construction: counting.base,
-        events_total: counting.total,
-        points_tested: points.len(),
-        violations,
-    }
+        findings
+    };
+    sweep(settings, replay, check).into_report(case)
 }
 
 /// [`sweep_hamt_snapshot`] for a named policy and history spec, with the
@@ -279,23 +169,5 @@ pub fn run_hamt_snapshot_case(
     };
     let ops = history.map_history();
     let snap_at = default_snap_at(ops.len());
-    match policy {
-        PolicyKind::Plain => sweep_hamt_snapshot(case, presets::plain, &ops, snap_at, settings),
-        PolicyKind::FlitHt => sweep_hamt_snapshot(
-            case,
-            |b| presets::flit_ht_sized(b, FLIT_HT_SWEEP_BYTES),
-            &ops,
-            snap_at,
-            settings,
-        ),
-        PolicyKind::FlitAdjacent => {
-            sweep_hamt_snapshot(case, presets::flit_adjacent, &ops, snap_at, settings)
-        }
-        PolicyKind::FlitCacheLine => {
-            sweep_hamt_snapshot(case, presets::flit_cacheline, &ops, snap_at, settings)
-        }
-        PolicyKind::LinkPersist => {
-            sweep_hamt_snapshot(case, presets::link_and_persist, &ops, snap_at, settings)
-        }
-    }
+    for_policy!(policy, factory => sweep_hamt_snapshot(case, factory, &ops, snap_at, settings))
 }

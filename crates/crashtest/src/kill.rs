@@ -43,10 +43,15 @@ use std::process::{Command, Stdio};
 use std::time::{Duration, Instant};
 
 use flit::{CommitMode, FlitDb, FlitPolicy, HashedScheme, OpenError};
-use flit_alloc::post_crash_gc;
+use std::sync::Arc;
+
+use flit_alloc::{post_crash_gc, Arena};
 use flit_datastructs::{Automatic, ConcurrentMap, HashTable, RecoverInImage};
 use flit_hamt::Hamt;
-use flit_pmem::{LatencyModel, SimNvram};
+use flit_pmem::{CrashImage, LatencyModel, SimNvram};
+use flit_workload::MapOp;
+
+use crate::engine::{apply_map_op, apply_model};
 
 /// The policy every kill round runs under: flit-HT over simulated-NVRAM
 /// instruction accounting (the data itself lives in the pool file).
@@ -81,12 +86,13 @@ pub fn splitmix64(mut x: u64) -> u64 {
     x ^ (x >> 31)
 }
 
-/// Apply workload operation `j` (1-based) to a model map.
-fn apply_model(model: &mut BTreeMap<u64, u64>, j: u64) {
+/// Workload operation `j` (1-based). No key is inserted twice, so the model
+/// never stutters: every operation changes the state.
+fn kill_op(j: u64) -> MapOp {
     if j % 7 == 0 {
-        model.remove(&(j - 3));
+        MapOp::Remove(j - 3)
     } else {
-        model.insert(j, 3 * j + 1);
+        MapOp::Insert(j, 3 * j + 1)
     }
 }
 
@@ -94,26 +100,82 @@ fn apply_model(model: &mut BTreeMap<u64, u64>, j: u64) {
 pub fn model_state(ops: u64) -> BTreeMap<u64, u64> {
     let mut model = BTreeMap::new();
     for j in 1..=ops {
-        apply_model(&mut model, j);
+        apply_model(&mut model, kill_op(j));
     }
     model
 }
 
-/// Parse a commit-mode CLI word: `immediate` or `batched-K`.
+/// Parse a commit-mode CLI word: `immediate` or `batched-K` (`K >= 1`).
 pub fn parse_commit(word: &str) -> Option<CommitMode> {
-    if word == "immediate" {
-        return Some(CommitMode::Immediate);
-    }
-    let k = word.strip_prefix("batched-")?.parse().ok()?;
-    Some(CommitMode::Batched(k))
+    CommitMode::parse(word)
 }
 
 /// Render a commit mode as the CLI word [`parse_commit`] accepts.
 pub fn commit_word(commit: CommitMode) -> String {
-    match commit {
-        CommitMode::Immediate => "immediate".into(),
-        CommitMode::Batched(k) => format!("batched-{k}"),
+    commit.name()
+}
+
+/// Overwrite the sidecar word at `offset` (0: acknowledged floor, 8: snapshot
+/// marker).
+fn write_sidecar_word(side: &std::fs::File, offset: u64, value: u64) -> Result<(), String> {
+    #[cfg(unix)]
+    {
+        use std::os::unix::fs::FileExt;
+        side.write_all_at(&value.to_le_bytes(), offset)
+            .map_err(|e| format!("child: sidecar write: {e}"))
     }
+    #[cfg(not(unix))]
+    {
+        let _ = (side, offset, value);
+        Err("kill rounds require a unix platform".into())
+    }
+}
+
+/// The workload loop both children run: operation `j` on `map`, then the
+/// acknowledged floor to sidecar offset 0. Right after operation `snap_at`
+/// (never, when 0) it calls `take_snapshot` and writes `snap_at` to sidecar
+/// offset 8 — the parent's signal that a retained snapshot is now live. Before
+/// returning it drains the handle and writes `floor = ops`, so whatever the
+/// caller tears down afterwards (the snapshot release) happens in a window the
+/// parent recognises as past the last acknowledged operation.
+fn run_workload<M: ConcurrentMap<KillPolicy>>(
+    db: &FlitDb<KillPolicy>,
+    map: &M,
+    sidecar: &Path,
+    ops: u64,
+    snap_at: u64,
+    mut take_snapshot: impl FnMut(&flit::FlitHandle<'_, KillPolicy>),
+) -> Result<(), String> {
+    let h = db.handle();
+    let side = std::fs::OpenOptions::new()
+        .create(true)
+        .write(true)
+        .truncate(true)
+        .open(sidecar)
+        .map_err(|e| format!("child: sidecar: {e}"))?;
+    // `snapshot()` registers a durability obligation of its own (its completion
+    // fence), so once it is live the committed count runs one ahead of the
+    // workload; subtract it — a floor that lags by one while the snapshot's own
+    // batch is still open is merely conservative.
+    let mut snapshot_obligations = 0;
+    for j in 1..=ops {
+        apply_map_op(map, &h, kill_op(j));
+        let floor = match db.commit_mode() {
+            CommitMode::Immediate => j,
+            CommitMode::Batched(_) => h
+                .committed_obligations()
+                .saturating_sub(snapshot_obligations),
+        };
+        write_sidecar_word(&side, 0, floor)?;
+        if j == snap_at {
+            take_snapshot(&h);
+            snapshot_obligations = 1;
+            write_sidecar_word(&side, 8, snap_at)?;
+        }
+    }
+    // Drained means durable already; nobody waits on the ticket.
+    let _ = h.flush_async();
+    write_sidecar_word(&side, 0, ops)
 }
 
 /// The child side of a kill round: create a fresh pool at `pool`, run the
@@ -138,36 +200,7 @@ pub fn child_main(pool: &Path, sidecar: &Path, ops: u64, commit: CommitMode) -> 
         buckets,
         flit_alloc::ArenaConfig::with_slots_per_chunk(chunk_slots),
     );
-    let h = db.handle();
-    let side = std::fs::OpenOptions::new()
-        .create(true)
-        .write(true)
-        .truncate(true)
-        .open(sidecar)
-        .map_err(|e| format!("child: sidecar: {e}"))?;
-    for j in 1..=ops {
-        if j % 7 == 0 {
-            map.remove(&h, j - 3);
-        } else {
-            map.insert(&h, j, 3 * j + 1);
-        }
-        let floor = match commit {
-            CommitMode::Immediate => j,
-            CommitMode::Batched(_) => h.committed_obligations(),
-        };
-        #[cfg(unix)]
-        {
-            use std::os::unix::fs::FileExt;
-            side.write_at(&floor.to_le_bytes(), 0)
-                .map_err(|e| format!("child: sidecar write: {e}"))?;
-        }
-        #[cfg(not(unix))]
-        {
-            let _ = floor;
-            return Err("kill rounds require a unix platform".into());
-        }
-    }
-    Ok(())
+    run_workload(&db, &map, sidecar, ops, 0, |_| {})
 }
 
 /// The snapshot kill-round child ([`child_main_hamt`]): the same deterministic
@@ -181,7 +214,9 @@ pub fn child_main(pool: &Path, sidecar: &Path, ops: u64, commit: CommitMode) -> 
 ///
 /// After taking the snapshot the child writes `snap_at` to sidecar offset 8
 /// (offset 0 stays the acknowledged floor), which is the parent's signal that
-/// the kill may land: every snapshot round verifies a retained snapshot.
+/// the kill may land: every snapshot round verifies a retained snapshot. A
+/// child that runs to completion releases the snapshot only after its sidecar
+/// says `floor = ops`.
 pub fn child_main_hamt(
     pool: &Path,
     sidecar: &Path,
@@ -204,50 +239,10 @@ pub fn child_main_hamt(
         ops as usize,
         flit_alloc::ArenaConfig::with_slots_per_chunk(chunk_slots),
     );
-    let h = db.handle();
-    let side = std::fs::OpenOptions::new()
-        .create(true)
-        .write(true)
-        .truncate(true)
-        .open(sidecar)
-        .map_err(|e| format!("child: sidecar: {e}"))?;
     let mut snapshot = None;
-    for j in 1..=ops {
-        if j % 7 == 0 {
-            map.remove(&h, j - 3);
-        } else {
-            map.insert(&h, j, 3 * j + 1);
-        }
-        let floor = match commit {
-            CommitMode::Immediate => j,
-            // `snapshot()` registers a durability obligation of its own (its
-            // completion fence), so once it is live the committed count runs
-            // one ahead of the workload; subtract it — a floor that lags by
-            // one while the snapshot's own batch is still open is merely
-            // conservative.
-            CommitMode::Batched(_) => h
-                .committed_obligations()
-                .saturating_sub(snapshot.is_some() as u64),
-        };
-        #[cfg(unix)]
-        {
-            use std::os::unix::fs::FileExt;
-            side.write_at(&floor.to_le_bytes(), 0)
-                .map_err(|e| format!("child: sidecar write: {e}"))?;
-            if j == snap_at {
-                snapshot = Some(map.snapshot(&h));
-                side.write_at(&snap_at.to_le_bytes(), 8)
-                    .map_err(|e| format!("child: sidecar marker: {e}"))?;
-            }
-        }
-        #[cfg(not(unix))]
-        {
-            let _ = (floor, &mut snapshot);
-            return Err("kill rounds require a unix platform".into());
-        }
-    }
-    drop(snapshot);
-    Ok(())
+    run_workload(&db, &map, sidecar, ops, snap_at, |h| {
+        snapshot = Some(map.snapshot(h))
+    })
 }
 
 /// What one kill round found (when it did not fail).
@@ -378,34 +373,18 @@ impl KillRound {
     }
 }
 
+/// The sidecar word at `offset` (see [`write_sidecar_word`]); 0 until the
+/// child has written it.
 fn read_sidecar_word(sidecar: &Path, offset: u64) -> u64 {
     #[cfg(unix)]
     {
-        use std::os::unix::fs::FileExt;
-        let mut buf = [0u8; 8];
-        match std::fs::File::open(sidecar) {
-            Ok(f) => match f.read_exact_at(&mut buf, offset) {
-                Ok(()) => u64::from_le_bytes(buf),
-                Err(_) => 0,
-            },
-            Err(_) => 0,
-        }
+        read_word_at(sidecar, offset).unwrap_or(0)
     }
     #[cfg(not(unix))]
     {
         let _ = (sidecar, offset);
         0
     }
-}
-
-fn read_floor(sidecar: &Path) -> u64 {
-    read_sidecar_word(sidecar, 0)
-}
-
-/// The snapshot marker [`child_main_hamt`] writes at sidecar offset 8 (0 until
-/// the snapshot has been taken).
-fn read_snap_marker(sidecar: &Path) -> u64 {
-    read_sidecar_word(sidecar, 8)
 }
 
 /// Walk the model forward and find the unique prefix length the recovered
@@ -415,7 +394,7 @@ fn match_model_prefix(recovered: &[(u64, u64)], ops: u64) -> Option<u64> {
     let mut model = BTreeMap::new();
     for c in 0..=ops {
         if c > 0 {
-            apply_model(&mut model, c);
+            apply_model(&mut model, kill_op(c));
         }
         if model.len() == recovered.len()
             && model
@@ -429,24 +408,29 @@ fn match_model_prefix(recovered: &[(u64, u64)], ops: u64) -> Option<u64> {
     None
 }
 
-/// Recover the workload map from a pool file and check it against the model:
-/// the shared verification tail of [`run_kill_round`], also run directly by
-/// the integration tests on pools they construct in-process.
-pub fn verify_pool(pool: &Path, ops: u64, floor: u64) -> Result<KillRoundReport, KillViolation> {
-    let (db, report) = match FlitDb::open(pool, kill_policy()) {
-        Ok(ok) => ok,
-        Err(e) => return Err(KillViolation::OpenFailed(e.to_string())),
-    };
-    let mut recovered: Vec<(u64, u64)> = Vec::new();
-    for arena in db.arenas() {
-        if arena
-            .live_roots()
-            .iter()
-            .any(|(k, _)| *k == <KillMap as RecoverInImage>::ROOT_KEY)
-        {
-            recovered.extend(KillMap::recover_arena_image(&arena, &report.image).pairs);
-        }
-    }
+/// The verification core both structures share: re-open `pool`
+/// (validate → adopt → recover → GC), recover `M` from every arena that
+/// registered its root, require the recovered pairs to be the model after
+/// exactly `c ≥ floor` operations, run the structure-specific `extra` check
+/// over those arenas and the pool's image, and finally require a second GC
+/// pass to reclaim nothing.
+fn verify_recovered<M: RecoverInImage>(
+    pool: &Path,
+    ops: u64,
+    floor: u64,
+    extra: impl FnOnce(&[Arc<Arena>], &CrashImage) -> Result<(), KillViolation>,
+) -> Result<KillRoundReport, KillViolation> {
+    let (db, report) =
+        FlitDb::open(pool, kill_policy()).map_err(|e| KillViolation::OpenFailed(e.to_string()))?;
+    let rooted: Vec<Arc<Arena>> = db
+        .arenas()
+        .into_iter()
+        .filter(|a| a.live_roots().iter().any(|(k, _)| *k == M::ROOT_KEY))
+        .collect();
+    let mut recovered: Vec<(u64, u64)> = rooted
+        .iter()
+        .flat_map(|a| M::recover_arena_image(a, &report.image).pairs)
+        .collect();
     recovered.sort_unstable();
 
     let matched = match match_model_prefix(&recovered, ops) {
@@ -456,8 +440,10 @@ pub fn verify_pool(pool: &Path, ops: u64, floor: u64) -> Result<KillRoundReport,
     if matched < floor {
         return Err(KillViolation::AckedOperationLost { matched, floor });
     }
+    extra(&rooted, &report.image)?;
 
-    // The open-time GC must have closed every leak: a second pass is a no-op.
+    // The open-time GC must have closed every leak — including everything a
+    // retained snapshot pins: a second pass is a no-op.
     let second_pass = post_crash_gc(&db.arenas()).total_reclaimed();
     if second_pass != 0 {
         return Err(KillViolation::GcNotIdempotent { second_pass });
@@ -470,6 +456,13 @@ pub fn verify_pool(pool: &Path, ops: u64, floor: u64) -> Result<KillRoundReport,
         timings: report.timings,
         child_finished: false,
     })
+}
+
+/// Recover the workload map from a pool file and check it against the model:
+/// the shared verification tail of [`run_kill_round`], also run directly by
+/// the integration tests on pools they construct in-process.
+pub fn verify_pool(pool: &Path, ops: u64, floor: u64) -> Result<KillRoundReport, KillViolation> {
+    verify_recovered::<KillMap>(pool, ops, floor, |_, _| Ok(()))
 }
 
 /// [`verify_pool`] for snapshot rounds: recover the [`KillHamt`] main trie
@@ -489,84 +482,53 @@ pub fn verify_hamt_pool(
     snap_at: u64,
     released: bool,
 ) -> Result<KillRoundReport, KillViolation> {
-    let (db, report) = match FlitDb::open(pool, kill_policy()) {
-        Ok(ok) => ok,
-        Err(e) => return Err(KillViolation::OpenFailed(e.to_string())),
-    };
-    let mut recovered: Vec<(u64, u64)> = Vec::new();
-    let mut snaps = Vec::new();
-    for arena in db.arenas() {
-        if arena
-            .live_roots()
+    verify_recovered::<KillHamt>(pool, ops, floor, |arenas, image| {
+        let snaps: Vec<_> = arenas
             .iter()
-            .any(|(k, _)| *k == <KillHamt as RecoverInImage>::ROOT_KEY)
-        {
-            recovered.extend(KillHamt::recover_arena_image(&arena, &report.image).pairs);
-            snaps.extend(KillHamt::recover_snapshots_in_image(&arena, &report.image));
+            .flat_map(|a| KillHamt::recover_snapshots_in_image(a, image))
+            .collect();
+        let fail = |why: String| Err(KillViolation::SnapshotCheck(why));
+        if released {
+            if !snaps.is_empty() {
+                return fail(format!(
+                    "{} retained snapshot(s) recovered after a clean release",
+                    snaps.len()
+                ));
+            }
+            return Ok(());
         }
-    }
-    recovered.sort_unstable();
-
-    let matched = match match_model_prefix(&recovered, ops) {
-        Some(c) => c,
-        None => return Err(KillViolation::NoPrefixMatch { recovered, floor }),
-    };
-    if matched < floor {
-        return Err(KillViolation::AckedOperationLost { matched, floor });
-    }
-
-    // `floor == ops` means the kill landed in the child's exit path, where
-    // the snapshot release (a plain refcount store that survives SIGKILL the
-    // instant it executes) races the kill — the table may recover either way.
-    let release_window = floor >= ops;
-    if released {
-        if !snaps.is_empty() {
-            return Err(KillViolation::SnapshotCheck(format!(
-                "{} retained snapshot(s) recovered after a clean release",
-                snaps.len()
-            )));
+        // `floor == ops` means the kill landed in the child's exit path, where
+        // the snapshot release (a plain refcount store that survives SIGKILL the
+        // instant it executes) races the kill — the table may recover either way.
+        if snaps.is_empty() && floor >= ops {
+            return Ok(());
         }
-    } else if !(snaps.is_empty() && release_window) {
         if snaps.len() != 1 {
-            return Err(KillViolation::SnapshotCheck(format!(
+            return fail(format!(
                 "expected exactly one retained snapshot, recovered {}",
                 snaps.len()
-            )));
+            ));
         }
         let snap = &snaps[0];
         if snap.rec.truncated {
-            return Err(KillViolation::SnapshotCheck(
+            return fail(
                 "retained snapshot's recovery walk truncated (part of its frozen path is \
                  missing from the pool)"
                     .into(),
-            ));
+            );
         }
         let frozen: Vec<(u64, u64)> = model_state(snap_at).into_iter().collect();
         if snap.rec.sorted_pairs() != frozen {
-            return Err(KillViolation::SnapshotCheck(format!(
+            return fail(format!(
                 "retained snapshot (slot {}, version {}) recovered {} pair(s) but its frozen \
                  contents (model after {snap_at} ops) have {}",
                 snap.slot,
                 snap.version,
                 snap.rec.pairs.len(),
                 frozen.len()
-            )));
+            ));
         }
-    }
-
-    // The open-time GC must have closed every leak — including everything the
-    // snapshot pins: a second pass is a no-op.
-    let second_pass = post_crash_gc(&db.arenas()).total_reclaimed();
-    if second_pass != 0 {
-        return Err(KillViolation::GcNotIdempotent { second_pass });
-    }
-
-    Ok(KillRoundReport {
-        matched_prefix: matched,
-        acked_floor: floor,
-        reclaimed_slots: report.leaked_slots(),
-        timings: report.timings,
-        child_finished: false,
+        Ok(())
     })
 }
 
@@ -605,8 +567,8 @@ pub fn run_kill_round(round: &KillRound) -> Result<KillRoundReport, KillViolatio
     let mut child_finished = false;
     loop {
         let ready = match round.hamt_snap {
-            Some(_) => read_snap_marker(&sidecar) >= 1,
-            None => read_floor(&sidecar) >= 1,
+            Some(_) => read_sidecar_word(&sidecar, 8) >= 1,
+            None => read_sidecar_word(&sidecar, 0) >= 1,
         };
         if ready {
             break;
@@ -636,9 +598,16 @@ pub fn run_kill_round(round: &KillRound) -> Result<KillRoundReport, KillViolatio
     if !child_finished {
         // Seed-derived delay, then SIGKILL — `Child::kill` sends SIGKILL on
         // unix, so the child gets no chance to flush, drop, or unwind. The
-        // window is wide enough that kills land all over the run (and a round
-        // whose child finishes first still verifies a full clean recovery).
-        let delay = splitmix64(round.seed.wrapping_add(round.round)) % 120_000;
+        // window spans the run, so kills land all over it (and a round whose
+        // child finishes first still verifies a full clean recovery): a
+        // snapshot round just measured spawn → marker, which covered the first
+        // third of its operations, so the rest takes about twice that; the
+        // hash-table rounds' 150 k-operation default runs past 120 ms.
+        let window_us = match round.hamt_snap {
+            Some(_) => 2 * started.elapsed().as_micros() as u64,
+            None => 120_000,
+        };
+        let delay = splitmix64(round.seed.wrapping_add(round.round)) % window_us.max(1);
         std::thread::sleep(Duration::from_micros(delay));
         child_finished = match child.try_wait() {
             Ok(Some(_)) => true,
@@ -654,7 +623,7 @@ pub fn run_kill_round(round: &KillRound) -> Result<KillRoundReport, KillViolatio
             .map_err(|e| KillViolation::Harness(format!("wait: {e}")))?;
     }
 
-    let floor = read_floor(&sidecar);
+    let floor = read_sidecar_word(&sidecar, 0);
     let mut report = match round.hamt_snap {
         Some(snap_at) => verify_hamt_pool(&pool, round.ops, floor, snap_at, child_finished)?,
         None => verify_pool(&pool, round.ops, floor)?,
@@ -889,7 +858,7 @@ mod tests {
         let mut prev = BTreeMap::new();
         for j in 1..=100 {
             let mut next = prev.clone();
-            apply_model(&mut next, j);
+            apply_model(&mut next, kill_op(j));
             assert_ne!(prev, next, "op {j} must change the state");
             prev = next;
         }

@@ -10,24 +10,54 @@
 //!
 //! ## How a sweep works
 //!
-//! For each case (structure × durability method × policy × history) the
-//! [`engine`]:
+//! There is **one** sweep driver, `engine::sweep`, and everything that can be
+//! crashed is a *subject* of it. For each case the driver:
 //!
 //! 1. replays the history once with a counting [`CrashPlan`](flit_pmem::CrashPlan)
 //!    to learn the event span and per-operation boundaries;
-//! 2. for each selected crash point `k`, replays against a fresh backend with a
-//!    plan armed at `k` — the plan freezes the adversarial persisted image the
-//!    instant event `k` would have applied (the event is lost, exactly as if power
-//!    failed during it);
-//! 3. recovers the structure from the frozen image
-//!    ([`MapCrashRecovery`](flit_datastructs::MapCrashRecovery) /
-//!    [`MsQueue::recover`](flit_queues::MsQueue::recover)) and checks the result
-//!    equals the model state after `c` or `c + 1` operations, where `c` operations
-//!    had completed before the crash.
+//! 2. selects crash points over the full absolute span `0..=total`, the
+//!    construction window included (every event, or an evenly spaced budget);
+//! 3. for each crash point `k`, replays against a fresh backend with a plan
+//!    armed at `k` — the plan freezes the adversarial persisted image the
+//!    instant event `k` would have applied (the event is lost, exactly as if
+//!    power failed during it) — skipping the history when `k` falls inside the
+//!    construction window, and asserts that the replay reproduced the counting
+//!    pass's event stream;
+//! 4. lets the subject recover from the frozen image and check the result
+//!    against where the crash fell: `c` operations completed, the first `a ≤ c`
+//!    of them acknowledged by a drain (`a = c` under an immediate commit), at
+//!    most one in flight.
 //!
-//! Replays are single-threaded and the vendored RNG is deterministic, so every
-//! violation comes with a complete repro string: the `crashtest` CLI invocation
-//! that replays exactly that structure, policy, seed and crash event.
+//! The driver alone arms plans and flight recorders, samples boundaries and
+//! obligation marks, acknowledges-without-fencing for the `broken_acks`
+//! control, compares live return values with the sequential model, and turns
+//! findings into [`Violation`]s. Replays are single-threaded and the vendored
+//! RNG is deterministic, so every violation comes with a complete repro string:
+//! the `crashtest` CLI invocation that replays exactly that structure, policy,
+//! seed and crash event.
+//!
+//! The subjects, and what each one's check demands of the recovered state:
+//!
+//! | subject | entry point | check |
+//! |---|---|---|
+//! | any [`ConcurrentMap`](flit_datastructs::ConcurrentMap) with image-only recovery — list, hash table, BST, skiplist, `Hamt`, `BrokenHamt` | [`sweep_map`] | the model after `n` operations for some `a ≤ n ≤ c + 1` |
+//! | [`MsQueue`](flit_queues::MsQueue) | [`sweep_queue`] | the same, over queue contents |
+//! | a `Hamt` holding a snapshot across the crash | [`sweep_hamt_snapshot`] | at most one retained snapshot; if present, *exactly* its frozen contents; present once its call completed (immediate commit) |
+//! | one shard of a [`KvServer`](flit_server::KvServer) | [`sweep_server_crash`] | crashed shard: the map check over its routed requests; every survivor: *exactly* its full routed history |
+//!
+//! ### Adding a subject
+//!
+//! Write one `pub fn sweep_<thing>` that calls `engine::sweep` with two
+//! closures. `replay` builds the thing on the replay's backend (`Run::db` gives
+//! a database under the sweep's commit mode), opens its handle(s), hands them
+//! and a `step(i)` closure — apply operation `i`, report a return value the
+//! sequential model disagrees with — to `Run::drive`, and recovers from the
+//! image `drive` returns using nothing but that image and the arena root
+//! tables. `check` lists what is wrong with a recovered state given the
+//! `CrashWindow` (`acked`, `completed`, `in_flight`); `engine::check_prefix` is
+//! the ready-made prefix-consistency check. Do not arm a plan, sample a
+//! boundary or build a `Violation` yourself — CI greps for a second copy.
+//! Then add the subject and its must-fail control to `tests/sweep_subjects.rs`.
 //!
 //! ## Catching bugs, not just confirming correctness
 //!
@@ -42,21 +72,21 @@
 //!
 //! * [`matrix::run_matrix`] / [`matrix::run_case`] — value-addressable sweeps over
 //!   the full combination space (what the binary and CI drive);
-//! * [`engine::sweep_map`] / [`engine::sweep_queue`] — generic sweeps for one
-//!   concrete instantiation (what the integration tests drive directly);
-//! * [`roundrobin::round_robin_map`] — the controlled scheduler: N explicit
-//!   `FlitHandle`s stepped round-robin on one OS thread, producing a
-//!   byte-reproducible global event stream (the explicit-handle redesign's
-//!   proof-of-concept, seeding the multi-threaded sweep roadmap item);
-//! * [`server::sweep_server_crash`] — the service-level sweep: crash exactly one
-//!   shard of a `flit-server` [`KvServer`](flit_server::KvServer) mid-traffic,
-//!   recover it image-only, and check the crashed shard is prefix-consistent
-//!   while every surviving shard holds exactly its full routed history;
+//!   [`hamt::run_hamt_snapshot_case`] is the snapshot sweep in the same form;
+//! * [`sweep_map`] / [`sweep_queue`] / [`sweep_hamt_snapshot`] /
+//!   [`sweep_server_crash`] — the subjects above for one concrete instantiation
+//!   (what the integration tests drive directly);
+//! * [`roundrobin::round_robin_map`] / [`server::round_robin_service`] — the
+//!   controlled scheduler: N explicit `FlitHandle`s (or one worker's handle set
+//!   over N shards) stepped on one OS thread, producing a byte-reproducible
+//!   global event stream (the explicit-handle redesign's proof-of-concept,
+//!   seeding the multi-threaded sweep roadmap item);
 //! * [`kill::run_kill_round`] / [`kill::corruption_suite`] — the *real-pool*
 //!   harness: `SIGKILL` a child process mid-traffic against a file-backed pool
 //!   and verify the reopened pool (prefix consistency, acked floor, GC
-//!   idempotence), plus targeted corruption of pool files asserting every case
-//!   surfaces as a typed `OpenError` (what the `killtest` binary drives).
+//!   idempotence; for HAMT rounds also the retained snapshot), plus targeted
+//!   corruption of pool files asserting every case surfaces as a typed
+//!   `OpenError` (what the `killtest` binary drives).
 
 #![warn(missing_docs)]
 #![deny(unsafe_op_in_unsafe_fn)]

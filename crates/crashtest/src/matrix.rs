@@ -2,7 +2,7 @@
 //! durability method × policy combination, named by the same keys the `crashtest`
 //! CLI accepts.
 
-use flit::{presets, Policy};
+use flit::Policy;
 use flit_datastructs::{
     Automatic, Durability, HarrisList, HashTable, Manual, NatarajanTree, NvTraverse, SkipList,
 };
@@ -164,8 +164,41 @@ impl MethodKind {
     }
 }
 
+/// The one `PolicyKind` → policy-constructor table: evaluates `$body` with
+/// `$factory` bound to the `Fn(SimNvram) -> P` building `$policy`'s policy (a
+/// macro because every policy is a different type `P`).
+macro_rules! for_policy {
+    ($policy:expr, $factory:ident => $body:expr) => {
+        match $policy {
+            $crate::PolicyKind::Plain => {
+                let $factory = flit::presets::plain;
+                $body
+            }
+            $crate::PolicyKind::FlitHt => {
+                let $factory =
+                    |b| flit::presets::flit_ht_sized(b, $crate::matrix::FLIT_HT_SWEEP_BYTES);
+                $body
+            }
+            $crate::PolicyKind::FlitAdjacent => {
+                let $factory = flit::presets::flit_adjacent;
+                $body
+            }
+            $crate::PolicyKind::FlitCacheLine => {
+                let $factory = flit::presets::flit_cacheline;
+                $body
+            }
+            $crate::PolicyKind::LinkPersist => {
+                let $factory = flit::presets::link_and_persist;
+                $body
+            }
+        }
+    };
+}
+pub(crate) use for_policy;
+
 /// Sweep one case. Returns `None` for combinations the policy cannot express
-/// (see [`PolicyKind::supports`]).
+/// (see [`PolicyKind::supports`]) and for the traversal-phase methods on the
+/// HAMT, which brings its own durability discipline.
 pub fn run_case(
     structure: StructureKind,
     method: MethodKind,
@@ -173,7 +206,8 @@ pub fn run_case(
     history: HistorySpec,
     settings: &SweepSettings,
 ) -> Option<SweepReport> {
-    if !policy.supports(structure) {
+    let traversal_method = matches!(method, MethodKind::NvTraverse | MethodKind::Manual);
+    if !policy.supports(structure) || (structure == StructureKind::Hamt && traversal_method) {
         return None;
     }
     let case = CaseMeta {
@@ -185,24 +219,7 @@ pub fn run_case(
         commit: settings.commit,
         broken_acks: settings.broken_acks,
     };
-    if structure == StructureKind::Hamt {
-        return run_hamt_case(case, method, policy, settings);
-    }
-    Some(match policy {
-        PolicyKind::Plain => with_policy(case, structure, method, settings, presets::plain),
-        PolicyKind::FlitHt => with_policy(case, structure, method, settings, |b| {
-            presets::flit_ht_sized(b, FLIT_HT_SWEEP_BYTES)
-        }),
-        PolicyKind::FlitAdjacent => {
-            with_policy(case, structure, method, settings, presets::flit_adjacent)
-        }
-        PolicyKind::FlitCacheLine => {
-            with_policy(case, structure, method, settings, presets::flit_cacheline)
-        }
-        PolicyKind::LinkPersist => {
-            with_policy(case, structure, method, settings, presets::link_and_persist)
-        }
-    })
+    Some(for_policy!(policy, factory => with_policy(case, structure, method, settings, factory)))
 }
 
 /// The HAMT carries its own durability discipline — MOD copy-on-write with a
@@ -210,52 +227,13 @@ pub fn run_case(
 /// methods, so the traversal-phase method axis does not apply to it. Only
 /// `automatic` (the real structure) and `volatile-broken` (the control whose
 /// root accesses are all v-instructions, [`flit_hamt::BrokenHamt`], which
-/// *must* fail) are swept; `nvtraverse` and `manual` return `None` like an
-/// unsupported policy combination. The policy axis is real: the root cell is a
-/// `P::Word<u64>`, so each policy sweeps its own protocol on the one word the
-/// trie's durability hinges on — counter-tagged under the FliT schemes,
-/// dirty-bit-marked under link-and-persist, flushed on every load under
-/// plain. (That last one is why the control's *loads* are volatile too: a
-/// plain p-load would write back the root the volatile CAS skipped.)
-fn run_hamt_case(
-    case: CaseMeta,
-    method: MethodKind,
-    policy: PolicyKind,
-    settings: &SweepSettings,
-) -> Option<SweepReport> {
-    fn go<P, F>(case: CaseMeta, broken: bool, settings: &SweepSettings, factory: F) -> SweepReport
-    where
-        P: Policy<Backend = SimNvram>,
-        F: Fn(SimNvram) -> P,
-    {
-        let history = case.history;
-        if broken {
-            sweep_map::<P, flit_hamt::BrokenHamt<P>, F>(
-                case,
-                factory,
-                &history.map_history(),
-                settings,
-            )
-        } else {
-            sweep_map::<P, flit_hamt::Hamt<P>, F>(case, factory, &history.map_history(), settings)
-        }
-    }
-    let broken = match method {
-        MethodKind::Automatic => false,
-        MethodKind::VolatileBroken => true,
-        MethodKind::NvTraverse | MethodKind::Manual => return None,
-    };
-    Some(match policy {
-        PolicyKind::Plain => go(case, broken, settings, presets::plain),
-        PolicyKind::FlitHt => go(case, broken, settings, |b| {
-            presets::flit_ht_sized(b, FLIT_HT_SWEEP_BYTES)
-        }),
-        PolicyKind::FlitAdjacent => go(case, broken, settings, presets::flit_adjacent),
-        PolicyKind::FlitCacheLine => go(case, broken, settings, presets::flit_cacheline),
-        PolicyKind::LinkPersist => go(case, broken, settings, presets::link_and_persist),
-    })
-}
-
+/// *must* fail) are swept; [`run_case`] answers `None` for `nvtraverse` and
+/// `manual`, like an unsupported policy combination. The policy axis is real:
+/// the root cell is a `P::Word<u64>`, so each policy sweeps its own protocol on
+/// the one word the trie's durability hinges on — counter-tagged under the
+/// FliT schemes, dirty-bit-marked under link-and-persist, flushed on every
+/// load under plain. (That last one is why the control's *loads* are volatile
+/// too: a plain p-load would write back the root the volatile CAS skipped.)
 fn with_policy<P, F>(
     case: CaseMeta,
     structure: StructureKind,
@@ -267,6 +245,15 @@ where
     P: Policy<Backend = SimNvram> + Clone,
     F: Fn(SimNvram) -> P,
 {
+    if structure == StructureKind::Hamt {
+        let history = case.history.map_history();
+        return match method {
+            MethodKind::VolatileBroken => {
+                sweep_map::<P, flit_hamt::BrokenHamt<P>, F>(case, factory, &history, settings)
+            }
+            _ => sweep_map::<P, flit_hamt::Hamt<P>, F>(case, factory, &history, settings),
+        };
+    }
     match method {
         MethodKind::Automatic => with_method::<P, Automatic, F>(case, structure, settings, factory),
         MethodKind::NvTraverse => {
@@ -307,7 +294,7 @@ where
         StructureKind::MsQueue => {
             sweep_queue::<P, D, F>(case, factory, &history.queue_history(), settings)
         }
-        StructureKind::Hamt => unreachable!("hamt cases are dispatched by run_hamt_case"),
+        StructureKind::Hamt => unreachable!("the hamt is dispatched by with_policy"),
     }
 }
 

@@ -74,7 +74,8 @@ impl HistorySpec {
 /// history × elision mode × commit mode (plus the broken-acknowledgment flag).
 #[derive(Debug, Clone)]
 pub struct CaseMeta {
-    /// Structure key (`list`, `hashtable`, `bst`, `skiplist`, `msqueue`).
+    /// Structure key (`list`, `hashtable`, `bst`, `skiplist`, `msqueue`, `hamt`,
+    /// or `hamt-snapshot` for the snapshot-consistency sweep).
     pub structure: &'static str,
     /// Durability-method key (`automatic`, `nvtraverse`, `manual`, `volatile-broken`).
     pub method: &'static str,

@@ -28,8 +28,30 @@
 
 use flit::{FlitDb, Policy};
 use flit_datastructs::ConcurrentMap;
-use flit_pmem::{CrashEventKind, CrashPlan, ElisionMode, LatencyModel, SimNvram};
+use flit_pmem::{CrashEventKind, CrashPlan, ElisionMode, SimNvram};
 use flit_workload::MapOp;
+
+use crate::engine::{apply_map_op, tracking_backend};
+
+/// A logging [`CrashPlan`] and the tracking backend it observes: the complete
+/// event-kind stream of whatever runs on the backend, in observation order.
+pub(crate) fn logged_backend(elision: ElisionMode) -> (CrashPlan, SimNvram) {
+    let plan = CrashPlan::counting_logged();
+    let backend = tracking_backend(Some(plan.clone()), elision);
+    (plan, backend)
+}
+
+/// One character per persistence event: `S`tore, p`W`b, p`F`ence.
+pub(crate) fn kinds_string(kinds: &[CrashEventKind]) -> String {
+    kinds
+        .iter()
+        .map(|k| match k {
+            CrashEventKind::Store => 'S',
+            CrashEventKind::Pwb => 'W',
+            CrashEventKind::Pfence => 'F',
+        })
+        .collect()
+}
 
 /// One step of a multi-handle scripted history: handle `handle` performs `op`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -74,15 +96,6 @@ impl RoundRobinTrace {
     /// span, every step's `(handle, boundary)`, and the full event-kind stream.
     /// Two runs of one script are required to produce **byte-identical** results.
     pub fn stream_string(&self) -> String {
-        let kinds: String = self
-            .kinds
-            .iter()
-            .map(|k| match k {
-                CrashEventKind::Store => 'S',
-                CrashEventKind::Pwb => 'W',
-                CrashEventKind::Pfence => 'F',
-            })
-            .collect();
         let steps: Vec<String> = self
             .step_boundaries
             .iter()
@@ -94,7 +107,7 @@ impl RoundRobinTrace {
             self.construction_events,
             self.events_total,
             steps.join(","),
-            kinds
+            kinds_string(&self.kinds)
         )
     }
 
@@ -126,13 +139,7 @@ where
     F: Fn(SimNvram) -> P,
 {
     assert!(handles > 0, "at least one handle");
-    let plan = CrashPlan::counting_logged();
-    let backend = SimNvram::builder()
-        .latency(LatencyModel::none())
-        .tracking(true)
-        .crash_plan(plan.clone())
-        .elision(elision)
-        .build();
+    let (plan, backend) = logged_backend(elision);
     let db = FlitDb::create(factory(backend));
     let map = M::with_capacity(&db, 64);
     // The controlled scheduler's thread pool: N logical threads, zero OS threads.
@@ -140,18 +147,7 @@ where
     let construction_events = plan.events_seen();
     let mut step_boundaries = Vec::with_capacity(script.len());
     for step in script {
-        let h = &sessions[step.handle];
-        match step.op {
-            MapOp::Insert(k, v) => {
-                map.insert(h, k, v);
-            }
-            MapOp::Remove(k) => {
-                map.remove(h, k);
-            }
-            MapOp::Get(k) => {
-                map.get(h, k);
-            }
-        }
+        apply_map_op(&map, &sessions[step.handle], step.op);
         step_boundaries.push((step.handle, plan.events_seen()));
     }
     drop(sessions); // any dirty handle fences here, inside the trace

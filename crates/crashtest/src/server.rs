@@ -1,20 +1,22 @@
 //! Crash-point sweeps for the sharded KV service (`flit-server`).
 //!
-//! The engine sweeps ([`crate::engine`]) kill *a structure*; this module kills
-//! *one shard of a service* while the other shards keep serving — the failure
-//! model the sharded server exists to exercise. The mechanics carry over
-//! unchanged because each shard owns its own backend: the crashed shard's
-//! backend carries the armed [`CrashPlan`], the survivors carry plain tracking
-//! backends, and the shard's event stream is exactly as stable and absolute as
-//! a single structure's (one OS thread, deterministic routing, arena layout).
+//! The map and queue sweeps kill *a structure*; this module kills *one shard of
+//! a service* while the other shards keep serving — the failure model the
+//! sharded server exists to exercise. It is one more subject of the same driver
+//! ([`crate::engine`]): each shard owns its own backend, so the crashed shard's
+//! backend carries the driver's armed [`CrashPlan`](flit_pmem::CrashPlan), the
+//! survivors carry plan-free tracking backends, and the shard's event stream is
+//! exactly as stable and absolute as a single structure's (one OS thread,
+//! deterministic routing, arena layout).
 //!
 //! What a sweep checks, per crash point `k` of the crashed shard's stream:
 //!
 //! * **Crashed shard**: the state recovered purely from the frozen image must
 //!   be prefix-consistent with the subsequence of requests *routed to that
-//!   shard* — after `c` completed requests, `state(c)` or `state(c + 1)`
-//!   ([`crate::engine`]'s `check_prefix`, verbatim). The subsequence is
-//!   derivable because routing is a pure function of `(key, shard count)`.
+//!   shard* — after `c` completed requests, `state(c)` or `state(c + 1)`, or
+//!   the acked-floor window under a batched commit (the check maps and queues
+//!   get). The subsequence is derivable because routing is a pure function of
+//!   `(key, shard count)`.
 //! * **Surviving shards**: recovered from their trackers' final images, they
 //!   must hold **exactly** their full routed history — a crash elsewhere in the
 //!   service is no excuse to lose anything. Prefix consistency would be too
@@ -35,14 +37,15 @@ use std::collections::BTreeMap;
 
 use flit::{FlitDb, Policy};
 use flit_datastructs::{ConcurrentMap, MapCrashRecovery, RecoveredMap};
-use flit_pmem::{CrashEventKind, CrashPlan, ElisionMode, LatencyModel, SimNvram};
+use flit_pmem::{CrashImage, ElisionMode, SimNvram};
 use flit_server::{KvServer, Op, Reply, ServerConfig};
 use flit_workload::MapOp;
 
 use crate::engine::{
-    acked_floor, check_prefix, completed_before, frozen_image, map_state, replay_backend,
-    select_points, SweepSettings,
+    check_prefix, map_state, sweep, tracking_backend, CrashWindow, Finding, Run, Step,
+    SweepSettings,
 };
+use crate::roundrobin::{kinds_string, logged_backend};
 
 /// The service request corresponding to one crash-history map operation.
 pub fn op_of(op: &MapOp) -> Op {
@@ -76,153 +79,16 @@ fn expected_reply(model: &mut BTreeMap<u64, u64>, op: &Op) -> Reply {
     }
 }
 
-/// Outcome of one single-threaded service replay. All event counts are the
-/// *crashed shard's*; survivor recoveries are captured only on armed runs.
-struct ServiceReplay {
-    base: u64,
-    boundaries: Vec<u64>,
-    /// Per-boundary `(enqueued, committed)` obligation counters of the crashed
-    /// shard's handle, sampled after each request routed to it (the engine's
-    /// acked-floor bookkeeping, lifted to the service path).
-    marks: Vec<(u64, u64)>,
-    total: u64,
-    routes: Vec<usize>,
-    recovered: Option<(RecoveredMap, &'static str)>,
-    survivors: Vec<(usize, RecoveredMap)>,
-    functional: Option<(usize, String)>,
-    /// Flight-recorder tail of the worker's handle *on the crashed shard*,
-    /// sampled at the first request boundary at or past the armed crash index.
-    flight: Vec<flit::FlightEvent>,
+/// `history` encoded as the request slab a single-threaded [`KvServer::pump`]
+/// drive serves from.
+fn request_slab(history: &[MapOp]) -> Vec<Vec<u8>> {
+    history.iter().map(|op| op_of(op).encode()).collect()
 }
 
-/// Drive `history` through a fresh `shards`-shard server on the calling thread,
-/// with shard `crash_shard`'s backend armed at `crash_at` (counting when
-/// `None`). Mirrors the engine's `replay_map`, with the request pump — mailbox
-/// included — as the replayed operation.
-fn replay_service<P, M, F>(
-    factory: &F,
-    shards: usize,
-    crash_shard: usize,
-    history: &[MapOp],
-    crash_at: Option<u64>,
-    run_history: bool,
-    settings: &SweepSettings,
-) -> ServiceReplay
-where
-    P: Policy<Backend = SimNvram>,
-    M: ConcurrentMap<P> + MapCrashRecovery<P>,
-    F: Fn(SimNvram) -> P,
-{
-    let plan = match crash_at {
-        Some(k) => CrashPlan::armed_at(k),
-        None => CrashPlan::counting(),
-    };
-    let backends: Vec<SimNvram> = (0..shards)
-        .map(|i| {
-            if i == crash_shard {
-                replay_backend(plan.clone(), settings.elision)
-            } else {
-                SimNvram::builder()
-                    .latency(LatencyModel::none())
-                    .tracking(true)
-                    .elision(settings.elision)
-                    .build()
-            }
-        })
-        .collect();
-    let server: KvServer<P, M> = KvServer::new_with(ServerConfig::new(shards, 64 * shards), |i| {
-        FlitDb::builder(factory(backends[i].clone()))
-            .commit_mode(settings.commit)
-            .build()
-    });
-    let base = plan.events_seen();
-    let slab: Vec<Vec<u8>> = history.iter().map(|op| op_of(op).encode()).collect();
-    let mut models: Vec<BTreeMap<u64, u64>> = vec![BTreeMap::new(); shards];
-    let mut boundaries = Vec::new();
-    let mut marks = Vec::new();
-    let mut routes = Vec::with_capacity(history.len());
-    let mut functional = None;
-    let mut flight = Vec::new();
-    if run_history {
-        let handles = server.handles();
-        for h in &handles {
-            h.arm_flight_recorder();
-        }
-        for (i, bytes) in slab.iter().enumerate() {
-            let op = Op::decode(bytes).expect("slab holds well-formed requests");
-            let key = op
-                .key()
-                .expect("crash histories contain only routed data ops");
-            let sid = server.route(key);
-            routes.push(sid);
-            let (served, reply_bytes) = server
-                .pump(&handles, &slab, i as u64)
-                .expect("slab holds well-formed requests");
-            assert_eq!(
-                served, i as u64,
-                "a single-threaded pump serves its own post"
-            );
-            let got = Reply::decode(&reply_bytes).expect("shards emit well-formed replies");
-            let want = expected_reply(&mut models[sid], &op);
-            if got != want && functional.is_none() {
-                functional = Some((
-                    sid,
-                    format!("request {i} ({op:?}) replied {got:?} but the model says {want:?}"),
-                ));
-            }
-            if settings.broken_acks {
-                handles[sid].ack_obligations_without_fence();
-            }
-            if sid == crash_shard {
-                boundaries.push(plan.events_seen());
-                marks.push((
-                    handles[sid].enqueued_obligations(),
-                    handles[sid].committed_obligations(),
-                ));
-                if let Some(k) = crash_at {
-                    if flight.is_empty() && plan.events_seen() >= k {
-                        flight = handles[sid].flight_events();
-                    }
-                }
-            }
-        }
-        if crash_at.is_some() && flight.is_empty() {
-            flight = handles[crash_shard].flight_events();
-        }
-        drop(handles); // any dirty handle fences land inside the swept span
-    }
-    let total = plan.events_seen();
-    let recovered = frozen_image(&plan, &backends[crash_shard], crash_at).map(|(image, kind)| {
-        (
-            server.shard(crash_shard).map().recover_from_image(&image),
-            kind,
-        )
-    });
-    let survivors = if crash_at.is_some() && run_history {
-        (0..shards)
-            .filter(|&s| s != crash_shard)
-            .map(|s| {
-                let image = backends[s]
-                    .tracker()
-                    .expect("survivors track")
-                    .crash_image();
-                (s, server.shard(s).map().recover_from_image(&image))
-            })
-            .collect()
-    } else {
-        Vec::new()
-    };
-    ServiceReplay {
-        base,
-        boundaries,
-        marks,
-        total,
-        routes,
-        recovered,
-        survivors,
-        functional,
-        flight,
-    }
+/// The shard `op` routes to.
+fn route_of<P: Policy, M: ConcurrentMap<P>>(server: &KvServer<P, M>, op: &MapOp) -> usize {
+    let (MapOp::Insert(key, _) | MapOp::Remove(key) | MapOp::Get(key)) = *op;
+    server.route(key)
 }
 
 /// One durability violation found by a server crash sweep.
@@ -295,9 +161,10 @@ impl ServerSweepReport {
 }
 
 /// Sweep crash points across one shard of a service while the other shards keep
-/// serving. `history` is the global request stream; the crashed shard's checked
-/// subsequence is derived from the (pure) routing function. See the module docs
-/// for the exact per-point obligations.
+/// serving. `history` is the global request stream, driven on the calling
+/// thread with the request pump — mailbox included — as the replayed operation;
+/// the crashed shard's checked subsequence is derived from the (pure) routing
+/// function. See the module docs for the exact per-point obligations.
 pub fn sweep_server_crash<P, M, F>(
     label: &str,
     factory: F,
@@ -312,100 +179,86 @@ where
     F: Fn(SimNvram) -> P,
 {
     assert!(crash_shard < shards, "crash shard must exist");
-    let counting =
-        replay_service::<P, M, F>(&factory, shards, crash_shard, history, None, true, settings);
-    // Per-shard routed subsequences, from the counting pass's recorded routes
-    // (identical on every replay: routing is a pure function of key and count).
-    let subs: Vec<Vec<MapOp>> = (0..shards)
-        .map(|s| {
-            history
-                .iter()
-                .zip(&counting.routes)
-                .filter(|&(_, &r)| r == s)
-                .map(|(op, _)| *op)
-                .collect()
-        })
-        .collect();
-    let crashed_sub = &subs[crash_shard];
-    let points = match settings.crash_at {
-        Some(k) => vec![k.min(counting.total)],
-        None => select_points(0, counting.total, settings.budget),
-    };
-    let mut violations = Vec::new();
-    if let Some((s, detail)) = counting.functional {
-        violations.push(ServerViolation {
-            crash_event: 0,
-            shard: s,
-            triggered_on: "live-run".to_string(),
-            completed_ops: 0,
-            detail,
-            flight: Vec::new(),
-        });
+    let slab = request_slab(history);
+    // Per-shard routed subsequences of the history. Routing is a pure function
+    // of key and shard count, so any server instance answers for every replay.
+    let mut subs: Vec<Vec<MapOp>> = vec![Vec::new(); shards];
+    let router: KvServer<P, M> = KvServer::new_with(ServerConfig::new(shards, shards), |_| {
+        FlitDb::create(factory(tracking_backend(None, settings.elision)))
+    });
+    for op in history {
+        subs[route_of(&router, op)].push(*op);
     }
-    for &k in &points {
-        let in_flight = k >= counting.base;
-        let run = replay_service::<P, M, F>(
-            &factory,
-            shards,
-            crash_shard,
-            history,
-            Some(k),
-            in_flight,
-            settings,
-        );
-        // The engine's determinism invariant, per shard: every replay reproduces
-        // the counting pass's absolute event stream on the crashed shard.
-        assert_eq!(
-            run.base, counting.base,
-            "event-stream determinism broke: construction span drifted between replays"
-        );
-        if in_flight {
+    drop(router);
+    // Party `s` is shard `s`: the crashed shard's backend carries the plan, the
+    // survivors run on plan-free tracking backends.
+    let replay = |run: &mut Run<'_>| {
+        let backends: Vec<SimNvram> = (0..shards)
+            .map(|s| {
+                if s == crash_shard {
+                    run.backend.clone()
+                } else {
+                    tracking_backend(None, settings.elision)
+                }
+            })
+            .collect();
+        let server: KvServer<P, M> =
+            KvServer::new_with(ServerConfig::new(shards, 64 * shards), |s| {
+                run.db(&factory, backends[s].clone())
+            });
+        let handles = server.handles();
+        let mut models = vec![BTreeMap::new(); shards];
+        let image = run.drive(&handles, crash_shard, slab.len(), |i| {
+            let op = op_of(&history[i]);
+            let sid = route_of(&server, &history[i]);
+            let (served, reply_bytes) = server
+                .pump(&handles, &slab, i as u64)
+                .expect("slab holds well-formed requests");
             assert_eq!(
-                run.total, counting.total,
-                "event-stream determinism broke: total span drifted between replays"
+                served, i as u64,
+                "a single-threaded pump serves its own post"
             );
-        }
-        let (recovered, kind) = run.recovered.expect("crash point was armed");
-        let completed = completed_before(&run.boundaries, k);
-        let acked = acked_floor(&run.marks, completed);
-        if let Some((s, detail)) = run.functional {
-            violations.push(ServerViolation {
-                crash_event: k,
-                shard: s,
-                triggered_on: "live-run".to_string(),
-                completed_ops: completed,
-                detail,
-                flight: run.flight.clone(),
-            });
-        }
-        let actual = recovered.sorted_pairs();
-        if let Some(detail) = check_prefix(
-            &actual,
-            recovered.truncated,
-            |n| map_state(crashed_sub, n),
-            crashed_sub.len(),
-            acked,
-            completed,
-            in_flight,
-        ) {
-            violations.push(ServerViolation {
-                crash_event: k,
-                shard: crash_shard,
-                triggered_on: kind.to_string(),
-                completed_ops: completed,
-                detail,
-                flight: run.flight,
-            });
-        }
-        for (s, rec) in run.survivors {
-            let want = map_state(&subs[s], subs[s].len());
+            let got = Reply::decode(&reply_bytes).expect("shards emit well-formed replies");
+            let want = expected_reply(&mut models[sid], &op);
+            Step {
+                party: sid,
+                mismatch: (got != want).then(|| {
+                    format!("request {i} ({op:?}) replied {got:?} but the model says {want:?}")
+                }),
+            }
+        })?;
+        let recover =
+            |s: usize, image: &CrashImage| server.shard(s).map().recover_from_image(image);
+        let crashed = recover(crash_shard, &image);
+        // The survivors never crashed: close the worker's handles (a dirty or
+        // mid-batch handle fences on drop) and read their final images.
+        drop(handles);
+        let survivors: Vec<(usize, RecoveredMap)> = (0..shards)
+            .filter(|&s| s != crash_shard)
+            .map(|s| {
+                let tracker = backends[s].tracker().expect("survivors track");
+                (s, recover(s, &tracker.crash_image()))
+            })
+            .collect();
+        Some((crashed, survivors))
+    };
+    let check = |(crashed, survivors): &(RecoveredMap, Vec<(usize, RecoveredMap)>),
+                 window: &CrashWindow| {
+        let sub = &subs[crash_shard];
+        let mut findings = check_prefix(
+            &crashed.sorted_pairs(),
+            crashed.truncated,
+            |n| map_state(sub, n),
+            sub.len(),
+            window,
+        );
+        // A construction-window replay never ran the history, so its survivors
+        // are empty by construction, not by loss.
+        for (s, rec) in survivors.iter().filter(|_| window.in_flight) {
+            let want = map_state(&subs[*s], subs[*s].len());
             let got = rec.sorted_pairs();
             if rec.truncated || got != want {
-                violations.push(ServerViolation {
-                    crash_event: k,
-                    shard: s,
-                    triggered_on: "survivor".to_string(),
-                    completed_ops: subs[s].len(),
+                findings.push(Finding {
                     detail: format!(
                         "surviving shard {s} must hold exactly its full history: \
                          recovered {} pairs, expected {}{}",
@@ -417,21 +270,34 @@ where
                             ""
                         }
                     ),
-                    flight: Vec::new(),
+                    survivor: Some((*s, subs[*s].len())),
                 });
             }
         }
-    }
+        findings
+    };
+    let found = sweep(settings, replay, check);
     ServerSweepReport {
         label: label.to_string(),
         shards,
         crash_shard,
-        events_construction: counting.base,
-        events_total: counting.total,
+        events_construction: found.events_construction,
+        events_total: found.events_total,
         requests_total: history.len(),
-        requests_crashed_shard: crashed_sub.len(),
-        points_tested: points.len(),
-        violations,
+        requests_crashed_shard: subs[crash_shard].len(),
+        points_tested: found.points_tested,
+        violations: found
+            .hits
+            .into_iter()
+            .map(|hit| ServerViolation {
+                crash_event: hit.crash_event,
+                shard: hit.party,
+                triggered_on: hit.on.to_string(),
+                completed_ops: hit.completed_ops,
+                detail: hit.detail,
+                flight: hit.flight,
+            })
+            .collect(),
     }
 }
 
@@ -487,32 +353,17 @@ where
     F: Fn(SimNvram) -> P,
 {
     assert!(shards > 0, "at least one shard");
-    let plans: Vec<CrashPlan> = (0..shards).map(|_| CrashPlan::counting_logged()).collect();
-    let backends: Vec<SimNvram> = plans
-        .iter()
-        .map(|p| {
-            SimNvram::builder()
-                .latency(LatencyModel::none())
-                .tracking(true)
-                .crash_plan(p.clone())
-                .elision(elision)
-                .build()
-        })
-        .collect();
+    let (plans, backends): (Vec<_>, Vec<_>) = (0..shards).map(|_| logged_backend(elision)).unzip();
     let server: KvServer<P, M> = KvServer::new_with(ServerConfig::new(shards, 64 * shards), |i| {
         FlitDb::create(factory(backends[i].clone()))
     });
     let construction: Vec<u64> = plans.iter().map(|p| p.events_seen()).collect();
-    let slab: Vec<Vec<u8>> = history.iter().map(|op| op_of(op).encode()).collect();
+    let slab = request_slab(history);
     let handles = server.handles();
     let mut routes = Vec::with_capacity(history.len());
     let mut replies = Vec::with_capacity(history.len());
-    for (i, bytes) in slab.iter().enumerate() {
-        let op = Op::decode(bytes).expect("slab holds well-formed requests");
-        let key = op
-            .key()
-            .expect("crash histories contain only routed data ops");
-        routes.push(server.route(key));
+    for (i, op) in history.iter().enumerate() {
+        routes.push(route_of(&server, op));
         let (_, reply) = server
             .pump(&handles, &slab, i as u64)
             .expect("slab holds well-formed requests");
@@ -521,20 +372,11 @@ where
     drop(handles); // dirty handle fences land inside the per-shard streams
     let shard_streams = (0..shards)
         .map(|s| {
-            let kinds: String = plans[s]
-                .event_log()
-                .iter()
-                .map(|k| match k {
-                    CrashEventKind::Store => 'S',
-                    CrashEventKind::Pwb => 'W',
-                    CrashEventKind::Pfence => 'F',
-                })
-                .collect();
             format!(
                 "shard{s}[construction={} total={} stream={}]",
                 construction[s],
                 plans[s].events_seen(),
-                kinds
+                kinds_string(&plans[s].event_log())
             )
         })
         .collect();

@@ -3,7 +3,8 @@
 //! and policy, and the deliberately broken control must fail with a repro string.
 
 use flit_crashtest::{
-    run_case, run_matrix, HistorySpec, MethodKind, PolicyKind, StructureKind, SweepSettings,
+    run_case, run_hamt_snapshot_case, run_matrix, HistorySpec, MethodKind, PolicyKind,
+    StructureKind, SweepSettings,
 };
 use flit_pmem::{CommitMode, ElisionMode};
 
@@ -342,5 +343,50 @@ fn broken_control_still_fails_with_elision_on() {
         assert!(report.violations[0]
             .repro
             .contains(&format!("--elision {}", elision.name())));
+    }
+}
+
+/// The snapshot sweep rides the same driver as every other subject, so it
+/// compares each live `insert`/`remove`/`get` return value with the sequential
+/// model (its own replay loop used to discard them). The history below makes
+/// that comparison non-trivial — it contains failing inserts, failing removes,
+/// hits and misses — and the sweep must report no `live-run` violation for it,
+/// under either commit mode. (That a diverging return value *is* reported, by
+/// any subject, is proven on the toy subject in `engine.rs`.)
+#[test]
+fn snapshot_sweep_checks_live_return_values_against_the_model() {
+    use flit_workload::MapOp;
+    let spec = HistorySpec::Random {
+        seed: 0x11fe,
+        ops: 40,
+        key_range: 5,
+    };
+    let mut model = std::collections::BTreeMap::new();
+    let mut outcomes = std::collections::BTreeSet::new();
+    for op in spec.map_history() {
+        outcomes.insert(match op {
+            MapOp::Insert(k, v) => ("insert", model.insert(k, v).is_none()),
+            MapOp::Remove(k) => ("remove", model.remove(&k).is_some()),
+            MapOp::Get(k) => ("get", model.contains_key(&k)),
+        });
+    }
+    assert_eq!(outcomes.len(), 6, "every operation both succeeds and fails");
+    for commit in [CommitMode::Immediate, CommitMode::Batched(4)] {
+        let report = run_hamt_snapshot_case(
+            PolicyKind::FlitHt,
+            spec,
+            &SweepSettings {
+                budget: 64,
+                commit,
+                ..Default::default()
+            },
+        );
+        assert!(
+            report.clean(),
+            "{}: first violation: {}",
+            report.case.id(),
+            report.violations[0]
+        );
+        assert!(report.points_tested > 1);
     }
 }

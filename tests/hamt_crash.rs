@@ -189,6 +189,13 @@ fn killtest_harness_verifies_hamt_pools_in_process() {
     // must be empty and the full 600-op prefix must match.
     for commit in [CommitMode::Immediate, CommitMode::Batched(8)] {
         child_main_hamt(&pool, &sidecar, 600, commit, 200).unwrap();
+        // The child drains and acknowledges everything *before* it releases
+        // the snapshot: a sidecar floor still lagging by the open batch (599
+        // under batched-8) would make a kill in the exit path, right after the
+        // release, look like a mid-run kill that lost its snapshot.
+        let side = std::fs::read(&sidecar).unwrap();
+        let floor = u64::from_le_bytes(side[..8].try_into().unwrap());
+        assert_eq!(floor, 600, "{commit:?}: sidecar floor must reach ops");
         let report = verify_hamt_pool(&pool, 600, 600, 200, true).unwrap();
         assert_eq!(report.matched_prefix, 600);
         assert_eq!(report.acked_floor, 600);
