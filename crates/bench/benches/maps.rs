@@ -6,20 +6,13 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use flit::{FlitDb, FlitPolicy, HashedScheme, PlainScheme};
 use flit_datastructs::{Automatic, ConcurrentMap, HarrisList, HashTable, NatarajanTree, SkipList};
-use flit_pmem::{LatencyModel, SimNvram};
+use flit_pmem::SimNvram;
 use std::hint::black_box;
-
-fn backend() -> SimNvram {
-    SimNvram::builder()
-        .latency(LatencyModel::none())
-        .count_stats(false)
-        .build()
-}
 
 const KEYS: u64 = 1024;
 
 fn bench_map<M: ConcurrentMap<FlitPolicy<HashedScheme, SimNvram>>>(c: &mut Criterion, label: &str) {
-    let db = FlitDb::flit_ht(backend());
+    let db = FlitDb::flit_ht(SimNvram::for_counting());
     let h = db.handle();
     let map = M::with_capacity(&db, KEYS as usize);
     for k in (0..KEYS).step_by(2) {
@@ -50,7 +43,7 @@ fn bench_map<M: ConcurrentMap<FlitPolicy<HashedScheme, SimNvram>>>(c: &mut Crite
 fn bench_plain_bst(c: &mut Criterion) {
     // The same BST under the plain policy, to show the read-path flush overhead on
     // real traversals even with a free latency model removed (counter accesses only).
-    let db = FlitDb::plain(backend());
+    let db = FlitDb::plain(SimNvram::for_counting());
     let h = db.handle();
     let map: NatarajanTree<FlitPolicy<PlainScheme, SimNvram>, Automatic> =
         NatarajanTree::with_capacity(&db, KEYS as usize);

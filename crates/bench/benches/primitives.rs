@@ -10,16 +10,9 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use flit::{FlitDb, FlitPolicy, HashedScheme, PFlag, PersistWord, PlainPolicy, Policy};
 use flit_datastructs::Automatic;
-use flit_pmem::{LatencyModel, SimNvram};
+use flit_pmem::SimNvram;
 use flit_queues::{ConcurrentQueue, MsQueue};
 use std::hint::black_box;
-
-fn backend() -> SimNvram {
-    SimNvram::builder()
-        .latency(LatencyModel::none())
-        .count_stats(false)
-        .build()
-}
 
 fn bench_primitives(c: &mut Criterion) {
     let mut group = c.benchmark_group("primitives");
@@ -28,7 +21,7 @@ fn bench_primitives(c: &mut Criterion) {
     group.measurement_time(std::time::Duration::from_millis(500));
 
     // flit-HT
-    let ht_db = FlitDb::flit_ht(backend());
+    let ht_db = FlitDb::flit_ht(SimNvram::for_counting());
     let ht = ht_db.handle();
     let w_ht = <FlitPolicy<HashedScheme, SimNvram> as Policy>::Word::<u64>::new(1);
     group.bench_function("flit-HT/p-load-untagged", |b| {
@@ -42,7 +35,7 @@ fn bench_primitives(c: &mut Criterion) {
     });
 
     // flit-adjacent
-    let adj_db = FlitDb::flit_adjacent(backend());
+    let adj_db = FlitDb::flit_adjacent(SimNvram::for_counting());
     let adj = adj_db.handle();
     let w_adj = <flit::FlitPolicy<flit::AdjacentScheme, SimNvram> as Policy>::Word::<u64>::new(1);
     group.bench_function("flit-adjacent/p-load-untagged", |b| {
@@ -53,7 +46,7 @@ fn bench_primitives(c: &mut Criterion) {
     });
 
     // plain
-    let plain_db = FlitDb::plain(backend());
+    let plain_db = FlitDb::plain(SimNvram::for_counting());
     let plain = plain_db.handle();
     let w_plain = <PlainPolicy<SimNvram> as Policy>::Word::<u64>::new(1);
     group.bench_function("plain/p-load", |b| {
@@ -64,7 +57,7 @@ fn bench_primitives(c: &mut Criterion) {
     });
 
     // link-and-persist
-    let lp_db = FlitDb::link_and_persist(backend());
+    let lp_db = FlitDb::link_and_persist(SimNvram::for_counting());
     let lp = lp_db.handle();
     let w_lp = <flit::LinkAndPersistPolicy<SimNvram> as Policy>::Word::<u64>::new(1);
     group.bench_function("link-and-persist/p-load-clean", |b| {
@@ -95,7 +88,7 @@ fn bench_queue_ops(c: &mut Criterion) {
     group.measurement_time(std::time::Duration::from_millis(500));
 
     // Enqueue+dequeue pair: the steady-state cost of one value through the queue.
-    let ht_db = FlitDb::flit_ht(backend());
+    let ht_db = FlitDb::flit_ht(SimNvram::for_counting());
     let h_ht = ht_db.handle();
     let ht: MsQueue<FlitPolicy<HashedScheme, SimNvram>, Automatic> = MsQueue::in_db(&ht_db);
     group.bench_function("flit-HT/enqueue-dequeue", |b| {
@@ -105,7 +98,7 @@ fn bench_queue_ops(c: &mut Criterion) {
         })
     });
 
-    let plain_db = FlitDb::plain(backend());
+    let plain_db = FlitDb::plain(SimNvram::for_counting());
     let h_plain = plain_db.handle();
     let plain: MsQueue<PlainPolicy<SimNvram>, Automatic> = MsQueue::in_db(&plain_db);
     group.bench_function("plain/enqueue-dequeue", |b| {
@@ -127,14 +120,14 @@ fn bench_queue_ops(c: &mut Criterion) {
 
     // Dequeue-of-empty: pure read-side path, where FliT elides every flush and the
     // plain transformation pays a pwb per p-load.
-    let ht_empty_db = FlitDb::flit_ht(backend());
+    let ht_empty_db = FlitDb::flit_ht(SimNvram::for_counting());
     let h_ht_empty = ht_empty_db.handle();
     let ht_empty: MsQueue<FlitPolicy<HashedScheme, SimNvram>, Automatic> =
         MsQueue::in_db(&ht_empty_db);
     group.bench_function("flit-HT/dequeue-empty", |b| {
         b.iter(|| black_box(ht_empty.dequeue(&h_ht_empty)))
     });
-    let plain_empty_db = FlitDb::plain(backend());
+    let plain_empty_db = FlitDb::plain(SimNvram::for_counting());
     let h_plain_empty = plain_empty_db.handle();
     let plain_empty: MsQueue<PlainPolicy<SimNvram>, Automatic> = MsQueue::in_db(&plain_empty_db);
     group.bench_function("plain/dequeue-empty", |b| {

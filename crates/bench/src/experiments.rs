@@ -3,9 +3,10 @@
 //!
 //! Every function returns plain data (`Row`s) so callers can print, assert on, or
 //! serialise the results. The hardware of the reproduction environment differs wildly
-//! from the paper's 48-core Optane machine (see `DESIGN.md`), so the *absolute*
-//! numbers are not comparable; the functions exist to reproduce the *relationships*
-//! the paper reports: who wins, by roughly what factor, and where the crossovers are.
+//! from the paper's 48-core Optane machine (see the README's "Why a simulated
+//! backend"), so the *absolute* numbers are not comparable; the functions exist to
+//! reproduce the *relationships* the paper reports: who wins, by roughly what factor,
+//! and where the crossovers are.
 
 use flit_obs::LatencyHistogram;
 use flit_pmem::{CommitMode, ElisionMode, LatencyModel};

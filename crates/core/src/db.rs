@@ -902,24 +902,6 @@ impl OpenReport {
     pub fn has_root(&self, key: u64) -> bool {
         self.recovery.has_root(key)
     }
-
-    /// One-line per-arena GC accounting, e.g.
-    /// `"arena0 reachable=12 free=3 reclaimed=1"` joined by `"; "` — the
-    /// detail behind [`leaked_slots`](Self::leaked_slots).
-    pub fn gc_detail(&self) -> String {
-        self.gc
-            .arenas
-            .iter()
-            .enumerate()
-            .map(|(i, a)| {
-                format!(
-                    "arena{} reachable={} free={} reclaimed={}",
-                    i, a.reachable, a.free_listed, a.reclaimed
-                )
-            })
-            .collect::<Vec<_>>()
-            .join("; ")
-    }
 }
 
 /// Wall-clock nanoseconds spent in each phase of the
@@ -1099,7 +1081,7 @@ impl<'db, P: Policy> FlitHandle<'db, P> {
     /// Under [`CommitMode::Immediate`] this issues a `pfence` so that every
     /// dependency of the completed operation is persisted before the operation
     /// returns (P-V Interface, Condition 4). The fence goes through the
-    /// session's [`pfence_if_dirty`](flit_pmem::PmemBackend::pfence_if_dirty):
+    /// session's [`pfence_if_dirty`](flit_pmem::PmemSession::pfence_if_dirty):
     /// a handle that issued no `pwb` during the operation (e.g. a read-only
     /// operation over untagged words) holds no unpersisted dependency — every
     /// value it read was persisted by its writer's trailing fence before the
@@ -1128,7 +1110,7 @@ impl<'db, P: Policy> FlitHandle<'db, P> {
     }
 
     /// Drain this handle's obligation queue: one
-    /// [`pfence_if_dirty`](flit_pmem::PmemBackend::pfence_if_dirty) commits
+    /// [`pfence_if_dirty`](flit_pmem::PmemSession::pfence_if_dirty) commits
     /// every write-back the batch produced, then the batch is acknowledged to
     /// the database (watermark + ticket bookkeeping). Eliding the fence on a
     /// clean epoch is sound: clean means fences issued *inside* later

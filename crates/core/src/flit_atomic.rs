@@ -28,13 +28,13 @@
 //! [`PmemSession`](flit_pmem::PmemSession) view so they are attributed to exactly
 //! that handle. Algorithm 4 issues its fences *unconditionally*; this
 //! implementation issues them through the session's
-//! [`pfence_if_dirty`](PmemBackend::pfence_if_dirty), which skips the fence when
+//! [`pfence_if_dirty`](flit_pmem::PmemSession::pfence_if_dirty), which skips the fence when
 //! the handle has issued zero `pwb`s since its previous fence — in that state the
 //! handle holds no unpersisted dependency, so the fence is a no-op by the P-V
 //! Interface's own semantics (Condition 4 is vacuously discharged). Likewise a
 //! tagged p-load re-flushing a word the handle already flushed, with the same
 //! observed value, in its current epoch goes through
-//! [`pwb_dedup`](PmemBackend::pwb_dedup) and is skipped (the plain baseline opts
+//! [`pwb_dedup`](flit_pmem::PmemSession::pwb_dedup) and is skipped (the plain baseline opts
 //! out — see [`TagScheme::dedups_read_flushes`]). On read-mostly workloads this
 //! removes nearly every fence of the hot path; `flit_pmem::epoch` documents the
 //! model and its soundness boundary, and building the backend with

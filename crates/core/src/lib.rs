@@ -82,7 +82,6 @@
 //! | [`flit_atomic`] | [`FlitAtomic`] — Algorithm 4 — and [`FlitPolicy`] / [`PlainPolicy`] |
 //! | [`link_persist`] | the link-and-persist comparator ([`LinkAndPersistPolicy`]) |
 //! | [`no_persist`] | the non-persistent baseline ([`NoPersistPolicy`]) |
-//! | [`compat`] | the one designated home for thread-keyed shims ([`compat::pin_current_thread`]) |
 //!
 //! ## Workspace layout
 //!
@@ -91,7 +90,7 @@
 //! | crate | contents |
 //! |---|---|
 //! | `flit` (this crate) | the P-V interface and its policy implementations |
-//! | `flit-pmem` | hardware and simulated persistence substrates, crash tracking, reserved regions, the recording decorator |
+//! | `flit-pmem` | the `pwb`/`pfence` instruction set, hardware and simulated substrates, the eliding per-handle session, crash tracking, reserved regions |
 //! | `flit-ebr` | epoch-based reclamation for the lock-free structures |
 //! | `flit-alloc` | persistent arena allocator: aligned node slots, persisted header, recovery-root table |
 //! | `flit-datastructs` | the paper's set/map structures (list, hash table, BST, skiplist), arena-allocated with image-only recovery |
@@ -125,7 +124,6 @@
 #![warn(missing_docs)]
 #![deny(unsafe_op_in_unsafe_fn)]
 
-pub mod compat;
 pub mod db;
 pub mod flit_atomic;
 pub mod link_persist;

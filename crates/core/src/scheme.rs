@@ -17,12 +17,11 @@
 //!   (at worst a spurious read-side flush) and keeps the data structure layout
 //!   unchanged. Figure 5 of the paper tunes the table size.
 //! * [`CacheLineScheme`] — one counter per 64-byte cache line, the variant paper §8
-//!   suggests as future work. Implemented here as an extension.
+//!   suggests as future work. Implemented here as an extension: the same
+//!   [`Hashed`] table keyed at a coarser granularity.
 
 use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::Arc;
-
-use flit_pmem::cache_line::cache_line_of;
 
 /// How p-stores tag locations and p-loads query tags. See the module docs.
 ///
@@ -48,7 +47,7 @@ pub trait TagScheme: Send + Sync + Clone + 'static {
 
     /// Whether read-side flushes issued for this scheme may be deduplicated within
     /// the reading thread's persist epoch
-    /// ([`PmemBackend::pwb_dedup`](flit_pmem::PmemBackend::pwb_dedup)).
+    /// ([`PmemSession::pwb_dedup`](flit_pmem::PmemSession::pwb_dedup)).
     ///
     /// `true` for the real FliT schemes. [`PlainScheme`] returns `false`: *plain*
     /// is the evaluation's baseline, whose defining cost is one `pwb` per p-load —
@@ -170,32 +169,39 @@ impl TagScheme for AdjacentScheme {
 }
 
 // ---------------------------------------------------------------------------------
-// Hashed: a shared table of counters.
+// Hashed: a shared table of counters, at word or cache-line granularity.
 // ---------------------------------------------------------------------------------
 
-/// Shared table of 8-bit flit-counters indexed by a hash of the word address
-/// (the *flit-HT* placement). The table size is the experiment knob of Figure 5.
+/// Shared table of 8-bit flit-counters indexed by a hash of `address >> SHIFT`.
+/// The table size is the experiment knob of Figure 5; `SHIFT` is the tracking
+/// granularity, fixed per type: see [`HashedScheme`] and [`CacheLineScheme`].
 ///
 /// Collisions are benign: two locations sharing a counter can at worst cause a
 /// spurious read-side flush while an unrelated p-store is pending (paper §5.1).
 #[derive(Clone)]
-pub struct HashedScheme {
+pub struct Hashed<const SHIFT: u32> {
     table: Arc<CounterTable>,
-    /// Right-shift applied to the address before hashing: 3 for word granularity,
-    /// 6 to map every word of a cache line to the same counter.
-    granularity_shift: u32,
 }
 
-impl std::fmt::Debug for HashedScheme {
+/// The *flit-HT* placement: one counter per 8-byte word (`SHIFT = 3`).
+pub type HashedScheme = Hashed<3>;
+
+/// One shared counter per 64-byte cache line (`SHIFT = 6`, so every word of a
+/// line hashes to the same counter) — the counter allocation strategy the
+/// paper's conclusion lists as unexplored future work. Compared to
+/// [`HashedScheme`] it reduces the number of distinct counters touched by a
+/// multi-word object at the price of more sharing-induced spurious flushes.
+pub type CacheLineScheme = Hashed<6>;
+
+impl<const SHIFT: u32> std::fmt::Debug for Hashed<SHIFT> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("HashedScheme")
+        f.debug_struct(Self::NAME)
             .field("bytes", &self.table.len())
-            .field("granularity_shift", &self.granularity_shift)
             .finish()
     }
 }
 
-/// The backing store of a [`HashedScheme`] / [`CacheLineScheme`]: a power-of-two array
+/// The backing store of a [`Hashed`] scheme: a power-of-two array
 /// of 8-bit counters (one byte per counter, so a "1MB table" holds 2^20 counters —
 /// the packing the paper describes in §5.1).
 pub struct CounterTable {
@@ -247,26 +253,20 @@ impl CounterTable {
     }
 }
 
-impl HashedScheme {
+impl<const SHIFT: u32> Hashed<SHIFT> {
     /// Default table size used throughout the paper's plots after Figure 5: 1 MB.
     pub const DEFAULT_BYTES: usize = 1 << 20;
 
-    /// A 1 MB table at word granularity (the configuration used for most figures).
+    /// A 1 MB table (the configuration used for most figures).
     pub fn new_default() -> Self {
         Self::with_bytes(Self::DEFAULT_BYTES)
     }
 
-    /// A table of the given size (bytes = number of counters) at word granularity.
+    /// A table of the given size (bytes = number of counters).
     pub fn with_bytes(bytes: usize) -> Self {
         Self {
             table: Arc::new(CounterTable::new(bytes)),
-            granularity_shift: 3,
         }
-    }
-
-    /// Size of the backing table in bytes.
-    pub fn table_bytes(&self) -> usize {
-        self.table.len()
     }
 
     /// Access to the backing table (diagnostics and tests).
@@ -275,36 +275,34 @@ impl HashedScheme {
     }
 
     #[inline]
-    fn key(&self, addr: usize) -> usize {
-        addr >> self.granularity_shift
+    fn counter(&self, addr: usize) -> &AtomicU8 {
+        self.table.slot(addr >> SHIFT)
     }
 }
 
-impl TagScheme for HashedScheme {
+impl<const SHIFT: u32> TagScheme for Hashed<SHIFT> {
     type PerWord = ();
-    const NAME: &'static str = "flit-HT";
+    const NAME: &'static str = if SHIFT == 6 {
+        "flit-cacheline"
+    } else {
+        "flit-HT"
+    };
 
     #[inline]
     fn begin_store(&self, _per_word: &(), addr: usize) {
-        let prev = self
-            .table
-            .slot(self.key(addr))
-            .fetch_add(1, Ordering::AcqRel);
+        let prev = self.counter(addr).fetch_add(1, Ordering::AcqRel);
         debug_assert!(prev < u8::MAX, "flit-counter overflow");
     }
 
     #[inline]
     fn end_store(&self, _per_word: &(), addr: usize) {
-        let prev = self
-            .table
-            .slot(self.key(addr))
-            .fetch_sub(1, Ordering::AcqRel);
+        let prev = self.counter(addr).fetch_sub(1, Ordering::AcqRel);
         debug_assert!(prev > 0, "flit-counter underflow");
     }
 
     #[inline]
     fn is_tagged(&self, _per_word: &(), addr: usize) -> bool {
-        self.table.slot(self.key(addr)).load(Ordering::Acquire) > 0
+        self.counter(addr).load(Ordering::Acquire) > 0
     }
 
     #[inline]
@@ -321,84 +319,6 @@ impl TagScheme for HashedScheme {
 
     fn describe(&self) -> String {
         format!("{} ({})", Self::NAME, human_bytes(self.table.len()))
-    }
-}
-
-// ---------------------------------------------------------------------------------
-// Cache-line granularity (paper §8 future work).
-// ---------------------------------------------------------------------------------
-
-/// One shared counter per 64-byte cache line, hashed into a table — the counter
-/// allocation strategy the paper's conclusion lists as unexplored future work.
-/// Compared to [`HashedScheme`] it reduces the number of distinct counters touched by
-/// a multi-word object at the price of more sharing-induced spurious flushes.
-#[derive(Clone)]
-pub struct CacheLineScheme {
-    inner: HashedScheme,
-}
-
-impl std::fmt::Debug for CacheLineScheme {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("CacheLineScheme")
-            .field("bytes", &self.inner.table.len())
-            .finish()
-    }
-}
-
-impl CacheLineScheme {
-    /// A table of the given size with one counter per cache line of the tracked data.
-    pub fn with_bytes(bytes: usize) -> Self {
-        Self {
-            inner: HashedScheme {
-                table: Arc::new(CounterTable::new(bytes)),
-                granularity_shift: 6,
-            },
-        }
-    }
-
-    /// A 1 MB table (same default as [`HashedScheme`]).
-    pub fn new_default() -> Self {
-        Self::with_bytes(HashedScheme::DEFAULT_BYTES)
-    }
-
-    /// Size of the backing table in bytes.
-    pub fn table_bytes(&self) -> usize {
-        self.inner.table.len()
-    }
-}
-
-impl TagScheme for CacheLineScheme {
-    type PerWord = ();
-    const NAME: &'static str = "flit-cacheline";
-
-    #[inline]
-    fn begin_store(&self, per_word: &(), addr: usize) {
-        self.inner.begin_store(per_word, cache_line_of(addr));
-    }
-
-    #[inline]
-    fn end_store(&self, per_word: &(), addr: usize) {
-        self.inner.end_store(per_word, cache_line_of(addr));
-    }
-
-    #[inline]
-    fn is_tagged(&self, per_word: &(), addr: usize) -> bool {
-        self.inner.is_tagged(per_word, cache_line_of(addr))
-    }
-
-    #[inline]
-    fn defers_store_close(&self) -> bool {
-        true
-    }
-
-    #[inline]
-    fn end_store_deferred(&self, addr: usize) {
-        // `end_store` applies the cache-line mapping itself.
-        self.end_store(&(), addr);
-    }
-
-    fn describe(&self) -> String {
-        format!("{} ({})", Self::NAME, human_bytes(self.inner.table.len()))
     }
 }
 

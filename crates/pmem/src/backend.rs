@@ -1,6 +1,11 @@
-//! The [`PmemBackend`] trait: the minimal instruction set the FliT library needs from
-//! the persistent-memory substrate (`pwb` + `pfence`), plus hooks for statistics and
-//! crash tracking.
+//! The [`PmemBackend`] trait: the paper's instruction set (`pwb` + `pfence`, §2)
+//! plus the four things a [`PmemSession`](crate::PmemSession) must ask of the
+//! substrate below it — the store hook and its version counter, the configured
+//! [`ElisionMode`], and the optional statistics and tracker.
+//!
+//! Nothing here decides *whether* an instruction is issued: a backend executes
+//! what it is handed. Minimising the stream (persist-epoch elision) is the
+//! session's job, one layer up.
 
 use crate::epoch::ElisionMode;
 use crate::stats::PmemStats;
@@ -16,7 +21,7 @@ use crate::tracker::PersistenceTracker;
 ///
 /// Backends may additionally observe every store performed through the FliT library
 /// (via [`record_store`](PmemBackend::record_store)) so that a software model of the
-/// persisted image can be maintained; hardware backends ignore this hook.
+/// persisted image can be maintained; hardware backends only count it.
 ///
 /// All methods take `&self`: backends are shared across every thread of a data
 /// structure and must be internally synchronised. The trait itself carries no
@@ -32,82 +37,6 @@ pub trait PmemBackend {
     /// calling thread is durable, and order it before subsequent stores.
     fn pfence(&self);
 
-    /// Issue a persist fence *unless the calling handle's persist epoch is clean*
-    /// (zero `pwb`s through it since its last fence), in which case the fence
-    /// would persist nothing and may be skipped.
-    ///
-    /// The default implementation is the conservative paper-literal behaviour: it
-    /// always fences — a raw backend has no epoch to consult. The per-handle
-    /// [`PmemSession`](crate::PmemSession) overrides it with the real elision
-    /// (see [`crate::epoch`]); [`ElisionMode::Disabled`] restores this default
-    /// even through a session.
-    #[inline]
-    fn pfence_if_dirty(&self) {
-        self.pfence();
-    }
-
-    /// Epoch-aware read-side flush: issue a `pwb` for the cache line containing
-    /// `addr`, unless the calling handle already flushed the word at `addr` holding
-    /// exactly `observed` in its current persist epoch (the value is then already in
-    /// the handle's pending set and the next fence commits it). Returns `true` when
-    /// a `pwb` was actually issued.
-    ///
-    /// The default implementation always flushes — the conservative paper-literal
-    /// behaviour; [`PmemSession`](crate::PmemSession) overrides it. See
-    /// [`crate::epoch`] for the dedup's soundness boundary.
-    #[inline]
-    fn pwb_dedup(&self, addr: *const u8, observed: u64) -> bool {
-        let _ = observed;
-        self.pwb(addr);
-        true
-    }
-
-    /// The persist-epoch elision mode sessions over this backend should apply.
-    ///
-    /// The default is [`ElisionMode::Enabled`] — caller-side elision is sound
-    /// over any backend (an elided instruction is simply never issued).
-    /// Configurable backends ([`SimNvram`](crate::SimNvram),
-    /// [`HardwarePmem`](crate::HardwarePmem)) return their builder-chosen mode so
-    /// the paper-literal stream can be selected per instance.
-    #[inline]
-    fn elision_mode(&self) -> ElisionMode {
-        ElisionMode::Enabled
-    }
-
-    /// Record that a fence requested through [`pfence_if_dirty`](Self::pfence_if_dirty)
-    /// was elided (statistics only; the default records into
-    /// [`pmem_stats`](Self::pmem_stats) when present).
-    #[inline]
-    fn note_elided_pfence(&self) {
-        if let Some(stats) = self.pmem_stats() {
-            stats.record_elided_pfence();
-        }
-    }
-
-    /// Record that a flush requested through [`pwb_dedup`](Self::pwb_dedup) was
-    /// elided (statistics only; the default records into
-    /// [`pmem_stats`](Self::pmem_stats) when present).
-    #[inline]
-    fn note_elided_pwb(&self) {
-        if let Some(stats) = self.pmem_stats() {
-            stats.record_elided_pwb();
-        }
-    }
-
-    /// Record that a `pwb` just issued by the FliT library was a *read-side* flush
-    /// (triggered by a tagged p-load rather than a store), so Figure 9's read-side
-    /// breakdown can be reported. Called *in addition to* the flush itself.
-    ///
-    /// The default implementation records into [`pmem_stats`](Self::pmem_stats) when
-    /// the backend keeps statistics; backends with a statistics kill-switch override
-    /// it to honour that gate.
-    #[inline]
-    fn note_read_side_pwb(&self) {
-        if let Some(stats) = self.pmem_stats() {
-            stats.record_read_side_pwb();
-        }
-    }
-
     /// Notify the backend that an 8-byte word at `addr` now holds `val` in volatile
     /// memory. Called by the FliT library immediately after every store it performs on
     /// a tracked (`persist<T>`) variable.
@@ -118,21 +47,33 @@ pub trait PmemBackend {
     fn record_store(&self, _addr: *const u8, _val: u64) {}
 
     /// A monotone counter of the stores this backend has observed through
-    /// [`record_store`](Self::record_store). Backends implementing the
-    /// [`pwb_dedup`](Self::pwb_dedup) elision stamp each dedup entry with this
-    /// version at flush time and require the version to be *unchanged* at dedup
+    /// [`record_store`](Self::record_store). A session's
+    /// [`pwb_dedup`](crate::PmemSession::pwb_dedup) stamps each dedup entry with
+    /// this version at flush time and requires it to be *unchanged* at dedup
     /// time, which closes the overwrite-and-restore (ABA) window: if no store at
     /// all was recorded since the flush, the word cannot have been overwritten
     /// (see [`crate::epoch`]).
     ///
-    /// The default implementation returns `0` — correct for backends that also use
-    /// the default (never-eliding) `pwb_dedup`.
+    /// The default implementation returns `0` — for backends that observe no
+    /// stores ([`NullPmem`], where a stale dedup hit loses nothing).
     #[inline]
     fn store_version(&self) -> u64 {
         0
     }
 
-    /// Statistics collected by this backend, if any.
+    /// The persist-epoch elision mode sessions over this backend should apply.
+    ///
+    /// The default is [`ElisionMode::Enabled`] — caller-side elision is sound
+    /// over any backend (an elided instruction is simply never issued).
+    /// [`SimNvram`](crate::SimNvram) returns its builder-chosen mode so the
+    /// paper-literal stream can be selected per instance.
+    #[inline]
+    fn elision_mode(&self) -> ElisionMode {
+        ElisionMode::Enabled
+    }
+
+    /// Statistics collected by this backend, if any. Sessions record their
+    /// elisions and read-side attributions here.
     #[inline]
     fn pmem_stats(&self) -> Option<&PmemStats> {
         None
@@ -174,79 +115,9 @@ impl PmemBackend for NullPmem {
     }
 }
 
-/// Blanket implementation so an `Arc<B>` can be used wherever a backend is expected
-/// without an extra newtype at every call site.
-impl<B: PmemBackend + ?Sized> PmemBackend for std::sync::Arc<B> {
-    #[inline]
-    fn pwb(&self, addr: *const u8) {
-        (**self).pwb(addr)
-    }
-
-    #[inline]
-    fn pfence(&self) {
-        (**self).pfence()
-    }
-
-    #[inline]
-    fn pfence_if_dirty(&self) {
-        (**self).pfence_if_dirty()
-    }
-
-    #[inline]
-    fn pwb_dedup(&self, addr: *const u8, observed: u64) -> bool {
-        (**self).pwb_dedup(addr, observed)
-    }
-
-    #[inline]
-    fn note_read_side_pwb(&self) {
-        (**self).note_read_side_pwb()
-    }
-
-    #[inline]
-    fn record_store(&self, addr: *const u8, val: u64) {
-        (**self).record_store(addr, val)
-    }
-
-    #[inline]
-    fn store_version(&self) -> u64 {
-        (**self).store_version()
-    }
-
-    #[inline]
-    fn elision_mode(&self) -> ElisionMode {
-        (**self).elision_mode()
-    }
-
-    #[inline]
-    fn note_elided_pfence(&self) {
-        (**self).note_elided_pfence()
-    }
-
-    #[inline]
-    fn note_elided_pwb(&self) {
-        (**self).note_elided_pwb()
-    }
-
-    #[inline]
-    fn pmem_stats(&self) -> Option<&PmemStats> {
-        (**self).pmem_stats()
-    }
-
-    #[inline]
-    fn persistence_tracker(&self) -> Option<&PersistenceTracker> {
-        (**self).persistence_tracker()
-    }
-
-    #[inline]
-    fn is_persistent(&self) -> bool {
-        (**self).is_persistent()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Arc;
 
     #[test]
     fn null_backend_is_a_noop_and_not_persistent() {
@@ -261,52 +132,10 @@ mod tests {
     }
 
     #[test]
-    fn arc_backend_delegates() {
-        let b: Arc<NullPmem> = Arc::new(NullPmem);
-        let x = 9u64;
-        b.pwb(&x as *const u64 as *const u8);
-        b.pfence();
-        assert!(!b.is_persistent());
-    }
-
-    #[test]
-    fn default_epoch_methods_are_conservative() {
-        // A backend that does not track persist epochs must behave paper-literally:
-        // pfence_if_dirty always fences, pwb_dedup always flushes.
-        use crate::sim::SimNvram;
-        use crate::LatencyModel;
-
-        struct PassThrough(SimNvram);
-        impl PmemBackend for PassThrough {
-            fn pwb(&self, addr: *const u8) {
-                self.0.pwb(addr)
-            }
-            fn pfence(&self) {
-                self.0.pfence()
-            }
-            fn pmem_stats(&self) -> Option<&crate::PmemStats> {
-                self.0.pmem_stats()
-            }
-        }
-
-        let b = PassThrough(SimNvram::builder().latency(LatencyModel::none()).build());
-        let x = 5u64;
-        b.pfence_if_dirty(); // clean thread, but the default must still fence
-        assert!(b.pwb_dedup(&x as *const u64 as *const u8, 5));
-        assert!(b.pwb_dedup(&x as *const u64 as *const u8, 5), "no dedup");
-        b.note_read_side_pwb();
-        let stats = b.pmem_stats().unwrap();
-        assert_eq!(stats.pfences(), 1);
-        assert_eq!(stats.pwbs(), 2);
-        assert_eq!(stats.read_side_pwbs(), 1);
-        assert_eq!(stats.elided_pfences(), 0);
-        assert_eq!(stats.elided_pwbs(), 0);
-    }
-
-    #[test]
     fn dyn_backend_object_safety() {
-        // The trait must stay object-safe: the workload runner stores `Arc<dyn PmemBackend>`.
-        let b: Arc<dyn PmemBackend> = Arc::new(NullPmem);
+        // Sessions are generic over `B: PmemBackend + ?Sized`, so the trait
+        // must stay object-safe.
+        let b: Box<dyn PmemBackend> = Box::new(NullPmem);
         b.pfence();
         assert!(!b.is_persistent());
     }

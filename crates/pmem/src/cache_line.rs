@@ -27,12 +27,6 @@ pub fn word_of(addr: usize) -> usize {
     addr & !(WORD_SIZE - 1)
 }
 
-/// Returns the index (0..8) of the word containing `addr` within its cache line.
-#[inline]
-pub fn word_index_in_line(addr: usize) -> usize {
-    (addr & (CACHE_LINE_SIZE - 1)) / WORD_SIZE
-}
-
 /// Returns `true` when two addresses fall on the same cache line.
 ///
 /// The paper's §6.6 discussion of adjacent counters vs. hashed counters hinges on
@@ -62,14 +56,6 @@ mod tests {
         assert_eq!(word_of(7), 0);
         assert_eq!(word_of(8), 8);
         assert_eq!(word_of(15), 8);
-    }
-
-    #[test]
-    fn word_index() {
-        assert_eq!(word_index_in_line(0), 0);
-        assert_eq!(word_index_in_line(8), 1);
-        assert_eq!(word_index_in_line(63), 7);
-        assert_eq!(word_index_in_line(64), 0);
     }
 
     #[test]

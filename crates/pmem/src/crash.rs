@@ -56,11 +56,7 @@ const NEVER: u64 = u64::MAX;
 
 struct Inner {
     /// Event index to crash at (the image is captured *before* this event applies).
-    /// Re-armable: [`CrashPlan::arm_after`] sets it relative to the current count,
-    /// which is how sweeps pin crash points to post-construction offsets (absolute
-    /// indices drift between runs because `persist_object`'s pwb count depends on
-    /// whether an allocation straddles a cache line).
-    trigger: AtomicU64,
+    trigger: u64,
     /// Events observed so far.
     events: AtomicU64,
     /// The frozen image plus the kind of event that triggered the capture.
@@ -97,7 +93,7 @@ impl CrashPlan {
     pub fn armed_at(trigger: u64) -> Self {
         Self {
             inner: Arc::new(Inner {
-                trigger: AtomicU64::new(trigger),
+                trigger,
                 events: AtomicU64::new(0),
                 captured: Mutex::new(None),
                 log: None,
@@ -106,8 +102,7 @@ impl CrashPlan {
     }
 
     /// A plan that never triggers — used for the counting pass that measures how many
-    /// events a history generates and where its operation boundaries fall, and as
-    /// the unarmed state before [`arm_after`](Self::arm_after).
+    /// events a history generates and where its operation boundaries fall.
     pub fn counting() -> Self {
         Self::armed_at(NEVER)
     }
@@ -119,7 +114,7 @@ impl CrashPlan {
     pub fn counting_logged() -> Self {
         Self {
             inner: Arc::new(Inner {
-                trigger: AtomicU64::new(NEVER),
+                trigger: NEVER,
                 events: AtomicU64::new(0),
                 captured: Mutex::new(None),
                 log: Some(Mutex::new(Vec::new())),
@@ -137,20 +132,9 @@ impl CrashPlan {
             .unwrap_or_default()
     }
 
-    /// Arm (or re-arm) the plan to crash `offset` events from *now*: the trigger
-    /// becomes `events_seen() + offset`. Sweeps use this to pin crash points
-    /// relative to the end of structure construction, which keeps them meaningful
-    /// even though absolute construction event counts vary with allocator layout.
-    pub fn arm_after(&self, offset: u64) {
-        let now = self.inner.events.load(Ordering::SeqCst);
-        self.inner
-            .trigger
-            .store(now.saturating_add(offset), Ordering::SeqCst);
-    }
-
     /// The event index this plan is armed at, or `None` for a counting plan.
     pub fn trigger(&self) -> Option<u64> {
-        let trigger = self.inner.trigger.load(Ordering::SeqCst);
+        let trigger = self.inner.trigger;
         (trigger != NEVER).then_some(trigger)
     }
 
@@ -187,7 +171,7 @@ impl CrashPlan {
         if let Some(log) = &self.inner.log {
             log.lock().push(kind);
         }
-        if index == self.inner.trigger.load(Ordering::SeqCst) {
+        if index == self.inner.trigger {
             let image = tracker.map(|t| t.crash_image()).unwrap_or_default();
             let mut captured = self.inner.captured.lock();
             if captured.is_none() {
@@ -260,30 +244,5 @@ mod tests {
         assert_eq!(CrashEventKind::Store.name(), "store");
         assert_eq!(CrashEventKind::Pwb.name(), "pwb");
         assert_eq!(CrashEventKind::Pfence.name(), "pfence");
-    }
-
-    #[test]
-    fn arm_after_counts_from_the_current_event() {
-        let tracker = PersistenceTracker::new();
-        let plan = CrashPlan::counting();
-        let x = 0u64;
-        let addr = &x as *const u64 as usize;
-        // Three "construction" events, fully persisted.
-        plan.observe(CrashEventKind::Store, Some(&tracker));
-        tracker.record_store(addr, 1);
-        plan.observe(CrashEventKind::Pwb, Some(&tracker));
-        tracker.on_pwb(addr);
-        plan.observe(CrashEventKind::Pfence, Some(&tracker));
-        tracker.on_pfence();
-        // Crash one event from now: the next event is applied, the one after lost.
-        plan.arm_after(1);
-        assert_eq!(plan.trigger(), Some(4));
-        plan.observe(CrashEventKind::Store, Some(&tracker));
-        tracker.record_store(addr, 2);
-        assert!(!plan.triggered());
-        plan.observe(CrashEventKind::Pwb, Some(&tracker));
-        assert!(plan.triggered());
-        // The frozen image holds the construction value only.
-        assert_eq!(plan.crash_image().unwrap().read(addr), Some(1));
     }
 }

@@ -125,15 +125,6 @@ impl CommitMode {
         matches!(self, CommitMode::Batched(_))
     }
 
-    /// The batch size `k`, or `None` under [`CommitMode::Immediate`].
-    #[inline]
-    pub fn batch_limit(self) -> Option<u64> {
-        match self {
-            CommitMode::Immediate => None,
-            CommitMode::Batched(k) => Some(k.max(1) as u64),
-        }
-    }
-
     /// CLI-friendly key (`immediate` / `batched-<k>`).
     pub fn name(self) -> String {
         match self {
@@ -317,7 +308,7 @@ impl PersistEpoch {
     /// Record that the owning handle flushed `word` while it held `val`, with the
     /// backend's store version (`stamp`) at flush time.
     #[inline]
-    pub fn note_flushed(&self, word: usize, val: u64, stamp: u64) {
+    fn note_flushed(&self, word: usize, val: u64, stamp: u64) {
         self.recent[self.next_slot.get()].set((word, val, stamp));
         self.next_slot
             .set((self.next_slot.get() + 1) % RECENT_FLUSHES);
@@ -326,8 +317,8 @@ impl PersistEpoch {
     }
 
     /// Record a read-side `pwb` of `word` holding `val` (stamped with the backend's
-    /// store version at flush time): equivalent to [`note_pwb`](Self::note_pwb) +
-    /// [`note_flushed`](Self::note_flushed), for the `pwb_dedup` miss path.
+    /// store version at flush time): [`note_pwb`](Self::note_pwb) plus an entry in
+    /// the recently-flushed set, for the `pwb_dedup` miss path.
     #[inline]
     pub fn note_pwb_flushed(&self, word: usize, val: u64, stamp: u64) {
         self.note_pwb();
@@ -493,8 +484,6 @@ mod tests {
         assert_eq!(CommitMode::parse("eventually"), None);
         assert_eq!(CommitMode::Immediate.name(), "immediate");
         assert_eq!(CommitMode::Batched(4).name(), "batched-4");
-        assert_eq!(CommitMode::Batched(4).batch_limit(), Some(4));
-        assert_eq!(CommitMode::Immediate.batch_limit(), None);
         assert!(!CommitMode::default().is_batched());
     }
 

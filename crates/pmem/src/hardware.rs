@@ -10,7 +10,6 @@
 //! reproduction environment is x86-64 only.
 
 use crate::backend::PmemBackend;
-use crate::epoch::ElisionMode;
 use crate::stats::PmemStats;
 
 /// Which flush instruction the hardware backend issues for `pwb`.
@@ -31,16 +30,13 @@ pub enum FlushInstruction {
 ///
 /// Like [`SimNvram`](crate::SimNvram), the backend issues every instruction it is
 /// handed; [persist-epoch elision](crate::epoch) happens in the per-handle
-/// [`PmemSession`](crate::PmemSession) layered above it, which consults this
-/// instance's configured [`ElisionMode`] (default: enabled — the same "minimal
-/// ordering" discipline, applied to the real instruction stream).
-/// [`with_elision`](Self::with_elision) disables it.
+/// [`PmemSession`](crate::PmemSession) layered above it (always enabled here —
+/// the same "minimal ordering" discipline, applied to the real instruction
+/// stream; the literal-stream A/B runs on [`SimNvram`](crate::SimNvram)).
 #[derive(Debug)]
 pub struct HardwarePmem {
     instr: FlushInstruction,
     stats: PmemStats,
-    count_stats: bool,
-    elision: ElisionMode,
     /// Per-backend store counter (bumped in `record_store`) used to stamp dedup
     /// entries, making the duplicate-flush elision ABA-proof (see `crate::epoch`).
     store_version: std::sync::atomic::AtomicU64,
@@ -49,61 +45,16 @@ pub struct HardwarePmem {
 impl HardwarePmem {
     /// Create a backend using the strongest flush instruction available on this CPU.
     pub fn new() -> Self {
-        Self::with_counting(true)
-    }
-
-    /// Create a backend, optionally disabling statistics collection (saves two relaxed
-    /// atomic increments per persistence instruction on the hot path).
-    pub fn with_counting(count_stats: bool) -> Self {
         Self {
             instr: Self::detect(),
             stats: PmemStats::new(),
-            count_stats,
-            elision: ElisionMode::default(),
             store_version: std::sync::atomic::AtomicU64::new(0),
-        }
-    }
-
-    /// Create a backend with an explicit persist-epoch elision mode
-    /// ([`ElisionMode::Disabled`] issues the paper-literal instruction stream).
-    pub fn with_elision(elision: ElisionMode) -> Self {
-        Self {
-            elision,
-            ..Self::new()
-        }
-    }
-
-    /// Create a backend that uses a specific flush instruction (panics if the CPU does
-    /// not support it).
-    pub fn with_instruction(instr: FlushInstruction) -> Self {
-        let detected = Self::detect();
-        let supported = match (instr, detected) {
-            (FlushInstruction::None, _) => true,
-            (_, FlushInstruction::None) => false,
-            (FlushInstruction::Clflush, _) => true,
-            (FlushInstruction::ClflushOpt, FlushInstruction::Clwb)
-            | (FlushInstruction::ClflushOpt, FlushInstruction::ClflushOpt) => true,
-            (FlushInstruction::Clwb, FlushInstruction::Clwb) => true,
-            _ => false,
-        };
-        assert!(
-            supported,
-            "requested flush instruction {instr:?} not supported (detected {detected:?})"
-        );
-        Self {
-            instr,
-            ..Self::new()
         }
     }
 
     /// The flush instruction this backend issues.
     pub fn instruction(&self) -> FlushInstruction {
         self.instr
-    }
-
-    /// The persist-epoch elision mode sessions over this instance apply.
-    pub fn elision(&self) -> ElisionMode {
-        self.elision
     }
 
     #[cfg(target_arch = "x86_64")]
@@ -181,56 +132,22 @@ impl Default for HardwarePmem {
 impl PmemBackend for HardwarePmem {
     #[inline]
     fn pwb(&self, addr: *const u8) {
-        if self.count_stats {
-            self.stats.record_pwb();
-        }
+        self.stats.record_pwb();
         self.flush(addr);
     }
 
     #[inline]
     fn pfence(&self) {
-        if self.count_stats {
-            self.stats.record_pfence();
-        }
+        self.stats.record_pfence();
         self.fence();
-    }
-
-    #[inline]
-    fn note_read_side_pwb(&self) {
-        if self.count_stats {
-            self.stats.record_read_side_pwb();
-        }
-    }
-
-    #[inline]
-    fn elision_mode(&self) -> ElisionMode {
-        self.elision
-    }
-
-    #[inline]
-    fn note_elided_pfence(&self) {
-        if self.count_stats {
-            self.stats.record_elided_pfence();
-        }
-    }
-
-    #[inline]
-    fn note_elided_pwb(&self) {
-        if self.count_stats {
-            self.stats.record_elided_pwb();
-        }
     }
 
     #[inline]
     fn record_store(&self, _addr: *const u8, _val: u64) {
         // Hardware keeps no software image; the store is only counted so dedup
         // stamps can detect intervening stores (ABA closure, see `crate::epoch`).
-        // With elision disabled nothing consumes the stamp, so the (globally
-        // shared, hence contended) counter bump is skipped on the literal stream.
-        if self.elision.is_enabled() {
-            self.store_version
-                .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        }
+        self.store_version
+            .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
     }
 
     #[inline]
@@ -270,54 +187,5 @@ mod tests {
         b.pfence();
         assert_eq!(b.pmem_stats().unwrap().pwbs(), 4);
         assert_eq!(b.pmem_stats().unwrap().pfences(), 1);
-    }
-
-    #[test]
-    fn clflush_fallback_always_constructible() {
-        #[cfg(target_arch = "x86_64")]
-        {
-            let b = HardwarePmem::with_instruction(FlushInstruction::Clflush);
-            let x = 1u64;
-            b.pwb(&x as *const u64 as *const u8);
-            b.pfence();
-        }
-    }
-
-    #[test]
-    fn counting_can_be_disabled() {
-        let b = HardwarePmem::with_counting(false);
-        let x = 1u64;
-        b.pwb(&x as *const u64 as *const u8);
-        assert_eq!(b.pmem_stats().unwrap().pwbs(), 0);
-    }
-
-    #[test]
-    fn clean_handle_sfence_is_elided_through_a_session() {
-        use crate::epoch::PersistEpoch;
-        use crate::session::PmemSession;
-        let b = HardwarePmem::new();
-        let epoch = PersistEpoch::new();
-        let s = PmemSession::for_backend(&b, &epoch);
-        s.pfence_if_dirty(); // clean: skipped
-        assert_eq!(b.pmem_stats().unwrap().pfences(), 0);
-        assert_eq!(b.pmem_stats().unwrap().elided_pfences(), 1);
-        let x = 1u64;
-        s.pwb(&x as *const u64 as *const u8);
-        s.pfence_if_dirty(); // dirty: a real sfence executes
-        assert_eq!(b.pmem_stats().unwrap().pfences(), 1);
-    }
-
-    #[test]
-    fn elision_can_be_disabled() {
-        use crate::epoch::PersistEpoch;
-        use crate::session::PmemSession;
-        let b = HardwarePmem::with_elision(ElisionMode::Disabled);
-        assert_eq!(b.elision(), ElisionMode::Disabled);
-        assert_eq!(b.elision_mode(), ElisionMode::Disabled);
-        let epoch = PersistEpoch::new();
-        let s = PmemSession::for_backend(&b, &epoch);
-        s.pfence_if_dirty(); // literal mode: the fence executes even when clean
-        assert_eq!(b.pmem_stats().unwrap().pfences(), 1);
-        assert_eq!(b.pmem_stats().unwrap().elided_pfences(), 0);
     }
 }

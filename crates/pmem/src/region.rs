@@ -163,17 +163,6 @@ impl PmemRegion {
         let base = self.base_addr();
         addr >= base && addr < base + self.len()
     }
-
-    /// `true` when the `len`-byte range starting at `addr` falls entirely inside
-    /// the region.
-    #[inline]
-    pub fn contains_range(&self, addr: usize, len: usize) -> bool {
-        len == 0
-            || (self.contains(addr)
-                && addr
-                    .checked_add(len - 1)
-                    .is_some_and(|end| self.contains(end)))
-    }
 }
 
 impl Drop for PmemRegion {
@@ -234,9 +223,6 @@ mod tests {
         assert!(r.contains(base + 255));
         assert!(!r.contains(base + 256));
         assert!(!r.contains(base.wrapping_sub(1)));
-        assert!(r.contains_range(base, 256));
-        assert!(!r.contains_range(base + 1, 256));
-        assert!(r.contains_range(base + 256, 0), "empty range always fits");
     }
 
     #[test]

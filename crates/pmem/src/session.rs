@@ -1,30 +1,34 @@
-//! [`PmemSession`]: a per-handle view of a backend that applies persist-epoch
-//! elision on the caller's side.
+//! [`PmemSession`]: a per-handle view of a backend, and the **only** place
+//! persist-epoch elision happens.
 //!
-//! The elision decisions of [`crate::epoch`] depend on *whose* epoch is asked —
-//! which used to mean thread-local lookups inside each backend. With explicit
-//! handles, the handle owns its [`PersistEpoch`] and wraps the shared backend in a
-//! `PmemSession` for the duration of each operation. The session implements
-//! [`PmemBackend`] itself, so everything written against the trait (the FliT
-//! word algorithms, `flit_alloc::Arena`, `persist_range`) works unchanged while
-//! every instruction is attributed to exactly one handle:
+//! A backend is the paper's instruction set — it executes the `pwb`s and
+//! `pfence`s it is handed. Deciding that an instruction is redundant depends on
+//! *whose* epoch is asked, so that decision belongs to the handle: it owns its
+//! [`PersistEpoch`] and wraps the shared backend in a `PmemSession` for the
+//! duration of each operation. The session adds three inherent methods on top
+//! of the instruction set:
 //!
-//! * `pwb`/`pfence` forward to the backend and update the handle's epoch;
-//! * [`pfence_if_dirty`](PmemBackend::pfence_if_dirty) elides the fence when the
-//!   handle is clean (recording the elision in the backend's stats);
-//! * [`pwb_dedup`](PmemBackend::pwb_dedup) skips a duplicate read-side flush of a
-//!   word the handle already flushed this epoch with an unchanged store version.
+//! * [`pfence_if_dirty`](PmemSession::pfence_if_dirty) elides the fence when the
+//!   handle is clean;
+//! * [`pwb_dedup`](PmemSession::pwb_dedup) skips a duplicate read-side flush of a
+//!   word the handle already flushed this epoch with an unchanged store version;
+//! * [`note_read_side_pwb`](PmemSession::note_read_side_pwb) attributes a flush
+//!   just issued to a tagged p-load (Figure 9's read-side breakdown).
 //!
-//! Raw backends keep the conservative trait defaults (always fence, always
-//! flush): an instruction stream that never goes through a session is simply the
-//! paper-literal stream. The session consults the backend's configured
-//! [`ElisionMode`] (see [`PmemBackend::elision_mode`]), so building a `SimNvram`
-//! with `ElisionMode::Disabled` still yields the literal stream *through* a
-//! session — the A/B toggle the benchmarks and crash sweeps rely on.
+//! Each records what it elided or attributed in the backend's
+//! [`pmem_stats`](PmemBackend::pmem_stats), when the backend keeps any. The
+//! session also implements [`PmemBackend`] itself — `pwb`/`pfence` forward to the
+//! backend and update the handle's epoch — so everything written against the
+//! bare instruction set (`flit_alloc::Arena`, `persist_range`) works unchanged
+//! while every instruction is attributed to exactly one handle.
 //!
-//! Because an elided instruction is never issued at all, any observer layered
-//! *below* the session (statistics, a `CrashPlan`, a
-//! [`RecordingBackend`](crate::RecordingBackend)) records exactly the issued
+//! The session consults the backend's configured [`ElisionMode`] (see
+//! [`PmemBackend::elision_mode`]), so building a `SimNvram` with
+//! `ElisionMode::Disabled` yields the paper-literal stream *through* a session —
+//! the A/B toggle the benchmarks and crash sweeps rely on.
+//!
+//! Because an elided instruction is never issued at all, every observer *below*
+//! the session (statistics, the tracker, a `CrashPlan`) sees exactly the issued
 //! stream — recorded and executed streams cannot diverge by construction.
 
 use crate::backend::PmemBackend;
@@ -104,6 +108,81 @@ impl<'h, B: PmemBackend + ?Sized> PmemSession<'h, B> {
                 .record(kind, word, self.backend.store_version());
         }
     }
+
+    /// Issue a persist fence *unless the owning handle's persist epoch is clean*
+    /// (zero `pwb`s through it since its last fence): the fence would persist
+    /// nothing (the tracker's `on_pfence` would early-return), so it is elided
+    /// from the instruction stream entirely. Under [`ElisionMode::Disabled`]
+    /// the fence always executes.
+    #[inline]
+    pub fn pfence_if_dirty(&self) {
+        if self.elision.is_enabled() && self.epoch.is_clean() {
+            if let Some(stats) = self.backend.pmem_stats() {
+                stats.record_elided_pfence();
+            }
+            self.flight_record(FlightEventKind::ElidedPfence, 0);
+            return;
+        }
+        self.pfence();
+    }
+
+    /// Epoch-aware read-side flush: issue a `pwb` for the cache line containing
+    /// `addr`, unless the owning handle already flushed the word at `addr`
+    /// holding exactly `observed` in its current persist epoch. Returns `true`
+    /// when a `pwb` was actually issued; under [`ElisionMode::Disabled`] it
+    /// always is. See [`crate::epoch`] for the dedup's soundness argument.
+    #[inline]
+    pub fn pwb_dedup(&self, addr: *const u8, observed: u64) -> bool {
+        let word = word_of(addr as usize);
+        // A dedup hit means the value already sits in this handle's pending set
+        // and the next fence commits it; the hit also implies the handle is
+        // dirty, so that fence cannot itself be elided. The store-version stamp
+        // makes the hit unconditionally sound: an unchanged version rules out
+        // any overwrite-and-restore since the recorded flush.
+        let stamp = self.backend.store_version();
+        if self.elision.is_enabled() && self.epoch.recently_flushed(word, observed, stamp) {
+            self.note_elided_pwb(word);
+            return false;
+        }
+        // With a tracker attached (crash testing), a flush of a word that
+        // *provably, durably* holds `observed` is elided too: it could neither
+        // persist anything new nor be overtaken by a pending write-back (see
+        // `PersistenceTracker::durably_holds`). Group commit leaves words
+        // tagged past their durability point, and without this the helping
+        // flush of an already-durable word would fire or not depending on
+        // counter-table hash collisions — making crash-event streams depend on
+        // allocation addresses and breaking replay determinism.
+        if self.elision.is_enabled() {
+            if let Some(tracker) = self.backend.persistence_tracker() {
+                if tracker.durably_holds(word, observed) {
+                    self.note_elided_pwb(word);
+                    return false;
+                }
+            }
+        }
+        self.backend.pwb(addr);
+        self.epoch.note_pwb_flushed(word, observed, stamp);
+        self.flight_record(FlightEventKind::Pwb, word);
+        true
+    }
+
+    #[inline]
+    fn note_elided_pwb(&self, word: usize) {
+        if let Some(stats) = self.backend.pmem_stats() {
+            stats.record_elided_pwb();
+        }
+        self.flight_record(FlightEventKind::ElidedPwb, word);
+    }
+
+    /// Record that a `pwb` just issued through this session was a *read-side*
+    /// flush (triggered by a tagged p-load rather than a store), so Figure 9's
+    /// read-side breakdown can be reported. Called *in addition to* the flush.
+    #[inline]
+    pub fn note_read_side_pwb(&self) {
+        if let Some(stats) = self.backend.pmem_stats() {
+            stats.record_read_side_pwb();
+        }
+    }
 }
 
 impl<'h, B: PmemBackend + ?Sized> std::fmt::Debug for PmemSession<'h, B> {
@@ -131,61 +210,6 @@ impl<'h, B: PmemBackend + ?Sized> PmemBackend for PmemSession<'h, B> {
     }
 
     #[inline]
-    fn pfence_if_dirty(&self) {
-        // A clean handle has no pending write-backs through this session: the
-        // fence would persist nothing (the tracker's `on_pfence` would
-        // early-return), so it is elided from the instruction stream entirely.
-        if self.elision.is_enabled() && self.epoch.is_clean() {
-            self.backend.note_elided_pfence();
-            self.flight_record(FlightEventKind::ElidedPfence, 0);
-            return;
-        }
-        self.pfence();
-    }
-
-    #[inline]
-    fn pwb_dedup(&self, addr: *const u8, observed: u64) -> bool {
-        let word = word_of(addr as usize);
-        // A dedup hit means the value already sits in this handle's pending set
-        // and the next fence commits it; the hit also implies the handle is
-        // dirty, so that fence cannot itself be elided. The store-version stamp
-        // makes the hit unconditionally sound: an unchanged version rules out
-        // any overwrite-and-restore since the recorded flush.
-        let stamp = self.backend.store_version();
-        if self.elision.is_enabled() && self.epoch.recently_flushed(word, observed, stamp) {
-            self.backend.note_elided_pwb();
-            self.flight_record(FlightEventKind::ElidedPwb, word);
-            return false;
-        }
-        // With a tracker attached (crash testing), a flush of a word that
-        // *provably, durably* holds `observed` is elided too: it could neither
-        // persist anything new nor be overtaken by a pending write-back (see
-        // `PersistenceTracker::durably_holds`). Group commit leaves words
-        // tagged past their durability point, and without this the helping
-        // flush of an already-durable word would fire or not depending on
-        // counter-table hash collisions — making crash-event streams depend on
-        // allocation addresses and breaking replay determinism.
-        if self.elision.is_enabled() {
-            if let Some(tracker) = self.backend.persistence_tracker() {
-                if tracker.durably_holds(word, observed) {
-                    self.backend.note_elided_pwb();
-                    self.flight_record(FlightEventKind::ElidedPwb, word);
-                    return false;
-                }
-            }
-        }
-        self.backend.pwb(addr);
-        self.epoch.note_pwb_flushed(word, observed, stamp);
-        self.flight_record(FlightEventKind::Pwb, word);
-        true
-    }
-
-    #[inline]
-    fn note_read_side_pwb(&self) {
-        self.backend.note_read_side_pwb();
-    }
-
-    #[inline]
     fn record_store(&self, addr: *const u8, val: u64) {
         self.backend.record_store(addr, val);
         self.flight_record(FlightEventKind::Store, word_of(addr as usize));
@@ -199,16 +223,6 @@ impl<'h, B: PmemBackend + ?Sized> PmemBackend for PmemSession<'h, B> {
     #[inline]
     fn elision_mode(&self) -> ElisionMode {
         self.elision
-    }
-
-    #[inline]
-    fn note_elided_pfence(&self) {
-        self.backend.note_elided_pfence();
-    }
-
-    #[inline]
-    fn note_elided_pwb(&self) {
-        self.backend.note_elided_pwb();
     }
 
     #[inline]
@@ -339,6 +353,66 @@ mod tests {
         assert_eq!(sim.stats().pwbs(), 2);
         assert_eq!(sim.stats().elided_pfences(), 0);
         assert_eq!(sim.stats().elided_pwbs(), 0);
+    }
+
+    /// One clean/dirty/dedup script over a session on every substrate, eliding
+    /// and literal: the decisions are the session's, so they are the same on
+    /// each backend, and a backend without statistics ([`NullPmem`]) elides
+    /// without counting.
+    #[test]
+    fn the_elision_script_reads_the_same_over_every_backend() {
+        use crate::backend::NullPmem;
+        use crate::hardware::HardwarePmem;
+
+        let backends: [(&str, Box<dyn PmemBackend>); 3] = [
+            ("sim", Box::new(counting())),
+            ("hardware", Box::new(HardwarePmem::new())),
+            ("null", Box::new(NullPmem)),
+        ];
+        // (mode, [pwbs, pfences, read_side_pwbs, elided_pfences, elided_pwbs], second dedup flushed?)
+        let streams = [
+            (ElisionMode::Enabled, [2, 2, 1, 2, 1], false),
+            (ElisionMode::Disabled, [3, 4, 1, 0, 0], true),
+        ];
+        for (name, backend) in &backends {
+            let mut expected = [0u64; 5];
+            for (mode, counts, reflushed) in streams {
+                let epoch = PersistEpoch::new();
+                let s = PmemSession::new(&**backend, &epoch, mode);
+                let x = 7u64;
+                let addr = &x as *const u64 as *const u8;
+                s.pfence_if_dirty(); // clean
+                s.pwb(addr);
+                s.pfence_if_dirty(); // dirty: a real fence on either stream
+                s.pfence_if_dirty(); // clean again
+                assert!(s.pwb_dedup(addr, 7), "{name}: first flush is real");
+                s.note_read_side_pwb();
+                assert_eq!(s.pwb_dedup(addr, 7), reflushed, "{name} {mode:?}");
+                assert!(!epoch.is_clean(), "{name}: the flush dirtied the handle");
+                s.pfence_if_dirty();
+                assert!(epoch.is_clean(), "{name}: …and that fence was not elided");
+
+                // Counters accumulate across the two streams on one backend.
+                for (total, n) in expected.iter_mut().zip(counts) {
+                    *total += n;
+                }
+                let seen = backend.pmem_stats().map(|st| {
+                    let st = st.snapshot();
+                    [
+                        st.pwbs,
+                        st.pfences,
+                        st.read_side_pwbs,
+                        st.elided_pfences,
+                        st.elided_pwbs,
+                    ]
+                });
+                assert_eq!(
+                    seen,
+                    (*name != "null").then_some(expected),
+                    "{name} {mode:?}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -1,23 +1,23 @@
 //! Simulated NVRAM backend.
 //!
 //! [`SimNvram`] is the substitute for the Intel Optane DC persistent memory used in
-//! the paper's evaluation. It combines three orthogonal pieces, each optional:
+//! the paper's evaluation. It combines three orthogonal pieces:
 //!
 //! * a [`LatencyModel`] charging a cost to every `pwb`/`pfence` (this is what makes
 //!   the benchmark *shapes* of the paper reproducible on ordinary hardware);
-//! * [`PmemStats`] counting every persistence instruction (Figure 9);
-//! * a [`PersistenceTracker`] maintaining the persisted image for crash testing
-//!   (disabled by default — it is far too slow for throughput runs).
+//! * [`PmemStats`] counting every persistence instruction (Figure 9) — always on:
+//!   every benchmark row reports the counts;
+//! * an optional [`PersistenceTracker`] maintaining the persisted image for crash
+//!   testing (disabled by default — it is far too slow for throughput runs).
 //!
 //! The backend itself issues every instruction it is handed: persist-epoch
 //! **elision** happens *above* it, in the per-handle
 //! [`PmemSession`](crate::PmemSession) view that `flit`'s `FlitHandle` wraps
 //! around the backend. `SimNvram` only carries the configured [`ElisionMode`]
 //! (via [`PmemBackend::elision_mode`]) so sessions know whether to elide, and the
-//! statistics counters for elided instructions. Build with
+//! statistics counters sessions record their elisions in. Build with
 //! [`ElisionMode::Disabled`] to get the paper-literal instruction stream through
-//! any session; elided instructions are counted separately in the stats either
-//! way, so the two streams can be A/B-compared.
+//! any session, so the two streams can be A/B-compared.
 //!
 //! `SimNvram` is internally reference counted, so it can be cloned cheaply and shared
 //! between a data structure, the workload runner and the test harness.
@@ -36,7 +36,6 @@ struct Inner {
     stats: PmemStats,
     tracker: Option<PersistenceTracker>,
     crash_plan: Option<CrashPlan>,
-    count_stats: bool,
     elision: ElisionMode,
     /// Store counter for non-tracking instances (dedup stamps); tracking instances
     /// use the tracker's own version counter instead.
@@ -145,9 +144,7 @@ impl SimNvram {
 impl PmemBackend for SimNvram {
     #[inline]
     fn pwb(&self, addr: *const u8) {
-        if self.inner.count_stats {
-            self.inner.stats.record_pwb();
-        }
+        self.inner.stats.record_pwb();
         // The plan observes the event *before* the tracker applies it, so a trigger
         // at index n models a power failure during event n (the event is lost).
         if let Some(plan) = &self.inner.crash_plan {
@@ -161,9 +158,7 @@ impl PmemBackend for SimNvram {
 
     #[inline]
     fn pfence(&self) {
-        if self.inner.count_stats {
-            self.inner.stats.record_pfence();
-        }
+        self.inner.stats.record_pfence();
         if let Some(plan) = &self.inner.crash_plan {
             plan.observe(CrashEventKind::Pfence, self.inner.tracker.as_ref());
         }
@@ -171,13 +166,6 @@ impl PmemBackend for SimNvram {
             tracker.on_pfence();
         }
         self.inner.latency.charge_pfence();
-    }
-
-    #[inline]
-    fn note_read_side_pwb(&self) {
-        if self.inner.count_stats {
-            self.inner.stats.record_read_side_pwb();
-        }
     }
 
     #[inline]
@@ -211,20 +199,6 @@ impl PmemBackend for SimNvram {
     }
 
     #[inline]
-    fn note_elided_pfence(&self) {
-        if self.inner.count_stats {
-            self.inner.stats.record_elided_pfence();
-        }
-    }
-
-    #[inline]
-    fn note_elided_pwb(&self) {
-        if self.inner.count_stats {
-            self.inner.stats.record_elided_pwb();
-        }
-    }
-
-    #[inline]
     fn pmem_stats(&self) -> Option<&PmemStats> {
         Some(&self.inner.stats)
     }
@@ -235,26 +209,14 @@ impl PmemBackend for SimNvram {
     }
 }
 
-/// Builder for [`SimNvram`].
-#[derive(Debug, Clone)]
+/// Builder for [`SimNvram`]. The defaults are an Optane-like latency model, no
+/// tracking, no crash plan, elision enabled.
+#[derive(Debug, Clone, Default)]
 pub struct SimNvramBuilder {
     latency: LatencyModel,
     tracking: bool,
     crash_plan: Option<CrashPlan>,
-    count_stats: bool,
     elision: ElisionMode,
-}
-
-impl Default for SimNvramBuilder {
-    fn default() -> Self {
-        Self {
-            latency: LatencyModel::optane(),
-            tracking: false,
-            crash_plan: None,
-            count_stats: true,
-            elision: ElisionMode::default(),
-        }
-    }
 }
 
 impl SimNvramBuilder {
@@ -278,12 +240,6 @@ impl SimNvramBuilder {
         self
     }
 
-    /// Enable or disable statistics counters (default: enabled).
-    pub fn count_stats(mut self, count: bool) -> Self {
-        self.count_stats = count;
-        self
-    }
-
     /// Set the persist-epoch elision mode sessions over this instance apply
     /// (default: [`ElisionMode::Enabled`]). [`ElisionMode::Disabled`] restores
     /// the paper-literal instruction stream.
@@ -304,7 +260,6 @@ impl SimNvramBuilder {
                     None
                 },
                 crash_plan: self.crash_plan,
-                count_stats: self.count_stats,
                 elision: self.elision,
                 store_version: std::sync::atomic::AtomicU64::new(0),
             }),
@@ -365,31 +320,6 @@ mod tests {
     }
 
     #[test]
-    fn counting_can_be_disabled() {
-        let sim = SimNvram::builder()
-            .latency(LatencyModel::none())
-            .count_stats(false)
-            .build();
-        let x = 0u64;
-        sim.pwb(&x as *const u64 as *const u8);
-        sim.pfence();
-        sim.note_elided_pfence();
-        sim.note_elided_pwb();
-        assert_eq!(sim.stats().pwbs(), 0);
-        assert_eq!(sim.stats().pfences(), 0);
-        assert_eq!(sim.stats().elided_pfences(), 0);
-        assert_eq!(sim.stats().elided_pwbs(), 0);
-    }
-
-    #[test]
-    fn read_side_pwb_notes_accumulate() {
-        let sim = SimNvram::for_counting();
-        sim.note_read_side_pwb();
-        sim.note_read_side_pwb();
-        assert_eq!(sim.stats().read_side_pwbs(), 2);
-    }
-
-    #[test]
     fn crash_plan_sees_the_event_stream() {
         use crate::crash::CrashPlan;
         // Crash at event 4 (0-based): store, pwb, pfence for x persist x; the second
@@ -414,22 +344,6 @@ mod tests {
             Some(2)
         );
         assert!(sim.crash_plan().is_some());
-    }
-
-    #[test]
-    fn raw_backend_is_paper_literal() {
-        // With no session (no handle epoch) the backend cannot elide anything:
-        // the conservative trait defaults always fence and always flush.
-        let sim = SimNvram::for_counting();
-        sim.pfence_if_dirty();
-        let x = 1u64;
-        let addr = &x as *const u64 as *const u8;
-        assert!(sim.pwb_dedup(addr, 1));
-        assert!(sim.pwb_dedup(addr, 1), "no dedup without a session");
-        assert_eq!(sim.stats().pfences(), 1);
-        assert_eq!(sim.stats().pwbs(), 2);
-        assert_eq!(sim.stats().elided_pfences(), 0);
-        assert_eq!(sim.stats().elided_pwbs(), 0);
     }
 
     #[test]

@@ -104,16 +104,6 @@ impl PmemStats {
             elided_pwbs: self.elided_pwbs(),
         }
     }
-
-    /// Reset all counters to zero. Intended for use between benchmark phases
-    /// (e.g. after pre-filling a data structure, before the measured interval).
-    pub fn reset(&self) {
-        self.pwbs.store(0, Ordering::Relaxed);
-        self.pfences.store(0, Ordering::Relaxed);
-        self.read_side_pwbs.store(0, Ordering::Relaxed);
-        self.elided_pfences.store(0, Ordering::Relaxed);
-        self.elided_pwbs.store(0, Ordering::Relaxed);
-    }
 }
 
 /// A point-in-time copy of [`PmemStats`], supporting subtraction to form deltas over a
@@ -209,18 +199,6 @@ mod tests {
         assert!((snap.pwbs_per_op(50) - 2.0).abs() < 1e-12);
         assert!((snap.pfences_per_op(50) - 1.0).abs() < 1e-12);
         assert_eq!(snap.pwbs_per_op(0), 0.0);
-    }
-
-    #[test]
-    fn reset_zeroes_everything() {
-        let s = PmemStats::new();
-        s.record_pwb();
-        s.record_pfence();
-        s.record_read_side_pwb();
-        s.record_elided_pfence();
-        s.record_elided_pwb();
-        s.reset();
-        assert_eq!(s.snapshot(), StatsSnapshot::default());
     }
 
     #[test]

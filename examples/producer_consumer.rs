@@ -9,7 +9,7 @@
 //! prints throughput plus the persistence-instruction cost per operation, then
 //! demonstrates crash recovery from an adversarial crash image.
 
-use flit::{compat, FlitDb, FlitPolicy, HashedScheme};
+use flit::{FlitDb, FlitPolicy, HashedScheme};
 use flit_pmem::{ElisionMode, LatencyModel, SimNvram};
 use flit_queues::{Automatic, ConcurrentQueue, MsQueue};
 use flit_workload::{run_queue_case, PolicyKind, QueueCase, QueueWorkloadConfig};
@@ -54,9 +54,8 @@ fn main() {
     let nvram = SimNvram::for_crash_testing();
     let db = FlitDb::flit_ht(nvram.clone());
     let queue: MsQueue<FlitPolicy<HashedScheme, SimNvram>, Automatic> = MsQueue::new(&db);
-    // One explicit session for this thread (`pin_current_thread` is the
-    // migration-friendly alias for `db.handle()`).
-    let h = compat::pin_current_thread(&db);
+    // One explicit session for this thread.
+    let h = db.handle();
     let _guard = h.pin();
     for v in 1..=8u64 {
         queue.enqueue(&h, v * 11);

@@ -4,7 +4,7 @@
 //! runnable examples (`examples/`); it simply re-exports the member crates so the
 //! examples can use a single dependency root.
 //!
-//! See `README.md` for the project overview and `DESIGN.md` for the reproduction plan.
+//! See `README.md` for the project overview and `ROADMAP.md` for the reproduction plan.
 
 pub use flit;
 pub use flit_datastructs as datastructs;

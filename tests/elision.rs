@@ -213,3 +213,77 @@ fn elision_adds_no_per_word_layout_cost() {
         "table-scheme FliT words must stay exactly one machine word"
     );
 }
+
+/// The exact instruction stream of one handle, pinned: a seeded 4 000-op
+/// 50 %-update history on a flit-HT hash table and on the HAMT, elision on and
+/// off, asserting all five counters the session can bump. A single immediate
+/// handle never observes a tagged word, so the read-side counters are pinned by
+/// two more runs under `Batched(8)` (words stay tagged until the drain, so the
+/// handle helps itself) on a tracking backend, where the helping decisions are
+/// address-independent.
+#[test]
+fn instruction_stream_is_pinned() {
+    use flit::{presets, CommitMode};
+    use flit_hamt::Hamt;
+    use flit_pmem::StatsSnapshot;
+    use rand::rngs::SmallRng;
+    use rand::{Rng, SeedableRng};
+
+    fn drive<M: ConcurrentMap<HtPolicy>>(
+        nvram: SimNvram,
+        commit: CommitMode,
+        build: impl FnOnce(&FlitDb<HtPolicy>) -> M,
+    ) -> [u64; 5] {
+        let db = FlitDb::builder(presets::flit_ht(nvram.clone()))
+            .commit_mode(commit)
+            .build();
+        let map = build(&db);
+        let h = db.handle();
+        let mut rng = SmallRng::seed_from_u64(0xF117_0018);
+        for _ in 0..4_000 {
+            let key = rng.gen_range(0..256u64);
+            match rng.gen_range(0..4u32) {
+                0 => drop(map.insert(&h, key, key ^ 0xABCD)),
+                1 => drop(map.remove(&h, key)),
+                _ => drop(map.get(&h, key)),
+            }
+        }
+        drop(h);
+        let StatsSnapshot {
+            pwbs,
+            pfences,
+            read_side_pwbs,
+            elided_pfences,
+            elided_pwbs,
+        } = nvram.stats().snapshot();
+        [pwbs, pfences, read_side_pwbs, elided_pfences, elided_pwbs]
+    }
+    let tracked = |elision| {
+        SimNvram::builder()
+            .latency(LatencyModel::none())
+            .tracking(true)
+            .elision(elision)
+            .build()
+    };
+    let table = |db: &FlitDb<HtPolicy>| HashTable::<_, Automatic>::with_capacity(db, 256);
+    let hamt = |db: &FlitDb<HtPolicy>| Hamt::new(db, 256);
+    let (on, off) = (ElisionMode::Enabled, ElisionMode::Disabled);
+    let (now, batched) = (CommitMode::Immediate, CommitMode::Batched(8));
+
+    // [pwbs, pfences, read_side_pwbs, elided_pfences, elided_pwbs], recorded at
+    // the commit before the elision API moved from `PmemBackend` to `PmemSession`.
+    assert_eq!(
+        drive(backend_with(on), now, table),
+        [2522, 2489, 0, 5410, 0]
+    );
+    assert_eq!(drive(backend_with(off), now, table), [2522, 7899, 0, 0, 0]);
+    assert_eq!(drive(backend_with(on), now, hamt), [5817, 1980, 0, 4000, 0]);
+    assert_eq!(drive(backend_with(off), now, hamt), [5817, 5980, 0, 0, 0]);
+    assert_eq!(drive(tracked(on), batched, table), [2531, 2182, 9, 807, 0]);
+    assert_eq!(drive(tracked(off), batched, table), [2531, 2989, 9, 0, 0]);
+    assert_eq!(
+        drive(tracked(on), batched, hamt),
+        [6677, 1444, 860, 50, 1304]
+    );
+    assert_eq!(drive(tracked(off), batched, hamt), [7981, 1494, 2164, 0, 0]);
+}
