@@ -62,6 +62,13 @@
 //! not durably constructed yet: recovery yields the empty structure, which is what
 //! makes construction-window crash sweeps possible at all.
 //!
+//! The image has two sources and the walks cannot tell them apart. A simulated
+//! crash hands them the tracker's sparse snapshot (only fenced words exist). A
+//! reopened pool hands them a view of the mapping itself: every word of every
+//! adopted arena's [`Arena::image_ranges`] reads in place, nothing is copied,
+//! and a pointer that leaves those ranges reads as absent — the same
+//! "truncated" a sweep would report — whatever bytes the file holds.
+//!
 //! ## Free lists and reuse
 //!
 //! Two free lists feed allocation before the bump pointer:
@@ -938,24 +945,17 @@ impl Arena {
         }
     }
 
-    /// Copy every mapped word of this arena — the whole header region and every
-    /// chunk — into `image`. For a pool-backed arena the file *is* the durable
-    /// state, so the synthesized image contains every word (zeros included:
-    /// recovery walks distinguish a durable null from a truncated read). This
-    /// is what lets `FlitDb::open` reuse the image-only recovery walks
-    /// unchanged on a real pool.
-    pub fn dump_into_image(&self, image: &mut CrashImage) {
-        let dump_region = |image: &mut CrashImage, base: usize, len: usize| {
-            for off in (0..len).step_by(WORD_SIZE) {
-                // SAFETY: in-bounds word of a region owned by this arena.
-                let val = unsafe { (*((base + off) as *const AtomicU64)).load(Ordering::SeqCst) };
-                image.insert(base + off, val);
-            }
-        };
-        dump_region(image, self.header.base_addr(), HEADER_BYTES);
-        for chunk in self.chunks.read().iter() {
-            dump_region(image, chunk.base_addr(), chunk.len());
-        }
+    /// The `(base address, byte length)` of every region holding this arena's
+    /// durable words: the [`HEADER_BYTES`] header region, then each chunk in
+    /// growth order. For a pool-backed arena the file *is* the durable state,
+    /// so these ranges of the mapping are its crash image
+    /// ([`CrashImage::mapped`]) — which is what lets `FlitDb::open` run the
+    /// image-only recovery walks on a real pool without copying a word.
+    pub fn image_ranges(&self) -> Vec<(usize, usize)> {
+        let chunks = self.chunks.read();
+        std::iter::once((self.header.base_addr(), HEADER_BYTES))
+            .chain(chunks.iter().map(|c| (c.base_addr(), c.len())))
+            .collect()
     }
 }
 

@@ -106,10 +106,12 @@
 //!    mapped capacity, the durable free list is walked (bounds + cycle
 //!    check), and every root-table entry is screened for tearing.
 //! 3. **Recover** — the adopted arenas' memory *is* the crash image: it is
-//!    dumped into a [`CrashImage`] and handed to the existing image-only
+//!    viewed in place (a [`CrashImage`] over the arenas' ranges of the
+//!    mapping, no word copied) and handed to the existing image-only
 //!    [`FlitDb::recover`], so the same [`DbRecovery`] the simulated crash
 //!    sweeps interrogate describes the real pool. Structures then rebuild from
-//!    the durable roots exactly as they do in the simulated harness.
+//!    the durable roots exactly as they do in the simulated harness — reading
+//!    [`OpenReport::image`], which stays a live view of the pool.
 //! 4. **GC** — the volatile recycle list died with the crashed process, so
 //!    slots retired-but-not-reused at the kill are reachable from no root and
 //!    on no free list: leaked. `flit_alloc::post_crash_gc` runs a conservative
@@ -195,10 +197,12 @@ struct DbInner<P: Policy> {
     /// *batched* completion; stays 0 (and costs nothing) under
     /// [`CommitMode::Immediate`].
     obligations_enqueued: AtomicU64,
-    /// Each live-or-dead handle's flight recorder, keyed by handle id, so
-    /// [`FlitDb::dump_flight_recorder`] can snapshot every handle's event tail
-    /// from any thread. Populated only when the `flight-recorder` feature is
-    /// on (the recorder is a zero-sized no-op otherwise).
+    /// The flight recorder of every handle that was ever *armed*, keyed by
+    /// handle id, so [`FlitDb::dump_flight_recorder`] can snapshot those
+    /// handles' event tails from any thread — after the handle is gone, too.
+    /// Registered by [`FlitHandle::arm_flight_recorder`], never by
+    /// [`FlitDb::handle`]: structures create handles by the thousand (one per
+    /// hash bucket at construction) and a dormant ring has nothing to show.
     flights: Mutex<Vec<(u64, FlightRecorder)>>,
 }
 
@@ -413,13 +417,11 @@ impl<P: Policy> FlitDbBuilder<P> {
         let arenas = db.arenas();
         let adopt_ns = phase_start.elapsed().as_nanos() as u64;
 
-        // Recover: the mapped pool *is* the crash image — dump it and reuse
-        // the image-only recovery path unchanged.
+        // Recover: the mapped pool *is* the crash image — view the arenas'
+        // ranges in place and reuse the image-only recovery path unchanged.
         let phase_start = Instant::now();
-        let mut image = CrashImage::new();
-        for arena in &arenas {
-            arena.dump_into_image(&mut image);
-        }
+        let ranges = arenas.iter().flat_map(|a| a.image_ranges()).collect();
+        let image = CrashImage::mapped(Arc::clone(&pool), ranges);
         let recovery = db.recover(&image);
         let recover_ns = phase_start.elapsed().as_nanos() as u64;
 
@@ -656,10 +658,10 @@ impl<P: Policy> FlitDb<P> {
         self.inner.metrics.snapshot()
     }
 
-    /// Snapshot every handle's flight-recorder tail, keyed by handle id
-    /// (oldest event first within each handle). Empty unless the
-    /// `flight-recorder` cargo feature is enabled; a handle's tail stays
-    /// empty until its recorder is armed.
+    /// Snapshot the flight-recorder tail of every handle whose recorder was
+    /// armed ([`FlitHandle::arm_flight_recorder`]), keyed by handle id (oldest
+    /// event first within each handle); handles that never armed are not
+    /// listed. Empty unless the `flight-recorder` cargo feature is enabled.
     pub fn flight_snapshots(&self) -> Vec<(u64, Vec<FlightEvent>)> {
         self.inner
             .flights
@@ -670,10 +672,10 @@ impl<P: Policy> FlitDb<P> {
             .collect()
     }
 
-    /// The flight-recorder tails of every handle as one JSON document
-    /// (schema `flit-obs-flight-v1`). With the `flight-recorder` feature off
-    /// this is an empty (but well-formed) document; un-armed handles
-    /// contribute empty tails.
+    /// The flight-recorder tails of every armed handle as one JSON document
+    /// (schema `flit-obs-flight-v1`). With the `flight-recorder` feature off,
+    /// or before any handle armed, this is an empty (but well-formed)
+    /// document.
     pub fn dump_flight_recorder(&self) -> String {
         let handles: Vec<String> = self
             .flight_snapshots()
@@ -700,17 +702,9 @@ impl<P: Policy> FlitDb<P> {
     /// on one thread for controlled interleaving.
     pub fn handle(&self) -> FlitHandle<'_, P> {
         let id = self.inner.handles_created.fetch_add(1, Ordering::Relaxed);
-        let epoch = PersistEpoch::new();
-        if FlightRecorder::ENABLED {
-            self.inner
-                .flights
-                .lock()
-                .unwrap()
-                .push((id, epoch.flight().clone()));
-        }
         FlitHandle {
             db: self,
-            epoch,
+            epoch: PersistEpoch::new(),
             elision: self.backend().elision_mode(),
             commit: self.inner.commit,
             deferred_closes: RefCell::new(Vec::new()),
@@ -882,8 +876,16 @@ pub struct OpenReport {
     /// The post-crash GC accounting: per-arena reachable / free-listed /
     /// reclaimed slot counts.
     pub gc: GcOutcome,
-    /// The crash image synthesized from the mapped pool — structures' own
-    /// `recover_in_image` passes read from it.
+    /// The pool's crash image — what structures' own `recover_in_image`
+    /// passes read from. It is a **live view** of the mapping, not a snapshot:
+    /// recover from it before starting traffic on the database. (`recovery`
+    /// above was surveyed *before* the GC stage; read afterwards, the view
+    /// also shows GC's free-list links in the slots it reclaimed, which no
+    /// root reaches.) The view **pins the mapping**: while this report, or a
+    /// clone of it, is alive the pool stays mapped even after the database is
+    /// dropped, and opening the same pool again in this process is
+    /// [`OpenError::MappingConflict`]. Cloning a report is a reference-count
+    /// bump, not a copy of the pool.
     pub image: CrashImage,
     /// Wall-clock cost of each pipeline phase — recovery cost, finally
     /// measurable (`killtest` prints these per round).
@@ -912,7 +914,8 @@ pub struct OpenTimings {
     pub validate_ns: u64,
     /// Directory walk adopting every arena (header checks, free-list walk).
     pub adopt_ns: u64,
-    /// Dumping the mapped pool into a [`CrashImage`] and surveying the roots.
+    /// Building the [`CrashImage`] view of the adopted arenas and surveying
+    /// their headers and roots through it — O(arenas), no pool word copied.
     pub recover_ns: u64,
     /// The conservative post-crash mark-and-sweep.
     pub gc_ns: u64,
@@ -1040,9 +1043,16 @@ impl<'db, P: Policy> FlitHandle<'db, P> {
     /// the `flight-recorder` feature compiled in, so an instrumented build
     /// pays only a predictable branch per event until somebody asks for the
     /// tail; arming is one-way and shared with every snapshot of this ring.
-    /// A no-op with the feature off.
+    /// The first arming also registers the ring with the database, which is
+    /// what [`FlitDb::flight_snapshots`] lists. A no-op with the feature off.
     pub fn arm_flight_recorder(&self) {
+        if !FlightRecorder::ENABLED || self.epoch.flight_armed() {
+            return;
+        }
         self.epoch.arm_flight();
+        let ring = (self.id, self.epoch.flight().clone());
+        let flights = &self.db.inner.flights;
+        flights.lock().expect("flights lock poisoned").push(ring);
     }
 
     /// The tail of this handle's persistence event stream, oldest first.

@@ -115,7 +115,9 @@ impl<P: Policy, D: Durability> HashTable<P, D> {
             return RecoveredMap::default();
         };
         let mut rec = RecoveredMap::default();
-        let Some(len) = image.read(dir) else {
+        // The directory's `len + 1` words are themselves part of the image, so
+        // a larger count is hostile bytes, not a table to iterate over.
+        let Some(len) = image.read(dir).filter(|&len| len < image.len() as u64) else {
             rec.truncated = true;
             return rec;
         };
@@ -124,7 +126,11 @@ impl<P: Policy, D: Durability> HashTable<P, D> {
                 rec.truncated = true;
                 return rec;
             };
-            if head_off == 0 {
+            // A directory word is durable bytes, not a checked offset (`+ 1`,
+            // so 0 is "absent"): a null head or one past the arena's allocated
+            // slots is an inconsistent image (a pool file can hold anything),
+            // never a slot to resolve.
+            if head_off == 0 || head_off > arena.high_water() as u64 {
                 rec.truncated = true;
                 return rec;
             }

@@ -88,13 +88,17 @@ pub trait MapCrashRecovery<P: Policy> {
 /// state from an arena and a crash image with *no live structure at all*.
 ///
 /// This is what a process re-opening a file-backed pool needs: after
-/// `FlitDb::open` adopts the arenas and synthesizes the pool's
-/// [`CrashImage`], there is no live `HashTable` to call
-/// [`MapCrashRecovery::recover_from_image`] on — the dead process's structure
-/// is just a root-table entry ([`Self::ROOT_KEY`]) plus persisted words. Each
-/// implementation delegates to the structure's inherent
+/// `FlitDb::open` adopts the arenas and hands back the pool's
+/// [`CrashImage`] — a view of the mapping, read in place — there is no live
+/// `HashTable` to call [`MapCrashRecovery::recover_from_image`] on — the dead
+/// process's structure is just a root-table entry ([`Self::ROOT_KEY`]) plus
+/// persisted words. Each implementation delegates to the structure's inherent
 /// `recover_in_image(arena, image)` walk, so the simulated sweeps and the
-/// real-pool reopen path exercise the same code.
+/// real-pool reopen path exercise the same code. On a pool the words are
+/// whatever the file holds: a walk treats every word it reads as untrusted
+/// (offsets are checked against the arena, pointers against its chunks) and a
+/// read outside the arenas is `None`, so hostile bytes end as
+/// [`truncated`](RecoveredMap::truncated), not as a panic.
 pub trait RecoverInImage {
     /// The root-table key (`flit_alloc::roots::*`) this structure registers
     /// its durable entry point under — how a reopening process locates the

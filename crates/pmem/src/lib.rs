@@ -32,7 +32,9 @@
 //!
 //!   The tracker + plan inside `SimNvram` are the one observation path for
 //!   simulated crashes; crashes of real pools are real process deaths (the
-//!   `killtest` harness).
+//!   `killtest` harness), and a reopened pool is read through the same
+//!   [`CrashImage`] type — there a zero-copy view of the mapping
+//!   ([`CrashImage::mapped`]) instead of a snapshot.
 //! * [`HardwarePmem`] — issues real x86-64 cache-line write-back instructions
 //!   (`clwb`, `clflushopt` or `clflush`, chosen by runtime feature detection) and
 //!   `sfence`. Use this on a machine with actual persistent memory.

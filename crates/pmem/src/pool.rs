@@ -512,10 +512,13 @@ impl PoolFile {
     }
 
     /// The word at byte offset `off`, as an atomic view into the mapping.
-    fn word(&self, off: usize) -> &AtomicU64 {
-        debug_assert!(off % WORD_SIZE == 0 && off + WORD_SIZE <= self.len);
-        // SAFETY: in-bounds, word-aligned, and the mapping lives as long as
-        // `self`; AtomicU64 makes concurrent access well-defined.
+    /// Checked in every build: a pool-backed [`CrashImage`](crate::CrashImage)
+    /// reads through here with offsets derived from untrusted pool bytes.
+    pub(crate) fn word(&self, off: usize) -> &AtomicU64 {
+        assert!(off % WORD_SIZE == 0 && off <= self.len - WORD_SIZE);
+        // SAFETY: in-bounds, word-aligned (just checked), and the mapping
+        // lives as long as `self`; AtomicU64 makes concurrent access
+        // well-defined.
         unsafe { &*(self.base.as_ptr().add(off) as *const AtomicU64) }
     }
 

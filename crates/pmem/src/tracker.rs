@@ -37,11 +37,13 @@
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 use std::thread::ThreadId;
 
 use parking_lot::Mutex;
 
 use crate::cache_line::{cache_line_of, word_of, WORDS_PER_LINE, WORD_SIZE};
+use crate::pool::PoolFile;
 
 const SHARDS: usize = 64;
 
@@ -209,7 +211,7 @@ impl PersistenceTracker {
                 words.insert(*addr, *val);
             }
         }
-        CrashImage { words }
+        CrashImage(Words::Tracked(words))
     }
 
     /// Take a snapshot of the volatile image (what a crash-free reader would see).
@@ -225,7 +227,7 @@ impl PersistenceTracker {
                 }
             }
         }
-        CrashImage { words }
+        CrashImage(Words::Tracked(words))
     }
 
     /// Forget everything. Used between test cases sharing a backend.
@@ -240,51 +242,96 @@ impl PersistenceTracker {
     }
 }
 
-/// An immutable snapshot of tracked memory (either the persisted image after a
-/// simulated crash, or the volatile image), keyed by word address.
+/// Durable words keyed by address: what every image-only recovery walk reads.
+///
+/// Two sources, one read contract. A **tracker image**
+/// ([`PersistenceTracker::crash_image`] / [`volatile_image`](PersistenceTracker::volatile_image))
+/// is an immutable sparse snapshot holding only the words that were flushed and
+/// fenced. A **pool view** ([`CrashImage::mapped`]) holds nothing: in a pool
+/// every mapped word is durable, so it answers straight from the mapping —
+/// a *live* view, not a snapshot — and keeps the mapping alive for as long as
+/// it (or any clone of it) exists. Either way [`read`](Self::read) is `Some`
+/// for exactly the words the source covers and `None` everywhere else, which
+/// recovery walks treat as truncation; zero is a value like any other (a
+/// durable null is `Some(0)`).
 #[derive(Debug, Clone, Default)]
-pub struct CrashImage {
-    words: HashMap<usize, u64>,
+pub struct CrashImage(Words);
+
+#[derive(Debug, Clone)]
+enum Words {
+    Tracked(HashMap<usize, u64>),
+    Mapped {
+        /// The mapping the ranges lie in; holding it keeps them mapped.
+        pool: Arc<PoolFile>,
+        /// Sorted, disjoint, word-aligned `(base address, byte length)` ranges
+        /// of `pool`'s mapping.
+        ranges: Vec<(usize, usize)>,
+    },
+}
+
+impl Default for Words {
+    fn default() -> Self {
+        Words::Tracked(HashMap::new())
+    }
 }
 
 impl CrashImage {
-    /// An empty image, to be populated with [`insert`](Self::insert). Used by
-    /// the pool layer, which synthesises an image from a mapped file instead
-    /// of from a tracker: in a pool, *every* mapped word is durable.
-    pub fn new() -> Self {
-        Self::default()
+    /// A zero-copy view of `ranges` — `(base address, byte length)` pairs, in
+    /// any order — of `pool`'s mapping: the union of the ranges is the image,
+    /// everything else in the pool (superblock, directory, gaps) reads `None`.
+    /// Overlapping or touching ranges are merged, so [`len`](Self::len) counts
+    /// each word once however a (possibly hostile) directory laid them out.
+    ///
+    /// # Panics
+    /// When a range is not word-aligned or leaves `pool`'s mapping: ranges come
+    /// from arenas adopted from this pool, whose bounds adoption already vetted.
+    pub fn mapped(pool: Arc<PoolFile>, mut ranges: Vec<(usize, usize)>) -> Self {
+        let mapping = pool.base_addr()..=pool.base_addr() + pool.len();
+        for &(base, len) in &ranges {
+            assert!(
+                (base | len) % WORD_SIZE == 0
+                    && mapping.contains(&base)
+                    && len <= mapping.end() - base,
+                "image range {base:#x}+{len} is not a word-aligned part of the pool mapping"
+            );
+        }
+        ranges.sort_unstable();
+        // Fold each range into its predecessor when they overlap or touch.
+        ranges.dedup_by(|next, kept| {
+            let joins = next.0 <= kept.0 + kept.1;
+            if joins {
+                kept.1 = kept.1.max(next.0 + next.1 - kept.0);
+            }
+            joins
+        });
+        Self(Words::Mapped { pool, ranges })
     }
 
-    /// Record the word holding `addr` as durable with value `value`. Zero
-    /// values matter: recovery walks distinguish a durable null (`Some(0)`)
-    /// from a word missing from the image (`None`, treated as truncation).
-    pub fn insert(&mut self, addr: usize, value: u64) {
-        self.words.insert(word_of(addr), value);
-    }
-
-    /// Read the 8-byte word at `addr`, if present in the image.
+    /// Read the 8-byte word containing `addr`, if the image covers it.
     pub fn read(&self, addr: usize) -> Option<u64> {
-        self.words.get(&word_of(addr)).copied()
+        let word = word_of(addr);
+        match &self.0 {
+            Words::Tracked(words) => words.get(&word).copied(),
+            Words::Mapped { pool, ranges } => {
+                let before = ranges.partition_point(|&(base, _)| base <= word);
+                let (base, len) = ranges[before.checked_sub(1)?];
+                (word - base < len)
+                    .then(|| pool.word(word - pool.base_addr()).load(Ordering::SeqCst))
+            }
+        }
     }
 
-    /// Read the word holding the value of a typed location.
-    pub fn read_of<T>(&self, loc: *const T) -> Option<u64> {
-        self.read(loc as usize)
-    }
-
-    /// Number of words captured in the image.
+    /// Number of words the image covers.
     pub fn len(&self) -> usize {
-        self.words.len()
+        match &self.0 {
+            Words::Tracked(words) => words.len(),
+            Words::Mapped { ranges, .. } => ranges.iter().map(|r| r.1 / WORD_SIZE).sum(),
+        }
     }
 
-    /// `true` when the image holds no words.
+    /// `true` when the image covers no words.
     pub fn is_empty(&self) -> bool {
-        self.words.is_empty()
-    }
-
-    /// Iterate over `(word address, value)` pairs.
-    pub fn iter(&self) -> impl Iterator<Item = (usize, u64)> + '_ {
-        self.words.iter().map(|(a, v)| (*a, *v))
+        self.len() == 0
     }
 }
 
@@ -400,6 +447,68 @@ mod tests {
             Some(2),
             "a stale fence regressed the persisted image"
         );
+    }
+
+    #[cfg(unix)]
+    #[test]
+    fn a_mapped_image_reads_exactly_its_ranges_live_and_pins_the_mapping() {
+        use crate::pool::{OpenError, PoolOptions, DATA_OFFSET};
+        let path = std::env::temp_dir().join(format!("flit-image-view-{}", std::process::id()));
+        let pool = PoolFile::create(&path, &PoolOptions::with_capacity(1 << 20), 1).unwrap();
+        let (base, end) = (pool.base_addr(), pool.base_addr() + pool.len());
+        let store = |addr: usize, val: u64| {
+            assert!(addr >= base && addr + WORD_SIZE <= end && addr % WORD_SIZE == 0);
+            // SAFETY: a word-aligned word inside the live mapping (just checked).
+            unsafe { (*(addr as *const AtomicU64)).store(val, Ordering::SeqCst) };
+        };
+        // Two touching ranges and one apart, handed over out of order: the
+        // view is their union, `a..a+128` and `b..b+64`.
+        let a = base + DATA_OFFSET;
+        let b = a + 256;
+        let covered: Vec<usize> = (a..a + 128).chain(b..b + 64).step_by(WORD_SIZE).collect();
+        for (i, &addr) in covered.iter().enumerate() {
+            store(addr, 1000 + i as u64);
+        }
+        store(a + 128, 77); // in the gap: durable in the file, not in the image
+        let image = CrashImage::mapped(Arc::clone(&pool), vec![(b, 64), (a + 64, 64), (a, 64)]);
+        assert_eq!(image.len(), covered.len());
+        assert!(!image.is_empty());
+        for (i, &addr) in covered.iter().enumerate() {
+            assert_eq!(image.read(addr), Some(1000 + i as u64));
+            assert_eq!(
+                image.read(addr + 5),
+                Some(1000 + i as u64),
+                "containing word"
+            );
+        }
+        let outside = [
+            a - WORD_SIZE, // last directory word
+            a + 128,       // first gap word
+            b - WORD_SIZE, // last gap word
+            b + 64,        // just past the highest range
+            base,          // superblock magic
+            end,           // first byte past the mapping
+            0,
+            usize::MAX - 7,
+            usize::MAX,
+        ];
+        for addr in outside {
+            assert_eq!(image.read(addr), None, "{addr:#x} is not part of the image");
+        }
+        // A view, not a snapshot.
+        store(b, 5);
+        assert_eq!(image.read(b), Some(5));
+        // The view alone keeps the mapping (and so the base address) alive.
+        let copy = image.clone();
+        drop((pool, image));
+        assert_eq!(copy.read(a), Some(1000));
+        assert!(matches!(
+            PoolFile::open(&path),
+            Err(OpenError::MappingConflict { .. })
+        ));
+        drop(copy);
+        drop(PoolFile::open(&path).unwrap());
+        std::fs::remove_file(&path).unwrap();
     }
 
     #[test]

@@ -204,3 +204,34 @@ fn interleaved_handles_preserve_map_semantics() {
     }
     assert_eq!(list.len(), 40);
 }
+
+/// The database lists the flight rings of *armed* handles only: structures
+/// create handles by the thousand, and a registry entry per handle ever made
+/// was a 1.6 KB leak each (with the `flight-recorder` feature compiled in).
+#[test]
+fn only_armed_handles_register_a_flight_ring() {
+    let db = FlitDb::flit_ht(counting());
+    for _ in 0..10_000 {
+        drop(db.handle());
+    }
+    assert_eq!(db.flight_snapshots().len(), 0, "dormant rings are not kept");
+
+    let h = db.handle();
+    h.arm_flight_recorder();
+    h.arm_flight_recorder(); // idempotent
+    let listed = if flit_obs::FlightRecorder::ENABLED {
+        vec![h.id()]
+    } else {
+        Vec::new()
+    };
+    let ids = |db: &FlitDb<HtPolicy>| -> Vec<u64> {
+        db.flight_snapshots()
+            .into_iter()
+            .map(|(id, _)| id)
+            .collect()
+    };
+    assert_eq!(ids(&db), listed);
+    // An armed handle's tail outlives the handle.
+    drop(h);
+    assert_eq!(ids(&db), listed);
+}

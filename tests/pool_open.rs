@@ -10,7 +10,11 @@
 //!    [`OpenError`] variant, never a panic;
 //! 3. **Liveness** — a re-opened pool accepts new traffic; a pool mapped by a
 //!    live database cannot be double-opened ([`OpenError::MappingConflict`]);
-//!    [`FlitDb::create_volatile`] keeps the heap-backed path intact.
+//!    [`FlitDb::create_volatile`] keeps the heap-backed path intact;
+//! 4. **The image is a view** — [`OpenReport::image`](flit::OpenReport) reads
+//!    exactly the adopted arenas' words, in place; it outlives the database
+//!    and pins the mapping; and hostile pointers in the data area end a
+//!    recovery walk as `truncated`, never as a panic or a fault.
 
 #![cfg(unix)]
 
@@ -18,10 +22,11 @@ use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 
 use flit::{CommitMode, FlitDb, FlitPolicy, HashedScheme, OpenError};
-use flit_alloc::post_crash_gc;
-use flit_datastructs::{Automatic, ConcurrentMap, HashTable, RecoverInImage};
-use flit_pmem::pool::{direntry, superblock, DIR_OFFSET};
-use flit_pmem::{LatencyModel, SimNvram};
+use flit_alloc::{post_crash_gc, roots};
+use flit_datastructs::{Automatic, ConcurrentMap, HashTable, RecoverInImage, RecoveredMap};
+use flit_hamt::Hamt;
+use flit_pmem::pool::{direntry, superblock, DATA_OFFSET, DIR_OFFSET};
+use flit_pmem::{LatencyModel, SimNvram, WORD_SIZE};
 
 type HtPolicy = FlitPolicy<HashedScheme, SimNvram>;
 type Map = HashTable<HtPolicy, Automatic>;
@@ -66,19 +71,19 @@ fn build_pool(path: &Path, commit: CommitMode) -> Vec<(u64, u64)> {
         .collect()
 }
 
-fn recover_map(db: &FlitDb<HtPolicy>, report: &flit::OpenReport) -> Vec<(u64, u64)> {
-    let mut pairs = Vec::new();
+/// Structure `M`'s recovery walk over every arena of `db` that roots one.
+fn recover<M: RecoverInImage>(db: &FlitDb<HtPolicy>, report: &flit::OpenReport) -> RecoveredMap {
+    let mut rec = RecoveredMap::default();
     for arena in db.arenas() {
-        if arena
-            .live_roots()
-            .iter()
-            .any(|(k, _)| *k == <Map as RecoverInImage>::ROOT_KEY)
-        {
-            pairs.extend(Map::recover_arena_image(&arena, &report.image).pairs);
+        if arena.live_roots().iter().any(|(k, _)| *k == M::ROOT_KEY) {
+            rec.absorb(M::recover_arena_image(&arena, &report.image));
         }
     }
-    pairs.sort_unstable();
-    pairs
+    rec
+}
+
+fn recover_map(db: &FlitDb<HtPolicy>, report: &flit::OpenReport) -> Vec<(u64, u64)> {
+    recover::<Map>(db, report).sorted_pairs()
 }
 
 fn write_word(path: &Path, offset: u64, value: u64) {
@@ -229,6 +234,190 @@ fn corrupted_pools_yield_typed_errors_not_panics() {
         },
         &|e| matches!(e, OpenError::ArenaHeader { arena: 0, .. }),
     );
+    let _ = std::fs::remove_file(&path);
+}
+
+#[test]
+fn the_open_image_reads_exactly_the_adopted_arenas_words() {
+    let path = temp_path("view");
+    let expected = build_pool(&path, CommitMode::Immediate);
+    let (db, report) = FlitDb::open(&path, policy()).unwrap();
+    let pool = db.pool().unwrap();
+    let (base, end) = (pool.base_addr(), pool.base_addr() + pool.len());
+    drop(pool);
+    let image = &report.image;
+
+    let mut ranges: Vec<(usize, usize)> =
+        db.arenas().iter().flat_map(|a| a.image_ranges()).collect();
+    ranges.sort_unstable();
+    assert!(ranges.len() >= 2, "a header region and at least one chunk");
+    // Inside: every word of every header region and chunk, with the value the
+    // file holds right now (the mapping is shared with the page cache).
+    let file = std::fs::File::open(&path).unwrap();
+    for &(start, len) in &ranges {
+        let mut bytes = vec![0u8; len];
+        file.read_exact_at(&mut bytes, (start - base) as u64)
+            .unwrap();
+        for (i, word) in bytes.chunks_exact(WORD_SIZE).enumerate() {
+            let live = u64::from_le_bytes(word.try_into().unwrap());
+            assert_eq!(image.read(start + i * WORD_SIZE), Some(live));
+        }
+        assert_eq!(image.read(start + 3), image.read(start), "containing word");
+    }
+    let words: usize = ranges.iter().map(|&(_, len)| len / WORD_SIZE).sum();
+    assert_eq!(image.len(), words);
+
+    // Outside: everything else, mapped or not.
+    let (lowest, highest) = (ranges[0], ranges[ranges.len() - 1]);
+    let mut outside = vec![
+        lowest.0 - WORD_SIZE,
+        highest.0 + highest.1,
+        base + superblock::MAGIC,
+        base + superblock::BASE,
+        base + DIR_OFFSET + direntry::STATE,
+        base + DIR_OFFSET + direntry::CHUNKS,
+        base + DATA_OFFSET - WORD_SIZE,
+        end,
+        0,
+        usize::MAX - 7,
+    ];
+    for pair in ranges.windows(2) {
+        let gap = pair[0].0 + pair[0].1;
+        if gap < pair[1].0 {
+            outside.extend([gap, pair[1].0 - WORD_SIZE]);
+        }
+    }
+    for addr in outside {
+        assert_eq!(image.read(addr), None, "{addr:#x} is outside every arena");
+    }
+
+    // The report outlives the database: it still reads the pool, and it is
+    // what keeps the pool's base address taken.
+    drop(db);
+    assert_eq!(image.read(lowest.0), Some(flit_alloc::ARENA_MAGIC));
+    match FlitDb::open(&path, policy()) {
+        Err(OpenError::MappingConflict { .. }) => {}
+        other => panic!("expected MappingConflict, got {:?}", other.map(|_| ())),
+    }
+    drop(report);
+    let (db, report) = FlitDb::open(&path, policy()).unwrap();
+    assert_eq!(recover_map(&db, &report), expected);
+    drop((db, report));
+    let _ = std::fs::remove_file(&path);
+}
+
+/// Corrupt one data-area word of a copy of `src`, open the copy and run map
+/// `M`'s recovery walk over it. Open may refuse with a typed error; if it
+/// accepts, the walk must come back — reporting `truncated`, or at least not
+/// the clean state — instead of panicking or faulting.
+fn recover_corrupted<M: RecoverInImage>(
+    src: &Path,
+    name: &str,
+    offset: u64,
+    value: u64,
+    clean: &[(u64, u64)],
+    must_truncate: bool,
+) {
+    let copy = temp_path(&format!("hostile-{name}"));
+    std::fs::copy(src, &copy).unwrap();
+    write_word(&copy, offset, value);
+    if let Ok((db, report)) = FlitDb::open(&copy, policy()) {
+        let rec = recover::<M>(&db, &report);
+        assert!(
+            rec.truncated || (!must_truncate && rec.sorted_pairs() != clean),
+            "case {name}: the walk accepted a corrupt pool: {rec:?}"
+        );
+    }
+    let _ = std::fs::remove_file(&copy);
+}
+
+#[test]
+fn hostile_hash_table_words_truncate_the_walk() {
+    let path = temp_path("hostile-ht-src");
+    let expected = build_pool(&path, CommitMode::Immediate);
+    // Locate the words to clobber, as file offsets, on a clean open.
+    let (dir, next_link, high_water, base) = {
+        let (db, _) = FlitDb::open(&path, policy()).unwrap();
+        let base = db.pool().unwrap().base_addr();
+        let arena = db.arenas().into_iter().next().unwrap();
+        let dir = arena.root(roots::HASH_DIRECTORY).unwrap() - base;
+        // Bucket 0's head sentinel: its one word that points back into the
+        // arena is its `next` link.
+        let head = arena.addr_of_offset(read_word(&path, (dir + WORD_SIZE) as u64) as usize - 1);
+        let next_link = (head..head + arena.slot_size())
+            .step_by(WORD_SIZE)
+            .find(|&w| arena.contains(read_word(&path, (w - base) as u64) as usize))
+            .expect("the head sentinel links to its successor")
+            - base;
+        (
+            dir as u64,
+            next_link as u64,
+            arena.high_water() as u64,
+            base,
+        )
+    };
+    let head0 = dir + WORD_SIZE as u64;
+    for (name, offset, value) in [
+        // Panicked in `Arena::addr_of_offset` before the walk checked it.
+        ("dir-head-max", head0, u64::MAX),
+        ("dir-head-past-high-water", head0, high_water + 1),
+        ("dir-len-max", dir, u64::MAX),
+        ("next-into-superblock", next_link, base as u64),
+    ] {
+        recover_corrupted::<Map>(&path, name, offset, value, &expected, true);
+    }
+    let _ = std::fs::remove_file(&path);
+}
+
+#[test]
+fn hostile_hamt_roots_truncate_the_walk() {
+    let path = temp_path("hostile-hamt-src");
+    let expected: Vec<(u64, u64)> = (1..=40u64).map(|k| (k, 100 + k)).collect();
+    let (root_word, base, pool_len, chunk_end) = {
+        let db = FlitDb::builder(policy()).create_pool(&path).unwrap();
+        let map = Hamt::new(&db, 64);
+        let h = db.handle();
+        for &(k, v) in &expected {
+            assert!(map.insert(&h, k, v));
+        }
+        drop(h);
+        db.sync_pool().unwrap();
+        let pool = db.pool().unwrap();
+        let (chunk, len) = *map.arena().image_ranges().last().unwrap();
+        (
+            (map.root_cell_addr() - pool.base_addr()) as u64,
+            pool.base_addr() as u64,
+            pool.len() as u64,
+            (chunk + len) as u64,
+        )
+    };
+    const INTERIOR: u64 = 1;
+    for (name, value, must_truncate) in [
+        ("root-into-superblock", base, true),
+        ("root-node-in-superblock", base | INTERIOR, true),
+        ("root-past-the-mapping", base + pool_len + 64, true),
+        // A leaf whose value word, and a node whose children, would lie past
+        // the end of the chunk: whatever follows is not this arena's to read.
+        (
+            "root-leaf-at-chunk-end",
+            chunk_end - WORD_SIZE as u64,
+            false,
+        ),
+        (
+            "root-node-at-chunk-end",
+            (chunk_end - WORD_SIZE as u64) | INTERIOR,
+            false,
+        ),
+    ] {
+        recover_corrupted::<Hamt<HtPolicy>>(
+            &path,
+            name,
+            root_word,
+            value,
+            &expected,
+            must_truncate,
+        );
+    }
     let _ = std::fs::remove_file(&path);
 }
 
