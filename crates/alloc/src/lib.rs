@@ -69,6 +69,12 @@
 //! and a pointer that leaves those ranges reads as absent — the same
 //! "truncated" a sweep would report — whatever bytes the file holds.
 //!
+//! Every walk runs through one [`ImageWalk`]: it resolves the root, checks that
+//! each visited node lies inside the arena, turns a missing word into
+//! [`Truncated`], and bounds the whole walk by one budget of `image.len() + 2`
+//! visits, so a cyclic image ends in O(`image.len()`) instead of hanging. A
+//! structure's walk is its layout logic plus `?`.
+//!
 //! ## Free lists and reuse
 //!
 //! Two free lists feed allocation before the bump pointer:
@@ -108,6 +114,8 @@ use flit_pmem::{
 
 pub mod gc;
 pub use gc::{post_crash_gc, ArenaGc, GcOutcome};
+mod walk;
+pub use walk::{ImageWalk, Truncated};
 
 /// Arena header magic ("FLITARNA"): a persisted header whose first word does not
 /// read back as this value is uninitialised or torn.

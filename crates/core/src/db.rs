@@ -785,9 +785,9 @@ impl<P: Policy> FlitDb<P> {
 
     /// Survey what `image` holds of this database: per arena, the persisted
     /// header and the durably-registered recovery roots. This is the
-    /// type-agnostic half of recovery — each structure's
-    /// `recover_in_image(arena, image)` rebuilds its abstract state from the
-    /// roots reported here.
+    /// type-agnostic half of recovery — each map's
+    /// `RecoverInImage::recover_arenas(&db.arenas(), image)` rebuilds its
+    /// abstract state from the roots reported here.
     pub fn recover(&self, image: &CrashImage) -> DbRecovery {
         DbRecovery {
             arenas: self
@@ -876,9 +876,10 @@ pub struct OpenReport {
     /// The post-crash GC accounting: per-arena reachable / free-listed /
     /// reclaimed slot counts.
     pub gc: GcOutcome,
-    /// The pool's crash image — what structures' own `recover_in_image`
-    /// passes read from. It is a **live view** of the mapping, not a snapshot:
-    /// recover from it before starting traffic on the database. (`recovery`
+    /// The pool's crash image — what the structures' recovery walks
+    /// (`RecoverInImage::recover_arenas`) read from. It is a **live view** of
+    /// the mapping, not a snapshot: recover from it before starting traffic
+    /// on the database. (`recovery`
     /// above was surveyed *before* the GC stage; read afterwards, the view
     /// also shows GC's free-list links in the slots it reclaimed, which no
     /// root reaches.) The view **pins the mapping**: while this report, or a

@@ -45,7 +45,7 @@
 use std::collections::{BTreeMap, VecDeque};
 
 use flit::{CommitMode, FlitDb, FlitHandle, Policy};
-use flit_datastructs::{ConcurrentMap, Durability, MapCrashRecovery, RecoveredMap};
+use flit_datastructs::{ConcurrentMap, Durability, RecoverInImage, RecoveredMap};
 use flit_pmem::{CrashImage, CrashPlan, ElisionMode, LatencyModel, SimNvram};
 use flit_queues::{ConcurrentQueue, MsQueue, RecoveredQueue};
 use flit_workload::{MapOp, QueueOp};
@@ -639,7 +639,7 @@ pub fn sweep_map<P, M, F>(
 ) -> SweepReport
 where
     P: Policy<Backend = SimNvram>,
-    M: ConcurrentMap<P> + MapCrashRecovery<P>,
+    M: ConcurrentMap<P> + RecoverInImage,
     F: Fn(SimNvram) -> P,
 {
     let replay = |run: &mut Run<'_>| {
@@ -650,7 +650,7 @@ where
         let image = run.drive(std::slice::from_ref(&h), 0, history.len(), |i| {
             map_step(&map, &h, &mut model, i, history[i])
         })?;
-        Some(map.recover_from_image(&image))
+        Some(M::recover_arenas(&db.arenas(), &image))
     };
     let check = |recovered: &RecoveredMap, window: &CrashWindow| {
         check_prefix(

@@ -269,6 +269,10 @@ pub struct KillRoundReport {
 pub enum KillViolation {
     /// Re-opening the pool after the kill produced an error (rendered).
     OpenFailed(String),
+    /// The recovery walk stopped early: a reachable word is missing from the
+    /// pool, or a link leaves its arena. A truncated walk's pairs are a
+    /// fragment, so no prefix match is attempted on them.
+    RecoveryTruncated,
     /// The recovered state matched no workload prefix at all.
     NoPrefixMatch {
         /// Recovered pairs, sorted by key.
@@ -301,6 +305,11 @@ impl std::fmt::Display for KillViolation {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             Self::OpenFailed(e) => write!(f, "re-open after kill failed: {e}"),
+            Self::RecoveryTruncated => write!(
+                f,
+                "recovery walk truncated: a reachable word is missing from the pool \
+                 or a link leaves its arena"
+            ),
             Self::NoPrefixMatch { recovered, floor } => write!(
                 f,
                 "recovered state ({} pairs) matches no workload prefix ≥ floor {floor}",
@@ -409,8 +418,8 @@ fn match_model_prefix(recovered: &[(u64, u64)], ops: u64) -> Option<u64> {
 }
 
 /// The verification core both structures share: re-open `pool`
-/// (validate → adopt → recover → GC), recover `M` from every arena that
-/// registered its root, require the recovered pairs to be the model after
+/// (validate → adopt → recover → GC), recover `M` over the adopted arenas,
+/// require the walk to be whole and the recovered pairs to be the model after
 /// exactly `c ≥ floor` operations, run the structure-specific `extra` check
 /// over those arenas and the pool's image, and finally require a second GC
 /// pass to reclaim nothing.
@@ -422,16 +431,12 @@ fn verify_recovered<M: RecoverInImage>(
 ) -> Result<KillRoundReport, KillViolation> {
     let (db, report) =
         FlitDb::open(pool, kill_policy()).map_err(|e| KillViolation::OpenFailed(e.to_string()))?;
-    let rooted: Vec<Arc<Arena>> = db
-        .arenas()
-        .into_iter()
-        .filter(|a| a.live_roots().iter().any(|(k, _)| *k == M::ROOT_KEY))
-        .collect();
-    let mut recovered: Vec<(u64, u64)> = rooted
-        .iter()
-        .flat_map(|a| M::recover_arena_image(a, &report.image).pairs)
-        .collect();
-    recovered.sort_unstable();
+    let arenas = db.arenas();
+    let rec = M::recover_arenas(&arenas, &report.image);
+    if rec.truncated {
+        return Err(KillViolation::RecoveryTruncated);
+    }
+    let recovered = rec.sorted_pairs();
 
     let matched = match match_model_prefix(&recovered, ops) {
         Some(c) => c,
@@ -440,7 +445,7 @@ fn verify_recovered<M: RecoverInImage>(
     if matched < floor {
         return Err(KillViolation::AckedOperationLost { matched, floor });
     }
-    extra(&rooted, &report.image)?;
+    extra(&arenas, &report.image)?;
 
     // The open-time GC must have closed every leak — including everything a
     // retained snapshot pins: a second pass is a no-op.

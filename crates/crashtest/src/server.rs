@@ -36,7 +36,7 @@
 use std::collections::BTreeMap;
 
 use flit::{FlitDb, Policy};
-use flit_datastructs::{ConcurrentMap, MapCrashRecovery, RecoveredMap};
+use flit_datastructs::{ConcurrentMap, RecoverInImage, RecoveredMap};
 use flit_pmem::{CrashImage, ElisionMode, SimNvram};
 use flit_server::{KvServer, Op, Reply, ServerConfig};
 use flit_workload::MapOp;
@@ -175,7 +175,7 @@ pub fn sweep_server_crash<P, M, F>(
 ) -> ServerSweepReport
 where
     P: Policy<Backend = SimNvram>,
-    M: ConcurrentMap<P> + MapCrashRecovery<P>,
+    M: ConcurrentMap<P> + RecoverInImage,
     F: Fn(SimNvram) -> P,
 {
     assert!(crash_shard < shards, "crash shard must exist");
@@ -228,7 +228,7 @@ where
             }
         })?;
         let recover =
-            |s: usize, image: &CrashImage| server.shard(s).map().recover_from_image(image);
+            |s: usize, image: &CrashImage| M::recover_arenas(&server.shard(s).db().arenas(), image);
         let crashed = recover(crash_shard, &image);
         // The survivors never crashed: close the worker's handles (a dirty or
         // mid-batch handle fences on drop) and read their final images.

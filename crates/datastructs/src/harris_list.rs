@@ -24,7 +24,7 @@
 //! (including the immutable `key`/`value`) is recorded with the backend before
 //! the node is persisted and published, and a standalone list registers its head
 //! sentinel in the arena's recovery-root table under [`roots::LIST_HEAD`].
-//! Recovery ([`HarrisList::recover_in_image`]) therefore walks **purely from the
+//! Recovery ([`RecoverInImage`]) therefore walks **purely from the
 //! `CrashImage` plus the root table**: it never reads live memory, needs no
 //! pointer into the live structure, and yields the empty list for a crash that
 //! predates durable construction.
@@ -33,14 +33,14 @@ use std::marker::PhantomData;
 use std::sync::Arc;
 
 use flit::{FlitDb, FlitHandle, PFlag, PersistWord, Policy};
-use flit_alloc::{roots, Arena};
+use flit_alloc::{roots, Arena, ImageWalk, Truncated};
 use flit_ebr::Guard;
 use flit_pmem::{CrashImage, PmemBackend};
 
 use crate::durability::Durability;
 use crate::map::ConcurrentMap;
 use crate::marked::{address, is_marked, pack, unmark, with_mark};
-use crate::recovery::RecoveredMap;
+use crate::recovery::{recover_from_root, RecoverInImage, RecoveredMap};
 
 /// A node of the list. `key` and `value` are immutable after construction (the node is
 /// persisted wholesale before being published), so only the `next` link is a
@@ -354,81 +354,35 @@ impl<P: Policy, D: Durability> HarrisList<P, D> {
         }
     }
 
-    /// Reconstruct the durable set **purely from the crash image and the arena's
-    /// root table**: read the head sentinel's slot from the root table, then walk
-    /// the persisted `next` chain, reading every key/value out of the image. No
-    /// live memory is touched. An absent root means the list was not durably
-    /// constructed at the crash point: the result is the empty list.
-    pub fn recover_in_image(arena: &Arena, image: &CrashImage) -> RecoveredMap {
-        match arena.root_in_image(image, roots::LIST_HEAD) {
-            Some(head) => Self::walk_chain_in_image(arena, image, head),
-            None => RecoveredMap::default(),
-        }
-    }
-
-    /// Image-only walk of one persisted chain starting at the head-sentinel slot
-    /// `head` (shared with the hash table, whose directory stores one head per
-    /// bucket). A node whose own persisted `next` carries the deletion mark is
-    /// skipped; a reachable node with any recovery word absent from the image
-    /// flags [`truncated`](RecoveredMap::truncated) — the persist-before-publish
-    /// invariant was violated.
-    pub(crate) fn walk_chain_in_image(
-        arena: &Arena,
-        image: &CrashImage,
+    /// Image-only walk of one persisted chain from the head-sentinel slot `head`
+    /// (shared with the hash table, whose directory stores one head per bucket).
+    /// A node whose own persisted `next` carries the deletion mark is skipped;
+    /// only the tail, recognised by its persisted sentinel key, ends the chain.
+    pub(crate) fn walk_chain(
+        walk: &mut ImageWalk<'_>,
         head: usize,
-    ) -> RecoveredMap {
+        pairs: &mut Vec<(u64, u64)>,
+    ) -> Result<(), Truncated> {
         let layout = Node::<P>::layout();
-        let mut rec = RecoveredMap::default();
-        // Corrupt images (the broken control's) can contain pointer loops; bound
-        // the walk by the image size so recovery always terminates.
-        let mut budget = image.len() + 2;
-        let mut cur = head;
-        let mut at_head = true;
+        let mut cur = walk.visit(head)?;
+        let mut next = walk.read(cur + layout.next)? as usize;
         loop {
-            if budget == 0 {
-                rec.truncated = true;
-                break;
+            cur = walk.visit(unmark(next))?;
+            next = walk.read(cur + layout.next)? as usize;
+            let key = walk.read(cur + layout.key)?;
+            if key == u64::MAX {
+                return Ok(());
             }
-            budget -= 1;
-            let Some(next_word) = image.read(cur + layout.next) else {
-                rec.truncated = true;
-                break;
-            };
-            let next_word = next_word as usize;
-            if !at_head {
-                let Some(key) = image.read(cur + layout.key) else {
-                    rec.truncated = true;
-                    break;
-                };
-                if key == u64::MAX {
-                    // The tail sentinel: the end of the chain.
-                    break;
-                }
-                if !is_marked(next_word) {
-                    let Some(value) = image.read(cur + layout.value) else {
-                        rec.truncated = true;
-                        break;
-                    };
-                    rec.pairs.push((key, value));
-                }
+            if !is_marked(next) {
+                pairs.push((key, walk.read(cur + layout.value)?));
             }
-            at_head = false;
-            let next = unmark(next_word);
-            if next == 0 || !arena.contains(next) {
-                // Only the tail (detected by key above) legitimately ends a chain;
-                // a null or out-of-arena link is an inconsistent image.
-                rec.truncated = true;
-                break;
-            }
-            cur = next;
         }
-        rec
     }
 
     /// Image-only recovery through this list's own arena; see
-    /// [`recover_in_image`](Self::recover_in_image).
+    /// [`RecoverInImage`].
     pub fn recover(&self, image: &CrashImage) -> RecoveredMap {
-        Self::recover_in_image(&self.arena, image)
+        Self::recover_arena_image(&self.arena, image)
     }
 
     fn len_impl(&self) -> usize {
@@ -471,6 +425,16 @@ impl<P: Policy, D: Durability> ConcurrentMap<P> for HarrisList<P, D> {
 
     fn db(&self) -> &FlitDb<P> {
         &self.db
+    }
+}
+
+impl<P: Policy, D: Durability> RecoverInImage for HarrisList<P, D> {
+    const ROOT_KEY: u64 = roots::LIST_HEAD;
+
+    /// Read the head sentinel's slot from the root table, then walk the
+    /// persisted `next` chain, reading every key/value out of the image.
+    fn recover_arena_image(arena: &Arena, image: &CrashImage) -> RecoveredMap {
+        recover_from_root(arena, image, Self::ROOT_KEY, Self::walk_chain)
     }
 }
 
@@ -638,7 +602,7 @@ mod tests {
         assert!(!rec.truncated);
         assert_eq!(rec.sorted_pairs(), vec![(1, 10), (4, 40), (6, 60)]);
         // The associated form needs only the arena + the image.
-        let rec2 = HtList::<Automatic>::recover_in_image(list.arena(), &image);
+        let rec2 = HtList::<Automatic>::recover_arena_image(list.arena(), &image);
         assert_eq!(rec2.sorted_pairs(), rec.sorted_pairs());
         // And the db-level survey sees the durable root.
         assert!(db.recover(&image).has_root(roots::LIST_HEAD));

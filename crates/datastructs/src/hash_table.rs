@@ -16,8 +16,9 @@
 //! after every bucket's sentinels (persist-before-publish at construction scale)
 //! and registered in the arena's root table under
 //! [`roots::HASH_DIRECTORY`], so
-//! [`HashTable::recover_in_image`] rebuilds the durable map purely from a
-//! [`CrashImage`]: root table → directory → one image-only chain walk per bucket.
+//! its [`RecoverInImage`] walk rebuilds the durable map purely from a
+//! [`CrashImage`]: root table → directory → every bucket's chain, under one
+//! bounded walker.
 
 use std::sync::Arc;
 
@@ -28,7 +29,7 @@ use flit_pmem::{CrashImage, PmemBackend, WORD_SIZE};
 use crate::durability::Durability;
 use crate::harris_list::{HarrisList, Node};
 use crate::map::ConcurrentMap;
-use crate::recovery::RecoveredMap;
+use crate::recovery::{recover_from_root, RecoverInImage, RecoveredMap};
 
 /// Fixed-size lock-free hash table with Harris-list buckets.
 pub struct HashTable<P: Policy, D: Durability> {
@@ -106,44 +107,10 @@ impl<P: Policy, D: Durability> HashTable<P, D> {
         &self.arena
     }
 
-    /// Reconstruct the durable map **purely from the crash image and the arena's
-    /// root table**: read the directory block (bucket count + per-bucket head
-    /// offsets) out of the image, then run the image-only chain walk per bucket.
-    /// An absent root means the table was not durably constructed: empty map.
-    pub fn recover_in_image(arena: &Arena, image: &CrashImage) -> RecoveredMap {
-        let Some(dir) = arena.root_in_image(image, roots::HASH_DIRECTORY) else {
-            return RecoveredMap::default();
-        };
-        let mut rec = RecoveredMap::default();
-        // The directory's `len + 1` words are themselves part of the image, so
-        // a larger count is hostile bytes, not a table to iterate over.
-        let Some(len) = image.read(dir).filter(|&len| len < image.len() as u64) else {
-            rec.truncated = true;
-            return rec;
-        };
-        for i in 0..len as usize {
-            let Some(head_off) = image.read(dir + (i + 1) * WORD_SIZE) else {
-                rec.truncated = true;
-                return rec;
-            };
-            // A directory word is durable bytes, not a checked offset (`+ 1`,
-            // so 0 is "absent"): a null head or one past the arena's allocated
-            // slots is an inconsistent image (a pool file can hold anything),
-            // never a slot to resolve.
-            if head_off == 0 || head_off > arena.high_water() as u64 {
-                rec.truncated = true;
-                return rec;
-            }
-            let head = arena.addr_of_offset(head_off as usize - 1);
-            rec.absorb(HarrisList::<P, D>::walk_chain_in_image(arena, image, head));
-        }
-        rec
-    }
-
     /// Image-only recovery through this table's own arena; see
-    /// [`recover_in_image`](Self::recover_in_image).
+    /// [`RecoverInImage`].
     pub fn recover(&self, image: &CrashImage) -> RecoveredMap {
-        Self::recover_in_image(&self.arena, image)
+        Self::recover_arena_image(&self.arena, image)
     }
 
     #[inline]
@@ -184,6 +151,24 @@ impl<P: Policy, D: Durability> ConcurrentMap<P> for HashTable<P, D> {
 
     fn db(&self) -> &FlitDb<P> {
         &self.db
+    }
+}
+
+impl<P: Policy, D: Durability> RecoverInImage for HashTable<P, D> {
+    const ROOT_KEY: u64 = roots::HASH_DIRECTORY;
+
+    /// Read the directory block (bucket count, then per-bucket head
+    /// `offset + 1` words) out of the image and walk every bucket's chain
+    /// under one walker. Each bucket head costs a visit, so a hostile count
+    /// spends the walk's budget instead of iterating past the image.
+    fn recover_arena_image(arena: &Arena, image: &CrashImage) -> RecoveredMap {
+        recover_from_root(arena, image, Self::ROOT_KEY, |walk, dir, pairs| {
+            for i in 1..=walk.read(dir)? as usize {
+                let head = walk.slot(walk.read(dir + i * WORD_SIZE)?)?;
+                HarrisList::<P, D>::walk_chain(walk, head, pairs)?;
+            }
+            Ok(())
+        })
     }
 }
 
@@ -264,7 +249,7 @@ mod tests {
             (0..40u64).filter(|k| *k != 3).map(|k| (k, k + 7)).collect();
         assert_eq!(rec.sorted_pairs(), expected);
         // The associated form needs only the arena + the image.
-        let rec2 = Ht::<Automatic>::recover_in_image(t.arena(), &image);
+        let rec2 = Ht::<Automatic>::recover_arena_image(t.arena(), &image);
         assert_eq!(rec2.sorted_pairs(), expected);
     }
 

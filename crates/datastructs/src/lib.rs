@@ -51,7 +51,7 @@
 //! (links and the immutable key/value contents alike) is recorded with the
 //! backend before the node is persisted and published, and whose durable entry
 //! point is registered in the arena's recovery-root table. Recovery
-//! ([`MapCrashRecovery`], module [`recovery`]) is therefore **image-only**: it
+//! ([`RecoverInImage`], module [`recovery`]) is therefore **image-only**: it
 //! rebuilds the durable abstract state from an adversarial
 //! [`CrashImage`](flit_pmem::CrashImage) plus the root table, with no pointer
 //! into the live structure and no live-memory reads — so it works for crashes at
@@ -82,7 +82,7 @@ pub use harris_list::HarrisList;
 pub use hash_table::HashTable;
 pub use map::{ConcurrentMap, SequentialMap, MAX_USER_KEY};
 pub use natarajan::NatarajanTree;
-pub use recovery::{MapCrashRecovery, RecoverInImage, RecoveredMap};
+pub use recovery::{RecoverInImage, RecoveredMap};
 pub use skiplist::SkipList;
 
 #[cfg(test)]

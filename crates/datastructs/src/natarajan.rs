@@ -28,7 +28,7 @@ use flit_pmem::{CrashImage, PmemBackend};
 use crate::durability::Durability;
 use crate::map::ConcurrentMap;
 use crate::marked::{address, is_marked, is_tagged, pack, pack_with, with_tag};
-use crate::recovery::RecoveredMap;
+use crate::recovery::{recover_from_root, RecoverInImage, RecoveredMap};
 
 /// Sentinel keys, all larger than any user key (paper notation ∞₀ < ∞₁ < ∞₂).
 const INF0: u64 = u64::MAX - 2;
@@ -436,95 +436,10 @@ impl<P: Policy, D: Durability> NatarajanTree<P, D> {
         }
     }
 
-    /// Reconstruct the durable set **purely from the crash image and the arena's
-    /// root table**: read the root sentinel's slot from the root table, then
-    /// descend the persisted child-edge words, collecting every reachable leaf
-    /// holding a user key whose incoming edge does not carry the deletion flag
-    /// (the flag CAS is the linearization point of a successful remove). Tag bits
-    /// only protect in-flight splices and are ignored. Leaf keys and values are
-    /// read out of the image — no live memory is touched. An absent root means
-    /// the tree was not durably constructed: empty set.
-    pub fn recover_in_image(arena: &Arena, image: &CrashImage) -> RecoveredMap {
-        let mut rec = RecoveredMap::default();
-        let Some(root) = arena.root_in_image(image, roots::BST_ROOT) else {
-            return rec;
-        };
-        let layout = Node::<P>::layout();
-        // Corrupt images (the broken control's) can contain edge loops; bound the
-        // walk by the image size so recovery always terminates.
-        let mut budget = image.len() + 2;
-        Self::recover_node_in_image(arena, image, &layout, root, false, &mut budget, &mut rec);
-        rec
-    }
-
-    /// Recursive helper for [`recover_in_image`](Self::recover_in_image):
-    /// `deleted` carries the flag bit of the edge that led here.
-    fn recover_node_in_image(
-        arena: &Arena,
-        image: &CrashImage,
-        layout: &NodeLayout,
-        node: usize,
-        deleted: bool,
-        budget: &mut usize,
-        rec: &mut RecoveredMap,
-    ) {
-        if node == 0 || !arena.contains(node) || *budget == 0 {
-            // A persisted edge to null (or out of the arena) never occurs in this
-            // tree — leaves are detected below, before recursing — and a walk that
-            // exhausts its budget is cyclic: flag the inconsistency.
-            rec.truncated = true;
-            return;
-        }
-        *budget -= 1;
-        let (Some(left), Some(right)) = (
-            image.read(node + layout.left),
-            image.read(node + layout.right),
-        ) else {
-            // Reachable through a persisted edge but its own child words never
-            // persisted: persist-before-publish violated.
-            rec.truncated = true;
-            return;
-        };
-        let (left, right) = (left as usize, right as usize);
-        if address::<Node<P>>(left).is_null() && address::<Node<P>>(right).is_null() {
-            if !deleted {
-                let (Some(key), Some(value)) = (
-                    image.read(node + layout.key),
-                    image.read(node + layout.value),
-                ) else {
-                    rec.truncated = true;
-                    return;
-                };
-                if key < INF0 {
-                    rec.pairs.push((key, value));
-                }
-            }
-            return;
-        }
-        Self::recover_node_in_image(
-            arena,
-            image,
-            layout,
-            address::<Node<P>>(left) as usize,
-            is_marked(left),
-            budget,
-            rec,
-        );
-        Self::recover_node_in_image(
-            arena,
-            image,
-            layout,
-            address::<Node<P>>(right) as usize,
-            is_marked(right),
-            budget,
-            rec,
-        );
-    }
-
     /// Image-only recovery through this tree's own arena; see
-    /// [`recover_in_image`](Self::recover_in_image).
+    /// [`RecoverInImage`].
     pub fn recover(&self, image: &CrashImage) -> RecoveredMap {
-        Self::recover_in_image(&self.arena, image)
+        Self::recover_arena_image(&self.arena, image)
     }
 
     fn count_leaves(&self, node: *mut Node<P>) -> usize {
@@ -568,6 +483,47 @@ impl<P: Policy, D: Durability> ConcurrentMap<P> for NatarajanTree<P, D> {
 
     fn db(&self) -> &FlitDb<P> {
         &self.db
+    }
+}
+
+impl<P: Policy, D: Durability> RecoverInImage for NatarajanTree<P, D> {
+    const ROOT_KEY: u64 = roots::BST_ROOT;
+
+    /// Read the root sentinel's slot from the root table, then descend the
+    /// persisted child-edge words, collecting every reachable leaf holding a
+    /// user key whose incoming edge does not carry the deletion flag (the flag
+    /// CAS is the linearization point of a successful remove). Tag bits only
+    /// protect in-flight splices and are ignored. The descent keeps an explicit
+    /// stack: a tree built from sorted keys is as deep as it is large, far
+    /// deeper than a thread's stack could recurse.
+    fn recover_arena_image(arena: &Arena, image: &CrashImage) -> RecoveredMap {
+        let layout = Node::<P>::layout();
+        recover_from_root(arena, image, Self::ROOT_KEY, |walk, root, pairs| {
+            // Each entry carries the flag bit of the edge that led to it.
+            let mut stack = vec![(root, false)];
+            while let Some((node, deleted)) = stack.pop() {
+                // A persisted edge to null never occurs in this tree: leaves
+                // are recognised by their two null children, never followed.
+                let node = walk.visit(node)?;
+                let left = walk.read(node + layout.left)? as usize;
+                let right = walk.read(node + layout.right)? as usize;
+                let (l, r) = (address::<Node<P>>(left), address::<Node<P>>(right));
+                if l.is_null() && r.is_null() {
+                    if !deleted {
+                        let key = walk.read(node + layout.key)?;
+                        let value = walk.read(node + layout.value)?;
+                        if key < INF0 {
+                            pairs.push((key, value));
+                        }
+                    }
+                } else {
+                    // Right below left, so pairs come out in key order.
+                    stack.push((r as usize, is_marked(right)));
+                    stack.push((l as usize, is_marked(left)));
+                }
+            }
+            Ok(())
+        })
     }
 }
 

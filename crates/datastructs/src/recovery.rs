@@ -9,13 +9,31 @@
 //! (in the image), with the live structure contributing nothing but its arena
 //! handle. In particular:
 //!
-//! * **no live-structure pointer** is needed — each structure exposes an
-//!   associated `recover_in_image(arena, image)` beside the trait method;
+//! * **no live-structure pointer** is needed — a reopened pool has no live
+//!   structure, only arenas and an image;
 //! * **no live-memory reads** happen — keys and values come out of the image, so
 //!   the persist-before-publish argument is *checked*, not assumed;
 //! * a structure whose root never became durable recovers to the **empty**
 //!   structure, which is what makes crash sweeps over the *construction window*
 //!   meaningful (the arena header itself is always reachable from offset 0).
+//!
+//! ## One trait, one walker
+//!
+//! Every map implements [`RecoverInImage`]: the root key it registers under and
+//! one walk, `recover_arena_image(arena, image)`. Crash sweeps, the kill
+//! harness, the server and a reopened pool all recover through
+//! [`RecoverInImage::recover_arenas`] over a database's arenas, so a simulated
+//! crash and a real one run the same code. Each map's inherent
+//! `recover(&self, image)` is the convenience for a live structure.
+//!
+//! Every walk is written against one [`ImageWalk`]: its layout logic plus `?`.
+//! The walker checks that each visited node lies inside the arena, turns a
+//! missing word into [`Truncated`], and bounds the walk by one budget of
+//! `image.len() + 2` visits. On a valid image the budget never trips: every
+//! visit consumes a distinct persisted word (a node's link, header or key
+//! word), and the image holds at most `image.len()` of them. On a cyclic image
+//! — a broken control's dangling links or a hostile pool file — it trips after
+//! O(`image.len()`) visits, whatever the cycle's shape.
 //!
 //! The walks define each structure's durable abstract state:
 //!
@@ -23,27 +41,22 @@
 //!   whose own `next` is marked is logically deleted; the tail is recognised by
 //!   its persisted sentinel key.
 //! * **hash table** — the persisted bucket directory block, then the union of its
-//!   bucket chains.
+//!   bucket chains, all under one walker.
 //! * **Natarajan–Mittal BST** — the tree of child-edge words from the root
 //!   sentinel; a flagged edge announces the logical deletion of the leaf below it.
 //! * **skiplist** — the bottom-level `next` chain (upper levels are index state
 //!   and deliberately unrecoverable under the optimised durability methods).
 //!
-//! A node reachable through persisted links whose own recovery words are absent
-//! from the image flags [`truncated`](RecoveredMap::truncated) — the signature of
-//! a violated persist-before-publish invariant. Since no pointer found in the
-//! image is ever dereferenced (every read goes through the image, bounds-checked
-//! against the arena), recovery is *safe* code and needs no quiescence or pinning
-//! contract.
+//! A walk that stops early flags [`truncated`](RecoveredMap::truncated) — the
+//! signature of a violated persist-before-publish invariant. Since no pointer
+//! found in the image is ever dereferenced (every read goes through the image,
+//! bounds-checked against the arena), recovery is *safe* code and needs no
+//! quiescence or pinning contract.
 
-use flit::Policy;
+use std::sync::Arc;
+
+use flit_alloc::{Arena, ImageWalk, Truncated};
 use flit_pmem::CrashImage;
-
-use crate::harris_list::HarrisList;
-use crate::hash_table::HashTable;
-use crate::natarajan::NatarajanTree;
-use crate::skiplist::SkipList;
-use crate::Durability;
 
 /// What map recovery reconstructs from a [`CrashImage`]: the durable key→value
 /// pairs, plus a flag for walks that hit un-persisted territory.
@@ -68,37 +81,25 @@ impl RecoveredMap {
         pairs
     }
 
-    /// Fold another partial recovery (e.g. one hash bucket) into this one.
+    /// Fold another partial recovery (e.g. another arena's) into this one.
     pub fn absorb(&mut self, other: RecoveredMap) {
         self.pairs.extend(other.pairs);
         self.truncated |= other.truncated;
     }
 }
 
-/// Uniform crash-recovery interface over the four map structures, used by the
-/// `flit-crashtest` sweep engine. Recovery is image-only and safe: see the module
-/// docs.
-pub trait MapCrashRecovery<P: Policy> {
-    /// Rebuild the durable abstract state from `image`, reading only the image and
-    /// the structure's arena root table (never live memory).
-    fn recover_from_image(&self, image: &CrashImage) -> RecoveredMap;
-}
-
-/// **Static** image-only recovery: rebuild a structure's durable abstract
-/// state from an arena and a crash image with *no live structure at all*.
+/// Image-only recovery of a map: rebuild its durable abstract state from an
+/// arena and a crash image with *no live structure at all*.
 ///
 /// This is what a process re-opening a file-backed pool needs: after
 /// `FlitDb::open` adopts the arenas and hands back the pool's
-/// [`CrashImage`] — a view of the mapping, read in place — there is no live
-/// `HashTable` to call [`MapCrashRecovery::recover_from_image`] on — the dead
-/// process's structure is just a root-table entry ([`Self::ROOT_KEY`]) plus
-/// persisted words. Each implementation delegates to the structure's inherent
-/// `recover_in_image(arena, image)` walk, so the simulated sweeps and the
+/// [`CrashImage`] — a view of the mapping, read in place — the dead process's
+/// structure is just a root-table entry ([`Self::ROOT_KEY`]) plus persisted
+/// words. Crash sweeps recover the same way, so the simulated sweeps and the
 /// real-pool reopen path exercise the same code. On a pool the words are
 /// whatever the file holds: a walk treats every word it reads as untrusted
-/// (offsets are checked against the arena, pointers against its chunks) and a
-/// read outside the arenas is `None`, so hostile bytes end as
-/// [`truncated`](RecoveredMap::truncated), not as a panic.
+/// (see [`ImageWalk`]), so hostile bytes end as
+/// [`truncated`](RecoveredMap::truncated), not as a panic or a hang.
 pub trait RecoverInImage {
     /// The root-table key (`flit_alloc::roots::*`) this structure registers
     /// its durable entry point under — how a reopening process locates the
@@ -108,63 +109,35 @@ pub trait RecoverInImage {
     /// Rebuild the durable key→value state from `arena`'s root table and
     /// `image`. An image in which [`Self::ROOT_KEY`] was never durably
     /// registered recovers to the empty map.
-    fn recover_arena_image(arena: &flit_alloc::Arena, image: &CrashImage) -> RecoveredMap;
-}
+    fn recover_arena_image(arena: &Arena, image: &CrashImage) -> RecoveredMap;
 
-impl<P: Policy, D: Durability> RecoverInImage for HarrisList<P, D> {
-    const ROOT_KEY: u64 = flit_alloc::roots::LIST_HEAD;
-
-    fn recover_arena_image(arena: &flit_alloc::Arena, image: &CrashImage) -> RecoveredMap {
-        Self::recover_in_image(arena, image)
+    /// [`recover_arena_image`](Self::recover_arena_image) over every arena of
+    /// a database (`db.arenas()`), folded into one map: arenas that never
+    /// durably registered [`Self::ROOT_KEY`] contribute nothing.
+    fn recover_arenas(arenas: &[Arc<Arena>], image: &CrashImage) -> RecoveredMap {
+        let mut rec = RecoveredMap::default();
+        for arena in arenas {
+            rec.absorb(Self::recover_arena_image(arena, image));
+        }
+        rec
     }
 }
 
-impl<P: Policy, D: Durability> RecoverInImage for HashTable<P, D> {
-    const ROOT_KEY: u64 = flit_alloc::roots::HASH_DIRECTORY;
-
-    fn recover_arena_image(arena: &flit_alloc::Arena, image: &CrashImage) -> RecoveredMap {
-        Self::recover_in_image(arena, image)
+/// The shared shell of every map walk: resolve `key`'s root in `image` (an
+/// absent root is the empty map) and run `walk_from` from it under one
+/// [`ImageWalk`], pushing pairs as it goes.
+pub(crate) fn recover_from_root(
+    arena: &Arena,
+    image: &CrashImage,
+    key: u64,
+    walk_from: impl FnOnce(&mut ImageWalk<'_>, usize, &mut Vec<(u64, u64)>) -> Result<(), Truncated>,
+) -> RecoveredMap {
+    let mut rec = RecoveredMap::default();
+    let mut walk = ImageWalk::new(arena, image);
+    if let Some(root) = walk.root(key) {
+        rec.truncated = walk_from(&mut walk, root, &mut rec.pairs).is_err();
     }
-}
-
-impl<P: Policy, D: Durability> RecoverInImage for NatarajanTree<P, D> {
-    const ROOT_KEY: u64 = flit_alloc::roots::BST_ROOT;
-
-    fn recover_arena_image(arena: &flit_alloc::Arena, image: &CrashImage) -> RecoveredMap {
-        Self::recover_in_image(arena, image)
-    }
-}
-
-impl<P: Policy, D: Durability> RecoverInImage for SkipList<P, D> {
-    const ROOT_KEY: u64 = flit_alloc::roots::SKIPLIST_HEAD;
-
-    fn recover_arena_image(arena: &flit_alloc::Arena, image: &CrashImage) -> RecoveredMap {
-        Self::recover_in_image(arena, image)
-    }
-}
-
-impl<P: Policy, D: Durability> MapCrashRecovery<P> for HarrisList<P, D> {
-    fn recover_from_image(&self, image: &CrashImage) -> RecoveredMap {
-        self.recover(image)
-    }
-}
-
-impl<P: Policy, D: Durability> MapCrashRecovery<P> for HashTable<P, D> {
-    fn recover_from_image(&self, image: &CrashImage) -> RecoveredMap {
-        self.recover(image)
-    }
-}
-
-impl<P: Policy, D: Durability> MapCrashRecovery<P> for NatarajanTree<P, D> {
-    fn recover_from_image(&self, image: &CrashImage) -> RecoveredMap {
-        self.recover(image)
-    }
-}
-
-impl<P: Policy, D: Durability> MapCrashRecovery<P> for SkipList<P, D> {
-    fn recover_from_image(&self, image: &CrashImage) -> RecoveredMap {
-        self.recover(image)
-    }
+    rec
 }
 
 #[cfg(test)]

@@ -22,7 +22,7 @@
 //! `repr(C)`, tower last): only the occupied prefix `0..=top_level` is recorded and
 //! persisted, and the bottom-level word sits at a fixed offset from the slot base.
 //! The head tower is registered under [`roots::SKIPLIST_HEAD`], so
-//! [`SkipList::recover_in_image`] walks the persisted bottom level purely from the
+//! its [`RecoverInImage`] walk reads the persisted bottom level purely from the
 //! [`CrashImage`] + root table.
 
 use std::marker::PhantomData;
@@ -37,7 +37,7 @@ use flit_pmem::{CrashImage, PmemBackend, WORD_SIZE};
 use crate::durability::Durability;
 use crate::map::ConcurrentMap;
 use crate::marked::{address, is_marked, pack, unmark, with_mark};
-use crate::recovery::RecoveredMap;
+use crate::recovery::{recover_from_root, RecoverInImage, RecoveredMap};
 
 /// Maximum tower height. 2^20 expected elements per probability 1/2 level is ample for
 /// the evaluation sizes.
@@ -395,53 +395,10 @@ impl<P: Policy, D: Durability> SkipList<P, D> {
         }
     }
 
-    /// Reconstruct the durable set **purely from the crash image and the arena's
-    /// root table**: read the head tower's slot from the root table, then walk the
-    /// persisted bottom-level chain, reading every key/value out of the image (the
-    /// bottom level alone defines membership; upper levels are volatile index
-    /// state under the optimised durability methods). An absent root means the
-    /// skiplist was not durably constructed: empty set.
-    pub fn recover_in_image(arena: &Arena, image: &CrashImage) -> RecoveredMap {
-        let Some(head) = arena.root_in_image(image, roots::SKIPLIST_HEAD) else {
-            return RecoveredMap::default();
-        };
-        let layout = Node::<P>::layout();
-        let mut rec = RecoveredMap::default();
-        let Some(first) = image.read(head + layout.next0) else {
-            rec.truncated = true;
-            return rec;
-        };
-        let mut budget = image.len() + 2;
-        let mut cur = unmark(first as usize);
-        while cur != 0 {
-            if budget == 0 || !arena.contains(cur) {
-                rec.truncated = true;
-                break;
-            }
-            budget -= 1;
-            let Some(word) = image.read(cur + layout.next0) else {
-                rec.truncated = true;
-                break;
-            };
-            let word = word as usize;
-            if !is_marked(word) {
-                let (Some(key), Some(value)) =
-                    (image.read(cur + layout.key), image.read(cur + layout.value))
-                else {
-                    rec.truncated = true;
-                    break;
-                };
-                rec.pairs.push((key, value));
-            }
-            cur = unmark(word);
-        }
-        rec
-    }
-
     /// Image-only recovery through this skiplist's own arena; see
-    /// [`recover_in_image`](Self::recover_in_image).
+    /// [`RecoverInImage`].
     pub fn recover(&self, image: &CrashImage) -> RecoveredMap {
-        Self::recover_in_image(&self.arena, image)
+        Self::recover_arena_image(&self.arena, image)
     }
 
     fn len_impl(&self) -> usize {
@@ -483,6 +440,29 @@ impl<P: Policy, D: Durability> ConcurrentMap<P> for SkipList<P, D> {
 
     fn db(&self) -> &FlitDb<P> {
         &self.db
+    }
+}
+
+impl<P: Policy, D: Durability> RecoverInImage for SkipList<P, D> {
+    const ROOT_KEY: u64 = roots::SKIPLIST_HEAD;
+
+    /// Read the head tower's slot from the root table, then walk the persisted
+    /// bottom-level chain to its null link, reading every key/value out of the
+    /// image (the bottom level alone defines membership; upper levels are
+    /// volatile index state under the optimised durability methods).
+    fn recover_arena_image(arena: &Arena, image: &CrashImage) -> RecoveredMap {
+        let layout = Node::<P>::layout();
+        recover_from_root(arena, image, Self::ROOT_KEY, |walk, head, pairs| {
+            let mut next = walk.read(head + layout.next0)? as usize;
+            while unmark(next) != 0 {
+                let cur = walk.visit(unmark(next))?;
+                next = walk.read(cur + layout.next0)? as usize;
+                if !is_marked(next) {
+                    pairs.push((walk.read(cur + layout.key)?, walk.read(cur + layout.value)?));
+                }
+            }
+            Ok(())
+        })
     }
 }
 
@@ -614,7 +594,7 @@ mod tests {
         let rec = s.recover(&image);
         assert!(!rec.truncated);
         assert_eq!(rec.sorted_pairs(), vec![(1, 101), (3, 103), (5, 105)]);
-        let rec2 = Sl::<Automatic>::recover_in_image(s.arena(), &image);
+        let rec2 = Sl::<Automatic>::recover_arena_image(s.arena(), &image);
         assert_eq!(rec2.sorted_pairs(), rec.sorted_pairs());
     }
 

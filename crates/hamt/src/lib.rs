@@ -85,15 +85,20 @@
 //!
 //! ## Recovery
 //!
-//! Recovery is image-only, like every structure here: root table →
-//! [`roots::HAMT_ROOT`] cell → persisted root word (at the policy's layout
-//! offset inside the cell) → node walk entirely through the [`CrashImage`]. A
-//! reachable word missing from the image flags `truncated` — the
-//! persist-before-publish argument is *checked*, not assumed. The broken
-//! control ([`BrokenHamt`]) accesses the root with [`PFlag::Volatile`]: every
-//! path node is still persisted, but no CAS writes the root back and no load
-//! helps, so the structure recovers to its construction-time (empty) state and
-//! the crash sweep must flag every acknowledged update as lost.
+//! Recovery is image-only, like every structure here ([`RecoverInImage`]):
+//! root table → [`roots::HAMT_ROOT`] cell → persisted root word (at the
+//! policy's layout offset inside the cell) → node walk entirely through the
+//! [`CrashImage`], under one bounded [`ImageWalk`]. A reachable word missing
+//! from the image flags `truncated` — the persist-before-publish argument is
+//! *checked*, not assumed. Depth past [`MAX_DEPTH`] is layout logic: only a
+//! cycle or hostile bytes reach it, and it ends the walk as `truncated` too;
+//! the walker's budget bounds a cyclic trie of any shape to O(`image.len()`)
+//! visits. Each retained snapshot root is walked with a walker of its own,
+//! because snapshots share nodes with each other and with the live trie. The
+//! broken control ([`BrokenHamt`]) accesses the root with [`PFlag::Volatile`]:
+//! every path node is still persisted, but no CAS writes the root back and no
+//! load helps, so the structure recovers to its construction-time (empty)
+//! state and the crash sweep must flag every acknowledged update as lost.
 //!
 //! ## Scope
 //!
@@ -110,8 +115,8 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use flit::{FlitDb, FlitHandle, PFlag, PersistWord, Policy};
-use flit_alloc::{roots, Arena, ArenaConfig, HAMT_NODE_SLOT_BYTES};
-use flit_datastructs::{ConcurrentMap, MapCrashRecovery, RecoverInImage, RecoveredMap};
+use flit_alloc::{roots, Arena, ArenaConfig, ImageWalk, Truncated, HAMT_NODE_SLOT_BYTES};
+use flit_datastructs::{ConcurrentMap, RecoverInImage, RecoveredMap};
 use flit_ebr::Guard;
 use flit_pmem::{cache_line_of, CrashImage, PmemBackend, PmemSession, CACHE_LINE_SIZE, WORD_SIZE};
 use parking_lot::Mutex;
@@ -748,47 +753,33 @@ impl<P: Policy> Hamt<P> {
             .collect()
     }
 
-    /// Reconstruct the durable map purely from the crash image and the arena's
-    /// root table: [`roots::HAMT_ROOT`] cell → persisted root word → node
-    /// walk, every word read from the image. An absent root recovers to the
-    /// empty map; a reachable-but-unpersisted word flags `truncated`.
-    pub fn recover_in_image(arena: &Arena, image: &CrashImage) -> RecoveredMap {
-        let mut rec = RecoveredMap::default();
-        let Some(cell) = arena.root_in_image(image, roots::HAMT_ROOT) else {
-            return rec;
-        };
-        let Some(root) = image.read(cell + Self::root_word_offset()) else {
-            rec.truncated = true;
-            return rec;
-        };
-        walk_enc_in_image(arena, image, root, 0, &mut rec);
-        rec
-    }
-
     /// Image-only recovery through this trie's own arena; see
-    /// [`recover_in_image`](Self::recover_in_image).
+    /// [`RecoverInImage`].
     pub fn recover(&self, image: &CrashImage) -> RecoveredMap {
-        Self::recover_in_image(&self.arena, image)
+        Self::recover_arena_image(&self.arena, image)
     }
 
     /// Replay every durably retained snapshot out of the crash image: each
     /// entry of the [`roots::HAMT_RETAINED`] table with a persisted non-zero
     /// refcount yields its frozen contents. This is the crash-surviving half
-    /// of the snapshot contract.
+    /// of the snapshot contract. Snapshots legitimately share nodes, so each
+    /// retained root gets a walker (and a budget) of its own.
     pub fn recover_snapshots_in_image(arena: &Arena, image: &CrashImage) -> Vec<RetainedSnapshot> {
-        let Some(table) = arena.root_in_image(image, roots::HAMT_RETAINED) else {
+        let table_walk = ImageWalk::new(arena, image);
+        let Some(table) = table_walk.root(roots::HAMT_RETAINED) else {
             return Vec::new();
         };
         (0..RETAINED_CAPACITY)
             .filter_map(|slot| {
                 let base = table + slot * RETAINED_ENTRY_WORDS * WORD_SIZE;
-                let root = image.read(base)?;
-                if image.read(base + WORD_SIZE)? == 0 {
+                let root = table_walk.get(base)?;
+                if table_walk.get(base + WORD_SIZE)? == 0 {
                     return None;
                 }
-                let version = image.read(base + 2 * WORD_SIZE)?;
+                let version = table_walk.get(base + 2 * WORD_SIZE)?;
                 let mut rec = RecoveredMap::default();
-                walk_enc_in_image(arena, image, root, 0, &mut rec);
+                let mut walk = ImageWalk::new(arena, image);
+                rec.truncated = walk_enc(&mut walk, root, 0, &mut rec.pairs).is_err();
                 Some(RetainedSnapshot { slot, version, rec })
             })
             .collect()
@@ -809,44 +800,32 @@ pub struct RetainedSnapshot {
     pub rec: RecoveredMap,
 }
 
-fn walk_enc_in_image(
-    arena: &Arena,
-    image: &CrashImage,
+/// Image-only walk of the trie under entry `enc` at `depth`. The trie is at
+/// most [`MAX_DEPTH`] levels deep, so the recursion is shallow; a deeper
+/// entry is a cycle or hostile bytes.
+fn walk_enc(
+    walk: &mut ImageWalk<'_>,
     enc: u64,
     depth: usize,
-    rec: &mut RecoveredMap,
-) {
+    pairs: &mut Vec<(u64, u64)>,
+) -> Result<(), Truncated> {
     if enc == 0 {
-        return;
+        return Ok(());
     }
     if depth > MAX_DEPTH {
-        rec.truncated = true;
-        return;
+        return Err(Truncated);
     }
-    let addr = addr_of(enc);
-    if arena.offset_of_addr(addr).is_none() {
-        rec.truncated = true;
-        return;
-    }
+    let addr = walk.visit(addr_of(enc))?;
     if !is_interior(enc) {
-        match (image.read(addr), image.read(addr + WORD_SIZE)) {
-            (Some(k), Some(v)) => rec.pairs.push((k, v)),
-            _ => rec.truncated = true,
-        }
-        return;
+        pairs.push((walk.read(addr)?, walk.read(addr + WORD_SIZE)?));
+        return Ok(());
     }
-    let Some(hdr) = image.read(addr) else {
-        rec.truncated = true;
-        return;
-    };
-    let count = (hdr & BITMAP_MASK).count_ones() as usize;
-    for i in 0..count {
-        let Some(child) = image.read(addr + (1 + i) * WORD_SIZE) else {
-            rec.truncated = true;
-            return;
-        };
-        walk_enc_in_image(arena, image, child, depth + 1, rec);
+    let count = (walk.read(addr)? & BITMAP_MASK).count_ones() as usize;
+    for i in 1..=count {
+        let child = walk.read(addr + i * WORD_SIZE)?;
+        walk_enc(walk, child, depth + 1, pairs)?;
     }
+    Ok(())
 }
 
 /// A frozen view of the trie pinned by a retained-root entry. Reads cost no
@@ -1014,17 +993,22 @@ impl<P: Policy> ConcurrentMap<P> for Hamt<P> {
     }
 }
 
-impl<P: Policy> MapCrashRecovery<P> for Hamt<P> {
-    fn recover_from_image(&self, image: &CrashImage) -> RecoveredMap {
-        self.recover(image)
-    }
-}
-
 impl<P: Policy> RecoverInImage for Hamt<P> {
     const ROOT_KEY: u64 = roots::HAMT_ROOT;
 
+    /// [`roots::HAMT_ROOT`] cell → persisted root word (at the policy's
+    /// layout offset inside the cell) → node walk, every word read from the
+    /// image.
     fn recover_arena_image(arena: &Arena, image: &CrashImage) -> RecoveredMap {
-        Self::recover_in_image(arena, image)
+        let mut rec = RecoveredMap::default();
+        let mut walk = ImageWalk::new(arena, image);
+        if let Some(cell) = walk.root(Self::ROOT_KEY) {
+            rec.truncated = walk
+                .read(cell + Self::root_word_offset())
+                .and_then(|root| walk_enc(&mut walk, root, 0, &mut rec.pairs))
+                .is_err();
+        }
+        rec
     }
 }
 
@@ -1074,17 +1058,11 @@ impl<P: Policy> ConcurrentMap<P> for BrokenHamt<P> {
     }
 }
 
-impl<P: Policy> MapCrashRecovery<P> for BrokenHamt<P> {
-    fn recover_from_image(&self, image: &CrashImage) -> RecoveredMap {
-        self.0.recover(image)
-    }
-}
-
 impl<P: Policy> RecoverInImage for BrokenHamt<P> {
     const ROOT_KEY: u64 = roots::HAMT_ROOT;
 
     fn recover_arena_image(arena: &Arena, image: &CrashImage) -> RecoveredMap {
-        Hamt::<P>::recover_in_image(arena, image)
+        Hamt::<P>::recover_arena_image(arena, image)
     }
 }
 
@@ -1180,7 +1158,7 @@ mod tests {
         let expected: Vec<(u64, u64)> =
             (0..40u64).filter(|k| *k != 3).map(|k| (k, k + 7)).collect();
         assert_eq!(rec.sorted_pairs(), expected);
-        let rec2 = Hamt::<P>::recover_in_image(t.arena(), &image);
+        let rec2 = Hamt::<P>::recover_arena_image(t.arena(), &image);
         assert_eq!(rec2.sorted_pairs(), expected);
     }
 
@@ -1194,7 +1172,7 @@ mod tests {
             assert!(t.insert(&h, k, k));
         }
         let image = sim.tracker().unwrap().crash_image();
-        let rec = t.recover_from_image(&image);
+        let rec = t.inner().recover(&image);
         assert!(rec.pairs.is_empty(), "unflushed root must not recover");
         assert!(!rec.truncated);
     }

@@ -34,8 +34,10 @@
 //! [`Arena`], the root pair is registered in the arena's recovery-root
 //! table under [`roots::QUEUE_ROOTS`], and
 //! [`MsQueue::recover_in_image`] reads the persisted `head` word and walks
-//! persisted `next`/value words straight out of the adversarial [`CrashImage`] —
-//! no live-structure pointer, no live-memory reads. For any variant whose `STORE`
+//! persisted `next`/value words straight out of the adversarial [`CrashImage`],
+//! under one bounded [`ImageWalk`] — no live-structure pointer, no live-memory
+//! reads. The queue is not a map, so it keeps this pair of inherent methods
+//! rather than implementing `RecoverInImage`. For any variant whose `STORE`
 //! flag is persisted, the recovered sequence is exactly the durably linearized
 //! queue contents at the crash point; a crash before the root registration
 //! recovers to the empty queue.
@@ -44,7 +46,7 @@ use std::marker::PhantomData;
 use std::sync::Arc;
 
 use flit::{FlitDb, FlitHandle, PFlag, PersistWord, Policy};
-use flit_alloc::{roots, Arena, ArenaConfig};
+use flit_alloc::{roots, Arena, ArenaConfig, ImageWalk, Truncated};
 use flit_datastructs::Durability;
 use flit_ebr::Guard;
 use flit_pmem::CrashImage;
@@ -341,65 +343,32 @@ impl<P: Policy, D: Durability> MsQueue<P, D> {
     /// memory is touched. An absent root means the queue was not durably
     /// constructed at the crash point: empty queue.
     pub fn recover_in_image(arena: &Arena, image: &CrashImage) -> RecoveredQueue {
+        let mut walk = ImageWalk::new(arena, image);
         let mut values = Vec::new();
-        let Some(roots_slot) = arena.root_in_image(image, roots::QUEUE_ROOTS) else {
-            return RecoveredQueue {
-                values,
-                truncated: false,
-            };
+        let truncated = match walk.root(roots::QUEUE_ROOTS) {
+            Some(roots_slot) => Self::walk_values(&mut walk, roots_slot, &mut values).is_err(),
+            None => false,
         };
-        let node_layout = Node::<P>::layout();
-        let roots_layout = Roots::<P>::layout();
-        let Some(head) = image.read(roots_slot + roots_layout.head) else {
-            // The roots slot is persisted before its registration; a registered
-            // root without a head word is an inconsistent image.
-            return RecoveredQueue {
-                values,
-                truncated: true,
-            };
-        };
-        // Corrupt images (the broken control's) can contain pointer loops; bound
-        // the walk by the image size so recovery always terminates.
-        let mut budget = image.len() + 2;
-        let mut cur = head as usize;
-        loop {
-            if budget == 0 || !arena.contains(cur) {
-                return RecoveredQueue {
-                    values,
-                    truncated: true,
-                };
-            }
-            budget -= 1;
-            let next = match image.read(cur + node_layout.next) {
-                // Link never persisted (or persisted as null): the persisted prefix
-                // ends here.
-                None | Some(0) => {
-                    return RecoveredQueue {
-                        values,
-                        truncated: false,
-                    }
-                }
-                Some(ptr) => ptr as usize,
-            };
-            if !arena.contains(next) {
-                return RecoveredQueue {
-                    values,
-                    truncated: true,
-                };
-            }
-            match image.read(next + node_layout.value) {
-                Some(v) => values.push(v),
-                None => {
-                    // Reachable through a persisted link but value not persisted:
-                    // the persist-before-publish invariant was violated.
-                    return RecoveredQueue {
-                        values,
-                        truncated: true,
-                    };
-                }
-            }
-            cur = next;
+        RecoveredQueue { values, truncated }
+    }
+
+    /// The walk of [`recover_in_image`](Self::recover_in_image) from the
+    /// registered roots slot. The slot is persisted before its registration,
+    /// so its head word must be in the image; a value word missing behind a
+    /// persisted link violates persist-before-publish.
+    fn walk_values(
+        walk: &mut ImageWalk<'_>,
+        roots_slot: usize,
+        values: &mut Vec<u64>,
+    ) -> Result<(), Truncated> {
+        let layout = Node::<P>::layout();
+        let mut cur = walk.visit(walk.read(roots_slot + Roots::<P>::layout().head)? as usize)?;
+        // A link that never persisted (or persisted as null) ends the prefix.
+        while let Some(next) = walk.get(cur + layout.next).filter(|&next| next != 0) {
+            cur = walk.visit(next as usize)?;
+            values.push(walk.read(cur + layout.value)?);
         }
+        Ok(())
     }
 
     /// Image-only recovery through this queue's own arena; see

@@ -33,10 +33,10 @@ pub fn shard_pool_path(dir: &Path, shard: usize) -> PathBuf {
 /// Re-open the pool backing shard `shard` under `dir` and rebuild map `M`'s
 /// durable abstract state from it, with no live server.
 ///
-/// Runs [`FlitDb::open`]'s full pipeline, then walks the adopted arenas for
-/// `M`'s root key ([`RecoverInImage::ROOT_KEY`]) and recovers image-only from
-/// each arena that registered it (exactly one for a server shard: the map
-/// arena). A pool in which the root never became durable recovers to the
+/// Runs [`FlitDb::open`]'s full pipeline, then recovers `M` image-only over
+/// the adopted arenas ([`RecoverInImage::recover_arenas`]): only an arena that
+/// registered `M`'s root key contributes (exactly one for a server shard: the
+/// map arena). A pool in which the root never became durable recovers to the
 /// empty map. Returns the re-opened database (ready for new traffic), the
 /// [`OpenReport`] (leak accounting included) and the recovered pairs.
 pub fn recover_shard_pool<P: Policy, M: ConcurrentMap<P> + RecoverInImage>(
@@ -45,12 +45,7 @@ pub fn recover_shard_pool<P: Policy, M: ConcurrentMap<P> + RecoverInImage>(
     policy: P,
 ) -> Result<(FlitDb<P>, OpenReport, RecoveredMap), OpenError> {
     let (db, report) = FlitDb::open(shard_pool_path(dir, shard), policy)?;
-    let mut recovered = RecoveredMap::default();
-    for arena in db.arenas() {
-        if arena.live_roots().iter().any(|(k, _)| *k == M::ROOT_KEY) {
-            recovered.absorb(M::recover_arena_image(&arena, &report.image));
-        }
-    }
+    let recovered = M::recover_arenas(&db.arenas(), &report.image);
     Ok((db, report, recovered))
 }
 

@@ -8,11 +8,12 @@
 //!    cache-line count layout-independent;
 //! 3. **Image-only recovery** — recovery works from the arena + image alone, with
 //!    the structure's root absent (mid-construction) yielding the empty state and
-//!    the arena header reachable at every point.
+//!    the arena header reachable at every point, and it needs no more thread
+//!    stack for a deep tree than for a shallow one.
 
 use flit::{FlitDb, FlitPolicy, HashedScheme};
 use flit_crashtest::{run_case, HistorySpec, MethodKind, PolicyKind, StructureKind, SweepSettings};
-use flit_datastructs::{Automatic, ConcurrentMap, HarrisList};
+use flit_datastructs::{Automatic, ConcurrentMap, HarrisList, NatarajanTree, RecoverInImage};
 use flit_pmem::{CrashPlan, ElisionMode, SimNvram};
 
 type HtPolicy = FlitPolicy<HashedScheme, SimNvram>;
@@ -146,7 +147,7 @@ fn mid_construction_image_recovers_to_the_empty_structure() {
     assert!(plan.triggered(), "construction generates > 3 events");
     let image = plan.crash_image().expect("image frozen mid-construction");
 
-    let rec = HarrisList::<HtPolicy, Automatic>::recover_in_image(list.arena(), &image);
+    let rec = HarrisList::<HtPolicy, Automatic>::recover_arena_image(list.arena(), &image);
     assert!(rec.pairs.is_empty(), "nothing durable yet: empty list");
     assert!(!rec.truncated, "an absent root is not a truncation");
 
@@ -154,7 +155,7 @@ fn mid_construction_image_recovers_to_the_empty_structure() {
     // and the root resolves in the final image.
     let final_image = nvram.tracker().unwrap().crash_image();
     assert!(list.arena().image_header(&final_image).initialised);
-    let rec = HarrisList::<HtPolicy, Automatic>::recover_in_image(list.arena(), &final_image);
+    let rec = HarrisList::<HtPolicy, Automatic>::recover_arena_image(list.arena(), &final_image);
     assert!(rec.pairs.is_empty() && !rec.truncated);
 
     // And a populated list recovers image-only, no live reads.
@@ -162,6 +163,36 @@ fn mid_construction_image_recovers_to_the_empty_structure() {
     assert!(list.insert(&h, 9, 90));
     assert!(list.insert(&h, 2, 20));
     let image = nvram.tracker().unwrap().crash_image();
-    let rec = HarrisList::<HtPolicy, Automatic>::recover_in_image(list.arena(), &image);
+    let rec = HarrisList::<HtPolicy, Automatic>::recover_arena_image(list.arena(), &image);
     assert_eq!(rec.sorted_pairs(), vec![(2, 20), (9, 90)]);
+}
+
+/// A tree built from descending keys is a left spine as deep as it is large.
+/// Recovery descends it with an explicit stack, so 2 000 keys recover on a
+/// 64 KiB thread stack, in key order; a recursive descent overflows that stack
+/// and aborts the process, in debug and release builds alike.
+#[test]
+fn a_deep_bst_recovers_on_a_small_stack() {
+    const KEYS: u64 = 2_000;
+    let nvram = SimNvram::for_crash_testing();
+    let db = FlitDb::flit_ht(nvram.clone());
+    let tree: NatarajanTree<HtPolicy, Automatic> = NatarajanTree::new(&db);
+    let h = db.handle();
+    for k in (1..=KEYS).rev() {
+        assert!(tree.insert(&h, k, k + 1));
+    }
+    let image = nvram.tracker().unwrap().crash_image();
+    let rec = std::thread::scope(|s| {
+        std::thread::Builder::new()
+            .stack_size(64 * 1024)
+            .spawn_scoped(s, || {
+                NatarajanTree::<HtPolicy, Automatic>::recover_arena_image(tree.arena(), &image)
+            })
+            .expect("spawn the small-stack recovery thread")
+            .join()
+            .expect("recovery thread panicked")
+    });
+    assert!(!rec.truncated);
+    let expected: Vec<(u64, u64)> = (1..=KEYS).map(|k| (k, k + 1)).collect();
+    assert_eq!(rec.pairs, expected, "in-order walk, no pair lost");
 }

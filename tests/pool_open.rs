@@ -20,10 +20,12 @@
 
 use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
+use std::sync::mpsc;
+use std::time::Duration;
 
 use flit::{CommitMode, FlitDb, FlitPolicy, HashedScheme, OpenError};
 use flit_alloc::{post_crash_gc, roots};
-use flit_datastructs::{Automatic, ConcurrentMap, HashTable, RecoverInImage, RecoveredMap};
+use flit_datastructs::{Automatic, ConcurrentMap, HashTable, RecoverInImage};
 use flit_hamt::Hamt;
 use flit_pmem::pool::{direntry, superblock, DATA_OFFSET, DIR_OFFSET};
 use flit_pmem::{LatencyModel, SimNvram, WORD_SIZE};
@@ -71,19 +73,8 @@ fn build_pool(path: &Path, commit: CommitMode) -> Vec<(u64, u64)> {
         .collect()
 }
 
-/// Structure `M`'s recovery walk over every arena of `db` that roots one.
-fn recover<M: RecoverInImage>(db: &FlitDb<HtPolicy>, report: &flit::OpenReport) -> RecoveredMap {
-    let mut rec = RecoveredMap::default();
-    for arena in db.arenas() {
-        if arena.live_roots().iter().any(|(k, _)| *k == M::ROOT_KEY) {
-            rec.absorb(M::recover_arena_image(&arena, &report.image));
-        }
-    }
-    rec
-}
-
 fn recover_map(db: &FlitDb<HtPolicy>, report: &flit::OpenReport) -> Vec<(u64, u64)> {
-    recover::<Map>(db, report).sorted_pairs()
+    Map::recover_arenas(&db.arenas(), &report.image).sorted_pairs()
 }
 
 fn write_word(path: &Path, offset: u64, value: u64) {
@@ -306,23 +297,35 @@ fn the_open_image_reads_exactly_the_adopted_arenas_words() {
     let _ = std::fs::remove_file(&path);
 }
 
-/// Corrupt one data-area word of a copy of `src`, open the copy and run map
-/// `M`'s recovery walk over it. Open may refuse with a typed error; if it
-/// accepts, the walk must come back — reporting `truncated`, or at least not
-/// the clean state — instead of panicking or faulting.
-fn recover_corrupted<M: RecoverInImage>(
+/// Corrupt data-area words of a copy of `src` — `(file offset, value)`
+/// writes — open the copy and run map `M`'s recovery walk over it on a
+/// watched thread. Open may refuse with a typed error; if it accepts, the walk
+/// must come back within 10 s — reporting `truncated`, or at least not the
+/// clean state — instead of panicking, faulting or hanging.
+fn recover_corrupted<M: RecoverInImage + 'static>(
     src: &Path,
     name: &str,
-    offset: u64,
-    value: u64,
+    writes: &[(u64, u64)],
     clean: &[(u64, u64)],
     must_truncate: bool,
 ) {
     let copy = temp_path(&format!("hostile-{name}"));
     std::fs::copy(src, &copy).unwrap();
-    write_word(&copy, offset, value);
-    if let Ok((db, report)) = FlitDb::open(&copy, policy()) {
-        let rec = recover::<M>(&db, &report);
+    for &(offset, value) in writes {
+        write_word(&copy, offset, value);
+    }
+    let (tx, rx) = mpsc::channel();
+    let path = copy.clone();
+    std::thread::spawn(move || {
+        let rec = FlitDb::open(&path, policy())
+            .ok()
+            .map(|(db, report)| M::recover_arenas(&db.arenas(), &report.image));
+        let _ = tx.send(rec);
+    });
+    let rec = rx
+        .recv_timeout(Duration::from_secs(10))
+        .unwrap_or_else(|e| panic!("case {name}: the recovery walk did not return: {e}"));
+    if let Some(rec) = rec {
         assert!(
             rec.truncated || (!must_truncate && rec.sorted_pairs() != clean),
             "case {name}: the walk accepted a corrupt pool: {rec:?}"
@@ -336,35 +339,51 @@ fn hostile_hash_table_words_truncate_the_walk() {
     let path = temp_path("hostile-ht-src");
     let expected = build_pool(&path, CommitMode::Immediate);
     // Locate the words to clobber, as file offsets, on a clean open.
-    let (dir, next_link, high_water, base) = {
+    let (dir, buckets, head, next_link, last_link, high_water, base) = {
         let (db, _) = FlitDb::open(&path, policy()).unwrap();
         let base = db.pool().unwrap().base_addr();
         let arena = db.arenas().into_iter().next().unwrap();
         let dir = arena.root(roots::HASH_DIRECTORY).unwrap() - base;
-        // Bucket 0's head sentinel: its one word that points back into the
-        // arena is its `next` link.
+        // A chain node's one word that points back into the arena is its
+        // `next` link; the tail sentinel has none.
+        let link_of = |slot: usize| {
+            (slot..slot + arena.slot_size())
+                .step_by(WORD_SIZE)
+                .find(|&w| arena.contains(read_word(&path, (w - base) as u64) as usize))
+        };
+        // Bucket 0's head sentinel, its link, and the last link of its chain.
         let head = arena.addr_of_offset(read_word(&path, (dir + WORD_SIZE) as u64) as usize - 1);
-        let next_link = (head..head + arena.slot_size())
-            .step_by(WORD_SIZE)
-            .find(|&w| arena.contains(read_word(&path, (w - base) as u64) as usize))
-            .expect("the head sentinel links to its successor")
-            - base;
+        let next_link = link_of(head).expect("the head sentinel links to its successor");
+        let mut last_link = next_link;
+        while let Some(link) = link_of(read_word(&path, (last_link - base) as u64) as usize) {
+            last_link = link;
+        }
         (
             dir as u64,
-            next_link as u64,
+            read_word(&path, dir as u64),
+            head as u64,
+            (next_link - base) as u64,
+            (last_link - base) as u64,
             arena.high_water() as u64,
             base,
         )
     };
     let head0 = dir + WORD_SIZE as u64;
-    for (name, offset, value) in [
+    // Every bucket is bucket 0, and bucket 0's chain closes back on its head:
+    // a walk that budgets per bucket visits the cycle once per bucket.
+    let mut one_cycle: Vec<(u64, u64)> = (1..=buckets)
+        .map(|i| (dir + i * WORD_SIZE as u64, read_word(&path, head0)))
+        .collect();
+    one_cycle.push((last_link, head));
+    for (name, writes) in [
         // Panicked in `Arena::addr_of_offset` before the walk checked it.
-        ("dir-head-max", head0, u64::MAX),
-        ("dir-head-past-high-water", head0, high_water + 1),
-        ("dir-len-max", dir, u64::MAX),
-        ("next-into-superblock", next_link, base as u64),
+        ("dir-head-max", vec![(head0, u64::MAX)]),
+        ("dir-head-past-high-water", vec![(head0, high_water + 1)]),
+        ("dir-len-max", vec![(dir, u64::MAX)]),
+        ("next-into-superblock", vec![(next_link, base as u64)]),
+        ("every-bucket-one-cycle", one_cycle),
     ] {
-        recover_corrupted::<Map>(&path, name, offset, value, &expected, true);
+        recover_corrupted::<Map>(&path, name, &writes, &expected, true);
     }
     let _ = std::fs::remove_file(&path);
 }
@@ -392,31 +411,39 @@ fn hostile_hamt_roots_truncate_the_walk() {
         )
     };
     const INTERIOR: u64 = 1;
-    for (name, value, must_truncate) in [
-        ("root-into-superblock", base, true),
-        ("root-node-in-superblock", base | INTERIOR, true),
-        ("root-past-the-mapping", base + pool_len + 64, true),
+    let root = |value: u64| vec![(root_word, value)];
+    // The root node with a full bitmap whose every child is the root itself:
+    // bounded only by depth, that is 16^16 visits.
+    let root_enc = read_word(&path, root_word);
+    assert_eq!(
+        root_enc & INTERIOR,
+        INTERIOR,
+        "40 keys need an interior root"
+    );
+    let node = root_enc - INTERIOR - base;
+    let full_bitmap = (1u64 << flit_hamt::FANOUT) - 1;
+    let mut self_loops = vec![(node, full_bitmap)];
+    self_loops
+        .extend((1..=flit_hamt::FANOUT as u64).map(|i| (node + i * WORD_SIZE as u64, root_enc)));
+    for (name, writes, must_truncate) in [
+        ("root-into-superblock", root(base), true),
+        ("root-node-in-superblock", root(base | INTERIOR), true),
+        ("root-past-the-mapping", root(base + pool_len + 64), true),
         // A leaf whose value word, and a node whose children, would lie past
         // the end of the chunk: whatever follows is not this arena's to read.
         (
             "root-leaf-at-chunk-end",
-            chunk_end - WORD_SIZE as u64,
+            root(chunk_end - WORD_SIZE as u64),
             false,
         ),
         (
             "root-node-at-chunk-end",
-            (chunk_end - WORD_SIZE as u64) | INTERIOR,
+            root((chunk_end - WORD_SIZE as u64) | INTERIOR),
             false,
         ),
+        ("root-node-children-are-itself", self_loops, true),
     ] {
-        recover_corrupted::<Hamt<HtPolicy>>(
-            &path,
-            name,
-            root_word,
-            value,
-            &expected,
-            must_truncate,
-        );
+        recover_corrupted::<Hamt<HtPolicy>>(&path, name, &writes, &expected, must_truncate);
     }
     let _ = std::fs::remove_file(&path);
 }
@@ -471,4 +498,27 @@ fn killed_process_pools_verify_against_the_prefix_model() {
     }
     let _ = std::fs::remove_file(&pool);
     let _ = std::fs::remove_file(&sidecar);
+}
+
+#[test]
+fn a_truncated_walk_fails_the_kill_verdict() {
+    // Bucket 0's directory word names no allocated slot, so the walk stops
+    // before its first pair. An empty recovery is the model after 0 ops, so
+    // with floor 0 only the truncation itself can fail the round.
+    use flit_crashtest::kill::{verify_pool, KillViolation};
+    let path = temp_path("kill-truncated");
+    let _ = build_pool(&path, CommitMode::Immediate);
+    let (head0, high_water) = {
+        let (db, _) = FlitDb::open(&path, policy()).unwrap();
+        let base = db.pool().unwrap().base_addr();
+        let arena = &db.arenas()[0];
+        let dir = arena.root(roots::HASH_DIRECTORY).unwrap() - base;
+        ((dir + WORD_SIZE) as u64, arena.high_water() as u64)
+    };
+    write_word(&path, head0, high_water + 1);
+    match verify_pool(&path, 40, 0) {
+        Err(KillViolation::RecoveryTruncated) => {}
+        other => panic!("expected RecoveryTruncated, got {other:?}"),
+    }
+    let _ = std::fs::remove_file(&path);
 }
