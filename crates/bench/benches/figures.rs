@@ -2,8 +2,8 @@
 //! for regression-tracking the end-to-end benefit of FliT (plain vs flit-HT vs
 //! non-persistent) with the Optane-like latency model enabled.
 //!
-//! The full figures are produced by the `repro` binary; this bench intentionally uses
-//! a tiny workload so `cargo bench --workspace` stays fast.
+//! The paper's claims are checked as instruction counts by `repro -- ledger`; this
+//! bench times a tiny workload so `cargo bench --workspace` stays fast.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use flit_pmem::{CommitMode, ElisionMode, LatencyModel};

@@ -4,7 +4,7 @@
 //! each persistence variant on real data-structure code paths.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use flit::{FlitDb, FlitPolicy, HashedScheme, PlainScheme};
+use flit::{presets, FlitDb, FlitPolicy, HashedScheme, PlainScheme};
 use flit_datastructs::{Automatic, ConcurrentMap, HarrisList, HashTable, NatarajanTree, SkipList};
 use flit_pmem::SimNvram;
 use std::hint::black_box;
@@ -43,7 +43,7 @@ fn bench_map<M: ConcurrentMap<FlitPolicy<HashedScheme, SimNvram>>>(c: &mut Crite
 fn bench_plain_bst(c: &mut Criterion) {
     // The same BST under the plain policy, to show the read-path flush overhead on
     // real traversals even with a free latency model removed (counter accesses only).
-    let db = FlitDb::plain(SimNvram::for_counting());
+    let db = FlitDb::create(presets::plain(SimNvram::for_counting()));
     let h = db.handle();
     let map: NatarajanTree<FlitPolicy<PlainScheme, SimNvram>, Automatic> =
         NatarajanTree::with_capacity(&db, KEYS as usize);

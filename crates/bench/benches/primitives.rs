@@ -8,7 +8,7 @@
 //! read-only path per policy preset.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use flit::{FlitDb, FlitPolicy, HashedScheme, PFlag, PersistWord, PlainPolicy, Policy};
+use flit::{presets, FlitDb, FlitPolicy, HashedScheme, PFlag, PersistWord, PlainPolicy, Policy};
 use flit_datastructs::Automatic;
 use flit_pmem::SimNvram;
 use flit_queues::{ConcurrentQueue, MsQueue};
@@ -35,7 +35,7 @@ fn bench_primitives(c: &mut Criterion) {
     });
 
     // flit-adjacent
-    let adj_db = FlitDb::flit_adjacent(SimNvram::for_counting());
+    let adj_db = FlitDb::create(presets::flit_adjacent(SimNvram::for_counting()));
     let adj = adj_db.handle();
     let w_adj = <flit::FlitPolicy<flit::AdjacentScheme, SimNvram> as Policy>::Word::<u64>::new(1);
     group.bench_function("flit-adjacent/p-load-untagged", |b| {
@@ -46,7 +46,7 @@ fn bench_primitives(c: &mut Criterion) {
     });
 
     // plain
-    let plain_db = FlitDb::plain(SimNvram::for_counting());
+    let plain_db = FlitDb::create(presets::plain(SimNvram::for_counting()));
     let plain = plain_db.handle();
     let w_plain = <PlainPolicy<SimNvram> as Policy>::Word::<u64>::new(1);
     group.bench_function("plain/p-load", |b| {
@@ -57,7 +57,7 @@ fn bench_primitives(c: &mut Criterion) {
     });
 
     // link-and-persist
-    let lp_db = FlitDb::link_and_persist(SimNvram::for_counting());
+    let lp_db = FlitDb::create(presets::link_and_persist(SimNvram::for_counting()));
     let lp = lp_db.handle();
     let w_lp = <flit::LinkAndPersistPolicy<SimNvram> as Policy>::Word::<u64>::new(1);
     group.bench_function("link-and-persist/p-load-clean", |b| {
@@ -68,7 +68,7 @@ fn bench_primitives(c: &mut Criterion) {
     });
 
     // non-persistent baseline
-    let np_db = FlitDb::no_persist();
+    let np_db = FlitDb::create(presets::no_persist());
     let np = np_db.handle();
     let w_np = <flit::NoPersistPolicy as Policy>::Word::<u64>::new(1);
     group.bench_function("non-persistent/load", |b| {
@@ -98,7 +98,7 @@ fn bench_queue_ops(c: &mut Criterion) {
         })
     });
 
-    let plain_db = FlitDb::plain(SimNvram::for_counting());
+    let plain_db = FlitDb::create(presets::plain(SimNvram::for_counting()));
     let h_plain = plain_db.handle();
     let plain: MsQueue<PlainPolicy<SimNvram>, Automatic> = MsQueue::in_db(&plain_db);
     group.bench_function("plain/enqueue-dequeue", |b| {
@@ -108,7 +108,7 @@ fn bench_queue_ops(c: &mut Criterion) {
         })
     });
 
-    let np_db = FlitDb::no_persist();
+    let np_db = FlitDb::create(presets::no_persist());
     let h_np = np_db.handle();
     let np: MsQueue<flit::NoPersistPolicy, Automatic> = MsQueue::in_db(&np_db);
     group.bench_function("non-persistent/enqueue-dequeue", |b| {
@@ -127,7 +127,7 @@ fn bench_queue_ops(c: &mut Criterion) {
     group.bench_function("flit-HT/dequeue-empty", |b| {
         b.iter(|| black_box(ht_empty.dequeue(&h_ht_empty)))
     });
-    let plain_empty_db = FlitDb::plain(SimNvram::for_counting());
+    let plain_empty_db = FlitDb::create(presets::plain(SimNvram::for_counting()));
     let h_plain_empty = plain_empty_db.handle();
     let plain_empty: MsQueue<PlainPolicy<SimNvram>, Automatic> = MsQueue::in_db(&plain_empty_db);
     group.bench_function("plain/dequeue-empty", |b| {

@@ -1,12 +1,14 @@
-//! `repro` — regenerate the figures of the FliT paper's evaluation (§6).
+//! `repro` — the FliT paper's evaluation (§6) as checked counts, plus the
+//! machine-readable baselines.
 //!
 //! ```text
-//! cargo run -p flit-bench --release --bin repro -- [fig5|fig6|fig7|fig8|fig9|queues|bench|server|summary|all] [--full] [--out PATH]
+//! cargo run -p flit-bench --release --bin repro -- [ledger|bench|server] [--full] [--out PATH]
 //! ```
 //!
-//! `queues` runs the queue workload family (not part of the paper's evaluation):
-//! enqueue/dequeue mixes, producer:consumer ratios and the dequeue-of-empty
-//! read-elision experiment over the Michael–Scott queue of `flit-queues`.
+//! `ledger` (the default) measures the ledger of single-handle instruction
+//! counts and checks the paper's claims against it: every row, then one line
+//! per claim. It exits 1 if any claim breaks; `tests/paper_ledger.rs` asserts
+//! the same claims.
 //!
 //! `bench` runs the machine-readable benchmark baseline — every map structure ×
 //! policy on the read-mostly (95/5) workload, with persist-epoch elision on *and*
@@ -15,123 +17,64 @@
 //! (throughput, pwbs/op, pfences/op, p50/p99 latency) is tracked per change.
 //!
 //! `server` runs the sharded KV service benchmark — the {1, 2, 4} shards ×
-//! {flit-HT, plain} × elision grid plus open-loop and skewed-key points, and the
-//! one-shard crash/recover gate — and writes `BENCH_server.json` (or `--out PATH`).
+//! {flit-HT, plain} × elision grid plus worker-count, skewed-key and
+//! group-commit points, and the one-shard crash/recover gate — and writes
+//! `BENCH_server.json` (or `--out PATH`).
 //!
-//! By default the quick scale is used (sized for the single-core reproduction
-//! container); `--full` switches to settings close to the paper's. The output is a
-//! set of plain-text tables, one series per line; `EXPERIMENTS.md` records a captured
-//! run next to the paper's reported numbers.
+//! By default the quick scale is used (sized for a small container); `--full`
+//! switches to settings close to the paper's.
 
 use std::path::Path;
 
 use flit_bench::experiments::{
-    bench_baseline, bench_depth_sweep, figure5, figure6, figure7, figure8, figure9,
-    queue_dequeue_empty, queue_mix, queue_producer_consumer, BenchRecord, Row, Scale,
-    BENCH_DEPTH_KEYS, BENCH_UPDATE_PERCENT,
+    bench_baseline, bench_depth_sweep, ledger, BenchRecord, Scale, BENCH_DEPTH_KEYS,
+    BENCH_UPDATE_PERCENT,
 };
 use flit_bench::server_experiments::{
     server_baseline, server_crash_smoke, server_obs_document, ServerBenchRecord,
     ServerCrashSummary, SERVER_UPDATE_PERCENT,
 };
 use flit_bench::{SCALE_FULL, SCALE_QUICK};
-use flit_pmem::{CommitMode, ElisionMode, LatencyModel};
-use flit_workload::{run_case, Case, DsKind, DurKind, PolicyKind, WorkloadConfig};
 
-fn print_rows(title: &str, rows: &[Row]) {
-    println!("\n=== {title} ===");
+/// Print the ledger's rows and claims; exit 1 if a claim breaks.
+fn run_ledger(scale: &Scale) {
+    let ledger = ledger(scale);
     println!(
-        "{:<28} {:<22} {:>10} {:>12} {:>12}",
-        "series", "x", "Mops/s", "pwbs/op", "pfences/op"
+        "\n=== Ledger: one handle, {} ops per row, no modelled latency ===",
+        scale.ops_per_thread
     );
-    for r in rows {
+    println!(
+        "{:<10} {:<10} {:<18} {:<10} {:>4} {:>10} {:>10} {:>12}",
+        "structure", "method", "policy", "commit", "upd%", "pwbs/op", "pfences/op", "read-pwbs/op"
+    );
+    for r in &ledger.rows {
         println!(
-            "{:<28} {:<22} {:>10.3} {:>12.3} {:>12.3}",
-            r.series, r.x, r.mops, r.pwbs_per_op, r.pfences_per_op
+            "{:<10} {:<10} {:<18} {:<10} {:>4} {:>10.4} {:>10.4} {:>12.4}",
+            r.structure,
+            r.durability,
+            r.policy.name(),
+            r.commit.name(),
+            r.update_percent,
+            r.pwbs_per_op,
+            r.pfences_per_op,
+            r.read_side_pwbs_per_op
         );
     }
-}
-
-fn normalised(rows: &[Row]) {
-    // Figure 8 is reported normalised to the non-persistent baseline of each
-    // structure and update ratio.
-    println!("\n--- normalised to the non-persistent baseline ---");
-    println!("{:<28} {:<8} {:>12}", "series", "updates", "normalised");
-    for r in rows {
-        if r.series.ends_with("non-persistent") {
-            continue;
-        }
-        let ds = r.series.split('/').next().unwrap_or_default();
-        let base = rows
-            .iter()
-            .find(|b| b.series == format!("{ds}/non-persistent") && b.x == r.x)
-            .map(|b| b.mops)
-            .unwrap_or(f64::NAN);
-        println!("{:<28} {:<8} {:>12.3}", r.series, r.x, r.mops / base);
-    }
-}
-
-fn summary(scale: &Scale) {
-    println!("\n=== Summary: headline claims of the paper ===");
-    // Claim 1 (abstract): FliT improves throughput over the naive (plain, automatic)
-    // implementation in update workloads.
-    println!("\nFliT (flit-HT 1MB) speedup over plain, automatic durability, 5% updates:");
-    for ds in DsKind::ALL {
-        let keys = if ds == DsKind::List {
-            scale.list_small_keys
+    println!("\n=== Claims ===");
+    let claims = ledger.claims();
+    for c in &claims {
+        let verdict = if c.broken.is_empty() {
+            "holds "
         } else {
-            scale.small_keys
+            "BROKEN"
         };
-        let cfg = || WorkloadConfig::new(keys, 5, scale.threads, scale.ops_per_thread);
-        let mk = |policy| Case {
-            ds,
-            dur: DurKind::Automatic,
-            policy,
-            config: cfg(),
-            latency: LatencyModel::optane(),
-            elision: ElisionMode::default(),
-            commit: CommitMode::Immediate,
-        };
-        let plain = run_case(&mk(PolicyKind::Plain));
-        let flit = run_case(&mk(PolicyKind::FlitHt(1 << 20)));
-        let nonp = run_case(&mk(PolicyKind::NoPersist));
-        println!(
-            "  {:<10} plain {:>7.3} Mops/s   flit-HT {:>7.3} Mops/s   speedup {:>5.2}x   (non-persistent {:>7.3})",
-            ds.name(),
-            plain.mops,
-            flit.mops,
-            flit.mops / plain.mops,
-            nonp.mops,
-        );
-    }
-    // Claim 2: even optimised durability methods still benefit from FliT.
-    println!("\nFliT speedup over plain under the optimised durability methods (5% updates):");
-    for ds in DsKind::ALL {
-        let keys = if ds == DsKind::List {
-            scale.list_small_keys
-        } else {
-            scale.small_keys
-        };
-        for dur in [DurKind::NvTraverse, DurKind::Manual] {
-            let cfg = || WorkloadConfig::new(keys, 5, scale.threads, scale.ops_per_thread);
-            let mk = |policy| Case {
-                ds,
-                dur,
-                policy,
-                config: cfg(),
-                latency: LatencyModel::optane(),
-                elision: ElisionMode::default(),
-                commit: CommitMode::Immediate,
-            };
-            let plain = run_case(&mk(PolicyKind::Plain));
-            let flit = run_case(&mk(PolicyKind::FlitHt(1 << 20)));
-            println!(
-                "  {:<10} {:<11} speedup {:>5.2}x",
-                ds.name(),
-                dur.name(),
-                flit.mops / plain.mops
-            );
+        println!("{verdict} [{}] {}", c.figure, c.statement);
+        for line in &c.broken {
+            println!("         {line}");
         }
+    }
+    if claims.iter().any(|c| !c.broken.is_empty()) {
+        std::process::exit(1);
     }
 }
 
@@ -177,6 +120,15 @@ fn bench_json(scale: &Scale, quick: bool, records: &[BenchRecord]) -> String {
     )
 }
 
+/// Write `doc` to `path`, exiting 2 if it cannot be written.
+fn write(path: &str, doc: &str) {
+    std::fs::write(path, doc).unwrap_or_else(|e| {
+        eprintln!("cannot write {path}: {e}");
+        std::process::exit(2);
+    });
+    println!("wrote {path}");
+}
+
 fn run_bench(scale: &Scale, quick: bool, out: &str) {
     let mut records = bench_baseline(scale);
     // The hamt case family: key-depth sweep demonstrating the flat fence cost
@@ -188,44 +140,9 @@ fn run_bench(scale: &Scale, quick: bool, out: &str) {
         BENCH_DEPTH_KEYS.to_vec()
     };
     records.extend(bench_depth_sweep(scale, &depth_keys));
-    println!(
-        "\n=== Benchmark baseline: read-mostly ({}% updates) map workload, elision A/B ===",
-        BENCH_UPDATE_PERCENT
-    );
-    println!(
-        "{:<12} {:>9} {:<18} {:<8} {:<11} {:>4} {:>10} {:>10} {:>12} {:>14}",
-        "structure",
-        "keys",
-        "policy",
-        "elision",
-        "commit",
-        "upd%",
-        "Mops/s",
-        "pwbs/op",
-        "pfences/op",
-        "elided-pf/op"
-    );
-    for r in &records {
-        println!(
-            "{:<12} {:>9} {:<18} {:<8} {:<11} {:>4} {:>10.3} {:>10.3} {:>12.3} {:>14.3}",
-            r.structure,
-            r.keys,
-            r.policy,
-            r.elision,
-            r.commit,
-            r.update_percent,
-            r.mops,
-            r.pwbs_per_op,
-            r.pfences_per_op,
-            r.elided_pfences_per_op
-        );
-    }
     let doc = bench_json(scale, quick, &records);
-    std::fs::write(out, doc).unwrap_or_else(|e| {
-        eprintln!("cannot write {out}: {e}");
-        std::process::exit(2);
-    });
-    println!("\nwrote benchmark baseline to {out}");
+    print!("{doc}");
+    write(out, &doc);
 }
 
 /// Render the server baseline + crash gate as the `BENCH_server.json` document.
@@ -239,14 +156,13 @@ fn server_json(
         .iter()
         .map(|r| {
             format!(
-                r#"    {{"shards":{},"workers":{},"structure":"{}","policy":"{}","elision":"{}","commit":"{}","arrival":"{}","skew":{},"requests":{},"mops":{},"p50_ns":{},"p99_ns":{},"p999_ns":{},"pwbs_per_op":{},"pfences_per_op":{}}}"#,
+                r#"    {{"shards":{},"workers":{},"structure":"{}","policy":"{}","elision":"{}","commit":"{}","skew":{},"requests":{},"mops":{},"p50_ns":{},"p99_ns":{},"p999_ns":{},"pwbs_per_op":{},"pfences_per_op":{}}}"#,
                 r.shards,
                 r.workers,
                 r.structure,
                 r.policy,
                 r.elision,
                 r.commit,
-                r.arrival,
                 json_f64(r.skew),
                 r.requests,
                 json_f64(r.mops),
@@ -259,7 +175,7 @@ fn server_json(
         })
         .collect();
     format!(
-        "{{\n  \"schema\": \"flit-server-bench-v2\",\n  \"scale\": \"{}\",\n  \"workload\": {{\"update_percent\": {}, \"requests_per_worker\": {}}},\n  \"crash_sweep\": {{\"shards\": {}, \"crash_shard\": {}, \"points_tested\": {}, \"events_total\": {}, \"violations\": {}, \"broken_control_caught\": {}}},\n  \"records\": [\n{}\n  ]\n}}\n",
+        "{{\n  \"schema\": \"flit-server-bench-v3\",\n  \"scale\": \"{}\",\n  \"workload\": {{\"update_percent\": {}, \"requests_per_worker\": {}}},\n  \"crash_sweep\": {{\"shards\": {}, \"crash_shard\": {}, \"points_tested\": {}, \"events_total\": {}, \"violations\": {}, \"broken_control_caught\": {}}},\n  \"records\": [\n{}\n  ]\n}}\n",
         if quick { "quick" } else { "full" },
         SERVER_UPDATE_PERCENT,
         scale.ops_per_thread,
@@ -275,46 +191,9 @@ fn server_json(
 
 fn run_server_bench(scale: &Scale, quick: bool, out: &str) {
     let records = server_baseline(scale);
-    println!(
-        "\n=== Server baseline: sharded KV service, {}% updates, pump path (mailbox included) ===",
-        SERVER_UPDATE_PERCENT
-    );
-    println!(
-        "{:<7} {:<8} {:<16} {:<8} {:<11} {:<8} {:<6} {:>9} {:>10} {:>10} {:>10} {:>9} {:>11}",
-        "shards",
-        "workers",
-        "policy",
-        "elision",
-        "commit",
-        "arrival",
-        "skew",
-        "Mops/s",
-        "p50(ns)",
-        "p99(ns)",
-        "p999(ns)",
-        "pwbs/op",
-        "pfences/op"
-    );
-    for r in &records {
-        println!(
-            "{:<7} {:<8} {:<16} {:<8} {:<11} {:<8} {:<6} {:>9.3} {:>10} {:>10} {:>10} {:>9.3} {:>11.3}",
-            r.shards,
-            r.workers,
-            r.policy,
-            r.elision,
-            r.commit,
-            r.arrival,
-            r.skew,
-            r.mops,
-            r.p50_ns,
-            r.p99_ns,
-            r.p999_ns,
-            r.pwbs_per_op,
-            r.pfences_per_op
-        );
-    }
-    println!("\nrunning the one-shard crash/recover gate…");
     let crash = server_crash_smoke();
+    let doc = server_json(scale, quick, &records, &crash);
+    print!("{doc}");
     println!(
         "crash sweep: {} points over {} events on shard {} of {}: {} violations; broken control caught: {}",
         crash.points_tested,
@@ -328,25 +207,11 @@ fn run_server_bench(scale: &Scale, quick: bool, out: &str) {
         eprintln!("server crash gate FAILED");
         std::process::exit(1);
     }
-    let doc = server_json(scale, quick, &records, &crash);
-    std::fs::write(out, doc).unwrap_or_else(|e| {
-        eprintln!("cannot write {out}: {e}");
-        std::process::exit(2);
-    });
-    println!("\nwrote server baseline to {out}");
-
+    write(out, &doc);
     // The observability sidecar: one representative run's full `flit-obs-v1`
     // metrics document, written next to the baseline.
-    let obs_out = Path::new(out)
-        .with_file_name("BENCH_obs.json")
-        .display()
-        .to_string();
-    let obs = server_obs_document(scale);
-    std::fs::write(&obs_out, obs).unwrap_or_else(|e| {
-        eprintln!("cannot write {obs_out}: {e}");
-        std::process::exit(2);
-    });
-    println!("wrote server metrics document to {obs_out}");
+    let obs_out = Path::new(out).with_file_name("BENCH_obs.json");
+    write(&obs_out.display().to_string(), &server_obs_document(scale));
 }
 
 fn main() {
@@ -359,7 +224,7 @@ fn main() {
         .enumerate()
         .find(|(i, a)| !a.starts_with("--") && (*i == 0 || args[*i - 1] != "--out"))
         .map(|(_, a)| a.clone())
-        .unwrap_or_else(|| "all".to_string());
+        .unwrap_or_else(|| "ledger".to_string());
     let out = match out_flag {
         Some(i) => args.get(i + 1).cloned().unwrap_or_else(|| {
             eprintln!("--out needs a path");
@@ -375,88 +240,17 @@ fn main() {
     }
 
     println!(
-        "FliT reproduction — scale: {} ({} threads, {} ops/thread, simulated Optane latency)",
+        "FliT reproduction — scale: {} ({} threads, {} ops/thread)",
         if quick { "quick" } else { "full" },
         scale.threads,
         scale.ops_per_thread
     );
-
-    let run_fig5 = || {
-        print_rows(
-            "Figure 5: flit-HT size tuning (automatic BST, 10K keys)",
-            &figure5(&scale),
-        )
-    };
-    let run_fig6 = || {
-        print_rows(
-            "Figure 6: scalability (automatic BST, 10K keys, 5% updates)",
-            &figure6(&scale),
-        )
-    };
-    let run_fig7 = || {
-        print_rows(
-            "Figure 7: durability methods x variants (5% updates, small sizes)",
-            &figure7(&scale),
-        )
-    };
-    let run_fig8 = || {
-        let small = figure8(&scale, false);
-        print_rows(
-            "Figure 8 (top): update-ratio sweep, small sizes, automatic",
-            &small,
-        );
-        normalised(&small);
-        let large = figure8(&scale, true);
-        print_rows(
-            "Figure 8 (bottom): update-ratio sweep, large sizes, automatic",
-            &large,
-        );
-        normalised(&large);
-    };
-    let run_fig9 = || {
-        print_rows(
-            "Figure 9: pwbs per operation (5% updates)",
-            &figure9(&scale),
-        )
-    };
-    let run_queues = || {
-        print_rows(
-            "Queues: 50/50 enqueue/dequeue mix (MS queue, per-policy pwb/pfence per op)",
-            &queue_mix(&scale),
-        );
-        print_rows(
-            "Queues: producer:consumer ratios (bursty producers, automatic durability)",
-            &queue_producer_consumer(&scale),
-        );
-        print_rows(
-            "Queues: dequeue-of-empty (read-side flush elision; plain pays pwbs, FliT none)",
-            &queue_dequeue_empty(&scale),
-        );
-    };
-
     match what.as_str() {
-        "fig5" => run_fig5(),
-        "fig6" => run_fig6(),
-        "fig7" => run_fig7(),
-        "fig8" => run_fig8(),
-        "fig9" => run_fig9(),
-        "queues" => run_queues(),
+        "ledger" => run_ledger(&scale),
         "bench" => run_bench(&scale, quick, &out),
         "server" => run_server_bench(&scale, quick, &out),
-        "summary" => summary(&scale),
-        "all" => {
-            run_fig5();
-            run_fig6();
-            run_fig7();
-            run_fig8();
-            run_fig9();
-            run_queues();
-            summary(&scale);
-        }
         other => {
-            eprintln!(
-                "unknown experiment '{other}': expected fig5|fig6|fig7|fig8|fig9|queues|bench|server|summary|all"
-            );
+            eprintln!("unknown experiment '{other}': expected ledger|bench|server");
             std::process::exit(2);
         }
     }

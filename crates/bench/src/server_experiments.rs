@@ -6,10 +6,8 @@
 //!
 //! The measured path is [`KvServer::pump`]: decode → route → mailbox post →
 //! mailbox take → apply → encode, so a request's cost includes its shard's
-//! durable queueing traffic, not just the map operation. Closed-loop runs
-//! measure service capacity; open-loop runs issue at a fixed offered rate and
-//! measure latency from the *scheduled* arrival, so queueing delay shows up in
-//! the tail (the honest way; see [`Arrival`]).
+//! durable queueing traffic, not just the map operation. Every worker runs
+//! closed loop: it issues its next request when the previous reply arrives.
 
 use std::time::Instant;
 
@@ -19,7 +17,9 @@ use flit_datastructs::{Automatic, HashTable};
 use flit_obs::LatencyHistogram;
 use flit_pmem::{CommitMode, ElisionMode, LatencyModel, SimNvram};
 use flit_server::{KvServer, ServerConfig};
-use flit_workload::{prefill_history, random_map_history, Arrival, ServiceConfig};
+use flit_workload::{
+    prefill_history, random_map_history, PolicyKind, PolicyVisitor, ServiceConfig,
+};
 
 use crate::experiments::Scale;
 
@@ -31,27 +31,12 @@ pub const SERVER_UPDATE_PERCENT: u32 = 20;
 /// The flit-HT table size used by the server baseline's FliT policy.
 pub const SERVER_FLIT_HT_BYTES: usize = 64 << 10;
 
+/// The server baseline's FliT policy: flit-HT with a [`SERVER_FLIT_HT_BYTES`]
+/// counter table.
+const SERVER_FLIT_HT: PolicyKind = PolicyKind::FlitHt(SERVER_FLIT_HT_BYTES);
+
 /// The batch size `k` of the baseline's group-commit rows.
 pub const SERVER_GROUP_COMMIT_BATCH: usize = 8;
-
-/// The persistence policies the server baseline sweeps.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ServerPolicy {
-    /// FliT with the hashed external counter table ([`SERVER_FLIT_HT_BYTES`]).
-    FlitHt,
-    /// The plain durable transformation (every p-load flushes).
-    Plain,
-}
-
-impl ServerPolicy {
-    /// Label used in tables and JSON records.
-    pub fn name(&self) -> &'static str {
-        match self {
-            ServerPolicy::FlitHt => "flit-HT (64KB)",
-            ServerPolicy::Plain => "plain",
-        }
-    }
-}
 
 /// One measured server configuration (one line of `BENCH_server.json`).
 #[derive(Debug, Clone)]
@@ -63,13 +48,11 @@ pub struct ServerBenchRecord {
     /// Map structure key (the baseline uses the hash table).
     pub structure: &'static str,
     /// Persistence policy label.
-    pub policy: &'static str,
+    pub policy: String,
     /// Persist-epoch elision mode (`on` / `off`).
     pub elision: &'static str,
     /// Durability commit mode (`immediate` / `batched-<k>`).
     pub commit: String,
-    /// Arrival process (`closed` / `open`).
-    pub arrival: &'static str,
     /// Zipf skew exponent of the key distribution (0 = uniform).
     pub skew: f64,
     /// Requests served (across all workers).
@@ -116,27 +99,15 @@ where
 /// worker's request stream through [`KvServer::pump`] on its own thread,
 /// recording per-request latency. Generic over the policy so each preset
 /// monomorphises its own hot loop (same shape as the workload harness).
-fn run_server<P, F>(
-    factory: F,
+fn run_server<P: Policy>(
+    make: impl Fn() -> P,
     shards: usize,
     cfg: &ServiceConfig,
-    elision: ElisionMode,
     commit: CommitMode,
-) -> ServerRun
-where
-    P: Policy<Backend = SimNvram>,
-    F: Fn(SimNvram) -> P,
-{
+) -> ServerRun {
     let server: KvServer<P, HashTable<P, Automatic>> =
         KvServer::new_with(ServerConfig::new(shards, cfg.key_range as usize), |_| {
-            FlitDb::builder(factory(
-                SimNvram::builder()
-                    .latency(LatencyModel::optane())
-                    .elision(elision)
-                    .build(),
-            ))
-            .commit_mode(commit)
-            .build()
+            FlitDb::builder(make()).commit_mode(commit).build()
         });
     // Prefill through the direct per-shard path (routed, but unmeasured and
     // mailbox-free — population, not traffic).
@@ -170,25 +141,13 @@ where
             let server = &server;
             let slab = &slab;
             let hist = &hist;
-            let cfg = &cfg;
             scope.spawn(move || {
                 // One session per shard per worker — the explicit-handle set
                 // this worker drives its requests through.
                 let handles = server.handles();
                 for i in 0..per {
                     let token = w as u64 * per + i;
-                    // Closed loop: latency from just before the pump. Open
-                    // loop: from the scheduled arrival, after spinning until
-                    // it — so a late start (queueing) counts against us.
-                    let t0 = match cfg.deadline_ns(w, i) {
-                        Some(d) => {
-                            while (start.elapsed().as_nanos() as u64) < d {
-                                std::hint::spin_loop();
-                            }
-                            d
-                        }
-                        None => start.elapsed().as_nanos() as u64,
-                    };
+                    let t0 = start.elapsed().as_nanos() as u64;
                     server
                         .pump(&handles, slab, token)
                         .expect("slab holds well-formed requests");
@@ -209,34 +168,49 @@ where
     }
 }
 
-/// Run one configuration under the named policy and render the record.
-fn measure(
+/// [`run_server`] with the policy type picked by [`PolicyKind::visit`].
+struct Serve<'a> {
     shards: usize,
-    policy: ServerPolicy,
-    elision: ElisionMode,
-    cfg: &ServiceConfig,
-) -> ServerBenchRecord {
-    measure_commit(shards, policy, elision, cfg, CommitMode::Immediate)
+    cfg: &'a ServiceConfig,
+    commit: CommitMode,
 }
 
-/// [`measure`] under an explicit durability commit mode.
-fn measure_commit(
+impl PolicyVisitor for Serve<'_> {
+    type Output = ServerRun;
+
+    fn visit<P: Policy>(self, make: impl Fn() -> P) -> ServerRun {
+        run_server(make, self.shards, self.cfg, self.commit)
+    }
+}
+
+/// Run `spec` under `policy`, each shard on its own simulated Optane NVRAM.
+fn serve(policy: PolicyKind, elision: ElisionMode, spec: Serve<'_>) -> ServerRun {
+    let backend = || {
+        SimNvram::builder()
+            .latency(LatencyModel::optane())
+            .elision(elision)
+            .build()
+    };
+    policy.visit(backend, spec)
+}
+
+/// Run one configuration and render the record.
+fn measure(
     shards: usize,
-    policy: ServerPolicy,
+    policy: PolicyKind,
     elision: ElisionMode,
     cfg: &ServiceConfig,
     commit: CommitMode,
 ) -> ServerBenchRecord {
-    let run = match policy {
-        ServerPolicy::FlitHt => run_server(
-            |b| presets::flit_ht_sized(b, SERVER_FLIT_HT_BYTES),
+    let run = serve(
+        policy,
+        elision,
+        Serve {
             shards,
             cfg,
-            elision,
             commit,
-        ),
-        ServerPolicy::Plain => run_server(presets::plain, shards, cfg, elision, commit),
-    };
+        },
+    );
     let requests = cfg.total_requests();
     ServerBenchRecord {
         shards,
@@ -245,7 +219,6 @@ fn measure_commit(
         policy: policy.name(),
         elision: elision.name(),
         commit: commit.name(),
-        arrival: cfg.arrival.name(),
         skew: cfg.skew,
         requests,
         mops: run.mops,
@@ -268,78 +241,50 @@ fn base_config(scale: &Scale, workers: usize) -> ServiceConfig {
     )
 }
 
-/// The server benchmark baseline (`BENCH_server.json`): the closed-loop
-/// {1, 2, 4} shards × {flit-HT, plain} × {elision on, off} grid, a worker-count
-/// point, a skewed-key point, and two open-loop points at a fixed offered rate.
+/// The server benchmark baseline (`BENCH_server.json`): the {1, 2, 4} shards
+/// × {flit-HT, plain} × {elision on, off} grid, a worker-count point, a
+/// skewed-key point, and a group-commit pair.
 pub fn server_baseline(scale: &Scale) -> Vec<ServerBenchRecord> {
     let workers = (scale.threads / 2).max(2);
+    let base = base_config(scale, workers);
+    let (immediate, on) = (CommitMode::Immediate, ElisionMode::Enabled);
     let mut records = Vec::new();
     for shards in [1usize, 2, 4] {
-        for policy in [ServerPolicy::FlitHt, ServerPolicy::Plain] {
-            for elision in [ElisionMode::Enabled, ElisionMode::Disabled] {
-                records.push(measure(
-                    shards,
-                    policy,
-                    elision,
-                    &base_config(scale, workers),
-                ));
+        for policy in [SERVER_FLIT_HT, PolicyKind::Plain] {
+            for elision in [on, ElisionMode::Disabled] {
+                records.push(measure(shards, policy, elision, &base, immediate));
             }
         }
     }
     // More workers than shards: mailbox contention becomes visible.
-    records.push(measure(
-        2,
-        ServerPolicy::FlitHt,
-        ElisionMode::Enabled,
-        &base_config(scale, workers * 2),
-    ));
+    let crowded = base_config(scale, workers * 2);
+    records.push(measure(2, SERVER_FLIT_HT, on, &crowded, immediate));
     // Zipf-skewed keys: hot keys concentrate on few shards.
-    records.push(measure(
-        2,
-        ServerPolicy::FlitHt,
-        ElisionMode::Enabled,
-        &base_config(scale, workers).with_skew(0.99),
-    ));
-    // Open loop at a deliberately modest offered rate: latency now includes
-    // queueing delay relative to the arrival schedule.
-    for policy in [ServerPolicy::FlitHt, ServerPolicy::Plain] {
-        records.push(measure(
-            2,
-            policy,
-            ElisionMode::Enabled,
-            &base_config(scale, workers).with_arrival(Arrival::Open { mops: 0.05 }),
-        ));
-    }
-    // Group commit: the two-shard closed-loop points again under `Batched(k)`.
-    // Their immediate twins are already in the grid above, so the pair makes
-    // the per-request fence amortisation of group commit machine-readable.
-    for policy in [ServerPolicy::FlitHt, ServerPolicy::Plain] {
-        records.push(measure_commit(
-            2,
-            policy,
-            ElisionMode::Enabled,
-            &base_config(scale, workers),
-            CommitMode::Batched(SERVER_GROUP_COMMIT_BATCH),
-        ));
+    let skewed = base.clone().with_skew(0.99);
+    records.push(measure(2, SERVER_FLIT_HT, on, &skewed, immediate));
+    // Group commit: the two-shard points again under `Batched(k)`. Their
+    // immediate twins are already in the grid above, so the pair makes the
+    // per-request fence amortisation of group commit machine-readable.
+    for policy in [SERVER_FLIT_HT, PolicyKind::Plain] {
+        let batched = CommitMode::Batched(SERVER_GROUP_COMMIT_BATCH);
+        records.push(measure(2, policy, on, &base, batched));
     }
     records
 }
 
 /// The `flit-obs-v1` metrics document of one representative baseline run
-/// (two-shard flit-HT, elision on, immediate commit, closed loop) — what
-/// `repro -- server` records to `BENCH_obs.json`. Snapshotted after the
-/// request streams drain, so every layer's series carries real samples:
-/// `server_ops_total`/`server_reply_ns` from the pump, the databases'
-/// persistence counters and arena gauges underneath.
+/// (two-shard flit-HT, elision on, immediate commit) — what `repro -- server`
+/// records to `BENCH_obs.json`. Snapshotted after the request streams drain,
+/// so every layer's series carries real samples: `server_ops_total` /
+/// `server_reply_ns` from the pump, the databases' persistence counters and
+/// arena gauges underneath.
 pub fn server_obs_document(scale: &Scale) -> String {
-    run_server(
-        |b| presets::flit_ht_sized(b, SERVER_FLIT_HT_BYTES),
-        2,
-        &base_config(scale, 2),
-        ElisionMode::Enabled,
-        CommitMode::Immediate,
-    )
-    .obs
+    let spec = Serve {
+        shards: 2,
+        cfg: &base_config(scale, 2),
+        commit: CommitMode::Immediate,
+    };
+    serve(SERVER_FLIT_HT, ElisionMode::Enabled, spec).obs
 }
 
 /// The crash-correctness gate recorded alongside the numbers: a one-shard
@@ -407,37 +352,27 @@ mod tests {
         ServiceConfig::new(256, SERVER_UPDATE_PERCENT, workers, 400)
     }
 
+    fn run(shards: usize, policy: PolicyKind, commit: CommitMode) -> ServerBenchRecord {
+        let cfg = test_config(shards);
+        measure(shards, policy, ElisionMode::Enabled, &cfg, commit)
+    }
+
     #[test]
-    fn closed_loop_run_measures_latency_and_instructions() {
-        let r = measure(
-            2,
-            ServerPolicy::FlitHt,
-            ElisionMode::Enabled,
-            &test_config(2),
-        );
+    fn a_run_measures_latency_and_instructions() {
+        let r = run(2, SERVER_FLIT_HT, CommitMode::Immediate);
         assert_eq!(r.requests, 800);
         assert!(r.mops > 0.0);
         assert!(r.p50_ns > 0, "pumping a request takes time");
         assert!(r.p99_ns >= r.p50_ns);
         assert!(r.p999_ns >= r.p99_ns);
         assert!(r.pwbs_per_op > 0.0, "the mailbox alone guarantees pwbs");
-        assert_eq!((r.arrival, r.elision), ("closed", "on"));
+        assert_eq!((r.policy.as_str(), r.elision), ("flit-HT (64KB)", "on"));
     }
 
     #[test]
     fn plain_pays_more_flushes_than_flit_on_the_service_path() {
-        let flit = measure(
-            1,
-            ServerPolicy::FlitHt,
-            ElisionMode::Enabled,
-            &test_config(1),
-        );
-        let plain = measure(
-            1,
-            ServerPolicy::Plain,
-            ElisionMode::Enabled,
-            &test_config(1),
-        );
+        let flit = run(1, SERVER_FLIT_HT, CommitMode::Immediate);
+        let plain = run(1, PolicyKind::Plain, CommitMode::Immediate);
         assert!(
             plain.pwbs_per_op > flit.pwbs_per_op,
             "plain={} flit={}",
@@ -448,17 +383,10 @@ mod tests {
 
     #[test]
     fn batched_commit_amortises_fences_on_the_service_path() {
-        let immediate = measure(
+        let immediate = run(1, SERVER_FLIT_HT, CommitMode::Immediate);
+        let batched = run(
             1,
-            ServerPolicy::FlitHt,
-            ElisionMode::Enabled,
-            &test_config(1),
-        );
-        let batched = measure_commit(
-            1,
-            ServerPolicy::FlitHt,
-            ElisionMode::Enabled,
-            &test_config(1),
+            SERVER_FLIT_HT,
             CommitMode::Batched(SERVER_GROUP_COMMIT_BATCH),
         );
         assert_eq!(batched.commit, "batched-8");
@@ -468,16 +396,6 @@ mod tests {
             batched.pfences_per_op,
             immediate.pfences_per_op
         );
-    }
-
-    #[test]
-    fn open_loop_runs_at_the_offered_rate() {
-        let cfg = test_config(2).with_arrival(Arrival::Open { mops: 0.05 });
-        let r = measure(2, ServerPolicy::FlitHt, ElisionMode::Enabled, &cfg);
-        assert_eq!(r.arrival, "open");
-        // 800 requests at 0.05 Mops take ≥ 16ms of schedule; capacity is far
-        // higher, so throughput lands close to (and never above 2x) the rate.
-        assert!(r.mops < 0.1, "open loop must pace, measured {}", r.mops);
     }
 
     #[test]

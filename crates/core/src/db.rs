@@ -802,64 +802,21 @@ impl<P: Policy> FlitDb<P> {
     }
 }
 
-// ---- facade constructors -------------------------------------------------
+// ---- facade constructor ---------------------------------------------------
 //
-// The paper's evaluated configurations, one constructor per variant: these
-// replace the old free-function `presets::*` + hand-wired plumbing at call
-// sites (`presets` remains for code that only needs the bare policy).
+// The paper's default configuration. Every other variant is spelled
+// `FlitDb::create(presets::…(backend))`.
 
 use flit_pmem::SimNvram;
 
-use crate::flit_atomic::{FlitPolicy, PlainPolicy};
-use crate::link_persist::LinkAndPersistPolicy;
-use crate::no_persist::NoPersistPolicy;
-use crate::scheme::{AdjacentScheme, CacheLineScheme, HashedScheme, PlainScheme};
-
-impl FlitDb<PlainPolicy<SimNvram>> {
-    /// `plain`: durable transformation with no read-side flush elision.
-    pub fn plain(backend: SimNvram) -> Self {
-        Self::create(FlitPolicy::new(PlainScheme, backend))
-    }
-}
-
-impl FlitDb<FlitPolicy<AdjacentScheme, SimNvram>> {
-    /// `flit-adjacent`: FliT with a counter next to every word.
-    pub fn flit_adjacent(backend: SimNvram) -> Self {
-        Self::create(FlitPolicy::new(AdjacentScheme, backend))
-    }
-}
+use crate::flit_atomic::FlitPolicy;
+use crate::scheme::HashedScheme;
 
 impl FlitDb<FlitPolicy<HashedScheme, SimNvram>> {
     /// `flit-HT`: FliT with a hashed counter table of the paper's default size
     /// (1 MB).
     pub fn flit_ht(backend: SimNvram) -> Self {
         Self::create(FlitPolicy::new(HashedScheme::new_default(), backend))
-    }
-
-    /// `flit-HT` with an explicit table size in bytes (the Figure 5 sweep).
-    pub fn flit_ht_sized(backend: SimNvram, bytes: usize) -> Self {
-        Self::create(FlitPolicy::new(HashedScheme::with_bytes(bytes), backend))
-    }
-}
-
-impl FlitDb<FlitPolicy<CacheLineScheme, SimNvram>> {
-    /// `flit-cacheline`: one counter per cache line (paper §8 future work).
-    pub fn flit_cacheline(backend: SimNvram) -> Self {
-        Self::create(FlitPolicy::new(CacheLineScheme::new_default(), backend))
-    }
-}
-
-impl FlitDb<LinkAndPersistPolicy<SimNvram>> {
-    /// `link-and-persist`: the bit-tagging comparator.
-    pub fn link_and_persist(backend: SimNvram) -> Self {
-        Self::create(LinkAndPersistPolicy::new(backend))
-    }
-}
-
-impl FlitDb<NoPersistPolicy> {
-    /// The non-persistent baseline.
-    pub fn no_persist() -> Self {
-        Self::create(NoPersistPolicy::new())
     }
 }
 

@@ -95,9 +95,9 @@
 //! | `flit-alloc` | persistent arena allocator: aligned node slots, persisted header, recovery-root table |
 //! | `flit-datastructs` | the paper's set/map structures (list, hash table, BST, skiplist), arena-allocated with image-only recovery |
 //! | `flit-queues` | durable FIFO queues (Michael–Scott) with image-only crash recovery |
-//! | `flit-workload` | map and queue workload generators, crash-test histories, the case dispatcher |
+//! | `flit-workload` | map and queue workload generators, crash-test histories, the case dispatcher (maps, the HAMT and queues, one policy table) |
 //! | `flit-crashtest` | deterministic crash-injection sweeps: crash at every absolute persistence event (construction included), recover image-only, verify prefix consistency |
-//! | `flit-bench` | the `repro` figure-regeneration and `crashtest` sweep binaries, Criterion benches |
+//! | `flit-bench` | the `repro` binary (`ledger`: the paper's claims as checked instruction counts; `bench` / `server`: the `BENCH_*.json` baselines), the `crashtest` sweep binary, Criterion benches |
 //!
 //! ## Quick example
 //!
@@ -154,7 +154,8 @@ pub use word::PWord;
 pub use flit_pmem as pmem;
 
 /// Convenience constructors for the policy configurations used throughout the paper's
-/// evaluation, all over the simulated-NVRAM backend.
+/// evaluation, all over the simulated-NVRAM backend. A database over one of them is
+/// `FlitDb::create(presets::…(backend))` ([`FlitDb::flit_ht`] spells the default).
 pub mod presets {
     use flit_pmem::SimNvram;
 
@@ -212,7 +213,7 @@ mod crate_tests {
     /// sequence, plain pays a pwb per p-load while FliT pays none.
     #[test]
     fn flit_elides_read_side_flushes_plain_does_not() {
-        let plain = FlitDb::plain(backend());
+        let plain = FlitDb::create(presets::plain(backend()));
         let flit = FlitDb::flit_ht(backend());
         let hp = plain.handle();
         let hf = flit.handle();

@@ -446,7 +446,7 @@ impl<P: Policy, D: Durability> RecoverInImage for HarrisList<P, D> {
 mod tests {
     use super::*;
     use crate::durability::{Automatic, Manual, NvTraverse};
-    use flit::{FlitPolicy, HashedScheme};
+    use flit::{presets, FlitPolicy, HashedScheme};
     use flit_pmem::{LatencyModel, SimNvram};
 
     fn backend() -> SimNvram {
@@ -556,12 +556,12 @@ mod tests {
             assert_eq!(list.get(&h, 2), Some(22));
             assert_eq!(list.len(), 1);
         }
-        exercise(FlitDb::plain(backend()));
-        exercise(FlitDb::flit_adjacent(backend()));
+        exercise(FlitDb::create(presets::plain(backend())));
+        exercise(FlitDb::create(presets::flit_adjacent(backend())));
         exercise(FlitDb::flit_ht(backend()));
-        exercise(FlitDb::flit_cacheline(backend()));
-        exercise(FlitDb::link_and_persist(backend()));
-        exercise(FlitDb::no_persist());
+        exercise(FlitDb::create(presets::flit_cacheline(backend())));
+        exercise(FlitDb::create(presets::link_and_persist(backend())));
+        exercise(FlitDb::create(presets::no_persist()));
     }
 
     #[test]

@@ -442,19 +442,29 @@ impl<P: Policy, D: Durability> NatarajanTree<P, D> {
         Self::recover_arena_image(&self.arena, image)
     }
 
-    fn count_leaves(&self, node: *mut Node<P>) -> usize {
-        if node.is_null() {
-            return 0;
+    /// Count the leaves holding a user key. The descent keeps an explicit
+    /// stack, as recovery does: a tree built from sorted keys is as deep as it
+    /// is large.
+    fn count_leaves(&self) -> usize {
+        let mut count = 0;
+        let mut stack = vec![self.root];
+        while let Some(node) = stack.pop() {
+            if node.is_null() {
+                continue;
+            }
+            // SAFETY: `len` is a quiescent-state count (see
+            // `ConcurrentMap::len`): every node reachable from the root is a
+            // live arena slot that no concurrent remove can retire.
+            let node_ref = unsafe { &*node };
+            let left = address::<Node<P>>(node_ref.left.load_direct());
+            let right = address::<Node<P>>(node_ref.right.load_direct());
+            if left.is_null() && right.is_null() {
+                count += usize::from(node_ref.key < INF0);
+            } else {
+                stack.extend([left, right]);
+            }
         }
-        let node_ref = unsafe { &*node };
-        let left = address::<Node<P>>(node_ref.left.load_direct());
-        let right = address::<Node<P>>(node_ref.right.load_direct());
-        if left.is_null() && right.is_null() {
-            // A leaf: count it only if it holds a user key.
-            usize::from(node_ref.key < INF0)
-        } else {
-            self.count_leaves(left) + self.count_leaves(right)
-        }
+        count
     }
 }
 
@@ -478,7 +488,7 @@ impl<P: Policy, D: Durability> ConcurrentMap<P> for NatarajanTree<P, D> {
     }
 
     fn len(&self) -> usize {
-        self.count_leaves(self.root)
+        self.count_leaves()
     }
 
     fn db(&self) -> &FlitDb<P> {
@@ -535,7 +545,7 @@ impl<P: Policy, D: Durability> RecoverInImage for NatarajanTree<P, D> {
 mod tests {
     use super::*;
     use crate::durability::{Automatic, Manual, NvTraverse};
-    use flit::{FlitPolicy, HashedScheme};
+    use flit::{presets, FlitPolicy, HashedScheme};
     use flit_pmem::{LatencyModel, SimNvram};
     use std::sync::Arc;
 
@@ -643,14 +653,14 @@ mod tests {
 
     #[test]
     fn works_with_plain_and_baseline_policies() {
-        let db = FlitDb::plain(backend());
+        let db = FlitDb::create(presets::plain(backend()));
         let h = db.handle();
         let t: NatarajanTree<_, Automatic> = NatarajanTree::new(&db);
         for k in 0..64u64 {
             assert!(t.insert(&h, k, k));
         }
         assert_eq!(t.len(), 64);
-        let db = FlitDb::no_persist();
+        let db = FlitDb::create(presets::no_persist());
         let h = db.handle();
         let t: NatarajanTree<_, Automatic> = NatarajanTree::new(&db);
         for k in 0..64u64 {

@@ -473,7 +473,7 @@ impl<P: Policy, D: Durability> RecoverInImage for SkipList<P, D> {
 mod tests {
     use super::*;
     use crate::durability::{Automatic, Manual, NvTraverse};
-    use flit::{FlitPolicy, HashedScheme};
+    use flit::{presets, FlitPolicy, HashedScheme};
     use flit_pmem::{LatencyModel, SimNvram};
 
     fn backend() -> SimNvram {
@@ -622,14 +622,14 @@ mod tests {
 
     #[test]
     fn works_with_link_and_persist_and_baseline() {
-        let db = FlitDb::link_and_persist(backend());
+        let db = FlitDb::create(presets::link_and_persist(backend()));
         let h = db.handle();
         let s: SkipList<_, Automatic> = SkipList::new(&db);
         for k in 0..100u64 {
             assert!(s.insert(&h, k, k));
         }
         assert_eq!(s.len(), 100);
-        let db = FlitDb::no_persist();
+        let db = FlitDb::create(presets::no_persist());
         let h = db.handle();
         let s: SkipList<_, Automatic> = SkipList::new(&db);
         for k in 0..100u64 {

@@ -409,7 +409,7 @@ impl<P: Policy, D: Durability> ConcurrentQueue<P> for MsQueue<P, D> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use flit::{FlitPolicy, HashedScheme, PlainPolicy};
+    use flit::{presets, FlitPolicy, HashedScheme, PlainPolicy};
     use flit_datastructs::{Automatic, Manual, NvTraverse};
     use flit_pmem::{LatencyModel, SimNvram};
     use std::sync::Arc;
@@ -499,12 +499,12 @@ mod tests {
             assert_eq!(q.dequeue(&h), Some(8));
             assert_eq!(q.dequeue(&h), None);
         }
-        exercise(FlitDb::plain(backend()));
-        exercise(FlitDb::flit_adjacent(backend()));
+        exercise(FlitDb::create(presets::plain(backend())));
+        exercise(FlitDb::create(presets::flit_adjacent(backend())));
         exercise(FlitDb::flit_ht(backend()));
-        exercise(FlitDb::flit_cacheline(backend()));
-        exercise(FlitDb::link_and_persist(backend()));
-        exercise(FlitDb::no_persist());
+        exercise(FlitDb::create(presets::flit_cacheline(backend())));
+        exercise(FlitDb::create(presets::link_and_persist(backend())));
+        exercise(FlitDb::create(presets::no_persist()));
     }
 
     #[test]
@@ -513,7 +513,8 @@ mod tests {
         // an empty queue is read-only, so FliT pays no pwbs while the plain
         // transformation pays one per p-load.
         let plain_sim = backend();
-        let plain_db: FlitDb<PlainPolicy<SimNvram>> = FlitDb::plain(plain_sim.clone());
+        let plain_db: FlitDb<PlainPolicy<SimNvram>> =
+            FlitDb::create(presets::plain(plain_sim.clone()));
         let hp = plain_db.handle();
         let plain: MsQueue<PlainPolicy<SimNvram>, Automatic> = MsQueue::new(&plain_db);
         let flit_sim = backend();

@@ -24,9 +24,8 @@
 //! ## Service request streams
 //!
 //! [`service`] generates the request streams of the sharded KV service
-//! (`flit-server`): closed- and open-loop arrival ([`Arrival`]), mixed
-//! read/write ratios and Zipfian key skew ([`KeySampler`]), all deterministic
-//! per `(config, worker)`.
+//! (`flit-server`): mixed read/write ratios and Zipfian key skew
+//! ([`KeySampler`]), deterministic per `(config, worker)`.
 //!
 //! ## Crash-test histories
 //!
@@ -37,9 +36,11 @@
 //! ## Dispatch
 //!
 //! [`harness`] is a value-addressable dispatcher over every
-//! (structure × durability method × policy) combination of the evaluation — maps via
-//! [`run_case`] and queues via [`run_queue_case`] — used by the `repro` binary, the
-//! Criterion benches and the examples.
+//! (structure × durability method × policy) combination of the evaluation — maps
+//! (the copy-on-write HAMT included) via [`run_case`] and queues via
+//! [`run_queue_case`] — used by the `repro` ledger and baselines, the Criterion
+//! benches and the examples. [`PolicyKind::visit`] is its one table from a
+//! policy kind to the policy type.
 //!
 //! [`ConcurrentMap`]: flit_datastructs::ConcurrentMap
 //! [`ConcurrentQueue`]: flit_queues::ConcurrentQueue
@@ -60,12 +61,10 @@ pub use crash_history::{
     QueueOp,
 };
 pub use harness::{
-    run_case, run_case_observed, run_hamt_case, run_hamt_case_observed, run_queue_case,
-    run_queue_case_observed, Case, DsKind, DurKind, HamtCase, PolicyKind, QueueCase, QUEUE_DURS,
+    run_case, run_case_observed, run_queue_case, Case, DsKind, DurKind, PolicyKind, PolicyVisitor,
+    QueueCase, QUEUE_DURS,
 };
 pub use queue_config::{QueueShape, QueueWorkloadConfig};
-pub use queue_runner::{
-    prefill_queue, run_queue_workload, run_queue_workload_observed, QueueRunResult,
-};
+pub use queue_runner::{prefill_queue, run_queue_workload, QueueRunResult};
 pub use runner::{run_workload, run_workload_observed, LatencyObserver, RunResult};
-pub use service::{prefill_history, service_history, Arrival, KeySampler, ServiceConfig};
+pub use service::{prefill_history, service_history, KeySampler, ServiceConfig};

@@ -69,17 +69,6 @@ pub fn run_queue_workload<P: Policy, Q: ConcurrentQueue<P>>(
     queue: &Q,
     cfg: &QueueWorkloadConfig,
 ) -> QueueRunResult {
-    run_queue_workload_observed(queue, cfg, None)
-}
-
-/// [`run_queue_workload`] with an optional per-operation
-/// [`LatencyObserver`](crate::runner::LatencyObserver); mirrors
-/// [`run_workload_observed`](crate::runner::run_workload_observed).
-pub fn run_queue_workload_observed<P: Policy, Q: ConcurrentQueue<P>>(
-    queue: &Q,
-    cfg: &QueueWorkloadConfig,
-    observe: Option<&crate::runner::LatencyObserver<'_>>,
-) -> QueueRunResult {
     let before = queue.policy().stats_snapshot().unwrap_or_default();
     let enqueues = AtomicU64::new(0);
     let dequeues_hit = AtomicU64::new(0);
@@ -114,7 +103,6 @@ pub fn run_queue_workload_observed<P: Policy, Q: ConcurrentQueue<P>>(
                                 burst_left = cfg.burst;
                             }
                             burst_left -= 1;
-                            let t0 = observe.map(|_| Instant::now());
                             if enqueueing {
                                 queue.enqueue(&h, tagged(tid, seq));
                                 seq += 1;
@@ -124,16 +112,12 @@ pub fn run_queue_workload_observed<P: Policy, Q: ConcurrentQueue<P>>(
                             } else {
                                 local_empty += 1;
                             }
-                            if let (Some(obs), Some(t0)) = (observe, t0) {
-                                obs(t0.elapsed().as_nanos() as u64);
-                            }
                         }
                     }
                     QueueShape::ProducerConsumer { producers, .. } => {
                         let is_producer = tid < producers;
                         let mut burst_left = cfg.burst;
                         for _ in 0..cfg.ops_per_thread {
-                            let t0 = observe.map(|_| Instant::now());
                             if is_producer {
                                 queue.enqueue(&h, tagged(tid, seq));
                                 seq += 1;
@@ -142,9 +126,6 @@ pub fn run_queue_workload_observed<P: Policy, Q: ConcurrentQueue<P>>(
                                 local_hit += 1;
                             } else {
                                 local_empty += 1;
-                            }
-                            if let (Some(obs), Some(t0)) = (observe, t0) {
-                                obs(t0.elapsed().as_nanos() as u64);
                             }
                             // Bursty pacing: yield between bursts so the roles
                             // interleave rather than running in two solid phases.

@@ -1,12 +1,10 @@
 //! Request-stream generation for the sharded KV service (`flit-server`).
 //!
-//! The single-structure workloads of [`crate::runner`] sample uniform keys in a
-//! closed loop; service benchmarks need more: **arrival control** (closed-loop
-//! back-to-back issue vs. open-loop issue at a fixed offered rate, where latency
-//! includes queueing delay) and **key skew** (Zipfian popularity, the standard
-//! model of hot keys in KV traffic). This module generates those request
-//! streams; *driving* them through a server and timing them is the benchmark
-//! harness's job (`flit-bench`).
+//! The single-structure workloads of [`crate::runner`] sample uniform keys;
+//! service benchmarks add **key skew** (Zipfian popularity, the standard model
+//! of hot keys in KV traffic) and per-worker request streams. This module
+//! generates those streams; *driving* them through a server and timing them is
+//! the benchmark harness's job (`flit-bench`).
 //!
 //! Everything is deterministic: the `i`-th request of worker `w` is a pure
 //! function of `(config, w, i)`, so a service history is fully reproduced by its
@@ -18,34 +16,9 @@ use rand::{Rng, RngCore, SeedableRng};
 
 use crate::crash_history::MapOp;
 
-/// How requests are issued.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum Arrival {
-    /// Closed loop: each worker issues its next request the moment the previous
-    /// reply arrives. Measures service capacity; latency is pure service time.
-    Closed,
-    /// Open loop: requests arrive at a fixed offered rate (million requests per
-    /// second, across all workers) regardless of completions. Latency is
-    /// measured from the *scheduled* arrival, so it includes queueing delay —
-    /// the honest way to see tail latency under load.
-    Open {
-        /// Offered load in million requests per second, summed over workers.
-        mops: f64,
-    },
-}
-
-impl Arrival {
-    /// Short name used in benchmark output (`"closed"` / `"open"`).
-    pub fn name(&self) -> &'static str {
-        match self {
-            Arrival::Closed => "closed",
-            Arrival::Open { .. } => "open",
-        }
-    }
-}
-
 /// One service benchmark workload: key population and skew, read/write mix,
-/// worker count, per-worker request count, and the arrival process.
+/// worker count and per-worker request count. Each worker issues its next
+/// request the moment the previous reply arrives (closed loop).
 #[derive(Debug, Clone, PartialEq)]
 pub struct ServiceConfig {
     /// Keys are drawn from `0..key_range`.
@@ -64,12 +37,10 @@ pub struct ServiceConfig {
     pub prefill: u64,
     /// RNG seed; each worker derives its own stream from it.
     pub seed: u64,
-    /// The arrival process.
-    pub arrival: Arrival,
 }
 
 impl ServiceConfig {
-    /// A closed-loop uniform-key config with the workspace's usual conventions:
+    /// A uniform-key config with the workspace's usual conventions:
     /// prefill to half the key range, fixed default seed.
     pub fn new(
         key_range: u64,
@@ -88,7 +59,6 @@ impl ServiceConfig {
             requests_per_worker,
             prefill: key_range / 2,
             seed: 0xF117_5E2F,
-            arrival: Arrival::Closed,
         }
     }
 
@@ -96,12 +66,6 @@ impl ServiceConfig {
     pub fn with_skew(mut self, skew: f64) -> Self {
         assert!((0.0..1.0).contains(&skew), "skew must be in [0, 1)");
         self.skew = skew;
-        self
-    }
-
-    /// Override the arrival process.
-    pub fn with_arrival(mut self, arrival: Arrival) -> Self {
-        self.arrival = arrival;
         self
     }
 
@@ -120,22 +84,6 @@ impl ServiceConfig {
     /// Total requests across all workers.
     pub fn total_requests(&self) -> u64 {
         self.requests_per_worker * self.workers as u64
-    }
-
-    /// The scheduled arrival time, in nanoseconds after the run's start, of
-    /// worker `w`'s `i`-th request — `None` for closed-loop configs. Workers
-    /// interleave round-robin in the global arrival order, so the offered rate
-    /// summed over workers is `mops`.
-    pub fn deadline_ns(&self, worker: usize, i: u64) -> Option<u64> {
-        match self.arrival {
-            Arrival::Closed => None,
-            Arrival::Open { mops } => {
-                assert!(mops > 0.0, "open-loop rate must be positive");
-                let global_index = i * self.workers as u64 + worker as u64;
-                // One request every 1/mops microseconds = 1000/mops ns.
-                Some((global_index as f64 * 1e3 / mops) as u64)
-            }
-        }
     }
 }
 
@@ -299,18 +247,5 @@ mod tests {
         for _ in 0..1_000 {
             assert!(zipf.sample(&mut rng) < 1_000);
         }
-    }
-
-    #[test]
-    fn open_loop_deadlines_interleave_workers_at_the_offered_rate() {
-        let c = cfg().with_arrival(Arrival::Open { mops: 0.5 });
-        // 0.5 Mops total → one request every 2µs globally; two workers
-        // round-robin, so each worker issues every 4µs.
-        assert_eq!(c.deadline_ns(0, 0), Some(0));
-        assert_eq!(c.deadline_ns(1, 0), Some(2_000));
-        assert_eq!(c.deadline_ns(0, 1), Some(4_000));
-        assert_eq!(cfg().deadline_ns(0, 5), None);
-        assert_eq!(Arrival::Closed.name(), "closed");
-        assert_eq!(Arrival::Open { mops: 1.0 }.name(), "open");
     }
 }

@@ -7,7 +7,7 @@
 
 use std::time::Instant;
 
-use flit::FlitDb;
+use flit::{presets, FlitDb};
 use flit_datastructs::{Automatic, ConcurrentMap, HashTable, NvTraverse};
 use flit_pmem::{LatencyModel, SimNvram};
 
@@ -59,11 +59,17 @@ fn main() {
     println!("durable KV store: {KEYS} keys, {OPS} operations, 10% updates\n");
     run(
         "non-persistent",
-        HashTable::<_, Automatic>::with_capacity(&FlitDb::no_persist(), KEYS as usize),
+        HashTable::<_, Automatic>::with_capacity(
+            &FlitDb::create(presets::no_persist()),
+            KEYS as usize,
+        ),
     );
     run(
         "plain",
-        HashTable::<_, Automatic>::with_capacity(&FlitDb::plain(backend()), KEYS as usize),
+        HashTable::<_, Automatic>::with_capacity(
+            &FlitDb::create(presets::plain(backend())),
+            KEYS as usize,
+        ),
     );
     run(
         "flit-HT",
@@ -71,12 +77,15 @@ fn main() {
     );
     run(
         "flit-adjacent",
-        HashTable::<_, Automatic>::with_capacity(&FlitDb::flit_adjacent(backend()), KEYS as usize),
+        HashTable::<_, Automatic>::with_capacity(
+            &FlitDb::create(presets::flit_adjacent(backend())),
+            KEYS as usize,
+        ),
     );
     run(
         "link-and-persist",
         HashTable::<_, Automatic>::with_capacity(
-            &FlitDb::link_and_persist(backend()),
+            &FlitDb::create(presets::link_and_persist(backend())),
             KEYS as usize,
         ),
     );

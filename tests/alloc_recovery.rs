@@ -9,7 +9,8 @@
 //! 3. **Image-only recovery** — recovery works from the arena + image alone, with
 //!    the structure's root absent (mid-construction) yielding the empty state and
 //!    the arena header reachable at every point, and it needs no more thread
-//!    stack for a deep tree than for a shallow one.
+//!    stack for a deep tree than for a shallow one (nor does counting the live
+//!    tree).
 
 use flit::{FlitDb, FlitPolicy, HashedScheme};
 use flit_crashtest::{run_case, HistorySpec, MethodKind, PolicyKind, StructureKind, SweepSettings};
@@ -168,9 +169,10 @@ fn mid_construction_image_recovers_to_the_empty_structure() {
 }
 
 /// A tree built from descending keys is a left spine as deep as it is large.
-/// Recovery descends it with an explicit stack, so 2 000 keys recover on a
-/// 64 KiB thread stack, in key order; a recursive descent overflows that stack
-/// and aborts the process, in debug and release builds alike.
+/// Recovery and `len` descend it with an explicit stack, so 2 000 keys are
+/// counted and recover on a 64 KiB thread stack, in key order; a recursive
+/// descent overflows that stack and aborts the process, in debug and release
+/// builds alike.
 #[test]
 fn a_deep_bst_recovers_on_a_small_stack() {
     const KEYS: u64 = 2_000;
@@ -182,16 +184,19 @@ fn a_deep_bst_recovers_on_a_small_stack() {
         assert!(tree.insert(&h, k, k + 1));
     }
     let image = nvram.tracker().unwrap().crash_image();
-    let rec = std::thread::scope(|s| {
+    let (len, rec) = std::thread::scope(|s| {
         std::thread::Builder::new()
             .stack_size(64 * 1024)
             .spawn_scoped(s, || {
-                NatarajanTree::<HtPolicy, Automatic>::recover_arena_image(tree.arena(), &image)
+                let rec =
+                    NatarajanTree::<HtPolicy, Automatic>::recover_arena_image(tree.arena(), &image);
+                (tree.len(), rec)
             })
-            .expect("spawn the small-stack recovery thread")
+            .expect("spawn the small-stack thread")
             .join()
-            .expect("recovery thread panicked")
+            .expect("small-stack thread panicked")
     });
+    assert_eq!(len, KEYS as usize);
     assert!(!rec.truncated);
     let expected: Vec<(u64, u64)> = (1..=KEYS).map(|k| (k, k + 1)).collect();
     assert_eq!(rec.pairs, expected, "in-order walk, no pair lost");

@@ -13,7 +13,7 @@
 //! * elision adds no per-word layout cost: `FlitAtomic` with a table scheme stays
 //!   exactly one machine word.
 
-use flit::{FlitAtomic, FlitDb, FlitPolicy, HashedScheme, PFlag, PersistWord, Policy};
+use flit::{presets, FlitAtomic, FlitDb, FlitPolicy, HashedScheme, PFlag, PersistWord, Policy};
 use flit_datastructs::{Automatic, ConcurrentMap, HashTable};
 use flit_pmem::{ElisionMode, LatencyModel, PersistEpoch, PmemBackend, PmemSession, SimNvram};
 use flit_workload::runner::prefill;
@@ -75,7 +75,7 @@ fn untagged_read_only_operation_completes_with_zero_fences() {
 fn plain_pwbs_per_op_are_unchanged_by_elision() {
     let run = |elision| {
         let nvram = backend_with(elision);
-        let db = FlitDb::plain(nvram.clone());
+        let db = FlitDb::create(presets::plain(nvram.clone()));
         let h = db.handle();
         let words: Vec<_> = (0..8u64)
             .map(<flit::PlainPolicy<SimNvram> as Policy>::Word::<u64>::new)
@@ -223,7 +223,7 @@ fn elision_adds_no_per_word_layout_cost() {
 /// address-independent.
 #[test]
 fn instruction_stream_is_pinned() {
-    use flit::{presets, CommitMode};
+    use flit::CommitMode;
     use flit_hamt::Hamt;
     use flit_pmem::StatsSnapshot;
     use rand::rngs::SmallRng;

@@ -164,7 +164,7 @@ fn contended_publishers_leave_the_root_untagged() {
 
 #[test]
 fn the_plain_policy_still_flushes_on_every_lookup() {
-    let db = FlitDb::plain(quiet());
+    let db = FlitDb::create(presets::plain(quiet()));
     let map = db.hamt(64);
     let h = db.handle();
     for k in 0..10u64 {

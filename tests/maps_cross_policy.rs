@@ -2,7 +2,7 @@
 //! and persistence policy, behaves like a map — sequentially against a model, and
 //! without losing keys under concurrency.
 
-use flit::{FlitDb, Policy};
+use flit::{presets, FlitDb, Policy};
 use flit_datastructs::{
     Automatic, ConcurrentMap, Durability, HarrisList, HashTable, Manual, NatarajanTree, NvTraverse,
     SequentialMap, SkipList,
@@ -51,28 +51,28 @@ fn all_structures_match_the_model_with_flit_ht() {
 
 #[test]
 fn all_structures_match_the_model_with_flit_adjacent() {
-    model_check_all_durabilities(|| FlitDb::flit_adjacent(backend()));
+    model_check_all_durabilities(|| FlitDb::create(presets::flit_adjacent(backend())));
 }
 
 #[test]
 fn all_structures_match_the_model_with_plain() {
-    model_check_all_durabilities(|| FlitDb::plain(backend()));
+    model_check_all_durabilities(|| FlitDb::create(presets::plain(backend())));
 }
 
 #[test]
 fn all_structures_match_the_model_with_cacheline_counters() {
-    model_check_all_durabilities(|| FlitDb::flit_cacheline(backend()));
+    model_check_all_durabilities(|| FlitDb::create(presets::flit_cacheline(backend())));
 }
 
 #[test]
 fn all_structures_match_the_model_with_no_persist() {
-    model_check_all_durabilities(FlitDb::no_persist);
+    model_check_all_durabilities(|| FlitDb::create(presets::no_persist()));
 }
 
 #[test]
 fn list_skiplist_hashtable_match_the_model_with_link_and_persist() {
     // The BST is excluded, as in the paper: it needs both low pointer bits.
-    let mk = || FlitDb::link_and_persist(backend());
+    let mk = || FlitDb::create(presets::link_and_persist(backend()));
     model_check::<_, HarrisList<_, Automatic>>(&mk(), 11);
     model_check::<_, SkipList<_, Automatic>>(&mk(), 12);
     model_check::<_, HashTable<_, Automatic>>(&mk(), 13);
@@ -110,6 +110,10 @@ fn concurrent_check<P: Policy, M: ConcurrentMap<P> + 'static>(db: &FlitDb<P>) {
 fn concurrent_consistency_across_structures() {
     concurrent_check::<_, HarrisList<_, Automatic>>(&FlitDb::flit_ht(backend()));
     concurrent_check::<_, HashTable<_, NvTraverse>>(&FlitDb::flit_ht(backend()));
-    concurrent_check::<_, NatarajanTree<_, Manual>>(&FlitDb::flit_adjacent(backend()));
-    concurrent_check::<_, SkipList<_, Automatic>>(&FlitDb::link_and_persist(backend()));
+    concurrent_check::<_, NatarajanTree<_, Manual>>(&FlitDb::create(presets::flit_adjacent(
+        backend(),
+    )));
+    concurrent_check::<_, SkipList<_, Automatic>>(&FlitDb::create(presets::link_and_persist(
+        backend(),
+    )));
 }

@@ -1,7 +1,7 @@
 //! Integration tests for the P-V Interface guarantees, exercised through the public
 //! API exactly as a library user would.
 
-use flit::{FlitDb, FlitPolicy, HashedScheme, PFlag, PersistWord, Policy};
+use flit::{presets, FlitDb, FlitPolicy, HashedScheme, PFlag, PersistWord, Policy};
 use flit_datastructs::{Automatic, ConcurrentMap, HarrisList, HashTable, NatarajanTree};
 use flit_pmem::{LatencyModel, SimNvram};
 
@@ -82,7 +82,7 @@ fn zero_update_workloads_flush_nothing_with_flit() {
     let flit_backend = backend();
     let plain_backend = backend();
     let flit_db = FlitDb::flit_ht(flit_backend.clone());
-    let plain_db = FlitDb::plain(plain_backend.clone());
+    let plain_db = FlitDb::create(presets::plain(plain_backend.clone()));
     let hf = flit_db.handle();
     let hp = plain_db.handle();
     let flit_map: NatarajanTree<_, Automatic> = NatarajanTree::with_capacity(&flit_db, 1024);
