@@ -98,34 +98,37 @@ impl<P: Policy, D: Durability> HarrisList<P, D> {
     /// [`roots::LIST_HEAD`].
     pub fn new(db: &FlitDb<P>) -> Self {
         let arena = db.new_arena_for::<Node<P>>(db.arena_defaults());
-        Self::with_arena(db, arena, Some(roots::LIST_HEAD))
+        Self::with_arena(&db.handle(), arena, Some(roots::LIST_HEAD))
     }
 
-    /// Create an empty list inside `arena` (shared by the hash table's buckets).
+    /// Create an empty list inside `arena` (shared by the hash table's buckets)
+    /// under `h`, the caller's construction handle: a hash table builds every
+    /// bucket under one handle instead of creating and dropping one per bucket.
     /// When `root_key` is set, the head sentinel is registered in the arena's
-    /// recovery-root table once construction is durable. Construction runs under
-    /// a temporary handle of `db` (no caller handle needed — the constructor's
-    /// instruction stream ends fully fenced).
-    pub(crate) fn with_arena(db: &FlitDb<P>, arena: Arc<Arena>, root_key: Option<u64>) -> Self {
+    /// recovery-root table once construction is durable. The instruction stream
+    /// ends fully fenced, so `h` leaves as clean as it came.
+    pub(crate) fn with_arena(
+        h: &FlitHandle<'_, P>,
+        arena: Arc<Arena>,
+        root_key: Option<u64>,
+    ) -> Self {
         // Persist-before-publish at construction: both sentinels become durable
         // (including their key/value words) before the root that makes the list
         // recoverable is registered, so a crash at *any* construction event
         // recovers to either "no list yet" or the empty list — never garbage.
-        let h = db.handle();
-        let tail = Self::alloc_node(&h, &arena, u64::MAX, 0, 0);
-        let head = Self::alloc_node(&h, &arena, 0, 0, pack(tail));
+        let tail = Self::alloc_node(h, &arena, u64::MAX, 0, 0);
+        let head = Self::alloc_node(h, &arena, 0, 0, pack(tail));
         for node in [tail, head] {
             h.persist_object(unsafe { &*node }, PFlag::Persisted);
         }
         if let Some(key) = root_key {
             arena.register_root(&h.pmem(), key, head as usize);
         }
-        drop(h);
         Self {
             head,
             tail,
             arena,
-            db: db.clone(),
+            db: h.db().clone(),
             _durability: PhantomData,
         }
     }

@@ -60,16 +60,19 @@ impl<P: Policy, D: Durability> HashTable<P, D> {
             .slots_per_chunk
             .max(2 * dir_bytes.div_ceil(node_slot));
         let arena = db.new_arena(config.sized(node_slot).chunked(chunk_slots));
+        // One construction handle for the whole table: every bucket's
+        // construction ends in a fence, so `h` enters each bucket clean and
+        // no bucket's elision decisions depend on the buckets before it.
+        let h = db.handle();
         let buckets: Vec<HarrisList<P, D>> = (0..buckets_len)
-            .map(|_| HarrisList::with_arena(db, Arc::clone(&arena), None))
+            .map(|_| HarrisList::with_arena(&h, Arc::clone(&arena), None))
             .collect();
 
         // Publish the directory: bucket count, then each bucket's head-slot offset
         // (+1, so 0 stays "absent"). Every word is recorded with the backend and
         // the whole block is flushed + fenced *before* the root that makes the
-        // table recoverable is registered. Runs under a temporary handle, like
-        // the per-bucket constructions above.
-        let h = db.handle();
+        // table recoverable is registered. Runs under the same construction
+        // handle as the buckets above.
         let pm = h.pmem();
         let dir = arena.alloc_block(&pm, dir_bytes) as *mut u64;
         let write_word = |i: usize, val: u64| {
@@ -87,7 +90,6 @@ impl<P: Policy, D: Durability> HashTable<P, D> {
         }
         h.persist_range(dir as *const u8, dir_bytes, PFlag::Persisted);
         arena.register_root(&pm, roots::HASH_DIRECTORY, dir as usize);
-        drop(h);
 
         Self {
             buckets,

@@ -32,6 +32,44 @@
 //! **dropping a handle returns its slot to a free list** for the next
 //! registration — short-lived workers no longer leak participant slots.
 //!
+//! ## The cost of a pin
+//!
+//! Every data-structure operation pins and unpins once, so the pair is on the
+//! hot path of every read. It costs one fence:
+//!
+//! * **Pin** loads the global epoch and publishes it in the slot with one
+//!   `SeqCst` store — the one fence. That store must be ordered before the
+//!   guard's later loads of shared pointers (store→load ordering), which
+//!   nothing weaker provides.
+//! * **Unpin** (outermost guard only) stores `INACTIVE` with `Release`, a plain
+//!   store on x86, and bumps the collection-pacing count, a `Cell` on the
+//!   [`LocalHandle`]: no shared read-modify-write.
+//!
+//! *Why `Release` is enough for the unpin.* A collector reads each slot with a
+//! `SeqCst` load. If it reads `INACTIVE`, it synchronises with the release
+//! store, so everything the guard read happens before anything that collector
+//! then frees (crossbeam-epoch unpins the same way). If it reads the old
+//! pinned epoch instead, the slot counts as pinned, which is the conservative
+//! answer.
+//!
+//! ## The scan bound
+//!
+//! A collection attempt ([`Collector::flush`], every 32nd unpin, a handle's
+//! drop) scans the slots to decide whether the epoch may advance, and
+//! [`Collector::garbage_len`] sums their garbage. Both walk only the slots
+//! claimed so far — `claimed`, bumped by [`Collector::register`] — not all
+//! [`MAX_PARTICIPANTS`] padded slots. The bump and the scan's read of it are
+//! both `SeqCst`, and the scan reads the global epoch *before* it reads
+//! `claimed`. A slot at or past the value the scan read was first claimed
+//! after that read in the `SeqCst` order, and that claim happens before any
+//! pin through the slot (its own handle's, or a later owner's that got the
+//! slot from the free list). So such a pin loads the global epoch after the
+//! scan loaded it: it pins at the epoch the scan compares against, which a
+//! full scan would also let pass, or at a later one, in which case the epoch
+//! has already moved and the scan's compare-and-swap from the old value fails
+//! whatever it saw. Skipping the unclaimed tail never lets the epoch advance
+//! past a pinned participant.
+//!
 //! ## Guarantees and limits
 //!
 //! * Memory is reclaimed only when provably unreachable (two-epoch rule).
@@ -105,8 +143,6 @@ struct Slot {
     /// Survives slot recycling — the next owner inherits (and eventually
     /// collects) whatever the previous owner left behind.
     garbage: Mutex<Vec<(u64, Deferred)>>,
-    /// Unpin counter used to pace collection attempts.
-    unpins: AtomicU64,
 }
 
 impl Default for Slot {
@@ -114,7 +150,6 @@ impl Default for Slot {
         Self {
             state: CachePadded::new(AtomicU64::new(INACTIVE)),
             garbage: Mutex::new(Vec::new()),
-            unpins: AtomicU64::new(0),
         }
     }
 }
@@ -122,10 +157,19 @@ impl Default for Slot {
 struct Global {
     epoch: CachePadded<AtomicU64>,
     slots: Vec<Slot>,
-    /// High-water mark of slots ever claimed.
+    /// High-water mark of slots ever claimed: every slot at or past it has
+    /// never been used, so scans stop there (see "The scan bound").
     claimed: AtomicUsize,
     /// Slots returned by dropped handles, ready for re-registration.
     free_slots: Mutex<Vec<usize>>,
+}
+
+impl Global {
+    /// The slots ever claimed — the only ones that can be pinned or hold
+    /// garbage.
+    fn claimed_slots(&self) -> &[Slot] {
+        &self.slots[..self.claimed.load(Ordering::SeqCst).min(MAX_PARTICIPANTS)]
+    }
 }
 
 impl Drop for Global {
@@ -133,7 +177,7 @@ impl Drop for Global {
         // No guards can exist at this point (they borrow handles, which borrow the
         // collector's Arc), so all remaining garbage is unreachable and safe to
         // destroy.
-        for slot in &self.slots {
+        for slot in self.claimed_slots() {
             let mut garbage = slot.garbage.lock().unwrap();
             for (_, deferred) in garbage.drain(..) {
                 deferred.run();
@@ -192,7 +236,7 @@ impl Collector {
     /// concurrency).
     pub fn garbage_len(&self) -> usize {
         self.global
-            .slots
+            .claimed_slots()
             .iter()
             .map(|s| s.garbage.lock().unwrap().len())
             .sum()
@@ -207,7 +251,7 @@ impl Collector {
     pub fn register(&self) -> LocalHandle {
         let slot = self.global.free_slots.lock().unwrap().pop();
         let slot = slot.unwrap_or_else(|| {
-            let idx = self.global.claimed.fetch_add(1, Ordering::Relaxed);
+            let idx = self.global.claimed.fetch_add(1, Ordering::SeqCst);
             assert!(
                 idx < MAX_PARTICIPANTS,
                 "flit-ebr: more than {MAX_PARTICIPANTS} live handles on one collector"
@@ -223,6 +267,7 @@ impl Collector {
             collector: self.clone(),
             slot,
             pin_depth: Cell::new(0),
+            unpins: Cell::new(0),
         }
     }
 
@@ -230,7 +275,7 @@ impl Collector {
     /// participant has observed the current epoch.
     fn try_advance(&self) -> u64 {
         let epoch = self.global.epoch.load(Ordering::SeqCst);
-        for slot in &self.global.slots {
+        for slot in self.global.claimed_slots() {
             let state = slot.state.load(Ordering::SeqCst);
             if state != INACTIVE && state != epoch {
                 return epoch;
@@ -274,7 +319,7 @@ impl Collector {
     /// Eagerly attempt to reclaim garbage from every slot. Useful in tests and when a
     /// data structure is about to be dropped.
     pub fn flush(&self) {
-        for idx in 0..MAX_PARTICIPANTS {
+        for idx in 0..self.global.claimed_slots().len() {
             self.collect(idx);
         }
     }
@@ -291,6 +336,8 @@ pub struct LocalHandle {
     slot: usize,
     /// Re-entrancy depth: how many live [`Guard`]s this handle has handed out.
     pin_depth: Cell<u64>,
+    /// Outermost unpins so far, pacing collection attempts.
+    unpins: Cell<u64>,
 }
 
 impl std::fmt::Debug for LocalHandle {
@@ -402,8 +449,10 @@ impl Drop for Guard<'_> {
             return; // a nested pin: the outermost guard deactivates the slot
         }
         let slot = &self.handle.collector.global.slots[self.handle.slot];
-        slot.state.store(INACTIVE, Ordering::SeqCst);
-        let unpins = slot.unpins.fetch_add(1, Ordering::Relaxed) + 1;
+        // Release suffices: see "The cost of a pin" in the crate docs.
+        slot.state.store(INACTIVE, Ordering::Release);
+        let unpins = self.handle.unpins.get() + 1;
+        self.handle.unpins.set(unpins);
         if unpins % COLLECT_INTERVAL == 0 {
             self.handle.collector.collect(self.handle.slot);
         }

@@ -16,7 +16,8 @@
 //!   Registration (cold) takes a mutex; recording (hot) is one relaxed atomic
 //!   increment on a cache-padded shard private to the recording handle.
 //!   Aggregation happens only at [`Registry::snapshot`] time, which sums the
-//!   shards — the inverse of a push-based metrics pipeline, and the reason
+//!   live shards (a dropped shard folds its value into its counter on drop)
+//!   — the inverse of a push-based metrics pipeline, and the reason
 //!   instrumented code stays within the ≤2% overhead budget. Components that
 //!   already keep their own counters (e.g. `PmemStats` in `flit-pmem`) are
 //!   *pulled* into gauges at snapshot time rather than double-counted on the

@@ -6,10 +6,14 @@
 //! path — [`CounterShard::add`], [`Gauge::set`], [`Histogram::record`] — is a
 //! single relaxed atomic on memory the caller owns exclusively (counter
 //! shards are `CachePadded`, so two handles never bounce a cache line).
-//! Aggregation is deferred entirely to [`Registry::snapshot`], which sums the
-//! shards under the registration lock. Counters are therefore monotone as
-//! observed through snapshots, and the snapshot total always equals the sum
-//! of the live shards — properties the integration tests pin down.
+//! Aggregation is deferred to [`Registry::snapshot`], which sums the live
+//! shards under the registration lock. A shard's lifecycle is bounded by its
+//! owner's: on drop it adds its value into the counter's direct cell and
+//! removes its own cell from the shard list, under that same lock. So the
+//! list holds only live shards (a database that creates and drops a million
+//! handles keeps none of their cells), counters are monotone as observed
+//! through snapshots, and the snapshot total always equals the direct cell
+//! plus the live shards — properties the tests pin down.
 //!
 //! Identity is `(name, labels)` after sorting labels by key, so
 //! `counter("ops", &[("shard", "0")])` from two call sites returns the same
@@ -66,9 +70,10 @@ fn json_labels(labels: &Labels) -> String {
 struct CounterInner {
     name: String,
     labels: Labels,
-    /// The handle-free "direct" cell serving [`Counter::add`] callers.
+    /// The handle-free "direct" cell serving [`Counter::add`] callers, plus
+    /// everything dropped shards added.
     direct: CachePadded<AtomicU64>,
-    /// One padded cell per [`CounterShard`] handed out; summed on snapshot.
+    /// One padded cell per live [`CounterShard`]; summed on snapshot.
     shards: Mutex<Vec<Arc<CachePadded<AtomicU64>>>>,
 }
 
@@ -99,15 +104,19 @@ impl Counter {
     }
 
     /// Register a new private shard of this counter. The shard's increments
-    /// land on a cache line no other handle touches; the registry folds it
-    /// back in at snapshot time.
+    /// land on a cache line no other handle touches; snapshots sum it while it
+    /// lives, and on drop it folds its value into the direct cell and leaves
+    /// the shard list.
     pub fn shard(&self) -> CounterShard {
         let cell = Arc::new(CachePadded::new(AtomicU64::new(0)));
         self.inner.shards.lock().unwrap().push(Arc::clone(&cell));
-        CounterShard { cell }
+        CounterShard {
+            cell,
+            counter: Arc::clone(&self.inner),
+        }
     }
 
-    /// Current aggregate value: direct cell plus every shard.
+    /// Current aggregate value: direct cell plus every live shard.
     pub fn value(&self) -> u64 {
         self.inner.value()
     }
@@ -118,8 +127,14 @@ impl Counter {
 /// relaxed load + store pair (no interlocked read-modify-write); snapshots on
 /// other threads read the cell atomically. Two threads writing one shard
 /// would lose updates — take one shard per writer instead.
+///
+/// A shard costs only while it lives: dropping it moves its value into the
+/// counter's direct cell and removes its cell from the shard list, both under
+/// the list lock that [`Counter::value`] and snapshots read under, so the
+/// aggregate stays exact and monotone and the list holds live shards only.
 pub struct CounterShard {
     cell: Arc<CachePadded<AtomicU64>>,
+    counter: Arc<CounterInner>,
 }
 
 impl CounterShard {
@@ -133,6 +148,18 @@ impl CounterShard {
     /// This shard's own contribution (not the counter aggregate).
     pub fn value(&self) -> u64 {
         self.cell.load(Ordering::Relaxed)
+    }
+}
+
+impl Drop for CounterShard {
+    fn drop(&mut self) {
+        let mut shards = self.counter.shards.lock().unwrap();
+        self.counter
+            .direct
+            .fetch_add(self.value(), Ordering::Relaxed);
+        if let Some(i) = shards.iter().position(|s| Arc::ptr_eq(s, &self.cell)) {
+            shards.swap_remove(i);
+        }
     }
 }
 
@@ -454,6 +481,21 @@ mod tests {
         assert_eq!(c.value(), 16);
         let snap = r.snapshot();
         assert_eq!(snap.value("drains", &[]), Some(16));
+    }
+
+    #[test]
+    fn dropped_shards_leave_the_list_and_keep_their_counts() {
+        let r = Registry::new();
+        let c = r.counter("drains", &[]);
+        let mut added = 0;
+        for i in 0..10_000u64 {
+            let s = c.shard();
+            s.add(i % 7);
+            added += i % 7;
+        }
+        assert!(c.inner.shards.lock().unwrap().is_empty());
+        assert_eq!(c.value(), added);
+        assert_eq!(r.snapshot().value("drains", &[]), Some(added));
     }
 
     #[test]

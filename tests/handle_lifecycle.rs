@@ -8,10 +8,11 @@
 //! * a handle outliving its spawning thread stays sound: it can be created on
 //!   one thread, moved, used and dropped on another;
 //! * dropped handles return their EBR slots, so short-lived workers no longer
-//!   exhaust the participant table (the handle-retirement leak fix).
+//!   exhaust the participant table (the handle-retirement leak fix);
+//! * a hash table is built under one construction handle, not one per bucket.
 
 use flit::{FlitDb, FlitPolicy, HashedScheme, PFlag, PersistWord, Policy};
-use flit_datastructs::{Automatic, ConcurrentMap, HarrisList};
+use flit_datastructs::{Automatic, ConcurrentMap, HarrisList, HashTable};
 use flit_pmem::{CommitMode, LatencyModel, PmemBackend, SimNvram};
 
 type HtPolicy = FlitPolicy<HashedScheme, SimNvram>;
@@ -181,6 +182,17 @@ fn short_lived_workers_recycle_their_slots() {
         "every worker handle returned its slot"
     );
     assert!(db.handles_created() >= 4 * flit_ebr::MAX_PARTICIPANTS as u64);
+}
+
+/// A hash table builds every bucket under one construction handle: creating
+/// a 4 096-bucket table costs one handle, not one per bucket plus one.
+#[test]
+fn a_hash_table_is_built_under_one_handle() {
+    let db = FlitDb::flit_ht(counting());
+    let before = db.handles_created();
+    let table: HashTable<HtPolicy, Automatic> = HashTable::new(&db, 4096);
+    assert_eq!(table.bucket_count(), 4096);
+    assert_eq!(db.handles_created() - before, 1);
 }
 
 /// Handle sessions honour the structure operations end to end: interleaving two

@@ -27,7 +27,9 @@ fn server(shards: usize) -> KvServer<Policy_, Map_> {
 }
 
 /// Writers on per-thread counter shards, snapshots racing them: every
-/// snapshot is monotone, and the final aggregate is exact.
+/// snapshot is monotone, and the final aggregate is exact. Half the writers
+/// keep one shard; the other half take a fresh shard every 100 adds and drop
+/// the old one, so shards fold into the counter while readers sum it.
 #[test]
 fn concurrent_counter_shards_aggregate_exactly() {
     const WRITERS: usize = 8;
@@ -36,16 +38,20 @@ fn concurrent_counter_shards_aggregate_exactly() {
     let counter = registry.counter("ops", &[("kind", "test")]);
 
     std::thread::scope(|scope| {
-        for _ in 0..WRITERS {
-            let shard = counter.shard();
+        for w in 0..WRITERS {
+            let counter = &counter;
             scope.spawn(move || {
-                for _ in 0..ADDS {
+                let mut shard = counter.shard();
+                for i in 1..=ADDS {
                     shard.add(1);
+                    if w % 2 == 1 && i % 100 == 0 {
+                        shard = counter.shard();
+                    }
                 }
             });
         }
-        // Concurrent reader: the aggregate value may lag the writers but can
-        // never go backwards.
+        // Concurrent readers: the aggregate value may lag the writers but can
+        // never go backwards, through a snapshot or through `Counter::value`.
         let registry = &registry;
         scope.spawn(move || {
             let mut last = 0;
@@ -57,6 +63,15 @@ fn concurrent_counter_shards_aggregate_exactly() {
                 assert!(now >= last, "snapshot went backwards: {last} -> {now}");
                 last = now;
                 std::thread::yield_now();
+            }
+        });
+        let counter = &counter;
+        scope.spawn(move || {
+            let mut last = 0;
+            for _ in 0..20_000 {
+                let now = counter.value();
+                assert!(now >= last, "value went backwards: {last} -> {now}");
+                last = now;
             }
         });
     });
