@@ -10,6 +10,17 @@
 //! [`post_crash_gc`] as the final stage of its validate → adopt → recover → GC
 //! pipeline and reports the reclaimed count.
 //!
+//! ## Only after an unclean close
+//!
+//! An orderly close leaves nothing for this pass to find: it drains EBR, moves
+//! every recycle list onto its durable free list
+//! ([`Arena::persist_recycled`]) and only then marks the pool clean, so `open`
+//! skips the pass when the mark is there. A structure that drops with retired
+//! slots it never recycled flags its arena ([`Arena::flag_unaccounted`]) and
+//! the close leaves the pool dirty. Skipping the pass can never free a slot,
+//! so a stale or forged clean mark costs at most a leak, never a live slot
+//! handed out twice.
+//!
 //! ## How marking works
 //!
 //! * **Seeds** — every live root-table entry of every arena (after adoption
@@ -61,7 +72,7 @@ pub struct ArenaGc {
     /// Slots already on the volatile recycle list when the pass ran.
     pub recycled: usize,
     /// Leaked slots reclaimed by this pass (died on the volatile recycle list,
-    /// or in a block-placement gap).
+    /// or allocated and never published).
     pub reclaimed: usize,
     /// The high-water mark the pass swept up to.
     pub high_water: usize,

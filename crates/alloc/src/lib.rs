@@ -84,10 +84,10 @@
 //!   is used for nodes that were never published (failed CAS), where the freeing
 //!   thread still holds the backend.
 //! * the **volatile recycle list** — [`Arena::recycle`], used by epoch-based
-//!   reclamation callbacks that run without backend context. After a crash these
-//!   slots are unreachable garbage below the high-water mark; reclaiming them
-//!   would take a root-walk GC pass (conservative leak, the standard trade-off of
-//!   log-free persistent allocators).
+//!   reclamation callbacks that run without backend context. An orderly close
+//!   moves it onto the durable free list ([`Arena::persist_recycled`]); after a
+//!   crash these slots are unreachable garbage below the high-water mark, which
+//!   the root-walk GC pass ([`post_crash_gc`]) reclaims.
 //!
 //! ## Determinism contract
 //!
@@ -297,6 +297,9 @@ struct AllocState {
     /// `(first_slot, slot_count)` spans. Pool-backed arenas persist these in
     /// the pool directory too; post-crash GC treats each span as one object.
     blocks: Vec<(usize, usize)>,
+    /// Some slot is neither reachable nor on a free list, so only GC can
+    /// account for it (see [`Arena::flag_unaccounted`]).
+    unaccounted: bool,
 }
 
 /// Where an arena's regions come from — and therefore how it grows.
@@ -424,8 +427,8 @@ impl Arena {
             next_slot: AtomicUsize::new(high_water as usize),
             state: Mutex::new(AllocState {
                 durable_free: free_head as usize,
-                recycled: Vec::new(),
                 blocks: slot.blocks(),
+                ..AllocState::default()
             }),
             backing: Backing::Pool(slot),
         };
@@ -643,8 +646,8 @@ impl Arena {
 
     /// Allocate `bytes` of *contiguous* slots (for blocks larger than one slot,
     /// e.g. a hash table's bucket directory). Always bump-allocated; if the block
-    /// does not fit the current chunk's remainder, the gap is skipped (the skipped
-    /// slots leak — blocks are expected to be allocated once, at construction).
+    /// does not fit the current chunk's remainder, it starts at the next chunk
+    /// and the skipped slots go to the recycle list.
     pub fn alloc_block<B: PmemBackend>(&self, backend: &B, bytes: usize) -> *mut u8 {
         let nslots = bytes.div_ceil(self.slot_size).max(1);
         assert!(
@@ -655,7 +658,7 @@ impl Arena {
         loop {
             let cur = self.next_slot.load(Ordering::Relaxed);
             // If the block would straddle a chunk boundary, start it at the next
-            // chunk instead (the gap slots are never handed out).
+            // chunk instead.
             let index = if cur % self.chunk_slots + nslots > self.chunk_slots {
                 (cur / self.chunk_slots + 1) * self.chunk_slots
             } else {
@@ -674,8 +677,12 @@ impl Arena {
             // Record the span before returning (and before any caller can
             // publish a root that reaches it): post-crash GC must treat the
             // whole block as one object, and block *contents* are directory
-            // words (slot offsets), not node pointers.
-            self.state.lock().blocks.push((index, nslots));
+            // words (slot offsets), not node pointers. The skipped gap, if
+            // any, is free like any recycled slot.
+            let mut state = self.state.lock();
+            state.blocks.push((index, nslots));
+            state.recycled.extend(cur..index);
+            drop(state);
             if let Backing::Pool(slot) = &self.backing {
                 slot.note_block(index, nslots)
                     .expect("pool block directory full");
@@ -942,8 +949,9 @@ impl Arena {
                 for &off in offsets {
                     let addr = self.addr_of_offset(off);
                     let old_head = state.durable_free as u64;
-                    // SAFETY: GC proved the slot unreachable from every root;
-                    // its first word is the allocator's to use as a link.
+                    // SAFETY: GC (or, for a recycled slot, EBR) proved the
+                    // slot unreachable; its first word is the allocator's to
+                    // use as a link.
                     unsafe { (*(addr as *mut AtomicU64)).store(old_head, Ordering::SeqCst) };
                     state.durable_free = off + 1;
                     self.header_word(FREE_HEAD_OFFSET)
@@ -951,6 +959,28 @@ impl Arena {
                 }
             }
         }
+    }
+
+    /// Record that some slot of this arena is neither reachable from a root
+    /// nor on a free list, and only a GC pass can find it: a structure that
+    /// drops with retired slots it never recycled calls this, so the clean
+    /// close leaves the pool dirty.
+    pub fn flag_unaccounted(&self) {
+        self.state.lock().unaccounted = true;
+    }
+
+    /// The clean-close half of reclamation: move the volatile recycle list
+    /// onto the durable free list (the same stores as
+    /// [`reclaim_leaked`](Self::reclaim_leaked), no P-V events). Returns
+    /// `false` when the arena was [flagged](Self::flag_unaccounted), so its
+    /// slots are not all accounted for.
+    pub fn persist_recycled(&self) -> bool {
+        let (recycled, unaccounted) = {
+            let mut state = self.state.lock();
+            (std::mem::take(&mut state.recycled), state.unaccounted)
+        };
+        self.reclaim_leaked(&recycled);
+        !unaccounted
     }
 
     /// The `(base address, byte length)` of every region holding this arena's
@@ -1166,6 +1196,30 @@ mod tests {
         let big = arena.alloc_block(&b, 64 * 6) as usize;
         let off = arena.offset_of_addr(big).unwrap();
         assert_eq!(off % 8, 0, "skipped to the next chunk boundary");
+    }
+
+    #[test]
+    fn a_block_skip_recycles_the_gap_slots() {
+        let b = counting();
+        let arena = Arena::new(&b, 64, 8);
+        for _ in 0..5 {
+            let _ = arena.alloc(&b);
+        }
+        // Slots 5..8 cannot hold a 6-slot block: it starts at slot 8, and the
+        // three skipped slots are reused before the bump pointer moves.
+        let block = arena.alloc_block(&b, 64 * 6) as usize;
+        assert_eq!(arena.offset_of_addr(block), Some(8));
+        let mut gap = arena.recycled_offsets();
+        gap.sort_unstable();
+        assert_eq!(gap, vec![5, 6, 7]);
+        let reused: Vec<usize> = (0..3)
+            .map(|_| arena.offset_of_addr(arena.alloc(&b) as usize).unwrap())
+            .collect();
+        assert!(reused.iter().all(|o| (5..8).contains(o)), "{reused:?}");
+        assert_eq!(arena.high_water(), 14, "no slot bumped past the block");
+        // An aligned block skips nothing.
+        let _ = arena.alloc_block(&b, 64 * 2);
+        assert!(arena.recycled_offsets().is_empty());
     }
 
     #[test]

@@ -40,8 +40,8 @@ use std::process::ExitCode;
 use flit::{FlitDb, FlitPolicy, HashedScheme};
 use flit_datastructs::{Automatic, HashTable};
 use flit_pmem::pool::{
-    direntry, superblock, DIR_ENTRY_BYTES, DIR_OFFSET, MAX_ARENAS, MAX_BLOCKS_PER_ARENA,
-    MAX_CHUNKS_PER_ARENA, POOL_MAGIC, POOL_VERSION,
+    direntry, superblock, CLEAN_CLOSE_MAGIC, DIR_ENTRY_BYTES, DIR_OFFSET, MAX_ARENAS,
+    MAX_BLOCKS_PER_ARENA, MAX_CHUNKS_PER_ARENA, POOL_MAGIC, POOL_VERSION,
 };
 use flit_pmem::{CommitMode, LatencyModel, SimNvram};
 use flit_server::{KvServer, Op, Reply, ServerConfig};
@@ -338,6 +338,7 @@ fn inspect(path: &Path) -> Result<(String, ExitCode), String> {
     let base = read_word(&file, superblock::BASE as u64)?;
     let next_free = read_word(&file, superblock::NEXT_FREE as u64)?;
     let arena_count = read_word(&file, superblock::ARENA_COUNT as u64)?;
+    let clean_close = read_word(&file, superblock::CLEAN_CLOSE as u64)? == CLEAN_CLOSE_MAGIC;
 
     let commit_mode = CommitMode::from_compat_word(commit_word)
         .map_or("null".to_string(), |m| json_str(&m.name()));
@@ -348,7 +349,7 @@ fn inspect(path: &Path) -> Result<(String, ExitCode), String> {
          \"version\":{version},\"version_valid\":{},\
          \"commit_word\":{commit_word},\"commit_mode\":{commit_mode},\
          \"recorded_base\":\"{base:#x}\",\"next_free\":{next_free},\
-         \"arena_count\":{arena_count}}}",
+         \"arena_count\":{arena_count},\"clean_close\":{clean_close}}}",
         json_str(INSPECT_SCHEMA),
         json_str(&path.display().to_string()),
         magic == POOL_MAGIC,

@@ -28,8 +28,10 @@
 //! through a sidecar file; the parent SIGKILLs it mid-traffic at a
 //! seed-derived point, re-opens the pool (validate → adopt → recover → GC)
 //! and requires: the recovered map equals the model state after exactly `c`
-//! operations for some `c` at or above the acknowledged floor; and a second
-//! GC pass reclaims zero slots. The corruption suite then clobbers one
+//! operations for some `c` at or above the acknowledged floor; the pool reads
+//! dirty unless the child got as far as its orderly close (each round line
+//! prints `pool dirty` or `pool clean`); and a second GC pass reclaims zero
+//! slots. The corruption suite then clobbers one
 //! persisted field of a valid pool at a time and requires each case to
 //! surface as its matching typed `OpenError`.
 //!
@@ -224,12 +226,14 @@ fn main() -> ExitCode {
             for (kind, spec) in specs {
                 match run_kill_round(&spec) {
                     Ok(report) => println!(
-                        "{kind} round {:>3} [{}]: ok — prefix {} (floor {}), {} leaked slot(s) \
-                         reclaimed, open {}us (validate {}us, adopt {}us, recover {}us, gc {}us){}",
+                        "{kind} round {:>3} [{}]: ok — prefix {} (floor {}), pool {}, {} leaked \
+                         slot(s) reclaimed, open {}us (validate {}us, adopt {}us, recover {}us, \
+                         gc {}us){}",
                         spec.round,
                         commit_word(commit),
                         report.matched_prefix,
                         report.acked_floor,
+                        if report.clean_close { "clean" } else { "dirty" },
                         report.reclaimed_slots,
                         report.timings.total_ns() / 1_000,
                         report.timings.validate_ns / 1_000,

@@ -112,14 +112,29 @@
 //!    sweeps interrogate describes the real pool. Structures then rebuild from
 //!    the durable roots exactly as they do in the simulated harness — reading
 //!    [`OpenReport::image`], which stays a live view of the pool.
-//! 4. **GC** — the volatile recycle list died with the crashed process, so
-//!    slots retired-but-not-reused at the kill are reachable from no root and
-//!    on no free list: leaked. `flit_alloc::post_crash_gc` runs a conservative
-//!    mark-and-sweep from the adopted root tables and hands every leaked slot
-//!    back to the allocator's *durable* free list; the [`OpenReport`] surfaces
-//!    the count ([`OpenReport::leaked_slots`]). The pass is idempotent — a
-//!    second pass reclaims zero, and a clean reopen reports zero leaks —
-//!    which the kill harness asserts after every crash.
+//! 4. **GC** — only after an unclean close. The volatile recycle list died
+//!    with the crashed process, so slots retired-but-not-reused at the kill
+//!    are reachable from no root and on no free list: leaked.
+//!    `flit_alloc::post_crash_gc` runs a conservative mark-and-sweep from the
+//!    adopted root tables and hands every leaked slot back to the allocator's
+//!    *durable* free list; the [`OpenReport`] surfaces the count
+//!    ([`OpenReport::leaked_slots`]). The pass is idempotent — a second pass
+//!    reclaims zero — which the kill harness asserts after every crash.
+//!
+//! **Clean close.** When the last clone of a pool-backed [`FlitDb`] drops, no
+//! handle or structure can exist any more, so the database closes the pool
+//! itself: it drains EBR, moves every arena's recycle list onto its durable
+//! free list, `msync`s the mapping and then writes the superblock's
+//! clean-close word. Stage 1 swaps that word back to 0 before the first handle
+//! exists; when it held the clean value, stage 4 is skipped
+//! ([`OpenReport::clean_close`], `gc_ns == 0`). The close writes no clean word
+//! when an arena was flagged as holding slots only GC can find (a HAMT dropped
+//! with an unreleased snapshot's retire backlog), nor when the drop runs
+//! during a panic. The close issues no `pwb`
+//! and no `pfence`. *Why skipping is safe:* GC only ever frees slots, so an
+//! open that skips it can at worst leak. A stale or forged clean word, or a
+//! clear at open that a power failure lost, therefore never hands out a live
+//! slot; this is also why the clear needs no `msync`.
 //!
 //! Fresh pools come from [`FlitDbBuilder::create_pool`]; a database built
 //! either way allocates all subsequent arenas *on the pool*, so everything a
@@ -221,6 +236,28 @@ impl<P: Policy> Clone for FlitDb<P> {
     }
 }
 
+/// The clean close of a pool-backed database (see the module docs): runs when
+/// the last [`FlitDb`] clone drops, so no handle or structure is left.
+impl<P: Policy> Drop for DbInner<P> {
+    fn drop(&mut self) {
+        let (Some(pool), Ok(arenas)) = (&self.pool, self.arenas.get_mut()) else {
+            return;
+        };
+        // A panic may have cut an operation short between allocating a slot
+        // and publishing it: only GC can account for that slot.
+        if std::thread::panicking() {
+            return;
+        }
+        let mut clean = self.collector.drain();
+        for arena in arenas.iter() {
+            clean &= arena.persist_recycled();
+        }
+        if clean && pool.sync().is_ok() {
+            pool.mark_clean_close();
+        }
+    }
+}
+
 impl<P: Policy> std::fmt::Debug for FlitDb<P> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("FlitDb")
@@ -300,12 +337,14 @@ impl<P: Policy> FlitDbBuilder<P> {
         self
     }
 
-    /// Assemble the database value: a new collector, no arenas yet.
+    /// Assemble the database value: a new collector over `arenas` (none
+    /// unless a pool's were just adopted).
     fn assemble(
         policy: P,
         commit: CommitMode,
         arena_defaults: ArenaConfig,
         pool: Option<Arc<PoolFile>>,
+        arenas: Vec<Arc<Arena>>,
         metrics: Option<(Registry, Vec<(String, String)>)>,
     ) -> FlitDb<P> {
         let (metrics, metric_labels) = metrics.unwrap_or_default();
@@ -319,7 +358,7 @@ impl<P: Policy> FlitDbBuilder<P> {
             inner: Arc::new(DbInner {
                 policy,
                 collector: Collector::new(),
-                arenas: Mutex::new(Vec::new()),
+                arenas: Mutex::new(arenas),
                 id: NEXT_DB_ID.fetch_add(1, Ordering::Relaxed),
                 handles_created: AtomicU64::new(0),
                 commit,
@@ -340,7 +379,14 @@ impl<P: Policy> FlitDbBuilder<P> {
     /// Build a volatile (heap-backed) database: a new collector, no arenas yet.
     pub fn build(self) -> FlitDb<P> {
         let commit = self.commit.unwrap_or_default();
-        Self::assemble(self.policy, commit, self.arena_defaults, None, self.metrics)
+        Self::assemble(
+            self.policy,
+            commit,
+            self.arena_defaults,
+            None,
+            Vec::new(),
+            self.metrics,
+        )
     }
 
     /// Build the database on a **fresh file-backed pool** at `path` (truncating
@@ -366,6 +412,7 @@ impl<P: Policy> FlitDbBuilder<P> {
             commit,
             self.arena_defaults,
             Some(pool),
+            Vec::new(),
             self.metrics,
         ))
     }
@@ -397,24 +444,24 @@ impl<P: Policy> FlitDbBuilder<P> {
                 });
             }
         };
+        let clean_close = pool.take_clean_close();
+        let validate_ns = phase_start.elapsed().as_nanos() as u64;
+
+        // Adopt: every directory entry becomes a live arena, fully validated.
+        // The database exists only once every arena did, so a failed open
+        // never runs the clean close.
+        let phase_start = Instant::now();
+        let arenas = (0..pool.arena_count())
+            .map(|index| Arena::adopt_from_pool(&pool, index).map(Arc::new))
+            .collect::<Result<Vec<_>, _>>()?;
         let db = Self::assemble(
             self.policy,
             commit,
             self.arena_defaults,
             Some(Arc::clone(&pool)),
+            arenas.clone(),
             self.metrics,
         );
-        let validate_ns = phase_start.elapsed().as_nanos() as u64;
-
-        // Adopt: every directory entry becomes a live arena, fully validated.
-        let phase_start = Instant::now();
-        {
-            let mut arenas = db.inner.arenas.lock().unwrap();
-            for index in 0..pool.arena_count() {
-                arenas.push(Arc::new(Arena::adopt_from_pool(&pool, index)?));
-            }
-        }
-        let arenas = db.arenas();
         let adopt_ns = phase_start.elapsed().as_nanos() as u64;
 
         // Recover: the mapped pool *is* the crash image — view the arenas'
@@ -425,15 +472,21 @@ impl<P: Policy> FlitDbBuilder<P> {
         let recovery = db.recover(&image);
         let recover_ns = phase_start.elapsed().as_nanos() as u64;
 
-        // GC: slots that died on the volatile recycle list go back to the
-        // durable free list, so the reclamation itself survives a reopen.
-        let phase_start = Instant::now();
-        let gc = post_crash_gc(&arenas);
-        let gc_ns = phase_start.elapsed().as_nanos() as u64;
+        // GC, after an unclean close only: slots that died on the volatile
+        // recycle list go back to the durable free list, so the reclamation
+        // itself survives a reopen.
+        let (gc, gc_ns) = if clean_close {
+            (GcOutcome::default(), 0)
+        } else {
+            let phase_start = Instant::now();
+            let gc = post_crash_gc(&arenas);
+            (gc, phase_start.elapsed().as_nanos() as u64)
+        };
 
         let report = OpenReport {
             arenas: arenas.len(),
             recovery,
+            clean_close,
             gc,
             image,
             timings: OpenTimings {
@@ -830,8 +883,11 @@ pub struct OpenReport {
     /// The image-only recovery survey: per-arena persisted headers and the
     /// durably-registered roots — what structures rebuild from.
     pub recovery: DbRecovery,
+    /// The pool's previous close was orderly (its superblock held the
+    /// clean-close word), so the GC stage was skipped.
+    pub clean_close: bool,
     /// The post-crash GC accounting: per-arena reachable / free-listed /
-    /// reclaimed slot counts.
+    /// reclaimed slot counts; empty after a clean close.
     pub gc: GcOutcome,
     /// The pool's crash image — what the structures' recovery walks
     /// (`RecoverInImage::recover_arenas`) read from. It is a **live view** of
@@ -853,7 +909,8 @@ pub struct OpenReport {
 impl OpenReport {
     /// Slots that were unreachable from every root table when the pool was
     /// opened (they died on the volatile recycle list, or in the window
-    /// between allocation and publication) and were reclaimed by the GC pass.
+    /// between allocation and publication) and were reclaimed by the GC pass;
+    /// 0 after a clean close.
     pub fn leaked_slots(&self) -> usize {
         self.gc.total_reclaimed()
     }
@@ -875,7 +932,7 @@ pub struct OpenTimings {
     /// Building the [`CrashImage`] view of the adopted arenas and surveying
     /// their headers and roots through it — O(arenas), no pool word copied.
     pub recover_ns: u64,
-    /// The conservative post-crash mark-and-sweep.
+    /// The conservative post-crash mark-and-sweep (0 after a clean close).
     pub gc_ns: u64,
 }
 
@@ -1477,6 +1534,7 @@ mod tests {
         )
     }
 
+    #[cfg(unix)]
     #[test]
     fn pool_create_then_open_recovers_roots_and_reclaims_leaks() {
         let path = temp_pool("roundtrip");
@@ -1490,8 +1548,17 @@ mod tests {
             arena.register_root(&h.pmem(), flit_alloc::roots::LIST_HEAD, root);
             drop(h);
             db.sync_pool().unwrap();
-        } // dropping the db unmaps the pool
+        } // dropping the db closes the pool cleanly and unmaps it
+        {
+            // Model a crash instead: clear the clean-close word through the
+            // file.
+            use std::os::unix::fs::FileExt;
+            let file = std::fs::OpenOptions::new().write(true).open(&path).unwrap();
+            let word = flit_pmem::pool::superblock::CLEAN_CLOSE as u64;
+            file.write_all_at(&0u64.to_le_bytes(), word).unwrap();
+        }
         let (db, report) = FlitDb::open(&path, ht_policy()).unwrap();
+        assert!(!report.clean_close);
         assert_eq!(report.arenas, 1);
         assert!(report.has_root(flit_alloc::roots::LIST_HEAD));
         // `_leaked` was allocated but never published: the GC pass reclaims it.

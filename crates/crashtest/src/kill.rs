@@ -25,7 +25,10 @@
 //! `c ≥ floor` — the durable-linearizability prefix contract, checked against
 //! a real dead process instead of a frozen image. It then re-runs
 //! [`post_crash_gc`] and requires the second pass to reclaim zero slots (the
-//! pass that ran inside `open` must have closed every leak).
+//! pass that ran inside `open` must have closed every leak). A child killed
+//! mid-workload must leave the pool dirty, so the open runs GC; a child that
+//! finished closes its database in order, the open skips GC, and the same
+//! second pass then checks that the close accounted for every slot.
 //!
 //! ## Corruption injection
 //!
@@ -254,6 +257,9 @@ pub struct KillRoundReport {
     pub acked_floor: u64,
     /// Slots the open-time GC pass reclaimed.
     pub reclaimed_slots: usize,
+    /// The pool read clean at open (its writer closed it in order), so the
+    /// open skipped GC.
+    pub clean_close: bool,
     /// Per-phase wall-clock timings of the re-open pipeline
     /// (validate → adopt → recover → GC), from [`OpenReport::timings`].
     ///
@@ -288,10 +294,17 @@ pub enum KillViolation {
         /// The floor it had to reach.
         floor: u64,
     },
-    /// A second GC pass reclaimed slots the open-time pass should have.
+    /// A second GC pass reclaimed slots the open-time pass should have (or,
+    /// after a clean close, slots the close should have accounted for).
     GcNotIdempotent {
         /// Slots the second pass reclaimed (must be 0).
         second_pass: usize,
+    },
+    /// The pool read clean although the kill landed before the workload
+    /// finished: nothing but an orderly close may write the clean word.
+    CleanAfterKill {
+        /// The acknowledged floor at the kill (below the op count).
+        floor: u64,
     },
     /// A snapshot round's retained snapshot failed verification: missing,
     /// unexpectedly present after a clean release, truncated, or diverged
@@ -322,6 +335,10 @@ impl std::fmt::Display for KillViolation {
             Self::GcNotIdempotent { second_pass } => write!(
                 f,
                 "second GC pass reclaimed {second_pass} slots (open-time pass missed them)"
+            ),
+            Self::CleanAfterKill { floor } => write!(
+                f,
+                "pool marked clean although the child was killed at floor {floor}"
             ),
             Self::SnapshotCheck(e) => write!(f, "retained-snapshot check failed: {e}"),
             Self::Harness(e) => write!(f, "harness failure: {e}"),
@@ -447,8 +464,9 @@ fn verify_recovered<M: RecoverInImage>(
     }
     extra(&arenas, &report.image)?;
 
-    // The open-time GC must have closed every leak — including everything a
-    // retained snapshot pins: a second pass is a no-op.
+    // The open-time GC (or, when the pool read clean, the close) must have
+    // closed every leak — including everything a retained snapshot pins: a
+    // second pass is a no-op.
     let second_pass = post_crash_gc(&db.arenas()).total_reclaimed();
     if second_pass != 0 {
         return Err(KillViolation::GcNotIdempotent { second_pass });
@@ -458,6 +476,7 @@ fn verify_recovered<M: RecoverInImage>(
         matched_prefix: matched,
         acked_floor: floor,
         reclaimed_slots: report.leaked_slots(),
+        clean_close: report.clean_close,
         timings: report.timings,
         child_finished: false,
     })
@@ -633,6 +652,10 @@ pub fn run_kill_round(round: &KillRound) -> Result<KillRoundReport, KillViolatio
         Some(snap_at) => verify_hamt_pool(&pool, round.ops, floor, snap_at, child_finished)?,
         None => verify_pool(&pool, round.ops, floor)?,
     };
+    // The child's close starts only after it acknowledged every operation.
+    if report.clean_close && !child_finished && floor < round.ops {
+        return Err(KillViolation::CleanAfterKill { floor });
+    }
     report.child_finished = child_finished;
     if !round.keep_files {
         let _ = std::fs::remove_file(&pool);
@@ -773,6 +796,19 @@ pub fn corruption_cases() -> Vec<CorruptionCase> {
                 let h = arena0_header_off(p)?;
                 let hw = read_word_at(p, h + flit_alloc::HIGH_WATER_OFFSET as u64)?;
                 write_word_at(p, h + flit_alloc::FREE_HEAD_OFFSET as u64, hw + 10)
+            },
+            expect: |e| matches!(e, OpenError::ArenaHeader { arena: 0, .. }),
+            expected: "OpenError::ArenaHeader",
+        },
+        CorruptionCase {
+            // A clean-close word vouches for nothing: an open that will skip
+            // GC still adopts, and so still rejects, a wild free list.
+            name: "forged-clean-word-wild-free-list",
+            corrupt: |p| {
+                use flit_pmem::pool::CLEAN_CLOSE_MAGIC;
+                write_word_at(p, superblock::CLEAN_CLOSE as u64, CLEAN_CLOSE_MAGIC)?;
+                let h = arena0_header_off(p)?;
+                write_word_at(p, h + flit_alloc::FREE_HEAD_OFFSET as u64, u64::MAX)
             },
             expect: |e| matches!(e, OpenError::ArenaHeader { arena: 0, .. }),
             expected: "OpenError::ArenaHeader",

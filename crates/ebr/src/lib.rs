@@ -323,6 +323,17 @@ impl Collector {
             self.collect(idx);
         }
     }
+
+    /// Run every deferred destructor the two-epoch rule allows, advancing the
+    /// epoch as far as pinned participants permit. With nobody pinned — an
+    /// owner tearing down, say — two advances make every retirement old
+    /// enough, so everything runs. Returns `true` when no garbage is left.
+    pub fn drain(&self) -> bool {
+        self.try_advance();
+        self.try_advance();
+        self.flush();
+        self.garbage_len() == 0
+    }
 }
 
 /// An explicit participant in a [`Collector`]: owns one slot for as long as it
@@ -568,6 +579,23 @@ mod tests {
             // No flushing: dropping the collector must clean everything up.
         }
         assert_eq!(drops.load(Ordering::SeqCst), 10);
+    }
+
+    #[test]
+    fn drain_runs_everything_once_nobody_is_pinned() {
+        let drops = Arc::new(AtomicUsize::new(0));
+        let c = Collector::new();
+        let h = c.register();
+        let guard = h.pin();
+        for _ in 0..3 {
+            let node = Box::into_raw(Box::new(DropCounter(Arc::clone(&drops))));
+            unsafe { guard.defer_destroy(node) };
+        }
+        assert!(!c.drain(), "a pinned participant holds the garbage back");
+        assert_eq!(drops.load(Ordering::SeqCst), 0);
+        drop(guard);
+        assert!(c.drain());
+        assert_eq!(drops.load(Ordering::SeqCst), 3);
     }
 
     #[test]

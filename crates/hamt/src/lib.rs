@@ -70,7 +70,9 @@
 //! reach it (new roots only share still-linked subtrees), so the conservative
 //! backlog policy is safe. Releasing a snapshot (drop) durably zeroes its
 //! refcount lazily — best-effort, because a crashed process's snapshots are
-//! *supposed* to persist.
+//! *supposed* to persist. A trie dropped with its backlog still parked (a
+//! snapshot was leaked) flags its arena, so the database's close leaves the
+//! pool to post-crash GC instead of marking it clean.
 //!
 //! ## Why the pre-publish fence exists
 //!
@@ -783,6 +785,17 @@ impl<P: Policy> Hamt<P> {
                 Some(RetainedSnapshot { slot, version, rec })
             })
             .collect()
+    }
+}
+
+impl<P: Policy> Drop for Hamt<P> {
+    /// A backlog left behind (an unreleased, leaked snapshot) holds slots that
+    /// are neither reachable nor recycled: only post-crash GC can find them,
+    /// so the arena is flagged and the database's close leaves the pool dirty.
+    fn drop(&mut self) {
+        if !self.snaps.get_mut().backlog.is_empty() {
+            self.arena.flag_unaccounted();
+        }
     }
 }
 

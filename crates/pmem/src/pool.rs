@@ -21,7 +21,10 @@
 //! **Superblock** (word offsets): `0` magic `"FLITPOOL"`, `8` layout version,
 //! `16` commit-mode compat word (see [`CommitMode::compat_word`]), `24` the
 //! virtual base address of the original mapping, `32` the data bump cursor,
-//! `40` the number of published arena-directory entries.
+//! `40` the number of published arena-directory entries, `48` the clean-close
+//! word: [`CLEAN_CLOSE_MAGIC`] after an orderly close, anything else (the `0`
+//! of a fresh pool, of a pool opened and then killed, or of a pool written
+//! before the word existed) means the pool needs its post-crash GC.
 //!
 //! **Arena directory entry** (relative word offsets): `0` state (1 = live),
 //! `8` slot size, `16` slots per chunk, `24` header byte-offset, `32` chunk
@@ -63,6 +66,8 @@ use crate::region::{PmemRegion, ReserveError};
 pub const POOL_MAGIC: u64 = 0x464C_4954_504F_4F4C;
 /// The pool layout version this build reads and writes.
 pub const POOL_VERSION: u64 = 1;
+/// `"FLITCLEN"` in big-endian ASCII: the clean-close word's one clean value.
+pub const CLEAN_CLOSE_MAGIC: u64 = 0x464C_4954_434C_454E;
 /// Size of an OS page; the superblock occupies exactly one.
 pub const PAGE_SIZE: usize = 4096;
 /// Byte offset of the arena directory.
@@ -92,6 +97,9 @@ pub mod superblock {
     pub const NEXT_FREE: usize = 32;
     /// Number of published arena-directory entries.
     pub const ARENA_COUNT: usize = 40;
+    /// Clean-close word ([`CLEAN_CLOSE_MAGIC`](super::CLEAN_CLOSE_MAGIC) or
+    /// dirty).
+    pub const CLEAN_CLOSE: usize = 48;
 }
 
 /// Arena-directory entry word offsets (relative to the entry).
@@ -556,6 +564,23 @@ impl PoolFile {
     /// Number of published arena-directory entries.
     pub fn arena_count(&self) -> usize {
         self.word(superblock::ARENA_COUNT).load(Ordering::SeqCst) as usize
+    }
+
+    /// Clear the clean-close word and say whether the last close was orderly
+    /// (the word held [`CLEAN_CLOSE_MAGIC`]). The open pipeline calls this
+    /// before any handle exists, so a process killed from here on leaves the
+    /// pool dirty. The clear needs no `msync`: if a power failure loses it,
+    /// the next open skips a GC it needed, and a skipped GC only leaks.
+    pub fn take_clean_close(&self) -> bool {
+        self.word(superblock::CLEAN_CLOSE).swap(0, Ordering::SeqCst) == CLEAN_CLOSE_MAGIC
+    }
+
+    /// Record an orderly close: every slot below each arena's high-water mark
+    /// is reachable or on its durable free list. Write it last, after a
+    /// [`sync`](Self::sync) of everything it vouches for.
+    pub fn mark_clean_close(&self) {
+        self.word(superblock::CLEAN_CLOSE)
+            .store(CLEAN_CLOSE_MAGIC, Ordering::SeqCst);
     }
 
     /// `msync` the whole mapping: makes the file image current even without

@@ -15,6 +15,11 @@
 //!    exactly the adopted arenas' words, in place; it outlives the database
 //!    and pins the mapping; and hostile pointers in the data area end a
 //!    recovery walk as `truncated`, never as a panic or a fault.
+//! 5. **A clean close needs no GC** — for every structure, dropping the
+//!    database marks the pool clean, the reopen skips GC, and a GC pass run
+//!    anyway finds nothing; a pool copied while live (what a SIGKILL leaves)
+//!    or dropped during a panic reads dirty, and a clean word forged over a
+//!    live copy only leaks.
 
 #![cfg(unix)]
 
@@ -25,10 +30,13 @@ use std::time::Duration;
 
 use flit::{CommitMode, FlitDb, FlitPolicy, HashedScheme, OpenError};
 use flit_alloc::{post_crash_gc, roots};
-use flit_datastructs::{Automatic, ConcurrentMap, HashTable, RecoverInImage};
+use flit_datastructs::{
+    Automatic, ConcurrentMap, HarrisList, HashTable, NatarajanTree, RecoverInImage, SkipList,
+};
 use flit_hamt::Hamt;
-use flit_pmem::pool::{direntry, superblock, DATA_OFFSET, DIR_OFFSET};
+use flit_pmem::pool::{direntry, superblock, CLEAN_CLOSE_MAGIC, DATA_OFFSET, DIR_OFFSET};
 use flit_pmem::{LatencyModel, SimNvram, WORD_SIZE};
+use flit_queues::{ConcurrentQueue, MsQueue};
 
 type HtPolicy = FlitPolicy<HashedScheme, SimNvram>;
 type Map = HashTable<HtPolicy, Automatic>;
@@ -61,8 +69,8 @@ fn build_pool(path: &Path, commit: CommitMode) -> Vec<(u64, u64)> {
     for k in (2..=40u64).step_by(2) {
         assert!(map.remove(&h, k));
     }
-    // A slot allocated but never published anywhere: guaranteed leak for the
-    // open-time GC to find.
+    // A slot allocated but never published anywhere: a leak the clean close
+    // cannot see, for the GC of a reopen after `mark_dirty` to find.
     let arena = &db.arenas()[0];
     assert!(!arena.alloc(&h.pmem()).is_null());
     drop(h);
@@ -95,13 +103,21 @@ fn header_off(path: &Path) -> u64 {
     read_word(path, (DIR_OFFSET + direntry::HEADER_OFF) as u64)
 }
 
+/// Model a crash of the pool's last writer: clear its clean-close word, so
+/// the next open runs GC as it would after a SIGKILL.
+fn mark_dirty(path: &Path) {
+    write_word(path, superblock::CLEAN_CLOSE as u64, 0);
+}
+
 #[test]
 fn create_then_reopen_recovers_pairs_and_reclaims_the_leak() {
     let path = temp_path("roundtrip");
     let expected = build_pool(&path, CommitMode::Immediate);
+    mark_dirty(&path);
 
     let (db, report) = FlitDb::open(&path, policy()).unwrap();
     assert_eq!(recover_map(&db, &report), expected);
+    assert!(!report.clean_close);
     assert!(
         report.leaked_slots() >= 1,
         "the unpublished slot (and any recycle-list remnants) must be reclaimed"
@@ -123,12 +139,16 @@ fn create_then_reopen_recovers_pairs_and_reclaims_the_leak() {
 fn reopening_twice_is_stable() {
     let path = temp_path("twice");
     let expected = build_pool(&path, CommitMode::Immediate);
+    mark_dirty(&path);
     {
         let (db, report) = FlitDb::open(&path, policy()).unwrap();
         assert_eq!(recover_map(&db, &report), expected);
+        assert!(report.leaked_slots() >= 1);
         db.sync_pool().unwrap();
     }
-    // Second open: the first open's GC already ran; nothing further leaks.
+    // Second open, dirty again: the first open's GC already ran; nothing
+    // further leaks.
+    mark_dirty(&path);
     let (db, report) = FlitDb::open(&path, policy()).unwrap();
     assert_eq!(recover_map(&db, &report), expected);
     assert_eq!(report.leaked_slots(), 0, "GC across reopen is idempotent");
@@ -298,7 +318,7 @@ fn the_open_image_reads_exactly_the_adopted_arenas_words() {
 }
 
 /// Corrupt data-area words of a copy of `src` — `(file offset, value)`
-/// writes — open the copy and run map `M`'s recovery walk over it on a
+/// writes — open the copy (GC included) and run map `M`'s recovery walk over it on a
 /// watched thread. Open may refuse with a typed error; if it accepts, the walk
 /// must come back within 10 s — reporting `truncated`, or at least not the
 /// clean state — instead of panicking, faulting or hanging.
@@ -314,6 +334,8 @@ fn recover_corrupted<M: RecoverInImage + 'static>(
     for &(offset, value) in writes {
         write_word(&copy, offset, value);
     }
+    // Dirty, so the open's GC pass walks the hostile bytes too.
+    mark_dirty(&copy);
     let (tx, rx) = mpsc::channel();
     let path = copy.clone();
     std::thread::spawn(move || {
@@ -521,4 +543,189 @@ fn a_truncated_walk_fails_the_kill_verdict() {
         other => panic!("expected RecoveryTruncated, got {other:?}"),
     }
     let _ = std::fs::remove_file(&path);
+}
+
+/// Reopen a pool whose writer closed it in order: the open must read it
+/// clean, clear the word, skip GC and report no leak. The caller checks the
+/// recovered contents, then [`assert_nothing_left_for_gc`].
+fn reopen_clean(path: &Path) -> (FlitDb<HtPolicy>, flit::OpenReport) {
+    let word = superblock::CLEAN_CLOSE as u64;
+    assert_eq!(
+        read_word(path, word),
+        CLEAN_CLOSE_MAGIC,
+        "the drop marks it"
+    );
+    let (db, report) = FlitDb::open(path, policy()).unwrap();
+    assert!(report.clean_close);
+    assert_eq!(report.timings.gc_ns, 0);
+    assert_eq!(report.leaked_slots(), 0);
+    assert_eq!(read_word(path, word), 0, "open clears the word");
+    (db, report)
+}
+
+/// A GC pass the clean open skipped would have reclaimed nothing, and the
+/// close put the slots EBR had recycled on the durable free lists.
+fn assert_nothing_left_for_gc(name: &str, db: &FlitDb<HtPolicy>) {
+    let gc = post_crash_gc(&db.arenas());
+    assert_eq!(gc.total_reclaimed(), 0, "{name}");
+    let free: usize = gc.arenas.iter().map(|a| a.free_listed).sum();
+    assert!(
+        free > 0,
+        "{name}: retired slots reach the durable free list"
+    );
+}
+
+#[test]
+fn a_close_during_a_panic_leaves_the_pool_dirty() {
+    let path = temp_path("panic");
+    let db = FlitDb::builder(policy()).create_pool(&path).unwrap();
+    let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(move || {
+        let _db = db;
+        panic!("an operation cut short");
+    }));
+    assert!(unwound.is_err());
+    assert_eq!(read_word(&path, superblock::CLEAN_CLOSE as u64), 0);
+    let (db, report) = FlitDb::open(&path, policy()).unwrap();
+    assert!(!report.clean_close);
+    drop((db, report));
+    let _ = std::fs::remove_file(&path);
+}
+
+/// Inserts 1..=200 then removes the evens from a fresh `M` on a pool, drops
+/// everything, and requires a clean reopen with the exact pairs.
+fn clean_close_round_trip<M: ConcurrentMap<HtPolicy> + RecoverInImage>() {
+    let path = temp_path(&format!("clean-{}", M::NAME));
+    {
+        let db = FlitDb::builder(policy()).create_pool(&path).unwrap();
+        let map = M::with_capacity(&db, 64);
+        let h = db.handle();
+        for k in 1..=200u64 {
+            assert!(map.insert(&h, k, 100 + k));
+        }
+        for k in (2..=200u64).step_by(2) {
+            assert!(map.remove(&h, k));
+        }
+    }
+    let expected: Vec<(u64, u64)> = (1..=200u64).step_by(2).map(|k| (k, 100 + k)).collect();
+    let (db, report) = reopen_clean(&path);
+    let rec = M::recover_arenas(&db.arenas(), &report.image);
+    assert!(!rec.truncated);
+    assert_eq!(rec.sorted_pairs(), expected, "{}", M::NAME);
+    assert_nothing_left_for_gc(M::NAME, &db);
+    drop((db, report));
+    let _ = std::fs::remove_file(&path);
+}
+
+#[test]
+fn a_clean_close_leaves_nothing_for_gc_on_every_structure() {
+    clean_close_round_trip::<HarrisList<HtPolicy, Automatic>>();
+    clean_close_round_trip::<Map>();
+    clean_close_round_trip::<SkipList<HtPolicy, Automatic>>();
+    clean_close_round_trip::<NatarajanTree<HtPolicy, Automatic>>();
+    clean_close_round_trip::<Hamt<HtPolicy>>();
+
+    // The HAMT with a snapshot that pins a backlog until its release.
+    let path = temp_path("clean-hamt-snapshot");
+    {
+        let db = FlitDb::builder(policy()).create_pool(&path).unwrap();
+        let map = Hamt::new(&db, 64);
+        let h = db.handle();
+        for k in 1..=100u64 {
+            assert!(map.insert(&h, k, k));
+        }
+        let snapshot = map.snapshot(&h);
+        for k in 1..=50u64 {
+            assert!(map.remove(&h, k));
+        }
+        assert_eq!(snapshot.iter().count(), 100);
+        drop(snapshot);
+        for k in 51..=60u64 {
+            assert!(map.remove(&h, k));
+        }
+    }
+    let (db, report) = reopen_clean(&path);
+    let arenas = db.arenas();
+    let rec = Hamt::<HtPolicy>::recover_arenas(&arenas, &report.image);
+    let expected: Vec<(u64, u64)> = (61..=100u64).map(|k| (k, k)).collect();
+    assert_eq!(rec.sorted_pairs(), expected);
+    assert!(Hamt::<HtPolicy>::recover_snapshots_in_image(&arenas[0], &report.image).is_empty());
+    assert_nothing_left_for_gc("hamt with a released snapshot", &db);
+    drop((db, report));
+    let _ = std::fs::remove_file(&path);
+
+    // The MS queue: 100 enqueued, 60 dequeued.
+    let path = temp_path("clean-msqueue");
+    {
+        let db = FlitDb::builder(policy()).create_pool(&path).unwrap();
+        let queue = MsQueue::<HtPolicy, Automatic>::new(&db);
+        let h = db.handle();
+        for v in 1..=100u64 {
+            queue.enqueue(&h, v);
+        }
+        for v in 1..=60u64 {
+            assert_eq!(queue.dequeue(&h), Some(v));
+        }
+    }
+    let (db, report) = reopen_clean(&path);
+    let rec = MsQueue::<HtPolicy, Automatic>::recover_in_image(&db.arenas()[0], &report.image);
+    assert_eq!(rec.values, (61..=100u64).collect::<Vec<_>>());
+    assert_nothing_left_for_gc("msqueue", &db);
+    drop((db, report));
+    let _ = std::fs::remove_file(&path);
+}
+
+#[test]
+fn a_forged_clean_word_skips_gc_and_only_leaks() {
+    let path = temp_path("forged-src");
+    let crashed = temp_path("forged");
+    // Copied while the database is live, the file is what a SIGKILL leaves:
+    // the recycle list, the EBR backlog and one never-published slot are all
+    // on no free list, and the clean-close word is 0.
+    let expected = {
+        let db = FlitDb::builder(policy()).create_pool(&path).unwrap();
+        let map = Map::new(&db, 64);
+        let h = db.handle();
+        for k in 1..=200u64 {
+            assert!(map.insert(&h, k, 100 + k));
+        }
+        for k in (2..=200u64).step_by(2) {
+            assert!(map.remove(&h, k));
+        }
+        assert!(!db.arenas()[0].alloc(&h.pmem()).is_null());
+        db.sync_pool().unwrap();
+        std::fs::copy(&path, &crashed).unwrap();
+        (1..=200u64)
+            .step_by(2)
+            .map(|k| (k, 100 + k))
+            .collect::<Vec<_>>()
+    };
+
+    // Any word but the magic reads dirty, and the open's GC finds the leak.
+    let hostile = temp_path("forged-hostile");
+    std::fs::copy(&crashed, &hostile).unwrap();
+    write_word(
+        &hostile,
+        superblock::CLEAN_CLOSE as u64,
+        CLEAN_CLOSE_MAGIC ^ 1,
+    );
+    let leaked = {
+        let (db, report) = FlitDb::open(&hostile, policy()).unwrap();
+        assert!(!report.clean_close);
+        assert_eq!(recover_map(&db, &report), expected);
+        report.leaked_slots()
+    };
+    assert!(leaked > 1, "the unpublished slot and the recycled ones");
+
+    // Forged clean: the open skips GC, recovers exactly, and the leak stays
+    // a leak until a GC pass reclaims exactly it.
+    write_word(&crashed, superblock::CLEAN_CLOSE as u64, CLEAN_CLOSE_MAGIC);
+    let (db, report) = FlitDb::open(&crashed, policy()).unwrap();
+    assert!(report.clean_close);
+    assert_eq!(report.leaked_slots(), 0);
+    assert_eq!(recover_map(&db, &report), expected);
+    assert_eq!(post_crash_gc(&db.arenas()).total_reclaimed(), leaked);
+    drop((db, report));
+    for p in [path, crashed, hostile] {
+        let _ = std::fs::remove_file(p);
+    }
 }
