@@ -48,6 +48,7 @@
 //! fails to fail means the harness itself is broken. Violations print complete
 //! repro strings: paste the flags after `crashtest` to replay one crash point.
 
+use flit_bench::{json_str, parse_u64};
 use flit_crashtest::{
     run_case, run_hamt_snapshot_case, run_matrix, HistorySpec, MethodKind, PolicyKind,
     StructureKind, SweepReport, SweepSettings, SNAPSHOT_STRUCTURE,
@@ -66,14 +67,6 @@ struct Args {
     commits: Vec<CommitMode>,
     json: Option<String>,
     skip_control: bool,
-}
-
-fn parse_u64(s: &str) -> Option<u64> {
-    if let Some(hex) = s.strip_prefix("0x") {
-        u64::from_str_radix(hex, 16).ok()
-    } else {
-        s.parse().ok()
-    }
 }
 
 fn parse_list<T>(value: &str, parse: impl Fn(&str) -> Option<T>, what: &str) -> Vec<T> {
@@ -213,32 +206,18 @@ fn parse_args() -> Args {
     }
 }
 
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 fn report_json(report: &SweepReport, expected_violations: bool) -> String {
     let violations: Vec<String> = report
         .violations
         .iter()
         .map(|v| {
             format!(
-                r#"{{"crash_event":{},"on":"{}","completed_ops":{},"detail":"{}","repro":"{}"}}"#,
+                r#"{{"crash_event":{},"on":"{}","completed_ops":{},"detail":{},"repro":{}}}"#,
                 v.crash_event,
                 v.triggered_on,
                 v.completed_ops,
-                json_escape(&v.detail),
-                json_escape(&v.repro)
+                json_str(&v.detail),
+                json_str(&v.repro)
             )
         })
         .collect();
@@ -248,8 +227,8 @@ fn report_json(report: &SweepReport, expected_violations: bool) -> String {
         report.clean()
     };
     format!(
-        r#"{{"case":"{}","structure":"{}","method":"{}","policy":"{}","elision":"{}","commit":"{}","broken_acks":{},"events_construction":{},"events_total":{},"points_tested":{},"expected_violations":{},"ok":{},"violations":[{}]}}"#,
-        json_escape(&report.case.id()),
+        r#"{{"case":{},"structure":"{}","method":"{}","policy":"{}","elision":"{}","commit":"{}","broken_acks":{},"events_construction":{},"events_total":{},"points_tested":{},"expected_violations":{},"ok":{},"violations":[{}]}}"#,
+        json_str(&report.case.id()),
         report.case.structure,
         report.case.method,
         report.case.policy,
@@ -456,8 +435,8 @@ fn main() {
             .collect();
         entries.extend(control_reports.iter().map(|r| report_json(r, true)));
         let doc = format!(
-            r#"{{"history":"{}","budget":{},"ok":{},"elapsed_ms":{},"reports":[{}]}}"#,
-            json_escape(&args.history.label()),
+            r#"{{"history":{},"budget":{},"ok":{},"elapsed_ms":{},"reports":[{}]}}"#,
+            json_str(&args.history.label()),
             args.settings.budget,
             !failed,
             started.elapsed().as_millis(),

@@ -38,6 +38,7 @@ use std::path::Path;
 use std::process::ExitCode;
 
 use flit::{FlitDb, FlitPolicy, HashedScheme};
+use flit_bench::json_str;
 use flit_datastructs::{Automatic, HashTable};
 use flit_pmem::pool::{
     direntry, superblock, CLEAN_CLOSE_MAGIC, DIR_ENTRY_BYTES, DIR_OFFSET, MAX_ARENAS,
@@ -97,22 +98,6 @@ fn read_word(file: &File, offset: u64) -> Result<u64, String> {
     file.read_exact_at(&mut buf, offset)
         .map_err(|e| format!("read at {offset:#x}: {e}"))?;
     Ok(u64::from_le_bytes(buf))
-}
-
-/// Minimal JSON string escaping (paths are the only free-form strings here).
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 /// Human name for a registered root key, when it is one of the named roots in

@@ -42,6 +42,7 @@
 use std::path::PathBuf;
 use std::process::ExitCode;
 
+use flit_bench::parse_u64;
 use flit_crashtest::kill::{
     child_main, child_main_hamt, commit_word, corruption_suite, parse_commit, run_kill_round,
     KillRound, CHILD_FLAG,
@@ -59,14 +60,6 @@ struct Args {
     corruption_only: bool,
     skip_corruption: bool,
     keep_pools: bool,
-}
-
-fn parse_u64(s: &str) -> Option<u64> {
-    if let Some(hex) = s.strip_prefix("0x") {
-        u64::from_str_radix(hex, 16).ok()
-    } else {
-        s.parse().ok()
-    }
 }
 
 fn parse_commits(s: &str) -> Option<Vec<CommitMode>> {

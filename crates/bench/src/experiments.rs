@@ -1,59 +1,54 @@
-//! The paper's evaluation (§6) as one ledger of exact instruction counts, plus
-//! the machine-readable baseline behind `BENCH_flit.json`.
+//! The paper's evaluation (§6) and the server's request path as one ledger of
+//! exact instruction counts: the only source of the committed `BENCH_*.json`.
 //!
 //! A seeded run on one handle issues the same `pwb`/`pfence` stream every
 //! time, so each figure's *claim* — who flushes less than whom — is an
 //! inequality over counts that can be asserted rather than eyeballed.
-//! [`ledger`] measures the rows and [`Ledger::claims`] checks them; `repro --
-//! ledger` prints both and `tests/paper_ledger.rs` asserts them. The hardware
-//! of the reproduction environment differs from the paper's 48-core Optane
-//! machine (see the README's "Why a simulated backend"), so throughput is not
-//! a claim here: timing belongs to the `benchmark/` crate's run shape.
+//! [`ledger`] measures the rows and [`Ledger::claims`] checks them; `repro`
+//! prints both and writes them to `BENCH_flit.json` (map rows and verdicts) and
+//! `BENCH_server.json` (request-path rows), and `tests/paper_ledger.rs` asserts
+//! them. The hardware of the reproduction environment differs from the paper's
+//! 48-core Optane machine (see the README's "Why a simulated backend"), so
+//! throughput is not a claim here: timing belongs to the `benchmark/` crate's
+//! run shape.
 
-use flit_obs::LatencyHistogram;
-use flit_pmem::{CommitMode, ElisionMode, LatencyModel, StatsSnapshot};
+use std::ops::{AddAssign, Sub};
+
+use flit::{FlitDb, FlitHandle, Policy};
+use flit_crashtest::op_of;
+use flit_datastructs::{Automatic, HashTable};
+use flit_pmem::{CommitMode, ElisionMode, LatencyModel, SimNvram};
+use flit_server::{KvServer, Op, ServerConfig};
 use flit_workload::{
-    run_case, run_case_observed, run_queue_case, Case, DsKind, DurKind, PolicyKind, QueueCase,
-    QueueWorkloadConfig, WorkloadConfig, QUEUE_DURS,
+    prefill_history, run_case, run_queue_case, service_history, Case, DsKind, DurKind, MapOp,
+    PolicyKind, PolicyVisitor, QueueCase, QueueWorkloadConfig, ServiceConfig, WorkloadConfig,
+    QUEUE_DURS,
 };
 
-/// How big to make each experiment.
+/// How big to make each row.
 #[derive(Debug, Clone, Copy)]
 pub struct Scale {
-    /// Threads of the baseline runs (the ledger always runs one handle).
-    pub threads: usize,
-    /// Operations per thread per measured case.
-    pub ops_per_thread: u64,
-    /// Key range for the "10K keys" structures.
+    /// Operations per map row, requests per request-path row.
+    pub ops: u64,
+    /// Key range of the map rows (but the list's) and of the request path.
     pub small_keys: u64,
-    /// Key range for the "10M keys" structures (scaled down); the deep end of
-    /// the quick-scale depth sweep.
+    /// Key range of the depth rows, the deep end of the HAMT's copied path.
     pub large_keys: u64,
-    /// Key range for the small linked list (128 in the paper).
-    pub list_small_keys: u64,
 }
 
-/// Fast settings for the small container this reproduction runs in.
-pub const SCALE_QUICK: Scale = Scale {
-    threads: 4,
-    ops_per_thread: 4_000,
+/// The scale of the committed ledger, sized for a small container.
+pub const SCALE: Scale = Scale {
+    ops: 4_000,
     small_keys: 10_000,
     large_keys: 100_000,
-    list_small_keys: 128,
 };
 
-/// Settings closer to the paper's (use on a large multi-core machine).
-pub const SCALE_FULL: Scale = Scale {
-    threads: 44,
-    ops_per_thread: 100_000,
-    small_keys: 10_000,
-    large_keys: 10_000_000,
-    list_small_keys: 128,
-};
+/// Key range of the linked list, at every scale: the paper's small list.
+const LIST_KEYS: u64 = 128;
 
 fn small_key_range(scale: &Scale, ds: DsKind) -> u64 {
     if ds == DsKind::List {
-        scale.list_small_keys
+        LIST_KEYS
     } else {
         scale.small_keys
     }
@@ -71,9 +66,21 @@ const LEDGER_POLICIES: [PolicyKind; 5] = [
 /// The counter-table sizes of the Figure 5 rows, in bytes: 64 B to 16 MB.
 const LEDGER_TABLE_BYTES: [usize; 5] = [64, 4 << 10, 64 << 10, 1 << 20, 16 << 20];
 
-/// The batch size of the Figure 5 rows that keep stores tagged across
-/// operations, so that the table size shows in the read-side pwbs.
+/// The batch size of the rows that keep stores tagged across operations: the
+/// Figure 5 rows, where the table size shows in the read-side pwbs, and the
+/// group-commit rows.
 const LEDGER_BATCH: usize = 8;
+
+/// The policy and update mix of the write-heavy rows: the group-commit pairs
+/// and the depth rows.
+const WRITE_HEAVY: (PolicyKind, u32) = (PolicyKind::FlitHt(1 << 20), 50);
+
+/// The FliT policy of the request path: the server's 64 KB flit-HT table.
+const SERVER_FLIT_HT: PolicyKind = PolicyKind::FlitHt(64 << 10);
+
+/// Shards of the request-path server. Every layer boundary reads the counters
+/// of all of them, so the row does not depend on where a key routes.
+pub const SERVER_SHARDS: usize = 2;
 
 fn is_flit(policy: PolicyKind) -> bool {
     matches!(
@@ -82,7 +89,7 @@ fn is_flit(policy: PolicyKind) -> bool {
     )
 }
 
-/// One row of the [`ledger`]: the exact counts of one single-handle run.
+/// One map row of the [`ledger`]: the exact counts of one single-handle run.
 #[derive(Debug, Clone, PartialEq)]
 pub struct LedgerRow {
     /// Structure key (`bst`, `hashtable`, `list`, `skiplist`, `hamt`, `msqueue`).
@@ -93,210 +100,339 @@ pub struct LedgerRow {
     pub policy: PolicyKind,
     /// Commit mode of the run.
     pub commit: CommitMode,
+    /// Key range of the run (0 for dequeue-of-empty).
+    pub keys: u64,
     /// Update percentage of the map mix (0 for dequeue-of-empty).
     pub update_percent: u32,
-    /// `pwb` instructions per operation.
-    pub pwbs_per_op: f64,
-    /// `pfence` instructions per operation.
-    pub pfences_per_op: f64,
-    /// `pwb`s issued by p-loads of tagged words, per operation.
-    pub read_side_pwbs_per_op: f64,
+    /// Operations measured.
+    pub ops: u64,
+    /// Updates that changed the map: successful inserts and removes.
+    pub updates_ok: u64,
+    /// `pwb` instructions.
+    pub pwbs: u64,
+    /// `pfence` instructions.
+    pub pfences: u64,
+    /// `pwb`s issued by p-loads of tagged words.
+    pub read_side_pwbs: u64,
 }
 
 impl LedgerRow {
-    fn new(
-        structure: &'static str,
-        durability: &'static str,
-        policy: PolicyKind,
-        commit: CommitMode,
-        update_percent: u32,
-        (stats, ops): (StatsSnapshot, u64),
-    ) -> Self {
-        LedgerRow {
-            structure,
-            durability,
-            policy,
-            commit,
-            update_percent,
-            pwbs_per_op: stats.pwbs_per_op(ops),
-            pfences_per_op: stats.pfences_per_op(ops),
-            read_side_pwbs_per_op: stats.read_side_pwbs as f64 / ops as f64,
+    /// Whether `other` measures the same case.
+    fn same_case(&self, other: &LedgerRow) -> bool {
+        let case = |r: &LedgerRow| (r.structure, r.durability, r.policy, r.commit);
+        case(self) == case(other)
+            && (self.keys, self.update_percent) == (other.keys, other.update_percent)
+    }
+}
+
+/// `pwb` and `pfence` counts.
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+pub struct Counts {
+    /// `pwb` instructions.
+    pub pwbs: u64,
+    /// `pfence` instructions.
+    pub pfences: u64,
+}
+
+impl AddAssign for Counts {
+    fn add_assign(&mut self, o: Counts) {
+        self.pwbs += o.pwbs;
+        self.pfences += o.pfences;
+    }
+}
+
+impl Sub for Counts {
+    type Output = Counts;
+    fn sub(self, o: Counts) -> Counts {
+        Counts {
+            pwbs: self.pwbs - o.pwbs,
+            pfences: self.pfences - o.pfences,
         }
     }
+}
 
-    /// `structure/durability/policy/commit@update%`, the row's key.
-    pub fn label(&self) -> String {
-        format!(
-            "{}/{}/{}/{}@{}%",
-            self.structure,
-            self.durability,
-            self.policy.name(),
-            self.commit.name(),
-            self.update_percent
-        )
-    }
+/// The steps of [`KvServer::pump`] a request-path row splits its counts at, in
+/// the order a request passes them; a step's index into
+/// [`RequestRow::layers`] and [`LAYERS`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Layer {
+    /// Decode the request bytes.
+    Decode,
+    /// Route the key to its shard.
+    Route,
+    /// Post the token to the shard's durable mailbox.
+    Post,
+    /// Take the next token and decode its request.
+    Take,
+    /// Apply the request to the shard's map.
+    Apply,
+    /// Encode the reply.
+    Encode,
+}
+
+/// The keys of the [`Layer`]s in `BENCH_server.json`, in [`Layer`] order.
+pub const LAYERS: [&str; 6] = ["decode", "route", "post", "take", "apply", "encode"];
+
+/// One request-path row of the [`ledger`]: a one-worker drive of a
+/// hash-table server's [`KvServer::pump`], split into its [`Layer`]s under
+/// `Immediate`.
+///
+/// A `Batched` row has no split and inexact counts: the mailbox's enqueue
+/// p-loads the tail between its new node's persist and the linking CAS, so a
+/// tag the batch left open can meet that load on a clean epoch through the
+/// hashed counter table, depending on heap addresses. The pwb that adds makes
+/// the next fence fire: a flit-HT `Batched(8)` drive read 14 461 instead of
+/// 14 460 pfences in one of six processes, so two drives would not sum.
+#[derive(Debug, Clone, PartialEq)]
+pub struct RequestRow {
+    /// Policy variant of every shard.
+    pub policy: PolicyKind,
+    /// Commit mode of every shard.
+    pub commit: CommitMode,
+    /// Key range of the request stream.
+    pub keys: u64,
+    /// Update percentage of the request stream.
+    pub update_percent: u32,
+    /// Requests driven.
+    pub requests: u64,
+    /// Requests that are updates (`Put` or `Del`).
+    pub updates: u64,
+    /// Counts of the whole drive through `pump`.
+    pub pump: Counts,
+    /// Under `Immediate`, the counts of a second drive that walks `pump`'s
+    /// steps one by one, indexed by [`Layer`].
+    pub layers: Option<[Counts; 6]>,
 }
 
 /// One of the paper's claims, checked over the ledger's rows.
 #[derive(Debug, Clone)]
 pub struct Claim {
-    /// What the claim says.
-    pub statement: &'static str,
     /// Where the claim comes from: a figure of the paper or a workspace family.
     pub figure: &'static str,
+    /// What the claim says.
+    pub statement: &'static str,
     /// One line per row that breaks the claim; empty when it holds.
     pub broken: Vec<String>,
+}
+
+fn claim(
+    figure: &'static str,
+    statement: &'static str,
+    broken: impl IntoIterator<Item = String>,
+) -> Claim {
+    Claim {
+        figure,
+        statement,
+        broken: broken.into_iter().collect(),
+    }
+}
+
+/// One line of [`Claim::broken`]: the rows involved, with their counts.
+fn broken<R: std::fmt::Debug>(rows: &[&R]) -> String {
+    let shown: Vec<String> = rows.iter().map(|r| format!("{r:?}")).collect();
+    shown.join(" vs ")
 }
 
 /// The measured rows; [`Ledger::claims`] checks them.
 #[derive(Debug, Clone)]
 pub struct Ledger {
-    /// Every measured row, in measurement order.
+    /// Every map and queue row, in measurement order.
     pub rows: Vec<LedgerRow>,
+    /// Every request-path row, in measurement order.
+    pub requests: Vec<RequestRow>,
 }
 
 impl Ledger {
-    /// The row measuring `policy` under `durability` on `like`'s structure,
-    /// commit mode and update mix.
-    fn twin(&self, like: &LedgerRow, durability: &str, policy: PolicyKind) -> Option<&LedgerRow> {
-        self.rows.iter().find(|r| {
-            r.structure == like.structure
-                && r.durability == durability
-                && r.policy == policy
-                && r.commit == like.commit
-                && r.update_percent == like.update_percent
-        })
+    /// The row measuring `like`'s case with the fields `change` sets.
+    fn twin(&self, like: &LedgerRow, change: impl FnOnce(&mut LedgerRow)) -> Option<&LedgerRow> {
+        let mut case = like.clone();
+        change(&mut case);
+        self.rows.iter().find(|r| r.same_case(&case))
     }
 
     fn rows_where(&self, keep: impl Fn(&LedgerRow) -> bool) -> impl Iterator<Item = &LedgerRow> {
         self.rows.iter().filter(move |r| keep(r))
     }
 
+    /// The `Immediate` request-path row of `policy` at `like`'s update share.
+    fn immediate_twin(&self, like: &RequestRow, policy: PolicyKind) -> Option<&RequestRow> {
+        let case = (policy, CommitMode::Immediate, like.update_percent);
+        self.requests
+            .iter()
+            .find(|r| (r.policy, r.commit, r.update_percent) == case)
+    }
+
     /// Every claim, each with the rows that break it.
     pub fn claims(&self) -> Vec<Claim> {
         let immediate = |r: &LedgerRow| r.commit == CommitMode::Immediate;
-        let flit_le_plain = self
-            .rows_where(|r| immediate(r) && is_flit(r.policy))
-            .filter_map(|r| {
-                let plain = self.twin(r, r.durability, PolicyKind::Plain)?;
-                (r.pwbs_per_op > plain.pwbs_per_op).then(|| broken(&[r, plain]))
-            })
-            .collect();
-
-        let methods_ordered = self
-            .rows_where(|r| r.durability == DurKind::NvTraverse.name())
-            .filter_map(|nvt| {
-                let manual = self.twin(nvt, DurKind::Manual.name(), nvt.policy)?;
-                let automatic = self.twin(nvt, DurKind::Automatic.name(), nvt.policy)?;
-                let rows = [manual, nvt, automatic];
-                let ordered =
-                    |f: fn(&LedgerRow) -> f64| rows.windows(2).all(|w| f(w[0]) <= f(w[1]));
-                (!(ordered(|r| r.pwbs_per_op) && ordered(|r| r.pfences_per_op)))
-                    .then(|| broken(&rows))
-            })
-            .collect();
-
-        // The skiplist is the one structure where adjacent pays more pwbs than
-        // hashed; the cause is not traced, so the claim bounds it at 10 %.
-        let adjacent_like_hashed = self
-            .rows_where(|r| immediate(r) && r.policy == PolicyKind::FlitAdjacent)
-            .filter_map(|adj| {
-                let ht = self.twin(adj, adj.durability, PolicyKind::FlitHt(1 << 20))?;
-                let pwbs_ok = if adj.structure == DsKind::SkipList.name() {
-                    adj.pwbs_per_op <= 1.1 * ht.pwbs_per_op
-                } else {
-                    adj.pwbs_per_op == ht.pwbs_per_op
-                };
-                (!pwbs_ok || adj.pfences_per_op != ht.pfences_per_op).then(|| broken(&[adj, ht]))
-            })
-            .collect();
-
-        let batched = CommitMode::Batched(LEDGER_BATCH);
-        let tagged_reads = self
-            .rows_where(|r| immediate(r) && is_flit(r.policy) && r.read_side_pwbs_per_op != 0.0)
-            .map(|r| broken(&[r]))
-            .chain(
-                self.rows_where(|r| r.commit == batched && r.policy == PolicyKind::FlitHt(64))
-                    .filter_map(|small| {
-                        let large =
-                            self.twin(small, small.durability, PolicyKind::FlitHt(1 << 20))?;
-                        (small.read_side_pwbs_per_op <= large.read_side_pwbs_per_op)
-                            .then(|| broken(&[small, large]))
-                    }),
-            )
-            .collect();
-
-        let dequeue_empty = self
-            .rows_where(|r| r.structure == "msqueue")
-            .filter(|r| match (r.policy, r.durability) {
-                (PolicyKind::Plain, "automatic") => r.pwbs_per_op != 3.0,
-                (PolicyKind::Plain, "manual") => r.pwbs_per_op != 1.0,
-                (p, _) => is_flit(p) && r.pwbs_per_op != 0.0,
-            })
-            .map(|r| broken(&[r]))
-            .collect();
-
-        let hamt_fences = self
-            .rows_where(|r| r.structure == DsKind::Hamt.name())
-            .filter(|r| match r.policy {
-                PolicyKind::Plain => r.pfences_per_op < 1.0,
-                p => is_flit(p) && r.pfences_per_op > 2.0 * f64::from(r.update_percent) / 100.0,
-            })
-            .map(|r| broken(&[r]))
-            .collect();
-
+        let hamt = DsKind::Hamt.name();
+        let (heavy, heavy_updates) = WRITE_HEAVY;
+        let depth =
+            |r: &LedgerRow| immediate(r) && r.policy == heavy && r.update_percent == heavy_updates;
+        let split = || self.requests.iter().filter_map(|r| Some((r, r.layers?)));
+        let flit_split = || split().filter(|(r, _)| r.policy == SERVER_FLIT_HT);
         vec![
-            Claim {
-                statement: "FliT never pays more pwbs/op than plain",
-                figure: "Figures 7-9",
-                broken: flit_le_plain,
-            },
-            Claim {
-                statement: "manual <= NVTraverse <= automatic, in pwbs/op and in pfences/op",
-                figure: "Figure 7",
-                broken: methods_ordered,
-            },
-            Claim {
-                statement: "flit-adjacent ~ flit-HT: equal pfences/op; equal pwbs/op but \
-                            on the skiplist, where adjacent pays at most 10% more",
-                figure: "Figures 7, 9",
-                broken: adjacent_like_hashed,
-            },
-            Claim {
-                statement: "one handle reads no tagged word under Immediate at any table size; \
-                            under Batched(8) a 64B table reads more than a 1MB one",
-                figure: "Figure 5",
-                broken: tagged_reads,
-            },
-            Claim {
-                statement: "dequeue-of-empty: plain pays 3 pwbs/op (manual 1), FliT none",
-                figure: "queue family",
-                broken: dequeue_empty,
-            },
-            Claim {
-                statement: "HAMT: FliT pfences/op <= 2 x the update share, plain >= 1",
-                figure: "MOD (HAMT)",
-                broken: hamt_fences,
-            },
+            claim(
+                "Figures 7-9",
+                "FliT never pays more pwbs/op than plain",
+                self.rows_where(|r| immediate(r) && is_flit(r.policy))
+                    .filter_map(|r| {
+                        let plain = self.twin(r, |t| t.policy = PolicyKind::Plain)?;
+                        (r.pwbs > plain.pwbs).then(|| broken(&[r, plain]))
+                    }),
+            ),
+            claim(
+                "Figure 7",
+                "manual <= NVTraverse <= automatic, in pwbs/op and in pfences/op",
+                self.rows_where(|r| r.durability == DurKind::NvTraverse.name())
+                    .filter_map(|nvt| {
+                        let manual = self.twin(nvt, |t| t.durability = DurKind::Manual.name())?;
+                        let auto = self.twin(nvt, |t| t.durability = DurKind::Automatic.name())?;
+                        let rows = [manual, nvt, auto];
+                        let ordered =
+                            |f: fn(&LedgerRow) -> u64| rows.windows(2).all(|w| f(w[0]) <= f(w[1]));
+                        (!(ordered(|r| r.pwbs) && ordered(|r| r.pfences))).then(|| broken(&rows))
+                    }),
+            ),
+            // The skiplist is the one structure where adjacent pays more pwbs
+            // than hashed; the cause is not traced, so the claim bounds it at 10 %.
+            claim(
+                "Figures 7, 9",
+                "flit-adjacent ~ flit-HT: equal pfences/op; equal pwbs/op but on the skiplist, \
+                 where adjacent pays at most 10% more",
+                self.rows_where(|r| immediate(r) && r.policy == PolicyKind::FlitAdjacent)
+                    .filter_map(|adj| {
+                        let ht = self.twin(adj, |t| t.policy = PolicyKind::FlitHt(1 << 20))?;
+                        let pwbs_ok = if adj.structure == DsKind::SkipList.name() {
+                            10 * adj.pwbs <= 11 * ht.pwbs
+                        } else {
+                            adj.pwbs == ht.pwbs
+                        };
+                        (!pwbs_ok || adj.pfences != ht.pfences).then(|| broken(&[adj, ht]))
+                    }),
+            ),
+            claim(
+                "Figure 5",
+                "one handle reads no tagged word under Immediate at any table size; \
+                 under Batched(8) a 64B table reads more than a 1MB one",
+                self.rows_where(|r| immediate(r) && is_flit(r.policy) && r.read_side_pwbs != 0)
+                    .map(|r| broken(&[r]))
+                    .chain(
+                        self.rows_where(|r| {
+                            r.commit.is_batched() && r.policy == PolicyKind::FlitHt(64)
+                        })
+                        .filter_map(|small| {
+                            let large =
+                                self.twin(small, |t| t.policy = PolicyKind::FlitHt(1 << 20))?;
+                            (small.read_side_pwbs <= large.read_side_pwbs)
+                                .then(|| broken(&[small, large]))
+                        }),
+                    ),
+            ),
+            claim(
+                "queue family",
+                "dequeue-of-empty: plain pays 3 pwbs/op (manual 1), FliT none",
+                self.rows_where(|r| r.structure == "msqueue")
+                    .filter(|r| match (r.policy, r.durability) {
+                        (PolicyKind::Plain, "automatic") => r.pwbs != 3 * r.ops,
+                        (PolicyKind::Plain, "manual") => r.pwbs != r.ops,
+                        (p, _) => is_flit(p) && r.pwbs != 0,
+                    })
+                    .map(|r| broken(&[r])),
+            ),
+            claim(
+                "MOD (HAMT)",
+                "HAMT: FliT pays exactly 2 pfences per successful update at every key count, \
+                 plain >= 1 pfence/op",
+                self.rows_where(|r| immediate(r) && r.structure == hamt)
+                    .filter(|r| match r.policy {
+                        PolicyKind::Plain => r.pfences < r.ops,
+                        p => is_flit(p) && r.pfences != 2 * r.updates_ok,
+                    })
+                    .map(|r| broken(&[r])),
+            ),
+            // Ratios are compared cross-multiplied, so the claim stays exact.
+            claim(
+                "MOD (HAMT depth)",
+                "HAMT: pwbs/op grow with the key count, and the in-place structures pay more \
+                 pfences per pwb",
+                self.rows_where(|r| depth(r) && r.structure == hamt)
+                    .flat_map(|deep| {
+                        let shallower = self
+                            .rows_where(|r| depth(r) && r.structure == hamt && r.keys < deep.keys)
+                            .filter(|s| s.pwbs * deep.ops >= deep.pwbs * s.ops)
+                            .map(|s| broken(&[s, deep]));
+                        let in_place = [DsKind::HashTable, DsKind::Bst]
+                            .into_iter()
+                            .filter_map(|ds| {
+                                self.twin(deep, |t| {
+                                    t.structure = ds.name();
+                                    t.durability = DurKind::Automatic.name();
+                                })
+                            })
+                            .filter(|r| r.pfences * deep.pwbs <= deep.pfences * r.pwbs)
+                            .map(|r| broken(&[r, deep]));
+                        shallower.chain(in_place).collect::<Vec<_>>()
+                    }),
+            ),
+            claim(
+                "group commit",
+                "Batched(8) pays fewer pfences/op than Immediate at 50% updates",
+                self.rows_where(|r| r.commit.is_batched()).filter_map(|b| {
+                    let imm = self.twin(b, |t| t.commit = CommitMode::Immediate)?;
+                    (b.pfences >= imm.pfences).then(|| broken(&[b, imm]))
+                }),
+            ),
+            claim(
+                "request path",
+                "the request path's layers sum to pump's total, to the count",
+                split()
+                    .filter(|(r, layers)| {
+                        let mut sum = Counts::default();
+                        layers.iter().for_each(|&l| sum += l);
+                        sum != r.pump
+                    })
+                    .map(|(r, _)| broken(&[r])),
+            ),
+            claim(
+                "request path",
+                "flit-HT's apply layer pays at most 2 pfences per update request, none without \
+                 updates",
+                flit_split()
+                    .filter(|(r, l)| l[Layer::Apply as usize].pfences > 2 * r.updates)
+                    .map(|(r, _)| broken(&[r])),
+            ),
+            claim(
+                "request path",
+                "plain pays more pwbs per request than flit-HT",
+                flit_split().filter_map(|(flit, _)| {
+                    let plain = self.immediate_twin(flit, PolicyKind::Plain)?;
+                    (plain.pump.pwbs <= flit.pump.pwbs).then(|| broken(&[plain, flit]))
+                }),
+            ),
+            claim(
+                "request path",
+                "flit-HT's mailbox (post + take) pays exactly 4 pfences per request",
+                flit_split()
+                    .filter(|(r, l)| {
+                        l[Layer::Post as usize].pfences + l[Layer::Take as usize].pfences
+                            != 4 * r.requests
+                    })
+                    .map(|(r, _)| broken(&[r])),
+            ),
+            claim(
+                "request path",
+                "Batched(8) pays fewer pfences per request than Immediate at 50% updates",
+                self.requests
+                    .iter()
+                    .filter(|r| r.commit.is_batched())
+                    .filter_map(|b| {
+                        let imm = self.immediate_twin(b, b.policy)?;
+                        (b.pump.pfences >= imm.pump.pfences).then(|| broken(&[b, imm]))
+                    }),
+            ),
         ]
     }
-}
-
-/// One line of [`Claim::broken`]: the rows involved, with their counts.
-fn broken(rows: &[&LedgerRow]) -> String {
-    let shown: Vec<String> = rows
-        .iter()
-        .map(|r| {
-            format!(
-                "{} ({} pwbs, {} pfences, {} read-side pwbs /op)",
-                r.label(),
-                r.pwbs_per_op,
-                r.pfences_per_op,
-                r.read_side_pwbs_per_op
-            )
-        })
-        .collect();
-    shown.join(" vs ")
 }
 
 /// Measure the ledger: single-handle runs without modelled latency, each on
@@ -306,50 +442,74 @@ fn broken(rows: &[&LedgerRow]) -> String {
 ///   updates (Figures 7–9; the HAMT is its own method);
 /// * flit-HT with a 64 B, 4 KB, 64 KB, 1 MB and 16 MB table on each in-place
 ///   structure at 50 % updates, under `Immediate` and `Batched(8)` (Figure 5: the
-///   write-heavy end, where a batch leaves the most words tagged);
-/// * dequeue-of-empty on the queue under both of its methods.
+///   write-heavy end, where a batch leaves the most words tagged), and the
+///   HAMT's `Batched(8)` row at 1 MB (group commit);
+/// * the HAMT, hash table and BST at the large key range (depth);
+/// * dequeue-of-empty on the queue under both of its methods;
+/// * the request path: flit-HT (64 KB) and plain at {0, 5, 50} % updates, and
+///   flit-HT under `Batched(8)` at 50 % (through `pump` only).
 pub fn ledger(scale: &Scale) -> Ledger {
     let mut maps = Vec::new();
+    let mut add = |spec| {
+        if !maps.contains(&spec) {
+            maps.push(spec);
+        }
+    };
+    let immediate = CommitMode::Immediate;
     for ds in DsKind::ALL {
+        let keys = small_key_range(scale, ds);
         for &dur in ds.methods() {
             for policy in LEDGER_POLICIES.into_iter().filter(|p| p.applicable_to(ds)) {
                 for updates in [0, 5, 50] {
-                    maps.push((ds, dur, policy, updates, CommitMode::Immediate));
+                    add((ds, dur, policy, keys, updates, immediate));
                 }
             }
         }
     }
-    for ds in DsKind::ALL.into_iter().filter(|&ds| ds != DsKind::Hamt) {
-        for bytes in LEDGER_TABLE_BYTES {
-            for commit in [CommitMode::Immediate, CommitMode::Batched(LEDGER_BATCH)] {
+    let (heavy, heavy_updates) = WRITE_HEAVY;
+    for ds in DsKind::ALL {
+        let keys = small_key_range(scale, ds);
+        let tables: &[usize] = match ds {
+            DsKind::Hamt => &[1 << 20],
+            _ => &LEDGER_TABLE_BYTES,
+        };
+        for &bytes in tables {
+            for commit in [immediate, CommitMode::Batched(LEDGER_BATCH)] {
                 let ht = PolicyKind::FlitHt(bytes);
-                maps.push((ds, DurKind::Automatic, ht, 50, commit));
+                add((ds, DurKind::Automatic, ht, keys, heavy_updates, commit));
             }
         }
     }
+    for ds in [DsKind::Hamt, DsKind::HashTable, DsKind::Bst] {
+        let auto = DurKind::Automatic;
+        add((ds, auto, heavy, scale.large_keys, heavy_updates, immediate));
+    }
     let mut rows: Vec<LedgerRow> = maps
         .into_iter()
-        .map(|(ds, dur, policy, updates, commit)| {
-            let keys = small_key_range(scale, ds);
+        .map(|(ds, dur, policy, keys, update_percent, commit)| {
             let case = Case {
                 ds,
                 dur,
                 policy,
-                config: WorkloadConfig::new(keys, updates, 1, scale.ops_per_thread),
+                config: WorkloadConfig::new(keys, update_percent, 1, scale.ops),
                 latency: LatencyModel::none(),
                 elision: ElisionMode::Enabled,
                 commit,
             };
             let r = run_case(&case);
-            let durability = case.durability();
-            LedgerRow::new(
-                ds.name(),
-                durability,
+            LedgerRow {
+                structure: ds.name(),
+                durability: case.durability(),
                 policy,
                 commit,
-                updates,
-                (r.pmem, r.total_ops),
-            )
+                keys,
+                update_percent,
+                ops: r.total_ops,
+                updates_ok: r.inserts_ok + r.removes_ok,
+                pwbs: r.pmem.pwbs,
+                pfences: r.pmem.pfences,
+                read_side_pwbs: r.pmem.read_side_pwbs,
+            }
         })
         .collect();
     for dur in QUEUE_DURS {
@@ -358,384 +518,153 @@ pub fn ledger(scale: &Scale) -> Ledger {
                 dur,
                 policy,
                 // No enqueues and no prefill: every operation finds the queue empty.
-                config: QueueWorkloadConfig::mixed(1, 0, scale.ops_per_thread),
+                config: QueueWorkloadConfig::mixed(1, 0, scale.ops),
                 latency: LatencyModel::none(),
                 elision: ElisionMode::Enabled,
-                commit: CommitMode::Immediate,
+                commit: immediate,
             };
             let r = run_queue_case(&case);
-            let stats = (r.pmem, r.total_ops);
-            rows.push(LedgerRow::new(
-                "msqueue",
-                dur.name(),
+            rows.push(LedgerRow {
+                structure: "msqueue",
+                durability: dur.name(),
                 policy,
-                case.commit,
-                0,
-                stats,
-            ));
+                commit: case.commit,
+                keys: 0,
+                update_percent: 0,
+                ops: r.total_ops,
+                updates_ok: 0,
+                pwbs: r.pmem.pwbs,
+                pfences: r.pmem.pfences,
+                read_side_pwbs: r.pmem.read_side_pwbs,
+            });
         }
     }
-    Ledger { rows }
-}
 
-/// One record of the machine-readable benchmark baseline (`BENCH_flit.json`).
-#[derive(Debug, Clone)]
-pub struct BenchRecord {
-    /// Structure key (`bst`, `hashtable`, `list`, `skiplist`, `hamt`).
-    pub structure: String,
-    /// Key range of the workload the record was measured on (the depth-sweep
-    /// rows vary this; the baseline rows use the structure's small size).
-    pub keys: u64,
-    /// Policy label (e.g. `flit-HT (1MB)`).
-    pub policy: String,
-    /// Durability method key.
-    pub durability: String,
-    /// Persist-epoch elision mode of the run (`on` / `off`).
-    pub elision: &'static str,
-    /// Durability commit mode of the run (`immediate` / `batched-<k>`).
-    pub commit: String,
-    /// Update percentage of the workload the record was measured on (the
-    /// read-mostly baseline and the write-heavy group-commit rows differ).
-    pub update_percent: u32,
-    /// Throughput in Mops/s (machine-dependent; tracked for trend, not truth).
-    pub mops: f64,
-    /// `pwb` instructions per operation (deterministic up to scheduling).
-    pub pwbs_per_op: f64,
-    /// `pfence` instructions per operation.
-    pub pfences_per_op: f64,
-    /// Fences skipped by elision, per operation.
-    pub elided_pfences_per_op: f64,
-    /// Median per-operation latency in nanoseconds (log₂-bucketed; see
-    /// [`LatencyHistogram`]).
-    pub p50_ns: u64,
-    /// 99th-percentile per-operation latency in nanoseconds.
-    pub p99_ns: u64,
-}
-
-/// The update percentage of the benchmark baseline: the read-mostly (95% lookup)
-/// map workload where fence elision matters most.
-pub const BENCH_UPDATE_PERCENT: u32 = 5;
-
-/// The update percentage of the group-commit A/B rows: write-heavy, where the
-/// trailing-fence amortisation of [`CommitMode::Batched`] is visible.
-pub const BENCH_GROUP_COMMIT_UPDATE_PERCENT: u32 = 50;
-
-/// The batch size `k` the baseline's batched rows run with.
-pub const BENCH_GROUP_COMMIT_BATCH: usize = 8;
-
-/// Measure one baseline case (automatic durability, simulated Optane latency)
-/// and capture it as a record.
-fn bench_record(
-    ds: DsKind,
-    policy: PolicyKind,
-    config: WorkloadConfig,
-    elision: ElisionMode,
-    commit: CommitMode,
-) -> BenchRecord {
-    let c = Case {
-        ds,
-        dur: DurKind::Automatic,
-        policy,
-        config,
-        latency: LatencyModel::optane(),
-        elision,
-        commit,
-    };
-    let hist = LatencyHistogram::new();
-    let observe = |ns: u64| hist.record(ns);
-    let r = run_case_observed(&c, Some(&observe));
-    BenchRecord {
-        structure: ds.name().to_string(),
-        keys: c.config.key_range,
-        policy: policy.name(),
-        durability: c.durability().to_string(),
-        elision: elision.name(),
-        commit: commit.name(),
-        update_percent: c.config.update_percent,
-        mops: r.mops,
-        pwbs_per_op: r.pwbs_per_op(),
-        pfences_per_op: r.pfences_per_op(),
-        elided_pfences_per_op: r.pmem.elided_pfences as f64 / r.total_ops as f64,
-        p50_ns: hist.p50(),
-        p99_ns: hist.p99(),
-    }
-}
-
-/// The benchmark baseline behind `BENCH_flit.json`: every map structure × the four
-/// persistent policy variants × both elision modes on the read-mostly (95/5)
-/// workload with automatic durability, plus a group-commit A/B pair per structure
-/// on the write-heavy (50/50) workload. The elision A/B pair per (structure,
-/// policy) makes the per-op instruction savings of persist-epoch elision
-/// machine-readable; the immediate/batched pair does the same for the trailing
-/// fences amortised by [`CommitMode::Batched`].
-///
-/// The copy-on-write HAMT rides the same grid; its `cow` durability column
-/// marks that the discipline is the structure's own, not a method axis. Its
-/// root is a p-word of the policy, so its rows differ the way the paper says
-/// they should: plain flushes and fences every lookup, the FliT variants only
-/// the published updates.
-pub fn bench_baseline(scale: &Scale) -> Vec<BenchRecord> {
-    let mut specs = Vec::new();
-    for ds in DsKind::ALL {
-        for policy in [
-            PolicyKind::Plain,
-            PolicyKind::FlitAdjacent,
-            PolicyKind::FlitHt(1 << 20),
-            PolicyKind::LinkAndPersist,
-        ] {
-            if !policy.applicable_to(ds) {
-                continue;
-            }
-            for elision in [ElisionMode::Enabled, ElisionMode::Disabled] {
-                specs.push((
-                    ds,
-                    policy,
-                    BENCH_UPDATE_PERCENT,
-                    elision,
-                    CommitMode::Immediate,
-                ));
-            }
-        }
-    }
-    // Group-commit A/B: per-operation durability vs `Batched(k)` on the
-    // write-heavy mix, where the deferred trailing fences dominate. flit-HT is
-    // the policy whose tag scheme supports deferred store closes, so it is the
-    // pair where the amortisation shows.
-    for ds in DsKind::ALL {
-        for commit in [
-            CommitMode::Immediate,
-            CommitMode::Batched(BENCH_GROUP_COMMIT_BATCH),
-        ] {
-            let updates = BENCH_GROUP_COMMIT_UPDATE_PERCENT;
-            specs.push((
-                ds,
-                PolicyKind::FlitHt(1 << 20),
-                updates,
-                ElisionMode::Enabled,
-                commit,
-            ));
-        }
-    }
-    specs
+    let batched = CommitMode::Batched(LEDGER_BATCH);
+    let requests = [0, 5, 50]
         .into_iter()
-        .map(|(ds, policy, updates, elision, commit)| {
-            let keys = small_key_range(scale, ds);
-            let cfg = WorkloadConfig::new(keys, updates, scale.threads, scale.ops_per_thread);
-            bench_record(ds, policy, cfg, elision, commit)
+        .flat_map(|updates| {
+            [SERVER_FLIT_HT, PolicyKind::Plain].map(|policy| (policy, updates, immediate))
         })
-        .collect()
+        .chain([(SERVER_FLIT_HT, heavy_updates, batched)])
+        .map(|(policy, update_percent, commit)| {
+            let cfg = ServiceConfig::new(scale.small_keys, update_percent, scale.ops);
+            let stream = service_history(&cfg);
+            let path = RequestPath {
+                prefill: prefill_history(&cfg).iter().map(op_of).collect(),
+                slab: stream.iter().map(|op| op_of(op).encode()).collect(),
+                keys: cfg.key_range,
+                commit,
+            };
+            let (pump, layers) = policy.visit(SimNvram::for_counting, path);
+            let gets = stream.iter().filter(|op| matches!(op, MapOp::Get(_)));
+            RequestRow {
+                policy,
+                commit,
+                keys: cfg.key_range,
+                update_percent,
+                requests: stream.len() as u64,
+                updates: (stream.len() - gets.count()) as u64,
+                pump,
+                layers,
+            }
+        })
+        .collect();
+    Ledger { rows, requests }
 }
 
-/// The key counts of the depth sweep behind the HAMT's flat-fence-cost claim:
-/// three decades of trie depth (1k keys ≈ 3 levels, 1M keys ≈ 5).
-pub const BENCH_DEPTH_KEYS: [u64; 2] = [1_000, 1_000_000];
+/// The hash-table server of the request path.
+type Server<P> = KvServer<P, HashTable<P, Automatic>>;
 
-/// The key-depth sweep (`BENCH_flit.json`'s varying-`keys` rows): the HAMT,
-/// the flit-HT hash table and the BST on the same update-heavy workload at
-/// each key count in `keys`. The claim the rows make machine-readable is the
-/// MOD discipline's fence decoupling: the HAMT's **pwbs/op grows** with the
-/// key count (a deeper trie means a longer copied path, every node of which
-/// is written back) while its **pfences/op stays flat** — the whole path
-/// rides under one pre-publish fence no matter how long it gets. The in-place
-/// structures fence roughly once per write-back (their pfences-per-pwb ratio
-/// stays near one at every size), so the HAMT's fences-per-pwb ratio sits
-/// strictly below theirs and keeps falling as the trie deepens.
-pub fn bench_depth_sweep(scale: &Scale, keys: &[u64]) -> Vec<BenchRecord> {
-    let mut records = Vec::new();
-    for &key_range in keys {
-        for ds in [DsKind::Hamt, DsKind::HashTable, DsKind::Bst] {
-            let cfg = WorkloadConfig::new(
-                key_range,
-                BENCH_GROUP_COMMIT_UPDATE_PERCENT,
-                scale.threads,
-                scale.ops_per_thread,
-            );
-            records.push(bench_record(
-                ds,
-                PolicyKind::FlitHt(1 << 20),
-                cfg,
-                ElisionMode::Enabled,
-                CommitMode::Immediate,
-            ));
-        }
-    }
-    records
+/// One request-path row's two drives, run by [`PolicyKind::visit`].
+struct RequestPath {
+    /// The routed `Put`s that fill the map before a drive.
+    prefill: Vec<Op>,
+    /// The encoded requests; request `i`'s token is `i`.
+    slab: Vec<Vec<u8>>,
+    keys: u64,
+    commit: CommitMode,
 }
 
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    /// A miniature scale so the baseline plumbing can be exercised in unit tests.
-    const SCALE_TEST: Scale = Scale {
-        threads: 2,
-        ops_per_thread: 200,
-        small_keys: 256,
-        large_keys: 512,
-        list_small_keys: 64,
-    };
-
-    #[test]
-    fn bench_baseline_shows_the_fence_savings() {
-        let records = bench_baseline(&SCALE_TEST);
-        // 4 in-place structures × 4 policies (minus lp/bst) × 2 elision modes,
-        // plus the HAMT on the same 4-policy × 2-elision grid, plus the
-        // write-heavy group-commit A/B pair per structure (HAMT included).
-        assert_eq!(records.len(), (4 * 4 - 1) * 2 + 4 * 2 + (4 + 1) * 2);
-        let get = |structure: &str, policy: &str, elision: &str| {
-            records
-                .iter()
-                .find(|r| {
-                    r.structure == structure
-                        && r.policy == policy
-                        && r.elision == elision
-                        && r.update_percent == BENCH_UPDATE_PERCENT
-                })
-                .unwrap()
+/// The counters of every shard's backend, summed.
+fn counts<P: Policy>(server: &Server<P>) -> Counts {
+    let mut sum = Counts::default();
+    for shard in server.shards() {
+        let s = shard.db().stats_snapshot().unwrap_or_default();
+        sum += Counts {
+            pwbs: s.pwbs,
+            pfences: s.pfences,
         };
-        // The group-commit acceptance claim: on the write-heavy mix, batched
-        // commit spends strictly fewer fences per operation than per-op
-        // durability for every structure.
-        let commit_row = |structure: &str, commit: &str| {
-            records
-                .iter()
-                .find(|r| {
-                    r.structure == structure
-                        && r.commit == commit
-                        && r.update_percent == BENCH_GROUP_COMMIT_UPDATE_PERCENT
-                })
-                .unwrap()
-        };
-        for structure in ["bst", "hashtable", "list", "skiplist"] {
-            let immediate = commit_row(structure, "immediate");
-            let batched = commit_row(structure, &format!("batched-{BENCH_GROUP_COMMIT_BATCH}"));
-            assert!(
-                batched.pfences_per_op < immediate.pfences_per_op,
-                "{structure}: batched commit must drop pfences/op ({} vs {})",
-                batched.pfences_per_op,
-                immediate.pfences_per_op
-            );
-        }
-        for structure in ["bst", "hashtable", "list", "skiplist"] {
-            let on = get(structure, "flit-HT (1MB)", "on");
-            let off = get(structure, "flit-HT (1MB)", "off");
-            assert!(
-                on.pfences_per_op < off.pfences_per_op,
-                "{structure}: elision must drop pfences/op ({} vs {})",
-                on.pfences_per_op,
-                off.pfences_per_op
-            );
-            assert!(on.elided_pfences_per_op > 0.0);
-            assert!(
-                on.p50_ns > 0 && on.p99_ns >= on.p50_ns,
-                "latency percentiles populated"
-            );
-            // Figure 9 invariance: the plain baseline's pwb stream is identical in
-            // both modes (it opts out of read-flush dedup). Concurrent CAS retries
-            // add scheduling noise, so compare with a small tolerance here; the
-            // exact single-threaded identity is asserted in `tests/elision.rs`.
-            let plain_on = get(structure, "plain", "on");
-            let plain_off = get(structure, "plain", "off");
-            let rel = (plain_on.pwbs_per_op - plain_off.pwbs_per_op).abs()
-                / plain_off.pwbs_per_op.max(1e-12);
-            assert!(
-                rel < 0.05,
-                "{structure}: plain pwbs/op changed under elision ({} vs {})",
-                plain_on.pwbs_per_op,
-                plain_off.pwbs_per_op
-            );
-        }
     }
+    sum
+}
 
-    #[test]
-    fn bench_baseline_covers_the_hamt() {
-        let records = bench_baseline(&SCALE_TEST);
-        let hamt: Vec<_> = records.iter().filter(|r| r.structure == "hamt").collect();
-        assert_eq!(hamt.len(), 4 * 2 + 2);
-        assert!(hamt.iter().all(|r| r.durability == "cow"));
-        assert!(hamt.iter().all(|r| r.keys == SCALE_TEST.small_keys));
-        // The root is a p-word of the policy: under FliT only published
-        // updates fence (two fences each, at most every update succeeds);
-        // plain still flushes and fences every lookup.
-        let row = |policy: &str| {
-            hamt.iter()
-                .find(|r| {
-                    r.policy == policy
-                        && r.elision == "on"
-                        && r.update_percent == BENCH_UPDATE_PERCENT
-                })
-                .unwrap()
-        };
-        let update_fraction = f64::from(BENCH_UPDATE_PERCENT) / 100.0;
-        let flit = row("flit-HT (1MB)");
-        assert!(
-            flit.pfences_per_op <= 2.0 * update_fraction,
-            "flit-HT hamt pfences/op {} exceeds two per update",
-            flit.pfences_per_op
-        );
-        assert!(flit.pwbs_per_op < 1.0 && flit.elided_pfences_per_op > 0.9);
-        let plain = row("plain");
-        assert!(plain.pfences_per_op >= 1.0 && plain.pwbs_per_op >= 1.0);
-    }
-
-    #[test]
-    fn depth_sweep_shows_the_hamt_fence_cost_flat() {
-        // Miniature depth sweep: two decades of key-count growth. The MOD
-        // fence decoupling in miniature: the HAMT's write-backs grow with the
-        // copied path but its fences do not (two per published update, none
-        // for a lookup), while the in-place structures fence about once per
-        // write-back at every size.
-        //
-        // Each point keeps the quietest of three runs. Both threads read the
-        // one root word, so a publisher preempted inside its tagged window
-        // makes the other thread's lookups help for a whole timeslice — longer
-        // than this miniature run (about one run in twenty reads 0.75–0.9
-        // instead of 0.5). Interference only ever adds fences.
-        let runs: Vec<_> = (0..3)
-            .map(|_| bench_depth_sweep(&SCALE_TEST, &[64, 4096]))
-            .collect();
-        assert!(runs.iter().all(|records| records.len() == 3 * 2));
-        let get = |structure: &str, keys: u64| {
-            runs.iter()
-                .flatten()
-                .filter(|r| r.structure == structure && r.keys == keys)
-                .min_by(|a, b| a.pfences_per_op.total_cmp(&b.pfences_per_op))
-                .unwrap()
-        };
-        let (small, large) = (get("hamt", 64), get("hamt", 4096));
-        let rel =
-            (large.pfences_per_op - small.pfences_per_op).abs() / small.pfences_per_op.max(1e-12);
-        assert!(
-            rel < 0.25,
-            "hamt pfences/op must be flat in key depth ({} vs {})",
-            small.pfences_per_op,
-            large.pfences_per_op
-        );
-        let update_fraction = f64::from(BENCH_GROUP_COMMIT_UPDATE_PERCENT) / 100.0;
-        assert!(
-            large.pfences_per_op <= 2.0 * update_fraction,
-            "two fences per published update, none per lookup: {}",
-            large.pfences_per_op
-        );
-        assert!(
-            large.pwbs_per_op > small.pwbs_per_op,
-            "a deeper trie copies a longer path ({} vs {} pwbs/op)",
-            small.pwbs_per_op,
-            large.pwbs_per_op
-        );
-        // One fence covers the whole copied path: the HAMT's fences-per-pwb
-        // ratio must sit below the in-place structures' (which flush-and-fence
-        // roughly one-for-one) at the deep end.
-        let hamt_ratio = large.pfences_per_op / large.pwbs_per_op;
-        for structure in ["hashtable", "bst"] {
-            let inplace = get(structure, 4096);
-            let ratio = inplace.pfences_per_op / inplace.pwbs_per_op.max(1e-12);
-            assert!(
-                ratio > hamt_ratio,
-                "{structure}: fences-per-pwb {} must exceed the hamt's {}",
-                ratio,
-                hamt_ratio
-            );
+impl RequestPath {
+    /// Build a fresh server, prefill it through the shards' direct path, and
+    /// return the counts `drive` adds on it with one handle per shard.
+    fn serve<P: Policy>(
+        &self,
+        make: &impl Fn() -> P,
+        drive: impl FnOnce(&Server<P>, &[FlitHandle<'_, P>]),
+    ) -> Counts {
+        let config = ServerConfig::new(SERVER_SHARDS, self.keys as usize);
+        let server: Server<P> = KvServer::new_with(config, |_| {
+            FlitDb::builder(make()).commit_mode(self.commit).build()
+        });
+        let handles = server.handles();
+        for op in &self.prefill {
+            let sid = server.route(op.key().expect("prefill is data requests"));
+            server.shard(sid).apply(&handles[sid], op);
         }
+        let start = counts(&server);
+        drive(&server, &handles);
+        counts(&server) - start
+    }
+}
+
+impl PolicyVisitor for RequestPath {
+    type Output = (Counts, Option<[Counts; 6]>);
+
+    /// Drive the slab through `pump` on one server, then, under `Immediate`,
+    /// walk it through `pump`'s public steps on a second, cutting the counts at
+    /// every layer.
+    fn visit<P: Policy>(self, make: impl Fn() -> P) -> Self::Output {
+        let slab = &self.slab;
+        let pump = self.serve(&make, |server, handles| {
+            for token in 0..slab.len() as u64 {
+                let (served, _) = server.pump(handles, slab, token).expect("data requests");
+                assert_eq!(served, token, "one worker is served in order");
+            }
+        });
+        if self.commit.is_batched() {
+            return (pump, None);
+        }
+        let mut layers = [Counts::default(); 6];
+        self.serve(&make, |server, handles| {
+            let mut mark = counts(server);
+            let mut cut = |layer: Layer| {
+                let now = counts(server);
+                layers[layer as usize] += now - mark;
+                mark = now;
+            };
+            for (token, bytes) in slab.iter().enumerate() {
+                let op = Op::decode(bytes).expect("well-formed request");
+                cut(Layer::Decode);
+                let sid = server.route(op.key().expect("data request"));
+                cut(Layer::Route);
+                let (shard, h) = (server.shard(sid), &handles[sid]);
+                shard.post(h, token as u64);
+                cut(Layer::Post);
+                let served = shard.take(h).expect("one worker finds its own token");
+                assert_eq!(served, token as u64, "one worker is served in order");
+                let op = Op::decode(&slab[served as usize]).expect("well-formed request");
+                cut(Layer::Take);
+                let reply = shard.apply(h, &op);
+                cut(Layer::Apply);
+                let _ = reply.encode();
+                cut(Layer::Encode);
+            }
+        });
+        (pump, Some(layers))
     }
 }

@@ -1,33 +1,51 @@
-//! # `flit-bench` — benchmark harness for the FliT reproduction
+//! # `flit-bench` — the paper's claims as exact counts, and the workspace's CLIs
 //!
-//! Two kinds of benchmarks live here:
-//!
-//! * the **`repro` binary** (`cargo run -p flit-bench --release --bin repro --
-//!   ledger|bench|server`): `ledger` measures the [`experiments::ledger`] — the
-//!   paper's claims (Figures 5, 7–9) as inequalities over exact single-handle
-//!   instruction counts — and exits non-zero if one breaks; `bench` and `server`
-//!   write the `BENCH_flit.json` / `BENCH_server.json` baselines;
+//! * the **`repro` binary** (`cargo run -p flit-bench --release --bin repro`)
+//!   measures the [`experiments::ledger`] — the paper's claims (Figures 5, 7–9,
+//!   MOD's HAMT, group commit) and the server's request path as exact
+//!   single-handle instruction counts — checks every claim, exits non-zero if
+//!   one breaks, and writes the rows to `BENCH_flit.json` and
+//!   `BENCH_server.json`;
 //! * the **Criterion benches** (`cargo bench -p flit-bench`) measure the primitive
 //!   flit-instruction costs and small end-to-end map workloads, for regression
 //!   tracking rather than paper reproduction.
 //!
-//! The `repro -- server` subcommand runs the [`server_experiments`] family: the
-//! sharded `flit-server` request loop, recorded to `BENCH_server.json` with
-//! latency percentiles from the dependency-free [`LatencyHistogram`]
-//! (`flit-obs`'s, re-exported here), plus the server's own `flit-obs-v1`
-//! metrics document to `BENCH_obs.json`.
-//!
-//! This library crate holds the experiment definitions shared by both, and the
-//! `flitctl` introspection binary (`inspect` a pool file read-only, `stats` an
-//! in-process server over the wire protocol).
+//! Timing lives in the `benchmark/` crate; nothing here is a timed claim. The
+//! crate also ships the `crashtest`, `killtest`, `hotpath` and `flitctl`
+//! binaries (`flitctl` inspects a pool file read-only or asks an in-process
+//! server for its stats over the wire protocol).
 
 #![warn(missing_docs)]
 
 pub mod experiments;
-pub mod server_experiments;
 
-pub use experiments::{ledger, Claim, Ledger, LedgerRow, Scale, SCALE_FULL, SCALE_QUICK};
-pub use flit_obs::LatencyHistogram;
-pub use server_experiments::{
-    server_baseline, server_crash_smoke, server_obs_document, ServerBenchRecord, ServerCrashSummary,
+/// A JSON string literal holding `s`, quotes included.
+pub fn json_str(s: &str) -> String {
+    let mut out = String::with_capacity(s.len() + 2);
+    out.push('"');
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+            c => out.push(c),
+        }
+    }
+    out.push('"');
+    out
+}
+
+/// Parse a command-line count: decimal, or hexadecimal after `0x`.
+pub fn parse_u64(s: &str) -> Option<u64> {
+    if let Some(hex) = s.strip_prefix("0x") {
+        u64::from_str_radix(hex, 16).ok()
+    } else {
+        s.parse().ok()
+    }
+}
+
+pub use experiments::{
+    ledger, Claim, Counts, Layer, Ledger, LedgerRow, RequestRow, Scale, LAYERS, SCALE,
+    SERVER_SHARDS,
 };

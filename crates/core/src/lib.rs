@@ -97,7 +97,7 @@
 //! | `flit-queues` | durable FIFO queues (Michael–Scott) with image-only crash recovery |
 //! | `flit-workload` | map and queue workload generators, crash-test histories, the case dispatcher (maps, the HAMT and queues, one policy table) |
 //! | `flit-crashtest` | deterministic crash-injection sweeps: crash at every absolute persistence event (construction included), recover image-only, verify prefix consistency |
-//! | `flit-bench` | the `repro` binary (`ledger`: the paper's claims as checked instruction counts; `bench` / `server`: the `BENCH_*.json` baselines), the `crashtest` sweep binary, Criterion benches |
+//! | `flit-bench` | the `repro` binary (the counts ledger: the paper's claims and the server's request path as checked instruction counts, written to `BENCH_flit.json` / `BENCH_server.json`), the `crashtest` sweep binary, Criterion benches |
 //!
 //! ## Quick example
 //!

@@ -6,9 +6,8 @@
 //! power-of-two major buckets subdivided linearly (`SUB_BITS` bits each), so
 //! any `u64` nanosecond value lands in one of < 1024 buckets with a bounded
 //! relative error of `2^-SUB_BITS` (6.25%). Recording is one atomic increment;
-//! the recorder closure is `Sync`, so one histogram serves every worker thread
-//! of a run (it is exactly the shape a `LatencyObserver` in `flit-workload`
-//! wants).
+//! recording takes `&self`, so one histogram serves every worker thread of a
+//! run.
 //!
 //! Quantiles are computed from a snapshot of the counts and report the
 //! *upper bound* of the bucket holding the target rank — a pessimistic (never

@@ -65,7 +65,7 @@ pub enum ElisionMode {
     #[default]
     Enabled,
     /// Issue every fence and flush exactly as Algorithm 4 writes them. Used for
-    /// A/B statistics (`BENCH_flit.json` records both streams) and for sweeping
+    /// A/B statistics (`tests/elision.rs` compares both streams) and for sweeping
     /// the paper-literal instruction stream in `flit-crashtest`.
     Disabled,
 }

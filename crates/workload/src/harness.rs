@@ -20,7 +20,7 @@ use flit_queues::{ConcurrentQueue, MsQueue};
 use crate::config::WorkloadConfig;
 use crate::queue_config::QueueWorkloadConfig;
 use crate::queue_runner::{prefill_queue, run_queue_workload, QueueRunResult};
-use crate::runner::{prefill, run_workload_observed, LatencyObserver, RunResult};
+use crate::runner::{prefill, run_workload, RunResult};
 
 /// Which data structure to benchmark.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -214,68 +214,47 @@ impl Case {
     }
 }
 
-fn run_map<P, M>(db: &FlitDb<P>, case: &Case, observe: Option<&LatencyObserver<'_>>) -> RunResult
+fn run_map<P, M>(db: &FlitDb<P>, case: &Case) -> RunResult
 where
     P: Policy,
     M: ConcurrentMap<P>,
 {
     let map = M::with_capacity(db, case.config.key_range as usize);
     prefill(&map, &case.config);
-    run_workload_observed(&map, &case.config, observe)
+    run_workload(&map, &case.config)
 }
 
-fn run_with_policy<P: Policy>(
-    policy: P,
-    case: &Case,
-    observe: Option<&LatencyObserver<'_>>,
-) -> RunResult {
+fn run_with_policy<P: Policy>(policy: P, case: &Case) -> RunResult {
     let db = &FlitDb::builder(policy).commit_mode(case.commit).build();
     match (case.ds, case.dur) {
-        (DsKind::List, DurKind::Automatic) => {
-            run_map::<P, HarrisList<P, Automatic>>(db, case, observe)
-        }
-        (DsKind::List, DurKind::NvTraverse) => {
-            run_map::<P, HarrisList<P, NvTraverse>>(db, case, observe)
-        }
-        (DsKind::List, DurKind::Manual) => run_map::<P, HarrisList<P, Manual>>(db, case, observe),
-        (DsKind::HashTable, DurKind::Automatic) => {
-            run_map::<P, HashTable<P, Automatic>>(db, case, observe)
-        }
+        (DsKind::List, DurKind::Automatic) => run_map::<P, HarrisList<P, Automatic>>(db, case),
+        (DsKind::List, DurKind::NvTraverse) => run_map::<P, HarrisList<P, NvTraverse>>(db, case),
+        (DsKind::List, DurKind::Manual) => run_map::<P, HarrisList<P, Manual>>(db, case),
+        (DsKind::HashTable, DurKind::Automatic) => run_map::<P, HashTable<P, Automatic>>(db, case),
         (DsKind::HashTable, DurKind::NvTraverse) => {
-            run_map::<P, HashTable<P, NvTraverse>>(db, case, observe)
+            run_map::<P, HashTable<P, NvTraverse>>(db, case)
         }
-        (DsKind::HashTable, DurKind::Manual) => {
-            run_map::<P, HashTable<P, Manual>>(db, case, observe)
-        }
-        (DsKind::Bst, DurKind::Automatic) => {
-            run_map::<P, NatarajanTree<P, Automatic>>(db, case, observe)
-        }
-        (DsKind::Bst, DurKind::NvTraverse) => {
-            run_map::<P, NatarajanTree<P, NvTraverse>>(db, case, observe)
-        }
-        (DsKind::Bst, DurKind::Manual) => run_map::<P, NatarajanTree<P, Manual>>(db, case, observe),
-        (DsKind::SkipList, DurKind::Automatic) => {
-            run_map::<P, SkipList<P, Automatic>>(db, case, observe)
-        }
-        (DsKind::SkipList, DurKind::NvTraverse) => {
-            run_map::<P, SkipList<P, NvTraverse>>(db, case, observe)
-        }
-        (DsKind::SkipList, DurKind::Manual) => run_map::<P, SkipList<P, Manual>>(db, case, observe),
-        (DsKind::Hamt, _) => run_map::<P, Hamt<P>>(db, case, observe),
+        (DsKind::HashTable, DurKind::Manual) => run_map::<P, HashTable<P, Manual>>(db, case),
+        (DsKind::Bst, DurKind::Automatic) => run_map::<P, NatarajanTree<P, Automatic>>(db, case),
+        (DsKind::Bst, DurKind::NvTraverse) => run_map::<P, NatarajanTree<P, NvTraverse>>(db, case),
+        (DsKind::Bst, DurKind::Manual) => run_map::<P, NatarajanTree<P, Manual>>(db, case),
+        (DsKind::SkipList, DurKind::Automatic) => run_map::<P, SkipList<P, Automatic>>(db, case),
+        (DsKind::SkipList, DurKind::NvTraverse) => run_map::<P, SkipList<P, NvTraverse>>(db, case),
+        (DsKind::SkipList, DurKind::Manual) => run_map::<P, SkipList<P, Manual>>(db, case),
+        (DsKind::Hamt, _) => run_map::<P, Hamt<P>>(db, case),
     }
 }
 
 /// [`run_with_policy`] with the policy type picked by [`PolicyKind::visit`].
 struct MapRun<'a> {
     case: &'a Case,
-    observe: Option<&'a LatencyObserver<'a>>,
 }
 
 impl PolicyVisitor for MapRun<'_> {
     type Output = RunResult;
 
     fn visit<P: Policy>(self, make: impl Fn() -> P) -> RunResult {
-        run_with_policy(make(), self.case, self.observe)
+        run_with_policy(make(), self.case)
     }
 }
 
@@ -286,12 +265,6 @@ impl PolicyVisitor for MapRun<'_> {
 /// Panics when the case combines link-and-persist with the BST (the combination the
 /// paper also excludes); use [`PolicyKind::applicable_to`] to filter.
 pub fn run_case(case: &Case) -> RunResult {
-    run_case_observed(case, None)
-}
-
-/// [`run_case`] with an optional per-operation [`LatencyObserver`], so the
-/// benchmark harness can collect latency distributions alongside throughput.
-pub fn run_case_observed(case: &Case, observe: Option<&LatencyObserver<'_>>) -> RunResult {
     assert!(
         case.policy.applicable_to(case.ds),
         "{} cannot be applied to {}",
@@ -299,7 +272,7 @@ pub fn run_case_observed(case: &Case, observe: Option<&LatencyObserver<'_>>) -> 
         case.ds.name()
     );
     case.policy
-        .visit(sim(case.latency, case.elision), MapRun { case, observe })
+        .visit(sim(case.latency, case.elision), MapRun { case })
 }
 
 /// One fully specified queue experiment case.

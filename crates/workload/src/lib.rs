@@ -24,8 +24,8 @@
 //! ## Service request streams
 //!
 //! [`service`] generates the request streams of the sharded KV service
-//! (`flit-server`): mixed read/write ratios and Zipfian key skew
-//! ([`KeySampler`]), deterministic per `(config, worker)`.
+//! (`flit-server`), mixed read/write ratios deterministic per config, and the
+//! Zipfian [`KeySampler`] for skewed traffic.
 //!
 //! ## Crash-test histories
 //!
@@ -38,7 +38,7 @@
 //! [`harness`] is a value-addressable dispatcher over every
 //! (structure × durability method × policy) combination of the evaluation — maps
 //! (the copy-on-write HAMT included) via [`run_case`] and queues via
-//! [`run_queue_case`] — used by the `repro` ledger and baselines, the Criterion
+//! [`run_queue_case`] — used by the `repro` ledger, the Criterion
 //! benches and the examples. [`PolicyKind::visit`] is its one table from a
 //! policy kind to the policy type.
 //!
@@ -61,10 +61,10 @@ pub use crash_history::{
     QueueOp,
 };
 pub use harness::{
-    run_case, run_case_observed, run_queue_case, Case, DsKind, DurKind, PolicyKind, PolicyVisitor,
-    QueueCase, QUEUE_DURS,
+    run_case, run_queue_case, Case, DsKind, DurKind, PolicyKind, PolicyVisitor, QueueCase,
+    QUEUE_DURS,
 };
 pub use queue_config::{QueueShape, QueueWorkloadConfig};
 pub use queue_runner::{prefill_queue, run_queue_workload, QueueRunResult};
-pub use runner::{run_workload, run_workload_observed, LatencyObserver, RunResult};
+pub use runner::{run_workload, RunResult};
 pub use service::{prefill_history, service_history, KeySampler, ServiceConfig};

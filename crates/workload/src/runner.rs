@@ -58,27 +58,11 @@ pub fn prefill<P: Policy, M: ConcurrentMap<P>>(map: &M, cfg: &WorkloadConfig) {
     }
 }
 
-/// A per-operation latency observer: called with each completed operation's
-/// wall-clock nanoseconds. Must be `Sync` — the runners call it concurrently
-/// from every worker thread (the benchmark harness passes an atomic histogram).
-pub type LatencyObserver<'a> = dyn Fn(u64) + Sync + 'a;
-
 /// Run one workload configuration against `map` and measure it.
 ///
 /// Threads are spawned for the measured interval only; the map must already be
 /// prefilled (see [`prefill`]) if a warm structure is wanted.
 pub fn run_workload<P: Policy, M: ConcurrentMap<P>>(map: &M, cfg: &WorkloadConfig) -> RunResult {
-    run_workload_observed(map, cfg, None)
-}
-
-/// [`run_workload`] with an optional per-operation [`LatencyObserver`], so the
-/// benchmark harness can build latency distributions (p50/p99) without a second
-/// measurement pass. With `None` the per-operation timing is skipped entirely.
-pub fn run_workload_observed<P: Policy, M: ConcurrentMap<P>>(
-    map: &M,
-    cfg: &WorkloadConfig,
-    observe: Option<&LatencyObserver<'_>>,
-) -> RunResult {
     let before = map.policy().stats_snapshot().unwrap_or_default();
     let hits = AtomicU64::new(0);
     let inserts_ok = AtomicU64::new(0);
@@ -102,7 +86,6 @@ pub fn run_workload_observed<P: Policy, M: ConcurrentMap<P>>(
                 for _ in 0..cfg.ops_per_thread {
                     let key = rng.gen_range(0..cfg.key_range);
                     let roll = rng.gen_range(0..100u32);
-                    let t0 = observe.map(|_| Instant::now());
                     if roll < cfg.update_percent {
                         // Updates split 50/50 between inserts and deletes.
                         if roll % 2 == 0 {
@@ -114,9 +97,6 @@ pub fn run_workload_observed<P: Policy, M: ConcurrentMap<P>>(
                         }
                     } else if map.get(&h, key).is_some() {
                         local_hits += 1;
-                    }
-                    if let (Some(obs), Some(t0)) = (observe, t0) {
-                        obs(t0.elapsed().as_nanos() as u64);
                     }
                 }
                 hits.fetch_add(local_hits, Ordering::Relaxed);

@@ -1,14 +1,14 @@
 //! Request-stream generation for the sharded KV service (`flit-server`).
 //!
-//! The single-structure workloads of [`crate::runner`] sample uniform keys;
-//! service benchmarks add **key skew** (Zipfian popularity, the standard model
-//! of hot keys in KV traffic) and per-worker request streams. This module
-//! generates those streams; *driving* them through a server and timing them is
-//! the benchmark harness's job (`flit-bench`).
+//! The single-structure workloads of [`crate::runner`] run one mix per thread;
+//! the service adds a stream of requests to a server, and [`KeySampler`] adds
+//! **key skew** (Zipfian popularity, the standard model of hot keys in KV traffic)
+//! for the `benchmark/` crate's service workload. This module generates the
+//! streams; *driving* them through a server is the job of the `flit-bench`
+//! ledger (counts) and of the `benchmark/` crate (timing).
 //!
-//! Everything is deterministic: the `i`-th request of worker `w` is a pure
-//! function of `(config, w, i)`, so a service history is fully reproduced by its
-//! config — the same property the crash histories of [`crate::crash_history`]
+//! Everything is deterministic: the `i`-th request is a pure function of
+//! `(config, i)`, so a service history is fully reproduced by its config — the same property the crash histories of [`crate::crash_history`]
 //! are built on, and what makes the per-shard crash sweeps replayable.
 
 use rand::rngs::SmallRng;
@@ -16,9 +16,9 @@ use rand::{Rng, RngCore, SeedableRng};
 
 use crate::crash_history::MapOp;
 
-/// One service benchmark workload: key population and skew, read/write mix,
-/// worker count and per-worker request count. Each worker issues its next
-/// request the moment the previous reply arrives (closed loop).
+/// One service workload: uniform keys and a read/write mix, issued by one
+/// worker that sends its next request the moment the previous reply arrives
+/// (closed loop).
 #[derive(Debug, Clone, PartialEq)]
 pub struct ServiceConfig {
     /// Keys are drawn from `0..key_range`.
@@ -26,64 +26,23 @@ pub struct ServiceConfig {
     /// Percentage of requests that are updates, split evenly between `Put` and
     /// `Del`; the rest are `Get`s.
     pub update_percent: u32,
-    /// Zipf exponent for key popularity. `0.0` = uniform; `0.99` is the
-    /// YCSB-style default for skewed traffic. Must be in `[0, 1)`.
-    pub skew: f64,
-    /// Number of client workers.
-    pub workers: usize,
-    /// Requests issued by each worker.
-    pub requests_per_worker: u64,
-    /// Keys inserted (via routed `Put`s) before measurement starts.
-    pub prefill: u64,
-    /// RNG seed; each worker derives its own stream from it.
-    pub seed: u64,
+    /// Requests issued.
+    pub requests: u64,
 }
 
+/// The seed every service stream is drawn with.
+const SEED: u64 = 0xF117_5E2F;
+
 impl ServiceConfig {
-    /// A uniform-key config with the workspace's usual conventions:
-    /// prefill to half the key range, fixed default seed.
-    pub fn new(
-        key_range: u64,
-        update_percent: u32,
-        workers: usize,
-        requests_per_worker: u64,
-    ) -> Self {
+    /// A uniform-key config.
+    pub fn new(key_range: u64, update_percent: u32, requests: u64) -> Self {
         assert!(key_range > 0);
         assert!(update_percent <= 100);
-        assert!(workers > 0);
         Self {
             key_range,
             update_percent,
-            skew: 0.0,
-            workers,
-            requests_per_worker,
-            prefill: key_range / 2,
-            seed: 0xF117_5E2F,
+            requests,
         }
-    }
-
-    /// Override the Zipf skew exponent (`0.0` = uniform).
-    pub fn with_skew(mut self, skew: f64) -> Self {
-        assert!((0.0..1.0).contains(&skew), "skew must be in [0, 1)");
-        self.skew = skew;
-        self
-    }
-
-    /// Override the RNG seed.
-    pub fn with_seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
-        self
-    }
-
-    /// Override the prefill size.
-    pub fn with_prefill(mut self, prefill: u64) -> Self {
-        self.prefill = prefill;
-        self
-    }
-
-    /// Total requests across all workers.
-    pub fn total_requests(&self) -> u64 {
-        self.requests_per_worker * self.workers as u64
     }
 }
 
@@ -143,20 +102,19 @@ impl KeySampler {
     }
 }
 
-/// The deterministic request stream of worker `worker`: a pure function of
-/// `(cfg, worker)`. Values carry the worker id in their high bits (below bit
-/// 63, so link-and-persist's reserved dirty bit stays clear) for debuggability.
-pub fn service_history(cfg: &ServiceConfig, worker: usize) -> Vec<MapOp> {
-    assert!(worker < cfg.workers);
-    let sampler = KeySampler::new(cfg.key_range, cfg.skew);
-    let mut rng = SmallRng::seed_from_u64(cfg.seed.wrapping_add(worker as u64 * 0x9E37));
-    (0..cfg.requests_per_worker)
+/// The deterministic request stream: a pure function of `cfg`. The `i`-th
+/// request's value is `i` (bit 63 clear, as link-and-persist's reserved dirty
+/// bit requires).
+pub fn service_history(cfg: &ServiceConfig) -> Vec<MapOp> {
+    let sampler = KeySampler::Uniform(cfg.key_range);
+    let mut rng = SmallRng::seed_from_u64(SEED);
+    (0..cfg.requests)
         .map(|i| {
             let key = sampler.sample(&mut rng);
             let roll = rng.gen_range(0..100u32);
             if roll < cfg.update_percent {
                 if roll % 2 == 0 {
-                    MapOp::Insert(key, ((worker as u64) << 40) | i)
+                    MapOp::Insert(key, i)
                 } else {
                     MapOp::Remove(key)
                 }
@@ -167,13 +125,12 @@ pub fn service_history(cfg: &ServiceConfig, worker: usize) -> Vec<MapOp> {
         .collect()
 }
 
-/// The deterministic prefill stream: `cfg.prefill` *distinct* keys (uniform,
-/// regardless of skew — prefill populates the store, it does not model
-/// traffic), as `Insert` ops, domain-separated from the request streams.
+/// The deterministic prefill stream: half the key range as *distinct* keys in
+/// `Insert` ops, domain-separated from the request stream.
 pub fn prefill_history(cfg: &ServiceConfig) -> Vec<MapOp> {
-    let mut rng = SmallRng::seed_from_u64(cfg.seed ^ 0x5EED_F111);
+    let mut rng = SmallRng::seed_from_u64(SEED ^ 0x5EED_F111);
     let mut seen = std::collections::HashSet::new();
-    let target = cfg.prefill.min(cfg.key_range) as usize;
+    let target = (cfg.key_range / 2) as usize;
     let mut ops = Vec::with_capacity(target);
     while ops.len() < target {
         let key = rng.gen_range(0..cfg.key_range);
@@ -189,23 +146,22 @@ mod tests {
     use super::*;
 
     fn cfg() -> ServiceConfig {
-        ServiceConfig::new(1_000, 20, 2, 500)
+        ServiceConfig::new(1_000, 20, 500)
     }
 
     #[test]
-    fn histories_are_deterministic_and_per_worker_distinct() {
-        assert_eq!(service_history(&cfg(), 0), service_history(&cfg(), 0));
-        assert_ne!(service_history(&cfg(), 0), service_history(&cfg(), 1));
+    fn histories_are_deterministic() {
+        assert_eq!(service_history(&cfg()), service_history(&cfg()));
         assert_eq!(prefill_history(&cfg()), prefill_history(&cfg()));
         assert_ne!(
-            service_history(&cfg(), 0),
-            service_history(&cfg().with_seed(1), 0)
+            service_history(&cfg()),
+            service_history(&ServiceConfig::new(1_000, 50, 500))
         );
     }
 
     #[test]
     fn histories_respect_the_mix() {
-        let ops = service_history(&cfg(), 0);
+        let ops = service_history(&cfg());
         assert_eq!(ops.len(), 500);
         let updates = ops.iter().filter(|o| !matches!(o, MapOp::Get(_))).count();
         // 20% updates with generous slack for a 500-sample draw.
