@@ -44,8 +44,7 @@ use std::process::ExitCode;
 
 use flit_bench::parse_u64;
 use flit_crashtest::kill::{
-    child_main, child_main_hamt, commit_word, corruption_suite, parse_commit, run_kill_round,
-    KillRound, CHILD_FLAG,
+    child_main, child_main_hamt, corruption_suite, run_kill_round, KillRound, CHILD_FLAG,
 };
 use flit_pmem::CommitMode;
 
@@ -69,7 +68,7 @@ fn parse_commits(s: &str) -> Option<Vec<CommitMode>> {
             out.push(CommitMode::Immediate);
             out.push(CommitMode::Batched(8));
         } else {
-            out.push(parse_commit(word)?);
+            out.push(CommitMode::parse(word)?);
         }
     }
     Some(out)
@@ -141,7 +140,7 @@ fn child_dispatch() -> Option<ExitCode> {
         Some(n) => n,
         None => return Some(ExitCode::from(2)),
     };
-    let commit = match parse_commit(&argv[5]) {
+    let commit = match CommitMode::parse(&argv[5]) {
         Some(c) => c,
         None => return Some(ExitCode::from(2)),
     };
@@ -223,7 +222,7 @@ fn main() -> ExitCode {
                          slot(s) reclaimed, open {}us (validate {}us, adopt {}us, recover {}us, \
                          gc {}us){}",
                         spec.round,
-                        commit_word(commit),
+                        commit.name(),
                         report.matched_prefix,
                         report.acked_floor,
                         if report.clean_close { "clean" } else { "dirty" },
@@ -244,7 +243,7 @@ fn main() -> ExitCode {
                         eprintln!(
                             "{kind} round {:>3} [{}]: FAIL — {v} (pool kept at {})",
                             spec.round,
-                            commit_word(commit),
+                            commit.name(),
                             spec.pool_path().display(),
                         );
                     }

@@ -17,7 +17,7 @@ use std::ops::{AddAssign, Sub};
 use flit::{FlitDb, FlitHandle, Policy};
 use flit_crashtest::op_of;
 use flit_datastructs::{Automatic, HashTable};
-use flit_pmem::{CommitMode, ElisionMode, LatencyModel, SimNvram};
+use flit_pmem::CommitMode;
 use flit_server::{KvServer, Op, ServerConfig};
 use flit_workload::{
     prefill_history, run_case, run_queue_case, service_history, Case, DsKind, DurKind, MapOp,
@@ -491,9 +491,7 @@ pub fn ledger(scale: &Scale) -> Ledger {
                 ds,
                 dur,
                 policy,
-                config: WorkloadConfig::new(keys, update_percent, 1, scale.ops),
-                latency: LatencyModel::none(),
-                elision: ElisionMode::Enabled,
+                config: WorkloadConfig::new(keys, update_percent, scale.ops),
                 commit,
             };
             let r = run_case(&case);
@@ -504,7 +502,7 @@ pub fn ledger(scale: &Scale) -> Ledger {
                 commit,
                 keys,
                 update_percent,
-                ops: r.total_ops,
+                ops: r.ops,
                 updates_ok: r.inserts_ok + r.removes_ok,
                 pwbs: r.pmem.pwbs,
                 pfences: r.pmem.pfences,
@@ -517,10 +515,8 @@ pub fn ledger(scale: &Scale) -> Ledger {
             let case = QueueCase {
                 dur,
                 policy,
-                // No enqueues and no prefill: every operation finds the queue empty.
-                config: QueueWorkloadConfig::mixed(1, 0, scale.ops),
-                latency: LatencyModel::none(),
-                elision: ElisionMode::Enabled,
+                // No enqueues: every operation finds the queue empty.
+                config: QueueWorkloadConfig::new(0, scale.ops),
                 commit: immediate,
             };
             let r = run_queue_case(&case);
@@ -531,7 +527,7 @@ pub fn ledger(scale: &Scale) -> Ledger {
                 commit: case.commit,
                 keys: 0,
                 update_percent: 0,
-                ops: r.total_ops,
+                ops: r.ops,
                 updates_ok: 0,
                 pwbs: r.pmem.pwbs,
                 pfences: r.pmem.pfences,
@@ -556,7 +552,7 @@ pub fn ledger(scale: &Scale) -> Ledger {
                 keys: cfg.key_range,
                 commit,
             };
-            let (pump, layers) = policy.visit(SimNvram::for_counting, path);
+            let (pump, layers) = policy.visit(path);
             let gets = stream.iter().filter(|op| matches!(op, MapOp::Get(_)));
             RequestRow {
                 policy,

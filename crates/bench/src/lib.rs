@@ -1,19 +1,16 @@
 //! # `flit-bench` — the paper's claims as exact counts, and the workspace's CLIs
 //!
-//! * the **`repro` binary** (`cargo run -p flit-bench --release --bin repro`)
-//!   measures the [`experiments::ledger`] — the paper's claims (Figures 5, 7–9,
-//!   MOD's HAMT, group commit) and the server's request path as exact
-//!   single-handle instruction counts — checks every claim, exits non-zero if
-//!   one breaks, and writes the rows to `BENCH_flit.json` and
-//!   `BENCH_server.json`;
-//! * the **Criterion benches** (`cargo bench -p flit-bench`) measure the primitive
-//!   flit-instruction costs and small end-to-end map workloads, for regression
-//!   tracking rather than paper reproduction.
+//! The **`repro` binary** (`cargo run -p flit-bench --release --bin repro`)
+//! measures the [`experiments::ledger`] — the paper's claims (Figures 5, 7–9,
+//! MOD's HAMT, group commit) and the server's request path as exact
+//! single-handle instruction counts — checks every claim, exits non-zero if one
+//! breaks, and writes the rows to `BENCH_flit.json` and `BENCH_server.json`.
 //!
-//! Timing lives in the `benchmark/` crate; nothing here is a timed claim. The
-//! crate also ships the `crashtest`, `killtest`, `hotpath` and `flitctl`
-//! binaries (`flitctl` inspects a pool file read-only or asks an in-process
-//! server for its stats over the wire protocol).
+//! Timing lives in the `benchmark/` crate; nothing here is a timed claim, save
+//! `hotpath`, the one single-threaded A/B probe. The crate also ships the
+//! `crashtest`, `killtest` and `flitctl` binaries (`flitctl` inspects a pool
+//! file read-only or asks an in-process server for its stats over the wire
+//! protocol).
 
 #![warn(missing_docs)]
 

@@ -95,9 +95,9 @@
 //! | `flit-alloc` | persistent arena allocator: aligned node slots, persisted header, recovery-root table |
 //! | `flit-datastructs` | the paper's set/map structures (list, hash table, BST, skiplist), arena-allocated with image-only recovery |
 //! | `flit-queues` | durable FIFO queues (Michael–Scott) with image-only crash recovery |
-//! | `flit-workload` | map and queue workload generators, crash-test histories, the case dispatcher (maps, the HAMT and queues, one policy table) |
+//! | `flit-workload` | map and queue workloads with their single-handle count driver, crash-test histories, service request streams, the case dispatcher (maps, the HAMT and queues, one policy table) |
 //! | `flit-crashtest` | deterministic crash-injection sweeps: crash at every absolute persistence event (construction included), recover image-only, verify prefix consistency |
-//! | `flit-bench` | the `repro` binary (the counts ledger: the paper's claims and the server's request path as checked instruction counts, written to `BENCH_flit.json` / `BENCH_server.json`), the `crashtest` sweep binary, Criterion benches |
+//! | `flit-bench` | the `repro` binary (the counts ledger: the paper's claims and the server's request path as checked instruction counts, written to `BENCH_flit.json` / `BENCH_server.json`), the `crashtest` sweep binary, the `hotpath` A/B probe |
 //!
 //! ## Quick example
 //!

@@ -108,16 +108,6 @@ pub fn model_state(ops: u64) -> BTreeMap<u64, u64> {
     model
 }
 
-/// Parse a commit-mode CLI word: `immediate` or `batched-K` (`K >= 1`).
-pub fn parse_commit(word: &str) -> Option<CommitMode> {
-    CommitMode::parse(word)
-}
-
-/// Render a commit mode as the CLI word [`parse_commit`] accepts.
-pub fn commit_word(commit: CommitMode) -> String {
-    commit.name()
-}
-
 /// Overwrite the sidecar word at `offset` (0: acknowledged floor, 8: snapshot
 /// marker).
 fn write_sidecar_word(side: &std::fs::File, offset: u64, value: u64) -> Result<(), String> {
@@ -388,7 +378,7 @@ impl KillRound {
             } else {
                 ""
             },
-            commit_word(self.commit),
+            self.commit.name(),
             self.round
         ))
     }
@@ -573,7 +563,7 @@ pub fn run_kill_round(round: &KillRound) -> Result<KillRoundReport, KillViolatio
         .arg(&pool)
         .arg(&sidecar)
         .arg(round.ops.to_string())
-        .arg(commit_word(round.commit));
+        .arg(round.commit.name());
     if let Some(snap_at) = round.hamt_snap {
         cmd.arg("hamt").arg(snap_at.to_string());
     }
@@ -903,15 +893,6 @@ mod tests {
             assert_ne!(prev, next, "op {j} must change the state");
             prev = next;
         }
-    }
-
-    #[test]
-    fn commit_words_round_trip() {
-        for mode in [CommitMode::Immediate, CommitMode::Batched(8)] {
-            assert_eq!(parse_commit(&commit_word(mode)), Some(mode));
-        }
-        assert_eq!(parse_commit("nonsense"), None);
-        assert_eq!(parse_commit("batched-x"), None);
     }
 
     #[cfg(unix)]

@@ -481,9 +481,13 @@ mod tests {
         assert_eq!(CommitMode::parse("batched-8"), Some(CommitMode::Batched(8)));
         assert_eq!(CommitMode::parse("batched-0"), None, "k must be positive");
         assert_eq!(CommitMode::parse("batched-"), None);
+        assert_eq!(CommitMode::parse("batched-x"), None);
         assert_eq!(CommitMode::parse("eventually"), None);
         assert_eq!(CommitMode::Immediate.name(), "immediate");
         assert_eq!(CommitMode::Batched(4).name(), "batched-4");
+        for mode in [CommitMode::Immediate, CommitMode::Batched(8)] {
+            assert_eq!(CommitMode::parse(&mode.name()), Some(mode));
+        }
         assert!(!CommitMode::default().is_batched());
     }
 

@@ -1,26 +1,24 @@
 //! The experiment dispatcher: every (data structure × durability method × policy)
-//! combination of the evaluation, addressable by value so the `repro` binary, the
-//! Criterion benches and the examples can enumerate them.
+//! combination of the evaluation, addressable by value so the `repro` ledger and
+//! the examples can enumerate them.
 //!
 //! Each call to [`run_case`] builds a fresh structure, prefills it, runs the
-//! configured workload and returns the measured [`RunResult`]. The simulated-NVRAM
-//! backend (and therefore the latency model and statistics) is created per case, so
-//! cases never share counters. [`PolicyKind::visit`] is the one table from a
-//! policy kind to its `presets::*` constructor; maps, queues and the server
-//! benchmark all resolve their policy through it.
+//! configured workload and returns the counted [`RunResult`]. The counting
+//! backend ([`SimNvram::for_counting`]: no latency, elision on) is created per
+//! policy, so cases never share counters. [`PolicyKind::visit`] is the one table
+//! from a policy kind to its `presets::*` constructor; maps, queues and the
+//! ledger's request path all resolve their policy through it.
 
 use flit::{presets, FlitDb, Policy};
 use flit_datastructs::{
     Automatic, ConcurrentMap, HarrisList, HashTable, Manual, NatarajanTree, NvTraverse, SkipList,
 };
 use flit_hamt::Hamt;
-use flit_pmem::{CommitMode, ElisionMode, LatencyModel, SimNvram};
+use flit_pmem::{CommitMode, SimNvram};
 use flit_queues::{ConcurrentQueue, MsQueue};
 
-use crate::config::WorkloadConfig;
-use crate::queue_config::QueueWorkloadConfig;
-use crate::queue_runner::{prefill_queue, run_queue_workload, QueueRunResult};
-use crate::runner::{prefill, run_workload, RunResult};
+use crate::queue_runner::{run_queue_workload, QueueRunResult, QueueWorkloadConfig};
+use crate::runner::{prefill, run_workload, RunResult, WorkloadConfig};
 
 /// Which data structure to benchmark.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -98,8 +96,6 @@ impl DurKind {
 /// Which implementation of the P-V Interface to use (paper §6's compared variants).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PolicyKind {
-    /// Non-persistent baseline (grey dotted line).
-    NoPersist,
     /// Durable transformation without read-side flush elision.
     Plain,
     /// FliT with the counter adjacent to every word.
@@ -124,7 +120,6 @@ impl PolicyKind {
     /// Display name matching the paper's legends.
     pub fn name(self) -> String {
         match self {
-            PolicyKind::NoPersist => "non-persistent".into(),
             PolicyKind::Plain => "plain".into(),
             PolicyKind::FlitAdjacent => "flit-adjacent".into(),
             PolicyKind::FlitHt(bytes) => format!("flit-HT ({})", flit::human_bytes(bytes)),
@@ -140,28 +135,17 @@ impl PolicyKind {
         !(self == PolicyKind::LinkAndPersist && ds == DsKind::Bst)
     }
 
-    /// Resolve this kind to its `presets::*` constructor and run `v` with it.
-    /// `backend` builds the simulated NVRAM of each persistent policy; the
-    /// non-persistent baseline has none.
-    pub fn visit<V: PolicyVisitor>(self, backend: impl Fn() -> SimNvram, v: V) -> V::Output {
+    /// Resolve this kind to its `presets::*` constructor over the counting
+    /// backend ([`SimNvram::for_counting`]) and run `v` with it.
+    pub fn visit<V: PolicyVisitor>(self, v: V) -> V::Output {
+        let backend = SimNvram::for_counting;
         match self {
-            PolicyKind::NoPersist => v.visit(presets::no_persist),
             PolicyKind::Plain => v.visit(|| presets::plain(backend())),
             PolicyKind::FlitAdjacent => v.visit(|| presets::flit_adjacent(backend())),
             PolicyKind::FlitHt(bytes) => v.visit(|| presets::flit_ht_sized(backend(), bytes)),
             PolicyKind::FlitCacheLine => v.visit(|| presets::flit_cacheline(backend())),
             PolicyKind::LinkAndPersist => v.visit(|| presets::link_and_persist(backend())),
         }
-    }
-}
-
-/// The simulated NVRAM a case runs on, one fresh instance per call.
-fn sim(latency: LatencyModel, elision: ElisionMode) -> impl Fn() -> SimNvram {
-    move || {
-        SimNvram::builder()
-            .latency(latency)
-            .elision(elision)
-            .build()
     }
 }
 
@@ -176,11 +160,6 @@ pub struct Case {
     pub policy: PolicyKind,
     /// Workload parameters.
     pub config: WorkloadConfig,
-    /// Latency model for the simulated NVRAM.
-    pub latency: LatencyModel,
-    /// Persist-epoch elision mode of the simulated NVRAM
-    /// ([`ElisionMode::Disabled`] measures the paper-literal instruction stream).
-    pub elision: ElisionMode,
     /// Durability commit mode of the database ([`CommitMode::Batched`] amortises
     /// trailing fences across operations; the default is per-op durability).
     pub commit: CommitMode,
@@ -193,23 +172,6 @@ impl Case {
         match self.ds {
             DsKind::Hamt => "cow",
             _ => self.dur.name(),
-        }
-    }
-
-    /// Human-readable label, e.g. `bst/automatic/flit-HT (1MB)`. Batched commit
-    /// modes append their name (`…/batched-8`); the immediate default keeps the
-    /// historical three-part label.
-    pub fn label(&self) -> String {
-        let base = format!(
-            "{}/{}/{}",
-            self.ds.name(),
-            self.durability(),
-            self.policy.name()
-        );
-        if self.commit.is_batched() {
-            format!("{}/{}", base, self.commit.name())
-        } else {
-            base
         }
     }
 }
@@ -259,7 +221,7 @@ impl PolicyVisitor for MapRun<'_> {
 }
 
 /// Build the structure described by `case`, prefill it, run the workload and return
-/// the measurement.
+/// its counts.
 ///
 /// # Panics
 /// Panics when the case combines link-and-persist with the BST (the combination the
@@ -271,8 +233,7 @@ pub fn run_case(case: &Case) -> RunResult {
         case.policy.name(),
         case.ds.name()
     );
-    case.policy
-        .visit(sim(case.latency, case.elision), MapRun { case })
+    case.policy.visit(MapRun { case })
 }
 
 /// One fully specified queue experiment case.
@@ -290,10 +251,6 @@ pub struct QueueCase {
     pub policy: PolicyKind,
     /// Workload parameters.
     pub config: QueueWorkloadConfig,
-    /// Latency model for the simulated NVRAM.
-    pub latency: LatencyModel,
-    /// Persist-epoch elision mode of the simulated NVRAM.
-    pub elision: ElisionMode,
     /// Durability commit mode of the database.
     pub commit: CommitMode,
 }
@@ -303,33 +260,12 @@ pub struct QueueCase {
 /// experiments report the two ends of the spectrum.)
 pub const QUEUE_DURS: [DurKind; 2] = [DurKind::Automatic, DurKind::Manual];
 
-impl QueueCase {
-    /// Human-readable label, e.g. `msqueue/automatic/flit-HT (1MB)/mixed-50%`.
-    /// Batched commit modes append their name; the immediate default keeps the
-    /// historical four-part label.
-    pub fn label(&self) -> String {
-        let base = format!(
-            "msqueue/{}/{}/{}",
-            self.dur.name(),
-            self.policy.name(),
-            self.config.shape_label()
-        );
-        if self.commit.is_batched() {
-            format!("{}/{}", base, self.commit.name())
-        } else {
-            base
-        }
-    }
-}
-
 fn run_queue<P, Q>(db: &FlitDb<P>, case: &QueueCase) -> QueueRunResult
 where
     P: Policy,
     Q: ConcurrentQueue<P>,
 {
-    let queue = Q::in_db(db);
-    prefill_queue(&queue, &case.config);
-    run_queue_workload(&queue, &case.config)
+    run_queue_workload(&Q::in_db(db), &case.config)
 }
 
 fn run_queue_with_policy<P: Policy>(policy: P, case: &QueueCase) -> QueueRunResult {
@@ -352,30 +288,23 @@ impl PolicyVisitor for QueueRun<'_> {
     }
 }
 
-/// Build the queue described by `case`, prefill it, run the workload and return the
-/// measurement. Every policy variant applies to the queue (its updates are plain
+/// Build the queue described by `case`, run the workload and return its counts. Every policy variant applies to the queue (its updates are plain
 /// CAS on word-aligned pointers, so even link-and-persist is usable).
 pub fn run_queue_case(case: &QueueCase) -> QueueRunResult {
-    case.policy
-        .visit(sim(case.latency, case.elision), QueueRun(case))
+    case.policy.visit(QueueRun(case))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    const EVERY_POLICY: [PolicyKind; 6] = [
-        PolicyKind::NoPersist,
+    const EVERY_POLICY: [PolicyKind; 5] = [
         PolicyKind::Plain,
         PolicyKind::FlitAdjacent,
         PolicyKind::FlitHt(1 << 16),
         PolicyKind::FlitCacheLine,
         PolicyKind::LinkAndPersist,
     ];
-
-    fn tiny_config() -> WorkloadConfig {
-        WorkloadConfig::new(128, 20, 2, 200)
-    }
 
     #[test]
     fn every_combination_runs() {
@@ -389,13 +318,12 @@ mod tests {
                         ds,
                         dur,
                         policy,
-                        config: tiny_config(),
-                        latency: LatencyModel::none(),
-                        elision: ElisionMode::default(),
+                        config: WorkloadConfig::new(128, 20, 400),
                         commit: CommitMode::Immediate,
                     };
                     let result = run_case(&case);
-                    assert_eq!(result.total_ops, 400, "case {}", case.label());
+                    assert_eq!(result.ops, 400, "{case:?}");
+                    assert!(result.pmem.pfences > 0, "{case:?}");
                 }
             }
         }
@@ -408,69 +336,35 @@ mod tests {
                 let case = QueueCase {
                     dur,
                     policy,
-                    config: QueueWorkloadConfig::mixed(2, 50, 200).with_prefill(16),
-                    latency: LatencyModel::none(),
-                    elision: ElisionMode::default(),
+                    config: QueueWorkloadConfig::new(50, 400),
                     commit: CommitMode::Immediate,
                 };
                 let result = run_queue_case(&case);
-                assert_eq!(result.total_ops, 400, "case {}", case.label());
                 assert_eq!(
                     result.enqueues + result.dequeues_hit + result.dequeues_empty,
                     400,
-                    "case {}",
-                    case.label()
+                    "{case:?}"
                 );
+                assert!(result.pmem.pwbs > 0, "{case:?}");
             }
         }
     }
 
     #[test]
-    fn queue_case_labels() {
-        let case = QueueCase {
-            dur: DurKind::Manual,
-            policy: PolicyKind::Plain,
-            config: QueueWorkloadConfig::producer_consumer(3, 1, 10),
-            latency: LatencyModel::none(),
-            elision: ElisionMode::default(),
-            commit: CommitMode::Immediate,
-        };
-        assert_eq!(case.label(), "msqueue/manual/plain/pc-3:1");
-        let batched = QueueCase {
-            commit: CommitMode::Batched(8),
-            ..case
-        };
-        assert_eq!(batched.label(), "msqueue/manual/plain/pc-3:1/batched-8");
-        assert_eq!(QUEUE_DURS.len(), 2);
-    }
-
-    #[test]
-    fn labels_and_applicability() {
+    fn names_and_applicability() {
         assert!(!PolicyKind::LinkAndPersist.applicable_to(DsKind::Bst));
         assert!(PolicyKind::LinkAndPersist.applicable_to(DsKind::List));
         assert_eq!(PolicyKind::FlitHt(1 << 20).name(), "flit-HT (1MB)");
         assert_eq!(PolicyKind::FlitHt(64 << 10).name(), "flit-HT (64KB)");
-        let case = Case {
-            ds: DsKind::List,
+        let case = |ds| Case {
+            ds,
             dur: DurKind::Manual,
             policy: PolicyKind::Plain,
-            config: tiny_config(),
-            latency: LatencyModel::none(),
-            elision: ElisionMode::default(),
+            config: WorkloadConfig::new(128, 20, 400),
             commit: CommitMode::Immediate,
         };
-        assert_eq!(case.label(), "list/manual/plain");
-        let batched = Case {
-            commit: CommitMode::Batched(4),
-            ..case.clone()
-        };
-        assert_eq!(batched.label(), "list/manual/plain/batched-4");
-        let hamt = Case {
-            ds: DsKind::Hamt,
-            dur: DurKind::Automatic,
-            commit: CommitMode::Batched(8),
-            ..case
-        };
-        assert_eq!(hamt.label(), "hamt/cow/plain/batched-8");
+        assert_eq!(case(DsKind::List).durability(), "manual");
+        assert_eq!(case(DsKind::Hamt).durability(), "cow");
+        assert_eq!(QUEUE_DURS.len(), 2);
     }
 }

@@ -1,24 +1,23 @@
-//! # `flit-workload` — workload generation and measurement harness
+//! # `flit-workload` — workload generation and the single-handle count driver
 //!
-//! This crate drives the data structures of [`flit_datastructs`] and the queues of
-//! [`flit_queues`] with benchmark workloads, measuring operation throughput and the
-//! persistence-instruction counts needed to reproduce the paper's figures.
+//! This crate drives the data structures of [`flit_datastructs`], the HAMT of
+//! [`flit_hamt`] and the queues of [`flit_queues`] with the paper's workloads on
+//! one handle, and reports the persistence-instruction counts the `repro`
+//! ledger is built from. A seeded run on one handle issues the same
+//! `pwb`/`pfence` stream every time; nothing here times anything (timing lives
+//! in the `benchmark/` crate).
 //!
 //! ## Map workloads (paper §6.1)
 //!
-//! A prefilled map, a uniform key distribution, and a mix of lookups and updates
-//! (updates split 50/50 between inserts and deletes).
+//! A map prefilled to half its key range, a uniform key distribution, and a mix
+//! of lookups and updates (updates split 50/50 between inserts and deletes).
 //!
-//! * [`WorkloadConfig`] — key range, update ratio, thread count, operation count.
+//! * [`WorkloadConfig`] — key range, update ratio, operation count.
 //! * [`run_workload`] — run one configuration against any [`ConcurrentMap`].
 //!
 //! ## Queue workloads
 //!
-//! Producer/consumer FIFO traffic — the shape of real serving pipelines — in two
-//! flavours: a per-thread enqueue/dequeue mix, and dedicated producer:consumer
-//! thread ratios, both with configurable burst lengths.
-//!
-//! * [`QueueWorkloadConfig`] / [`QueueShape`] — mix, ratio, bursts, prefill.
+//! * [`QueueWorkloadConfig`] — enqueue/dequeue mix, operation count.
 //! * [`run_queue_workload`] — run one configuration against any [`ConcurrentQueue`].
 //!
 //! ## Service request streams
@@ -38,24 +37,20 @@
 //! [`harness`] is a value-addressable dispatcher over every
 //! (structure × durability method × policy) combination of the evaluation — maps
 //! (the copy-on-write HAMT included) via [`run_case`] and queues via
-//! [`run_queue_case`] — used by the `repro` ledger, the Criterion
-//! benches and the examples. [`PolicyKind::visit`] is its one table from a
-//! policy kind to the policy type.
+//! [`run_queue_case`] — used by the `repro` ledger and the examples.
+//! [`PolicyKind::visit`] is its one table from a policy kind to the policy type.
 //!
 //! [`ConcurrentMap`]: flit_datastructs::ConcurrentMap
 //! [`ConcurrentQueue`]: flit_queues::ConcurrentQueue
 
 #![warn(missing_docs)]
 
-pub mod config;
 pub mod crash_history;
 pub mod harness;
-pub mod queue_config;
 pub mod queue_runner;
 pub mod runner;
 pub mod service;
 
-pub use config::WorkloadConfig;
 pub use crash_history::{
     random_map_history, random_queue_history, scripted_map_history, scripted_queue_history, MapOp,
     QueueOp,
@@ -64,7 +59,6 @@ pub use harness::{
     run_case, run_queue_case, Case, DsKind, DurKind, PolicyKind, PolicyVisitor, QueueCase,
     QUEUE_DURS,
 };
-pub use queue_config::{QueueShape, QueueWorkloadConfig};
-pub use queue_runner::{prefill_queue, run_queue_workload, QueueRunResult};
-pub use runner::{run_workload, RunResult};
+pub use queue_runner::{run_queue_workload, QueueRunResult, QueueWorkloadConfig};
+pub use runner::{run_workload, RunResult, WorkloadConfig};
 pub use service::{prefill_history, service_history, KeySampler, ServiceConfig};

@@ -1,7 +1,7 @@
 //! Request-stream generation for the sharded KV service (`flit-server`).
 //!
-//! The single-structure workloads of [`crate::runner`] run one mix per thread;
-//! the service adds a stream of requests to a server, and [`KeySampler`] adds
+//! The single-structure workloads of [`crate::runner`] run one mix on one
+//! handle; the service adds a stream of requests to a server, and [`KeySampler`] adds
 //! **key skew** (Zipfian popularity, the standard model of hot keys in KV traffic)
 //! for the `benchmark/` crate's service workload. This module generates the
 //! streams; *driving* them through a server is the job of the `flit-bench`

@@ -1,60 +1,45 @@
 //! Counter-placement study in miniature (the paper's Figure 5 / §5.1 discussion).
 //!
-//! Sweeps the flit-HT table size on a read-mostly and an update-heavy workload over
-//! the automatic BST, and also shows flit-adjacent and the cache-line-granularity
-//! placement (the paper's suggested future work).
+//! Sweeps the flit-HT table size on the write-heavy end of the ledger's Figure 5
+//! rows (the automatic linked list, 128 keys, 50 % updates) and also shows
+//! flit-adjacent, the cache-line-granularity placement (the paper's suggested
+//! future work) and plain. Each row is one handle under `Batched(8)`: a batch
+//! leaves its stores tagged until the handle's next fence, so a small table's
+//! shared counters make later p-loads meet tags they did not cause and flush.
+//! Under `Immediate` every table size prints the same counts.
 //!
 //! Run with: `cargo run --release --example counter_placement`
 
-use flit_pmem::{ElisionMode, LatencyModel};
+use flit_pmem::CommitMode;
 use flit_workload::{run_case, Case, DsKind, DurKind, PolicyKind, WorkloadConfig};
 
-fn run(policy: PolicyKind, updates: u32) -> f64 {
-    let case = Case {
-        ds: DsKind::Bst,
-        dur: DurKind::Automatic,
-        policy,
-        config: WorkloadConfig::new(10_000, updates, 4, 3_000),
-        latency: LatencyModel::optane(),
-        elision: ElisionMode::default(),
-        commit: flit_pmem::CommitMode::Immediate,
-    };
-    run_case(&case).mops
-}
-
 fn main() {
-    println!("automatic BST, 10K keys, 4 threads — throughput in Mops/s\n");
+    println!("automatic list, 128 keys, 50% updates, one handle, batched-8\n");
     println!(
-        "{:<22} {:>12} {:>12}",
-        "placement", "0% updates", "50% updates"
+        "{:<22} {:>18} {:>12}",
+        "placement", "read-side pwbs/op", "pfences/op"
     );
-    for bytes in [4 << 10, 64 << 10, 1 << 20, 16 << 20] {
-        let label = format!("flit-HT ({})", flit::human_bytes(bytes));
+    let tables = [64, 4 << 10, 64 << 10, 1 << 20, 16 << 20].map(PolicyKind::FlitHt);
+    let others = [
+        PolicyKind::FlitAdjacent,
+        PolicyKind::FlitCacheLine,
+        PolicyKind::Plain,
+    ];
+    for policy in tables.into_iter().chain(others) {
+        let r = run_case(&Case {
+            ds: DsKind::List,
+            dur: DurKind::Automatic,
+            policy,
+            config: WorkloadConfig::new(128, 50, 4_000),
+            commit: CommitMode::Batched(8),
+        });
         println!(
-            "{:<22} {:>12.3} {:>12.3}",
-            label,
-            run(PolicyKind::FlitHt(bytes), 0),
-            run(PolicyKind::FlitHt(bytes), 50)
+            "{:<22} {:>18.4} {:>12.4}",
+            policy.name(),
+            r.pmem.read_side_pwbs as f64 / r.ops as f64,
+            r.pfences_per_op()
         );
     }
-    println!(
-        "{:<22} {:>12.3} {:>12.3}",
-        "flit-adjacent",
-        run(PolicyKind::FlitAdjacent, 0),
-        run(PolicyKind::FlitAdjacent, 50)
-    );
-    println!(
-        "{:<22} {:>12.3} {:>12.3}",
-        "flit-cacheline",
-        run(PolicyKind::FlitCacheLine, 0),
-        run(PolicyKind::FlitCacheLine, 50)
-    );
-    println!(
-        "{:<22} {:>12.3} {:>12.3}",
-        "plain (no tagging)",
-        run(PolicyKind::Plain, 0),
-        run(PolicyKind::Plain, 50)
-    );
     println!("\nThe counters are interchangeable: correctness never depends on the placement,");
     println!("only the number of spurious read-side flushes and extra cache traffic does.");
 }

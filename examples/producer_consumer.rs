@@ -5,46 +5,74 @@
 //! cargo run --release --example producer_consumer
 //! ```
 //!
-//! Runs the same bursty producer:consumer traffic under three policy presets and
-//! prints throughput plus the persistence-instruction cost per operation, then
-//! demonstrates crash recovery from an adversarial crash image.
+//! Three producer threads and one consumer thread, each with its own handle,
+//! share one queue under two policy presets; the example prints the
+//! persistence-instruction cost per operation, checks that the consumer saw
+//! each producer's values in order, then demonstrates crash recovery from an
+//! adversarial crash image.
 
-use flit::{FlitDb, FlitPolicy, HashedScheme};
-use flit_pmem::{ElisionMode, LatencyModel, SimNvram};
+use flit::{presets, FlitDb, FlitPolicy, HashedScheme, Policy};
+use flit_pmem::{SimNvram, StatsSnapshot};
 use flit_queues::{Automatic, ConcurrentQueue, MsQueue};
-use flit_workload::{run_queue_case, PolicyKind, QueueCase, QueueWorkloadConfig};
+
+const PRODUCERS: u64 = 3;
+const OPS_PER_THREAD: u64 = 20_000;
+
+/// Run the pipeline once; returns the instruction counts and the values left
+/// in the queue.
+fn pipeline<P: Policy>(policy: P) -> (StatsSnapshot, usize) {
+    let db = FlitDb::builder(policy).build();
+    let queue: MsQueue<P, Automatic> = MsQueue::new(&db);
+    let before = db.stats_snapshot().unwrap_or_default();
+    std::thread::scope(|s| {
+        for tid in 0..PRODUCERS {
+            let (db, queue) = (&db, &queue);
+            s.spawn(move || {
+                let h = db.handle();
+                for seq in 0..OPS_PER_THREAD {
+                    // Producer id in the high half, bit 63 clear.
+                    queue.enqueue(&h, (tid << 32) | seq);
+                }
+            });
+        }
+        s.spawn(|| {
+            let h = db.handle();
+            let mut next = [0u64; PRODUCERS as usize];
+            for _ in 0..OPS_PER_THREAD {
+                if let Some(v) = queue.dequeue(&h) {
+                    let (tid, seq) = ((v >> 32) as usize, v & 0xFFFF_FFFF);
+                    assert_eq!(seq, next[tid], "producer {tid}'s values lost or reordered");
+                    next[tid] += 1;
+                }
+            }
+        });
+    });
+    let after = db.stats_snapshot().unwrap_or_default();
+    (after.delta_since(&before), queue.len())
+}
 
 fn main() {
-    println!("Durable FIFO queue: bursty producer/consumer traffic (3 producers : 1 consumer)\n");
     println!(
-        "{:<18} {:>10} {:>10} {:>12} {:>12}",
-        "policy", "Mops/s", "pwbs/op", "pfences/op", "queue-left"
+        "Durable FIFO queue: {PRODUCERS} producers : 1 consumer, {OPS_PER_THREAD} ops per thread\n"
     );
-    for policy in [
-        PolicyKind::NoPersist,
-        PolicyKind::Plain,
-        PolicyKind::FlitHt(1 << 20),
-    ] {
-        let case = QueueCase {
-            dur: flit_workload::DurKind::Automatic,
-            policy,
-            config: QueueWorkloadConfig::producer_consumer(3, 1, 50_000)
-                .with_burst(32)
-                .with_prefill(1_000),
-            latency: LatencyModel::optane(),
-            elision: ElisionMode::default(),
-            commit: flit_pmem::CommitMode::Immediate,
-        };
-        let r = run_queue_case(&case);
-        // Remaining length counts the prefilled values too (dequeues drain them
-        // first, so this never underflows).
-        let queue_left = case.config.prefill + r.enqueues - r.dequeues_hit;
+    println!(
+        "{:<18} {:>10} {:>12} {:>12}",
+        "policy", "pwbs/op", "pfences/op", "queue-left"
+    );
+    let ops = (PRODUCERS + 1) * OPS_PER_THREAD;
+    let rows = [
+        ("plain", pipeline(presets::plain(SimNvram::for_counting()))),
+        (
+            "flit-HT (1MB)",
+            pipeline(presets::flit_ht(SimNvram::for_counting())),
+        ),
+    ];
+    for (name, (stats, queue_left)) in rows {
         println!(
-            "{:<18} {:>10.3} {:>10.3} {:>12.3} {:>12}",
-            policy.name(),
-            r.mops,
-            r.pwbs_per_op(),
-            r.pfences_per_op(),
+            "{:<18} {:>10.3} {:>12.3} {:>12}",
+            name,
+            stats.pwbs_per_op(ops),
+            stats.pfences_per_op(ops),
             queue_left,
         );
     }

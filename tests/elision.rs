@@ -112,7 +112,7 @@ fn flit_ht_pfences_per_op_drop_under_elision() {
         let db = FlitDb::flit_ht(nvram.clone());
         let map: HashTable<_, Automatic> = HashTable::with_capacity(&db, 256);
         // Read-mostly (95/5), the workload where elision shines.
-        let cfg = WorkloadConfig::new(256, 5, 1, 4_000);
+        let cfg = WorkloadConfig::new(256, 5, 4_000);
         prefill(&map, &cfg);
         let r = run_workload(&map, &cfg);
         r.pfences_per_op()
