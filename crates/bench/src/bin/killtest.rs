@@ -27,8 +27,10 @@
 //! deterministic hash-table workload while reporting its acknowledged floor
 //! through a sidecar file; the parent SIGKILLs it mid-traffic at a
 //! seed-derived point, re-opens the pool (validate → adopt → recover → GC)
-//! and requires: the recovered map equals the model state after exactly `c`
-//! operations for some `c` at or above the acknowledged floor; the pool reads
+//! and requires, judged by the crash sweeps' own checks: the recovered map
+//! equals the model state after exactly `c` operations for some `c` at or
+//! above the acknowledged floor (for HAMT rounds, the retained snapshot also
+//! passes the snapshot sweep's check); the pool reads
 //! dirty unless the child got as far as its orderly close (each round line
 //! prints `pool dirty` or `pool clean`); and a second GC pass reclaims zero
 //! slots. The corruption suite then clobbers one

@@ -138,7 +138,7 @@
 //!
 //! Fresh pools come from [`FlitDbBuilder::create_pool`]; a database built
 //! either way allocates all subsequent arenas *on the pool*, so everything a
-//! structure persists lands in the file. [`FlitDb::create_volatile`] keeps the
+//! structure persists lands in the file. [`FlitDb::create`] keeps the
 //! old heap-backed behaviour for simulation and tests.
 //!
 //! ## Migration from the free-function style
@@ -511,19 +511,12 @@ impl<P: Policy> FlitDb<P> {
         }
     }
 
-    /// Create a fresh database over `policy` with default settings
-    /// (equivalent to `FlitDb::builder(policy).build()`).
+    /// Create a fresh **heap-backed** database over `policy` with default
+    /// settings (equivalent to `FlitDb::builder(policy).build()`): nothing
+    /// survives the process. The file-backed counterpart is
+    /// [`open`](Self::open) / [`FlitDbBuilder::create_pool`].
     pub fn create(policy: P) -> Self {
         Self::builder(policy).build()
-    }
-
-    /// Create a fresh **heap-backed** database over `policy` — an explicit
-    /// alias of [`create`](Self::create) for call sites that want to spell out
-    /// that nothing survives the process (simulation, unit tests). The
-    /// file-backed counterpart is [`open`](Self::open) /
-    /// [`FlitDbBuilder::create_pool`].
-    pub fn create_volatile(policy: P) -> Self {
-        Self::create(policy)
     }
 
     /// Open the existing file-backed pool at `path` over `policy`, adopting the
@@ -1605,7 +1598,7 @@ mod tests {
 
     #[test]
     fn create_volatile_is_heap_backed() {
-        let db = FlitDb::create_volatile(ht_policy());
+        let db = FlitDb::create(ht_policy());
         assert!(!db.is_pool_backed());
         assert!(db.pool().is_none());
         db.sync_pool().unwrap();

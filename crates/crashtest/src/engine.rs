@@ -145,8 +145,10 @@ pub(crate) struct CrashWindow {
     pub acked: usize,
     /// Operations whose completion boundary lies at or before the crash.
     pub completed: usize,
-    /// `false` inside the construction window, where no operation had started
-    /// and only the empty structure is admissible.
+    /// `false` when no operation beyond `completed` can have reached the
+    /// image: inside the construction window (nothing completed either, so
+    /// only the empty structure is admissible), and for a killed process,
+    /// whose `completed` is every operation it attempted.
     pub in_flight: bool,
 }
 
@@ -368,10 +370,10 @@ impl Sweep {
 /// decides what outlives the recovery. `check` lists everything wrong with a
 /// recovered state given where the crash fell. See the crate docs ("Adding a
 /// subject").
-pub(crate) fn sweep<T>(
+pub(crate) fn sweep<T, F: IntoIterator<Item = Finding>>(
     settings: &SweepSettings,
     replay: impl Fn(&mut Run<'_>) -> Option<T>,
-    check: impl Fn(&T, &CrashWindow) -> Vec<Finding>,
+    check: impl Fn(&T, &CrashWindow) -> F,
 ) -> Sweep {
     let (counting, _) = replay_once(&replay, None, true, settings);
     let points = match settings.crash_at {
@@ -488,7 +490,7 @@ pub(crate) fn apply_model(model: &mut BTreeMap<u64, u64>, op: MapOp) -> Outcome 
 pub(crate) fn map_step<P: Policy, M: ConcurrentMap<P>>(
     map: &M,
     h: &FlitHandle<'_, P>,
-    model: &mut BTreeMap<u64, u64>,
+    model: &mut MapModel,
     i: usize,
     op: MapOp,
 ) -> Step {
@@ -500,34 +502,61 @@ pub(crate) fn map_step<P: Policy, M: ConcurrentMap<P>>(
     }
 }
 
-/// The model map state after the first `n` operations of `history`, as sorted
-/// `(key, value)` pairs.
-pub(crate) fn map_state(history: &[MapOp], n: usize) -> Vec<(u64, u64)> {
-    let mut model = BTreeMap::new();
-    for &op in &history[..n] {
-        apply_model(&mut model, op);
-    }
-    model.into_iter().collect()
+/// A sequential model: the abstract state a history reaches, one operation
+/// at a time, so that [`check_prefix`] walks a history forward only once.
+pub(crate) trait Model: Default {
+    /// One operation of a history.
+    type Op: Copy;
+    /// One element of the abstract state, in the order recovery reports it.
+    type Item: PartialEq + std::fmt::Debug;
+    /// What the structure's operation must return.
+    type Reply: PartialEq + std::fmt::Debug;
+    /// Apply `op`.
+    fn apply(&mut self, op: Self::Op) -> Self::Reply;
+    /// The abstract state.
+    fn items(&self) -> impl ExactSizeIterator<Item = Self::Item> + '_;
 }
 
-/// Apply `op` to the sequential queue model; a dequeue returns what it popped.
-fn apply_queue_model(model: &mut VecDeque<u64>, op: QueueOp) -> Option<u64> {
-    match op {
-        QueueOp::Enqueue(v) => {
-            model.push_back(v);
-            None
+/// The sequential map model.
+pub(crate) type MapModel = BTreeMap<u64, u64>;
+
+impl Model for MapModel {
+    type Op = MapOp;
+    type Item = (u64, u64);
+    type Reply = Outcome;
+    fn apply(&mut self, op: MapOp) -> Outcome {
+        apply_model(self, op)
+    }
+    fn items(&self) -> impl ExactSizeIterator<Item = (u64, u64)> + '_ {
+        self.iter().map(|(k, v)| (*k, *v))
+    }
+}
+
+impl Model for VecDeque<u64> {
+    type Op = QueueOp;
+    type Item = u64;
+    /// A dequeue returns what it popped.
+    type Reply = Option<u64>;
+    fn apply(&mut self, op: QueueOp) -> Option<u64> {
+        match op {
+            QueueOp::Enqueue(v) => {
+                self.push_back(v);
+                None
+            }
+            QueueOp::Dequeue => self.pop_front(),
         }
-        QueueOp::Dequeue => model.pop_front(),
+    }
+    fn items(&self) -> impl ExactSizeIterator<Item = u64> + '_ {
+        self.iter().copied()
     }
 }
 
-/// The model queue state after the first `n` operations of `history`.
-fn queue_state(history: &[QueueOp], n: usize) -> Vec<u64> {
-    let mut model = VecDeque::new();
-    for &op in &history[..n] {
-        apply_queue_model(&mut model, op);
-    }
-    model.into_iter().collect()
+/// The map model state after the first `n` operations of `history`, as
+/// sorted `(key, value)` pairs.
+pub(crate) fn map_state(history: &[MapOp], n: usize) -> Vec<(u64, u64)> {
+    let mut model = MapModel::new();
+    history[..n].iter().for_each(|&op| _ = model.apply(op));
+    model.items().collect()
 }
 
 /// Bounded rendering of an abstract state for violation messages.
@@ -570,44 +599,55 @@ pub(crate) fn acked_floor(marks: &[(u64, u64)], completed: usize) -> usize {
     marks[..completed].partition_point(|&(enqueued, _)| enqueued <= committed)
 }
 
-/// Prefix-consistency check shared by maps, queues and the service's crashed
-/// shard: the recovered state must equal the model state after `n` operations
-/// for some `n` in `acked..=completed` — or `completed + 1` when an operation
-/// may have been in flight at the crash (`in_flight`, false for
-/// construction-window points where no operation had started). `acked` is the
-/// [`acked_floor`]: under [`CommitMode::Immediate`] it equals `completed` and
-/// the window collapses to the strict two-state check; under a batched commit
-/// mode the window widens to the unacknowledged tail, which a crash may legally
-/// lose.
-pub(crate) fn check_prefix<S: PartialEq + std::fmt::Debug>(
-    actual: &[S],
+/// Prefix-consistency check shared by maps, queues, the service's crashed
+/// shard and the kill rounds: the recovered state must equal the model state
+/// after `n` operations of `history` for some `n` in `acked..=completed` — or
+/// `completed + 1` when an operation may have been in flight at the crash
+/// (`in_flight`). `acked` is the [`acked_floor`]: under
+/// [`CommitMode::Immediate`] it equals `completed` and the window collapses
+/// to the strict two-state check; under a batched commit mode the window
+/// widens to the unacknowledged tail, which a crash may legally lose.
+///
+/// Returns the first matching `n`. The model is walked forward once and
+/// compared only where its length equals the recovered state's, so even a
+/// failing check over a long history costs one pass.
+pub(crate) fn check_prefix<M: Model>(
+    actual: &[M::Item],
     truncated: bool,
-    state: impl Fn(usize) -> Vec<S>,
-    history_len: usize,
+    history: &[M::Op],
     window: &CrashWindow,
-) -> Vec<Finding> {
+) -> Result<usize, Finding> {
     let CrashWindow {
         acked,
         completed,
         in_flight,
     } = *window;
     if truncated {
-        return vec![Finding::crashed(
+        return Err(Finding::crashed(
             "recovery walk truncated: a node was reachable through persisted links but its own \
              recovery words were not in the image (persist-before-publish violated)"
                 .to_string(),
-        )];
+        ));
     }
     let hi = if in_flight {
-        (completed + 1).min(history_len)
+        (completed + 1).min(history.len())
     } else {
         completed
     };
     let lo = acked.min(hi);
-    if (lo..=hi).any(|n| actual == state(n).as_slice()) {
-        return Vec::new();
+    let mut model = M::default();
+    history[..lo].iter().for_each(|&op| _ = model.apply(op));
+    let at_lo: Vec<_> = model.items().collect();
+    for n in lo..=hi {
+        if n > lo {
+            model.apply(history[n - 1]);
+        }
+        let items = model.items();
+        if items.len() == actual.len() && items.zip(actual).all(|(m, a)| m == *a) {
+            return Ok(n);
+        }
     }
-    vec![Finding::crashed(format!(
+    Err(Finding::crashed(format!(
         "recovered {} but expected the state after n ops for some n in {}..={} \
          (acked floor {}, {} completed{}); state({}) is {}, state({}) is {}{}",
         digest(actual),
@@ -617,15 +657,15 @@ pub(crate) fn check_prefix<S: PartialEq + std::fmt::Debug>(
         completed,
         if in_flight { ", one in flight" } else { "" },
         lo,
-        digest(&state(lo)),
+        digest(&at_lo),
         hi,
-        digest(&state(hi)),
-        if in_flight {
+        digest(&model.items().collect::<Vec<_>>()),
+        if in_flight || completed > 0 {
             ""
         } else {
             " (crash inside the construction window: only the empty structure is admissible)"
         }
-    ))]
+    )))
 }
 
 /// Sweep crash points across `history` for a map structure `M` built by
@@ -646,20 +686,20 @@ where
         let db = run.db(&factory, run.backend.clone());
         let map = M::with_capacity(&db, 64);
         let h = db.handle();
-        let mut model = BTreeMap::new();
+        let mut model = MapModel::new();
         let image = run.drive(std::slice::from_ref(&h), 0, history.len(), |i| {
             map_step(&map, &h, &mut model, i, history[i])
         })?;
         Some(M::recover_arenas(&db.arenas(), &image))
     };
     let check = |recovered: &RecoveredMap, window: &CrashWindow| {
-        check_prefix(
+        check_prefix::<MapModel>(
             &recovered.sorted_pairs(),
             recovered.truncated,
-            |n| map_state(history, n),
-            history.len(),
+            history,
             window,
         )
+        .err()
     };
     sweep(settings, replay, check).into_report(case)
 }
@@ -692,7 +732,7 @@ where
                 }
                 QueueOp::Dequeue => queue.dequeue(&h),
             };
-            let want = apply_queue_model(&mut model, op);
+            let want = model.apply(op);
             Step {
                 party: 0,
                 mismatch: (got != want).then(|| {
@@ -703,13 +743,7 @@ where
         Some(queue.recover(&image))
     };
     let check = |recovered: &RecoveredQueue, window: &CrashWindow| {
-        check_prefix(
-            &recovered.values,
-            recovered.truncated,
-            |n| queue_state(history, n),
-            history.len(),
-            window,
-        )
+        check_prefix::<VecDeque<u64>>(&recovered.values, recovered.truncated, history, window).err()
     };
     sweep(settings, replay, check).into_report(case)
 }
@@ -718,12 +752,12 @@ where
 mod tests {
     use super::*;
 
-    /// [`check_prefix`]'s verdict for one window, as the finding's detail.
-    fn prefix_verdict<S: PartialEq + std::fmt::Debug>(
-        actual: &[S],
+    /// [`check_prefix`]'s verdict over a map `history` for one window, as
+    /// the finding's detail.
+    fn prefix_verdict(
+        actual: &[(u64, u64)],
         truncated: bool,
-        state: impl Fn(usize) -> Vec<S>,
-        history_len: usize,
+        history: &[MapOp],
         acked: usize,
         completed: usize,
         in_flight: bool,
@@ -733,9 +767,11 @@ mod tests {
             completed,
             in_flight,
         };
-        let mut findings = check_prefix(actual, truncated, state, history_len, &window);
-        assert!(findings.len() <= 1 && findings.iter().all(|f| f.survivor.is_none()));
-        findings.pop().map(|f| f.detail)
+        let verdict = check_prefix::<MapModel>(actual, truncated, history, &window);
+        verdict.err().map(|f| {
+            assert!(f.survivor.is_none());
+            f.detail
+        })
     }
 
     /// What the toy subject saw, per replay and per check.
@@ -903,7 +939,7 @@ mod tests {
 
     #[test]
     fn model_states_apply_queue_semantics() {
-        let hist = vec![
+        let hist = [
             QueueOp::Enqueue(1),
             QueueOp::Enqueue(2),
             QueueOp::Dequeue,
@@ -911,9 +947,14 @@ mod tests {
             QueueOp::Dequeue, // empty
             QueueOp::Enqueue(3),
         ];
-        assert_eq!(queue_state(&hist, 2), vec![1, 2]);
-        assert_eq!(queue_state(&hist, 4), vec![] as Vec<u64>);
-        assert_eq!(queue_state(&hist, 6), vec![3]);
+        let state = |n| {
+            let mut model = VecDeque::new();
+            hist[..n].iter().for_each(|&op| _ = model.apply(op));
+            model
+        };
+        assert_eq!(state(2), [1, 2]);
+        assert_eq!(state(4), []);
+        assert_eq!(state(6), [3]);
     }
 
     #[test]
@@ -928,32 +969,38 @@ mod tests {
 
     #[test]
     fn check_prefix_accepts_both_adjacent_states() {
-        let hist_len = 2;
-        let state = |n: usize| match n {
-            0 => vec![],
-            1 => vec![(1u64, 10u64)],
-            _ => vec![(1, 10), (2, 20)],
-        };
+        let hist = [MapOp::Insert(1, 10), MapOp::Insert(2, 20)];
+        let state = |n| map_state(&hist, n);
         // Strict (immediate) contract: acked == completed.
-        assert!(prefix_verdict(&state(1), false, state, hist_len, 1, 1, true).is_none());
-        assert!(prefix_verdict(&state(2), false, state, hist_len, 1, 1, true).is_none());
-        assert!(prefix_verdict(&state(0), false, state, hist_len, 1, 1, true).is_some());
-        assert!(prefix_verdict(&state(1), true, state, hist_len, 1, 1, true).is_some());
+        assert!(prefix_verdict(&state(1), false, &hist, 1, 1, true).is_none());
+        assert!(prefix_verdict(&state(2), false, &hist, 1, 1, true).is_none());
+        assert!(prefix_verdict(&state(0), false, &hist, 1, 1, true).is_some());
+        assert!(prefix_verdict(&state(1), true, &hist, 1, 1, true).is_some());
+        // The match is the prefix length itself.
+        let window = CrashWindow {
+            acked: 0,
+            completed: 2,
+            in_flight: false,
+        };
+        assert_eq!(
+            check_prefix::<MapModel>(&state(1), false, &hist, &window).ok(),
+            Some(1)
+        );
     }
 
     #[test]
     fn check_prefix_widens_to_the_acked_floor_under_batching() {
-        let hist_len = 3;
-        let state = |n: usize| (0..n as u64).map(|k| (k, k)).collect::<Vec<_>>();
+        let hist: Vec<MapOp> = (0..3).map(|k| MapOp::Insert(k, k)).collect();
+        let state = |n| map_state(&hist, n);
         // Batched contract: 3 ops completed, only the first acknowledged — any
         // prefix of the unacknowledged tail may be lost...
         for n in 1..=3 {
-            assert!(prefix_verdict(&state(n), false, state, hist_len, 1, 3, true).is_none());
+            assert!(prefix_verdict(&state(n), false, &hist, 1, 3, true).is_none());
         }
         // ...but the acknowledged prefix itself must survive.
-        assert!(prefix_verdict(&state(0), false, state, hist_len, 1, 3, true).is_some());
+        assert!(prefix_verdict(&state(0), false, &hist, 1, 3, true).is_some());
         // Broken-ack control shape: everything claimed acknowledged, tail lost.
-        let verdict = prefix_verdict(&state(1), false, state, hist_len, 3, 3, true);
+        let verdict = prefix_verdict(&state(1), false, &hist, 3, 3, true);
         assert!(verdict.unwrap().contains("acked floor 3"));
     }
 
@@ -973,14 +1020,11 @@ mod tests {
 
     #[test]
     fn construction_window_points_admit_only_the_empty_state() {
-        let hist_len = 2;
-        let state = |n: usize| match n {
-            0 => vec![],
-            _ => vec![(1u64, 10u64)],
-        };
+        let hist = [MapOp::Insert(1, 10), MapOp::Get(1)];
+        let state = |n| map_state(&hist, n);
         // No operation can be in flight during construction: state(1) is a bug.
-        assert!(prefix_verdict(&state(0), false, state, hist_len, 0, 0, false).is_none());
-        let verdict = prefix_verdict(&state(1), false, state, hist_len, 0, 0, false);
+        assert!(prefix_verdict(&state(0), false, &hist, 0, 0, false).is_none());
+        let verdict = prefix_verdict(&state(1), false, &hist, 0, 0, false);
         assert!(verdict.is_some());
         assert!(verdict.unwrap().contains("construction window"));
     }

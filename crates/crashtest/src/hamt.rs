@@ -32,15 +32,20 @@
 //! snapshot's completion fence) must recover an **empty** retained table: the
 //! three entry words are pwb'd together and covered by the same fence, so the
 //! loss model makes the entry all-or-nothing.
-
-use std::collections::BTreeMap;
+//!
+//! These rules are one function, `check_retained`, with the "must be
+//! present" decision passed in as a `Retained` rule. The snapshot kill
+//! rounds ([`crate::kill::verify_hamt_pool`]) judge a reopened pool with it
+//! too, adding the rule that a snapshot the child released must be absent.
 
 use flit::{CommitMode, Policy};
 use flit_hamt::{Hamt, RetainedSnapshot};
 use flit_pmem::SimNvram;
 use flit_workload::MapOp;
 
-use crate::engine::{map_state, map_step, sweep, CrashWindow, Finding, Run, SweepSettings};
+use crate::engine::{
+    map_state, map_step, sweep, CrashWindow, Finding, MapModel, Run, SweepSettings,
+};
 use crate::matrix::for_policy;
 use crate::report::{CaseMeta, HistorySpec, SweepReport};
 use crate::PolicyKind;
@@ -81,7 +86,7 @@ where
         let db = run.db(&factory, run.backend.clone());
         let map: Hamt<P> = Hamt::new(&db, 64);
         let h = db.handle();
-        let mut model = BTreeMap::new();
+        let mut model = MapModel::new();
         let mut snapshot = None;
         let image = run.drive(std::slice::from_ref(&h), 0, history.len(), |i| {
             if snap_at == 0 && i == 0 {
@@ -101,53 +106,84 @@ where
         Some(retained)
     };
     let check = |retained: &Vec<RetainedSnapshot>, window: &CrashWindow| {
-        let mut findings = Vec::new();
-        if retained.len() > 1 {
-            findings.push(Finding::crashed(format!(
-                "recovered {} retained snapshots but the replay took exactly one",
-                retained.len()
-            )));
-        }
-        match retained.first() {
-            Some(snap) if snap.rec.truncated => findings.push(Finding::crashed(
-                "retained snapshot's recovery walk truncated: its root was durably \
-                 retained but part of its frozen path was not in the image \
-                 (persist-before-publish violated for a pinned root)"
-                    .to_string(),
-            )),
-            Some(snap) if snap.rec.sorted_pairs() != frozen => {
-                findings.push(Finding::crashed(format!(
-                    "retained snapshot (slot {}, version {}) recovered {:?} but its frozen \
-                     contents (model after {} ops) are {:?}",
-                    snap.slot,
-                    snap.version,
-                    snap.rec.sorted_pairs(),
-                    snap_at,
-                    frozen
-                )))
-            }
-            Some(_) => {}
-            // The entry commits atomically at the snapshot's completion fence —
-            // which only an immediate commit issues before the call returns —
-            // so it must then be in any image frozen at or past the boundary of
-            // the operation the snapshot call rode on.
-            None if matches!(settings.commit, CommitMode::Immediate)
-                && window.in_flight
-                && window.completed >= snap_at.max(1) =>
-            {
-                findings.push(Finding::crashed(format!(
-                    "no retained snapshot recovered, but the snapshot call completed with \
-                     operation {} and {} operations had completed at the crash: its table \
-                     entry must have been durable",
-                    snap_at.max(1),
-                    window.completed
-                )))
-            }
-            None => {}
-        }
-        findings
+        // The entry commits atomically at the snapshot's completion fence —
+        // which only an immediate commit issues before the call returns — so
+        // it must then be in any image frozen at or past the boundary of the
+        // operation the snapshot call rode on.
+        let rule = if matches!(settings.commit, CommitMode::Immediate)
+            && window.in_flight
+            && window.completed >= snap_at.max(1)
+        {
+            Retained::Present(format!(
+                "the snapshot call completed with operation {} and {} operations had \
+                 completed at the crash: its table entry must have been durable",
+                snap_at.max(1),
+                window.completed
+            ))
+        } else {
+            Retained::Either
+        };
+        check_retained(retained, &frozen, snap_at, rule)
     };
     sweep(settings, replay, check).into_report(case)
+}
+
+/// What a crash check demands of the one snapshot a history retained.
+pub(crate) enum Retained {
+    /// Its table entry must be durable; the text says why.
+    Present(String),
+    /// It may or may not have survived.
+    Either,
+    /// It was released, and the release must be durable.
+    Absent,
+}
+
+/// Everything wrong with the `retained` snapshots recovered from one image:
+/// at most one may be present, and `rule` says whether it must be; one that is
+/// present (and not released) must replay, untruncated, to exactly `frozen`,
+/// the model state after `snap_at` operations. The snapshot sweep and the
+/// snapshot kill rounds both judge with this.
+pub(crate) fn check_retained(
+    retained: &[RetainedSnapshot],
+    frozen: &[(u64, u64)],
+    snap_at: usize,
+    rule: Retained,
+) -> Vec<Finding> {
+    let mut findings = Vec::new();
+    if retained.len() > 1 {
+        findings.push(Finding::crashed(format!(
+            "recovered {} retained snapshots but the replay took exactly one",
+            retained.len()
+        )));
+    }
+    match (retained.first(), rule) {
+        (Some(snap), Retained::Absent) => findings.push(Finding::crashed(format!(
+            "retained snapshot (slot {}, version {}) recovered although it was released",
+            snap.slot, snap.version
+        ))),
+        (Some(snap), _) if snap.rec.truncated => findings.push(Finding::crashed(
+            "retained snapshot's recovery walk truncated: its root was durably \
+             retained but part of its frozen path was not in the image \
+             (persist-before-publish violated for a pinned root)"
+                .to_string(),
+        )),
+        (Some(snap), _) if snap.rec.sorted_pairs() != frozen => {
+            findings.push(Finding::crashed(format!(
+                "retained snapshot (slot {}, version {}) recovered {:?} but its frozen \
+                 contents (model after {} ops) are {:?}",
+                snap.slot,
+                snap.version,
+                snap.rec.sorted_pairs(),
+                snap_at,
+                frozen
+            )))
+        }
+        (None, Retained::Present(why)) => findings.push(Finding::crashed(format!(
+            "no retained snapshot recovered, but {why}"
+        ))),
+        _ => {}
+    }
+    findings
 }
 
 /// [`sweep_hamt_snapshot`] for a named policy and history spec, with the

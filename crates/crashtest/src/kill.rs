@@ -11,24 +11,27 @@
 //!
 //! ## The workload and its prefix contract
 //!
-//! The child runs a fixed, deterministic single-handle workload over a
-//! pool-backed hash table — op `j` (1-based) is `remove(j - 3)` when
-//! `j % 7 == 0` and `insert(j, 3j + 1)` otherwise — and after every operation
-//! writes its **acknowledged floor** to a sidecar file: the operation count
-//! under [`CommitMode::Immediate`] (completions are synchronously durable),
-//! the handle's `committed_obligations()` under batched group commit
-//! (unacknowledged operations may legitimately die with the process).
+//! The child applies [`kill_history`] — a fixed, deterministic single-handle
+//! history over a pool-backed hash table (or a [`Hamt`] holding a snapshot) —
+//! and after every operation writes its **acknowledged floor** to a sidecar
+//! file: the operation count under [`CommitMode::Immediate`] (completions are
+//! synchronously durable), the handle's `committed_obligations()` under
+//! batched group commit (unacknowledged operations may legitimately die with
+//! the process).
 //!
 //! After the kill, [`run_kill_round`] re-opens the pool
-//! (validate → adopt → recover → GC) and requires the recovered map to equal
-//! the model state after **exactly `c` operations** for some single
-//! `c ≥ floor` — the durable-linearizability prefix contract, checked against
-//! a real dead process instead of a frozen image. It then re-runs
-//! [`post_crash_gc`] and requires the second pass to reclaim zero slots (the
-//! pass that ran inside `open` must have closed every leak). A child killed
-//! mid-workload must leave the pool dirty, so the open runs GC; a child that
-//! finished closes its database in order, the open skips GC, and the same
-//! second pass then checks that the close accounted for every slot.
+//! (validate → adopt → recover → GC) and judges it with the checks the
+//! simulated sweeps use, over the same history and model: the engine's prefix
+//! check requires the recovered map to be whole and to equal the model state
+//! after exactly `c` operations for some `c` in `floor..=ops`, and a snapshot
+//! round adds the snapshot sweep's retained-snapshot check. Any finding fails
+//! the round as [`KillViolation::Inconsistent`], carrying the findings' text.
+//! The round then re-runs [`post_crash_gc`] and requires the second pass to
+//! reclaim zero slots (the pass that ran inside `open` must have closed every
+//! leak). A child killed mid-workload must leave the pool dirty, so the open
+//! runs GC; a child that finished closes its database in order, the open
+//! skips GC, and the same second pass then checks that the close accounted
+//! for every slot.
 //!
 //! ## Corruption injection
 //!
@@ -38,9 +41,13 @@
 //! high-water mark — asserting that every case surfaces as the matching typed
 //! [`OpenError`] variant and none of them panics.
 //!
+//! The module is unix-only: pools are mmap'd files, and the harness reads and
+//! writes them with positioned I/O.
+//!
 //! [`CrashPlan`]: flit_pmem::CrashPlan
 
-use std::collections::BTreeMap;
+use std::fs::File;
+use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 use std::process::{Command, Stdio};
 use std::time::{Duration, Instant};
@@ -54,7 +61,8 @@ use flit_hamt::Hamt;
 use flit_pmem::{CrashImage, LatencyModel, SimNvram};
 use flit_workload::MapOp;
 
-use crate::engine::{apply_map_op, apply_model};
+use crate::engine::{apply_map_op, check_prefix, map_state, CrashWindow, Finding, MapModel};
+use crate::hamt::{check_retained, Retained};
 
 /// The policy every kill round runs under: flit-HT over simulated-NVRAM
 /// instruction accounting (the data itself lives in the pool file).
@@ -89,39 +97,29 @@ pub fn splitmix64(mut x: u64) -> u64 {
     x ^ (x >> 31)
 }
 
-/// Workload operation `j` (1-based). No key is inserted twice, so the model
-/// never stutters: every operation changes the state.
-fn kill_op(j: u64) -> MapOp {
-    if j % 7 == 0 {
-        MapOp::Remove(j - 3)
-    } else {
-        MapOp::Insert(j, 3 * j + 1)
-    }
+/// The kill workload's first `ops` operations: operation `j` (1-based) is
+/// `remove(j - 3)` when `j % 7 == 0` and `insert(j, 3j + 1)` otherwise. No
+/// key is inserted twice, so the model never stutters: every operation
+/// changes the state, and a recovered state matches at most one prefix.
+pub fn kill_history(ops: u64) -> Vec<MapOp> {
+    (1..=ops)
+        .map(|j| match j % 7 {
+            0 => MapOp::Remove(j - 3),
+            _ => MapOp::Insert(j, 3 * j + 1),
+        })
+        .collect()
 }
 
-/// The model key→value state after the first `ops` workload operations.
-pub fn model_state(ops: u64) -> BTreeMap<u64, u64> {
-    let mut model = BTreeMap::new();
-    for j in 1..=ops {
-        apply_model(&mut model, kill_op(j));
-    }
-    model
+/// Write `value` as the little-endian word at byte `offset` of `file`.
+fn write_word(file: &File, offset: u64, value: u64) -> std::io::Result<()> {
+    file.write_all_at(&value.to_le_bytes(), offset)
 }
 
-/// Overwrite the sidecar word at `offset` (0: acknowledged floor, 8: snapshot
-/// marker).
-fn write_sidecar_word(side: &std::fs::File, offset: u64, value: u64) -> Result<(), String> {
-    #[cfg(unix)]
-    {
-        use std::os::unix::fs::FileExt;
-        side.write_all_at(&value.to_le_bytes(), offset)
-            .map_err(|e| format!("child: sidecar write: {e}"))
-    }
-    #[cfg(not(unix))]
-    {
-        let _ = (side, offset, value);
-        Err("kill rounds require a unix platform".into())
-    }
+/// The little-endian word at byte `offset` of `file`.
+fn read_word(file: &File, offset: u64) -> std::io::Result<u64> {
+    let mut buf = [0u8; 8];
+    file.read_exact_at(&mut buf, offset)?;
+    Ok(u64::from_le_bytes(buf))
 }
 
 /// The workload loop both children run: operation `j` on `map`, then the
@@ -140,35 +138,33 @@ fn run_workload<M: ConcurrentMap<KillPolicy>>(
     mut take_snapshot: impl FnMut(&flit::FlitHandle<'_, KillPolicy>),
 ) -> Result<(), String> {
     let h = db.handle();
-    let side = std::fs::OpenOptions::new()
-        .create(true)
-        .write(true)
-        .truncate(true)
-        .open(sidecar)
-        .map_err(|e| format!("child: sidecar: {e}"))?;
+    let side = File::create(sidecar).map_err(|e| format!("child: sidecar: {e}"))?;
+    let write_side = |offset, value| {
+        write_word(&side, offset, value).map_err(|e| format!("child: sidecar write: {e}"))
+    };
     // `snapshot()` registers a durability obligation of its own (its completion
     // fence), so once it is live the committed count runs one ahead of the
     // workload; subtract it — a floor that lags by one while the snapshot's own
     // batch is still open is merely conservative.
     let mut snapshot_obligations = 0;
-    for j in 1..=ops {
-        apply_map_op(map, &h, kill_op(j));
+    for (j, op) in (1..).zip(kill_history(ops)) {
+        apply_map_op(map, &h, op);
         let floor = match db.commit_mode() {
             CommitMode::Immediate => j,
             CommitMode::Batched(_) => h
                 .committed_obligations()
                 .saturating_sub(snapshot_obligations),
         };
-        write_sidecar_word(&side, 0, floor)?;
+        write_side(0, floor)?;
         if j == snap_at {
             take_snapshot(&h);
             snapshot_obligations = 1;
-            write_sidecar_word(&side, 8, snap_at)?;
+            write_side(8, snap_at)?;
         }
     }
     // Drained means durable already; nobody waits on the ticket.
     let _ = h.flush_async();
-    write_sidecar_word(&side, 0, ops)
+    write_side(0, ops)
 }
 
 /// The child side of a kill round: create a fresh pool at `pool`, run the
@@ -265,25 +261,12 @@ pub struct KillRoundReport {
 pub enum KillViolation {
     /// Re-opening the pool after the kill produced an error (rendered).
     OpenFailed(String),
-    /// The recovery walk stopped early: a reachable word is missing from the
-    /// pool, or a link leaves its arena. A truncated walk's pairs are a
-    /// fragment, so no prefix match is attempted on them.
-    RecoveryTruncated,
-    /// The recovered state matched no workload prefix at all.
-    NoPrefixMatch {
-        /// Recovered pairs, sorted by key.
-        recovered: Vec<(u64, u64)>,
-        /// The sidecar floor the match had to reach.
-        floor: u64,
-    },
-    /// The recovered state matched a prefix *shorter* than the acknowledged
-    /// floor — an acknowledged operation was lost.
-    AckedOperationLost {
-        /// The prefix that matched.
-        matched: u64,
-        /// The floor it had to reach.
-        floor: u64,
-    },
+    /// The reopened pool failed the sweeps' crash checks: a truncated
+    /// recovery walk, a state that is no prefix in `floor..=ops` of
+    /// [`kill_history`], or (snapshot rounds) a retained snapshot that is
+    /// missing, unexpectedly present, truncated or not its frozen contents.
+    /// One detail per finding.
+    Inconsistent(Vec<String>),
     /// A second GC pass reclaimed slots the open-time pass should have (or,
     /// after a clean close, slots the close should have accounted for).
     GcNotIdempotent {
@@ -296,10 +279,6 @@ pub enum KillViolation {
         /// The acknowledged floor at the kill (below the op count).
         floor: u64,
     },
-    /// A snapshot round's retained snapshot failed verification: missing,
-    /// unexpectedly present after a clean release, truncated, or diverged
-    /// from its frozen contents (rendered).
-    SnapshotCheck(String),
     /// The harness itself failed (spawn error, sidecar never appeared, …).
     Harness(String),
 }
@@ -308,20 +287,7 @@ impl std::fmt::Display for KillViolation {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             Self::OpenFailed(e) => write!(f, "re-open after kill failed: {e}"),
-            Self::RecoveryTruncated => write!(
-                f,
-                "recovery walk truncated: a reachable word is missing from the pool \
-                 or a link leaves its arena"
-            ),
-            Self::NoPrefixMatch { recovered, floor } => write!(
-                f,
-                "recovered state ({} pairs) matches no workload prefix ≥ floor {floor}",
-                recovered.len()
-            ),
-            Self::AckedOperationLost { matched, floor } => write!(
-                f,
-                "recovered state is the prefix after {matched} ops, but {floor} were acknowledged"
-            ),
+            Self::Inconsistent(details) => write!(f, "crash check failed: {}", details.join("; ")),
             Self::GcNotIdempotent { second_pass } => write!(
                 f,
                 "second GC pass reclaimed {second_pass} slots (open-time pass missed them)"
@@ -330,7 +296,6 @@ impl std::fmt::Display for KillViolation {
                 f,
                 "pool marked clean although the child was killed at floor {floor}"
             ),
-            Self::SnapshotCheck(e) => write!(f, "retained-snapshot check failed: {e}"),
             Self::Harness(e) => write!(f, "harness failure: {e}"),
         }
     }
@@ -389,70 +354,37 @@ impl KillRound {
     }
 }
 
-/// The sidecar word at `offset` (see [`write_sidecar_word`]); 0 until the
-/// child has written it.
-fn read_sidecar_word(sidecar: &Path, offset: u64) -> u64 {
-    #[cfg(unix)]
-    {
-        read_word_at(sidecar, offset).unwrap_or(0)
-    }
-    #[cfg(not(unix))]
-    {
-        let _ = (sidecar, offset);
-        0
-    }
-}
-
-/// Walk the model forward and find the unique prefix length the recovered
-/// (sorted) state equals — `apply_model` never stutters, so at most one `c`
-/// matches.
-fn match_model_prefix(recovered: &[(u64, u64)], ops: u64) -> Option<u64> {
-    let mut model = BTreeMap::new();
-    for c in 0..=ops {
-        if c > 0 {
-            apply_model(&mut model, kill_op(c));
-        }
-        if model.len() == recovered.len()
-            && model
-                .iter()
-                .map(|(k, v)| (*k, *v))
-                .eq(recovered.iter().copied())
-        {
-            return Some(c);
-        }
-    }
-    None
-}
-
 /// The verification core both structures share: re-open `pool`
 /// (validate → adopt → recover → GC), recover `M` over the adopted arenas,
-/// require the walk to be whole and the recovered pairs to be the model after
-/// exactly `c ≥ floor` operations, run the structure-specific `extra` check
-/// over those arenas and the pool's image, and finally require a second GC
-/// pass to reclaim nothing.
+/// judge it with the engine's prefix check over [`kill_history`]`(ops)` and
+/// the structure-specific `extra` check over those arenas, the pool's image
+/// and the history, and finally require a second GC pass to reclaim nothing.
 fn verify_recovered<M: RecoverInImage>(
     pool: &Path,
     ops: u64,
     floor: u64,
-    extra: impl FnOnce(&[Arc<Arena>], &CrashImage) -> Result<(), KillViolation>,
+    extra: impl FnOnce(&[Arc<Arena>], &CrashImage, &[MapOp]) -> Vec<Finding>,
 ) -> Result<KillRoundReport, KillViolation> {
     let (db, report) =
         FlitDb::open(pool, kill_policy()).map_err(|e| KillViolation::OpenFailed(e.to_string()))?;
     let arenas = db.arenas();
     let rec = M::recover_arenas(&arenas, &report.image);
-    if rec.truncated {
-        return Err(KillViolation::RecoveryTruncated);
-    }
-    let recovered = rec.sorted_pairs();
-
-    let matched = match match_model_prefix(&recovered, ops) {
-        Some(c) => c,
-        None => return Err(KillViolation::NoPrefixMatch { recovered, floor }),
+    let history = kill_history(ops);
+    // The kill may land anywhere in the run: up to `ops` operations
+    // completed, of which the first `floor` were acknowledged.
+    let window = CrashWindow {
+        acked: floor as usize,
+        completed: ops as usize,
+        in_flight: false,
     };
-    if matched < floor {
-        return Err(KillViolation::AckedOperationLost { matched, floor });
+    let prefix = check_prefix::<MapModel>(&rec.sorted_pairs(), rec.truncated, &history, &window);
+    let details: Vec<String> = (prefix.as_ref().err().into_iter())
+        .chain(&extra(&arenas, &report.image, &history))
+        .map(|f| f.detail.clone())
+        .collect();
+    if !details.is_empty() {
+        return Err(KillViolation::Inconsistent(details));
     }
-    extra(&arenas, &report.image)?;
 
     // The open-time GC (or, when the pool read clean, the close) must have
     // closed every leak — including everything a retained snapshot pins: a
@@ -463,7 +395,7 @@ fn verify_recovered<M: RecoverInImage>(
     }
 
     Ok(KillRoundReport {
-        matched_prefix: matched,
+        matched_prefix: prefix.unwrap_or_default() as u64,
         acked_floor: floor,
         reclaimed_slots: report.leaked_slots(),
         clean_close: report.clean_close,
@@ -476,19 +408,21 @@ fn verify_recovered<M: RecoverInImage>(
 /// the shared verification tail of [`run_kill_round`], also run directly by
 /// the integration tests on pools they construct in-process.
 pub fn verify_pool(pool: &Path, ops: u64, floor: u64) -> Result<KillRoundReport, KillViolation> {
-    verify_recovered::<KillMap>(pool, ops, floor, |_, _| Ok(()))
+    verify_recovered::<KillMap>(pool, ops, floor, |_, _, _| Vec::new())
 }
 
 /// [`verify_pool`] for snapshot rounds: recover the [`KillHamt`] main trie
 /// (same prefix contract) **and** its retained-root table from the reopened
-/// pool. When the kill landed mid-workload (`!released && floor < ops`)
-/// exactly one retained snapshot must recover, un-truncated, and replay to
-/// exactly the model state after `snap_at` operations; when the child finished
-/// cleanly (`released` true) its snapshot drop wrote refcount 0, so the table
-/// must recover empty. A kill that lands *after* the last acknowledged
-/// operation but before process exit (`floor == ops`) races the release
-/// itself, so either outcome is legal there — but a snapshot that is present
-/// must still be exact.
+/// pool, and judge the table with the snapshot sweep's check against the
+/// model state after `snap_at` operations. The rule it applies:
+///
+/// * `released` (the child finished and dropped its snapshot, writing
+///   refcount 0): the table must recover empty;
+/// * killed mid-workload (`floor < ops`): the snapshot must recover;
+/// * killed after the last acknowledged operation (`floor == ops`): the kill
+///   races the release in the child's exit path, so either is legal.
+///
+/// A snapshot that is present and not released must be exact either way.
 pub fn verify_hamt_pool(
     pool: &Path,
     ops: u64,
@@ -496,53 +430,22 @@ pub fn verify_hamt_pool(
     snap_at: u64,
     released: bool,
 ) -> Result<KillRoundReport, KillViolation> {
-    verify_recovered::<KillHamt>(pool, ops, floor, |arenas, image| {
-        let snaps: Vec<_> = arenas
+    let rule = if released {
+        Retained::Absent
+    } else if floor < ops {
+        Retained::Present(format!(
+            "the child was killed at floor {floor} of {ops} while it held the snapshot"
+        ))
+    } else {
+        Retained::Either
+    };
+    verify_recovered::<KillHamt>(pool, ops, floor, |arenas, image, history| {
+        let retained: Vec<_> = arenas
             .iter()
             .flat_map(|a| KillHamt::recover_snapshots_in_image(a, image))
             .collect();
-        let fail = |why: String| Err(KillViolation::SnapshotCheck(why));
-        if released {
-            if !snaps.is_empty() {
-                return fail(format!(
-                    "{} retained snapshot(s) recovered after a clean release",
-                    snaps.len()
-                ));
-            }
-            return Ok(());
-        }
-        // `floor == ops` means the kill landed in the child's exit path, where
-        // the snapshot release (a plain refcount store that survives SIGKILL the
-        // instant it executes) races the kill — the table may recover either way.
-        if snaps.is_empty() && floor >= ops {
-            return Ok(());
-        }
-        if snaps.len() != 1 {
-            return fail(format!(
-                "expected exactly one retained snapshot, recovered {}",
-                snaps.len()
-            ));
-        }
-        let snap = &snaps[0];
-        if snap.rec.truncated {
-            return fail(
-                "retained snapshot's recovery walk truncated (part of its frozen path is \
-                 missing from the pool)"
-                    .into(),
-            );
-        }
-        let frozen: Vec<(u64, u64)> = model_state(snap_at).into_iter().collect();
-        if snap.rec.sorted_pairs() != frozen {
-            return fail(format!(
-                "retained snapshot (slot {}, version {}) recovered {} pair(s) but its frozen \
-                 contents (model after {snap_at} ops) have {}",
-                snap.slot,
-                snap.version,
-                snap.rec.pairs.len(),
-                frozen.len()
-            ));
-        }
-        Ok(())
+        let snap_at = snap_at.min(ops) as usize;
+        check_retained(&retained, &map_state(history, snap_at), snap_at, rule)
     })
 }
 
@@ -577,12 +480,17 @@ pub fn run_kill_round(round: &KillRound) -> Result<KillRoundReport, KillViolatio
     // kill lands mid-traffic, not mid-setup) — and, for snapshot rounds, until
     // the snapshot marker appears (so every round verifies a retained
     // snapshot) — with a generous timeout.
+    let sidecar_word = |offset| {
+        File::open(&sidecar)
+            .and_then(|f| read_word(&f, offset))
+            .unwrap_or(0)
+    };
     let started = Instant::now();
     let mut child_finished = false;
     loop {
         let ready = match round.hamt_snap {
-            Some(_) => read_sidecar_word(&sidecar, 8) >= 1,
-            None => read_sidecar_word(&sidecar, 0) >= 1,
+            Some(_) => sidecar_word(8) >= 1,
+            None => sidecar_word(0) >= 1,
         };
         if ready {
             break;
@@ -637,7 +545,7 @@ pub fn run_kill_round(round: &KillRound) -> Result<KillRoundReport, KillViolatio
             .map_err(|e| KillViolation::Harness(format!("wait: {e}")))?;
     }
 
-    let floor = read_sidecar_word(&sidecar, 0);
+    let floor = sidecar_word(0);
     let mut report = match round.hamt_snap {
         Some(snap_at) => verify_hamt_pool(&pool, round.ops, floor, snap_at, child_finished)?,
         None => verify_pool(&pool, round.ops, floor)?,
@@ -661,115 +569,93 @@ pub fn run_kill_round(round: &KillRound) -> Result<KillRoundReport, KillViolatio
 pub struct CorruptionCase {
     /// Short kebab-case name (reported and used in failure messages).
     pub name: &'static str,
-    corrupt: fn(&Path) -> std::io::Result<()>,
+    corrupt: fn(&File) -> std::io::Result<()>,
     expect: fn(&OpenError) -> bool,
     /// What the case expects, for failure messages.
     pub expected: &'static str,
 }
 
-#[cfg(unix)]
-fn write_word_at(path: &Path, offset: u64, value: u64) -> std::io::Result<()> {
-    use std::os::unix::fs::FileExt;
-    let f = std::fs::OpenOptions::new().write(true).open(path)?;
-    f.write_at(&value.to_le_bytes(), offset)?;
-    f.sync_all()
-}
-
-#[cfg(unix)]
-fn read_word_at(path: &Path, offset: u64) -> std::io::Result<u64> {
-    use std::os::unix::fs::FileExt;
-    let f = std::fs::File::open(path)?;
-    let mut buf = [0u8; 8];
-    f.read_exact_at(&mut buf, offset)?;
-    Ok(u64::from_le_bytes(buf))
-}
-
 /// Locate arena 0's header base offset in the pool file (via its directory
 /// entry), so corruption cases can clobber header words.
-#[cfg(unix)]
-fn arena0_header_off(path: &Path) -> std::io::Result<u64> {
+fn arena0_header_off(pool: &File) -> std::io::Result<u64> {
     use flit_pmem::pool::{direntry, DIR_OFFSET};
-    read_word_at(path, (DIR_OFFSET + direntry::HEADER_OFF) as u64)
+    read_word(pool, (DIR_OFFSET + direntry::HEADER_OFF) as u64)
 }
 
 /// The corruption cases: each takes a *valid* pool file and must surface as
 /// exactly the named [`OpenError`] variant — diagnosable, typed, panic-free.
-#[cfg(unix)]
 pub fn corruption_cases() -> Vec<CorruptionCase> {
     use flit_pmem::pool::{direntry, superblock, DIR_OFFSET};
     vec![
         CorruptionCase {
             name: "truncate-below-data-area",
-            corrupt: |p| {
-                let f = std::fs::OpenOptions::new().write(true).open(p)?;
-                f.set_len(8192)
-            },
+            corrupt: |f| f.set_len(8192),
             expect: |e| matches!(e, OpenError::Truncated { .. }),
             expected: "OpenError::Truncated",
         },
         CorruptionCase {
             name: "flip-superblock-magic",
-            corrupt: |p| write_word_at(p, superblock::MAGIC as u64, 0xDEAD_BEEF_DEAD_BEEF),
+            corrupt: |f| write_word(f, superblock::MAGIC as u64, 0xDEAD_BEEF_DEAD_BEEF),
             expect: |e| matches!(e, OpenError::BadMagic { .. }),
             expected: "OpenError::BadMagic",
         },
         CorruptionCase {
             name: "bump-superblock-version",
-            corrupt: |p| write_word_at(p, superblock::VERSION as u64, 99),
+            corrupt: |f| write_word(f, superblock::VERSION as u64, 99),
             expect: |e| matches!(e, OpenError::BadVersion { .. }),
             expected: "OpenError::BadVersion",
         },
         CorruptionCase {
             name: "clobber-commit-compat-word",
-            corrupt: |p| write_word_at(p, superblock::COMMIT as u64, 0xFF),
+            corrupt: |f| write_word(f, superblock::COMMIT as u64, 0xFF),
             expect: |e| matches!(e, OpenError::CommitModeMismatch { pool: None, .. }),
             expected: "OpenError::CommitModeMismatch { pool: None, .. }",
         },
         CorruptionCase {
             name: "wild-bump-cursor",
-            corrupt: |p| write_word_at(p, superblock::NEXT_FREE as u64, u64::MAX / 2),
+            corrupt: |f| write_word(f, superblock::NEXT_FREE as u64, u64::MAX / 2),
             expect: |e| matches!(e, OpenError::BadSuperblock { .. }),
             expected: "OpenError::BadSuperblock",
         },
         CorruptionCase {
             name: "zero-arena-magic",
-            corrupt: |p| {
-                let h = arena0_header_off(p)?;
-                write_word_at(p, h + flit_alloc::MAGIC_OFFSET as u64, 0)
+            corrupt: |f| {
+                let h = arena0_header_off(f)?;
+                write_word(f, h + flit_alloc::MAGIC_OFFSET as u64, 0)
             },
             expect: |e| matches!(e, OpenError::ArenaHeader { arena: 0, .. }),
             expected: "OpenError::ArenaHeader",
         },
         CorruptionCase {
             name: "header-directory-slot-size-disagree",
-            corrupt: |p| {
-                let h = arena0_header_off(p)?;
-                write_word_at(p, h + flit_alloc::SLOT_SIZE_OFFSET as u64, 4096)
+            corrupt: |f| {
+                let h = arena0_header_off(f)?;
+                write_word(f, h + flit_alloc::SLOT_SIZE_OFFSET as u64, 4096)
             },
             expect: |e| matches!(e, OpenError::SlotSizeMismatch { arena: 0, .. }),
             expected: "OpenError::SlotSizeMismatch",
         },
         CorruptionCase {
             name: "huge-high-water",
-            corrupt: |p| {
-                let h = arena0_header_off(p)?;
-                write_word_at(p, h + flit_alloc::HIGH_WATER_OFFSET as u64, 1 << 40)
+            corrupt: |f| {
+                let h = arena0_header_off(f)?;
+                write_word(f, h + flit_alloc::HIGH_WATER_OFFSET as u64, 1 << 40)
             },
             expect: |e| matches!(e, OpenError::ArenaHeader { arena: 0, .. }),
             expected: "OpenError::ArenaHeader",
         },
         CorruptionCase {
             name: "tear-root-table-entry",
-            corrupt: |p| {
+            corrupt: |f| {
                 // Zero the offset word of the first live root entry, leaving
                 // its key — exactly the torn shape adoption must reject.
-                let h = arena0_header_off(p)?;
+                let h = arena0_header_off(f)?;
                 for i in 0..flit_alloc::ROOT_CAPACITY as u64 {
                     let key_off = h
                         + flit_alloc::ROOT_TABLE_OFFSET as u64
                         + i * flit_alloc::ROOT_ENTRY_BYTES as u64;
-                    if read_word_at(p, key_off)? != 0 {
-                        return write_word_at(p, key_off + 8, 0);
+                    if read_word(f, key_off)? != 0 {
+                        return write_word(f, key_off + 8, 0);
                     }
                 }
                 Err(std::io::Error::new(
@@ -782,10 +668,10 @@ pub fn corruption_cases() -> Vec<CorruptionCase> {
         },
         CorruptionCase {
             name: "free-list-link-above-high-water",
-            corrupt: |p| {
-                let h = arena0_header_off(p)?;
-                let hw = read_word_at(p, h + flit_alloc::HIGH_WATER_OFFSET as u64)?;
-                write_word_at(p, h + flit_alloc::FREE_HEAD_OFFSET as u64, hw + 10)
+            corrupt: |f| {
+                let h = arena0_header_off(f)?;
+                let hw = read_word(f, h + flit_alloc::HIGH_WATER_OFFSET as u64)?;
+                write_word(f, h + flit_alloc::FREE_HEAD_OFFSET as u64, hw + 10)
             },
             expect: |e| matches!(e, OpenError::ArenaHeader { arena: 0, .. }),
             expected: "OpenError::ArenaHeader",
@@ -794,18 +680,18 @@ pub fn corruption_cases() -> Vec<CorruptionCase> {
             // A clean-close word vouches for nothing: an open that will skip
             // GC still adopts, and so still rejects, a wild free list.
             name: "forged-clean-word-wild-free-list",
-            corrupt: |p| {
+            corrupt: |f| {
                 use flit_pmem::pool::CLEAN_CLOSE_MAGIC;
-                write_word_at(p, superblock::CLEAN_CLOSE as u64, CLEAN_CLOSE_MAGIC)?;
-                let h = arena0_header_off(p)?;
-                write_word_at(p, h + flit_alloc::FREE_HEAD_OFFSET as u64, u64::MAX)
+                write_word(f, superblock::CLEAN_CLOSE as u64, CLEAN_CLOSE_MAGIC)?;
+                let h = arena0_header_off(f)?;
+                write_word(f, h + flit_alloc::FREE_HEAD_OFFSET as u64, u64::MAX)
             },
             expect: |e| matches!(e, OpenError::ArenaHeader { arena: 0, .. }),
             expected: "OpenError::ArenaHeader",
         },
         CorruptionCase {
             name: "oversized-directory-chunk-count",
-            corrupt: |p| write_word_at(p, (DIR_OFFSET + direntry::NCHUNKS) as u64, 1 << 20),
+            corrupt: |f| write_word(f, (DIR_OFFSET + direntry::NCHUNKS) as u64, 1 << 20),
             expect: |e| matches!(e, OpenError::ArenaHeader { arena: 0, .. }),
             expected: "OpenError::ArenaHeader",
         },
@@ -826,7 +712,6 @@ pub struct CorruptionOutcome {
 /// clobber, and opens the pool expecting its typed error. Passing cases clean
 /// up after themselves; failing cases leave `<dir>/corrupt-<name>.pool` behind
 /// for artifact upload.
-#[cfg(unix)]
 pub fn corruption_suite(dir: &Path) -> Vec<CorruptionOutcome> {
     std::fs::create_dir_all(dir).ok();
     corruption_cases()
@@ -845,7 +730,6 @@ pub fn corruption_suite(dir: &Path) -> Vec<CorruptionOutcome> {
         .collect()
 }
 
-#[cfg(unix)]
 fn run_corruption_case(case: &CorruptionCase, pool: &Path) -> Option<String> {
     let _ = std::fs::remove_file(pool);
     // A small valid pool with one arena, a little traffic, and a durable root.
@@ -864,7 +748,12 @@ fn run_corruption_case(case: &CorruptionCase, pool: &Path) -> Option<String> {
             return Some(format!("setup: sync_pool: {e}"));
         }
     }
-    if let Err(e) = (case.corrupt)(pool) {
+    let clobbered = std::fs::OpenOptions::new()
+        .read(true)
+        .write(true)
+        .open(pool)
+        .and_then(|f| (case.corrupt)(&f));
+    if let Err(e) = clobbered {
         return Some(format!("corruption step failed: {e}"));
     }
     match FlitDb::open(pool, kill_policy()) {
@@ -877,25 +766,70 @@ fn run_corruption_case(case: &CorruptionCase, pool: &Path) -> Option<String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::Model;
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     #[test]
-    fn model_state_tracks_inserts_and_removes() {
+    fn the_kill_history_never_stutters() {
         // Ops 1..=7: inserts 1..6 at j≠7, then op 7 removes key 4.
-        let m = model_state(7);
+        let history = kill_history(100);
+        let m = map_state(&history, 7);
         assert_eq!(m.len(), 5);
-        assert!(!m.contains_key(&4));
-        assert_eq!(m.get(&3), Some(&10));
-        // Model never stutters: every op changes the state.
-        let mut prev = BTreeMap::new();
+        assert!(m.iter().all(|&(k, _)| k != 4));
+        assert!(m.contains(&(3, 10)));
+        // Every op changes the state.
         for j in 1..=100 {
-            let mut next = prev.clone();
-            apply_model(&mut next, kill_op(j));
-            assert_ne!(prev, next, "op {j} must change the state");
-            prev = next;
+            assert_ne!(map_state(&history, j - 1), map_state(&history, j), "op {j}");
         }
     }
 
-    #[cfg(unix)]
+    /// Operations applied to any [`Counted`] model (only one test uses it).
+    static APPLIED: AtomicUsize = AtomicUsize::new(0);
+
+    /// The map model, counting every operation applied to it.
+    #[derive(Default)]
+    struct Counted(MapModel);
+
+    impl Model for Counted {
+        type Op = MapOp;
+        type Item = (u64, u64);
+        type Reply = <MapModel as Model>::Reply;
+        fn apply(&mut self, op: MapOp) -> Self::Reply {
+            APPLIED.fetch_add(1, Ordering::Relaxed);
+            self.0.apply(op)
+        }
+        fn items(&self) -> impl ExactSizeIterator<Item = (u64, u64)> + '_ {
+            self.0.items()
+        }
+    }
+
+    #[test]
+    fn a_failing_prefix_check_walks_the_model_once() {
+        let history = kill_history(10_000);
+        let window = CrashWindow {
+            acked: 100,
+            completed: history.len(),
+            in_flight: false,
+        };
+        let mut recovered = map_state(&history, 5_000);
+        assert_eq!(
+            check_prefix::<Counted>(&recovered, false, &history, &window).ok(),
+            Some(5_000)
+        );
+        // One value off: no prefix matches, and the check still applied each
+        // operation at most once.
+        recovered[17].1 += 1;
+        APPLIED.store(0, Ordering::Relaxed);
+        let finding = check_prefix::<Counted>(&recovered, false, &history, &window).unwrap_err();
+        assert!(
+            finding.detail.contains("some n in 100..=10000"),
+            "{}",
+            finding.detail
+        );
+        let applied = APPLIED.load(Ordering::Relaxed);
+        assert!(applied <= history.len(), "{applied} model applications");
+    }
+
     #[test]
     fn corruption_suite_is_all_typed_errors() {
         let dir = std::env::temp_dir().join(format!("flit-corrupt-{}", std::process::id()));
@@ -907,7 +841,6 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    #[cfg(unix)]
     #[test]
     fn verify_pool_accepts_a_cleanly_written_pool_and_flags_a_wrong_floor() {
         let dir = std::env::temp_dir().join(format!("flit-verify-{}", std::process::id()));
@@ -919,8 +852,10 @@ mod tests {
         assert_eq!(report.matched_prefix, ops);
         // The same pool cannot satisfy a floor beyond the ops it ran.
         match verify_pool(&pool, ops - 1, ops) {
-            Err(KillViolation::NoPrefixMatch { .. }) => {}
-            other => panic!("expected NoPrefixMatch, got {other:?}"),
+            Err(KillViolation::Inconsistent(details)) => {
+                assert!(details[0].contains("some n in 49..=49"), "{details:?}")
+            }
+            other => panic!("expected Inconsistent, got {other:?}"),
         }
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -55,9 +55,17 @@
 //! image `drive` returns using nothing but that image and the arena root
 //! tables. `check` lists what is wrong with a recovered state given the
 //! `CrashWindow` (`acked`, `completed`, `in_flight`); `engine::check_prefix` is
-//! the ready-made prefix-consistency check. Do not arm a plan, sample a
-//! boundary or build a `Violation` yourself — CI greps for a second copy.
-//! Then add the subject and its must-fail control to `tests/sweep_subjects.rs`.
+//! the ready-made prefix-consistency check, walking an `engine::Model` (the
+//! map and queue models exist) forward over the history. Do not arm a plan,
+//! sample a boundary, build a `Violation` or write a second model or prefix
+//! matcher yourself — CI greps for a second copy. Then add the subject and
+//! its must-fail control to `tests/sweep_subjects.rs`.
+//!
+//! A subject with a pool-backed form can also be killed for real: the kill
+//! rounds (below) recover the reopened pool and call the subject's model and
+//! check on it — `check_prefix` with the window `floor..=ops`, and for the
+//! HAMT also `hamt::check_retained`, the snapshot sweep's check — so a
+//! `SIGKILL` and a frozen image are judged by the same code.
 //!
 //! ## Catching bugs, not just confirming correctness
 //!
@@ -82,17 +90,21 @@
 //!   global event stream (the explicit-handle redesign's proof-of-concept,
 //!   seeding the multi-threaded sweep roadmap item);
 //! * [`kill::run_kill_round`] / [`kill::corruption_suite`] — the *real-pool*
-//!   harness: `SIGKILL` a child process mid-traffic against a file-backed pool
-//!   and verify the reopened pool (prefix consistency, acked floor, GC
-//!   idempotence; for HAMT rounds also the retained snapshot), plus targeted
-//!   corruption of pool files asserting every case surfaces as a typed
-//!   `OpenError` (what the `killtest` binary drives).
+//!   harness: `SIGKILL` a child process mid-traffic through
+//!   [`kill::kill_history`] against a file-backed pool and verify the reopened
+//!   pool with the sweeps' checks (prefix consistency at or above the acked
+//!   floor; for HAMT rounds also the retained snapshot) plus GC idempotence,
+//!   and targeted corruption of pool files asserting every case surfaces as a
+//!   typed `OpenError` (what the `killtest` binary drives);
+//!   [`kill::verify_pool`] / [`kill::verify_hamt_pool`] are the verification
+//!   half alone, for pools a test built in-process.
 
 #![warn(missing_docs)]
 #![deny(unsafe_op_in_unsafe_fn)]
 
 pub mod engine;
 pub mod hamt;
+#[cfg(unix)]
 pub mod kill;
 pub mod matrix;
 pub mod report;
@@ -101,6 +113,7 @@ pub mod server;
 
 pub use engine::{sweep_map, sweep_queue, SweepSettings};
 pub use hamt::{run_hamt_snapshot_case, sweep_hamt_snapshot, SNAPSHOT_STRUCTURE};
+#[cfg(unix)]
 pub use kill::{
     run_kill_round, verify_hamt_pool, verify_pool, CorruptionOutcome, KillHamt, KillRound,
     KillRoundReport, KillViolation, CHILD_FLAG,

@@ -33,8 +33,6 @@
 //! event-kind stream. Two runs must be byte-identical — the property that makes
 //! the absolute crash indices above meaningful.
 
-use std::collections::BTreeMap;
-
 use flit::{FlitDb, Policy};
 use flit_datastructs::{ConcurrentMap, RecoverInImage, RecoveredMap};
 use flit_pmem::{CrashImage, ElisionMode, SimNvram};
@@ -42,8 +40,8 @@ use flit_server::{KvServer, Op, Reply, ServerConfig};
 use flit_workload::MapOp;
 
 use crate::engine::{
-    check_prefix, map_state, sweep, tracking_backend, CrashWindow, Finding, Run, Step,
-    SweepSettings,
+    apply_model, check_prefix, map_state, sweep, tracking_backend, CrashWindow, Finding, MapModel,
+    Outcome, Run, Step, SweepSettings,
 };
 use crate::roundrobin::{kinds_string, logged_backend};
 
@@ -56,26 +54,15 @@ pub fn op_of(op: &MapOp) -> Op {
     }
 }
 
-/// The reply a sequential model predicts for `op`, applying it to `model`.
-fn expected_reply(model: &mut BTreeMap<u64, u64>, op: &Op) -> Reply {
-    match *op {
-        Op::Get(k) => model.get(&k).copied().map_or(Reply::Missing, Reply::Found),
-        Op::Put(k, v) => {
-            if let std::collections::btree_map::Entry::Vacant(e) = model.entry(k) {
-                e.insert(v);
-                Reply::Inserted
-            } else {
-                Reply::Exists
-            }
-        }
-        Op::Del(k) => {
-            if model.remove(&k).is_some() {
-                Reply::Deleted
-            } else {
-                Reply::Absent
-            }
-        }
-        Op::Stats | Op::Scan { .. } => unreachable!("crash histories contain only data ops"),
+/// The reply the sequential map model predicts for `op`, applying it to
+/// `model`.
+fn expected_reply(model: &mut MapModel, op: MapOp) -> Reply {
+    match (op, apply_model(model, op)) {
+        (_, Outcome::Value(v)) => v.map_or(Reply::Missing, Reply::Found),
+        (MapOp::Insert(..), Outcome::Flag(true)) => Reply::Inserted,
+        (MapOp::Insert(..), Outcome::Flag(false)) => Reply::Exists,
+        (_, Outcome::Flag(true)) => Reply::Deleted,
+        (_, Outcome::Flag(false)) => Reply::Absent,
     }
 }
 
@@ -207,7 +194,7 @@ where
                 run.db(&factory, backends[s].clone())
             });
         let handles = server.handles();
-        let mut models = vec![BTreeMap::new(); shards];
+        let mut models = vec![MapModel::new(); shards];
         let image = run.drive(&handles, crash_shard, slab.len(), |i| {
             let op = op_of(&history[i]);
             let sid = route_of(&server, &history[i]);
@@ -219,7 +206,7 @@ where
                 "a single-threaded pump serves its own post"
             );
             let got = Reply::decode(&reply_bytes).expect("shards emit well-formed replies");
-            let want = expected_reply(&mut models[sid], &op);
+            let want = expected_reply(&mut models[sid], history[i]);
             Step {
                 party: sid,
                 mismatch: (got != want).then(|| {
@@ -245,13 +232,9 @@ where
     let check = |(crashed, survivors): &(RecoveredMap, Vec<(usize, RecoveredMap)>),
                  window: &CrashWindow| {
         let sub = &subs[crash_shard];
-        let mut findings = check_prefix(
-            &crashed.sorted_pairs(),
-            crashed.truncated,
-            |n| map_state(sub, n),
-            sub.len(),
-            window,
-        );
+        let prefix =
+            check_prefix::<MapModel>(&crashed.sorted_pairs(), crashed.truncated, sub, window);
+        let mut findings: Vec<Finding> = prefix.err().into_iter().collect();
         // A construction-window replay never ran the history, so its survivors
         // are empty by construction, not by loss.
         for (s, rec) in survivors.iter().filter(|_| window.in_flight) {

@@ -13,12 +13,15 @@
 //!   subsequent `pfence` of the flushing thread.
 //!
 //! [`crash_image`](PersistenceTracker::crash_image) returns the persisted image only.
-//! This is the *adversarial* ("loss") model: a store survives a crash **only** when it
-//! was explicitly written back and fenced. Real hardware may additionally persist
-//! lines early through cache evictions, but early persistence can only add durable
-//! state, never remove it, so any durable-linearizability violation found under this
-//! model is a genuine bug and the absence of violations under it is the strongest
-//! statement the test can make.
+//! This is the *loss* model: a store survives a crash **only** when it was explicitly
+//! written back and fenced, and a fence commits a thread's pending write-backs as one
+//! unit. Any durable-linearizability violation found under it is a genuine bug, but
+//! its absence is not the strongest statement a test can make. Real hardware can also
+//! persist a line early through a cache eviction, and complete pending write-backs in
+//! any order before the fence. Either can make a *later* store durable while an
+//! earlier one is still lost. This model never produces such a state, so it cannot
+//! show a missing ordering fence. `ROADMAP.md` item 13, "a crash adversary that
+//! reorders and evicts", plans the images that would.
 //!
 //! ## Monotone commits (version tagging)
 //!

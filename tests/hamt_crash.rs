@@ -173,11 +173,13 @@ fn snapshot_taken_before_the_crash_replays_to_its_frozen_contents() {
 /// table, GC idempotence. A clean run must leave the table empty; a pool
 /// abandoned while a snapshot is still live must replay that snapshot to
 /// exactly its frozen contents.
+#[cfg(unix)]
 #[test]
 fn killtest_harness_verifies_hamt_pools_in_process() {
     use flit_crashtest::kill::{
-        child_main_hamt, kill_policy, verify_hamt_pool, KillHamt, KillViolation,
+        child_main_hamt, kill_history, kill_policy, verify_hamt_pool, KillHamt, KillViolation,
     };
+    use flit_workload::MapOp;
 
     let dir = std::env::temp_dir();
     let pool = dir.join(format!("flit-hamt-kill-{}.pool", std::process::id()));
@@ -201,7 +203,7 @@ fn killtest_harness_verifies_hamt_pools_in_process() {
         assert_eq!(report.acked_floor, 600);
     }
 
-    // Abandoned snapshot: replicate the child workload, take the snapshot at
+    // Abandoned snapshot: apply the child's history, take the snapshot at
     // op 200 and *leak* it (no release), keep mutating to op 600, then drop
     // the pool as-is. The reopened table must hold exactly one snapshot and
     // it must replay to the model state after 200 ops — the COW paths the
@@ -216,11 +218,11 @@ fn killtest_harness_verifies_hamt_pools_in_process() {
             flit_alloc::ArenaConfig::with_slots_per_chunk(2048),
         );
         let h = db.handle();
-        for j in 1..=600u64 {
-            if j % 7 == 0 {
-                map.remove(&h, j - 3);
-            } else {
-                map.insert(&h, j, 3 * j + 1);
+        for (j, op) in (1..).zip(kill_history(600)) {
+            match op {
+                MapOp::Insert(k, v) => assert!(map.insert(&h, k, v)),
+                MapOp::Remove(k) => assert!(map.remove(&h, k)),
+                MapOp::Get(_) => unreachable!("the kill history only updates"),
             }
             if j == 200 {
                 std::mem::forget(map.snapshot(&h));
@@ -231,10 +233,13 @@ fn killtest_harness_verifies_hamt_pools_in_process() {
     assert_eq!(report.matched_prefix, 600);
     // The same pool fails verification when told the snapshot should have
     // been released — the check has teeth in both directions.
-    assert!(matches!(
-        verify_hamt_pool(&pool, 600, 0, 200, true),
-        Err(KillViolation::SnapshotCheck(_))
-    ));
+    match verify_hamt_pool(&pool, 600, 0, 200, true) {
+        Err(KillViolation::Inconsistent(details)) => assert!(
+            details.len() == 1 && details[0].ends_with("recovered although it was released"),
+            "{details:?}"
+        ),
+        other => panic!("expected a snapshot that outlived its release, got {other:?}"),
+    }
 
     let _ = std::fs::remove_file(&pool);
     let _ = std::fs::remove_file(&sidecar);

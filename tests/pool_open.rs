@@ -10,7 +10,7 @@
 //!    [`OpenError`] variant, never a panic;
 //! 3. **Liveness** — a re-opened pool accepts new traffic; a pool mapped by a
 //!    live database cannot be double-opened ([`OpenError::MappingConflict`]);
-//!    [`FlitDb::create_volatile`] keeps the heap-backed path intact;
+//!    [`FlitDb::create`] keeps the heap-backed path intact;
 //! 4. **The image is a view** — [`OpenReport::image`](flit::OpenReport) reads
 //!    exactly the adopted arenas' words, in place; it outlives the database
 //!    and pins the mapping; and hostile pointers in the data area end a
@@ -493,7 +493,7 @@ fn commit_mode_is_recorded_and_enforced() {
 
 #[test]
 fn create_volatile_smoke() {
-    let db = FlitDb::create_volatile(policy());
+    let db = FlitDb::create(policy());
     assert!(!db.is_pool_backed());
     let map = Map::new(&db, 16);
     let h = db.handle();
@@ -507,9 +507,9 @@ fn create_volatile_smoke() {
 fn killed_process_pools_verify_against_the_prefix_model() {
     // The in-process half of the kill harness: run the child workload to
     // completion here (no fork), then verify the pool exactly as the parent
-    // does after a SIGKILL — same recovery walk, same prefix scan, same GC
+    // does after a SIGKILL — same recovery walk, same prefix check, same GC
     // idempotence check.
-    use flit_crashtest::kill::{child_main, verify_pool};
+    use flit_crashtest::kill::{child_main, verify_pool, KillViolation};
     let pool = temp_path("killmodel");
     let sidecar = temp_path("killmodel-floor");
     for commit in [CommitMode::Immediate, CommitMode::Batched(8)] {
@@ -517,6 +517,15 @@ fn killed_process_pools_verify_against_the_prefix_model() {
         let report = verify_pool(&pool, 600, 600).unwrap();
         assert_eq!(report.matched_prefix, 600);
         assert_eq!(report.acked_floor, 600);
+    }
+    // The same pool read as a kill of a 700-op run that had acknowledged 650:
+    // its 600-op state is a prefix of the run, but below the acked floor.
+    match verify_pool(&pool, 700, 650) {
+        Err(KillViolation::Inconsistent(details)) => assert!(
+            details.len() == 1 && details[0].contains("some n in 650..=700 (acked floor 650"),
+            "{details:?}"
+        ),
+        other => panic!("expected a lost acknowledged operation, got {other:?}"),
     }
     let _ = std::fs::remove_file(&pool);
     let _ = std::fs::remove_file(&sidecar);
@@ -539,8 +548,11 @@ fn a_truncated_walk_fails_the_kill_verdict() {
     };
     write_word(&path, head0, high_water + 1);
     match verify_pool(&path, 40, 0) {
-        Err(KillViolation::RecoveryTruncated) => {}
-        other => panic!("expected RecoveryTruncated, got {other:?}"),
+        Err(KillViolation::Inconsistent(details)) => assert!(
+            details.len() == 1 && details[0].starts_with("recovery walk truncated"),
+            "{details:?}"
+        ),
+        other => panic!("expected a truncated walk, got {other:?}"),
     }
     let _ = std::fs::remove_file(&path);
 }
