@@ -54,6 +54,7 @@ use flit_crashtest::{
     StructureKind, SweepReport, SweepSettings, SNAPSHOT_STRUCTURE,
 };
 use flit_pmem::{CommitMode, ElisionMode};
+use flit_workload::applicable;
 
 struct Args {
     structures: Vec<StructureKind>,
@@ -295,10 +296,8 @@ fn main() {
     for report in &reports {
         // --broken-acks turns every case into an expected-to-fail control
         // (repro mode for acknowledge-before-fence violations).
-        let expected = report.case.broken_acks
-            || MethodKind::parse(report.case.method)
-                .map(|m| m.expects_violations())
-                .unwrap_or(false);
+        let broken_method = report.case.method == MethodKind::VolatileBroken.key();
+        let expected = report.case.broken_acks || broken_method;
         println!("{}", report.summary_line());
         if expected {
             // Explicitly requested broken method: it must fail, like the control.
@@ -328,13 +327,13 @@ fn main() {
         println!("\n=== broken control (volatile-broken: violations are EXPECTED) ===");
         for &structure in &args.structures {
             for &elision in &args.elisions {
-                // Pick a control policy the structure supports; flit-HT supports every
-                // structure, so the control is never silently skipped.
+                // Pick a control policy applicable to the structure; flit-HT applies
+                // to every structure, so the control is never silently skipped.
                 let policy = args
                     .policies
                     .iter()
                     .copied()
-                    .find(|p| p.supports(structure))
+                    .find(|&p| applicable(structure, MethodKind::VolatileBroken, p))
                     .unwrap_or(PolicyKind::FlitHt);
                 let settings = SweepSettings {
                     elision,
@@ -426,12 +425,7 @@ fn main() {
     if let Some(path) = &args.json {
         let mut entries: Vec<String> = reports
             .iter()
-            .map(|r| {
-                let expected = MethodKind::parse(r.case.method)
-                    .map(|m| m.expects_violations())
-                    .unwrap_or(false);
-                report_json(r, expected)
-            })
+            .map(|r| report_json(r, r.case.method == MethodKind::VolatileBroken.key()))
             .collect();
         entries.extend(control_reports.iter().map(|r| report_json(r, true)));
         let doc = format!(

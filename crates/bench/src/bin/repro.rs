@@ -14,7 +14,7 @@
 //! `Batched` request-path row, so a change in a count shows in the committed
 //! files' `git diff`.
 
-use flit_bench::{json_str, ledger, Claim, Ledger, LAYERS, SCALE, SERVER_SHARDS};
+use flit_bench::{json_str, ledger, Claim, Ledger, LAYERS, SCALE, SERVER_SHARDS, SERVER_TABLE};
 
 /// Render the map rows and the verdicts as the `BENCH_flit.json` document.
 /// Hand-rolled (no serde dependency); every number is a count.
@@ -25,9 +25,9 @@ fn flit_json(ledger: &Ledger, claims: &[Claim]) -> String {
         .map(|r| {
             format!(
                 r#"    {{"structure":"{}","durability":"{}","policy":"{}","commit":"{}","keys":{},"update_percent":{},"ops":{},"updates_ok":{},"pwbs":{},"pfences":{},"read_side_pwbs":{}}}"#,
-                r.structure,
-                r.durability,
-                r.policy.name(),
+                r.structure.key(),
+                r.durability(),
+                r.policy_label(),
                 r.commit.name(),
                 r.keys,
                 r.update_percent,
@@ -71,7 +71,7 @@ fn server_json(ledger: &Ledger) -> String {
                 .collect();
             format!(
                 r#"    {{"policy":"{}","commit":"{}","keys":{},"update_percent":{},"requests":{},"updates":{},"pump":{{"pwbs":{},"pfences":{}}}{}}}"#,
-                r.policy.name(),
+                r.policy.label(SERVER_TABLE),
                 r.commit.name(),
                 r.keys,
                 r.update_percent,

@@ -16,13 +16,14 @@ use std::ops::{AddAssign, Sub};
 
 use flit::{FlitDb, FlitHandle, Policy};
 use flit_crashtest::op_of;
-use flit_datastructs::{Automatic, HashTable};
-use flit_pmem::CommitMode;
+use flit_datastructs::{Automatic, ConcurrentMap, Durability, HashTable, RecoverInImage};
+use flit_pmem::{CommitMode, SimNvram, StatsSnapshot};
+use flit_queues::MsQueue;
 use flit_server::{KvServer, Op, ServerConfig};
 use flit_workload::{
-    prefill_history, run_case, run_queue_case, service_history, Case, DsKind, DurKind, MapOp,
-    PolicyKind, PolicyVisitor, QueueCase, QueueWorkloadConfig, ServiceConfig, WorkloadConfig,
-    QUEUE_DURS,
+    prefill_history, run_queue_workload, run_workload, runner::prefill, service_history, MapOp,
+    MethodKind, PolicyKind, PolicyVisitor, QueueWorkloadConfig, ServiceConfig, StructureKind,
+    Subject, SubjectVisitor, WorkloadConfig,
 };
 
 /// How big to make each row.
@@ -46,22 +47,39 @@ pub const SCALE: Scale = Scale {
 /// Key range of the linked list, at every scale: the paper's small list.
 const LIST_KEYS: u64 = 128;
 
-fn small_key_range(scale: &Scale, ds: DsKind) -> u64 {
-    if ds == DsKind::List {
+fn small_key_range(scale: &Scale, structure: StructureKind) -> u64 {
+    if structure == StructureKind::List {
         LIST_KEYS
     } else {
         scale.small_keys
     }
 }
 
+/// The map structures in the order of the paper's Figure 7, then the
+/// copy-on-write HAMT.
+const LEDGER_STRUCTURES: [StructureKind; 5] = [
+    StructureKind::Bst,
+    StructureKind::HashTable,
+    StructureKind::List,
+    StructureKind::SkipList,
+    StructureKind::Hamt,
+];
+
 /// The persistent variants the ledger sweeps.
 const LEDGER_POLICIES: [PolicyKind; 5] = [
     PolicyKind::Plain,
     PolicyKind::FlitAdjacent,
-    PolicyKind::FlitHt(1 << 20),
+    PolicyKind::FlitHt,
     PolicyKind::FlitCacheLine,
-    PolicyKind::LinkAndPersist,
+    PolicyKind::LinkPersist,
 ];
+
+/// The queue's methods: the two ends of the spectrum. (NVTraverse applies too,
+/// but the Michael–Scott queue has no traversal phase for it to optimise.)
+const QUEUE_METHODS: [MethodKind; 2] = [MethodKind::Automatic, MethodKind::Manual];
+
+/// The flit-HT counter-table size of every map row but Figure 5's.
+const LEDGER_TABLE: usize = 1 << 20;
 
 /// The counter-table sizes of the Figure 5 rows, in bytes: 64 B to 16 MB.
 const LEDGER_TABLE_BYTES: [usize; 5] = [64, 4 << 10, 64 << 10, 1 << 20, 16 << 20];
@@ -71,12 +89,12 @@ const LEDGER_TABLE_BYTES: [usize; 5] = [64, 4 << 10, 64 << 10, 1 << 20, 16 << 20
 /// group-commit rows.
 const LEDGER_BATCH: usize = 8;
 
-/// The policy and update mix of the write-heavy rows: the group-commit pairs
-/// and the depth rows.
-const WRITE_HEAVY: (PolicyKind, u32) = (PolicyKind::FlitHt(1 << 20), 50);
+/// The policy, table size and update mix of the write-heavy rows:
+/// the group-commit pairs and the depth rows.
+const WRITE_HEAVY: (PolicyKind, usize, u32) = (PolicyKind::FlitHt, LEDGER_TABLE, 50);
 
-/// The FliT policy of the request path: the server's 64 KB flit-HT table.
-const SERVER_FLIT_HT: PolicyKind = PolicyKind::FlitHt(64 << 10);
+/// The request path's flit-HT table size: the server's 64 KB.
+pub const SERVER_TABLE: usize = 64 << 10;
 
 /// Shards of the request-path server. Every layer boundary reads the counters
 /// of all of them, so the row does not depend on where a key routes.
@@ -85,19 +103,21 @@ pub const SERVER_SHARDS: usize = 2;
 fn is_flit(policy: PolicyKind) -> bool {
     matches!(
         policy,
-        PolicyKind::FlitAdjacent | PolicyKind::FlitHt(_) | PolicyKind::FlitCacheLine
+        PolicyKind::FlitAdjacent | PolicyKind::FlitHt | PolicyKind::FlitCacheLine
     )
 }
 
 /// One map row of the [`ledger`]: the exact counts of one single-handle run.
 #[derive(Debug, Clone, PartialEq)]
 pub struct LedgerRow {
-    /// Structure key (`bst`, `hashtable`, `list`, `skiplist`, `hamt`, `msqueue`).
-    pub structure: &'static str,
-    /// Durability method key (`cow` for the HAMT).
-    pub durability: &'static str,
+    /// Data structure.
+    pub structure: StructureKind,
+    /// Durability method (`automatic` for the HAMT, whose label is `cow`).
+    pub method: MethodKind,
     /// Policy variant.
     pub policy: PolicyKind,
+    /// flit-HT counter-table size in bytes (the other policies ignore it).
+    pub table_bytes: usize,
     /// Commit mode of the run.
     pub commit: CommitMode,
     /// Key range of the run (0 for dequeue-of-empty).
@@ -117,11 +137,102 @@ pub struct LedgerRow {
 }
 
 impl LedgerRow {
+    /// Measure `subject` on one fresh handle and database: prefill a map to
+    /// half of `keys`, then run `ops` operations, `update_percent` of them
+    /// updates (a queue's updates are enqueues). `None` if the subject is not
+    /// applicable.
+    pub fn measure(
+        subject: Subject,
+        table_bytes: usize,
+        commit: CommitMode,
+        keys: u64,
+        update_percent: u32,
+        ops: u64,
+    ) -> Option<LedgerRow> {
+        let run = RowRun {
+            keys,
+            update_percent,
+            ops,
+            commit,
+        };
+        let (updates_ok, pmem) = subject.visit(table_bytes, run)?;
+        Some(LedgerRow {
+            structure: subject.structure,
+            method: subject.method,
+            policy: subject.policy,
+            table_bytes,
+            commit,
+            keys,
+            update_percent,
+            ops,
+            updates_ok,
+            pwbs: pmem.pwbs,
+            pfences: pmem.pfences,
+            read_side_pwbs: pmem.read_side_pwbs,
+        })
+    }
+
+    /// The durability column: the method's key, or `cow` for the HAMT, whose
+    /// discipline is the structure's own.
+    pub fn durability(&self) -> &'static str {
+        match self.structure {
+            StructureKind::Hamt => "cow",
+            _ => self.method.key(),
+        }
+    }
+
+    /// The policy column.
+    pub fn policy_label(&self) -> String {
+        self.policy.label(self.table_bytes)
+    }
+
     /// Whether `other` measures the same case.
     fn same_case(&self, other: &LedgerRow) -> bool {
-        let case = |r: &LedgerRow| (r.structure, r.durability, r.policy, r.commit);
+        let case = |r: &LedgerRow| (r.structure, r.method, r.policy_label(), r.commit);
         case(self) == case(other)
             && (self.keys, self.update_percent) == (other.keys, other.update_percent)
+    }
+}
+
+/// [`LedgerRow::measure`]'s run, once the subject's types are known: the
+/// successful updates and the counters.
+struct RowRun {
+    keys: u64,
+    update_percent: u32,
+    ops: u64,
+    commit: CommitMode,
+}
+
+impl RowRun {
+    fn db<P: Policy<Backend = SimNvram>>(&self, make: impl Fn(SimNvram) -> P) -> FlitDb<P> {
+        let policy = make(SimNvram::for_counting());
+        FlitDb::builder(policy).commit_mode(self.commit).build()
+    }
+}
+
+impl SubjectVisitor for RowRun {
+    type Output = (u64, StatsSnapshot);
+
+    fn map<P: Policy<Backend = SimNvram>, M: ConcurrentMap<P> + RecoverInImage>(
+        self,
+        make: impl Fn(SimNvram) -> P,
+    ) -> Self::Output {
+        let config = WorkloadConfig::new(self.keys, self.update_percent, self.ops);
+        let db = self.db(make);
+        let map = M::with_capacity(&db, self.keys as usize);
+        prefill(&map, &config);
+        let r = run_workload(&map, &config);
+        (r.inserts_ok + r.removes_ok, r.pmem)
+    }
+
+    fn queue<P: Policy<Backend = SimNvram>, D: Durability>(
+        self,
+        make: impl Fn(SimNvram) -> P,
+    ) -> Self::Output {
+        let config = QueueWorkloadConfig::new(self.update_percent, self.ops);
+        let db = self.db(make);
+        let r = run_queue_workload(&MsQueue::<P, D>::new(&db), &config);
+        (r.enqueues + r.dequeues_hit, r.pmem)
     }
 }
 
@@ -185,7 +296,7 @@ pub const LAYERS: [&str; 6] = ["decode", "route", "post", "take", "apply", "enco
 /// 14 460 pfences in one of six processes, so two drives would not sum.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RequestRow {
-    /// Policy variant of every shard.
+    /// Policy variant of every shard (flit-HT's table is the server's 64 KB).
     pub policy: PolicyKind,
     /// Commit mode of every shard.
     pub commit: CommitMode,
@@ -265,12 +376,11 @@ impl Ledger {
     /// Every claim, each with the rows that break it.
     pub fn claims(&self) -> Vec<Claim> {
         let immediate = |r: &LedgerRow| r.commit == CommitMode::Immediate;
-        let hamt = DsKind::Hamt.name();
-        let (heavy, heavy_updates) = WRITE_HEAVY;
-        let depth =
-            |r: &LedgerRow| immediate(r) && r.policy == heavy && r.update_percent == heavy_updates;
+        let hamt = StructureKind::Hamt;
+        let heavy = |r: &LedgerRow| (r.policy, r.table_bytes, r.update_percent) == WRITE_HEAVY;
+        let depth = |r: &LedgerRow| immediate(r) && heavy(r);
         let split = || self.requests.iter().filter_map(|r| Some((r, r.layers?)));
-        let flit_split = || split().filter(|(r, _)| r.policy == SERVER_FLIT_HT);
+        let flit_split = || split().filter(|(r, _)| r.policy == PolicyKind::FlitHt);
         vec![
             claim(
                 "Figures 7-9",
@@ -284,10 +394,10 @@ impl Ledger {
             claim(
                 "Figure 7",
                 "manual <= NVTraverse <= automatic, in pwbs/op and in pfences/op",
-                self.rows_where(|r| r.durability == DurKind::NvTraverse.name())
+                self.rows_where(|r| r.method == MethodKind::NvTraverse)
                     .filter_map(|nvt| {
-                        let manual = self.twin(nvt, |t| t.durability = DurKind::Manual.name())?;
-                        let auto = self.twin(nvt, |t| t.durability = DurKind::Automatic.name())?;
+                        let manual = self.twin(nvt, |t| t.method = MethodKind::Manual)?;
+                        let auto = self.twin(nvt, |t| t.method = MethodKind::Automatic)?;
                         let rows = [manual, nvt, auto];
                         let ordered =
                             |f: fn(&LedgerRow) -> u64| rows.windows(2).all(|w| f(w[0]) <= f(w[1]));
@@ -302,8 +412,8 @@ impl Ledger {
                  where adjacent pays at most 10% more",
                 self.rows_where(|r| immediate(r) && r.policy == PolicyKind::FlitAdjacent)
                     .filter_map(|adj| {
-                        let ht = self.twin(adj, |t| t.policy = PolicyKind::FlitHt(1 << 20))?;
-                        let pwbs_ok = if adj.structure == DsKind::SkipList.name() {
+                        let ht = self.twin(adj, |t| t.policy = PolicyKind::FlitHt)?;
+                        let pwbs_ok = if adj.structure == StructureKind::SkipList {
                             10 * adj.pwbs <= 11 * ht.pwbs
                         } else {
                             adj.pwbs == ht.pwbs
@@ -319,11 +429,11 @@ impl Ledger {
                     .map(|r| broken(&[r]))
                     .chain(
                         self.rows_where(|r| {
-                            r.commit.is_batched() && r.policy == PolicyKind::FlitHt(64)
+                            r.commit.is_batched()
+                                && (r.policy, r.table_bytes) == (PolicyKind::FlitHt, 64)
                         })
                         .filter_map(|small| {
-                            let large =
-                                self.twin(small, |t| t.policy = PolicyKind::FlitHt(1 << 20))?;
+                            let large = self.twin(small, |t| t.table_bytes = LEDGER_TABLE)?;
                             (small.read_side_pwbs <= large.read_side_pwbs)
                                 .then(|| broken(&[small, large]))
                         }),
@@ -332,10 +442,10 @@ impl Ledger {
             claim(
                 "queue family",
                 "dequeue-of-empty: plain pays 3 pwbs/op (manual 1), FliT none",
-                self.rows_where(|r| r.structure == "msqueue")
-                    .filter(|r| match (r.policy, r.durability) {
-                        (PolicyKind::Plain, "automatic") => r.pwbs != 3 * r.ops,
-                        (PolicyKind::Plain, "manual") => r.pwbs != r.ops,
+                self.rows_where(|r| r.structure == StructureKind::MsQueue)
+                    .filter(|r| match (r.policy, r.method) {
+                        (PolicyKind::Plain, MethodKind::Automatic) => r.pwbs != 3 * r.ops,
+                        (PolicyKind::Plain, MethodKind::Manual) => r.pwbs != r.ops,
                         (p, _) => is_flit(p) && r.pwbs != 0,
                     })
                     .map(|r| broken(&[r])),
@@ -362,14 +472,9 @@ impl Ledger {
                             .rows_where(|r| depth(r) && r.structure == hamt && r.keys < deep.keys)
                             .filter(|s| s.pwbs * deep.ops >= deep.pwbs * s.ops)
                             .map(|s| broken(&[s, deep]));
-                        let in_place = [DsKind::HashTable, DsKind::Bst]
+                        let in_place = [StructureKind::HashTable, StructureKind::Bst]
                             .into_iter()
-                            .filter_map(|ds| {
-                                self.twin(deep, |t| {
-                                    t.structure = ds.name();
-                                    t.durability = DurKind::Automatic.name();
-                                })
-                            })
+                            .filter_map(|structure| self.twin(deep, |t| t.structure = structure))
                             .filter(|r| r.pfences * deep.pwbs <= deep.pfences * r.pwbs)
                             .map(|r| broken(&[r, deep]));
                         shallower.chain(in_place).collect::<Vec<_>>()
@@ -449,90 +554,56 @@ impl Ledger {
 /// * the request path: flit-HT (64 KB) and plain at {0, 5, 50} % updates, and
 ///   flit-HT under `Batched(8)` at 50 % (through `pump` only).
 pub fn ledger(scale: &Scale) -> Ledger {
-    let mut maps = Vec::new();
-    let mut add = |spec| {
-        if !maps.contains(&spec) {
-            maps.push(spec);
-        }
+    let mut rows = Vec::new();
+    // An inapplicable subject (link-and-persist on the BST, a traversal method
+    // on the HAMT) measures to `None` and adds no row.
+    let mut add = |subject, table_bytes, keys, updates, commit| {
+        let row = LedgerRow::measure(subject, table_bytes, commit, keys, updates, scale.ops);
+        rows.extend(row);
     };
     let immediate = CommitMode::Immediate;
-    for ds in DsKind::ALL {
-        let keys = small_key_range(scale, ds);
-        for &dur in ds.methods() {
-            for policy in LEDGER_POLICIES.into_iter().filter(|p| p.applicable_to(ds)) {
+    for structure in LEDGER_STRUCTURES {
+        let keys = small_key_range(scale, structure);
+        for method in MethodKind::CORRECT {
+            for policy in LEDGER_POLICIES {
+                let subject = Subject::new(structure, method, policy);
                 for updates in [0, 5, 50] {
-                    add((ds, dur, policy, keys, updates, immediate));
+                    add(subject, LEDGER_TABLE, keys, updates, immediate);
                 }
             }
         }
     }
-    let (heavy, heavy_updates) = WRITE_HEAVY;
-    for ds in DsKind::ALL {
-        let keys = small_key_range(scale, ds);
-        let tables: &[usize] = match ds {
-            DsKind::Hamt => &[1 << 20],
+    let (heavy, _, heavy_updates) = WRITE_HEAVY;
+    for structure in LEDGER_STRUCTURES {
+        let keys = small_key_range(scale, structure);
+        let subject = Subject::new(structure, MethodKind::Automatic, heavy);
+        let tables: &[usize] = match structure {
+            StructureKind::Hamt => &[LEDGER_TABLE],
             _ => &LEDGER_TABLE_BYTES,
         };
         for &bytes in tables {
             for commit in [immediate, CommitMode::Batched(LEDGER_BATCH)] {
-                let ht = PolicyKind::FlitHt(bytes);
-                add((ds, DurKind::Automatic, ht, keys, heavy_updates, commit));
+                // The ledger's own table under `Immediate` is a Figure 7 row.
+                if (bytes, commit) != (LEDGER_TABLE, immediate) {
+                    add(subject, bytes, keys, heavy_updates, commit);
+                }
             }
         }
     }
-    for ds in [DsKind::Hamt, DsKind::HashTable, DsKind::Bst] {
-        let auto = DurKind::Automatic;
-        add((ds, auto, heavy, scale.large_keys, heavy_updates, immediate));
+    for structure in [
+        StructureKind::Hamt,
+        StructureKind::HashTable,
+        StructureKind::Bst,
+    ] {
+        let subject = Subject::new(structure, MethodKind::Automatic, heavy);
+        let keys = scale.large_keys;
+        add(subject, LEDGER_TABLE, keys, heavy_updates, immediate);
     }
-    let mut rows: Vec<LedgerRow> = maps
-        .into_iter()
-        .map(|(ds, dur, policy, keys, update_percent, commit)| {
-            let case = Case {
-                ds,
-                dur,
-                policy,
-                config: WorkloadConfig::new(keys, update_percent, scale.ops),
-                commit,
-            };
-            let r = run_case(&case);
-            LedgerRow {
-                structure: ds.name(),
-                durability: case.durability(),
-                policy,
-                commit,
-                keys,
-                update_percent,
-                ops: r.ops,
-                updates_ok: r.inserts_ok + r.removes_ok,
-                pwbs: r.pmem.pwbs,
-                pfences: r.pmem.pfences,
-                read_side_pwbs: r.pmem.read_side_pwbs,
-            }
-        })
-        .collect();
-    for dur in QUEUE_DURS {
+    for method in QUEUE_METHODS {
         for policy in LEDGER_POLICIES {
-            let case = QueueCase {
-                dur,
-                policy,
-                // No enqueues: every operation finds the queue empty.
-                config: QueueWorkloadConfig::new(0, scale.ops),
-                commit: immediate,
-            };
-            let r = run_queue_case(&case);
-            rows.push(LedgerRow {
-                structure: "msqueue",
-                durability: dur.name(),
-                policy,
-                commit: case.commit,
-                keys: 0,
-                update_percent: 0,
-                ops: r.ops,
-                updates_ok: 0,
-                pwbs: r.pmem.pwbs,
-                pfences: r.pmem.pfences,
-                read_side_pwbs: r.pmem.read_side_pwbs,
-            });
+            // No enqueues: every operation finds the queue empty.
+            let subject = Subject::new(StructureKind::MsQueue, method, policy);
+            add(subject, LEDGER_TABLE, 0, 0, immediate);
         }
     }
 
@@ -540,9 +611,9 @@ pub fn ledger(scale: &Scale) -> Ledger {
     let requests = [0, 5, 50]
         .into_iter()
         .flat_map(|updates| {
-            [SERVER_FLIT_HT, PolicyKind::Plain].map(|policy| (policy, updates, immediate))
+            [PolicyKind::FlitHt, PolicyKind::Plain].map(|policy| (policy, updates, immediate))
         })
-        .chain([(SERVER_FLIT_HT, heavy_updates, batched)])
+        .chain([(PolicyKind::FlitHt, heavy_updates, batched)])
         .map(|(policy, update_percent, commit)| {
             let cfg = ServiceConfig::new(scale.small_keys, update_percent, scale.ops);
             let stream = service_history(&cfg);
@@ -552,7 +623,7 @@ pub fn ledger(scale: &Scale) -> Ledger {
                 keys: cfg.key_range,
                 commit,
             };
-            let (pump, layers) = policy.visit(path);
+            let (pump, layers) = policy.visit(SERVER_TABLE, path);
             let gets = stream.iter().filter(|op| matches!(op, MapOp::Get(_)));
             RequestRow {
                 policy,
@@ -598,14 +669,16 @@ fn counts<P: Policy>(server: &Server<P>) -> Counts {
 impl RequestPath {
     /// Build a fresh server, prefill it through the shards' direct path, and
     /// return the counts `drive` adds on it with one handle per shard.
-    fn serve<P: Policy>(
+    fn serve<P: Policy<Backend = SimNvram>>(
         &self,
-        make: &impl Fn() -> P,
+        make: &impl Fn(SimNvram) -> P,
         drive: impl FnOnce(&Server<P>, &[FlitHandle<'_, P>]),
     ) -> Counts {
         let config = ServerConfig::new(SERVER_SHARDS, self.keys as usize);
         let server: Server<P> = KvServer::new_with(config, |_| {
-            FlitDb::builder(make()).commit_mode(self.commit).build()
+            FlitDb::builder(make(SimNvram::for_counting()))
+                .commit_mode(self.commit)
+                .build()
         });
         let handles = server.handles();
         for op in &self.prefill {
@@ -624,7 +697,7 @@ impl PolicyVisitor for RequestPath {
     /// Drive the slab through `pump` on one server, then, under `Immediate`,
     /// walk it through `pump`'s public steps on a second, cutting the counts at
     /// every layer.
-    fn visit<P: Policy>(self, make: impl Fn() -> P) -> Self::Output {
+    fn visit<P: Policy<Backend = SimNvram>>(self, make: impl Fn(SimNvram) -> P) -> Self::Output {
         let slab = &self.slab;
         let pump = self.serve(&make, |server, handles| {
             for token in 0..slab.len() as u64 {

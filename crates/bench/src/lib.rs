@@ -44,5 +44,5 @@ pub fn parse_u64(s: &str) -> Option<u64> {
 
 pub use experiments::{
     ledger, Claim, Counts, Layer, Ledger, LedgerRow, RequestRow, Scale, LAYERS, SCALE,
-    SERVER_SHARDS,
+    SERVER_SHARDS, SERVER_TABLE,
 };

@@ -41,12 +41,11 @@
 use flit::{CommitMode, Policy};
 use flit_hamt::{Hamt, RetainedSnapshot};
 use flit_pmem::SimNvram;
-use flit_workload::MapOp;
+use flit_workload::{MapOp, PolicyVisitor, FLIT_HT_SWEEP_BYTES};
 
 use crate::engine::{
     map_state, map_step, sweep, CrashWindow, Finding, MapModel, Run, SweepSettings,
 };
-use crate::matrix::for_policy;
 use crate::report::{CaseMeta, HistorySpec, SweepReport};
 use crate::PolicyKind;
 
@@ -197,13 +196,24 @@ pub fn run_hamt_snapshot_case(
     let case = CaseMeta {
         structure: SNAPSHOT_STRUCTURE,
         method: "automatic",
-        policy: policy.name(),
+        policy: policy.key(),
         history,
         elision: settings.elision,
         commit: settings.commit,
         broken_acks: settings.broken_acks,
     };
-    let ops = history.map_history();
-    let snap_at = default_snap_at(ops.len());
-    for_policy!(policy, factory => sweep_hamt_snapshot(case, factory, &ops, snap_at, settings))
+    policy.visit(FLIT_HT_SWEEP_BYTES, SnapshotSweep(case, settings))
+}
+
+/// [`run_hamt_snapshot_case`]'s sweep, once the policy type is known.
+struct SnapshotSweep<'a>(CaseMeta, &'a SweepSettings);
+
+impl PolicyVisitor for SnapshotSweep<'_> {
+    type Output = SweepReport;
+
+    fn visit<P: Policy<Backend = SimNvram>>(self, make: impl Fn(SimNvram) -> P) -> SweepReport {
+        let ops = self.0.history.map_history();
+        let snap_at = default_snap_at(ops.len());
+        sweep_hamt_snapshot(self.0, make, &ops, snap_at, self.1)
+    }
 }

@@ -78,9 +78,15 @@
 //!
 //! ## Entry points
 //!
-//! * [`matrix::run_matrix`] / [`matrix::run_case`] — value-addressable sweeps over
-//!   the full combination space (what the binary and CI drive);
-//!   [`hamt::run_hamt_snapshot_case`] is the snapshot sweep in the same form;
+//! * [`run_matrix`] / [`run_case`] — value-addressable sweeps (what the binary
+//!   and CI drive). A structure × method × policy is a
+//!   [`flit_workload::Subject`]: its keys, the rule saying which combinations
+//!   exist ([`flit_workload::applicable`]) and the one table resolving it to
+//!   concrete types ([`flit_workload::Subject::visit`]) live in `flit-workload`
+//!   and are shared with the `repro` ledger; [`StructureKind`], [`MethodKind`],
+//!   [`PolicyKind`] and [`VolatileStores`] are re-exported from there.
+//!   [`run_hamt_snapshot_case`] is the snapshot sweep in the same form, its
+//!   policy resolved by [`PolicyKind::visit`];
 //! * [`sweep_map`] / [`sweep_queue`] / [`sweep_hamt_snapshot`] /
 //!   [`sweep_server_crash`] — the subjects above for one concrete instantiation
 //!   (what the integration tests drive directly);
@@ -112,52 +118,17 @@ pub mod roundrobin;
 pub mod server;
 
 pub use engine::{sweep_map, sweep_queue, SweepSettings};
+pub use flit_workload::{MethodKind, PolicyKind, StructureKind, VolatileStores};
 pub use hamt::{run_hamt_snapshot_case, sweep_hamt_snapshot, SNAPSHOT_STRUCTURE};
 #[cfg(unix)]
 pub use kill::{
     run_kill_round, verify_hamt_pool, verify_pool, CorruptionOutcome, KillHamt, KillRound,
     KillRoundReport, KillViolation, CHILD_FLAG,
 };
-pub use matrix::{run_case, run_matrix, MethodKind, PolicyKind, StructureKind};
+pub use matrix::{run_case, run_matrix};
 pub use report::{CaseMeta, HistorySpec, SweepReport, Violation};
 pub use roundrobin::{round_robin_map, round_robin_script, RoundRobinTrace, ScriptedStep};
 pub use server::{
     op_of, round_robin_service, sweep_server_crash, ServerSweepReport, ServerViolation,
     ServiceTrace,
 };
-
-use flit::PFlag;
-use flit_datastructs::Durability;
-
-/// A deliberately broken durability method: **every** instruction is a
-/// v-instruction, so no store after construction is ever written back or fenced.
-///
-/// Any structure instantiated with this method is linearizable but *not* durably
-/// linearizable — completed operations vanish in a crash. The crashtest engine uses
-/// it as a control: a sweep over `VolatileStores` that reports zero violations
-/// means the harness (not the structure) is broken.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct VolatileStores;
-
-impl Durability for VolatileStores {
-    const NAME: &'static str = "volatile-broken";
-    const TRAVERSAL_LOAD: PFlag = PFlag::Volatile;
-    const CRITICAL_LOAD: PFlag = PFlag::Volatile;
-    const STORE: PFlag = PFlag::Volatile;
-    const INDEX_STORE: PFlag = PFlag::Volatile;
-    const TRANSITION_DEPTH: usize = 0;
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn volatile_stores_persists_nothing() {
-        assert!(VolatileStores::TRAVERSAL_LOAD.is_volatile());
-        assert!(VolatileStores::CRITICAL_LOAD.is_volatile());
-        assert!(VolatileStores::STORE.is_volatile());
-        assert!(VolatileStores::INDEX_STORE.is_volatile());
-        assert_eq!(VolatileStores::TRANSITION_DEPTH, 0);
-    }
-}

@@ -32,13 +32,14 @@
 //! sequences (scripted and seeded-random) that the `flit-crashtest` engine replays
 //! once per crash point.
 //!
-//! ## Dispatch
+//! ## The case matrix
 //!
-//! [`harness`] is a value-addressable dispatcher over every
-//! (structure × durability method × policy) combination of the evaluation — maps
-//! (the copy-on-write HAMT included) via [`run_case`] and queues via
-//! [`run_queue_case`] — used by the `repro` ledger and the examples.
-//! [`PolicyKind::visit`] is its one table from a policy kind to the policy type.
+//! [`subject`] names every structure × durability method × policy once
+//! ([`StructureKind`], [`MethodKind`], [`PolicyKind`]), says which combinations
+//! exist ([`applicable`]) and resolves a [`Subject`] to its concrete map or
+//! queue type through one table ([`Subject::visit`]; [`PolicyKind::visit`] for
+//! the policy alone). The `repro` ledger, the `flit-crashtest` sweeps and the
+//! examples all pick their cases from it.
 //!
 //! [`ConcurrentMap`]: flit_datastructs::ConcurrentMap
 //! [`ConcurrentQueue`]: flit_queues::ConcurrentQueue
@@ -46,19 +47,19 @@
 #![warn(missing_docs)]
 
 pub mod crash_history;
-pub mod harness;
 pub mod queue_runner;
 pub mod runner;
 pub mod service;
+pub mod subject;
 
 pub use crash_history::{
     random_map_history, random_queue_history, scripted_map_history, scripted_queue_history, MapOp,
     QueueOp,
 };
-pub use harness::{
-    run_case, run_queue_case, Case, DsKind, DurKind, PolicyKind, PolicyVisitor, QueueCase,
-    QUEUE_DURS,
-};
 pub use queue_runner::{run_queue_workload, QueueRunResult, QueueWorkloadConfig};
 pub use runner::{run_workload, RunResult, WorkloadConfig};
 pub use service::{prefill_history, service_history, KeySampler, ServiceConfig};
+pub use subject::{
+    applicable, MethodKind, PolicyKind, PolicyVisitor, StructureKind, Subject, SubjectVisitor,
+    VolatileStores, FLIT_HT_SWEEP_BYTES,
+};

@@ -127,7 +127,7 @@ fn event_spans_are_stable_for_every_structure_and_stream() {
                 spans(()),
                 spans(()),
                 "{}/elision-{} span drifted between runs",
-                structure.name(),
+                structure.key(),
                 elision.name()
             );
         }

@@ -14,6 +14,7 @@ use std::sync::OnceLock;
 
 use flit_bench::{ledger, Counts, Ledger, RequestRow, Scale};
 use flit_pmem::CommitMode;
+use flit_workload::{StructureKind, Subject};
 
 const SCALE: Scale = Scale {
     ops: 2_000,
@@ -94,4 +95,26 @@ fn immediate_rows_are_bit_identical_across_runs() {
             assert_eq!(case(a), case(b));
         }
     }
+}
+
+/// The ledger's map rows measure exactly the case matrix's correct map
+/// subjects, 62 of them, and its queue rows two methods under every policy.
+#[test]
+fn rows_cover_the_correct_subjects_of_the_case_matrix() {
+    let is_queue = |s: &Subject| s.structure == StructureKind::MsQueue;
+    let mut measured_subjects: Vec<Subject> = Vec::new();
+    for r in &measured().rows {
+        let subject = Subject::new(r.structure, r.method, r.policy);
+        if !measured_subjects.contains(&subject) {
+            measured_subjects.push(subject);
+        }
+    }
+    let maps: Vec<Subject> = Subject::all()
+        .filter(|s| !s.method.expects_violations() && !is_queue(s))
+        .collect();
+    let (queues, ledger_maps): (Vec<Subject>, Vec<Subject>) =
+        measured_subjects.into_iter().partition(is_queue);
+    assert_eq!((maps.len(), ledger_maps.len()), (62, 62));
+    assert!(ledger_maps.iter().all(|s| maps.contains(s)));
+    assert_eq!(queues.len(), 10);
 }
