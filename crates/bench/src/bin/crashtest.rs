@@ -48,11 +48,12 @@
 //! fails to fail means the harness itself is broken. Violations print complete
 //! repro strings: paste the flags after `crashtest` to replay one crash point.
 
-use flit_bench::{json_str, parse_u64};
+use flit_bench::parse_u64;
 use flit_crashtest::{
     run_case, run_hamt_snapshot_case, run_matrix, HistorySpec, MethodKind, PolicyKind,
     StructureKind, SweepReport, SweepSettings, SNAPSHOT_STRUCTURE,
 };
+use flit_obs::json_str;
 use flit_pmem::{CommitMode, ElisionMode};
 use flit_workload::applicable;
 

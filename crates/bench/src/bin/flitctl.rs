@@ -38,8 +38,8 @@ use std::path::Path;
 use std::process::ExitCode;
 
 use flit::{FlitDb, FlitPolicy, HashedScheme};
-use flit_bench::json_str;
 use flit_datastructs::{Automatic, HashTable};
+use flit_obs::json_str;
 use flit_pmem::pool::{
     direntry, superblock, CLEAN_CLOSE_MAGIC, DIR_ENTRY_BYTES, DIR_OFFSET, MAX_ARENAS,
     MAX_BLOCKS_PER_ARENA, MAX_CHUNKS_PER_ARENA, POOL_MAGIC, POOL_VERSION,

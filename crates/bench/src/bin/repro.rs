@@ -14,7 +14,8 @@
 //! `Batched` request-path row, so a change in a count shows in the committed
 //! files' `git diff`.
 
-use flit_bench::{json_str, ledger, Claim, Ledger, LAYERS, SCALE, SERVER_SHARDS, SERVER_TABLE};
+use flit_bench::{ledger, Claim, Ledger, LAYERS, SCALE, SERVER_SHARDS, SERVER_TABLE};
+use flit_obs::json_str;
 
 /// Render the map rows and the verdicts as the `BENCH_flit.json` document.
 /// Hand-rolled (no serde dependency); every number is a count.

@@ -16,23 +16,6 @@
 
 pub mod experiments;
 
-/// A JSON string literal holding `s`, quotes included.
-pub fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
 /// Parse a command-line count: decimal, or hexadecimal after `0x`.
 pub fn parse_u64(s: &str) -> Option<u64> {
     if let Some(hex) = s.strip_prefix("0x") {

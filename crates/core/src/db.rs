@@ -217,7 +217,7 @@ struct DbInner<P: Policy> {
     /// handles' event tails from any thread — after the handle is gone, too.
     /// Registered by [`FlitHandle::arm_flight_recorder`], never by
     /// [`FlitDb::handle`]: structures create handles by the thousand (one per
-    /// hash bucket at construction) and a dormant ring has nothing to show.
+    /// hash bucket at construction) and an unarmed handle has no ring.
     flights: Mutex<Vec<(u64, FlightRecorder)>>,
 }
 
@@ -398,7 +398,7 @@ impl<P: Policy> FlitDbBuilder<P> {
     }
 
     /// [`create_pool`](Self::create_pool) with explicit [`PoolOptions`]
-    /// (capacity, DAX mapping). The pool's superblock records this builder's
+    /// (the pool capacity). The pool's superblock records this builder's
     /// [`CommitMode`] so a later open can enforce the compatibility check.
     pub fn create_pool_with(
         self,
@@ -707,7 +707,7 @@ impl<P: Policy> FlitDb<P> {
     /// Snapshot the flight-recorder tail of every handle whose recorder was
     /// armed ([`FlitHandle::arm_flight_recorder`]), keyed by handle id (oldest
     /// event first within each handle); handles that never armed are not
-    /// listed. Empty unless the `flight-recorder` cargo feature is enabled.
+    /// listed.
     pub fn flight_snapshots(&self) -> Vec<(u64, Vec<FlightEvent>)> {
         self.inner
             .flights
@@ -719,9 +719,8 @@ impl<P: Policy> FlitDb<P> {
     }
 
     /// The flight-recorder tails of every armed handle as one JSON document
-    /// (schema `flit-obs-flight-v1`). With the `flight-recorder` feature off,
-    /// or before any handle armed, this is an empty (but well-formed)
-    /// document.
+    /// (schema `flit-obs-flight-v1`); before any handle armed, an empty (but
+    /// well-formed) document.
     pub fn dump_flight_recorder(&self) -> String {
         let handles: Vec<String> = self
             .flight_snapshots()
@@ -732,13 +731,8 @@ impl<P: Policy> FlitDb<P> {
             })
             .collect();
         format!(
-            "{{\"schema\":\"flit-obs-flight-v1\",\"enabled\":{},\"capacity\":{},\"handles\":[{}]}}",
-            FlightRecorder::ENABLED,
-            if FlightRecorder::ENABLED {
-                flit_obs::FLIGHT_CAPACITY
-            } else {
-                0
-            },
+            "{{\"schema\":\"flit-obs-flight-v1\",\"capacity\":{},\"handles\":[{}]}}",
+            flit_obs::FLIGHT_CAPACITY,
             handles.join(",")
         )
     }
@@ -1047,28 +1041,26 @@ impl<'db, P: Policy> FlitHandle<'db, P> {
         &self.epoch
     }
 
-    /// Arm this handle's flight recorder. Rings are created dormant even with
-    /// the `flight-recorder` feature compiled in, so an instrumented build
-    /// pays only a predictable branch per event until somebody asks for the
-    /// tail; arming is one-way and shared with every snapshot of this ring.
-    /// The first arming also registers the ring with the database, which is
-    /// what [`FlitDb::flight_snapshots`] lists. A no-op with the feature off.
+    /// Arm this handle's flight recorder: give it a ring, which every
+    /// operation from now on records into. Handles start without one, so an
+    /// unarmed handle allocates nothing. The first arming also registers the
+    /// ring with the database, which is what [`FlitDb::flight_snapshots`]
+    /// lists; arming again is a no-op.
     pub fn arm_flight_recorder(&self) {
-        if !FlightRecorder::ENABLED || self.epoch.flight_armed() {
-            return;
+        if self.epoch.flight().is_none() {
+            let ring = (self.id, self.epoch.arm_flight().clone());
+            let flights = &self.db.inner.flights;
+            flights.lock().expect("flights lock poisoned").push(ring);
         }
-        self.epoch.arm_flight();
-        let ring = (self.id, self.epoch.flight().clone());
-        let flights = &self.db.inner.flights;
-        flights.lock().expect("flights lock poisoned").push(ring);
     }
 
     /// The tail of this handle's persistence event stream, oldest first.
-    /// Empty unless the `flight-recorder` cargo feature is enabled *and* the
-    /// handle's recorder has been armed (see
+    /// Empty unless the handle's recorder has been armed (see
     /// [`arm_flight_recorder`](Self::arm_flight_recorder)).
     pub fn flight_events(&self) -> Vec<FlightEvent> {
-        self.epoch.flight().snapshot()
+        self.epoch
+            .flight()
+            .map_or_else(Vec::new, FlightRecorder::snapshot)
     }
 
     /// `true` when this handle has issued `pwb`s not yet committed by a fence.

@@ -136,18 +136,26 @@ impl<T: PWord, S: TagScheme, B: PmemBackend + Send + Sync + 'static> FlitAtomic<
             && ctx.backend.is_persistent()
             && ctx.scheme.is_tagged(&self.tag, self.word_addr())
         {
-            let pm = h.pmem();
-            let flushed = if ctx.scheme.dedups_read_flushes() {
-                pm.pwb_dedup(self.word_ptr(), observed)
-            } else {
-                // The plain baseline stays paper-literal (see
-                // `TagScheme::dedups_read_flushes`).
-                pm.pwb(self.word_ptr());
-                true
-            };
-            if flushed {
-                pm.note_read_side_pwb();
-            }
+            self.flush_tagged(h, observed);
+        }
+    }
+
+    /// The tagged branch of [`flush_if_tagged`](Self::flush_if_tagged): the
+    /// rare one on a read path, kept out of line so that an untagged p-load,
+    /// the body of every traversal loop, stays small enough to inline.
+    #[inline(never)]
+    fn flush_tagged(&self, h: &FlitHandle<'_, FlitPolicy<S, B>>, observed: u64) {
+        let pm = h.pmem();
+        let flushed = if h.policy().scheme.dedups_read_flushes() {
+            pm.pwb_dedup(self.word_ptr(), observed)
+        } else {
+            // The plain baseline stays paper-literal (see
+            // `TagScheme::dedups_read_flushes`).
+            pm.pwb(self.word_ptr());
+            true
+        };
+        if flushed {
+            pm.note_read_side_pwb();
         }
     }
 

@@ -5,30 +5,25 @@
 //! persistence event stream right before the crash point: which words were
 //! stored, which were flushed, which flushes the elision machinery skipped
 //! and under what store-version stamp. The recorder captures exactly that:
-//! each handle's `PersistEpoch` owns one [`FlightRecorder`] and every
+//! an armed handle's `PersistEpoch` owns one [`FlightRecorder`] and every
 //! `PmemSession` call appends a `(kind, word, store_version)` triple tagged
 //! with a monotone event index. The ring keeps the last [`FLIGHT_CAPACITY`]
 //! events (64 — comfortably above the ≥32 a violation report embeds).
 //!
-//! The entire mechanism sits behind the `recorder` cargo feature. With the
-//! feature off, [`FlightRecorder`] is a zero-sized type whose `record` is an
-//! empty inline function: no ring allocation, no atomics, no branch — the
-//! hot path of a production build is bit-identical to one that never heard
-//! of flight recording. Callers can consult [`FlightRecorder::ENABLED`]
-//! (mirrors the feature flag) to skip computing event arguments entirely.
+//! A recorder exists only where somebody asked for one: a handle's
+//! `PersistEpoch` starts without a ring and gets one when the handle is armed,
+//! so an unarmed handle pays no allocation and each session one branch per
+//! event on a pointer it sampled at construction. Once it exists, a ring
+//! records every event it is handed.
 //!
-//! With the feature on, rings still start **dormant**: cargo unifies the
-//! feature across a workspace build (the crash harness pulls it in), so a
-//! compiled-in ring must not tax benchmark binaries. `record` early-returns
-//! on a relaxed flag until [`FlightRecorder::arm`] is called — one predictable
-//! branch per event — and arming is one-way, shared by every clone.
-//!
-//! With the feature on, the ring is shared (`Arc`) so a `FlitDb` can
-//! snapshot every registered handle's recorder from another thread while
-//! the handles keep writing. Writers publish a slot by storing its fields
-//! and then its index; the snapshot re-checks each slot's index and drops
-//! entries caught mid-overwrite, so a torn slot is skipped rather than
-//! misreported.
+//! The ring is shared (`Arc`) so a `FlitDb` can snapshot every armed
+//! handle's recorder from another thread while the handles keep writing.
+//! Writers publish a slot by storing its fields and then its index; the
+//! snapshot re-checks each slot's index and drops entries caught
+//! mid-overwrite, so a torn slot is skipped rather than misreported.
+
+use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
+use std::sync::Arc;
 
 /// Number of events the ring retains (per handle).
 pub const FLIGHT_CAPACITY: usize = 64;
@@ -60,7 +55,6 @@ impl FlightEventKind {
         }
     }
 
-    #[cfg(feature = "recorder")]
     fn as_u8(self) -> u8 {
         match self {
             FlightEventKind::Store => 0,
@@ -71,7 +65,6 @@ impl FlightEventKind {
         }
     }
 
-    #[cfg(feature = "recorder")]
     fn from_u8(v: u8) -> Self {
         match v {
             0 => FlightEventKind::Store,
@@ -109,206 +102,93 @@ impl FlightEvent {
     }
 }
 
-/// The sink interface the persistence layer records into. Implemented by
-/// [`FlightRecorder`] in both its real and no-op forms, so instrumented code
-/// is written once against the trait and the feature flag picks the cost.
-pub trait FlightSink {
+struct Ring {
+    /// Total events ever recorded; `total % FLIGHT_CAPACITY` is the next slot.
+    total: AtomicU64,
+    kinds: [AtomicU8; FLIGHT_CAPACITY],
+    words: [AtomicU64; FLIGHT_CAPACITY],
+    versions: [AtomicU64; FLIGHT_CAPACITY],
+    /// The event index each slot currently holds; written last, checked on
+    /// read so a snapshot drops slots caught mid-overwrite.
+    indexes: [AtomicU64; FLIGHT_CAPACITY],
+}
+
+/// A ring of the last [`FLIGHT_CAPACITY`] persistence events. Clones share
+/// one ring.
+#[derive(Clone)]
+pub struct FlightRecorder {
+    ring: Arc<Ring>,
+}
+
+impl Default for FlightRecorder {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl FlightRecorder {
+    /// A fresh, empty ring.
+    pub fn new() -> Self {
+        FlightRecorder {
+            ring: Arc::new(Ring {
+                total: AtomicU64::new(0),
+                kinds: [(); FLIGHT_CAPACITY].map(|_| AtomicU8::new(0)),
+                words: [(); FLIGHT_CAPACITY].map(|_| AtomicU64::new(0)),
+                versions: [(); FLIGHT_CAPACITY].map(|_| AtomicU64::new(0)),
+                indexes: [(); FLIGHT_CAPACITY].map(|_| AtomicU64::new(u64::MAX)),
+            }),
+        }
+    }
+
     /// Append one event.
-    fn record(&self, kind: FlightEventKind, word: usize, store_version: u64);
-}
-
-#[cfg(feature = "recorder")]
-mod imp {
-    use super::{FlightEvent, FlightEventKind, FlightSink, FLIGHT_CAPACITY};
-    use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
-    use std::sync::Arc;
-
-    struct Ring {
-        /// Runtime arming switch: rings start dormant so merely *compiling*
-        /// the feature in (cargo unifies it across a workspace build through
-        /// `flit-crashtest`) costs benchmarks one predictable branch per
-        /// event, not ring traffic. The crash harness arms the handles it
-        /// actually samples.
-        armed: AtomicBool,
-        /// Total events ever recorded; `total % FLIGHT_CAPACITY` is the next slot.
-        total: AtomicU64,
-        kinds: [AtomicU8; FLIGHT_CAPACITY],
-        words: [AtomicU64; FLIGHT_CAPACITY],
-        versions: [AtomicU64; FLIGHT_CAPACITY],
-        /// The event index each slot currently holds; written last, checked on
-        /// read so a snapshot drops slots caught mid-overwrite.
-        indexes: [AtomicU64; FLIGHT_CAPACITY],
+    #[inline]
+    pub fn record(&self, kind: FlightEventKind, word: usize, store_version: u64) {
+        let index = self.ring.total.fetch_add(1, Ordering::AcqRel);
+        let slot = (index % FLIGHT_CAPACITY as u64) as usize;
+        self.ring.kinds[slot].store(kind.as_u8(), Ordering::Release);
+        self.ring.words[slot].store(word as u64, Ordering::Release);
+        self.ring.versions[slot].store(store_version, Ordering::Release);
+        self.ring.indexes[slot].store(index, Ordering::Release);
     }
 
-    /// The real ring-buffer recorder (cargo feature `recorder` on).
-    #[derive(Clone)]
-    pub struct FlightRecorder {
-        ring: Arc<Ring>,
+    /// Total events ever recorded (not just the retained tail).
+    pub fn total_recorded(&self) -> u64 {
+        self.ring.total.load(Ordering::Relaxed)
     }
 
-    impl Default for FlightRecorder {
-        fn default() -> Self {
-            Self::new()
-        }
-    }
-
-    impl FlightRecorder {
-        /// Mirrors the `recorder` cargo feature: `true` in this build.
-        pub const ENABLED: bool = true;
-
-        /// A fresh, empty ring.
-        pub fn new() -> Self {
-            FlightRecorder {
-                ring: Arc::new(Ring {
-                    armed: AtomicBool::new(false),
-                    total: AtomicU64::new(0),
-                    kinds: [(); FLIGHT_CAPACITY].map(|_| AtomicU8::new(0)),
-                    words: [(); FLIGHT_CAPACITY].map(|_| AtomicU64::new(0)),
-                    versions: [(); FLIGHT_CAPACITY].map(|_| AtomicU64::new(0)),
-                    indexes: [(); FLIGHT_CAPACITY].map(|_| AtomicU64::new(u64::MAX)),
-                }),
-            }
-        }
-
-        /// Start recording. Rings are created dormant; arming is one-way and
-        /// shared by every clone (the crash harness arms the sessions whose
-        /// tails it samples, everyone else keeps the dormant-branch cost).
-        pub fn arm(&self) {
-            self.ring.armed.store(true, Ordering::Release);
-        }
-
-        /// `true` once [`arm`](Self::arm) has been called on any clone.
-        pub fn is_armed(&self) -> bool {
-            self.ring.armed.load(Ordering::Relaxed)
-        }
-
-        /// Events the ring retains: [`FLIGHT_CAPACITY`].
-        pub fn capacity(&self) -> usize {
-            FLIGHT_CAPACITY
-        }
-
-        /// Total events ever recorded (not just the retained tail).
-        pub fn total_recorded(&self) -> u64 {
-            self.ring.total.load(Ordering::Relaxed)
-        }
-
-        /// The retained tail of the event stream, oldest first. Slots being
-        /// overwritten concurrently are skipped, not misreported.
-        pub fn snapshot(&self) -> Vec<FlightEvent> {
-            let total = self.ring.total.load(Ordering::Acquire);
-            let first = total.saturating_sub(FLIGHT_CAPACITY as u64);
-            let mut out = Vec::with_capacity((total - first) as usize);
-            for index in first..total {
-                let slot = (index % FLIGHT_CAPACITY as u64) as usize;
-                let kind = self.ring.kinds[slot].load(Ordering::Acquire);
-                let word = self.ring.words[slot].load(Ordering::Acquire);
-                let version = self.ring.versions[slot].load(Ordering::Acquire);
-                if self.ring.indexes[slot].load(Ordering::Acquire) != index {
-                    continue;
-                }
-                out.push(FlightEvent {
-                    index,
-                    kind: FlightEventKind::from_u8(kind),
-                    word: word as usize,
-                    store_version: version,
-                });
-            }
-            out
-        }
-    }
-
-    impl FlightSink for FlightRecorder {
-        #[inline]
-        fn record(&self, kind: FlightEventKind, word: usize, store_version: u64) {
-            if !self.is_armed() {
-                return;
-            }
-            let index = self.ring.total.fetch_add(1, Ordering::AcqRel);
+    /// The retained tail of the event stream, oldest first. Slots being
+    /// overwritten concurrently are skipped, not misreported.
+    pub fn snapshot(&self) -> Vec<FlightEvent> {
+        let total = self.ring.total.load(Ordering::Acquire);
+        let first = total.saturating_sub(FLIGHT_CAPACITY as u64);
+        let mut out = Vec::with_capacity((total - first) as usize);
+        for index in first..total {
             let slot = (index % FLIGHT_CAPACITY as u64) as usize;
-            self.ring.kinds[slot].store(kind.as_u8(), Ordering::Release);
-            self.ring.words[slot].store(word as u64, Ordering::Release);
-            self.ring.versions[slot].store(store_version, Ordering::Release);
-            self.ring.indexes[slot].store(index, Ordering::Release);
+            let kind = self.ring.kinds[slot].load(Ordering::Acquire);
+            let word = self.ring.words[slot].load(Ordering::Acquire);
+            let version = self.ring.versions[slot].load(Ordering::Acquire);
+            if self.ring.indexes[slot].load(Ordering::Acquire) != index {
+                continue;
+            }
+            out.push(FlightEvent {
+                index,
+                kind: FlightEventKind::from_u8(kind),
+                word: word as usize,
+                store_version: version,
+            });
         }
+        out
     }
 }
 
-#[cfg(not(feature = "recorder"))]
-mod imp {
-    use super::{FlightEvent, FlightEventKind, FlightSink};
-
-    /// The no-op recorder (cargo feature `recorder` off): a zero-sized type
-    /// whose methods compile to nothing. `size_of::<FlightRecorder>() == 0`
-    /// is asserted by the zero-overhead guard test.
-    #[derive(Clone, Copy, Default)]
-    pub struct FlightRecorder;
-
-    impl FlightRecorder {
-        /// Mirrors the `recorder` cargo feature: `false` in this build.
-        pub const ENABLED: bool = false;
-
-        /// A no-op recorder.
-        pub fn new() -> Self {
-            FlightRecorder
-        }
-
-        /// No-op: there is no ring to arm.
-        pub fn arm(&self) {}
-
-        /// Always `false`: the no-op recorder never records.
-        pub fn is_armed(&self) -> bool {
-            false
-        }
-
-        /// Zero: nothing is retained.
-        pub fn capacity(&self) -> usize {
-            0
-        }
-
-        /// Zero: nothing is recorded.
-        pub fn total_recorded(&self) -> u64 {
-            0
-        }
-
-        /// Always empty.
-        pub fn snapshot(&self) -> Vec<FlightEvent> {
-            Vec::new()
-        }
-    }
-
-    impl FlightSink for FlightRecorder {
-        #[inline(always)]
-        fn record(&self, _kind: FlightEventKind, _word: usize, _store_version: u64) {}
-    }
-}
-
-pub use imp::FlightRecorder;
-
-#[cfg(all(test, feature = "recorder"))]
+#[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn dormant_ring_records_nothing() {
-        let r = FlightRecorder::new();
-        assert!(!r.is_armed(), "rings start dormant");
-        r.record(FlightEventKind::Store, 64, 1);
-        assert_eq!(r.total_recorded(), 0);
-        assert!(r.snapshot().is_empty());
-    }
-
-    #[test]
-    fn arming_is_shared_by_clones() {
-        let a = FlightRecorder::new();
-        let b = a.clone();
-        a.arm();
-        assert!(b.is_armed(), "clones share the arming switch");
-    }
-
-    #[test]
     fn records_and_snapshots_in_order() {
         let r = FlightRecorder::new();
-        r.arm();
+        assert!(r.snapshot().is_empty(), "a fresh ring is empty");
         r.record(FlightEventKind::Store, 64, 1);
         r.record(FlightEventKind::Pwb, 64, 2);
         r.record(FlightEventKind::Pfence, 0, 2);
@@ -323,7 +203,6 @@ mod tests {
     #[test]
     fn ring_wraps_keeping_the_newest_tail() {
         let r = FlightRecorder::new();
-        r.arm();
         let n = (FLIGHT_CAPACITY as u64) * 2 + 10;
         for i in 0..n {
             r.record(FlightEventKind::Pwb, i as usize * 8, i);
@@ -343,7 +222,6 @@ mod tests {
     fn clones_share_one_ring() {
         let a = FlightRecorder::new();
         let b = a.clone();
-        a.arm();
         a.record(FlightEventKind::Store, 8, 1);
         b.record(FlightEventKind::Pwb, 8, 2);
         assert_eq!(a.snapshot().len(), 2);
@@ -362,29 +240,5 @@ mod tests {
             e.to_json(),
             "{\"index\":41,\"kind\":\"elided_pwb\",\"word\":128,\"store_version\":7}"
         );
-    }
-}
-
-#[cfg(all(test, not(feature = "recorder")))]
-mod zero_overhead_tests {
-    use super::*;
-
-    /// The zero-overhead guard: with the feature off the recorder must be a
-    /// true ZST — no ring allocations anywhere. (Run via
-    /// `cargo test -p flit-obs --no-default-features`; a workspace-wide build
-    /// unifies the feature on through `flit-crashtest`.)
-    #[test]
-    fn recorder_off_means_no_ring() {
-        assert_eq!(std::mem::size_of::<FlightRecorder>(), 0);
-        // Pins the feature gate and the constant together (a plain assert!
-        // trips clippy::assertions_on_constants in this cfg).
-        assert_eq!(FlightRecorder::ENABLED, cfg!(feature = "recorder"));
-        let r = FlightRecorder::new();
-        r.arm();
-        assert!(!r.is_armed(), "the no-op recorder cannot be armed");
-        r.record(FlightEventKind::Store, 64, 1);
-        assert_eq!(r.capacity(), 0);
-        assert_eq!(r.total_recorded(), 0);
-        assert!(r.snapshot().is_empty());
     }
 }

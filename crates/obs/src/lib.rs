@@ -31,9 +31,8 @@
 //!   word and store-version stamp). It exists for post-mortems: a crashtest
 //!   violation that only says "prefix mismatch at event 4 712" is a puzzle,
 //!   while the same violation with the last 64 persistence events attached is
-//!   a diagnosis. The whole type is behind the `recorder` cargo feature and
-//!   collapses to a zero-sized no-op when the feature is off, so production
-//!   builds carry no ring allocations at all.
+//!   a diagnosis. A handle owns a ring only once it is armed, so an unarmed
+//!   handle allocates none.
 //!
 //! Snapshots serialize to a small hand-rolled JSON document with schema tag
 //! [`SCHEMA`] (`"flit-obs-v1"`); the suite deliberately avoids serde to keep
@@ -45,9 +44,9 @@ mod flight;
 mod hist;
 mod registry;
 
-pub use flight::{FlightEvent, FlightEventKind, FlightRecorder, FlightSink, FLIGHT_CAPACITY};
+pub use flight::{FlightEvent, FlightEventKind, FlightRecorder, FLIGHT_CAPACITY};
 pub use hist::LatencyHistogram;
 pub use registry::{
-    Counter, CounterShard, Gauge, Histogram, HistogramSample, MetricSample, MetricsSnapshot,
-    Registry, SCHEMA,
+    json_str, Counter, CounterShard, Gauge, Histogram, HistogramSample, MetricSample,
+    MetricsSnapshot, Registry, SCHEMA,
 };

@@ -41,10 +41,11 @@ fn make_labels(labels: &[(&str, &str)]) -> Labels {
     out
 }
 
-/// Minimal JSON string escaping; metric names and labels are code-controlled,
-/// but quoting mistakes must not corrupt the document.
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
+/// A JSON string literal holding `s`, quotes included: the escaper of the
+/// metrics document and of `flit-bench`'s CLI reports.
+pub fn json_str(s: &str) -> String {
+    let mut out = String::with_capacity(s.len() + 2);
+    out.push('"');
     for c in s.chars() {
         match c {
             '"' => out.push_str("\\\""),
@@ -56,13 +57,14 @@ fn json_escape(s: &str) -> String {
             c => out.push(c),
         }
     }
+    out.push('"');
     out
 }
 
 fn json_labels(labels: &Labels) -> String {
     let fields: Vec<String> = labels
         .iter()
-        .map(|(k, v)| format!("\"{}\":\"{}\"", json_escape(k), json_escape(v)))
+        .map(|(k, v)| format!("{}:{}", json_str(k), json_str(v)))
         .collect();
     format!("{{{}}}", fields.join(","))
 }
@@ -418,8 +420,8 @@ impl MetricsSnapshot {
                 .iter()
                 .map(|s| {
                     format!(
-                        "{{\"name\":\"{}\",\"labels\":{},\"value\":{}}}",
-                        json_escape(&s.name),
+                        "{{\"name\":{},\"labels\":{},\"value\":{}}}",
+                        json_str(&s.name),
                         json_labels(&s.labels),
                         s.value
                     )
@@ -432,8 +434,8 @@ impl MetricsSnapshot {
             .iter()
             .map(|h| {
                 format!(
-                    "{{\"name\":\"{}\",\"labels\":{},\"count\":{},\"p50\":{},\"p99\":{},\"p999\":{}}}",
-                    json_escape(&h.name),
+                    "{{\"name\":{},\"labels\":{},\"count\":{},\"p50\":{},\"p99\":{},\"p999\":{}}}",
+                    json_str(&h.name),
                     json_labels(&h.labels),
                     h.count,
                     h.p50,

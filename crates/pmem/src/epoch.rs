@@ -52,7 +52,7 @@
 //! the re-flush is sound with no caveat. Fence elision never needed a caveat: a
 //! clean handle's fence persists nothing under any interleaving.
 
-use std::cell::Cell;
+use std::cell::{Cell, OnceCell};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use flit_obs::FlightRecorder;
@@ -205,17 +205,11 @@ pub struct PersistEpoch {
     /// explicit act of the owning handle (the drain), so that the crashtest
     /// harness can model — and break — the two independently.
     obligations_pending: Cell<u64>,
-    /// Flight recorder for this handle's persistence events. A real ring only
-    /// under the `flight-recorder` cargo feature; a zero-sized no-op otherwise
-    /// (see `flit-obs`). Shared (`Clone`) so a database can snapshot the tail
-    /// from another thread while the handle keeps recording.
-    flight: FlightRecorder,
-    /// Epoch-local mirror of the ring's armed flag, kept so the per-operation
-    /// session constructor reads a plain cell on a line it already touches
-    /// instead of chasing the shared ring's atomic. Set by
-    /// [`arm_flight`](Self::arm_flight) — the owning handle is the only
-    /// arming path that reaches sessions.
-    flight_armed: Cell<bool>,
+    /// Flight recorder for this handle's persistence events: empty until
+    /// [`arm_flight`](Self::arm_flight), so an unarmed handle allocates no
+    /// ring. Shared (`Clone`) so a database can snapshot the tail from another
+    /// thread while the handle keeps recording.
+    flight: OnceCell<FlightRecorder>,
 }
 
 impl Default for PersistEpoch {
@@ -244,32 +238,21 @@ impl PersistEpoch {
             next_slot: Cell::new(0),
             obligations_enqueued: Cell::new(0),
             obligations_pending: Cell::new(0),
-            flight: FlightRecorder::new(),
-            flight_armed: Cell::new(false),
+            flight: OnceCell::new(),
         }
     }
 
-    /// This handle's persistence flight recorder (a no-op unless the
-    /// `flight-recorder` cargo feature is enabled).
+    /// This handle's persistence flight recorder, once it has been armed.
+    /// Sessions sample this at construction, so a handle armed between
+    /// operations records from its next operation on.
     #[inline]
-    pub fn flight(&self) -> &FlightRecorder {
-        &self.flight
+    pub fn flight(&self) -> Option<&FlightRecorder> {
+        self.flight.get()
     }
 
-    /// Arm the flight recorder *through this epoch* so sessions constructed
-    /// from it start recording. Arming the ring directly still works for
-    /// snapshot readers, but only this path flips the epoch-local hint the
-    /// per-operation hot path checks.
-    pub fn arm_flight(&self) {
-        self.flight.arm();
-        self.flight_armed.set(true);
-    }
-
-    /// Whether [`arm_flight`](Self::arm_flight) has been called: the cheap,
-    /// epoch-local gate the session constructor samples once per operation.
-    #[inline]
-    pub fn flight_armed(&self) -> bool {
-        FlightRecorder::ENABLED && self.flight_armed.get()
+    /// Give this handle a flight recorder (idempotent) and return it.
+    pub fn arm_flight(&self) -> &FlightRecorder {
+        self.flight.get_or_init(FlightRecorder::new)
     }
 
     /// Process-unique id of this epoch (diagnostics; doubles as the owning

@@ -89,7 +89,7 @@ pub use backend::{NullPmem, PmemBackend};
 pub use cache_line::{cache_line_of, word_of, CACHE_LINE_SIZE, WORD_SIZE};
 pub use crash::{CrashEventKind, CrashPlan};
 pub use epoch::{CommitMode, ElisionMode, PersistEpoch};
-pub use flit_obs::{FlightEvent, FlightEventKind, FlightRecorder, FlightSink, FLIGHT_CAPACITY};
+pub use flit_obs::{FlightEvent, FlightEventKind, FlightRecorder, FLIGHT_CAPACITY};
 pub use hardware::{FlushInstruction, HardwarePmem};
 pub use latency::LatencyModel;
 pub use pool::{OpenError, PoolArenaSlot, PoolFile, PoolOptions};

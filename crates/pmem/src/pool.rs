@@ -3,10 +3,21 @@
 //! Everywhere else in the workspace, "persistent memory" is a heap allocation
 //! whose durability is *modelled* by [`SimNvram`](crate::SimNvram)'s tracker.
 //! This module provides the production analogue: a [`PoolFile`] is a regular
-//! file (or a DAX-mapped device file) mapped `MAP_SHARED` into the process, so
-//! every completed store lands in the file image and survives the process being
-//! SIGKILLed mid-traffic. Arenas carve their header and chunk regions out of
-//! the mapping instead of the heap; nothing above the region layer changes.
+//! file mapped `MAP_SHARED` into the process, so every completed store lands
+//! in the file image and survives the process being SIGKILLed mid-traffic.
+//! Arenas carve their header and chunk regions out of the mapping instead of
+//! the heap; nothing above the region layer changes.
+//!
+//! ## What a pool survives
+//!
+//! A pool is **crash-consistent under SIGKILL**: a completed store sits in the
+//! shared mapping, which the kernel writes back to the file whether or not the
+//! process lives. It is **power-fail-consistent only at a `sync_pool`
+//! checkpoint** ([`PoolFile::sync`], one `msync` of the whole mapping). The
+//! pool's own housekeeping — post-crash GC's reclamation
+//! (`Arena::reclaim_leaked`'s pool branch) and the clean close — writes the
+//! mapping with plain stores, not through `pwb`/`pfence`, so a power failure
+//! between checkpoints may lose those writes or persist them in any order.
 //!
 //! ## Layout
 //!
@@ -300,28 +311,18 @@ pub struct PoolOptions {
     /// Total pool size in bytes (rounded up to a whole page). The data area is
     /// `capacity - 20 KiB`; it is bump-allocated and never reused.
     pub capacity: usize,
-    /// Ask the kernel for a synchronous DAX mapping (`MAP_SYNC`), which makes
-    /// CPU cache flushes durable without `msync`. Falls back to a plain shared
-    /// mapping when the file system does not support DAX.
-    pub dax: bool,
 }
 
 impl Default for PoolOptions {
     fn default() -> Self {
-        Self {
-            capacity: 64 << 20,
-            dax: false,
-        }
+        Self { capacity: 64 << 20 }
     }
 }
 
 impl PoolOptions {
     /// `PoolOptions` with an explicit capacity in bytes.
     pub fn with_capacity(capacity: usize) -> Self {
-        Self {
-            capacity,
-            ..Self::default()
-        }
+        Self { capacity }
     }
 }
 
@@ -334,10 +335,6 @@ mod sys {
     pub const PROT_READ: c_int = 0x1;
     pub const PROT_WRITE: c_int = 0x2;
     pub const MAP_SHARED: c_int = 0x01;
-    #[cfg(target_os = "linux")]
-    pub const MAP_SHARED_VALIDATE: c_int = 0x03;
-    #[cfg(target_os = "linux")]
-    pub const MAP_SYNC: c_int = 0x80000;
     #[cfg(target_os = "linux")]
     pub const MAP_FIXED_NOREPLACE: c_int = 0x100000;
     pub const MS_SYNC: c_int = 4;
@@ -382,7 +379,6 @@ pub struct PoolFile {
     path: PathBuf,
     base: NonNull<u8>,
     len: usize,
-    dax: bool,
     /// Serialises data-area bump allocation and directory publication.
     meta: Mutex<()>,
 }
@@ -420,13 +416,12 @@ impl PoolFile {
                 .truncate(true)
                 .open(path.as_ref())?;
             file.set_len(len as u64)?;
-            let (base, dax) = map_pool(&file, len, None, opts.dax)?;
+            let base = map_pool(&file, len, None)?;
             let pool = Arc::new(Self {
                 file,
                 path: path.as_ref().to_path_buf(),
                 base,
                 len,
-                dax,
                 meta: Mutex::new(()),
             });
             // Persist-before-publish at pool scale: every superblock field
@@ -507,13 +502,12 @@ impl PoolFile {
                 });
             }
             let map_len = len as usize;
-            let (mapped, dax) = map_pool(&file, map_len, Some(base), false)?;
+            let mapped = map_pool(&file, map_len, Some(base))?;
             Ok(Arc::new(Self {
                 file,
                 path: path.as_ref().to_path_buf(),
                 base: mapped,
                 len: map_len,
-                dax,
                 meta: Mutex::new(()),
             }))
         }
@@ -550,12 +544,6 @@ impl PoolFile {
         &self.path
     }
 
-    /// `true` when the mapping is a synchronous DAX mapping (`MAP_SYNC`):
-    /// cache-line flushes are durable without `msync`.
-    pub fn is_dax(&self) -> bool {
-        self.dax
-    }
-
     /// The commit-mode compat word recorded at creation.
     pub fn commit_word(&self) -> u64 {
         self.word(superblock::COMMIT).load(Ordering::SeqCst)
@@ -583,9 +571,9 @@ impl PoolFile {
             .store(CLEAN_CLOSE_MAGIC, Ordering::SeqCst);
     }
 
-    /// `msync` the whole mapping: makes the file image current even without
-    /// DAX. Needed for power-failure durability on a plain file system; a
-    /// SIGKILLed process's completed stores survive in the page cache anyway.
+    /// `msync` the whole mapping: the power-failure checkpoint (see the module
+    /// docs). A SIGKILLed process's completed stores survive in the page cache
+    /// without it.
     pub fn sync(&self) -> Result<(), OpenError> {
         #[cfg(unix)]
         {
@@ -661,22 +649,15 @@ impl std::fmt::Debug for PoolFile {
             .field("path", &self.path)
             .field("base", &format_args!("{:#x}", self.base_addr()))
             .field("len", &self.len)
-            .field("dax", &self.dax)
             .field("arenas", &self.arena_count())
             .finish()
     }
 }
 
-/// Map `len` bytes of `file` shared, optionally at a fixed `hint` address
-/// (reopen) and optionally requesting DAX semantics. Returns the mapping base
-/// and whether a synchronous DAX mapping was obtained.
+/// Map `len` bytes of `file` shared, at the fixed address `fixed` (reopen)
+/// or at a fresh one (creation). Returns the mapping base.
 #[cfg(unix)]
-fn map_pool(
-    file: &File,
-    len: usize,
-    fixed: Option<usize>,
-    want_dax: bool,
-) -> Result<(NonNull<u8>, bool), OpenError> {
+fn map_pool(file: &File, len: usize, fixed: Option<usize>) -> Result<NonNull<u8>, OpenError> {
     use std::os::unix::io::AsRawFd;
     let fd = file.as_raw_fd();
     let prot = sys::PROT_READ | sys::PROT_WRITE;
@@ -688,7 +669,8 @@ fn map_pool(
         if p == sys::MAP_FAILED {
             Err(std::io::Error::last_os_error().raw_os_error().unwrap_or(0))
         } else {
-            Ok(p as *mut u8)
+            // SAFETY: mmap success is non-null.
+            Ok(unsafe { NonNull::new_unchecked(p as *mut u8) })
         }
     };
 
@@ -700,16 +682,12 @@ fn map_pool(
         #[cfg(not(target_os = "linux"))]
         let flags = sys::MAP_SHARED;
         return match try_map(base, flags) {
-            Ok(p) if p as usize == base => Ok((
-                // SAFETY: mmap success is non-null.
-                unsafe { NonNull::new_unchecked(p) },
-                false,
-            )),
+            Ok(p) if p.as_ptr() as usize == base => Ok(p),
             Ok(p) => {
                 // Kernels without MAP_FIXED_NOREPLACE treat the address as a
                 // hint; a mapping anywhere else is useless, so undo it.
                 // SAFETY: unmapping the mapping just created.
-                unsafe { sys::munmap(p.cast(), len) };
+                unsafe { sys::munmap(p.as_ptr().cast(), len) };
                 Err(OpenError::MappingConflict { wanted: base })
             }
             // EEXIST: MAP_FIXED_NOREPLACE found a live mapping in the range.
@@ -718,40 +696,22 @@ fn map_pool(
         };
     }
 
-    // Fresh creation: try a DAX mapping first when asked, then a hinted plain
-    // mapping (quiet address corner → reopen rarely conflicts), then whatever
-    // the kernel picks.
-    #[cfg(target_os = "linux")]
-    if want_dax {
-        if let Ok(p) = try_map(0, sys::MAP_SHARED_VALIDATE | sys::MAP_SYNC) {
-            // SAFETY: mmap success is non-null.
-            return Ok((unsafe { NonNull::new_unchecked(p) }, true));
-        }
-    }
-    #[cfg(not(target_os = "linux"))]
-    let _ = want_dax;
+    // Fresh creation: a hinted mapping first (quiet address corner → reopen
+    // rarely conflicts), then whatever the kernel picks.
     #[cfg(target_os = "linux")]
     {
         for _ in 0..4 {
             let hint = next_base_hint();
             if let Ok(p) = try_map(hint, sys::MAP_SHARED | sys::MAP_FIXED_NOREPLACE) {
-                if p as usize == hint {
-                    // SAFETY: mmap success is non-null.
-                    return Ok((unsafe { NonNull::new_unchecked(p) }, false));
+                if p.as_ptr() as usize == hint {
+                    return Ok(p);
                 }
                 // SAFETY: unmapping the mapping just created.
-                unsafe { sys::munmap(p.cast(), len) };
+                unsafe { sys::munmap(p.as_ptr().cast(), len) };
             }
         }
     }
-    match try_map(0, sys::MAP_SHARED) {
-        Ok(p) => Ok((
-            // SAFETY: mmap success is non-null.
-            unsafe { NonNull::new_unchecked(p) },
-            false,
-        )),
-        Err(errno) => Err(OpenError::MapFailed { errno }),
-    }
+    try_map(0, sys::MAP_SHARED).map_err(|errno| OpenError::MapFailed { errno })
 }
 
 /// An arena's binding to its pool: one directory entry plus the ability to

@@ -36,20 +36,19 @@ use crate::cache_line::word_of;
 use crate::epoch::{ElisionMode, PersistEpoch};
 use crate::stats::PmemStats;
 use crate::tracker::PersistenceTracker;
-use flit_obs::{FlightEventKind, FlightRecorder, FlightSink};
+use flit_obs::{FlightEventKind, FlightRecorder};
 
 /// A borrowed (backend, epoch) pair implementing [`PmemBackend`] with per-handle
-/// elision. Cheap to construct (two references and a mode); see the module docs.
+/// elision. Cheap to construct (three references and a mode); see the module docs.
 pub struct PmemSession<'h, B: PmemBackend + ?Sized> {
     backend: &'h B,
     epoch: &'h PersistEpoch,
     elision: ElisionMode,
-    /// Whether the epoch's flight recorder was armed when this session was
-    /// constructed (the epoch-local hint, not the ring's shared atomic).
-    /// Sampled once here so the per-event dormant check tests a
-    /// register-resident bool; sessions live for one operation, so a handle
-    /// armed between operations is picked up by the next session.
-    flight_armed: bool,
+    /// The epoch's flight recorder as it stood when this session was
+    /// constructed: sampled once so the per-event check tests a
+    /// register-resident pointer. Sessions live for one operation, so a
+    /// handle armed between operations is picked up by the next session.
+    flight: Option<&'h FlightRecorder>,
 }
 
 impl<'h, B: PmemBackend + ?Sized> Clone for PmemSession<'h, B> {
@@ -69,7 +68,7 @@ impl<'h, B: PmemBackend + ?Sized> PmemSession<'h, B> {
             backend,
             epoch,
             elision,
-            flight_armed: epoch.flight_armed(),
+            flight: epoch.flight(),
         }
     }
 
@@ -94,18 +93,13 @@ impl<'h, B: PmemBackend + ?Sized> PmemSession<'h, B> {
         self.elision
     }
 
-    /// Append one event to the owning handle's flight recorder. Compiles to
-    /// nothing unless the `flight-recorder` cargo feature is on, and even
-    /// then evaluates neither `word` nor the store version until the ring has
-    /// been armed at runtime (sampled at session construction) — an
-    /// instrumented-but-dormant build pays one predictable branch on a local
-    /// bool per event, nothing more.
+    /// Append one event to the owning handle's flight recorder, if it has
+    /// one. An unarmed handle evaluates neither `word` nor the store version:
+    /// it pays one predictable branch per event.
     #[inline]
     fn flight_record(&self, kind: FlightEventKind, word: usize) {
-        if FlightRecorder::ENABLED && self.flight_armed {
-            self.epoch
-                .flight()
-                .record(kind, word, self.backend.store_version());
+        if let Some(flight) = self.flight {
+            flight.record(kind, word, self.backend.store_version());
         }
     }
 

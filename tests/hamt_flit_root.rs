@@ -14,7 +14,7 @@
 //!    control caught under every policy (plain included: its p-loads would
 //!    repair the missing write-back if the control's loads were not volatile).
 
-use flit::{presets, CommitMode, FlightEventKind, FlightRecorder, FlitDb, Policy};
+use flit::{presets, CommitMode, FlightEventKind, FlitDb, Policy};
 use flit_crashtest::{
     run_case, run_hamt_snapshot_case, HistorySpec, MethodKind, PolicyKind, StructureKind,
     SweepSettings,
@@ -74,19 +74,17 @@ fn a_successful_insert_costs_two_fences_and_its_root_write_back() {
     );
 
     // The root write-back sits between the two fences...
-    if FlightRecorder::ENABLED {
-        let kinds: Vec<_> = h
-            .flight_events()
-            .into_iter()
-            .filter(|e| matches!(e.kind, FlightEventKind::Pwb | FlightEventKind::Pfence))
-            .map(|e| (e.kind, e.word))
-            .collect();
-        let root_line = cache_line_of(map.root_cell_addr());
-        assert_eq!(kinds.len(), 4);
-        assert_eq!(kinds[1].0, FlightEventKind::Pfence);
-        assert_eq!(kinds[2], (FlightEventKind::Pwb, root_line));
-        assert_eq!(kinds[3].0, FlightEventKind::Pfence);
-    }
+    let kinds: Vec<_> = h
+        .flight_events()
+        .into_iter()
+        .filter(|e| matches!(e.kind, FlightEventKind::Pwb | FlightEventKind::Pfence))
+        .map(|e| (e.kind, e.word))
+        .collect();
+    let root_line = cache_line_of(map.root_cell_addr());
+    assert_eq!(kinds.len(), 4);
+    assert_eq!(kinds[1].0, FlightEventKind::Pfence);
+    assert_eq!(kinds[2], (FlightEventKind::Pwb, root_line));
+    assert_eq!(kinds[3].0, FlightEventKind::Pfence);
     // ...so the update is durable when it returns.
     let rec = map.recover(&nvram.tracker().unwrap().crash_image());
     assert_eq!(rec.sorted_pairs(), vec![(5, 50)]);

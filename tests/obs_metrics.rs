@@ -7,13 +7,13 @@
 //! * `Op::Stats` round-trips through the full service path
 //!   ([`KvServer::pump`]): the reply is a well-formed `flit-obs-v1` document
 //!   whose per-shard op counters sum to the traffic actually served;
-//! * the disabled recorder is a true zero-sized no-op, the enabled one is
-//!   dormant until armed, and the flight dump document reports its
-//!   enablement honestly either way.
+//! * a handle carries no ring until armed, and one shared ring after;
+//! * an armed handle's ring holds the tail of its own persistence stream,
+//!   and the flight dump document lists it.
 
 use flit::{FlitDb, FlitPolicy, HashedScheme};
 use flit_datastructs::{Automatic, HashTable};
-use flit_obs::{FlightEventKind, FlightRecorder, FlightSink, Registry, FLIGHT_CAPACITY};
+use flit_obs::{FlightEventKind, FlightRecorder, Registry, FLIGHT_CAPACITY};
 use flit_pmem::{LatencyModel, SimNvram};
 use flit_server::{KvServer, Op, Reply, ServerConfig};
 
@@ -88,14 +88,7 @@ fn concurrent_counter_shards_aggregate_exactly() {
 /// still counts every event ever recorded.
 #[test]
 fn flight_ring_wraparound_keeps_the_tail() {
-    if !FlightRecorder::ENABLED {
-        let r = FlightRecorder::new();
-        r.record(FlightEventKind::Pwb, 8, 1);
-        assert!(r.snapshot().is_empty(), "disabled recorder records nothing");
-        return;
-    }
     let r = FlightRecorder::new();
-    r.arm();
     let total = 3 * FLIGHT_CAPACITY as u64 + 5;
     for i in 0..total {
         r.record(FlightEventKind::Pwb, (i * 8) as usize, i);
@@ -171,7 +164,7 @@ fn op_stats_round_trips_through_the_pump() {
 
 /// A database under traffic exposes its persistence counters through the
 /// registry, and each handle's flight recorder holds the tail of *its own*
-/// persistence-event stream (when the feature is on).
+/// persistence-event stream.
 #[test]
 fn database_metrics_and_flight_tails_reflect_traffic() {
     let db = FlitDb::flit_ht(SimNvram::builder().latency(LatencyModel::none()).build());
@@ -188,42 +181,43 @@ fn database_metrics_and_flight_tails_reflect_traffic() {
         assert!(pwbs > 0, "inserts issued write-backs");
 
         let events = h.flight_events();
-        if FlightRecorder::ENABLED {
-            assert!(!events.is_empty(), "handle recorded its persistence tail");
-            assert!(events.len() <= FLIGHT_CAPACITY);
-            assert!(events
-                .iter()
-                .any(|e| matches!(e.kind, FlightEventKind::Pwb | FlightEventKind::Store)));
-        } else {
-            assert!(events.is_empty());
-        }
+        assert!(!events.is_empty(), "handle recorded its persistence tail");
+        assert!(events.len() <= FLIGHT_CAPACITY);
+        assert!(events
+            .iter()
+            .any(|e| matches!(e.kind, FlightEventKind::Pwb | FlightEventKind::Store)));
     }
     let dump = db.dump_flight_recorder();
     assert!(dump.contains("\"schema\":\"flit-obs-flight-v1\""));
-    assert!(dump.contains(&format!("\"enabled\":{}", FlightRecorder::ENABLED)));
+    assert!(dump.contains(&format!("\"capacity\":{FLIGHT_CAPACITY}")));
 }
 
-/// The zero-overhead guard: with the `recorder` feature off the recorder is a
-/// zero-sized type, so carrying one per session costs nothing; with it on,
-/// the per-handle ring costs a fixed, bounded allocation shared by clones.
+/// The recorder's cost gate is arming: a handle that is never armed carries
+/// no ring at all, and an armed one carries one fixed, bounded ring (a
+/// pointer in the handle) that clones and repeated arming share.
 #[test]
 fn recorder_cost_matches_its_feature_gate() {
-    if FlightRecorder::ENABLED {
-        assert!(std::mem::size_of::<FlightRecorder>() > 0);
-        let r = FlightRecorder::new();
-        assert_eq!(r.capacity(), FLIGHT_CAPACITY);
-        let clone = r.clone();
-        clone.record(FlightEventKind::Pfence, 0, 9);
-        assert_eq!(r.total_recorded(), 0, "rings are dormant until armed");
-        r.arm();
-        clone.record(FlightEventKind::Pfence, 0, 9);
-        assert_eq!(r.total_recorded(), 1, "clones share one armed ring");
-    } else {
-        assert_eq!(
-            std::mem::size_of::<FlightRecorder>(),
-            0,
-            "disabled recorder is a ZST"
-        );
-        assert_eq!(FlightRecorder::new().capacity(), 0);
-    }
+    assert_eq!(
+        std::mem::size_of::<FlightRecorder>(),
+        std::mem::size_of::<usize>(),
+        "a recorder is one shared pointer"
+    );
+    let r = FlightRecorder::new();
+    let clone = r.clone();
+    clone.record(FlightEventKind::Pfence, 0, 9);
+    assert_eq!(r.total_recorded(), 1, "clones share one ring");
+
+    let db = FlitDb::flit_ht(SimNvram::builder().latency(LatencyModel::none()).build());
+    let h = db.handle();
+    assert!(
+        h.epoch().flight().is_none(),
+        "an unarmed handle has no ring"
+    );
+    let first: *const FlightRecorder = h.epoch().arm_flight();
+    let second: *const FlightRecorder = h.epoch().arm_flight();
+    assert!(std::ptr::eq(first, second), "arming twice keeps one ring");
+    assert_eq!(
+        h.epoch().flight().map(FlightRecorder::total_recorded),
+        Some(0)
+    );
 }
