@@ -148,7 +148,7 @@
 //! | `presets::flit_ht(backend)` + `Map::with_capacity(policy, n)` | [`FlitDb::flit_ht`]`(backend)` + `Map::with_capacity(&db, n)` |
 //! | `FlitDb::create(policy)` with ad-hoc knobs | [`FlitDb::builder`]`(policy).commit_mode(…).arena_defaults(…).build()` |
 //! | `map.insert(k, v)` | `map.insert(&h, k, v)` with `let h = db.handle();` |
-//! | `policy.operation_completion()` | [`FlitHandle::operation_completion`] |
+//! | `policy.operation_completion()` at every return path | the `ConcurrentMap` / `ConcurrentQueue` wrappers call [`FlitHandle::operation_completion`]; a structure implements only the `*_op` bodies |
 //! | `policy.persist_object(&node, flag)` | [`FlitHandle::persist_object`] |
 //! | `structure.collector().pin()` | [`FlitHandle::pin`] |
 //! | (implicit per-thread epoch) | [`FlitHandle::epoch`] |
@@ -1085,8 +1085,11 @@ impl<'db, P: Policy> FlitHandle<'db, P> {
         self.ebr.pin()
     }
 
-    /// The paper's `persist::operation_completion()`: must be called at the end
-    /// of every data-structure operation.
+    /// The paper's `persist::operation_completion()`: ends one data-structure
+    /// operation. The `ConcurrentMap` and `ConcurrentQueue` trait wrappers in
+    /// `flit-datastructs` and `flit-queues` call it once after every operation
+    /// body, so structures never call it themselves; hand-written P-V code
+    /// (a bare [`FlitAtomic`](crate::FlitAtomic) protocol) calls it directly.
     ///
     /// Under [`CommitMode::Immediate`] this issues a `pfence` so that every
     /// dependency of the completed operation is persisted before the operation

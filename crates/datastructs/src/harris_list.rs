@@ -262,101 +262,6 @@ impl<P: Policy, D: Durability> HarrisList<P, D> {
         }
     }
 
-    fn get_impl(&self, h: &FlitHandle<'_, P>, key: u64) -> Option<u64> {
-        debug_assert_eq!(h.db_id(), self.db.id(), "handle from another FlitDb");
-        let guard = h.pin();
-        let (_left, right) = self.search(h, key, &guard);
-        let result = if right != self.tail {
-            let right_ref = unsafe { &*right };
-            if right_ref.key == key {
-                // NVTraverse: a read-only operation persists the node that determines
-                // its result before returning.
-                if D::TRANSITION_DEPTH > 0 {
-                    let _ = right_ref.next.load(h, PFlag::Persisted);
-                }
-                Some(right_ref.value)
-            } else {
-                None
-            }
-        } else {
-            None
-        };
-        h.operation_completion();
-        result
-    }
-
-    fn insert_impl(&self, h: &FlitHandle<'_, P>, key: u64, value: u64) -> bool {
-        assert!(key < u64::MAX, "key space reserved for the tail sentinel");
-        debug_assert_eq!(h.db_id(), self.db.id(), "handle from another FlitDb");
-        let guard = h.pin();
-        loop {
-            let (left, right) = self.search(h, key, &guard);
-            if right != self.tail && unsafe { &*right }.key == key {
-                h.operation_completion();
-                return false;
-            }
-            self.transition(h, left, right);
-            // Allocate, record and persist the new node's contents before it
-            // becomes reachable: the publishing CAS below depends on them, and
-            // recovery walks the persisted words.
-            let node = Self::alloc_node(h, &self.arena, key, value, pack(right));
-            h.persist_object(unsafe { &*node }, D::STORE);
-            match unsafe { &*left }
-                .next
-                .compare_exchange(h, pack(right), pack(node), D::STORE)
-            {
-                Ok(_) => {
-                    h.operation_completion();
-                    return true;
-                }
-                Err(_) => {
-                    // Never published: return the slot to the durable free list.
-                    // SAFETY: `node` was allocated above and never became reachable.
-                    unsafe { self.arena.free(&h.pmem(), node as *mut u8) };
-                }
-            }
-        }
-    }
-
-    fn remove_impl(&self, h: &FlitHandle<'_, P>, key: u64) -> bool {
-        debug_assert_eq!(h.db_id(), self.db.id(), "handle from another FlitDb");
-        let guard = h.pin();
-        loop {
-            let (left, right) = self.search(h, key, &guard);
-            if right == self.tail || unsafe { &*right }.key != key {
-                h.operation_completion();
-                return false;
-            }
-            let right_ref = unsafe { &*right };
-            let right_next = right_ref.next.load(h, D::CRITICAL_LOAD);
-            if is_marked(right_next) {
-                // Another deleter is ahead of us; re-run the search (which will help
-                // unlink) and re-evaluate.
-                continue;
-            }
-            self.transition(h, left, right);
-            if right_ref
-                .next
-                .compare_exchange(h, right_next, with_mark(right_next), D::STORE)
-                .is_ok()
-            {
-                // Logical deletion succeeded (linearization point). Try to unlink
-                // physically; if that fails, a later search will do it.
-                if unsafe { &*left }
-                    .next
-                    .compare_exchange(h, pack(right), unmark(right_next), D::STORE)
-                    .is_ok()
-                {
-                    self.retire(&guard, right);
-                } else {
-                    let _ = self.search(h, key, &guard);
-                }
-                h.operation_completion();
-                return true;
-            }
-        }
-    }
-
     /// Image-only walk of one persisted chain from the head-sentinel slot `head`
     /// (shared with the hash table, whose directory stores one head per bucket).
     /// A node whose own persisted `next` carries the deletion mark is skipped;
@@ -387,8 +292,97 @@ impl<P: Policy, D: Durability> HarrisList<P, D> {
     pub fn recover(&self, image: &CrashImage) -> RecoveredMap {
         Self::recover_arena_image(&self.arena, image)
     }
+}
 
-    fn len_impl(&self) -> usize {
+impl<P: Policy, D: Durability> ConcurrentMap<P> for HarrisList<P, D> {
+    const NAME: &'static str = "list";
+
+    fn with_capacity(db: &FlitDb<P>, _capacity_hint: usize) -> Self {
+        Self::new(db)
+    }
+
+    fn get_op(&self, h: &FlitHandle<'_, P>, key: u64, guard: &Guard<'_>) -> Option<u64> {
+        let (_left, right) = self.search(h, key, guard);
+        if right != self.tail {
+            let right_ref = unsafe { &*right };
+            if right_ref.key == key {
+                // NVTraverse: a read-only operation persists the node that determines
+                // its result before returning.
+                if D::TRANSITION_DEPTH > 0 {
+                    let _ = right_ref.next.load(h, PFlag::Persisted);
+                }
+                Some(right_ref.value)
+            } else {
+                None
+            }
+        } else {
+            None
+        }
+    }
+
+    fn insert_op(&self, h: &FlitHandle<'_, P>, key: u64, value: u64, guard: &Guard<'_>) -> bool {
+        assert!(key < u64::MAX, "key space reserved for the tail sentinel");
+        loop {
+            let (left, right) = self.search(h, key, guard);
+            if right != self.tail && unsafe { &*right }.key == key {
+                return false;
+            }
+            self.transition(h, left, right);
+            // Allocate, record and persist the new node's contents before it
+            // becomes reachable: the publishing CAS below depends on them, and
+            // recovery walks the persisted words.
+            let node = Self::alloc_node(h, &self.arena, key, value, pack(right));
+            h.persist_object(unsafe { &*node }, D::STORE);
+            match unsafe { &*left }
+                .next
+                .compare_exchange(h, pack(right), pack(node), D::STORE)
+            {
+                Ok(_) => return true,
+                Err(_) => {
+                    // Never published: return the slot to the durable free list.
+                    // SAFETY: `node` was allocated above and never became reachable.
+                    unsafe { self.arena.free(&h.pmem(), node as *mut u8) };
+                }
+            }
+        }
+    }
+
+    fn remove_op(&self, h: &FlitHandle<'_, P>, key: u64, guard: &Guard<'_>) -> bool {
+        loop {
+            let (left, right) = self.search(h, key, guard);
+            if right == self.tail || unsafe { &*right }.key != key {
+                return false;
+            }
+            let right_ref = unsafe { &*right };
+            let right_next = right_ref.next.load(h, D::CRITICAL_LOAD);
+            if is_marked(right_next) {
+                // Another deleter is ahead of us; re-run the search (which will help
+                // unlink) and re-evaluate.
+                continue;
+            }
+            self.transition(h, left, right);
+            if right_ref
+                .next
+                .compare_exchange(h, right_next, with_mark(right_next), D::STORE)
+                .is_ok()
+            {
+                // Logical deletion succeeded (linearization point). Try to unlink
+                // physically; if that fails, a later search will do it.
+                if unsafe { &*left }
+                    .next
+                    .compare_exchange(h, pack(right), unmark(right_next), D::STORE)
+                    .is_ok()
+                {
+                    self.retire(guard, right);
+                } else {
+                    let _ = self.search(h, key, guard);
+                }
+                return true;
+            }
+        }
+    }
+
+    fn len(&self) -> usize {
         // Quiescent-state traversal: counts unmarked nodes between the sentinels.
         let mut count = 0;
         let mut cur = address::<Node<P>>(unsafe { &*self.head }.next.load_direct());
@@ -400,30 +394,6 @@ impl<P: Policy, D: Durability> HarrisList<P, D> {
             cur = address::<Node<P>>(next);
         }
         count
-    }
-}
-
-impl<P: Policy, D: Durability> ConcurrentMap<P> for HarrisList<P, D> {
-    const NAME: &'static str = "list";
-
-    fn with_capacity(db: &FlitDb<P>, _capacity_hint: usize) -> Self {
-        Self::new(db)
-    }
-
-    fn get(&self, h: &FlitHandle<'_, P>, key: u64) -> Option<u64> {
-        self.get_impl(h, key)
-    }
-
-    fn insert(&self, h: &FlitHandle<'_, P>, key: u64, value: u64) -> bool {
-        self.insert_impl(h, key, value)
-    }
-
-    fn remove(&self, h: &FlitHandle<'_, P>, key: u64) -> bool {
-        self.remove_impl(h, key)
-    }
-
-    fn len(&self) -> usize {
-        self.len_impl()
     }
 
     fn db(&self) -> &FlitDb<P> {

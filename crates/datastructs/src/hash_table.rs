@@ -24,6 +24,7 @@ use std::sync::Arc;
 
 use flit::{FlitDb, FlitHandle, PFlag, Policy};
 use flit_alloc::{roots, Arena, ArenaConfig};
+use flit_ebr::Guard;
 use flit_pmem::{CrashImage, PmemBackend, WORD_SIZE};
 
 use crate::durability::Durability;
@@ -135,16 +136,16 @@ impl<P: Policy, D: Durability> ConcurrentMap<P> for HashTable<P, D> {
         Self::with_config(db, capacity_hint, config)
     }
 
-    fn get(&self, h: &FlitHandle<'_, P>, key: u64) -> Option<u64> {
-        self.bucket(key).get(h, key)
+    fn get_op(&self, h: &FlitHandle<'_, P>, key: u64, guard: &Guard<'_>) -> Option<u64> {
+        self.bucket(key).get_op(h, key, guard)
     }
 
-    fn insert(&self, h: &FlitHandle<'_, P>, key: u64, value: u64) -> bool {
-        self.bucket(key).insert(h, key, value)
+    fn insert_op(&self, h: &FlitHandle<'_, P>, key: u64, value: u64, guard: &Guard<'_>) -> bool {
+        self.bucket(key).insert_op(h, key, value, guard)
     }
 
-    fn remove(&self, h: &FlitHandle<'_, P>, key: u64) -> bool {
-        self.bucket(key).remove(h, key)
+    fn remove_op(&self, h: &FlitHandle<'_, P>, key: u64, guard: &Guard<'_>) -> bool {
+        self.bucket(key).remove_op(h, key, guard)
     }
 
     fn len(&self) -> usize {

@@ -59,7 +59,9 @@
 //! structure), and it is safe code (nothing from the image is ever dereferenced).
 //! This is the interface the `flit-crashtest` crash-point sweep engine drives.
 //!
-//! Every operation ends with
+//! Structures implement only the operation bodies (`get_op`, `insert_op`,
+//! `remove_op`); the provided [`ConcurrentMap`] wrappers end every operation
+//! with one
 //! [`FlitHandle::operation_completion`](flit::FlitHandle::operation_completion),
 //! which is *epoch-aware*: a read-only operation over untagged words leaves its
 //! handle clean, so the completion fence (and with it the entire persistence cost

@@ -7,6 +7,7 @@
 
 use flit::{FlitDb, FlitHandle, Policy};
 use flit_alloc::ArenaConfig;
+use flit_ebr::Guard;
 
 /// A concurrent ordered or unordered map from `u64` keys to `u64` values, generic
 /// over the persistence [`Policy`].
@@ -16,7 +17,15 @@ use flit_alloc::ArenaConfig;
 /// thread's [`FlitHandle`]** — the explicit session whose persist epoch the
 /// operation's fences and flushes are attributed to (`map.insert(&h, k, v)`).
 /// The handle must come from the same database the map was built in
-/// (debug-asserted by the implementations).
+/// (debug-asserted by the wrappers).
+///
+/// Structures implement only the operation bodies (`get_op`, `insert_op`,
+/// `remove_op`). The provided [`get`](Self::get), [`insert`](Self::insert) and
+/// [`remove`](Self::remove) wrappers pin the handle, run a body under that
+/// guard and call [`FlitHandle::operation_completion`] exactly once before
+/// unpinning, so every operation meets the P-V interface's Condition 4 on
+/// every return path by construction. (Completing while still pinned keeps the
+/// completion's counter update from waiting on the unpin's store.)
 ///
 /// Keys must be strictly smaller than `u64::MAX - 16`: the top few key values are
 /// reserved for the sentinel nodes of the tree and list structures.
@@ -41,15 +50,53 @@ pub trait ConcurrentMap<P: Policy>: Send + Sync {
         Self::with_capacity(db, capacity_hint)
     }
 
-    /// Look up `key`, returning its value if present.
-    fn get(&self, h: &FlitHandle<'_, P>, key: u64) -> Option<u64>;
+    /// Look up `key`, returning its value if present. Completes the operation:
+    /// runs [`get_op`](Self::get_op), then `h.operation_completion()` once.
+    #[inline]
+    fn get(&self, h: &FlitHandle<'_, P>, key: u64) -> Option<u64> {
+        debug_assert_eq!(h.db_id(), self.db().id(), "handle from another FlitDb");
+        let guard = h.pin();
+        let result = self.get_op(h, key, &guard);
+        h.operation_completion();
+        result
+    }
 
     /// Insert `(key, value)`; returns `false` (without modifying the map) when the key
-    /// is already present.
-    fn insert(&self, h: &FlitHandle<'_, P>, key: u64, value: u64) -> bool;
+    /// is already present. Completes the operation like [`get`](Self::get).
+    #[inline]
+    fn insert(&self, h: &FlitHandle<'_, P>, key: u64, value: u64) -> bool {
+        debug_assert_eq!(h.db_id(), self.db().id(), "handle from another FlitDb");
+        let guard = h.pin();
+        let result = self.insert_op(h, key, value, &guard);
+        h.operation_completion();
+        result
+    }
 
-    /// Remove `key`; returns `false` when it was not present.
-    fn remove(&self, h: &FlitHandle<'_, P>, key: u64) -> bool;
+    /// Remove `key`; returns `false` when it was not present. Completes the
+    /// operation like [`get`](Self::get).
+    #[inline]
+    fn remove(&self, h: &FlitHandle<'_, P>, key: u64) -> bool {
+        debug_assert_eq!(h.db_id(), self.db().id(), "handle from another FlitDb");
+        let guard = h.pin();
+        let result = self.remove_op(h, key, &guard);
+        h.operation_completion();
+        result
+    }
+
+    /// The body of [`get`](Self::get): the structure's lookup under the
+    /// wrapper's `guard`, without the completion. Call it only from a wrapper
+    /// or from another structure's body that delegates to this one (the hash
+    /// table's bucket lists); a bare call returns without persisting what the
+    /// lookup p-loaded.
+    fn get_op(&self, h: &FlitHandle<'_, P>, key: u64, guard: &Guard<'_>) -> Option<u64>;
+
+    /// The body of [`insert`](Self::insert); the same rule as
+    /// [`get_op`](Self::get_op).
+    fn insert_op(&self, h: &FlitHandle<'_, P>, key: u64, value: u64, guard: &Guard<'_>) -> bool;
+
+    /// The body of [`remove`](Self::remove); the same rule as
+    /// [`get_op`](Self::get_op).
+    fn remove_op(&self, h: &FlitHandle<'_, P>, key: u64, guard: &Guard<'_>) -> bool;
 
     /// `true` if `key` is present.
     fn contains(&self, h: &FlitHandle<'_, P>, key: u64) -> bool {

@@ -304,138 +304,6 @@ impl<P: Policy, D: Durability> NatarajanTree<P, D> {
         result
     }
 
-    fn get_impl(&self, h: &FlitHandle<'_, P>, key: u64) -> Option<u64> {
-        debug_assert_eq!(h.db_id(), self.db.id(), "handle from another FlitDb");
-        let _guard = h.pin();
-        let record = self.seek(h, key);
-        let leaf = unsafe { &*record.leaf };
-        let result = if leaf.key == key {
-            if D::TRANSITION_DEPTH > 0 {
-                let _ = self
-                    .child_edge(record.parent, key)
-                    .load(h, PFlag::Persisted);
-            }
-            Some(leaf.value)
-        } else {
-            None
-        };
-        h.operation_completion();
-        result
-    }
-
-    fn insert_impl(&self, h: &FlitHandle<'_, P>, key: u64, value: u64) -> bool {
-        assert!(key < INF0, "key space reserved for sentinels");
-        debug_assert_eq!(h.db_id(), self.db.id(), "handle from another FlitDb");
-        let guard = h.pin();
-        loop {
-            let record = self.seek(h, key);
-            let leaf = record.leaf;
-            let leaf_key = unsafe { &*leaf }.key;
-            if leaf_key == key {
-                h.operation_completion();
-                return false;
-            }
-            let parent = record.parent;
-            let child_edge = self.child_edge(parent, key);
-
-            // Build the replacement subtree: a new internal node whose children are
-            // the existing leaf and a new leaf holding the key.
-            let new_leaf = Self::alloc_node(h, &self.arena, key, value, 0, 0);
-            let internal = if key < leaf_key {
-                Self::alloc_node(h, &self.arena, leaf_key, 0, pack(new_leaf), pack(leaf))
-            } else {
-                Self::alloc_node(h, &self.arena, key, 0, pack(leaf), pack(new_leaf))
-            };
-            h.persist_object(unsafe { &*new_leaf }, D::STORE);
-            h.persist_object(unsafe { &*internal }, D::STORE);
-
-            if D::TRANSITION_DEPTH >= 1 {
-                let _ = child_edge.load(h, PFlag::Persisted);
-            }
-
-            match child_edge.compare_exchange(h, pack(leaf), pack(internal), D::STORE) {
-                Ok(_) => {
-                    h.operation_completion();
-                    return true;
-                }
-                Err(actual) => {
-                    // Never published: return both slots to the durable free list.
-                    // SAFETY: neither node became reachable.
-                    unsafe {
-                        self.arena.free(&h.pmem(), new_leaf as *mut u8);
-                        self.arena.free(&h.pmem(), internal as *mut u8);
-                    }
-                    // Help an in-progress delete of this very leaf before retrying.
-                    if address::<Node<P>>(actual) == leaf
-                        && (is_marked(actual) || is_tagged(actual))
-                    {
-                        let _ = self.cleanup(h, key, &record, &guard);
-                    }
-                }
-            }
-        }
-    }
-
-    fn remove_impl(&self, h: &FlitHandle<'_, P>, key: u64) -> bool {
-        debug_assert_eq!(h.db_id(), self.db.id(), "handle from another FlitDb");
-        let guard = h.pin();
-        let mut mode = DeleteMode::Injection;
-        let mut target_leaf: *mut Node<P> = std::ptr::null_mut();
-        loop {
-            let record = self.seek(h, key);
-            let parent = record.parent;
-            let child_edge = self.child_edge(parent, key);
-
-            match mode {
-                DeleteMode::Injection => {
-                    let leaf = record.leaf;
-                    if unsafe { &*leaf }.key != key {
-                        h.operation_completion();
-                        return false;
-                    }
-                    if D::TRANSITION_DEPTH >= 1 {
-                        let _ = child_edge.load(h, PFlag::Persisted);
-                    }
-                    // Flag the edge to the leaf: this is the linearization point of a
-                    // successful delete.
-                    match child_edge.compare_exchange(
-                        h,
-                        pack(leaf),
-                        pack_with(leaf, true, false),
-                        D::STORE,
-                    ) {
-                        Ok(_) => {
-                            mode = DeleteMode::Cleanup;
-                            target_leaf = leaf;
-                            if self.cleanup(h, key, &record, &guard) {
-                                h.operation_completion();
-                                return true;
-                            }
-                        }
-                        Err(actual) => {
-                            if address::<Node<P>>(actual) == leaf
-                                && (is_marked(actual) || is_tagged(actual))
-                            {
-                                let _ = self.cleanup(h, key, &record, &guard);
-                            }
-                        }
-                    }
-                }
-                DeleteMode::Cleanup => {
-                    if record.leaf != target_leaf {
-                        // Some helper finished the physical removal for us.
-                        h.operation_completion();
-                        return true;
-                    }
-                    if self.cleanup(h, key, &record, &guard) {
-                        h.operation_completion();
-                        return true;
-                    }
-                }
-            }
-        }
-    }
-
     /// Image-only recovery through this tree's own arena; see
     /// [`RecoverInImage`].
     pub fn recover(&self, image: &CrashImage) -> RecoveredMap {
@@ -475,16 +343,120 @@ impl<P: Policy, D: Durability> ConcurrentMap<P> for NatarajanTree<P, D> {
         Self::new(db)
     }
 
-    fn get(&self, h: &FlitHandle<'_, P>, key: u64) -> Option<u64> {
-        self.get_impl(h, key)
+    fn get_op(&self, h: &FlitHandle<'_, P>, key: u64, _guard: &Guard<'_>) -> Option<u64> {
+        let record = self.seek(h, key);
+        let leaf = unsafe { &*record.leaf };
+        if leaf.key == key {
+            if D::TRANSITION_DEPTH > 0 {
+                let _ = self
+                    .child_edge(record.parent, key)
+                    .load(h, PFlag::Persisted);
+            }
+            Some(leaf.value)
+        } else {
+            None
+        }
     }
 
-    fn insert(&self, h: &FlitHandle<'_, P>, key: u64, value: u64) -> bool {
-        self.insert_impl(h, key, value)
+    fn insert_op(&self, h: &FlitHandle<'_, P>, key: u64, value: u64, guard: &Guard<'_>) -> bool {
+        assert!(key < INF0, "key space reserved for sentinels");
+        loop {
+            let record = self.seek(h, key);
+            let leaf = record.leaf;
+            let leaf_key = unsafe { &*leaf }.key;
+            if leaf_key == key {
+                return false;
+            }
+            let parent = record.parent;
+            let child_edge = self.child_edge(parent, key);
+
+            // Build the replacement subtree: a new internal node whose children are
+            // the existing leaf and a new leaf holding the key.
+            let new_leaf = Self::alloc_node(h, &self.arena, key, value, 0, 0);
+            let internal = if key < leaf_key {
+                Self::alloc_node(h, &self.arena, leaf_key, 0, pack(new_leaf), pack(leaf))
+            } else {
+                Self::alloc_node(h, &self.arena, key, 0, pack(leaf), pack(new_leaf))
+            };
+            h.persist_object(unsafe { &*new_leaf }, D::STORE);
+            h.persist_object(unsafe { &*internal }, D::STORE);
+
+            if D::TRANSITION_DEPTH >= 1 {
+                let _ = child_edge.load(h, PFlag::Persisted);
+            }
+
+            match child_edge.compare_exchange(h, pack(leaf), pack(internal), D::STORE) {
+                Ok(_) => return true,
+                Err(actual) => {
+                    // Never published: return both slots to the durable free list.
+                    // SAFETY: neither node became reachable.
+                    unsafe {
+                        self.arena.free(&h.pmem(), new_leaf as *mut u8);
+                        self.arena.free(&h.pmem(), internal as *mut u8);
+                    }
+                    // Help an in-progress delete of this very leaf before retrying.
+                    if address::<Node<P>>(actual) == leaf
+                        && (is_marked(actual) || is_tagged(actual))
+                    {
+                        let _ = self.cleanup(h, key, &record, guard);
+                    }
+                }
+            }
+        }
     }
 
-    fn remove(&self, h: &FlitHandle<'_, P>, key: u64) -> bool {
-        self.remove_impl(h, key)
+    fn remove_op(&self, h: &FlitHandle<'_, P>, key: u64, guard: &Guard<'_>) -> bool {
+        let mut mode = DeleteMode::Injection;
+        let mut target_leaf: *mut Node<P> = std::ptr::null_mut();
+        loop {
+            let record = self.seek(h, key);
+            let parent = record.parent;
+            let child_edge = self.child_edge(parent, key);
+
+            match mode {
+                DeleteMode::Injection => {
+                    let leaf = record.leaf;
+                    if unsafe { &*leaf }.key != key {
+                        return false;
+                    }
+                    if D::TRANSITION_DEPTH >= 1 {
+                        let _ = child_edge.load(h, PFlag::Persisted);
+                    }
+                    // Flag the edge to the leaf: this is the linearization point of a
+                    // successful delete.
+                    match child_edge.compare_exchange(
+                        h,
+                        pack(leaf),
+                        pack_with(leaf, true, false),
+                        D::STORE,
+                    ) {
+                        Ok(_) => {
+                            mode = DeleteMode::Cleanup;
+                            target_leaf = leaf;
+                            if self.cleanup(h, key, &record, guard) {
+                                return true;
+                            }
+                        }
+                        Err(actual) => {
+                            if address::<Node<P>>(actual) == leaf
+                                && (is_marked(actual) || is_tagged(actual))
+                            {
+                                let _ = self.cleanup(h, key, &record, guard);
+                            }
+                        }
+                    }
+                }
+                DeleteMode::Cleanup => {
+                    if record.leaf != target_leaf {
+                        // Some helper finished the physical removal for us.
+                        return true;
+                    }
+                    if self.cleanup(h, key, &record, guard) {
+                        return true;
+                    }
+                }
+            }
+        }
     }
 
     fn len(&self) -> usize {

@@ -248,13 +248,25 @@ impl<P: Policy, D: Durability> SkipList<P, D> {
         }
     }
 
-    fn get_impl(&self, h: &FlitHandle<'_, P>, key: u64) -> Option<u64> {
-        debug_assert_eq!(h.db_id(), self.db.id(), "handle from another FlitDb");
-        let guard = h.pin();
+    /// Image-only recovery through this skiplist's own arena; see
+    /// [`RecoverInImage`].
+    pub fn recover(&self, image: &CrashImage) -> RecoveredMap {
+        Self::recover_arena_image(&self.arena, image)
+    }
+}
+
+impl<P: Policy, D: Durability> ConcurrentMap<P> for SkipList<P, D> {
+    const NAME: &'static str = "skiplist";
+
+    fn with_capacity(db: &FlitDb<P>, _capacity_hint: usize) -> Self {
+        Self::new(db)
+    }
+
+    fn get_op(&self, h: &FlitHandle<'_, P>, key: u64, guard: &Guard<'_>) -> Option<u64> {
         let mut preds = [std::ptr::null_mut(); MAX_LEVEL];
         let mut succs = [std::ptr::null_mut(); MAX_LEVEL];
-        let found = self.find(h, key, &mut preds, &mut succs, &guard);
-        let result = if found {
+        let found = self.find(h, key, &mut preds, &mut succs, guard);
+        if found {
             let node = unsafe { &*succs[0] };
             if D::TRANSITION_DEPTH > 0 {
                 let _ = node.next[0].load(h, PFlag::Persisted);
@@ -262,21 +274,16 @@ impl<P: Policy, D: Durability> SkipList<P, D> {
             Some(node.value)
         } else {
             None
-        };
-        h.operation_completion();
-        result
+        }
     }
 
-    fn insert_impl(&self, h: &FlitHandle<'_, P>, key: u64, value: u64) -> bool {
+    fn insert_op(&self, h: &FlitHandle<'_, P>, key: u64, value: u64, guard: &Guard<'_>) -> bool {
         assert!(key < u64::MAX);
-        debug_assert_eq!(h.db_id(), self.db.id(), "handle from another FlitDb");
-        let guard = h.pin();
         let top_level = self.random_level();
         let mut preds = [std::ptr::null_mut(); MAX_LEVEL];
         let mut succs = [std::ptr::null_mut(); MAX_LEVEL];
         loop {
-            if self.find(h, key, &mut preds, &mut succs, &guard) {
-                h.operation_completion();
+            if self.find(h, key, &mut preds, &mut succs, guard) {
                 return false;
             }
             // Build the tower pointing at the successors observed by find().
@@ -328,29 +335,21 @@ impl<P: Policy, D: Durability> SkipList<P, D> {
                         break;
                     }
                     // The window moved: recompute it and retry this level.
-                    if self.find(h, key, &mut preds, &mut succs, &guard) && succs[0] != node {
-                        // Our node has already been removed; stop linking.
-                        h.operation_completion();
-                        return true;
-                    }
+                    self.find(h, key, &mut preds, &mut succs, guard);
                     if succs[0] != node {
-                        h.operation_completion();
+                        // Our node has already been removed; stop linking.
                         return true;
                     }
                 }
             }
-            h.operation_completion();
             return true;
         }
     }
 
-    fn remove_impl(&self, h: &FlitHandle<'_, P>, key: u64) -> bool {
-        debug_assert_eq!(h.db_id(), self.db.id(), "handle from another FlitDb");
-        let guard = h.pin();
+    fn remove_op(&self, h: &FlitHandle<'_, P>, key: u64, guard: &Guard<'_>) -> bool {
         let mut preds = [std::ptr::null_mut(); MAX_LEVEL];
         let mut succs = [std::ptr::null_mut(); MAX_LEVEL];
-        if !self.find(h, key, &mut preds, &mut succs, &guard) {
-            h.operation_completion();
+        if !self.find(h, key, &mut preds, &mut succs, guard) {
             return false;
         }
         let node = succs[0];
@@ -377,7 +376,6 @@ impl<P: Policy, D: Durability> SkipList<P, D> {
             let w = node_ref.next[0].load(h, D::CRITICAL_LOAD);
             if is_marked(w) {
                 // Another thread won the removal race.
-                h.operation_completion();
                 return false;
             }
             if D::TRANSITION_DEPTH >= 1 {
@@ -388,20 +386,13 @@ impl<P: Policy, D: Durability> SkipList<P, D> {
                 .is_ok()
             {
                 // Physically unlink (and retire) through find().
-                let _ = self.find(h, key, &mut preds, &mut succs, &guard);
-                h.operation_completion();
+                let _ = self.find(h, key, &mut preds, &mut succs, guard);
                 return true;
             }
         }
     }
 
-    /// Image-only recovery through this skiplist's own arena; see
-    /// [`RecoverInImage`].
-    pub fn recover(&self, image: &CrashImage) -> RecoveredMap {
-        Self::recover_arena_image(&self.arena, image)
-    }
-
-    fn len_impl(&self) -> usize {
+    fn len(&self) -> usize {
         let mut count = 0;
         let mut cur = address::<Node<P>>(unsafe { &*self.head }.next[0].load_direct());
         while !cur.is_null() {
@@ -412,30 +403,6 @@ impl<P: Policy, D: Durability> SkipList<P, D> {
             cur = address::<Node<P>>(next);
         }
         count
-    }
-}
-
-impl<P: Policy, D: Durability> ConcurrentMap<P> for SkipList<P, D> {
-    const NAME: &'static str = "skiplist";
-
-    fn with_capacity(db: &FlitDb<P>, _capacity_hint: usize) -> Self {
-        Self::new(db)
-    }
-
-    fn get(&self, h: &FlitHandle<'_, P>, key: u64) -> Option<u64> {
-        self.get_impl(h, key)
-    }
-
-    fn insert(&self, h: &FlitHandle<'_, P>, key: u64, value: u64) -> bool {
-        self.insert_impl(h, key, value)
-    }
-
-    fn remove(&self, h: &FlitHandle<'_, P>, key: u64) -> bool {
-        self.remove_impl(h, key)
-    }
-
-    fn len(&self) -> usize {
-        self.len_impl()
     }
 
     fn db(&self) -> &FlitDb<P> {

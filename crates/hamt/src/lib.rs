@@ -366,17 +366,6 @@ impl<P: Policy> Hamt<P> {
         None
     }
 
-    /// Read `key`'s value. The root is a p-load: it flushes only while a
-    /// publish is in flight, so a lookup under a settled root issues no
-    /// persistence instruction at all.
-    pub fn get(&self, h: &FlitHandle<'_, P>, key: u64) -> Option<u64> {
-        let _guard = h.pin();
-        let root = self.root().load(h, self.root_flag);
-        let res = Self::lookup(root, mix_key(key), key);
-        h.operation_completion();
-        res
-    }
-
     fn alloc_node<B: PmemBackend>(&self, pm: &B, fresh: &mut NodeBuf) -> *mut u64 {
         let node = self.arena.alloc(pm) as *mut u64;
         fresh.push(node as usize);
@@ -615,11 +604,11 @@ impl<P: Policy> Hamt<P> {
     fn update(
         &self,
         h: &FlitHandle<'_, P>,
+        guard: &Guard<'_>,
         build: impl Fn(&PmemSession<'_, P::Backend>, u64, &mut Path) -> Option<u64>,
     ) -> bool {
-        let guard = h.pin();
         let pm = h.pmem();
-        let published = loop {
+        loop {
             let root = self.root().load(h, self.root_flag);
             let mut path = Path::default();
             let Some(new_root) = build(&pm, root, &mut path) else {
@@ -629,7 +618,7 @@ impl<P: Policy> Hamt<P> {
                 .root()
                 .compare_exchange(h, root, new_root, self.root_flag);
             if cas.is_ok() {
-                self.retire(&guard, path.stale.as_slice());
+                self.retire(guard, path.stale.as_slice());
                 break true;
             }
             for &n in path.fresh.as_slice() {
@@ -637,44 +626,7 @@ impl<P: Policy> Hamt<P> {
                 // never published; no other thread can hold a reference.
                 unsafe { self.arena.recycle(n as *mut u8) };
             }
-        };
-        h.operation_completion();
-        published
-    }
-
-    /// Insert `(key, value)`; returns `false` (and stores nothing) when the
-    /// key is already present.
-    pub fn insert(&self, h: &FlitHandle<'_, P>, key: u64, value: u64) -> bool {
-        let hash = mix_key(key);
-        let inserted = self.update(h, |pm, root, path| {
-            self.cow_insert(pm, root, hash, key, value, 0, path)
-        });
-        if inserted {
-            self.len.fetch_add(1, Ordering::Relaxed);
         }
-        inserted
-    }
-
-    /// Remove `key`; returns `false` when it was absent.
-    pub fn remove(&self, h: &FlitHandle<'_, P>, key: u64) -> bool {
-        let hash = mix_key(key);
-        let removed = self.update(h, |pm, root, path| {
-            self.cow_remove(pm, root, hash, key, 0, path)
-        });
-        if removed {
-            self.len.fetch_sub(1, Ordering::Relaxed);
-        }
-        removed
-    }
-
-    /// Quiescent size (volatile counter, like the other structures).
-    pub fn len(&self) -> usize {
-        self.len.load(Ordering::Relaxed)
-    }
-
-    /// `true` when [`len`](Self::len) is zero.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
     }
 
     fn retained_entry(&self, slot: usize) -> usize {
@@ -968,20 +920,42 @@ impl<P: Policy> ConcurrentMap<P> for Hamt<P> {
         Self::with_config(db, capacity_hint, config)
     }
 
-    fn get(&self, h: &FlitHandle<'_, P>, key: u64) -> Option<u64> {
-        Hamt::get(self, h, key)
+    /// Read `key`'s value. The root is a p-load: it flushes only while a
+    /// publish is in flight, so a lookup under a settled root issues no
+    /// persistence instruction at all.
+    fn get_op(&self, h: &FlitHandle<'_, P>, key: u64, _guard: &Guard<'_>) -> Option<u64> {
+        let root = self.root().load(h, self.root_flag);
+        Self::lookup(root, mix_key(key), key)
     }
 
-    fn insert(&self, h: &FlitHandle<'_, P>, key: u64, value: u64) -> bool {
-        Hamt::insert(self, h, key, value)
+    /// Insert `(key, value)`; returns `false` (and stores nothing) when the
+    /// key is already present.
+    fn insert_op(&self, h: &FlitHandle<'_, P>, key: u64, value: u64, guard: &Guard<'_>) -> bool {
+        let hash = mix_key(key);
+        let inserted = self.update(h, guard, |pm, root, path| {
+            self.cow_insert(pm, root, hash, key, value, 0, path)
+        });
+        if inserted {
+            self.len.fetch_add(1, Ordering::Relaxed);
+        }
+        inserted
     }
 
-    fn remove(&self, h: &FlitHandle<'_, P>, key: u64) -> bool {
-        Hamt::remove(self, h, key)
+    /// Remove `key`; returns `false` when it was absent.
+    fn remove_op(&self, h: &FlitHandle<'_, P>, key: u64, guard: &Guard<'_>) -> bool {
+        let hash = mix_key(key);
+        let removed = self.update(h, guard, |pm, root, path| {
+            self.cow_remove(pm, root, hash, key, 0, path)
+        });
+        if removed {
+            self.len.fetch_sub(1, Ordering::Relaxed);
+        }
+        removed
     }
 
+    /// Quiescent size (volatile counter, like the other structures).
     fn len(&self) -> usize {
-        Hamt::len(self)
+        self.len.load(Ordering::Relaxed)
     }
 
     fn db(&self) -> &FlitDb<P> {
@@ -1050,16 +1024,16 @@ impl<P: Policy> ConcurrentMap<P> for BrokenHamt<P> {
         BrokenHamt(Hamt::build(db, capacity_hint, config, PFlag::Volatile))
     }
 
-    fn get(&self, h: &FlitHandle<'_, P>, key: u64) -> Option<u64> {
-        self.0.get(h, key)
+    fn get_op(&self, h: &FlitHandle<'_, P>, key: u64, guard: &Guard<'_>) -> Option<u64> {
+        self.0.get_op(h, key, guard)
     }
 
-    fn insert(&self, h: &FlitHandle<'_, P>, key: u64, value: u64) -> bool {
-        self.0.insert(h, key, value)
+    fn insert_op(&self, h: &FlitHandle<'_, P>, key: u64, value: u64, guard: &Guard<'_>) -> bool {
+        self.0.insert_op(h, key, value, guard)
     }
 
-    fn remove(&self, h: &FlitHandle<'_, P>, key: u64) -> bool {
-        self.0.remove(h, key)
+    fn remove_op(&self, h: &FlitHandle<'_, P>, key: u64, guard: &Guard<'_>) -> bool {
+        self.0.remove_op(h, key, guard)
     }
 
     fn len(&self) -> usize {

@@ -226,100 +226,6 @@ impl<P: Policy, D: Durability> MsQueue<P, D> {
         unsafe { self.arena.defer_recycle(guard, node as usize) };
     }
 
-    fn enqueue_impl(&self, h: &FlitHandle<'_, P>, value: u64) {
-        debug_assert_eq!(h.db_id(), self.db.id(), "handle from another FlitDb");
-        let _guard = h.pin();
-        let node = Node::<P>::alloc(h, &self.arena, value, D::STORE) as usize;
-        loop {
-            let tail = self.roots().tail.load(h, D::TRAVERSAL_LOAD);
-            let tail_node = unsafe { &*(tail as *const Node<P>) };
-            let next = tail_node.next.load(h, D::CRITICAL_LOAD);
-            if tail != self.roots().tail.load(h, D::TRAVERSAL_LOAD) {
-                continue;
-            }
-            if next != 0 {
-                // Tail is lagging: help swing it forward and retry.
-                let _ = self
-                    .roots()
-                    .tail
-                    .compare_exchange(h, tail, next, D::INDEX_STORE);
-                continue;
-            }
-            if tail_node
-                .next
-                .compare_exchange(h, 0, node, D::STORE)
-                .is_ok()
-            {
-                // Linearization point. The tail swing is best-effort index
-                // maintenance; any thread can complete it.
-                let _ = self
-                    .roots()
-                    .tail
-                    .compare_exchange(h, tail, node, D::INDEX_STORE);
-                h.operation_completion();
-                return;
-            }
-        }
-    }
-
-    fn dequeue_impl(&self, h: &FlitHandle<'_, P>) -> Option<u64> {
-        debug_assert_eq!(h.db_id(), self.db.id(), "handle from another FlitDb");
-        let guard = h.pin();
-        loop {
-            let head = self.roots().head.load(h, D::TRAVERSAL_LOAD);
-            let head_node = unsafe { &*(head as *const Node<P>) };
-            let next = head_node.next.load(h, D::CRITICAL_LOAD);
-            if head != self.roots().head.load(h, D::TRAVERSAL_LOAD) {
-                continue;
-            }
-            if next == 0 {
-                // Empty: a read-only operation. NVTraverse-style methods re-read the
-                // link that determines the result as a p-load before returning.
-                if D::TRANSITION_DEPTH > 0 {
-                    let _ = head_node.next.load(h, PFlag::Persisted);
-                }
-                h.operation_completion();
-                return None;
-            }
-            let tail = self.roots().tail.load(h, D::TRAVERSAL_LOAD);
-            if head == tail {
-                // Tail is lagging behind the node we are about to expose: help.
-                let _ = self
-                    .roots()
-                    .tail
-                    .compare_exchange(h, tail, next, D::INDEX_STORE);
-                continue;
-            }
-            let next_node = unsafe { &*(next as *const Node<P>) };
-            let value = next_node.value.load(h, D::CRITICAL_LOAD);
-            if self
-                .roots()
-                .head
-                .compare_exchange(h, head, next, D::STORE)
-                .is_ok()
-            {
-                // Linearization point: `next` is the new sentinel, the old one is
-                // unreachable for new operations.
-                self.retire(&guard, head as *mut Node<P>);
-                h.operation_completion();
-                return Some(value);
-            }
-        }
-    }
-
-    fn len_impl(&self) -> usize {
-        // Quiescent-state traversal: counts nodes after the sentinel.
-        let mut count = 0;
-        let mut cur = unsafe { &*(self.roots().head.load_direct() as *const Node<P>) }
-            .next
-            .load_direct();
-        while cur != 0 {
-            count += 1;
-            cur = unsafe { &*(cur as *const Node<P>) }.next.load_direct();
-        }
-        count
-    }
-
     /// The queue contents in FIFO order, read from volatile memory. Quiescent states
     /// only; used by tests to compare against [`recover`](Self::recover).
     pub fn volatile_contents(&self) -> Vec<u64> {
@@ -385,16 +291,91 @@ impl<P: Policy, D: Durability> ConcurrentQueue<P> for MsQueue<P, D> {
         Self::new(db)
     }
 
-    fn enqueue(&self, h: &FlitHandle<'_, P>, value: u64) {
-        self.enqueue_impl(h, value)
+    fn enqueue_op(&self, h: &FlitHandle<'_, P>, value: u64, _guard: &Guard<'_>) {
+        let node = Node::<P>::alloc(h, &self.arena, value, D::STORE) as usize;
+        loop {
+            let tail = self.roots().tail.load(h, D::TRAVERSAL_LOAD);
+            let tail_node = unsafe { &*(tail as *const Node<P>) };
+            let next = tail_node.next.load(h, D::CRITICAL_LOAD);
+            if tail != self.roots().tail.load(h, D::TRAVERSAL_LOAD) {
+                continue;
+            }
+            if next != 0 {
+                // Tail is lagging: help swing it forward and retry.
+                let _ = self
+                    .roots()
+                    .tail
+                    .compare_exchange(h, tail, next, D::INDEX_STORE);
+                continue;
+            }
+            if tail_node
+                .next
+                .compare_exchange(h, 0, node, D::STORE)
+                .is_ok()
+            {
+                // Linearization point. The tail swing is best-effort index
+                // maintenance; any thread can complete it.
+                let _ = self
+                    .roots()
+                    .tail
+                    .compare_exchange(h, tail, node, D::INDEX_STORE);
+                return;
+            }
+        }
     }
 
-    fn dequeue(&self, h: &FlitHandle<'_, P>) -> Option<u64> {
-        self.dequeue_impl(h)
+    fn dequeue_op(&self, h: &FlitHandle<'_, P>, guard: &Guard<'_>) -> Option<u64> {
+        loop {
+            let head = self.roots().head.load(h, D::TRAVERSAL_LOAD);
+            let head_node = unsafe { &*(head as *const Node<P>) };
+            let next = head_node.next.load(h, D::CRITICAL_LOAD);
+            if head != self.roots().head.load(h, D::TRAVERSAL_LOAD) {
+                continue;
+            }
+            if next == 0 {
+                // Empty: a read-only operation. NVTraverse-style methods re-read the
+                // link that determines the result as a p-load before returning.
+                if D::TRANSITION_DEPTH > 0 {
+                    let _ = head_node.next.load(h, PFlag::Persisted);
+                }
+                return None;
+            }
+            let tail = self.roots().tail.load(h, D::TRAVERSAL_LOAD);
+            if head == tail {
+                // Tail is lagging behind the node we are about to expose: help.
+                let _ = self
+                    .roots()
+                    .tail
+                    .compare_exchange(h, tail, next, D::INDEX_STORE);
+                continue;
+            }
+            let next_node = unsafe { &*(next as *const Node<P>) };
+            let value = next_node.value.load(h, D::CRITICAL_LOAD);
+            if self
+                .roots()
+                .head
+                .compare_exchange(h, head, next, D::STORE)
+                .is_ok()
+            {
+                // Linearization point: `next` is the new sentinel, the old one is
+                // unreachable for new operations.
+                self.retire(guard, head as *mut Node<P>);
+                return Some(value);
+            }
+        }
     }
 
     fn len(&self) -> usize {
-        self.len_impl()
+        // Quiescent-state traversal: counts nodes after the sentinel.
+        let mut count = 0;
+        let mut cur = unsafe { &*(self.roots().head.load_direct() as *const Node<P>) }
+            .next
+            .load_direct();
+        while cur != 0 {
+            count += 1;
+            cur = unsafe { &*(cur as *const Node<P>) }.next.load_direct();
+        }
+        count
     }
 
     fn db(&self) -> &FlitDb<P> {

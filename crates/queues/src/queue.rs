@@ -6,12 +6,17 @@
 //! from the structure so harnesses can read its statistics.
 
 use flit::{FlitDb, FlitHandle, Policy};
+use flit_ebr::Guard;
 
 /// A concurrent FIFO queue of `u64` values, generic over the persistence [`Policy`].
 ///
 /// Construction takes the owning [`FlitDb`]; **every operation takes the calling
 /// thread's [`FlitHandle`]** (`queue.enqueue(&h, v)`), mirroring
-/// [`flit_datastructs::ConcurrentMap`].
+/// [`flit_datastructs::ConcurrentMap`]. Structures implement only the bodies
+/// (`enqueue_op`, `dequeue_op`); the provided [`enqueue`](Self::enqueue) and
+/// [`dequeue`](Self::dequeue) wrappers pin the handle, run a body under that
+/// guard and call [`FlitHandle::operation_completion`] exactly once before
+/// unpinning.
 ///
 /// `enqueue` always succeeds (the queue is unbounded); `dequeue` returns `None` when
 /// the queue is observed empty. Both are linearizable, and durably linearizable when
@@ -24,11 +29,35 @@ pub trait ConcurrentQueue<P: Policy>: Send + Sync {
     /// Build an empty queue in `db`.
     fn in_db(db: &FlitDb<P>) -> Self;
 
-    /// Append `value` at the tail.
-    fn enqueue(&self, h: &FlitHandle<'_, P>, value: u64);
+    /// Append `value` at the tail. Completes the operation: runs
+    /// [`enqueue_op`](Self::enqueue_op), then `h.operation_completion()` once.
+    #[inline]
+    fn enqueue(&self, h: &FlitHandle<'_, P>, value: u64) {
+        debug_assert_eq!(h.db_id(), self.db().id(), "handle from another FlitDb");
+        let guard = h.pin();
+        self.enqueue_op(h, value, &guard);
+        h.operation_completion();
+    }
 
     /// Remove and return the value at the head, or `None` if the queue is empty.
-    fn dequeue(&self, h: &FlitHandle<'_, P>) -> Option<u64>;
+    /// Completes the operation like [`enqueue`](Self::enqueue).
+    #[inline]
+    fn dequeue(&self, h: &FlitHandle<'_, P>) -> Option<u64> {
+        debug_assert_eq!(h.db_id(), self.db().id(), "handle from another FlitDb");
+        let guard = h.pin();
+        let result = self.dequeue_op(h, &guard);
+        h.operation_completion();
+        result
+    }
+
+    /// The body of [`enqueue`](Self::enqueue) under the wrapper's `guard`,
+    /// without the completion. Call it only from the wrapper: a bare call
+    /// returns before the enqueued node is known to be persisted.
+    fn enqueue_op(&self, h: &FlitHandle<'_, P>, value: u64, guard: &Guard<'_>);
+
+    /// The body of [`dequeue`](Self::dequeue); the same rule as
+    /// [`enqueue_op`](Self::enqueue_op).
+    fn dequeue_op(&self, h: &FlitHandle<'_, P>, guard: &Guard<'_>) -> Option<u64>;
 
     /// Number of values currently queued. Only meaningful in quiescent states;
     /// intended for tests and for validating pre-fill (raw loads: no handle

@@ -14,7 +14,7 @@
 //!   exactly one machine word.
 
 use flit::{presets, FlitAtomic, FlitDb, FlitPolicy, HashedScheme, PFlag, PersistWord, Policy};
-use flit_datastructs::{Automatic, ConcurrentMap, HashTable};
+use flit_datastructs::{Automatic, ConcurrentMap, HarrisList, HashTable, NatarajanTree, SkipList};
 use flit_pmem::{ElisionMode, LatencyModel, PersistEpoch, PmemBackend, PmemSession, SimNvram};
 use flit_workload::runner::prefill;
 use flit_workload::{run_workload, WorkloadConfig};
@@ -215,8 +215,8 @@ fn elision_adds_no_per_word_layout_cost() {
 }
 
 /// The exact instruction stream of one handle, pinned: a seeded 4 000-op
-/// 50 %-update history on a flit-HT hash table and on the HAMT, elision on and
-/// off, asserting all five counters the session can bump. A single immediate
+/// 50 %-update history on every map under flit-HT, elision on and off, asserting
+/// all five counters the session can bump. A single immediate
 /// handle never observes a tagged word, so the read-side counters are pinned by
 /// two more runs under `Batched(8)` (words stay tagged until the drain, so the
 /// handle helps itself) on a tracking backend, where the helping decisions are
@@ -286,4 +286,17 @@ fn instruction_stream_is_pinned() {
         [6677, 1444, 860, 50, 1304]
     );
     assert_eq!(drive(tracked(off), batched, hamt), [7981, 1494, 2164, 0, 0]);
+    let list = |db: &FlitDb<HtPolicy>| HarrisList::<_, Automatic>::with_capacity(db, 256);
+    let skip = |db: &FlitDb<HtPolicy>| SkipList::<_, Automatic>::with_capacity(db, 256);
+    let bst = |db: &FlitDb<HtPolicy>| NatarajanTree::<_, Automatic>::with_capacity(db, 256);
+    // The other three maps under `Immediate`, recorded at the commit before the
+    // trait wrappers took over operation completion. With elision off every
+    // completion is one `pfence`, so a missing or doubled one on any return path
+    // moves the count.
+    assert_eq!(drive(backend_with(on), now, list), [1978, 1978, 0, 5410, 0]);
+    assert_eq!(drive(backend_with(off), now, list), [1978, 7388, 0, 0, 0]);
+    assert_eq!(drive(backend_with(on), now, skip), [3434, 3413, 0, 6846, 0]);
+    assert_eq!(drive(backend_with(off), now, skip), [3434, 10259, 0, 0, 0]);
+    assert_eq!(drive(backend_with(on), now, bst), [2967, 2967, 0, 5834, 0]);
+    assert_eq!(drive(backend_with(off), now, bst), [2967, 8801, 0, 0, 0]);
 }

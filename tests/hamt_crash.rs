@@ -179,6 +179,7 @@ fn killtest_harness_verifies_hamt_pools_in_process() {
     use flit_crashtest::kill::{
         child_main_hamt, kill_history, kill_policy, verify_hamt_pool, KillHamt, KillViolation,
     };
+    use flit_datastructs::ConcurrentMap;
     use flit_workload::MapOp;
 
     let dir = std::env::temp_dir();

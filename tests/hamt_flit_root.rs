@@ -19,6 +19,7 @@ use flit_crashtest::{
     run_case, run_hamt_snapshot_case, HistorySpec, MethodKind, PolicyKind, StructureKind,
     SweepSettings,
 };
+use flit_datastructs::ConcurrentMap;
 use flit_hamt::HamtExt;
 use flit_pmem::{cache_line_of, ElisionMode, LatencyModel, SimNvram, StatsSnapshot};
 

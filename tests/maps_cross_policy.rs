@@ -3,7 +3,7 @@
 //! and persistence policy) behaves like a map — sequentially against a model,
 //! and without losing keys under concurrency.
 
-use flit::{presets, FlitDb, Policy};
+use flit::{presets, CommitMode, FlitDb, Policy};
 use flit_datastructs::{
     Automatic, ConcurrentMap, Durability, HarrisList, HashTable, Manual, NatarajanTree, NvTraverse,
     RecoverInImage, SequentialMap, SkipList,
@@ -17,13 +17,18 @@ fn backend() -> SimNvram {
     SimNvram::builder().latency(LatencyModel::none()).build()
 }
 
-/// Random mixed workload against the sequential model.
-fn model_check<P: Policy, M: ConcurrentMap<P>>(db: &FlitDb<P>, seed: u64) {
+/// Operations in one [`model_check`] run.
+const OPS: u64 = 3_000;
+
+/// Random mixed workload against the sequential model. Returns the obligations
+/// the handle enqueued: one per operation under `Batched`, none under
+/// `Immediate`.
+fn model_check<P: Policy, M: ConcurrentMap<P>>(db: &FlitDb<P>, seed: u64) -> u64 {
     let map = M::with_capacity(db, 128);
     let h = db.handle();
     let model = SequentialMap::new();
     let mut rng = SmallRng::seed_from_u64(seed);
-    for _ in 0..3_000 {
+    for _ in 0..OPS {
         let key = rng.gen_range(0..96u64);
         match rng.gen_range(0..3u32) {
             0 => assert_eq!(map.insert(&h, key, key * 7), model.insert(key, key * 7)),
@@ -32,9 +37,12 @@ fn model_check<P: Policy, M: ConcurrentMap<P>>(db: &FlitDb<P>, seed: u64) {
         }
     }
     assert_eq!(map.len(), model.len());
+    h.enqueued_obligations()
 }
 
-/// [`model_check`] on a subject's map, on a fresh database.
+/// [`model_check`] on a subject's map, on a fresh database, once per commit
+/// mode. The `Batched(8)` run counts the handle's obligations: every
+/// operation, a read or a failed update included, completes exactly once.
 struct ModelCheck(u64);
 
 impl SubjectVisitor for ModelCheck {
@@ -45,6 +53,10 @@ impl SubjectVisitor for ModelCheck {
         make: impl Fn(SimNvram) -> P,
     ) {
         model_check::<P, M>(&FlitDb::create(make(backend())), self.0);
+        let batched = FlitDb::builder(make(backend()))
+            .commit_mode(CommitMode::Batched(8))
+            .build();
+        assert_eq!(model_check::<P, M>(&batched, self.0), OPS, "{}", M::NAME);
     }
 
     fn queue<P: Policy<Backend = SimNvram>, D: Durability>(self, _make: impl Fn(SimNvram) -> P) {

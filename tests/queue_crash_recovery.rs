@@ -13,7 +13,7 @@
 
 use std::sync::Arc;
 
-use flit::{FlitDb, FlitPolicy, HashedScheme};
+use flit::{presets, CommitMode, FlitDb, FlitPolicy, HashedScheme};
 use flit_crashtest::{run_case, HistorySpec, MethodKind, PolicyKind, StructureKind, SweepSettings};
 use flit_pmem::SimNvram;
 use flit_queues::{Automatic, ConcurrentQueue, MsQueue};
@@ -112,14 +112,25 @@ fn manual_variant_survives_without_a_persisted_tail() {
 /// Multi-threaded producer/consumer traffic, then quiescence: the recovered queue
 /// must equal the volatile queue exactly (every surviving operation was completed),
 /// preserve per-producer FIFO order, and contain no value any consumer dequeued.
+/// Under `Batched(8)` every handle also counts one obligation per operation: each
+/// enqueue and dequeue, an empty dequeue included, completes exactly once.
 #[test]
 fn recovered_queue_is_linearizable_after_concurrent_producer_consumer_run() {
+    for commit in [CommitMode::Immediate, CommitMode::Batched(8)] {
+        producer_consumer_round(commit);
+    }
+}
+
+fn producer_consumer_round(commit: CommitMode) {
     const PRODUCERS: u64 = 2;
     const CONSUMERS: usize = 2;
     const PER_PRODUCER: u64 = 500;
 
     let nvram = SimNvram::for_crash_testing();
-    let db = FlitDb::flit_ht(nvram.clone());
+    let db = FlitDb::builder(presets::flit_ht(nvram.clone()))
+        .commit_mode(commit)
+        .build();
+    let per_op = u64::from(commit != CommitMode::Immediate);
     let queue: Arc<MsQueue<HtPolicy, Automatic>> = Arc::new(MsQueue::new(&db));
     // Pin a main-thread handle before any operation so no retired node is
     // reclaimed and recovery can safely dereference stale persisted pointers.
@@ -136,6 +147,7 @@ fn recovered_queue_is_linearizable_after_concurrent_producer_consumer_run() {
                 for i in 0..PER_PRODUCER {
                     queue.enqueue(&h, (t << 32) | i);
                 }
+                assert_eq!(h.enqueued_obligations(), per_op * PER_PRODUCER);
             });
         }
         for _ in 0..CONSUMERS {
@@ -148,13 +160,15 @@ fn recovered_queue_is_linearizable_after_concurrent_producer_consumer_run() {
                 // Producers enqueue far more than the combined consumer quota, so
                 // this terminates.
                 let quota = (PER_PRODUCER / 4) as usize;
-                let mut local = Vec::new();
+                let (mut local, mut calls) = (Vec::new(), 0);
                 while local.len() < quota {
+                    calls += 1;
                     match queue.dequeue(&h) {
                         Some(v) => local.push(v),
                         None => std::thread::yield_now(),
                     }
                 }
+                assert_eq!(h.enqueued_obligations(), per_op * calls);
                 dequeued.lock().unwrap().extend(local);
             });
         }
