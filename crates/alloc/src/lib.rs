@@ -433,25 +433,9 @@ impl Arena {
             backing: Backing::Pool(slot),
         };
 
-        // Walk and validate the durable free list: every link must stay below
-        // the high-water mark and the list must terminate without a cycle.
-        let mut seen = std::collections::HashSet::new();
-        let mut cur = free_head as usize;
-        while cur != 0 {
-            let off = cur - 1;
-            if off as u64 >= high_water {
-                return Err(bad(format!(
-                    "free-list entry {off} at or above high-water {high_water}"
-                )));
-            }
-            if !seen.insert(off) {
-                return Err(bad(format!("free list cycles through slot {off}")));
-            }
-            // SAFETY: `off` is below the high-water mark, so its slot is inside
-            // a mapped chunk; the first word is the free-list link.
-            cur = unsafe {
-                (*(arena.addr_of_offset(off) as *const AtomicU64)).load(Ordering::SeqCst)
-            } as usize;
+        // The durable free list must be walkable to its end.
+        if let Some(reason) = arena.walk_durable_free(free_head as usize, |_| {}) {
+            return Err(bad(reason));
         }
 
         // Validate the root table: a non-zero key whose offset word is null or
@@ -898,27 +882,39 @@ impl Arena {
         out
     }
 
-    /// The slot offsets currently threaded on the durable free list, walked
-    /// with a cycle guard (a corrupt list yields a truncated walk, not a hang).
+    /// The slot offsets currently threaded on the durable free list (a
+    /// corrupt list yields a truncated walk, not a hang).
     pub fn durable_free_offsets(&self) -> Vec<usize> {
         let state = self.state.lock();
+        let mut out = Vec::new();
+        self.walk_durable_free(state.durable_free, |off| out.push(off));
+        out
+    }
+
+    /// Walk the durable free list from `head` (a slot offset plus one; 0 ends
+    /// the list), handing each slot to `visit`; returns why the walk stopped
+    /// early if it did — a link at or above the high-water mark, or a cycle.
+    /// Open validates the list through it without collecting the slots.
+    fn walk_durable_free(&self, head: usize, mut visit: impl FnMut(usize)) -> Option<String> {
         let hw = self.high_water();
         let mut seen = std::collections::HashSet::new();
-        let mut out = Vec::new();
-        let mut cur = state.durable_free;
+        let mut cur = head;
         while cur != 0 {
             let off = cur - 1;
-            if off >= hw || !seen.insert(off) {
-                break;
+            if off >= hw {
+                return Some(format!("free-list entry {off} at or above high-water {hw}"));
             }
-            out.push(off);
-            // SAFETY: `off` is an allocated slot (below high water); a freed
-            // slot's first word is the free-list link.
+            if !seen.insert(off) {
+                return Some(format!("free list cycles through slot {off}"));
+            }
+            visit(off);
+            // SAFETY: `off` is below the high-water mark, so its slot is inside
+            // a mapped chunk; a freed slot's first word is the free-list link.
             cur =
                 unsafe { (*(self.addr_of_offset(off) as *const AtomicU64)).load(Ordering::SeqCst) }
                     as usize;
         }
-        out
+        None
     }
 
     /// Snapshot of the volatile recycle list.

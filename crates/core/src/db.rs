@@ -1105,7 +1105,7 @@ impl<'db, P: Policy> FlitHandle<'db, P> {
     /// reaches `k` — the group-commit contract described in the module docs.
     #[inline]
     pub fn operation_completion(&self) {
-        if !P::PERSISTENT {
+        if !self.db.backend().is_persistent() {
             return;
         }
         match self.commit {
@@ -1230,10 +1230,10 @@ impl<'db, P: Policy> FlitHandle<'db, P> {
     /// fence, attributed to this handle.
     ///
     /// Used to persist freshly initialised objects before they are published by
-    /// a shared p-store; a no-op when `flag` is volatile or the policy is
-    /// non-persistent.
+    /// a shared p-store; a no-op when `flag` is volatile or the backend is
+    /// not persistent.
     pub fn persist_range(&self, start: *const u8, len: usize, flag: PFlag) {
-        if !P::PERSISTENT || flag.is_volatile() || len == 0 {
+        if !self.db.backend().is_persistent() || flag.is_volatile() || len == 0 {
             return;
         }
         let pm = self.pmem();
@@ -1260,7 +1260,7 @@ impl<'db, P: Policy> FlitHandle<'db, P> {
 
 impl<'db, P: Policy> Drop for FlitHandle<'db, P> {
     fn drop(&mut self) {
-        if P::PERSISTENT {
+        if self.db.backend().is_persistent() {
             // Group commit: the obligation queue drains *before* any trailing
             // fence — the drain's single fence (issued only when the epoch is
             // dirty) doubles as the trailing fence, and the batch is

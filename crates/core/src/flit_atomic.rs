@@ -54,7 +54,9 @@ use crate::word::PWord;
 /// A persistence policy running the FliT algorithm with tag scheme `S` over backend
 /// `B`. The paper's evaluated variants are type aliases of this:
 /// [`PlainPolicy`], flit-adjacent (`FlitPolicy<AdjacentScheme, B>`) and flit-HT
-/// (`FlitPolicy<HashedScheme, B>`).
+/// (`FlitPolicy<HashedScheme, B>`). Over a backend that is not persistent
+/// ([`NullPmem`](flit_pmem::NullPmem)) it is the non-persistent baseline: every
+/// word operation reduces to the bare atomic instruction.
 #[derive(Debug, Clone)]
 pub struct FlitPolicy<S: TagScheme, B: PmemBackend + Send + Sync + 'static> {
     scheme: S,
@@ -87,7 +89,11 @@ impl<S: TagScheme, B: PmemBackend + Send + Sync + 'static> Policy for FlitPolicy
     }
 
     fn label(&self) -> String {
-        self.scheme.describe()
+        if self.backend.is_persistent() {
+            self.scheme.describe()
+        } else {
+            "non-persistent".to_string()
+        }
     }
 
     #[inline]
@@ -172,6 +178,7 @@ impl<T: PWord, S: TagScheme, B: PmemBackend + Send + Sync + 'static> FlitAtomic<
     ) -> R {
         let ctx = h.policy();
         if !ctx.backend.is_persistent() {
+            // The non-persistent baseline: the bare atomic update.
             let (result, _now) = update();
             return result;
         }
@@ -684,5 +691,64 @@ mod tests {
         });
         assert_eq!(scheme.table().tagged_count(), 0);
         assert!(w.load_direct() >= 4000);
+    }
+
+    /// The non-persistent baseline is this policy over `NullPmem`
+    /// (`presets::no_persist()`): every word operation is the bare atomic.
+    mod no_persist {
+        use super::*;
+        use crate::presets;
+        use flit_pmem::NullPmem;
+
+        type Word<T> = FlitAtomic<T, PlainScheme, NullPmem>;
+
+        #[test]
+        fn basic_operations() {
+            let db = FlitDb::create(presets::no_persist());
+            let h = db.handle();
+            let w: Word<u64> = Word::new(1);
+            assert_eq!(w.load(&h, PFlag::Persisted), 1);
+            w.store(&h, 2, PFlag::Persisted);
+            assert_eq!(w.compare_exchange(&h, 2, 3, PFlag::Persisted), Ok(2));
+            assert_eq!(w.exchange(&h, 4, PFlag::Persisted), 3);
+            assert_eq!(w.fetch_add(&h, 6, PFlag::Persisted), 4);
+            assert_eq!(w.load_direct(), 10);
+        }
+
+        #[test]
+        fn no_persistence_side_effects() {
+            let db = FlitDb::create(presets::no_persist());
+            let h = db.handle();
+            assert!(!db.backend().is_persistent());
+            assert!(db.stats_snapshot().is_none());
+            h.operation_completion();
+            let w: Word<u64> = Word::new(0);
+            h.persist_object(&w, PFlag::Persisted);
+            assert_eq!(db.label(), "non-persistent");
+            assert!(!h.is_dirty());
+        }
+
+        #[test]
+        fn word_is_exactly_eight_bytes() {
+            assert_eq!(std::mem::size_of::<Word<u64>>(), 8);
+            assert_eq!(std::mem::size_of::<Word<*mut u64>>(), 8);
+        }
+
+        #[test]
+        fn an_armed_handle_records_no_persistence_event() {
+            let db = FlitDb::create(presets::no_persist());
+            let h = db.handle();
+            h.arm_flight_recorder();
+            let w: Word<u64> = Word::new(0);
+            w.store(&h, 1, PFlag::Persisted);
+            assert_eq!(w.compare_exchange(&h, 1, 2, PFlag::Persisted), Ok(1));
+            assert_eq!(w.exchange(&h, 3, PFlag::Persisted), 2);
+            assert_eq!(w.fetch_add(&h, 4, PFlag::Persisted), 3);
+            assert_eq!(w.load(&h, PFlag::Persisted), 7);
+            h.persist_object(&w, PFlag::Persisted);
+            h.operation_completion();
+            assert!(h.flight_events().is_empty(), "{:?}", h.flight_events());
+            assert!(!h.is_dirty());
+        }
     }
 }

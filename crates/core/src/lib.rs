@@ -79,9 +79,8 @@
 //! | [`word`] | [`PWord`]: types that fit in one persisted machine word |
 //! | [`scheme`] | flit-counter placements: [`PlainScheme`], [`AdjacentScheme`], [`HashedScheme`], [`CacheLineScheme`] |
 //! | [`policy`] | the [`Policy`] / [`PersistWord`] abstraction data structures are generic over |
-//! | [`flit_atomic`] | [`FlitAtomic`] — Algorithm 4 — and [`FlitPolicy`] / [`PlainPolicy`] |
+//! | [`flit_atomic`] | [`FlitAtomic`] — Algorithm 4 — and [`FlitPolicy`] / [`PlainPolicy`] (over [`NullPmem`](flit_pmem::NullPmem): the non-persistent baseline) |
 //! | [`link_persist`] | the link-and-persist comparator ([`LinkAndPersistPolicy`]) |
-//! | [`no_persist`] | the non-persistent baseline ([`NoPersistPolicy`]) |
 //!
 //! ## Workspace layout
 //!
@@ -90,7 +89,7 @@
 //! | crate | contents |
 //! |---|---|
 //! | `flit` (this crate) | the P-V interface and its policy implementations |
-//! | `flit-pmem` | the `pwb`/`pfence` instruction set, hardware and simulated substrates, the eliding per-handle session, crash tracking, reserved regions |
+//! | `flit-pmem` | the `pwb`/`pfence` instruction set, the simulated and null substrates, the eliding per-handle session, crash tracking, reserved regions |
 //! | `flit-ebr` | epoch-based reclamation for the lock-free structures |
 //! | `flit-alloc` | persistent arena allocator: aligned node slots, persisted header, recovery-root table |
 //! | `flit-datastructs` | the paper's set/map structures (list, hash table, BST, skiplist), arena-allocated with image-only recovery |
@@ -127,7 +126,6 @@
 pub mod db;
 pub mod flit_atomic;
 pub mod link_persist;
-pub mod no_persist;
 pub mod pflag;
 pub mod policy;
 pub mod scheme;
@@ -140,7 +138,6 @@ pub use flit_atomic::{FlitAtomic, FlitPolicy, PlainPolicy};
 pub use flit_obs::{FlightEvent, FlightEventKind, FlightRecorder, MetricsSnapshot, Registry};
 pub use flit_pmem::{CommitMode, OpenError, PoolOptions};
 pub use link_persist::{LinkAndPersistPolicy, LpAtomic, DIRTY_BIT};
-pub use no_persist::{NoPersistPolicy, VolatileAtomic};
 pub use pflag::{PFlag, Visibility};
 pub use policy::{PersistWord, Policy};
 pub use scheme::{
@@ -154,14 +151,15 @@ pub use word::PWord;
 pub use flit_pmem as pmem;
 
 /// Convenience constructors for the policy configurations used throughout the paper's
-/// evaluation, all over the simulated-NVRAM backend. A database over one of them is
-/// `FlitDb::create(presets::…(backend))` ([`FlitDb::flit_ht`] spells the default).
+/// evaluation, all over the simulated-NVRAM backend except the non-persistent
+/// baseline, which runs over [`NullPmem`](flit_pmem::NullPmem). A database over one
+/// of them is `FlitDb::create(presets::…(backend))` ([`FlitDb::flit_ht`] spells the
+/// default).
 pub mod presets {
-    use flit_pmem::SimNvram;
+    use flit_pmem::{NullPmem, SimNvram};
 
     use crate::flit_atomic::{FlitPolicy, PlainPolicy};
     use crate::link_persist::LinkAndPersistPolicy;
-    use crate::no_persist::NoPersistPolicy;
     use crate::scheme::{AdjacentScheme, CacheLineScheme, HashedScheme, PlainScheme};
 
     /// `plain`: durable transformation with no read-side flush elision.
@@ -194,9 +192,10 @@ pub mod presets {
         LinkAndPersistPolicy::new(backend)
     }
 
-    /// The non-persistent baseline.
-    pub fn no_persist() -> NoPersistPolicy {
-        NoPersistPolicy::new()
+    /// The non-persistent baseline: Algorithm 4 over a backend whose `pwb` and
+    /// `pfence` are no-ops, so every word operation is the bare atomic.
+    pub fn no_persist() -> PlainPolicy<NullPmem> {
+        FlitPolicy::new(PlainScheme, NullPmem)
     }
 }
 

@@ -82,7 +82,11 @@ impl<T: PWord, B: PmemBackend + Send + Sync + 'static> LpAtomic<T, B> {
     /// immediately followed by a fence (which empties the epoch's dedup set), so a
     /// dedup could never hit here. The only live persist-epoch elision in
     /// link-and-persist is the leading fence of [`dirty_write`](Self::dirty_write).
-    #[inline]
+    ///
+    /// The rare branch of a p-load, kept out of line (like FliT's
+    /// `flush_tagged`) so that a clean p-load, the body of every traversal
+    /// loop, stays small enough to inline.
+    #[inline(never)]
     fn flush_and_clear(&self, h: &FlitHandle<'_, LinkAndPersistPolicy<B>>, observed: u64) {
         let pm = h.pmem();
         pm.pwb(self.word_ptr());

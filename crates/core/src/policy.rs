@@ -2,7 +2,7 @@
 //!
 //! The P-V Interface (paper §3) specifies *what* p- and v-instructions guarantee; a
 //! policy is one concrete implementation of that interface. The paper's evaluation
-//! compares four:
+//! compares five:
 //!
 //! | paper name        | policy type here                                   |
 //! |--------------------|----------------------------------------------------|
@@ -10,7 +10,7 @@
 //! | flit-adjacent      | [`FlitPolicy<AdjacentScheme, B>`](crate::flit_atomic::FlitPolicy) |
 //! | flit-HT            | [`FlitPolicy<HashedScheme, B>`](crate::flit_atomic::FlitPolicy) |
 //! | link-and-persist   | [`LinkAndPersistPolicy<B>`](crate::link_persist::LinkAndPersistPolicy) |
-//! | non-persistent     | [`NoPersistPolicy`](crate::no_persist::NoPersistPolicy) |
+//! | non-persistent     | [`PlainPolicy<NullPmem>`](crate::flit_atomic::PlainPolicy) (every `pwb`/`pfence` a no-op) |
 //!
 //! Data structures are written once, generic over `P: Policy`, and every word they
 //! declare as `P::Word<T>` behaves according to the chosen policy — this is the Rust
@@ -105,10 +105,6 @@ pub trait Policy: Send + Sync + Sized + 'static {
 
     /// The persisted-word cell type for values of type `T`.
     type Word<T: PWord>: PersistWord<T, Self>;
-
-    /// `false` only for the non-persistent baseline, which lets generic code skip
-    /// persistence work entirely.
-    const PERSISTENT: bool = true;
 
     /// Access the backend (for statistics and direct flushing).
     fn backend(&self) -> &Self::Backend;

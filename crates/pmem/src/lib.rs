@@ -6,7 +6,7 @@
 //! ordering (`pfence`, i.e. `sfence`) instructions.
 //!
 //! This crate is that substrate, cut the way the paper's model (§2) cuts it: **an
-//! instruction set, two substrates plus a null one, and one session that elides**.
+//! instruction set, a simulated substrate plus a null one, and one session that elides**.
 //!
 //! ## The instruction set: [`PmemBackend`]
 //!
@@ -35,11 +35,12 @@
 //!   `killtest` harness), and a reopened pool is read through the same
 //!   [`CrashImage`] type — there a zero-copy view of the mapping
 //!   ([`CrashImage::mapped`]) instead of a snapshot.
-//! * [`HardwarePmem`] — issues real x86-64 cache-line write-back instructions
-//!   (`clwb`, `clflushopt` or `clflush`, chosen by runtime feature detection) and
-//!   `sfence`. Use this on a machine with actual persistent memory.
 //! * [`NullPmem`] — everything is a no-op; used by the non-persistent baseline
 //!   (the grey dotted line in the paper's plots).
+//!
+//! There is no hardware backend: nothing here runs on real persistent memory.
+//! A real-NVRAM run would add one `PmemBackend` issuing `clwb`/`sfence`,
+//! together with a DAX mapping for pools.
 //!
 //! The unit of flushing is a 64-byte cache line ([`CACHE_LINE_SIZE`]); the unit of
 //! tracking is an 8-byte word, matching the granularity at which the FliT library
@@ -76,7 +77,6 @@ pub mod backend;
 pub mod cache_line;
 pub mod crash;
 pub mod epoch;
-pub mod hardware;
 pub mod latency;
 pub mod pool;
 pub mod region;
@@ -90,7 +90,6 @@ pub use cache_line::{cache_line_of, word_of, CACHE_LINE_SIZE, WORD_SIZE};
 pub use crash::{CrashEventKind, CrashPlan};
 pub use epoch::{CommitMode, ElisionMode, PersistEpoch};
 pub use flit_obs::{FlightEvent, FlightEventKind, FlightRecorder, FLIGHT_CAPACITY};
-pub use hardware::{FlushInstruction, HardwarePmem};
 pub use latency::LatencyModel;
 pub use pool::{OpenError, PoolArenaSlot, PoolFile, PoolOptions};
 pub use region::{PmemRegion, ReserveError};

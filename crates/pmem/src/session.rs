@@ -356,13 +356,9 @@ mod tests {
     #[test]
     fn the_elision_script_reads_the_same_over_every_backend() {
         use crate::backend::NullPmem;
-        use crate::hardware::HardwarePmem;
 
-        let backends: [(&str, Box<dyn PmemBackend>); 3] = [
-            ("sim", Box::new(counting())),
-            ("hardware", Box::new(HardwarePmem::new())),
-            ("null", Box::new(NullPmem)),
-        ];
+        let backends: [(&str, Box<dyn PmemBackend>); 2] =
+            [("sim", Box::new(counting())), ("null", Box::new(NullPmem))];
         // (mode, [pwbs, pfences, read_side_pwbs, elided_pfences, elided_pwbs], second dedup flushed?)
         let streams = [
             (ElisionMode::Enabled, [2, 2, 1, 2, 1], false),

@@ -2,8 +2,16 @@
 //!
 //! Figure 9 of the paper reports the *number of `pwb` instructions per operation* for
 //! each FliT variant; these counters are how the reproduction measures the same
-//! quantity. Counters are global per backend instance and use relaxed atomics so the
-//! probe effect on the benchmarked code is negligible.
+//! quantity. Counters are global per backend instance and use relaxed atomics, but
+//! they are not free: each count is a `fetch_add` (a locked read-modify-write on
+//! x86) on a cache line that every thread of the backend shares. One of them is on
+//! the read path: a clean operation completion, i.e. every read-only operation,
+//! elides its fence and counts that in
+//! [`record_elided_pfence`](PmemStats::record_elided_pfence). The read-modify-write
+//! waits for earlier stores to drain, which is why the `flit-datastructs` map
+//! wrappers complete an operation before its EBR guard unpins: completing right
+//! after the unpin's release store raised `read_p50_ns` of the flit-HT benchmark
+//! workloads by about 9 % (2-core x86-64 VM).
 
 use std::sync::atomic::{AtomicU64, Ordering};
 

@@ -12,8 +12,8 @@ use flit_datastructs::{Automatic, ConcurrentMap, NatarajanTree};
 use flit_pmem::SimNvram;
 
 fn main() {
-    // The persistent-memory backend. On a machine with real NVRAM you would use
-    // `HardwarePmem`; here we use the simulated backend with Optane-like latencies.
+    // The persistent-memory backend: simulated NVRAM with Optane-like latencies
+    // (the workspace has no hardware backend; `NullPmem` is the non-persistent one).
     let nvram = SimNvram::default();
 
     // Open a database: flit-HT (the FliT algorithm with a 1MB hashed flit-counter

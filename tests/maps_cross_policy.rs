@@ -101,8 +101,9 @@ fn all_structures_match_the_model_with_cacheline_counters() {
     assert_eq!(model_check_every_map(PolicyKind::FlitCacheLine), 18);
 }
 
-/// `no_persist` runs on no backend, so it is not a subject: its model check is
-/// a direct call per structure and method.
+/// `no_persist` is FliT over `NullPmem`, and every subject of the case matrix
+/// runs over `SimNvram`, so it is not a subject: its model check is a direct
+/// call per structure and method.
 #[test]
 fn all_structures_match_the_model_with_no_persist() {
     fn for_dur<D: Durability>() {
