@@ -814,30 +814,6 @@ impl Arena {
         None
     }
 
-    /// Every recovery root durably present in `image`, as `(key, slot base
-    /// address)` pairs in table order. A key whose offset word never became
-    /// durable is skipped (the all-or-nothing contract of
-    /// [`root_in_image`](Self::root_in_image)). Used by the `FlitDb::recover`
-    /// facade to report which structures were durably constructed at a crash
-    /// point without knowing their types.
-    pub fn roots_in_image(&self, image: &CrashImage) -> Vec<(u64, usize)> {
-        let mut found = Vec::new();
-        for i in 0..ROOT_CAPACITY {
-            let key_off = ROOT_TABLE_OFFSET + i * ROOT_ENTRY_BYTES;
-            match image.read(self.header_addr(key_off)) {
-                Some(key) if key != 0 => {
-                    if let Some(off) = image.read(self.header_addr(key_off + WORD_SIZE)) {
-                        if off != 0 {
-                            found.push((key, self.addr_of_offset(off as usize - 1)));
-                        }
-                    }
-                }
-                _ => {}
-            }
-        }
-        found
-    }
-
     /// The arena header as persisted in `image`. The header is reachable from
     /// offset 0 unconditionally, so this view is meaningful at *every* crash
     /// point, including mid-construction.

@@ -27,8 +27,8 @@
 //!   --commit a,b,..       immediate|batched-<k>: commit modes the replayed
 //!                         databases run with (default: immediate). Batched
 //!                         sweeps check the group-commit contract: acknowledged
-//!                         tickets survive, the unacknowledged tail recovers to
-//!                         a consistent prefix
+//!                         operations survive, the unacknowledged tail recovers
+//!                         to a consistent prefix
 //!   --broken-acks         acknowledge obligations WITHOUT fencing in the main
 //!                         matrix (repro mode for acknowledge-before-fence
 //!                         violations; such cases are expected to fail)
@@ -267,7 +267,7 @@ fn main() {
     // The main matrix: correct methods must sweep clean, under every requested
     // elision mode (the two modes replay different instruction streams) and
     // every requested commit mode (immediate checks the strict per-operation
-    // contract, batched the group-commit watermark/ticket contract).
+    // contract, batched the group-commit acked-floor contract).
     let mut reports = Vec::new();
     for &elision in &args.elisions {
         for &commit in &args.commits {

@@ -14,8 +14,7 @@
 //!   through, and the registry of [`Arena`]s (each with its persisted header and
 //!   recovery-root table) the structures allocate from. `FlitDb::create` (or
 //!   [`FlitDb::open`] on a file-backed pool) replaces the scattered
-//!   policy/arena/root plumbing; [`FlitDb::recover`] reports the
-//!   durably-constructed roots in a [`CrashImage`].
+//!   policy/arena/root plumbing.
 //! * **[`FlitHandle`]** is an explicit per-logical-thread session: it bundles the
 //!   [`PersistEpoch`] (fence-elision dirty count + flush-dedup set) and an EBR
 //!   [`LocalHandle`] (participant slot), and exposes the backend as a
@@ -42,7 +41,7 @@
 //!   next handle. Nothing else needs cleanup — the epoch state dies with the
 //!   value (this replaces the old thread-keyed purge heuristics).
 //!
-//! ## Durability modes: the watermark/ticket contract
+//! ## Durability modes: the acked-floor contract
 //!
 //! A database is built in one of two [`CommitMode`]s (chosen on the
 //! [`builder`](FlitDb::builder), [`CommitMode::Immediate`] by default):
@@ -53,11 +52,11 @@
 //! * **Batched(k)** — group commit: `operation_completion` *enqueues a
 //!   completion obligation* on the handle instead of fencing, and the handle
 //!   drains its queue with **one `pfence` per batch** of up to `k` obligations
-//!   — on batch overflow, on an explicit [`FlitHandle::flush_async`], and on
-//!   handle drop. Draining *acknowledges* the batch: the db-wide
-//!   [`durable watermark`](FlitDb::durable_watermark) (total acknowledged
-//!   obligations) advances, and any [`Ticket`] covering those operations
-//!   becomes durable ([`FlitDb::wait`] / [`FlitDb::is_durable`]).
+//!   — on batch overflow, on an explicit [`FlitHandle::flush`], and on
+//!   handle drop. Draining *acknowledges* the batch on the handle:
+//!   [`FlitHandle::committed_obligations`] catches up with
+//!   [`FlitHandle::enqueued_obligations`]. These two per-handle counts are the
+//!   only record of acknowledgment.
 //!
 //! Under `Batched`, p-stores on tag schemes that keep their counter *outside*
 //! the word (hashed, cache-line, plain) additionally defer the store's
@@ -76,12 +75,14 @@
 //! operation (acknowledgment happens only after the batch fence, so an
 //! acknowledged operation's write-backs are always in the image). Unacknowledged
 //! operations may be lost wholesale — but never partially, and never out of
-//! order. `flit-crashtest` sweeps exactly this window (and its broken
-//! "acknowledge before the fence" control must fail). Because persistence
-//! state is per-handle (the tracker commits only the fencing thread's pending
-//! write-backs), only the owning handle's drain can advance its operations'
-//! durability: `wait` *observes* acknowledgment from any thread, it cannot
-//! force another handle's fence.
+//! order. The *acked floor* of a crash is the number of leading operations
+//! the handle had acknowledged (its committed count); `flit-crashtest` sweeps
+//! exactly the window between that floor and the last completed operation
+//! (and its broken "acknowledge before the fence" control must fail).
+//! Because persistence state is per-handle (the tracker commits only the
+//! fencing thread's pending write-backs), only the owning handle's drain can
+//! make its operations durable, so acknowledgment is recorded where that
+//! drain runs: on the handle.
 //!
 //! ## Opening a real pool: validate → adopt → recover → GC
 //!
@@ -107,11 +108,10 @@
 //!    check), and every root-table entry is screened for tearing.
 //! 3. **Recover** — the adopted arenas' memory *is* the crash image: it is
 //!    viewed in place (a [`CrashImage`] over the arenas' ranges of the
-//!    mapping, no word copied) and handed to the existing image-only
-//!    [`FlitDb::recover`], so the same [`DbRecovery`] the simulated crash
-//!    sweeps interrogate describes the real pool. Structures then rebuild from
-//!    the durable roots exactly as they do in the simulated harness — reading
-//!    [`OpenReport::image`], which stays a live view of the pool.
+//!    mapping, no word copied) and returned as [`OpenReport::image`], which
+//!    stays a live view of the pool. Each structure then rebuilds from its
+//!    durable root by walking that image, exactly as it does in the simulated
+//!    crash sweeps.
 //! 4. **GC** — only after an unclean close. The volatile recycle list died
 //!    with the crashed process, so slots retired-but-not-reused at the kill
 //!    are reachable from no root and on no free list: leaked.
@@ -157,13 +157,12 @@
 //! | `db.new_arena_cfg(slot_size, cfg)` / `db.new_arena_for_cfg::<T>(cfg)` | [`FlitDb::new_arena`]`(cfg.sized(slot_size))` / [`FlitDb::new_arena_for`]`::<T>(cfg)` |
 
 use std::cell::RefCell;
-use std::collections::HashMap;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-use flit_alloc::{post_crash_gc, Arena, ArenaConfig, GcOutcome, ImageHeader};
+use flit_alloc::{post_crash_gc, Arena, ArenaConfig, GcOutcome};
 use flit_ebr::{Collector, Guard, LocalHandle};
 use flit_obs::{Counter, CounterShard, FlightEvent, FlightRecorder, MetricsSnapshot, Registry};
 use flit_pmem::{
@@ -184,13 +183,6 @@ struct DbInner<P: Policy> {
     handles_created: AtomicU64,
     commit: CommitMode,
     arena_defaults: ArenaConfig,
-    /// Total completion obligations acknowledged db-wide (group commit); stays
-    /// 0 under [`CommitMode::Immediate`], where completions are synchronous.
-    watermark: AtomicU64,
-    /// Per-handle acknowledged-obligation counts, keyed by handle id — what
-    /// [`FlitDb::is_durable`] checks a [`Ticket`] against. Off the hot path:
-    /// written once per batch drain, not per operation.
-    acks: Mutex<HashMap<u64, u64>>,
     /// The file-backed pool this database lives on, if any: when set, every
     /// arena is created on (or was adopted from) the pool's directory.
     pool: Option<Arc<PoolFile>>,
@@ -205,13 +197,6 @@ struct DbInner<P: Policy> {
     /// Batch drains across every handle (each handle increments a private
     /// shard of this counter).
     drains: Counter,
-    /// Blocking [`FlitDb::wait`] calls that actually spun at least once.
-    ticket_waits: Counter,
-    /// Total completion obligations enqueued db-wide (group commit) — the
-    /// numerator of the durable-watermark lag gauge. One relaxed increment per
-    /// *batched* completion; stays 0 (and costs nothing) under
-    /// [`CommitMode::Immediate`].
-    obligations_enqueued: AtomicU64,
     /// The flight recorder of every handle that was ever *armed*, keyed by
     /// handle id, so [`FlitDb::dump_flight_recorder`] can snapshot those
     /// handles' event tails from any thread — after the handle is gone, too.
@@ -353,7 +338,6 @@ impl<P: Policy> FlitDbBuilder<P> {
             .map(|(k, v)| (k.as_str(), v.as_str()))
             .collect();
         let drains = metrics.counter("flit_handle_drains_total", &label_refs);
-        let ticket_waits = metrics.counter("flit_ticket_waits_total", &label_refs);
         FlitDb {
             inner: Arc::new(DbInner {
                 policy,
@@ -363,14 +347,10 @@ impl<P: Policy> FlitDbBuilder<P> {
                 handles_created: AtomicU64::new(0),
                 commit,
                 arena_defaults,
-                watermark: AtomicU64::new(0),
-                acks: Mutex::new(HashMap::new()),
                 pool,
                 metrics,
                 metric_labels,
                 drains,
-                ticket_waits,
-                obligations_enqueued: AtomicU64::new(0),
                 flights: Mutex::new(Vec::new()),
             }),
         }
@@ -465,11 +445,10 @@ impl<P: Policy> FlitDbBuilder<P> {
         let adopt_ns = phase_start.elapsed().as_nanos() as u64;
 
         // Recover: the mapped pool *is* the crash image — view the arenas'
-        // ranges in place and reuse the image-only recovery path unchanged.
+        // ranges in place; structures walk it as they do a simulated image.
         let phase_start = Instant::now();
         let ranges = arenas.iter().flat_map(|a| a.image_ranges()).collect();
         let image = CrashImage::mapped(Arc::clone(&pool), ranges);
-        let recovery = db.recover(&image);
         let recover_ns = phase_start.elapsed().as_nanos() as u64;
 
         // GC, after an unclean close only: slots that died on the volatile
@@ -485,7 +464,6 @@ impl<P: Policy> FlitDbBuilder<P> {
 
         let report = OpenReport {
             arenas: arenas.len(),
-            recovery,
             clean_close,
             gc,
             image,
@@ -537,60 +515,6 @@ impl<P: Policy> FlitDb<P> {
         self.inner.commit
     }
 
-    /// Total completion obligations acknowledged across every handle of this
-    /// database (group commit). Advances only at batch drains — overflow,
-    /// [`FlitHandle::flush_async`], handle drop — so under
-    /// [`CommitMode::Immediate`] (where completions are synchronously durable
-    /// and nothing is ever enqueued) it stays 0.
-    pub fn durable_watermark(&self) -> u64 {
-        self.inner.watermark.load(Ordering::Acquire)
-    }
-
-    /// `true` when every operation `ticket` covers has been acknowledged as
-    /// durable. Non-blocking; callable from any thread.
-    pub fn is_durable(&self, ticket: Ticket) -> bool {
-        debug_assert_eq!(ticket.db_id, self.id(), "ticket from another FlitDb");
-        if ticket.target == 0 {
-            return true;
-        }
-        self.inner
-            .acks
-            .lock()
-            .unwrap()
-            .get(&ticket.handle_id)
-            .is_some_and(|&acked| acked >= ticket.target)
-    }
-
-    /// Block until every operation `ticket` covers is acknowledged as durable.
-    ///
-    /// Acknowledgment can only come from the ticket's own handle draining its
-    /// queue (overflow, [`FlitHandle::flush_async`], or drop) — per-handle
-    /// persistence state means no other thread can fence on its behalf — so
-    /// wait on a ticket only when its handle is guaranteed to drain
-    /// (tickets from `flush_async` are acknowledged at issue; tickets from
-    /// [`FlitHandle::ticket`] need a later drain).
-    pub fn wait(&self, ticket: Ticket) {
-        let mut spun = false;
-        while !self.is_durable(ticket) {
-            if !spun {
-                spun = true;
-                self.inner.ticket_waits.add(1);
-            }
-            std::thread::yield_now();
-        }
-    }
-
-    /// Record a drained batch: `acked_total` obligations of handle `handle_id`
-    /// are now acknowledged, `newly` of them by this drain.
-    fn ack_obligations(&self, handle_id: u64, acked_total: u64, newly: u64) {
-        self.inner.watermark.fetch_add(newly, Ordering::AcqRel);
-        self.inner
-            .acks
-            .lock()
-            .unwrap()
-            .insert(handle_id, acked_total);
-    }
-
     /// The persistence policy of this database.
     #[inline]
     pub fn policy(&self) -> &P {
@@ -638,12 +562,12 @@ impl<P: Policy> FlitDb<P> {
     /// registry.
     ///
     /// This is the *pull* half of the instrumentation: backend counters
-    /// (`PmemStats` — pwbs, pfences, read-side pwbs, both elision kinds),
-    /// the durable watermark and its lag, and per-arena occupancy (slots in
-    /// use, durable free-list depth, chunk growth) are read here, at snapshot
-    /// time, instead of being double-counted on the persistence hot path.
-    /// Counters that have no other home (handle batch drains, ticket waits)
-    /// are pushed by their owners and only aggregated here.
+    /// (`PmemStats` — pwbs, pfences, read-side pwbs, both elision kinds) and
+    /// per-arena occupancy (slots in use, durable free-list depth, chunk
+    /// growth) are read here, at snapshot time, instead of being
+    /// double-counted on the persistence hot path. Counters that have no
+    /// other home (handle batch drains) are pushed by their owners and only
+    /// aggregated here.
     pub fn metrics_snapshot(&self) -> MetricsSnapshot {
         let base = &self.inner.metric_labels;
         let with_base = |extra: &[(&str, &str)]| -> Vec<(String, String)> {
@@ -668,15 +592,6 @@ impl<P: Policy> FlitDb<P> {
             set("flit_dedup_hits_total", &[], stats.elided_pwbs);
             set("flit_elided_pfences_total", &[], stats.elided_pfences);
         }
-        let watermark = self.durable_watermark();
-        let enqueued = self.inner.obligations_enqueued.load(Ordering::Acquire);
-        set("flit_durable_watermark", &[], watermark);
-        set("flit_obligations_enqueued_total", &[], enqueued);
-        set(
-            "flit_watermark_lag",
-            &[],
-            enqueued.saturating_sub(watermark),
-        );
         set("flit_handles_created_total", &[], self.handles_created());
         for (index, arena) in self.arenas().iter().enumerate() {
             let index = index.to_string();
@@ -822,24 +737,6 @@ impl<P: Policy> FlitDb<P> {
     pub fn arenas(&self) -> Vec<Arc<Arena>> {
         self.inner.arenas.lock().unwrap().clone()
     }
-
-    /// Survey what `image` holds of this database: per arena, the persisted
-    /// header and the durably-registered recovery roots. This is the
-    /// type-agnostic half of recovery — each map's
-    /// `RecoverInImage::recover_arenas(&db.arenas(), image)` rebuilds its
-    /// abstract state from the roots reported here.
-    pub fn recover(&self, image: &CrashImage) -> DbRecovery {
-        DbRecovery {
-            arenas: self
-                .arenas()
-                .iter()
-                .map(|arena| ArenaRecovery {
-                    header: arena.image_header(image),
-                    durable_roots: arena.roots_in_image(image),
-                })
-                .collect(),
-        }
-    }
 }
 
 // ---- facade constructor ---------------------------------------------------
@@ -867,9 +764,6 @@ impl FlitDb<FlitPolicy<HashedScheme, SimNvram>> {
 pub struct OpenReport {
     /// Arenas adopted from the pool directory.
     pub arenas: usize,
-    /// The image-only recovery survey: per-arena persisted headers and the
-    /// durably-registered roots — what structures rebuild from.
-    pub recovery: DbRecovery,
     /// The pool's previous close was orderly (its superblock held the
     /// clean-close word), so the GC stage was skipped.
     pub clean_close: bool,
@@ -879,12 +773,11 @@ pub struct OpenReport {
     /// The pool's crash image — what the structures' recovery walks
     /// (`RecoverInImage::recover_arenas`) read from. It is a **live view** of
     /// the mapping, not a snapshot: recover from it before starting traffic
-    /// on the database. (`recovery`
-    /// above was surveyed *before* the GC stage; read afterwards, the view
-    /// also shows GC's free-list links in the slots it reclaimed, which no
-    /// root reaches.) The view **pins the mapping**: while this report, or a
-    /// clone of it, is alive the pool stays mapped even after the database is
-    /// dropped, and opening the same pool again in this process is
+    /// on the database. (Read after the open, the view also shows GC's
+    /// free-list links in the slots it reclaimed, which no root reaches.) The
+    /// view **pins the mapping**: while this report, or a clone of it, is
+    /// alive the pool stays mapped even after the database is dropped, and
+    /// opening the same pool again in this process is
     /// [`OpenError::MappingConflict`]. Cloning a report is a reference-count
     /// bump, not a copy of the pool.
     pub image: CrashImage,
@@ -901,11 +794,6 @@ impl OpenReport {
     pub fn leaked_slots(&self) -> usize {
         self.gc.total_reclaimed()
     }
-
-    /// `true` when `key` was durably registered in any arena's root table.
-    pub fn has_root(&self, key: u64) -> bool {
-        self.recovery.has_root(key)
-    }
 }
 
 /// Wall-clock nanoseconds spent in each phase of the
@@ -916,8 +804,8 @@ pub struct OpenTimings {
     pub validate_ns: u64,
     /// Directory walk adopting every arena (header checks, free-list walk).
     pub adopt_ns: u64,
-    /// Building the [`CrashImage`] view of the adopted arenas and surveying
-    /// their headers and roots through it — O(arenas), no pool word copied.
+    /// Building the [`CrashImage`] view of the adopted arenas — O(arenas), no
+    /// pool word copied.
     pub recover_ns: u64,
     /// The conservative post-crash mark-and-sweep (0 after a clean close).
     pub gc_ns: u64,
@@ -928,32 +816,6 @@ impl OpenTimings {
     pub fn total_ns(&self) -> u64 {
         self.validate_ns + self.adopt_ns + self.recover_ns + self.gc_ns
     }
-}
-
-/// What [`FlitDb::recover`] reports: the durably-constructed state of each arena
-/// in a crash image.
-#[derive(Debug, Clone)]
-pub struct DbRecovery {
-    /// One entry per arena, in creation order.
-    pub arenas: Vec<ArenaRecovery>,
-}
-
-impl DbRecovery {
-    /// `true` when `key` is durably registered in any arena's root table.
-    pub fn has_root(&self, key: u64) -> bool {
-        self.arenas
-            .iter()
-            .any(|a| a.durable_roots.iter().any(|(k, _)| *k == key))
-    }
-}
-
-/// The recoverable state of one arena as persisted in a crash image.
-#[derive(Debug, Clone)]
-pub struct ArenaRecovery {
-    /// The arena's persisted header (always reachable, even mid-construction).
-    pub header: ImageHeader,
-    /// The durably-registered `(root key, slot base address)` pairs.
-    pub durable_roots: Vec<(u64, usize)>,
 }
 
 /// An explicit per-logical-thread session on a [`FlitDb`]: the persist epoch
@@ -977,27 +839,6 @@ pub struct FlitHandle<'db, P: Policy> {
     /// Private shard of the db-wide batch-drain counter.
     drains: CounterShard,
     id: u64,
-}
-
-/// A durability receipt under group commit ([`CommitMode::Batched`]): covers
-/// every operation completed on its handle up to the moment it was cut
-/// ([`FlitHandle::flush_async`] / [`FlitHandle::ticket`]). Check it with
-/// [`FlitDb::is_durable`] or block on it with [`FlitDb::wait`] — from any
-/// thread. Plain `Copy` data; holding one keeps nothing alive.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[must_use = "a ticket is only useful if something waits on or checks it"]
-pub struct Ticket {
-    db_id: u64,
-    handle_id: u64,
-    target: u64,
-}
-
-impl Ticket {
-    /// How many operations (completion obligations) of the issuing handle this
-    /// ticket covers, counted from the handle's creation.
-    pub fn covered(&self) -> u64 {
-        self.target
-    }
 }
 
 impl<'db, P: Policy> std::fmt::Debug for FlitHandle<'db, P> {
@@ -1111,33 +952,31 @@ impl<'db, P: Policy> FlitHandle<'db, P> {
         match self.commit {
             CommitMode::Immediate => self.pmem().pfence_if_dirty(),
             CommitMode::Batched(k) => {
-                self.db
-                    .inner
-                    .obligations_enqueued
-                    .fetch_add(1, Ordering::Relaxed);
                 if self.epoch.note_obligation() >= k.max(1) as u64 {
-                    self.drain_obligations();
+                    self.flush();
                 }
             }
         }
     }
 
-    /// Drain this handle's obligation queue: one
+    /// Drain this handle's obligation queue now — the explicit-flush point of
+    /// the group-commit contract, also run on batch overflow and on drop. One
     /// [`pfence_if_dirty`](flit_pmem::PmemSession::pfence_if_dirty) commits
-    /// every write-back the batch produced, then the batch is acknowledged to
-    /// the database (watermark + ticket bookkeeping). Eliding the fence on a
-    /// clean epoch is sound: clean means fences issued *inside* later
+    /// every write-back the batch produced, then the batch is acknowledged:
+    /// [`committed_obligations`](Self::committed_obligations) catches up with
+    /// [`enqueued_obligations`](Self::enqueued_obligations). Eliding the fence
+    /// on a clean epoch is sound: clean means fences issued *inside* later
     /// operations (object-initialisation persists, leading fences) already
-    /// committed everything the batch flushed.
-    fn drain_obligations(&self) {
+    /// committed everything the batch flushed. Under
+    /// [`CommitMode::Immediate`] nothing is ever enqueued, so there is nothing
+    /// to drain.
+    pub fn flush(&self) {
         if self.epoch.pending_obligations() == 0 {
             return;
         }
         self.pmem().pfence_if_dirty();
         self.close_deferred_stores();
-        let newly = self.epoch.take_obligations();
-        self.db
-            .ack_obligations(self.id, self.epoch.committed_obligations(), newly);
+        self.epoch.take_obligations();
         self.drains.add(1);
     }
 
@@ -1177,33 +1016,8 @@ impl<'db, P: Policy> FlitHandle<'db, P> {
         }
     }
 
-    /// Drain the obligation queue now and return a [`Ticket`] covering every
-    /// operation completed on this handle so far.
-    ///
-    /// The drain means the ticket is already durable when this returns — its
-    /// value is cross-thread *observability* (hand it to a waiter checking
-    /// [`FlitDb::wait`]) and the explicit-flush point of the group-commit
-    /// contract. Under [`CommitMode::Immediate`] completions were synchronously
-    /// durable all along, so the ticket is trivially durable. For a ticket
-    /// that does *not* fence now, see [`FlitHandle::ticket`].
-    pub fn flush_async(&self) -> Ticket {
-        self.drain_obligations();
-        self.ticket()
-    }
-
-    /// A [`Ticket`] covering every operation completed on this handle so far,
-    /// **without** draining: it becomes durable at this handle's next drain
-    /// (batch overflow, [`flush_async`](Self::flush_async), or drop).
-    pub fn ticket(&self) -> Ticket {
-        Ticket {
-            db_id: self.db.id(),
-            handle_id: self.id,
-            target: self.epoch.enqueued_obligations(),
-        }
-    }
-
-    /// Obligations acknowledged as durable on this handle (diagnostics and the
-    /// crashtest harness's acknowledgment sampling).
+    /// Obligations acknowledged as durable on this handle: the acked floor the
+    /// crash sweeps and the kill harness check recovery against.
     pub fn committed_obligations(&self) -> u64 {
         self.epoch.committed_obligations()
     }
@@ -1219,11 +1033,7 @@ impl<'db, P: Policy> FlitHandle<'db, P> {
     /// crash sweep must catch. Never call this outside that harness.
     #[doc(hidden)]
     pub fn ack_obligations_without_fence(&self) {
-        let newly = self.epoch.take_obligations();
-        if newly > 0 {
-            self.db
-                .ack_obligations(self.id, self.epoch.committed_obligations(), newly);
-        }
+        self.epoch.take_obligations();
     }
 
     /// Flush `len` bytes starting at `start` (every cache line they touch) and
@@ -1264,9 +1074,8 @@ impl<'db, P: Policy> Drop for FlitHandle<'db, P> {
             // Group commit: the obligation queue drains *before* any trailing
             // fence — the drain's single fence (issued only when the epoch is
             // dirty) doubles as the trailing fence, and the batch is
-            // acknowledged so tickets covering it resolve and the watermark
-            // advances even though the handle is going away mid-batch.
-            self.drain_obligations();
+            // acknowledged even though the handle is going away mid-batch.
+            self.flush();
             // A still-dirty handle holds pwbs no future fence of this logical
             // thread will ever commit (possible only when the caller abandoned
             // it mid-operation): issue the trailing fence now. A clean handle
@@ -1385,26 +1194,6 @@ mod tests {
         assert_eq!(db.stats_snapshot().unwrap().pwbs, 2, "no-ops stayed no-ops");
     }
 
-    #[test]
-    fn db_recover_reports_durable_roots() {
-        let sim = SimNvram::for_crash_testing();
-        let db = FlitDb::create(FlitPolicy::new(
-            HashedScheme::with_bytes(1 << 12),
-            sim.clone(),
-        ));
-        let arena = db.new_arena(ArenaConfig::with_slot_size(64).chunked(8));
-        let h = db.handle();
-        let slot = arena.alloc(&h.pmem()) as usize;
-        h.operation_completion();
-        let before = db.recover(&sim.tracker().unwrap().crash_image());
-        assert!(!before.has_root(flit_alloc::roots::LIST_HEAD));
-        assert!(before.arenas[0].header.initialised);
-        arena.register_root(&h.pmem(), flit_alloc::roots::LIST_HEAD, slot);
-        let after = db.recover(&sim.tracker().unwrap().crash_image());
-        assert!(after.has_root(flit_alloc::roots::LIST_HEAD));
-        assert_eq!(after.arenas.len(), 1);
-    }
-
     fn batched_db(k: usize) -> (SimNvram, FlitDb<HtPolicy>) {
         let sim = SimNvram::for_crash_testing();
         let db = FlitDb::builder(FlitPolicy::new(
@@ -1421,7 +1210,6 @@ mod tests {
         let db = db();
         assert_eq!(db.commit_mode(), CommitMode::Immediate);
         assert_eq!(db.arena_defaults(), ArenaConfig::default());
-        assert_eq!(db.durable_watermark(), 0);
     }
 
     #[test]
@@ -1452,7 +1240,6 @@ mod tests {
         // The third completion overflowed the batch: one drain fence committed
         // all three operations' write-backs and acknowledged them.
         assert!(!h.is_dirty());
-        assert_eq!(db.durable_watermark(), 3);
         assert_eq!(h.committed_obligations(), 3);
         let tracker = sim.tracker().unwrap();
         for (i, x) in xs.iter().enumerate() {
@@ -1469,7 +1256,7 @@ mod tests {
     }
 
     #[test]
-    fn flush_async_drains_midbatch_and_wait_observes_it() {
+    fn flush_drains_midbatch() {
         let (sim, db) = batched_db(64);
         let h = db.handle();
         let x = 0u64;
@@ -1481,31 +1268,31 @@ mod tests {
         // Mid-batch: completed but unacknowledged, flush not yet committed.
         assert!(h.is_dirty());
         assert_eq!(sim.tracker().unwrap().persisted_value(addr), None);
-        let early = h.ticket();
-        assert!(!db.is_durable(early), "nothing drained yet");
-        let ticket = h.flush_async();
-        assert!(db.is_durable(ticket));
-        assert!(
-            db.is_durable(early),
-            "the drain acknowledged the earlier cut too"
+        assert_eq!(
+            (h.enqueued_obligations(), h.committed_obligations()),
+            (1, 0),
+            "nothing drained yet"
         );
-        db.wait(ticket);
-        assert_eq!(ticket.covered(), 1);
+        h.flush();
+        assert_eq!(h.committed_obligations(), 1);
         assert_eq!(sim.tracker().unwrap().persisted_value(addr), Some(9));
-        assert_eq!(db.durable_watermark(), 1);
     }
 
     #[test]
-    fn immediate_mode_tickets_are_trivially_durable() {
+    fn immediate_mode_enqueues_nothing() {
         let db = db();
         let h = db.handle();
         let w = <HtPolicy as Policy>::Word::<u64>::new(0);
         w.store(&h, 5, PFlag::Persisted);
         h.operation_completion();
-        let ticket = h.flush_async();
-        assert!(db.is_durable(ticket));
-        assert_eq!(ticket.covered(), 0, "immediate mode enqueues nothing");
-        assert_eq!(db.durable_watermark(), 0);
+        let fences = db.stats_snapshot().unwrap().pfences;
+        h.flush();
+        assert_eq!(
+            h.enqueued_obligations(),
+            0,
+            "immediate mode enqueues nothing"
+        );
+        assert_eq!(db.stats_snapshot().unwrap().pfences, fences);
     }
 
     fn temp_pool(name: &str) -> std::path::PathBuf {
@@ -1526,7 +1313,7 @@ mod tests {
     #[test]
     fn pool_create_then_open_recovers_roots_and_reclaims_leaks() {
         let path = temp_pool("roundtrip");
-        {
+        let root = {
             let db = FlitDb::builder(ht_policy()).create_pool(&path).unwrap();
             assert!(db.is_pool_backed());
             let arena = db.new_arena(ArenaConfig::with_slot_size(64).chunked(8));
@@ -1536,7 +1323,8 @@ mod tests {
             arena.register_root(&h.pmem(), flit_alloc::roots::LIST_HEAD, root);
             drop(h);
             db.sync_pool().unwrap();
-        } // dropping the db closes the pool cleanly and unmaps it
+            root
+        }; // dropping the db closes the pool cleanly and unmaps it
         {
             // Model a crash instead: clear the clean-close word through the
             // file.
@@ -1548,7 +1336,8 @@ mod tests {
         let (db, report) = FlitDb::open(&path, ht_policy()).unwrap();
         assert!(!report.clean_close);
         assert_eq!(report.arenas, 1);
-        assert!(report.has_root(flit_alloc::roots::LIST_HEAD));
+        let recovered = db.arenas()[0].root_in_image(&report.image, flit_alloc::roots::LIST_HEAD);
+        assert_eq!(recovered, Some(root));
         // `_leaked` was allocated but never published: the GC pass reclaims it.
         assert_eq!(report.leaked_slots(), 1);
         assert_eq!(report.gc.arenas[0].reachable, 1);

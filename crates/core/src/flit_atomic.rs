@@ -632,8 +632,8 @@ mod tests {
         assert_eq!(backend.tracker().unwrap().persisted_value(w.addr()), None);
         assert_eq!(scheme.table().tagged_count(), 1);
         h.operation_completion();
-        let ticket = h.flush_async();
-        assert!(db.is_durable(ticket));
+        h.flush();
+        assert_eq!(h.committed_obligations(), 1);
         assert_eq!(
             backend.tracker().unwrap().persisted_value(w.addr()),
             Some(11)

@@ -43,8 +43,8 @@
 //!   backend), the EBR collector, the arena registry with its recovery-root
 //!   tables. `FlitDb::create` builds a heap-backed database; [`FlitDb::open`]
 //!   maps an existing file-backed pool and runs the validate → adopt →
-//!   recover → GC pipeline (returning an [`OpenReport`]);
-//!   [`FlitDb::recover`] surveys a crash image.
+//!   recover → GC pipeline (returning an [`OpenReport`] whose crash image
+//!   each structure walks to recover).
 //! * [`FlitHandle`] is a per-logical-thread session — persist-epoch state, EBR
 //!   participation, backend access — and **every operation takes one**:
 //!   `map.insert(&h, k, v)`, `w.store(&h, v, flag)`,
@@ -74,7 +74,7 @@
 //!
 //! | module | contents |
 //! |---|---|
-//! | [`db`] | the facade: [`FlitDb`], [`FlitHandle`], [`DbRecovery`] |
+//! | [`db`] | the facade: [`FlitDb`], [`FlitHandle`], [`OpenReport`] |
 //! | [`pflag`] | [`PFlag`] (p- vs v-instruction) and [`Visibility`] (shared vs private) |
 //! | [`word`] | [`PWord`]: types that fit in one persisted machine word |
 //! | [`scheme`] | flit-counter placements: [`PlainScheme`], [`AdjacentScheme`], [`HashedScheme`], [`CacheLineScheme`] |
@@ -131,9 +131,7 @@ pub mod policy;
 pub mod scheme;
 pub mod word;
 
-pub use db::{
-    ArenaRecovery, DbRecovery, FlitDb, FlitDbBuilder, FlitHandle, OpenReport, OpenTimings, Ticket,
-};
+pub use db::{FlitDb, FlitDbBuilder, FlitHandle, OpenReport, OpenTimings};
 pub use flit_atomic::{FlitAtomic, FlitPolicy, PlainPolicy};
 pub use flit_obs::{FlightEvent, FlightEventKind, FlightRecorder, MetricsSnapshot, Registry};
 pub use flit_pmem::{CommitMode, OpenError, PoolOptions};

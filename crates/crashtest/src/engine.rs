@@ -24,7 +24,7 @@
 //!    (either "no durable root yet" or the empty, fully-constructed skeleton).
 //!
 //! Under [`CommitMode::Batched`] (a sweep dimension next to elision) the contract
-//! weakens to the watermark/ticket contract: the recovered state must be the
+//! weakens to the acked-floor contract: the recovered state must be the
 //! model state after `n` operations for some `n` between the `acked_floor` —
 //! the operations whose completion obligations a drain had acknowledged — and
 //! `c + 1`. Under [`CommitMode::Immediate`] the floor always equals `c`, so the
@@ -71,7 +71,7 @@ pub struct SweepSettings {
     pub elision: ElisionMode,
     /// Commit mode of the replayed [`FlitDb`]. Under [`CommitMode::Batched`] the
     /// completion fence is amortized over batches, so the crash contract weakens
-    /// to the watermark/ticket contract: the recovered state must be a consistent
+    /// to the acked-floor contract: the recovered state must be a consistent
     /// prefix containing at least every *acknowledged* operation (see
     /// `acked_floor`). Batching removes fence events from the stream, so — as
     /// with elision — crash indices are not comparable across commit modes.
@@ -192,7 +192,7 @@ pub(crate) struct Run<'a> {
     /// Per-boundary `(enqueued, committed)` obligation counters of the crashed
     /// party's handle, sampled right after each of its operations. Under
     /// [`CommitMode::Immediate`] both stay 0; under a batched mode they drive
-    /// the [`acked_floor`] computation for the weaker ticket contract.
+    /// the [`acked_floor`] computation for the weaker batched contract.
     marks: Vec<(u64, u64)>,
     total: u64,
     /// First step whose live return value diverged from the model, and the
@@ -577,11 +577,11 @@ pub(crate) fn completed_before(boundaries: &[u64], k: u64) -> usize {
 }
 
 /// The **acknowledged floor**: the number of leading operations whose completion
-/// obligations were acknowledged (covered by a drain, i.e. by the durability
-/// watermark) by the last completed operation boundary. The ticket contract says
-/// these operations *must* survive a crash; operations between the floor and
-/// `completed` were executed but never acknowledged, so a crash may legally drop
-/// any suffix of them.
+/// obligations were acknowledged (covered by a drain of the handle) by the last
+/// completed operation boundary. The batched contract says these operations
+/// *must* survive a crash; operations between the floor and `completed` were
+/// executed but never acknowledged, so a crash may legally drop any suffix of
+/// them.
 ///
 /// `marks[i]` is the replay handle's `(enqueued, committed)` obligation pair right
 /// after operation `i`. Both counters are monotone, so the floor is the partition

@@ -89,7 +89,7 @@ pub struct CaseMeta {
     pub elision: flit_pmem::ElisionMode,
     /// Commit mode the replayed [`FlitDb`](flit::FlitDb) ran with (`immediate`
     /// sweeps the strict per-operation contract, `batched-k` the group-commit
-    /// watermark/ticket contract).
+    /// acked-floor contract).
     pub commit: flit_pmem::CommitMode,
     /// `true` for the broken-acknowledgment control (obligations acknowledged
     /// without fencing); such sweeps are *expected* to find violations.

@@ -253,7 +253,7 @@ fn literal_stream_sweeps_clean_and_differs_from_elided() {
 }
 
 /// The group-commit dimension: every structure swept under `Batched(4)` must be
-/// clean under the weaker watermark/ticket contract — acknowledged operations
+/// clean under the weaker acked-floor contract — acknowledged operations
 /// survive every crash, the unacknowledged tail recovers to a consistent prefix.
 #[test]
 fn batched_commit_sweeps_clean_for_every_structure() {

@@ -577,8 +577,11 @@ mod tests {
         // The associated form needs only the arena + the image.
         let rec2 = HtList::<Automatic>::recover_arena_image(list.arena(), &image);
         assert_eq!(rec2.sorted_pairs(), rec.sorted_pairs());
-        // And the db-level survey sees the durable root.
-        assert!(db.recover(&image).has_root(roots::LIST_HEAD));
+        // And the arena's root table holds the head durably.
+        assert!(list
+            .arena()
+            .root_in_image(&image, roots::LIST_HEAD)
+            .is_some());
     }
 
     #[test]

@@ -98,7 +98,7 @@ pub struct Counter {
 
 impl Counter {
     /// Add `n` via the shared direct cell. Fine for cold or low-rate events
-    /// (ticket waits, recovery phases); hot per-handle paths should take a
+    /// (recovery phases); hot per-handle paths should take a
     /// private [`Counter::shard`] instead.
     #[inline]
     pub fn add(&self, n: u64) {

@@ -196,8 +196,7 @@ pub struct PersistEpoch {
     recent_len: Cell<usize>,
     next_slot: Cell<usize>,
     /// Completion obligations enqueued on this handle over its lifetime
-    /// (group commit, [`CommitMode::Batched`]). Monotone; ticket targets are
-    /// cut from it.
+    /// (group commit, [`CommitMode::Batched`]). Monotone.
     obligations_enqueued: Cell<u64>,
     /// Obligations enqueued but not yet acknowledged by a batch drain. Note
     /// this is *not* cleared by [`note_pfence`](Self::note_pfence): a fence

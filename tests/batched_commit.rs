@@ -1,12 +1,13 @@
-//! End-to-end group-commit semantics through the public API: tickets cut by
-//! [`FlitHandle::ticket`]/[`FlitHandle::flush_async`], the db-wide durability
-//! watermark, cross-thread waiters, and the acknowledged-operations half of the
-//! weaker crash contract — all driven through a real structure, not raw words.
-//! (The crash half of the contract — what an *unacknowledged* suffix may lose —
-//! is swept exhaustively by the `flit-crashtest` engine; see `tests/sweep.rs`
-//! in that crate.)
+//! End-to-end group-commit semantics through the public API: the handle's
+//! obligation counts ([`FlitHandle::enqueued_obligations`] /
+//! [`FlitHandle::committed_obligations`]) as the record of acknowledgment,
+//! [`FlitHandle::flush`] as the explicit drain, and the acknowledged-operations
+//! half of the weaker crash contract — all driven through a real structure,
+//! not raw words. (The crash half of the contract — what an *unacknowledged*
+//! suffix may lose — is swept exhaustively by the `flit-crashtest` engine; see
+//! `tests/sweep.rs` in that crate.)
 
-use flit::{FlitDb, FlitPolicy, HashedScheme};
+use flit::{FlitDb, FlitHandle, FlitPolicy, HashedScheme};
 use flit_datastructs::{Automatic, ConcurrentMap, HashTable};
 use flit_pmem::{CommitMode, SimNvram};
 
@@ -18,10 +19,23 @@ fn batched_db(nvram: SimNvram, k: usize) -> FlitDb<HtPolicy> {
         .build()
 }
 
-/// `flush_async` drains the handle's queue before returning, so its ticket is
-/// durable at issue and `wait` on it never blocks.
+/// Batch drains across every handle of `db` (the `flit_handle_drains_total`
+/// counter).
+fn drains(db: &FlitDb<HtPolicy>) -> u64 {
+    db.metrics_snapshot()
+        .value("flit_handle_drains_total", &[])
+        .expect("drain counter")
+}
+
+/// `(enqueued, committed)` obligations of `h`.
+fn counts(h: &FlitHandle<'_, HtPolicy>) -> (u64, u64) {
+    (h.enqueued_obligations(), h.committed_obligations())
+}
+
+/// `flush` drains the handle's queue before returning: every completed
+/// operation is acknowledged at once, by one drain.
 #[test]
-fn flush_async_tickets_are_durable_at_issue() {
+fn flush_drains_the_batch_at_once() {
     let nvram = SimNvram::for_crash_testing();
     let db = batched_db(nvram, 64);
     let map: HashTable<HtPolicy, Automatic> = HashTable::with_capacity(&db, 64);
@@ -30,19 +44,18 @@ fn flush_async_tickets_are_durable_at_issue() {
         assert!(map.insert(&h, k, k * 2));
     }
     assert_eq!(
-        db.durable_watermark(),
-        0,
+        counts(&h),
+        (10, 0),
         "a batch of 64 never overflowed on 10 operations"
     );
-    let t = h.flush_async();
-    assert_eq!(t.covered(), 10);
-    assert!(db.is_durable(t));
-    db.wait(t); // must return immediately
-    assert_eq!(db.durable_watermark(), 10);
+    let before = drains(&db);
+    h.flush();
+    assert_eq!(counts(&h), (10, 10));
+    assert_eq!(drains(&db), before + 1, "one drain for the whole batch");
 }
 
-/// Batch overflow acknowledges mid-stream without any explicit flush: a ticket
-/// cut between two overflows becomes durable when the second one fires.
+/// Batch overflow acknowledges mid-stream without any explicit flush: the
+/// committed count moves in whole batches.
 #[test]
 fn batch_overflow_acknowledges_mid_stream() {
     let nvram = SimNvram::for_crash_testing();
@@ -52,65 +65,38 @@ fn batch_overflow_acknowledges_mid_stream() {
     for k in 0..6u64 {
         assert!(map.insert(&h, k, k));
     }
-    let t = h.ticket();
-    assert_eq!(t.covered(), 6);
-    assert!(
-        !db.is_durable(t),
+    assert_eq!(
+        counts(&h),
+        (6, 4),
         "only the first batch of 4 is acknowledged so far"
     );
-    assert_eq!(db.durable_watermark(), 4);
     for k in 6..8u64 {
         assert!(map.insert(&h, k, k));
     }
-    assert!(db.is_durable(t), "the second overflow covered the ticket");
-    assert_eq!(db.durable_watermark(), 8);
+    assert_eq!(
+        counts(&h),
+        (8, 8),
+        "the second overflow acknowledged the rest"
+    );
 }
 
-/// Tickets are plain `Copy` data checkable from any thread: a waiter spinning
-/// on `wait` observes the issuing handle's drain.
+/// Under the default `Immediate` mode completions are synchronously durable:
+/// nothing is ever enqueued, so there is nothing to acknowledge or drain.
 #[test]
-fn a_waiter_on_another_thread_observes_the_drain() {
-    let nvram = SimNvram::for_crash_testing();
-    let db = batched_db(nvram, 1024);
-    let map: HashTable<HtPolicy, Automatic> = HashTable::with_capacity(&db, 64);
-    let h = db.handle();
-    for k in 0..5u64 {
-        assert!(map.insert(&h, k, k + 7));
-    }
-    let t = h.ticket();
-    assert!(!db.is_durable(t));
-    std::thread::scope(|s| {
-        let waiter = s.spawn(|| {
-            db.wait(t);
-            db.durable_watermark()
-        });
-        let flushed = h.flush_async();
-        assert!(db.is_durable(flushed));
-        assert!(waiter.join().expect("waiter thread") >= 5);
-    });
-}
-
-/// Under the default `Immediate` mode the group-commit surface degenerates
-/// gracefully: completions are synchronously durable, every ticket is trivially
-/// durable, and the watermark (which counts batched acknowledgments) stays 0.
-#[test]
-fn immediate_mode_tickets_are_trivially_durable() {
+fn immediate_mode_enqueues_nothing() {
     let db = FlitDb::flit_ht(SimNvram::for_crash_testing());
     let map: HashTable<HtPolicy, Automatic> = HashTable::with_capacity(&db, 64);
     let h = db.handle();
     assert!(map.insert(&h, 1, 2));
-    let t = h.ticket();
-    assert_eq!(t.covered(), 0, "immediate mode enqueues no obligations");
-    assert!(db.is_durable(t));
-    db.wait(t);
-    let flushed = h.flush_async();
-    assert!(db.is_durable(flushed));
-    assert_eq!(db.durable_watermark(), 0);
+    assert_eq!(counts(&h), (0, 0), "immediate mode enqueues no obligations");
+    h.flush();
+    assert_eq!(counts(&h), (0, 0));
+    assert_eq!(drains(&db), 0);
 }
 
-/// The acknowledged half of the group-commit contract, tracker-verified: once a
-/// ticket is durable, a crash image cut at that moment recovers every operation
-/// the ticket covers.
+/// The acknowledged half of the group-commit contract, tracker-verified: once
+/// `flush` has acknowledged the handle's operations, a crash image cut at that
+/// moment recovers every one of them.
 #[test]
 fn acknowledged_inserts_survive_the_crash_image() {
     let nvram = SimNvram::for_crash_testing();
@@ -122,8 +108,8 @@ fn acknowledged_inserts_survive_the_crash_image() {
     for k in 0..5u64 {
         assert!(map.insert(&h, k, k + 50));
     }
-    let t = h.flush_async();
-    assert!(db.is_durable(t));
+    h.flush();
+    assert_eq!(counts(&h), (5, 5));
     let image = nvram.tracker().unwrap().crash_image();
     let recovered = map.recover(&image);
     assert!(!recovered.truncated);

@@ -54,9 +54,9 @@ fn dropping_a_dirty_handle_issues_the_trailing_pfence() {
 }
 
 /// Group commit: a dirty batched handle dropped mid-batch must drain its
-/// obligation queue — the drop fences, acknowledges the open batch (db-wide
-/// watermark plus the handle's tickets), and the tracker shows the batch's
-/// last store durable only after the drop.
+/// obligation queue — the drop runs one batch drain (counted by
+/// `flit_handle_drains_total`), and the tracker shows the batch's last store
+/// durable only after the drop.
 #[test]
 fn dropping_a_batched_handle_mid_batch_drains_its_obligations() {
     let nvram = SimNvram::for_crash_testing();
@@ -66,19 +66,24 @@ fn dropping_a_batched_handle_mid_batch_drains_its_obligations() {
     ))
     .commit_mode(CommitMode::Batched(8))
     .build();
+    let drains = || {
+        db.metrics_snapshot()
+            .value("flit_handle_drains_total", &[])
+            .expect("drain counter")
+    };
     let word = Word::new(0);
-    let ticket = {
+    {
         let h = db.handle();
         for i in 1..=3u64 {
             word.store(&h, 10 + i, PFlag::Persisted);
             h.operation_completion();
         }
-        let t = h.ticket();
-        assert!(
-            !db.is_durable(t),
+        assert_eq!(
+            (h.enqueued_obligations(), h.committed_obligations()),
+            (3, 0),
             "mid-batch (3 of 8 obligations): nothing is acknowledged yet"
         );
-        assert_eq!(db.durable_watermark(), 0);
+        assert_eq!(drains(), 0);
         // The trailing fence of the *last* store is deferred: its predecessor
         // was committed by the leading fence of store 3, but 13 itself is only
         // in volatile memory.
@@ -87,13 +92,8 @@ fn dropping_a_batched_handle_mid_batch_drains_its_obligations() {
             Some(12),
             "the deferred trailing fence leaves the batch's last store pending"
         );
-        t
-    }; // <- drop: one drain fence commits and acknowledges the whole batch
-    assert!(
-        db.is_durable(ticket),
-        "the drop must acknowledge the open batch"
-    );
-    assert_eq!(db.durable_watermark(), 3);
+    } // <- drop: one drain fence commits and acknowledges the whole batch
+    assert_eq!(drains(), 1, "the drop must drain the open batch");
     assert_eq!(
         nvram.tracker().unwrap().persisted_value(word.addr()),
         Some(13),
