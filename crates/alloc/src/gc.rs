@@ -26,8 +26,9 @@
 //! * **Seeds** — every live root-table entry of every arena (after adoption
 //!   the live table *is* the durable table).
 //! * **Slot scanning is conservative** — every word of a marked slot is
-//!   treated as a *potential* pointer: strip the link-and-persist flag
-//!   (bit 63) and the low mark/tag bits, then ask each arena whether the
+//!   treated as a *potential* pointer: keep only the address bits (3–46),
+//!   stripping the link-and-persist flag (bit 63), a HAMT entry's bitmap
+//!   (bits 47–62) and the low mark/tag bits, then ask each arena whether the
 //!   address falls inside a chunk. False positives (a value that happens to
 //!   look like a live slot address) keep garbage alive — acceptable; false
 //!   negatives are impossible because structures store plain tagged addresses.
@@ -58,9 +59,11 @@ use flit_pmem::WORD_SIZE;
 
 use crate::Arena;
 
-/// Strip the link-and-persist flag (bit 63) and the mark/tag bits from a word
-/// before treating it as a candidate pointer.
-const CANDIDATE_MASK: u64 = !((1 << 63) | 0b111);
+/// The address bits (3–46) of a word treated as a candidate pointer: strips
+/// the link-and-persist flag (bit 63), the occupancy bitmap a HAMT interior
+/// entry carries in bits 47–62, and the low mark/tag bits. User-space
+/// addresses on x86-64 Linux fit in 47 bits, so no real address loses a bit.
+const CANDIDATE_MASK: u64 = ((1 << 47) - 1) & !0b111;
 
 /// Per-arena result of one [`post_crash_gc`] pass.
 #[derive(Debug, Clone, PartialEq, Eq)]

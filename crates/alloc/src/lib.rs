@@ -251,8 +251,9 @@ impl ArenaConfig {
     }
 
     /// The small-slot preset for the interior nodes of a copy-on-write HAMT
-    /// (`flit-hamt`): [`HAMT_NODE_SLOT_BYTES`]-byte slots — a header word plus a
-    /// bitmap-compressed 16-entry array — with a chunk count derived from
+    /// (`flit-hamt`): [`HAMT_NODE_SLOT_BYTES`]-byte slots — a bitmap-compressed
+    /// array of at most 16 entries, whose bitmap travels in the entry that
+    /// points at the node — with a chunk count derived from
     /// `capacity` via [`ArenaConfig::for_capacity`]. Copy-on-write churns
     /// through slots faster than in-place structures (every update allocates a
     /// whole path), so HAMT arenas want small slots and capacity-proportional
@@ -262,10 +263,10 @@ impl ArenaConfig {
     }
 }
 
-/// Slot size of [`ArenaConfig::hamt_nodes`]: 17 words (a header word carrying
-/// the 16-bit occupancy bitmap plus at most 16 packed entry words), rounded up
-/// to whole cache lines by the arena (192 bytes).
-pub const HAMT_NODE_SLOT_BYTES: usize = 17 * WORD_SIZE;
+/// Slot size of [`ArenaConfig::hamt_nodes`]: 16 words, at most 16 packed
+/// entry words and no header (the 16-bit occupancy bitmap lives in bits 47–62
+/// of the entry naming the node), so a full node is two cache lines.
+pub const HAMT_NODE_SLOT_BYTES: usize = 16 * WORD_SIZE;
 
 /// What the persisted arena header looks like inside a [`CrashImage`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

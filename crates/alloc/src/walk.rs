@@ -12,7 +12,7 @@
 //!
 //! The bound is one budget of `image.len() + 2` [`visit`](ImageWalk::visit)s
 //! for the whole walk. On a valid image every visit consumes a distinct
-//! persisted word (the node's link, header or key word), so the budget never
+//! persisted word (the node's link, first child or key word), so the budget never
 //! trips; on a cyclic image it trips after O(`image.len()`) visits, however
 //! the cycle is shaped.
 

@@ -35,14 +35,20 @@
 //! Nodes live in one [`flit_alloc::Arena`] with
 //! [`ArenaConfig::hamt_nodes`]-shaped slots ([`flit_alloc::HAMT_NODE_SLOT_BYTES`]):
 //!
-//! * **interior node** — `[header, child₀, …, childₙ₋₁]`: the header's low 16
-//!   bits are an occupancy bitmap over the 16 nibble values; children are
-//!   packed by popcount rank (bitmap compression), so a node costs
-//!   `1 + popcount` words to write and flush.
+//! * **interior node** — `[child₀, …, childₙ₋₁]`: children packed by
+//!   popcount rank over the 16 nibble values (bitmap compression), so a node
+//!   is `8·popcount` bytes to write and flush — a full node is two cache
+//!   lines. The node holds no header: its occupancy bitmap travels in the
+//!   entry that points at it.
 //! * **leaf** — `[key, value]`.
-//! * **entry encoding** — `0` = absent, bit 0 set = interior node at
-//!   `enc & !1`, otherwise a leaf at `enc` (slot addresses are word-aligned, so
-//!   bit 0 is free).
+//! * **entry encoding** — the word that names a node (a parent's child slot,
+//!   the root word, a retained-root entry): `0` = absent; bit 0 set = an
+//!   interior node at bits 3–46, with its 16-bit bitmap in bits 47–62;
+//!   otherwise a leaf at `enc`. Bit 63 stays clear for link-and-persist's
+//!   dirty flag. Node addresses must fit in 47 bits, which holds for x86-64
+//!   Linux user space and is asserted at allocation. A lookup therefore reads
+//!   one word per level: the bitmap and the child's rank come with the
+//!   entry.
 //!
 //! Keys are mixed through a **bijective** finaliser ([`mix_key`], the
 //! splitmix64 finaliser), so distinct `u64` keys have distinct 64-bit hashes:
@@ -136,6 +142,9 @@ pub const RETAINED_CAPACITY: usize = 64;
 pub const RETAINED_ENTRY_WORDS: usize = 3;
 const RETAINED_BYTES: usize = RETAINED_CAPACITY * RETAINED_ENTRY_WORDS * WORD_SIZE;
 const INTERIOR_TAG: u64 = 0b1;
+/// An interior entry's bitmap sits in bits 47–62, above every node address.
+const BITMAP_SHIFT: u32 = 47;
+const ADDR_MASK: u64 = (1 << BITMAP_SHIFT) - 1;
 
 /// The bijective splitmix64 finaliser used to spread keys over the trie.
 /// Distinct keys map to distinct hashes, so the trie needs no collision
@@ -158,15 +167,26 @@ fn is_interior(enc: u64) -> bool {
     enc & INTERIOR_TAG != 0
 }
 
+/// The entry of the interior node at `node` whose children `bitmap` names.
 #[inline]
-fn addr_of(enc: u64) -> usize {
-    (enc & !INTERIOR_TAG) as usize
+fn encode(node: *mut u64, bitmap: u64) -> u64 {
+    node as u64 | bitmap << BITMAP_SHIFT | INTERIOR_TAG
 }
 
-/// Popcount rank of `nib` within `bitmap`: the packed index of that child.
+/// `(node address, occupancy bitmap)` of an entry; a leaf's bitmap is 0.
 #[inline]
-fn rank(bitmap: u64, nib: usize) -> usize {
-    (bitmap & ((1u64 << nib) - 1)).count_ones() as usize
+fn decode(enc: u64) -> (usize, u64) {
+    (
+        (enc & ADDR_MASK & !INTERIOR_TAG) as usize,
+        (enc >> BITMAP_SHIFT) & BITMAP_MASK,
+    )
+}
+
+/// The child of the node at `addr` (occupancy `bitmap`) under nibble `nib`:
+/// children are packed by popcount rank.
+#[inline]
+fn child(addr: usize, bitmap: u64, nib: usize) -> u64 {
+    read_word(addr + (bitmap & ((1u64 << nib) - 1)).count_ones() as usize * WORD_SIZE)
 }
 
 #[inline]
@@ -351,16 +371,15 @@ impl<P: Policy> Hamt<P> {
     fn lookup(mut enc: u64, hash: u64, key: u64) -> Option<u64> {
         let mut depth = 0;
         while enc != 0 {
-            let addr = addr_of(enc);
+            let (addr, bitmap) = decode(enc);
             if !is_interior(enc) {
                 return (read_word(addr) == key).then(|| read_word(addr + WORD_SIZE));
             }
-            let bitmap = read_word(addr) & BITMAP_MASK;
             let nib = nibble(hash, depth);
             if bitmap & (1 << nib) == 0 {
                 return None;
             }
-            enc = read_word(addr + (1 + rank(bitmap, nib)) * WORD_SIZE);
+            enc = child(addr, bitmap, nib);
             depth += 1;
         }
         None
@@ -368,8 +387,41 @@ impl<P: Policy> Hamt<P> {
 
     fn alloc_node<B: PmemBackend>(&self, pm: &B, fresh: &mut NodeBuf) -> *mut u64 {
         let node = self.arena.alloc(pm) as *mut u64;
+        assert!(
+            node as u64 & !ADDR_MASK == 0,
+            "HAMT node {node:p} lies above the 47-bit address space its entries encode"
+        );
         fresh.push(node as usize);
         node
+    }
+
+    /// Copy the node at `addr` (occupancy `bitmap`) into a fresh node holding
+    /// the children `new_bitmap` names, with the child under `nib` replaced
+    /// by `new_child`; `pwb` the copy (no fence) and return its entry.
+    #[allow(clippy::too_many_arguments)]
+    fn copy_node<B: PmemBackend>(
+        &self,
+        pm: &B,
+        addr: usize,
+        bitmap: u64,
+        new_bitmap: u64,
+        nib: usize,
+        new_child: u64,
+        fresh: &mut NodeBuf,
+    ) -> u64 {
+        let node = self.alloc_node(pm, fresh);
+        let mut w = 0;
+        for i in (0..FANOUT).filter(|i| new_bitmap & (1 << i) != 0) {
+            let v = if i == nib {
+                new_child
+            } else {
+                child(addr, bitmap, i)
+            };
+            write_word(pm, node, w, v);
+            w += 1;
+        }
+        pwb_range(pm, node as usize, w * WORD_SIZE);
+        encode(node, new_bitmap)
     }
 
     fn new_leaf<B: PmemBackend>(&self, pm: &B, key: u64, value: u64, fresh: &mut NodeBuf) -> u64 {
@@ -403,23 +455,21 @@ impl<P: Policy> Hamt<P> {
         // Two-child node at the diverging level…
         let (no, nn) = (nibble(old_hash, d), nibble(new_hash, d));
         let node = self.alloc_node(pm, fresh);
-        write_word(pm, node, 0, (1u64 << no) | (1u64 << nn));
         let (first, second) = if no < nn {
             (old_leaf, new_leaf)
         } else {
             (new_leaf, old_leaf)
         };
-        write_word(pm, node, 1, first);
-        write_word(pm, node, 2, second);
-        pwb_range(pm, node as usize, 3 * WORD_SIZE);
-        let mut enc = node as u64 | INTERIOR_TAG;
+        write_word(pm, node, 0, first);
+        write_word(pm, node, 1, second);
+        pwb_range(pm, node as usize, 2 * WORD_SIZE);
+        let mut enc = encode(node, (1u64 << no) | (1u64 << nn));
         // …wrapped in single-entry nodes for every shared level above it.
         for dd in (depth..d).rev() {
             let wrap = self.alloc_node(pm, fresh);
-            write_word(pm, wrap, 0, 1u64 << nibble(new_hash, dd));
-            write_word(pm, wrap, 1, enc);
-            pwb_range(pm, wrap as usize, 2 * WORD_SIZE);
-            enc = wrap as u64 | INTERIOR_TAG;
+            write_word(pm, wrap, 0, enc);
+            pwb_range(pm, wrap as usize, WORD_SIZE);
+            enc = encode(wrap, 1u64 << nibble(new_hash, dd));
         }
         enc
     }
@@ -443,7 +493,7 @@ impl<P: Policy> Hamt<P> {
         if enc == 0 {
             return Some(self.new_leaf(pm, key, value, &mut path.fresh));
         }
-        let addr = addr_of(enc);
+        let (addr, bitmap) = decode(enc);
         if !is_interior(enc) {
             let k0 = read_word(addr);
             if k0 == key {
@@ -452,34 +502,17 @@ impl<P: Policy> Hamt<P> {
             let fresh = &mut path.fresh;
             return Some(self.split(pm, enc, mix_key(k0), key, value, hash, depth, fresh));
         }
-        let bitmap = read_word(addr) & BITMAP_MASK;
         let nib = nibble(hash, depth);
         let bit = 1u64 << nib;
-        let child = if bitmap & bit != 0 {
-            read_word(addr + (1 + rank(bitmap, nib)) * WORD_SIZE)
+        let old = if bitmap & bit != 0 {
+            child(addr, bitmap, nib)
         } else {
             0
         };
-        let new_child = self.cow_insert(pm, child, hash, key, value, depth + 1, path)?;
-        let node = self.alloc_node(pm, &mut path.fresh);
-        let new_bitmap = bitmap | bit;
-        write_word(pm, node, 0, new_bitmap);
-        let mut w = 1;
-        for i in 0..FANOUT {
-            if new_bitmap & (1 << i) == 0 {
-                continue;
-            }
-            let v = if i == nib {
-                new_child
-            } else {
-                read_word(addr + (1 + rank(bitmap, i)) * WORD_SIZE)
-            };
-            write_word(pm, node, w, v);
-            w += 1;
-        }
-        pwb_range(pm, node as usize, w * WORD_SIZE);
+        let new_child = self.cow_insert(pm, old, hash, key, value, depth + 1, path)?;
         path.stale.push(addr);
-        Some(node as u64 | INTERIOR_TAG)
+        let fresh = &mut path.fresh;
+        Some(self.copy_node(pm, addr, bitmap, bitmap | bit, nib, new_child, fresh))
     }
 
     /// Build the copy-on-write path for removing `key` under `enc`. Returns
@@ -497,7 +530,7 @@ impl<P: Policy> Hamt<P> {
         if enc == 0 {
             return None;
         }
-        let addr = addr_of(enc);
+        let (addr, bitmap) = decode(enc);
         if !is_interior(enc) {
             if read_word(addr) != key {
                 return None;
@@ -505,75 +538,35 @@ impl<P: Policy> Hamt<P> {
             path.stale.push(addr);
             return Some(0);
         }
-        let bitmap = read_word(addr) & BITMAP_MASK;
         let nib = nibble(hash, depth);
         let bit = 1u64 << nib;
         if bitmap & bit == 0 {
             return None;
         }
-        let child = read_word(addr + (1 + rank(bitmap, nib)) * WORD_SIZE);
-        let new_child = self.cow_remove(pm, child, hash, key, depth + 1, path)?;
+        let new_child =
+            self.cow_remove(pm, child(addr, bitmap, nib), hash, key, depth + 1, path)?;
         path.stale.push(addr);
-        if new_child == 0 {
-            let new_bitmap = bitmap & !bit;
-            let count = new_bitmap.count_ones() as usize;
-            if count == 0 {
-                return Some(0);
-            }
-            if count == 1 {
-                let only_nib = new_bitmap.trailing_zeros() as usize;
-                let only = read_word(addr + (1 + rank(bitmap, only_nib)) * WORD_SIZE);
-                if !is_interior(only) {
-                    // Contract: hoist the sole remaining leaf (interiors
-                    // cannot hoist — their children are indexed by depth).
-                    return Some(only);
-                }
-            }
-            let node = self.alloc_node(pm, &mut path.fresh);
-            write_word(pm, node, 0, new_bitmap);
-            let mut w = 1;
-            for i in 0..FANOUT {
-                if new_bitmap & (1 << i) == 0 {
-                    continue;
-                }
-                write_word(
-                    pm,
-                    node,
-                    w,
-                    read_word(addr + (1 + rank(bitmap, i)) * WORD_SIZE),
-                );
-                w += 1;
-            }
-            pwb_range(pm, node as usize, (1 + count) * WORD_SIZE);
-            Some(node as u64 | INTERIOR_TAG)
+        let new_bitmap = if new_child == 0 {
+            bitmap & !bit
         } else {
-            if bitmap.count_ones() == 1 && !is_interior(new_child) {
-                // The child contracted to a leaf and it is our only entry:
-                // keep contracting.
-                return Some(new_child);
-            }
-            let node = self.alloc_node(pm, &mut path.fresh);
-            write_word(pm, node, 0, bitmap);
-            let mut w = 1;
-            for i in 0..FANOUT {
-                if bitmap & (1 << i) == 0 {
-                    continue;
-                }
-                let v = if i == nib {
-                    new_child
-                } else {
-                    read_word(addr + (1 + rank(bitmap, i)) * WORD_SIZE)
-                };
-                write_word(pm, node, w, v);
-                w += 1;
-            }
-            pwb_range(
-                pm,
-                node as usize,
-                (1 + bitmap.count_ones() as usize) * WORD_SIZE,
-            );
-            Some(node as u64 | INTERIOR_TAG)
+            bitmap
+        };
+        if new_bitmap == 0 {
+            return Some(0);
         }
+        if new_bitmap.count_ones() == 1 {
+            // Contract: hoist a sole remaining leaf (interiors cannot hoist —
+            // their children are indexed by depth).
+            let only = match new_child {
+                0 => child(addr, bitmap, new_bitmap.trailing_zeros() as usize),
+                c => c,
+            };
+            if !is_interior(only) {
+                return Some(only);
+            }
+        }
+        let fresh = &mut path.fresh;
+        Some(self.copy_node(pm, addr, bitmap, new_bitmap, nib, new_child, fresh))
     }
 
     /// Retire the replaced path nodes: straight to the arena's deferred
@@ -780,13 +773,14 @@ fn walk_enc(
     if depth > MAX_DEPTH {
         return Err(Truncated);
     }
-    let addr = walk.visit(addr_of(enc))?;
+    let (addr, bitmap) = decode(enc);
+    let addr = walk.visit(addr)?;
     if !is_interior(enc) {
         pairs.push((walk.read(addr)?, walk.read(addr + WORD_SIZE)?));
         return Ok(());
     }
-    let count = (walk.read(addr)? & BITMAP_MASK).count_ones() as usize;
-    for i in 1..=count {
+    // At most 16 words: a hostile bitmap cannot read past a node's slot.
+    for i in 0..bitmap.count_ones() as usize {
         let child = walk.read(addr + i * WORD_SIZE)?;
         walk_enc(walk, child, depth + 1, pairs)?;
     }
@@ -871,9 +865,8 @@ impl SnapshotIter<'_> {
             return it;
         }
         if is_interior(root) {
-            let addr = addr_of(root);
-            let count = (read_word(addr) & BITMAP_MASK).count_ones() as usize;
-            it.stack.push((addr, count, 0));
+            let (addr, bitmap) = decode(root);
+            it.stack.push((addr, bitmap.count_ones() as usize, 0));
         } else {
             it.root_leaf = Some(root);
         }
@@ -886,7 +879,7 @@ impl Iterator for SnapshotIter<'_> {
 
     fn next(&mut self) -> Option<(u64, u64)> {
         if let Some(leaf) = self.root_leaf.take() {
-            let addr = addr_of(leaf);
+            let (addr, _) = decode(leaf);
             return Some((read_word(addr), read_word(addr + WORD_SIZE)));
         }
         loop {
@@ -895,16 +888,14 @@ impl Iterator for SnapshotIter<'_> {
                 self.stack.pop();
                 continue;
             }
-            let entry = read_word(*addr + (1 + *idx) * WORD_SIZE);
+            let entry = read_word(*addr + *idx * WORD_SIZE);
             *idx += 1;
+            let (node, bitmap) = decode(entry);
             if is_interior(entry) {
-                let child = addr_of(entry);
-                let ccount = (read_word(child) & BITMAP_MASK).count_ones() as usize;
-                self.stack.push((child, ccount, 0));
+                self.stack.push((node, bitmap.count_ones() as usize, 0));
                 continue;
             }
-            let leaf = entry as usize;
-            return Some((read_word(leaf), read_word(leaf + WORD_SIZE)));
+            return Some((read_word(node), read_word(node + WORD_SIZE)));
         }
     }
 }
@@ -1249,6 +1240,114 @@ mod tests {
         drop(h2);
         let image2 = sim.tracker().unwrap().crash_image();
         assert!(Hamt::<P>::recover_snapshots_in_image(t.arena(), &image2).is_empty());
+    }
+
+    #[test]
+    fn entries_round_trip_at_the_extremes() {
+        let top = ((1u64 << BITMAP_SHIFT) - 128) as *mut u64;
+        let enc = encode(top, BITMAP_MASK);
+        assert!(is_interior(enc));
+        assert_eq!(decode(enc), (top as usize, BITMAP_MASK));
+        assert_eq!(enc >> 63, 0, "bit 63 is link-and-persist's");
+        let low = encode(0x1000 as *mut u64, 1);
+        assert_eq!(decode(low), (0x1000, 1));
+        // A leaf is its bare address: no tag, no bitmap.
+        assert_eq!(decode(top as u64), (top as usize, 0));
+    }
+
+    /// Keys whose mixed hashes start with `nibbles`, one per nibble value.
+    fn keys_with_prefix(nibbles: &[usize], count: usize) -> Vec<u64> {
+        let depth = nibbles.len();
+        let mut seen = [false; FANOUT];
+        (0u64..)
+            .filter(|&k| {
+                let h = mix_key(k);
+                (0..depth).all(|d| nibble(h, d) == nibbles[d])
+                    && !std::mem::replace(&mut seen[nibble(h, depth)], true)
+            })
+            .take(count)
+            .collect()
+    }
+
+    #[test]
+    fn a_full_top_bitmap_leaves_bit_63_to_link_and_persist() {
+        let db = FlitDb::create(flit::presets::link_and_persist(backend()));
+        let h = db.handle();
+        let t = db.hamt(64);
+        let keys = keys_with_prefix(&[], FANOUT);
+        for &k in &keys {
+            assert!(t.insert(&h, k, k + 1));
+        }
+        let root = t.root().load_direct();
+        assert_eq!(decode(root).1, BITMAP_MASK, "a full 16-child root");
+        assert_ne!(root & 1 << 62, 0, "nibble 15's bit is the entry's bit 62");
+        assert_eq!(root & 1 << 63, 0);
+        for &k in &keys {
+            assert_eq!(t.get(&h, k), Some(k + 1));
+        }
+    }
+
+    #[test]
+    fn a_hostile_full_bitmap_stays_inside_the_slot_and_truncates() {
+        let sim = SimNvram::for_crash_testing();
+        let db = FlitDb::flit_ht(sim.clone());
+        let h = db.handle();
+        let t = db.hamt(64);
+        // Two keys split the root: a fresh two-child node whose other 14
+        // words were never written.
+        for k in keys_with_prefix(&[], 2) {
+            assert!(t.insert(&h, k, k));
+        }
+        let (node, bitmap) = decode(t.root().load_direct());
+        assert_eq!(bitmap.count_ones(), 2);
+        assert_eq!(FANOUT * WORD_SIZE, HAMT_NODE_SLOT_BYTES);
+        let image = sim.tracker().unwrap().crash_image();
+        let mut walk = ImageWalk::new(t.arena(), &image);
+        let mut pairs = Vec::new();
+        let forged = encode(node as *mut u64, BITMAP_MASK);
+        assert_eq!(walk_enc(&mut walk, forged, 0, &mut pairs), Err(Truncated));
+        assert_eq!(
+            pairs.len(),
+            2,
+            "the walk stopped at the first unwritten word"
+        );
+    }
+
+    /// One successful insert pays ⌈8·c/64⌉ `pwb`s per copied c-child node,
+    /// one per new leaf and one for the root word; two fences.
+    #[test]
+    fn a_successful_insert_pays_one_pwb_per_copied_line() {
+        let db = db();
+        let h = db.handle();
+        let cost = |t: &Hamt<P>, k: u64| {
+            let before = db.stats_snapshot().unwrap();
+            assert!(t.insert(&h, k, k));
+            let d = db.stats_snapshot().unwrap().delta_since(&before);
+            (d.pwbs, d.pfences)
+        };
+        // A 7-child root gains an 8th leaf: leaf 1 + root copy ⌈64/64⌉ = 1 +
+        // root word 1.
+        let keys = keys_with_prefix(&[], FANOUT);
+        let t = db.hamt(64);
+        for &k in &keys[..7] {
+            assert!(t.insert(&h, k, k));
+        }
+        assert_eq!(cost(&t, keys[7]), (3, 2));
+        // A full 16-child root of leaves, and a key sharing nibbles 0 and 1
+        // with one of them: leaf 1 + two-child node at depth 2 (16 B) 1 +
+        // wrap at depth 1 (8 B) 1 + root copy ⌈128/64⌉ = 2 + root word 1.
+        let t = db.hamt(64);
+        for &k in &keys {
+            assert!(t.insert(&h, k, k));
+        }
+        let sibling = mix_key(keys[3]);
+        let deep = keys_with_prefix(&[nibble(sibling, 0), nibble(sibling, 1)], FANOUT)
+            .into_iter()
+            .find(|&k| nibble(mix_key(k), 2) != nibble(sibling, 2))
+            .unwrap();
+        assert_eq!(cost(&t, deep), (6, 2));
+        assert_eq!(t.get(&h, deep), Some(deep));
+        assert_eq!(t.get(&h, keys[3]), Some(keys[3]));
     }
 
     #[test]

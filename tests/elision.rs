@@ -272,20 +272,24 @@ fn instruction_stream_is_pinned() {
 
     // [pwbs, pfences, read_side_pwbs, elided_pfences, elided_pwbs], recorded at
     // the commit before the elision API moved from `PmemBackend` to `PmemSession`.
+    // The HAMT's pwbs were re-recorded when its nodes lost their bitmap header
+    // word (each copied node flushes ⌈8·children/64⌉ lines, not
+    // ⌈8·(children + 1)/64⌉): 957 fewer in each of its four streams, every
+    // other counter unchanged.
     assert_eq!(
         drive(backend_with(on), now, table),
         [2522, 2489, 0, 5410, 0]
     );
     assert_eq!(drive(backend_with(off), now, table), [2522, 7899, 0, 0, 0]);
-    assert_eq!(drive(backend_with(on), now, hamt), [5817, 1980, 0, 4000, 0]);
-    assert_eq!(drive(backend_with(off), now, hamt), [5817, 5980, 0, 0, 0]);
+    assert_eq!(drive(backend_with(on), now, hamt), [4860, 1980, 0, 4000, 0]);
+    assert_eq!(drive(backend_with(off), now, hamt), [4860, 5980, 0, 0, 0]);
     assert_eq!(drive(tracked(on), batched, table), [2531, 2182, 9, 807, 0]);
     assert_eq!(drive(tracked(off), batched, table), [2531, 2989, 9, 0, 0]);
     assert_eq!(
         drive(tracked(on), batched, hamt),
-        [6677, 1444, 860, 50, 1304]
+        [5720, 1444, 860, 50, 1304]
     );
-    assert_eq!(drive(tracked(off), batched, hamt), [7981, 1494, 2164, 0, 0]);
+    assert_eq!(drive(tracked(off), batched, hamt), [7024, 1494, 2164, 0, 0]);
     let list = |db: &FlitDb<HtPolicy>| HarrisList::<_, Automatic>::with_capacity(db, 256);
     let skip = |db: &FlitDb<HtPolicy>| SkipList::<_, Automatic>::with_capacity(db, 256);
     let bst = |db: &FlitDb<HtPolicy>| NatarajanTree::<_, Automatic>::with_capacity(db, 256);

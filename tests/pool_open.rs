@@ -198,6 +198,21 @@ fn corrupted_pools_yield_typed_errors_not_panics() {
         &|p| write_word(p, superblock::VERSION as u64, 42),
         &|e| matches!(e, OpenError::BadVersion { found: 42, .. }),
     );
+    // A version-1 pool keeps each HAMT node's bitmap inside the node; this
+    // build reads it from the entry, so the old layout is refused, not misread.
+    case(
+        "version-1",
+        &|p| write_word(p, superblock::VERSION as u64, 1),
+        &|e| {
+            matches!(
+                e,
+                OpenError::BadVersion {
+                    found: 1,
+                    supported: 2
+                }
+            )
+        },
+    );
     case(
         "truncated",
         &|p| {
@@ -433,23 +448,25 @@ fn hostile_hamt_roots_truncate_the_walk() {
         )
     };
     const INTERIOR: u64 = 1;
+    // An interior entry carries its node's 16-bit bitmap in bits 47–62.
+    const FULL: u64 = (0xFFFF << 47) | INTERIOR;
     let root = |value: u64| vec![(root_word, value)];
-    // The root node with a full bitmap whose every child is the root itself:
-    // bounded only by depth, that is 16^16 visits.
+    // The root node claiming a full bitmap whose every child is the root
+    // itself: bounded only by depth, that is 16^16 visits.
     let root_enc = read_word(&path, root_word);
     assert_eq!(
         root_enc & INTERIOR,
         INTERIOR,
         "40 keys need an interior root"
     );
-    let node = root_enc - INTERIOR - base;
-    let full_bitmap = (1u64 << flit_hamt::FANOUT) - 1;
-    let mut self_loops = vec![(node, full_bitmap)];
+    let node = (root_enc & ((1 << 47) - 1)) - INTERIOR - base;
+    let full_root = (node + base) | FULL;
+    let mut self_loops = vec![(root_word, full_root)];
     self_loops
-        .extend((1..=flit_hamt::FANOUT as u64).map(|i| (node + i * WORD_SIZE as u64, root_enc)));
+        .extend((0..flit_hamt::FANOUT as u64).map(|i| (node + i * WORD_SIZE as u64, full_root)));
     for (name, writes, must_truncate) in [
         ("root-into-superblock", root(base), true),
-        ("root-node-in-superblock", root(base | INTERIOR), true),
+        ("root-node-in-superblock", root(base | FULL), true),
         ("root-past-the-mapping", root(base + pool_len + 64), true),
         // A leaf whose value word, and a node whose children, would lie past
         // the end of the chunk: whatever follows is not this arena's to read.
@@ -460,13 +477,102 @@ fn hostile_hamt_roots_truncate_the_walk() {
         ),
         (
             "root-node-at-chunk-end",
-            root((chunk_end - WORD_SIZE as u64) | INTERIOR),
+            root((chunk_end - WORD_SIZE as u64) | FULL),
             false,
         ),
         ("root-node-children-are-itself", self_loops, true),
     ] {
         recover_corrupted::<Hamt<HtPolicy>>(&path, name, &writes, &expected, must_truncate);
     }
+    let _ = std::fs::remove_file(&path);
+}
+
+/// Every slot the HAMT entry `enc` reaches in `image`, read with the entry
+/// encoding: bit 0 tags an interior node, whose bitmap is bits 47–62 and whose
+/// address is bits 3–46; a leaf entry is its bare address.
+fn hamt_slots(image: &flit_pmem::CrashImage, enc: u64, slots: &mut Vec<usize>) {
+    if enc == 0 {
+        return;
+    }
+    let addr = (enc & ((1 << 47) - 1) & !1) as usize;
+    slots.push(addr);
+    if enc & 1 == 1 {
+        for i in 0..((enc >> 47) & 0xFFFF).count_ones() as usize {
+            hamt_slots(image, image.read(addr + i * WORD_SIZE).unwrap(), slots);
+        }
+    }
+}
+
+/// A 4 096-key HAMT has full 16-child nodes at its top levels, whose entries
+/// carry all 16 bitmap bits. A leaked snapshot makes the close leave the pool
+/// dirty, so the reopen runs the conservative GC over those entries: it must
+/// see through the bitmap bits to the node address, or it frees live nodes.
+#[test]
+fn a_dirty_reopen_keeps_every_hamt_node_the_walk_reaches() {
+    let path = temp_path("hamt-dirty");
+    let (live, frozen) = {
+        let db = FlitDb::builder(policy()).create_pool(&path).unwrap();
+        let map = Hamt::new(&db, 4096);
+        let h = db.handle();
+        for k in 0..4096u64 {
+            assert!(map.insert(&h, k, k + 1));
+        }
+        let snapshot = map.snapshot(&h);
+        for k in (0..4096u64).step_by(4) {
+            assert!(map.remove(&h, k));
+        }
+        for k in 4096..4608u64 {
+            assert!(map.insert(&h, k, k + 1));
+        }
+        // Leaked: the retired paths stay parked, so the close leaves the pool
+        // to post-crash GC.
+        std::mem::forget(snapshot);
+        let live: Vec<(u64, u64)> = (0..4608u64)
+            .filter(|k| k % 4 != 0 || *k >= 4096)
+            .map(|k| (k, k + 1))
+            .collect();
+        (live, (0..4096u64).map(|k| (k, k + 1)).collect::<Vec<_>>())
+    };
+    let (db, report) = FlitDb::open(&path, policy()).unwrap();
+    assert!(
+        !report.clean_close,
+        "a leaked snapshot leaves the pool dirty"
+    );
+    assert!(
+        report.leaked_slots() > 0,
+        "GC ran and found the parked paths"
+    );
+    let arenas = db.arenas();
+    let arena = &arenas[0];
+    let rec = Hamt::<HtPolicy>::recover_arenas(&arenas, &report.image);
+    assert!(!rec.truncated);
+    assert_eq!(rec.sorted_pairs(), live);
+    let retained = Hamt::<HtPolicy>::recover_snapshots_in_image(arena, &report.image);
+    assert_eq!(retained.len(), 1);
+    assert_eq!(retained[0].rec.sorted_pairs(), frozen);
+
+    // The flit-HT root word is bare at the start of its cell.
+    let image = &report.image;
+    let root = image.read(arena.root(roots::HAMT_ROOT).unwrap()).unwrap();
+    assert_eq!((root >> 47) & 0xFFFF, 0xFFFF, "a full root node");
+    let table = arena.root(roots::HAMT_RETAINED).unwrap();
+    let mut slots = Vec::new();
+    hamt_slots(image, root, &mut slots);
+    let entry = table + retained[0].slot * flit_hamt::RETAINED_ENTRY_WORDS * WORD_SIZE;
+    hamt_slots(image, image.read(entry).unwrap(), &mut slots);
+    let free: std::collections::HashSet<usize> = arena.durable_free_offsets().into_iter().collect();
+    let freed: Vec<usize> = slots
+        .iter()
+        .map(|&a| arena.offset_of_addr(a).unwrap())
+        .filter(|off| free.contains(off))
+        .collect();
+    assert!(
+        freed.is_empty(),
+        "GC freed {} reachable node(s)",
+        freed.len()
+    );
+    assert_eq!(post_crash_gc(&arenas).total_reclaimed(), 0);
+    drop((db, report));
     let _ = std::fs::remove_file(&path);
 }
 
