@@ -34,10 +34,9 @@
 //!   negatives are impossible because structures store plain tagged addresses.
 //! * **Block spans are one object** — [`Arena::alloc_block`] records each
 //!   multi-slot span durably. A mark anywhere in a span marks the whole span,
-//!   and span words are *additionally* interpreted as `offset + 1` slot
-//!   references in the same arena, because block contents are directory words
-//!   (the hash table's bucket directory stores head-slot offsets, not
-//!   addresses).
+//!   and every word of it is scanned like any slot's. A hash table's directory
+//!   is such a block: its words are the bucket links and the tail sentinel's
+//!   address, plain tagged addresses like every other link.
 //! * **Durable-free slots are accounted, not scanned** — they are dead by
 //!   definition; their first word is a free-list link, not a pointer.
 //!
@@ -93,11 +92,6 @@ impl GcOutcome {
     /// surfaced in the recovery report.
     pub fn total_reclaimed(&self) -> usize {
         self.arenas.iter().map(|a| a.reclaimed).sum()
-    }
-
-    /// Total slots proved reachable across all arenas.
-    pub fn total_reachable(&self) -> usize {
-        self.arenas.iter().map(|a| a.reachable).sum()
     }
 }
 
@@ -159,12 +153,12 @@ pub fn post_crash_gc(arenas: &[Arc<Arena>]) -> GcOutcome {
         }
         // A hit anywhere in a recorded block span marks — and scans — the span
         // as one object.
-        let (first, count, in_block) = match block_of[ai][off] {
+        let (first, count) = match block_of[ai][off] {
             Some(bi) => {
                 let (f, c) = blocks[ai][bi];
-                (f, c.min(hw[ai] - f), true)
+                (f, c.min(hw[ai] - f))
             }
-            None => (off, 1, false),
+            None => (off, 1),
         };
         for m in marked[ai].iter_mut().skip(first).take(count) {
             *m = true;
@@ -176,11 +170,6 @@ pub fn post_crash_gc(arenas: &[Arc<Arena>]) -> GcOutcome {
             let word = read_word(base + woff);
             if let Some(hit) = resolve_addr(word) {
                 work.push(hit);
-            }
-            // Block words are directory entries: `offset + 1` references into
-            // the same arena.
-            if in_block && word != 0 && (word as usize - 1) < hw[ai] {
-                work.push((ai, word as usize - 1));
             }
         }
     }
@@ -279,27 +268,27 @@ mod tests {
     }
 
     #[test]
-    fn block_spans_mark_as_one_object_and_their_words_act_as_offsets() {
+    fn block_spans_mark_as_one_object_and_their_words_act_as_addresses() {
         let b = backend();
         let arena = Arc::new(Arena::new(&b, 64, 16));
-        // A 3-slot directory block whose words reference two node slots by
-        // offset + 1, exactly like the hash table's bucket directory.
+        // A 3-slot directory block whose words name two node slots by address,
+        // exactly like the hash table's bucket links.
         let n1 = arena.alloc(&b) as usize;
         let n2 = arena.alloc(&b) as usize;
+        let garbage = arena.alloc(&b) as usize;
         let dir = arena.alloc_block(&b, 64 * 3) as *mut u64;
-        let o1 = arena.offset_of_addr(n1).unwrap() as u64;
-        let o2 = arena.offset_of_addr(n2).unwrap() as u64;
         // SAFETY: exclusively owned block.
         unsafe {
-            dir.write(2); // count word — also a (harmless, conservative) offset ref
-            dir.add(1).write(o1 + 1);
-            dir.add(2).write(o2 + 1);
+            // A bucket count: read as `offset + 1` it would name `garbage`.
+            dir.write(3);
+            dir.add(1).write(n1 as u64);
+            dir.add(2).write(n2 as u64 | 1); // a marked link still marks
         }
         arena.register_root(&b, crate::roots::HASH_DIRECTORY, dir as usize);
-        let outcome = post_crash_gc(&[arena]);
-        // 3 block slots + 2 nodes (the count word 2 also marks offset 1 = n2,
-        // already counted).
+        let outcome = post_crash_gc(&[Arc::clone(&arena)]);
+        // 3 block slots + 2 nodes; the unnamed slot is garbage.
         assert_eq!(outcome.arenas[0].reachable, 5);
-        assert_eq!(outcome.arenas[0].reclaimed, 0);
+        assert_eq!(outcome.arenas[0].reclaimed, 1);
+        assert_eq!(arena.alloc(&b) as usize, garbage);
     }
 }

@@ -661,9 +661,8 @@ impl Arena {
             backend.pwb(self.header_addr(HIGH_WATER_OFFSET) as *const u8);
             // Record the span before returning (and before any caller can
             // publish a root that reaches it): post-crash GC must treat the
-            // whole block as one object, and block *contents* are directory
-            // words (slot offsets), not node pointers. The skipped gap, if
-            // any, is free like any recycled slot.
+            // whole block as one object. The skipped gap, if any, is free like
+            // any recycled slot.
             let mut state = self.state.lock();
             state.blocks.push((index, nslots));
             state.recycled.extend(cur..index);
@@ -699,8 +698,10 @@ impl Arena {
 
     /// Return a slot to the **durable** free list: the slot's first word becomes
     /// the next-free link and the header's free-list head points at it, both
-    /// recorded and flushed through `backend` (committed by the freeing thread's
-    /// next fence).
+    /// recorded and flushed through `backend`. A fence orders the link before
+    /// the head, so no crash image holds a head naming a slot whose link still
+    /// holds a dead node's field; the head itself is committed by the freeing
+    /// thread's next fence.
     ///
     /// # Safety
     /// `ptr` must be the base of a slot previously returned by
@@ -717,6 +718,7 @@ impl Arena {
         unsafe { (ptr as *mut u64).write(old_head) };
         backend.record_store(ptr as *const u8, old_head);
         backend.pwb(ptr as *const u8);
+        backend.pfence();
         state.durable_free = offset + 1;
         self.write_header_word(backend, FREE_HEAD_OFFSET, (offset + 1) as u64);
         backend.pwb(self.header_addr(FREE_HEAD_OFFSET) as *const u8);
@@ -1130,6 +1132,58 @@ mod tests {
         assert_eq!(arena.alloc(&b), c, "LIFO reuse");
         assert_eq!(arena.alloc(&b), a);
         assert_eq!(arena.high_water(), 2, "no new slots were bumped");
+    }
+
+    /// A backend that logs every store, write-back and fence it is handed.
+    #[derive(Default)]
+    struct EventLog(std::sync::Mutex<Vec<Event>>);
+
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    enum Event {
+        Store(usize, u64),
+        Pwb(usize),
+        Pfence,
+    }
+
+    impl PmemBackend for EventLog {
+        fn pwb(&self, addr: *const u8) {
+            self.0.lock().unwrap().push(Event::Pwb(addr as usize));
+        }
+        fn pfence(&self) {
+            self.0.lock().unwrap().push(Event::Pfence);
+        }
+        fn record_store(&self, addr: *const u8, val: u64) {
+            self.0
+                .lock()
+                .unwrap()
+                .push(Event::Store(addr as usize, val));
+        }
+    }
+
+    #[test]
+    fn free_fences_the_link_before_storing_the_head() {
+        let b = EventLog::default();
+        let arena = Arena::new(&b, 64, 8);
+        let a = arena.alloc(&b);
+        let c = arena.alloc(&b);
+        // SAFETY: unreachable test allocation.
+        unsafe { arena.free(&b, a) };
+        b.0.lock().unwrap().clear();
+        // SAFETY: unreachable test allocation.
+        unsafe { arena.free(&b, c) };
+        let head = arena.header_addr(FREE_HEAD_OFFSET);
+        let link = c as usize;
+        // `a` is slot 0 and `c` slot 1: the link holds 0 + 1, the head 1 + 1.
+        assert_eq!(
+            *b.0.lock().unwrap(),
+            [
+                Event::Store(link, 1),
+                Event::Pwb(link),
+                Event::Pfence,
+                Event::Store(head, 2),
+                Event::Pwb(head),
+            ]
+        );
     }
 
     #[test]

@@ -12,9 +12,13 @@
 //!
 //! The bound is one budget of `image.len() + 2` [`visit`](ImageWalk::visit)s
 //! for the whole walk. On a valid image every visit consumes a distinct
-//! persisted word (the node's link, first child or key word), so the budget never
-//! trips; on a cyclic image it trips after O(`image.len()`) visits, however
-//! the cycle is shaped.
+//! persisted word (the node's link, first child or key word, or a hash-table
+//! directory word), so the budget never trips; on a cyclic image it trips
+//! after O(`image.len()`) visits, however the cycle is shaped. A shared
+//! sentinel is visited once: the hash table visits its tail when it reads the
+//! directory and ends each bucket's chain on the tail's recorded address, and
+//! charges each bucket its directory word instead, so a hostile bucket count
+//! spends the budget like a cycle does.
 
 use std::ops::Range;
 
@@ -86,16 +90,6 @@ impl<'a> ImageWalk<'a> {
     pub fn get(&self, addr: usize) -> Option<u64> {
         self.image.read(addr)
     }
-
-    /// The slot an `offset + 1` word names (the arena's encoding of a slot,
-    /// with `0` for "none"). `0`, or a value past the high-water mark, names
-    /// no allocated slot and truncates the walk.
-    pub fn slot(&self, offset_plus_one: u64) -> Result<usize, Truncated> {
-        if offset_plus_one == 0 || offset_plus_one > self.arena.high_water() as u64 {
-            return Err(Truncated);
-        }
-        Ok(self.arena.addr_of_offset(offset_plus_one as usize - 1))
-    }
 }
 
 #[cfg(test)]
@@ -165,16 +159,5 @@ mod tests {
             assert_eq!(walk.visit(slot), Ok(slot));
         }
         assert_eq!(walk.visit(slot), Err(Truncated));
-    }
-
-    #[test]
-    fn slot_resolves_only_allocated_offsets() {
-        let (_b, arena, image) = arena_with(6);
-        let walk = ImageWalk::new(&arena, &image);
-        let high_water = arena.high_water() as u64;
-        for hostile in [0, high_water + 1, u64::MAX] {
-            assert_eq!(walk.slot(hostile), Err(Truncated), "{hostile}");
-        }
-        assert_eq!(walk.slot(high_water), Ok(arena.addr_of_offset(5)));
     }
 }

@@ -201,8 +201,8 @@ struct DbInner<P: Policy> {
     /// handle id, so [`FlitDb::dump_flight_recorder`] can snapshot those
     /// handles' event tails from any thread — after the handle is gone, too.
     /// Registered by [`FlitHandle::arm_flight_recorder`], never by
-    /// [`FlitDb::handle`]: structures create handles by the thousand (one per
-    /// hash bucket at construction) and an unarmed handle has no ring.
+    /// [`FlitDb::handle`]: structures and workers create short-lived handles
+    /// freely, and an unarmed handle has no ring.
     flights: Mutex<Vec<(u64, FlightRecorder)>>,
 }
 
@@ -1043,21 +1043,28 @@ impl<'db, P: Policy> FlitHandle<'db, P> {
     /// a shared p-store; a no-op when `flag` is volatile or the backend is
     /// not persistent.
     pub fn persist_range(&self, start: *const u8, len: usize, flag: PFlag) {
-        if !self.db.backend().is_persistent() || flag.is_volatile() || len == 0 {
-            return;
+        if flag.is_persisted() && self.write_back(start, len) {
+            self.pmem().pfence();
+        }
+    }
+
+    /// Write back every cache line of `len` bytes starting at `start`, with no
+    /// fence: the handle's next fence commits them. Returns whether any `pwb`
+    /// was issued (none when `len` is 0 or the backend is not persistent).
+    pub fn write_back(&self, start: *const u8, len: usize) -> bool {
+        if !self.db.backend().is_persistent() || len == 0 {
+            return false;
         }
         let pm = self.pmem();
-        let first = cache_line_of(start as usize);
         let last = cache_line_of(start as usize + len - 1);
-        let mut line = first;
+        let mut line = cache_line_of(start as usize);
         loop {
             pm.pwb(line as *const u8);
             if line == last {
-                break;
+                return true;
             }
             line += CACHE_LINE_SIZE;
         }
-        pm.pfence();
     }
 
     /// Persist an entire object (all cache lines it occupies). Typically called

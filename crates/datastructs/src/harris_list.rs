@@ -16,11 +16,17 @@
 //! the critical phase are persisted via the transition (see
 //! [`Durability::TRANSITION_DEPTH`]).
 //!
+//! The algorithm runs on a *chain*: the link word it starts from and the tail
+//! sentinel that ends it. `left` is always a link — the head link or an unmarked
+//! node's `next` — so the list needs no head node to CAS. A standalone list's
+//! head link is its head sentinel's `next`; a hash-table bucket's is one word of
+//! the table's directory, and all its buckets end at one shared tail.
+//!
 //! ## Arena allocation and image-only recovery
 //!
 //! Nodes live in cache-line-aligned slots of a [`Arena`] — one arena per
 //! standalone list (created through the owning [`FlitDb`]), or the owning hash
-//! table's shared arena when the list serves as a bucket. Every node word
+//! table's shared arena for its buckets' nodes. Every node word
 //! (including the immutable `key`/`value`) is recorded with the backend before
 //! the node is persisted and published, and a standalone list registers its head
 //! sentinel in the arena's recovery-root table under [`roots::LIST_HEAD`].
@@ -61,6 +67,32 @@ pub(crate) struct NodeLayout {
 }
 
 impl<P: Policy> Node<P> {
+    /// Allocate a node from `arena` and record **all** of its words (key, value,
+    /// link) with the backend through `h`, so the node is fully reconstructible
+    /// from a crash image. The caller persists and publishes it.
+    pub(crate) fn alloc(
+        h: &FlitHandle<'_, P>,
+        arena: &Arena,
+        key: u64,
+        value: u64,
+        next: usize,
+    ) -> *mut Self {
+        let pm = h.pmem();
+        let node: *mut Self = arena.alloc_init(
+            &pm,
+            Node {
+                key,
+                value,
+                next: P::Word::<usize>::new(next),
+            },
+        );
+        let node_ref = unsafe { &*node };
+        pm.record_store(&node_ref.key as *const u64 as *const u8, key);
+        pm.record_store(&node_ref.value as *const u64 as *const u8, value);
+        node_ref.next.store_private(h, next, PFlag::Volatile);
+        node
+    }
+
     pub(crate) fn layout() -> NodeLayout {
         let probe = Node::<P> {
             key: 0,
@@ -98,65 +130,24 @@ impl<P: Policy, D: Durability> HarrisList<P, D> {
     /// [`roots::LIST_HEAD`].
     pub fn new(db: &FlitDb<P>) -> Self {
         let arena = db.new_arena_for::<Node<P>>(db.arena_defaults());
-        Self::with_arena(&db.handle(), arena, Some(roots::LIST_HEAD))
-    }
-
-    /// Create an empty list inside `arena` (shared by the hash table's buckets)
-    /// under `h`, the caller's construction handle: a hash table builds every
-    /// bucket under one handle instead of creating and dropping one per bucket.
-    /// When `root_key` is set, the head sentinel is registered in the arena's
-    /// recovery-root table once construction is durable. The instruction stream
-    /// ends fully fenced, so `h` leaves as clean as it came.
-    pub(crate) fn with_arena(
-        h: &FlitHandle<'_, P>,
-        arena: Arc<Arena>,
-        root_key: Option<u64>,
-    ) -> Self {
+        let h = db.handle();
         // Persist-before-publish at construction: both sentinels become durable
         // (including their key/value words) before the root that makes the list
         // recoverable is registered, so a crash at *any* construction event
         // recovers to either "no list yet" or the empty list — never garbage.
-        let tail = Self::alloc_node(h, &arena, u64::MAX, 0, 0);
-        let head = Self::alloc_node(h, &arena, 0, 0, pack(tail));
+        let tail = Node::alloc(&h, &arena, u64::MAX, 0, 0);
+        let head = Node::alloc(&h, &arena, 0, 0, pack(tail));
         for node in [tail, head] {
             h.persist_object(unsafe { &*node }, PFlag::Persisted);
         }
-        if let Some(key) = root_key {
-            arena.register_root(&h.pmem(), key, head as usize);
-        }
+        arena.register_root(&h.pmem(), roots::LIST_HEAD, head as usize);
         Self {
             head,
             tail,
             arena,
-            db: h.db().clone(),
+            db: db.clone(),
             _durability: PhantomData,
         }
-    }
-
-    /// Allocate a node from the arena and record **all** of its words (key, value,
-    /// link) with the backend through `h`, so the node is fully reconstructible
-    /// from a crash image. The caller persists and publishes it.
-    fn alloc_node(
-        h: &FlitHandle<'_, P>,
-        arena: &Arena,
-        key: u64,
-        value: u64,
-        next: usize,
-    ) -> *mut Node<P> {
-        let pm = h.pmem();
-        let node: *mut Node<P> = arena.alloc_init(
-            &pm,
-            Node {
-                key,
-                value,
-                next: P::Word::<usize>::new(next),
-            },
-        );
-        let node_ref = unsafe { &*node };
-        pm.record_store(&node_ref.key as *const u64 as *const u8, key);
-        pm.record_store(&node_ref.value as *const u64 as *const u8, value);
-        node_ref.next.store_private(h, next, PFlag::Volatile);
-        node
     }
 
     /// The database this list lives in.
@@ -169,10 +160,70 @@ impl<P: Policy, D: Durability> HarrisList<P, D> {
         &self.arena
     }
 
-    /// The address of the head sentinel's slot (buckets publish it in the hash
-    /// table's directory block).
-    pub(crate) fn head_addr(&self) -> usize {
-        self.head as usize
+    /// The list's one chain, starting at the head sentinel's `next`.
+    #[inline]
+    fn chain(&self) -> Chain<'_, P, D> {
+        Chain::new(&unsafe { &*self.head }.next, self.tail, &self.arena)
+    }
+
+    /// Image-only walk of one persisted chain, starting from the link word at
+    /// `link` (a head sentinel's `next`, or a hash-table directory word). A node
+    /// whose own persisted `next` carries the deletion mark is skipped. The
+    /// chain ends at `tail` when the caller recorded it — the hash table's one
+    /// tail ends every bucket without being visited again — and otherwise at
+    /// the node whose persisted key is the tail sentinel's.
+    pub(crate) fn walk_chain(
+        walk: &mut ImageWalk<'_>,
+        link: usize,
+        tail: Option<usize>,
+        pairs: &mut Vec<(u64, u64)>,
+    ) -> Result<(), Truncated> {
+        let layout = Node::<P>::layout();
+        let mut next = walk.read(link)? as usize;
+        loop {
+            if Some(unmark(next)) == tail {
+                return Ok(());
+            }
+            let cur = walk.visit(unmark(next))?;
+            next = walk.read(cur + layout.next)? as usize;
+            let key = walk.read(cur + layout.key)?;
+            if key == u64::MAX {
+                return Ok(());
+            }
+            if !is_marked(next) {
+                pairs.push((key, walk.read(cur + layout.value)?));
+            }
+        }
+    }
+
+    /// Image-only recovery through this list's own arena; see
+    /// [`RecoverInImage`].
+    pub fn recover(&self, image: &CrashImage) -> RecoveredMap {
+        Self::recover_arena_image(&self.arena, image)
+    }
+}
+
+/// One Harris chain: the link word it starts from, the tail sentinel that ends
+/// it and the arena its nodes come from. A standalone list's head link is its
+/// head sentinel's `next`; a hash-table bucket's is its word of the table's
+/// directory. The algorithm only ever reads and CASes links, so it never
+/// needs a head node.
+pub(crate) struct Chain<'a, P: Policy, D: Durability> {
+    head: &'a P::Word<usize>,
+    tail: *mut Node<P>,
+    arena: &'a Arc<Arena>,
+    _durability: PhantomData<D>,
+}
+
+impl<'a, P: Policy, D: Durability> Chain<'a, P, D> {
+    #[inline]
+    pub(crate) fn new(head: &'a P::Word<usize>, tail: *mut Node<P>, arena: &'a Arc<Arena>) -> Self {
+        Self {
+            head,
+            tail,
+            arena,
+            _durability: PhantomData,
+        }
     }
 
     /// Retire `node` through the guard's collector: its slot returns to the
@@ -185,48 +236,50 @@ impl<P: Policy, D: Durability> HarrisList<P, D> {
     /// NVTraverse-style transition: re-read the links the critical phase depends on
     /// as p-loads, so they are flushed (if tagged) before the update CAS.
     #[inline]
-    fn transition(&self, h: &FlitHandle<'_, P>, left: *mut Node<P>, right: *mut Node<P>) {
+    fn transition(&self, h: &FlitHandle<'_, P>, left: &P::Word<usize>, right: *mut Node<P>) {
         if D::TRANSITION_DEPTH >= 1 {
-            let _ = unsafe { &*left }.next.load(h, PFlag::Persisted);
+            let _ = left.load(h, PFlag::Persisted);
         }
         if D::TRANSITION_DEPTH >= 2 && right != self.tail {
             let _ = unsafe { &*right }.next.load(h, PFlag::Persisted);
         }
     }
 
-    /// Harris's `search`: returns `(left, right)` such that `left.key < key <=
-    /// right.key`, `left` and `right` are adjacent and unmarked at some point during
-    /// the call, physically unlinking any marked nodes it encounters between them.
+    /// Harris's `search`: returns `(left, right)` such that `left` is the link
+    /// naming `right`, every node before it has a key `< key` and `right.key >=
+    /// key`; `left` and `right` are adjacent and unmarked at some point during
+    /// the call, and any marked nodes between them are physically unlinked.
     fn search(
         &self,
         h: &FlitHandle<'_, P>,
         key: u64,
         guard: &Guard<'_>,
-    ) -> (*mut Node<P>, *mut Node<P>) {
+    ) -> (&'a P::Word<usize>, *mut Node<P>) {
         'retry: loop {
-            let mut t = self.head;
-            let mut t_next = unsafe { &*t }.next.load(h, D::TRAVERSAL_LOAD);
-            let mut left = t;
-            let mut left_next = t_next;
+            let mut link = self.head;
+            let mut next = link.load(h, D::TRAVERSAL_LOAD);
+            let mut left = link;
+            let mut left_next = next;
 
-            // Phase 1: find left (last unmarked node with key < `key`) and right
-            // (first unmarked node with key >= `key`).
-            loop {
-                if !is_marked(t_next) {
-                    left = t;
-                    left_next = t_next;
+            // Phase 1: find left (the link out of the last unmarked node with key
+            // < `key`, or the head link) and right (first unmarked node with key
+            // >= `key`).
+            let right = loop {
+                if !is_marked(next) {
+                    left = link;
+                    left_next = next;
                 }
-                t = address::<Node<P>>(t_next);
+                let t = address::<Node<P>>(next);
                 if t == self.tail {
-                    break;
+                    break t;
                 }
-                let t_ref = unsafe { &*t };
-                t_next = t_ref.next.load(h, D::TRAVERSAL_LOAD);
-                if !is_marked(t_next) && t_ref.key >= key {
-                    break;
+                let t_ref: &'a Node<P> = unsafe { &*t };
+                link = &t_ref.next;
+                next = link.load(h, D::TRAVERSAL_LOAD);
+                if !is_marked(next) && t_ref.key >= key {
+                    break t;
                 }
-            }
-            let right = t;
+            };
 
             // Phase 2: if left and right are adjacent we are done (unless right got
             // marked in the meantime, in which case start over).
@@ -240,8 +293,7 @@ impl<P: Policy, D: Durability> HarrisList<P, D> {
             }
 
             // Phase 3: unlink the chain of marked nodes between left and right.
-            if unsafe { &*left }
-                .next
+            if left
                 .compare_exchange(h, left_next, pack(right), D::STORE)
                 .is_ok()
             {
@@ -262,65 +314,30 @@ impl<P: Policy, D: Durability> HarrisList<P, D> {
         }
     }
 
-    /// Image-only walk of one persisted chain from the head-sentinel slot `head`
-    /// (shared with the hash table, whose directory stores one head per bucket).
-    /// A node whose own persisted `next` carries the deletion mark is skipped;
-    /// only the tail, recognised by its persisted sentinel key, ends the chain.
-    pub(crate) fn walk_chain(
-        walk: &mut ImageWalk<'_>,
-        head: usize,
-        pairs: &mut Vec<(u64, u64)>,
-    ) -> Result<(), Truncated> {
-        let layout = Node::<P>::layout();
-        let mut cur = walk.visit(head)?;
-        let mut next = walk.read(cur + layout.next)? as usize;
-        loop {
-            cur = walk.visit(unmark(next))?;
-            next = walk.read(cur + layout.next)? as usize;
-            let key = walk.read(cur + layout.key)?;
-            if key == u64::MAX {
-                return Ok(());
-            }
-            if !is_marked(next) {
-                pairs.push((key, walk.read(cur + layout.value)?));
-            }
-        }
-    }
-
-    /// Image-only recovery through this list's own arena; see
-    /// [`RecoverInImage`].
-    pub fn recover(&self, image: &CrashImage) -> RecoveredMap {
-        Self::recover_arena_image(&self.arena, image)
-    }
-}
-
-impl<P: Policy, D: Durability> ConcurrentMap<P> for HarrisList<P, D> {
-    const NAME: &'static str = "list";
-
-    fn with_capacity(db: &FlitDb<P>, _capacity_hint: usize) -> Self {
-        Self::new(db)
-    }
-
-    fn get_op(&self, h: &FlitHandle<'_, P>, key: u64, guard: &Guard<'_>) -> Option<u64> {
+    pub(crate) fn get(&self, h: &FlitHandle<'_, P>, key: u64, guard: &Guard<'_>) -> Option<u64> {
         let (_left, right) = self.search(h, key, guard);
-        if right != self.tail {
-            let right_ref = unsafe { &*right };
-            if right_ref.key == key {
-                // NVTraverse: a read-only operation persists the node that determines
-                // its result before returning.
-                if D::TRANSITION_DEPTH > 0 {
-                    let _ = right_ref.next.load(h, PFlag::Persisted);
-                }
-                Some(right_ref.value)
-            } else {
-                None
-            }
-        } else {
-            None
+        if right == self.tail {
+            return None;
         }
+        let right_ref = unsafe { &*right };
+        if right_ref.key != key {
+            return None;
+        }
+        // NVTraverse: a read-only operation persists the node that determines its
+        // result before returning.
+        if D::TRANSITION_DEPTH > 0 {
+            let _ = right_ref.next.load(h, PFlag::Persisted);
+        }
+        Some(right_ref.value)
     }
 
-    fn insert_op(&self, h: &FlitHandle<'_, P>, key: u64, value: u64, guard: &Guard<'_>) -> bool {
+    pub(crate) fn insert(
+        &self,
+        h: &FlitHandle<'_, P>,
+        key: u64,
+        value: u64,
+        guard: &Guard<'_>,
+    ) -> bool {
         assert!(key < u64::MAX, "key space reserved for the tail sentinel");
         loop {
             let (left, right) = self.search(h, key, guard);
@@ -331,12 +348,9 @@ impl<P: Policy, D: Durability> ConcurrentMap<P> for HarrisList<P, D> {
             // Allocate, record and persist the new node's contents before it
             // becomes reachable: the publishing CAS below depends on them, and
             // recovery walks the persisted words.
-            let node = Self::alloc_node(h, &self.arena, key, value, pack(right));
+            let node = Node::alloc(h, self.arena, key, value, pack(right));
             h.persist_object(unsafe { &*node }, D::STORE);
-            match unsafe { &*left }
-                .next
-                .compare_exchange(h, pack(right), pack(node), D::STORE)
-            {
+            match left.compare_exchange(h, pack(right), pack(node), D::STORE) {
                 Ok(_) => return true,
                 Err(_) => {
                     // Never published: return the slot to the durable free list.
@@ -347,7 +361,7 @@ impl<P: Policy, D: Durability> ConcurrentMap<P> for HarrisList<P, D> {
         }
     }
 
-    fn remove_op(&self, h: &FlitHandle<'_, P>, key: u64, guard: &Guard<'_>) -> bool {
+    pub(crate) fn remove(&self, h: &FlitHandle<'_, P>, key: u64, guard: &Guard<'_>) -> bool {
         loop {
             let (left, right) = self.search(h, key, guard);
             if right == self.tail || unsafe { &*right }.key != key {
@@ -368,8 +382,7 @@ impl<P: Policy, D: Durability> ConcurrentMap<P> for HarrisList<P, D> {
             {
                 // Logical deletion succeeded (linearization point). Try to unlink
                 // physically; if that fails, a later search will do it.
-                if unsafe { &*left }
-                    .next
+                if left
                     .compare_exchange(h, pack(right), unmark(right_next), D::STORE)
                     .is_ok()
                 {
@@ -382,10 +395,10 @@ impl<P: Policy, D: Durability> ConcurrentMap<P> for HarrisList<P, D> {
         }
     }
 
-    fn len(&self) -> usize {
-        // Quiescent-state traversal: counts unmarked nodes between the sentinels.
+    /// Quiescent-state traversal: counts the unmarked nodes before the tail.
+    pub(crate) fn len(&self) -> usize {
         let mut count = 0;
-        let mut cur = address::<Node<P>>(unsafe { &*self.head }.next.load_direct());
+        let mut cur = address::<Node<P>>(self.head.load_direct());
         while cur != self.tail {
             let next = unsafe { &*cur }.next.load_direct();
             if !is_marked(next) {
@@ -394,6 +407,30 @@ impl<P: Policy, D: Durability> ConcurrentMap<P> for HarrisList<P, D> {
             cur = address::<Node<P>>(next);
         }
         count
+    }
+}
+
+impl<P: Policy, D: Durability> ConcurrentMap<P> for HarrisList<P, D> {
+    const NAME: &'static str = "list";
+
+    fn with_capacity(db: &FlitDb<P>, _capacity_hint: usize) -> Self {
+        Self::new(db)
+    }
+
+    fn get_op(&self, h: &FlitHandle<'_, P>, key: u64, guard: &Guard<'_>) -> Option<u64> {
+        self.chain().get(h, key, guard)
+    }
+
+    fn insert_op(&self, h: &FlitHandle<'_, P>, key: u64, value: u64, guard: &Guard<'_>) -> bool {
+        self.chain().insert(h, key, value, guard)
+    }
+
+    fn remove_op(&self, h: &FlitHandle<'_, P>, key: u64, guard: &Guard<'_>) -> bool {
+        self.chain().remove(h, key, guard)
+    }
+
+    fn len(&self) -> usize {
+        self.chain().len()
     }
 
     fn db(&self) -> &FlitDb<P> {
@@ -407,7 +444,10 @@ impl<P: Policy, D: Durability> RecoverInImage for HarrisList<P, D> {
     /// Read the head sentinel's slot from the root table, then walk the
     /// persisted `next` chain, reading every key/value out of the image.
     fn recover_arena_image(arena: &Arena, image: &CrashImage) -> RecoveredMap {
-        recover_from_root(arena, image, Self::ROOT_KEY, Self::walk_chain)
+        recover_from_root(arena, image, Self::ROOT_KEY, |walk, head, pairs| {
+            let head = walk.visit(head)?;
+            Self::walk_chain(walk, head + Node::<P>::layout().next, None, pairs)
+        })
     }
 }
 

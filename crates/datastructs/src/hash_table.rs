@@ -8,37 +8,75 @@
 //! structure, and every operation takes the calling thread's
 //! [`flit::FlitHandle`].
 //!
-//! ## Arena layout and recovery
+//! ## Directory layout and recovery
 //!
-//! All buckets allocate their nodes from **one shared arena**, and the table
-//! publishes a persisted **bucket directory** block in that arena:
-//! `[bucket_count, head-slot-offset+1 of bucket 0, …]`. The directory is persisted
-//! after every bucket's sentinels (persist-before-publish at construction scale)
-//! and registered in the arena's root table under
-//! [`roots::HASH_DIRECTORY`], so
-//! its [`RecoverInImage`] walk rebuilds the durable map purely from a
+//! The bucket array *is* the table's persisted **directory** block, allocated
+//! in the same arena as the nodes and registered in its root table under
+//! [`roots::HASH_DIRECTORY`]:
+//!
+//! ```text
+//! [bucket_count, tail, link₀, link₁, …, link_{N-1}]    one P::Word<usize> each
+//! ```
+//!
+//! A bucket is its link word: the packed address of its first node, or of the
+//! table's **one tail sentinel**, where every bucket's chain ends. The Harris
+//! algorithm starts from that word and CASes it like any node's `next`, so a
+//! lookup loads the link straight out of the directory, and an N-bucket table
+//! is ⌈(N+2)·w / slot⌉ directory slots plus one tail slot. Construction records
+//! every directory word, writes back the tail and the directory's lines, and
+//! registers the root, whose first fence commits them all before the key that
+//! makes the table recoverable (persist-before-publish). The root entry's two
+//! fences are the only ones construction adds to the new arena's own.
+//!
+//! The [`RecoverInImage`] walk rebuilds the durable map purely from a
 //! [`CrashImage`]: root table → directory → every bucket's chain, under one
-//! bounded walker.
+//! bounded walker. Each directory word costs the walk one visit, and a chain
+//! ends on the recorded tail address without visiting the tail again, so a
+//! hostile bucket count spends the budget instead of iterating past the image.
+//! The tail word must name a node with the sentinel key; any other tail would
+//! cut short every chain through the node it names, so the walk truncates.
+//!
+//! Under the table-based FliT schemes a directory word is one machine word, so
+//! eight buckets share a cache line. With [`flit::CacheLineScheme`]
+//! (`flit-cacheline`) they also share one counter: a p-store to one bucket tags
+//! the line, and a concurrent reader of any of its seven neighbours help-flushes
+//! it. `flit-HT`, the benchmark's policy, counts per word.
 
+use std::marker::PhantomData;
+use std::mem::size_of;
 use std::sync::Arc;
 
-use flit::{FlitDb, FlitHandle, PFlag, Policy};
-use flit_alloc::{roots, Arena, ArenaConfig};
+use flit::{FlitDb, FlitHandle, PFlag, PersistWord, Policy};
+use flit_alloc::{roots, Arena, ArenaConfig, Truncated};
 use flit_ebr::Guard;
-use flit_pmem::{CrashImage, PmemBackend, WORD_SIZE};
+use flit_pmem::CrashImage;
 
 use crate::durability::Durability;
-use crate::harris_list::{HarrisList, Node};
+use crate::harris_list::{Chain, HarrisList, Node};
 use crate::map::ConcurrentMap;
+use crate::marked::pack;
 use crate::recovery::{recover_from_root, RecoverInImage, RecoveredMap};
+
+/// Directory words before the first bucket link: the bucket count and the tail.
+const DIR_HEADER_WORDS: usize = 2;
 
 /// Fixed-size lock-free hash table with Harris-list buckets.
 pub struct HashTable<P: Policy, D: Durability> {
-    buckets: Vec<HarrisList<P, D>>,
+    /// Bucket `i`'s link: word `DIR_HEADER_WORDS + i` of the directory block.
+    links: *const P::Word<usize>,
+    tail: *mut Node<P>,
     arena: Arc<Arena>,
     db: FlitDb<P>,
     mask: u64,
+    _durability: PhantomData<D>,
 }
+
+// SAFETY: as for `HarrisList` — shared state is accessed through atomic
+// persist-words, nodes are reclaimed through EBR, and the raw directory and
+// tail pointers are written only during construction. The arena held here
+// keeps both alive.
+unsafe impl<P: Policy, D: Durability> Send for HashTable<P, D> {}
+unsafe impl<P: Policy, D: Durability> Sync for HashTable<P, D> {}
 
 impl<P: Policy, D: Durability> HashTable<P, D> {
     /// Create a table in `db` with roughly one bucket per expected key
@@ -49,60 +87,53 @@ impl<P: Policy, D: Durability> HashTable<P, D> {
 
     /// [`HashTable::new`] with an explicit node-arena [`ArenaConfig`], so a
     /// shard-sized table can grow its arena in shard-sized steps. The requested
-    /// chunk slot-count is raised when needed: a chunk must fit the bucket
-    /// directory contiguously.
+    /// chunk slot-count is raised when needed: a chunk must fit the directory
+    /// contiguously.
     pub fn with_config(db: &FlitDb<P>, capacity_hint: usize, config: ArenaConfig) -> Self {
         let buckets_len = capacity_hint.next_power_of_two().max(64);
-        // One shared arena for every bucket's nodes plus the directory block. The
-        // chunk size must fit the directory contiguously.
-        let dir_bytes = (buckets_len + 1) * WORD_SIZE;
+        let dir_bytes = (DIR_HEADER_WORDS + buckets_len) * size_of::<P::Word<usize>>();
         let node_slot = Arena::slot_size_for::<Node<P>>();
         let chunk_slots = config
             .slots_per_chunk
             .max(2 * dir_bytes.div_ceil(node_slot));
         let arena = db.new_arena(config.sized(node_slot).chunked(chunk_slots));
-        // One construction handle for the whole table: every bucket's
-        // construction ends in a fence, so `h` enters each bucket clean and
-        // no bucket's elision decisions depend on the buckets before it.
         let h = db.handle();
-        let buckets: Vec<HarrisList<P, D>> = (0..buckets_len)
-            .map(|_| HarrisList::with_arena(&h, Arc::clone(&arena), None))
-            .collect();
-
-        // Publish the directory: bucket count, then each bucket's head-slot offset
-        // (+1, so 0 stays "absent"). Every word is recorded with the backend and
-        // the whole block is flushed + fenced *before* the root that makes the
-        // table recoverable is registered. Runs under the same construction
-        // handle as the buckets above.
         let pm = h.pmem();
-        let dir = arena.alloc_block(&pm, dir_bytes) as *mut u64;
-        let write_word = |i: usize, val: u64| {
+        let tail = Node::alloc(&h, &arena, u64::MAX, 0, 0);
+        let dir = arena.alloc_block(&pm, dir_bytes) as *mut P::Word<usize>;
+        let links = std::iter::repeat(pack(tail)).take(buckets_len);
+        for (i, val) in [buckets_len, tail as usize]
+            .into_iter()
+            .chain(links)
+            .enumerate()
+        {
             // SAFETY: in-bounds write inside the freshly allocated, exclusively
             // owned directory block.
-            unsafe { dir.add(i).write(val) };
-            pm.record_store(unsafe { dir.add(i) } as *const u8, val);
-        };
-        write_word(0, buckets_len as u64);
-        for (i, bucket) in buckets.iter().enumerate() {
-            let offset = arena
-                .offset_of_addr(bucket.head_addr())
-                .expect("bucket heads live in the shared arena");
-            write_word(i + 1, (offset + 1) as u64);
+            let word = unsafe {
+                dir.add(i).write(P::Word::<usize>::new(val));
+                &*dir.add(i)
+            };
+            word.store_private(&h, val, PFlag::Volatile);
         }
-        h.persist_range(dir as *const u8, dir_bytes, PFlag::Persisted);
+        // Written back here, committed by the root registration's first fence,
+        // which precedes the key that makes the table recoverable.
+        h.write_back(tail as *const u8, size_of::<Node<P>>());
+        h.write_back(dir as *const u8, dir_bytes);
         arena.register_root(&pm, roots::HASH_DIRECTORY, dir as usize);
 
         Self {
-            buckets,
+            links: unsafe { dir.add(DIR_HEADER_WORDS) },
+            tail,
             arena,
             db: db.clone(),
             mask: (buckets_len - 1) as u64,
+            _durability: PhantomData,
         }
     }
 
     /// Number of buckets in the table.
     pub fn bucket_count(&self) -> usize {
-        self.buckets.len()
+        self.mask as usize + 1
     }
 
     /// The shared arena every bucket allocates from.
@@ -116,12 +147,20 @@ impl<P: Policy, D: Durability> HashTable<P, D> {
         Self::recover_arena_image(&self.arena, image)
     }
 
+    /// Bucket `i`'s chain.
     #[inline]
-    fn bucket(&self, key: u64) -> &HarrisList<P, D> {
+    fn chain(&self, i: usize) -> Chain<'_, P, D> {
+        // SAFETY: callers pass `i` below the bucket count, and the directory
+        // lives in the arena this table holds.
+        Chain::new(unsafe { &*self.links.add(i) }, self.tail, &self.arena)
+    }
+
+    #[inline]
+    fn bucket(&self, key: u64) -> Chain<'_, P, D> {
         // Fibonacci hashing spreads consecutive keys (the benchmark uses dense key
         // ranges) across buckets.
         let h = key.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 17;
-        &self.buckets[(h & self.mask) as usize]
+        self.chain((h & self.mask) as usize)
     }
 }
 
@@ -137,19 +176,19 @@ impl<P: Policy, D: Durability> ConcurrentMap<P> for HashTable<P, D> {
     }
 
     fn get_op(&self, h: &FlitHandle<'_, P>, key: u64, guard: &Guard<'_>) -> Option<u64> {
-        self.bucket(key).get_op(h, key, guard)
+        self.bucket(key).get(h, key, guard)
     }
 
     fn insert_op(&self, h: &FlitHandle<'_, P>, key: u64, value: u64, guard: &Guard<'_>) -> bool {
-        self.bucket(key).insert_op(h, key, value, guard)
+        self.bucket(key).insert(h, key, value, guard)
     }
 
     fn remove_op(&self, h: &FlitHandle<'_, P>, key: u64, guard: &Guard<'_>) -> bool {
-        self.bucket(key).remove_op(h, key, guard)
+        self.bucket(key).remove(h, key, guard)
     }
 
     fn len(&self) -> usize {
-        self.buckets.iter().map(|b| b.len()).sum()
+        (0..self.bucket_count()).map(|i| self.chain(i).len()).sum()
     }
 
     fn db(&self) -> &FlitDb<P> {
@@ -160,15 +199,26 @@ impl<P: Policy, D: Durability> ConcurrentMap<P> for HashTable<P, D> {
 impl<P: Policy, D: Durability> RecoverInImage for HashTable<P, D> {
     const ROOT_KEY: u64 = roots::HASH_DIRECTORY;
 
-    /// Read the directory block (bucket count, then per-bucket head
-    /// `offset + 1` words) out of the image and walk every bucket's chain
-    /// under one walker. Each bucket head costs a visit, so a hostile count
-    /// spends the walk's budget instead of iterating past the image.
+    /// Read the directory block (bucket count, tail, then one link per bucket)
+    /// out of the image, check that the tail word names a sentinel, and walk
+    /// every bucket's chain under one walker. Each
+    /// bucket's directory word costs a visit, so a hostile count spends the
+    /// walk's budget instead of iterating past the image.
     fn recover_arena_image(arena: &Arena, image: &CrashImage) -> RecoveredMap {
+        let probe = P::Word::<usize>::new(0);
+        let value = probe.addr() - &probe as *const P::Word<usize> as usize;
         recover_from_root(arena, image, Self::ROOT_KEY, |walk, dir, pairs| {
-            for i in 1..=walk.read(dir)? as usize {
-                let head = walk.slot(walk.read(dir + i * WORD_SIZE)?)?;
-                HarrisList::<P, D>::walk_chain(walk, head, pairs)?;
+            let word = |i: usize| dir + i * size_of::<P::Word<usize>>() + value;
+            let buckets = walk.read(word(0))? as usize;
+            let tail = walk.visit(walk.read(word(1))? as usize)?;
+            // Chains end on this address unvisited, so it must be the sentinel:
+            // a tail word naming a live node would cut every chain through it.
+            if walk.read(tail + Node::<P>::layout().key)? != u64::MAX {
+                return Err(Truncated);
+            }
+            for i in 0..buckets {
+                let link = walk.visit(word(DIR_HEADER_WORDS + i))?;
+                HarrisList::<P, D>::walk_chain(walk, link, Some(tail), pairs)?;
             }
             Ok(())
         })

@@ -31,7 +31,7 @@
 //! missing word into [`Truncated`], and bounds the walk by one budget of
 //! `image.len() + 2` visits. On a valid image the budget never trips: every
 //! visit consumes a distinct persisted word (a node's link, header or key
-//! word), and the image holds at most `image.len()` of them. On a cyclic image
+//! word, or a hash-table directory word), and the image holds at most `image.len()` of them. On a cyclic image
 //! — a broken control's dangling links or a hostile pool file — it trips after
 //! O(`image.len()`) visits, whatever the cycle's shape.
 //!
@@ -40,8 +40,9 @@
 //! * **Harris list** — the chain of `next` words from the head sentinel; a node
 //!   whose own `next` is marked is logically deleted; the tail is recognised by
 //!   its persisted sentinel key.
-//! * **hash table** — the persisted bucket directory block, then the union of its
-//!   bucket chains, all under one walker.
+//! * **hash table** — the persisted directory block, then the union of its
+//!   bucket chains, each starting at its directory word and ending at the
+//!   table's one recorded tail, all under one walker.
 //! * **Natarajan–Mittal BST** — the tree of child-edge words from the root
 //!   sentinel; a flagged edge announces the logical deletion of the leaf below it.
 //! * **skiplist** — the bottom-level `next` chain (upper levels are index state

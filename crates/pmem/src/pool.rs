@@ -76,9 +76,11 @@ use crate::region::{PmemRegion, ReserveError};
 /// `"FLITPOOL"` in big-endian ASCII: the superblock magic.
 pub const POOL_MAGIC: u64 = 0x464C_4954_504F_4F4C;
 /// The pool layout version this build reads and writes. Version 2 moved a
-/// HAMT node's occupancy bitmap from the node into the entry naming it, so a
-/// version-1 pool is refused rather than misread.
-pub const POOL_VERSION: u64 = 2;
+/// HAMT node's occupancy bitmap from the node into the entry naming it;
+/// version 3 made a hash table's buckets words of its directory, which now
+/// holds node addresses where it held head-sentinel `offset + 1`s. An older
+/// pool is refused rather than misread.
+pub const POOL_VERSION: u64 = 3;
 /// `"FLITCLEN"` in big-endian ASCII: the clean-close word's one clean value.
 pub const CLEAN_CLOSE_MAGIC: u64 = 0x464C_4954_434C_454E;
 /// Size of an OS page; the superblock occupies exactly one.

@@ -184,15 +184,36 @@ fn short_lived_workers_recycle_their_slots() {
     assert!(db.handles_created() >= 4 * flit_ebr::MAX_PARTICIPANTS as u64);
 }
 
-/// A hash table builds every bucket under one construction handle: creating
-/// a 4 096-bucket table costs one handle, not one per bucket plus one.
+/// A hash table is built under one construction handle, and what it builds is
+/// its directory. An N-bucket table allocates ⌈(N+2)·w / slot⌉ directory slots
+/// plus one tail slot, and writes back each directory line plus the tail's one
+/// line. Every other instruction is the allocator's: the arena header (2 pwbs,
+/// 2 fences), the directory block's high-water mark (1 pwb) and the root entry
+/// (2 pwbs, 2 fences), whose first fence commits the table. The table itself
+/// fences nothing.
 #[test]
 fn a_hash_table_is_built_under_one_handle() {
-    let db = FlitDb::flit_ht(counting());
+    const ARENA_HEADER: u64 = 2;
+    const HIGH_WATER: u64 = 1;
+    const ROOT_ENTRY: u64 = 2;
+    let nvram = counting();
+    let db = FlitDb::flit_ht(nvram.clone());
     let before = db.handles_created();
+    let stats = nvram.stats().snapshot();
     let table: HashTable<HtPolicy, Automatic> = HashTable::new(&db, 4096);
-    assert_eq!(table.bucket_count(), 4096);
+    let built = nvram.stats().snapshot().delta_since(&stats);
+    let n = table.bucket_count();
+    assert_eq!(n, 4096);
     assert_eq!(db.handles_created() - before, 1);
+    let dir_bytes = (n + 2) * std::mem::size_of::<<HtPolicy as Policy>::Word<usize>>();
+    let slot = table.arena().slot_size();
+    assert_eq!(table.arena().high_water(), dir_bytes.div_ceil(slot) + 1);
+    let lines = dir_bytes.div_ceil(64) as u64;
+    assert_eq!(
+        built.pwbs,
+        lines + 1 + ARENA_HEADER + HIGH_WATER + ROOT_ENTRY
+    );
+    assert_eq!(built.pfences, ARENA_HEADER + ROOT_ENTRY);
 }
 
 /// Handle sessions honour the structure operations end to end: interleaving two

@@ -1,8 +1,9 @@
 //! Crash-recovery coverage for the hash table — previously the only map without a
 //! dedicated crash test. The table is the structurally interesting case for
-//! recovery: its abstract state is the union of 64+ independent Harris-list
-//! buckets, each with its own EBR collector and its own persisted sentinel chain,
-//! so a single crash image must reconstruct *every* bucket consistently.
+//! recovery: its abstract state is the union of 64+ Harris-list buckets, each a
+//! word of one persisted directory whose chain ends at the table's one shared
+//! tail, and all sharing the database's EBR collector, so a single crash image
+//! must reconstruct *every* bucket consistently.
 
 use flit::{FlitDb, FlitPolicy, HashedScheme};
 use flit_crashtest::{run_case, HistorySpec, MethodKind, PolicyKind, StructureKind, SweepSettings};

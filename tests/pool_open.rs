@@ -208,7 +208,22 @@ fn corrupted_pools_yield_typed_errors_not_panics() {
                 e,
                 OpenError::BadVersion {
                     found: 1,
-                    supported: 2
+                    supported: 3
+                }
+            )
+        },
+    );
+    // A version-2 pool's hash directory holds head-sentinel `offset + 1`s;
+    // this build reads node addresses there, so it is refused too.
+    case(
+        "version-2",
+        &|p| write_word(p, superblock::VERSION as u64, 2),
+        &|e| {
+            matches!(
+                e,
+                OpenError::BadVersion {
+                    found: 2,
+                    supported: 3
                 }
             )
         },
@@ -371,53 +386,88 @@ fn recover_corrupted<M: RecoverInImage + 'static>(
     let _ = std::fs::remove_file(&copy);
 }
 
+/// The file offsets of a pool's hash directory (`[count, tail, link₀, …]`,
+/// one word each under flit-HT), and the first address past its arena's
+/// chunks, read on a clean open.
+struct DirWords {
+    count: u64,
+    tail: u64,
+    links: Vec<u64>,
+    past_the_chunks: u64,
+    base: usize,
+}
+
+impl DirWords {
+    fn read(path: &Path) -> Self {
+        let (db, _) = FlitDb::open(path, policy()).unwrap();
+        let base = db.pool().unwrap().base_addr();
+        let arena = &db.arenas()[0];
+        let dir = (arena.root(roots::HASH_DIRECTORY).unwrap() - base) as u64;
+        let word = WORD_SIZE as u64;
+        let buckets = read_word(path, dir);
+        // Chunks are disjoint, so the highest chunk end lies in none of them.
+        let past_the_chunks = arena.image_ranges()[1..]
+            .iter()
+            .map(|&(start, len)| start + len)
+            .max()
+            .unwrap() as u64;
+        Self {
+            count: dir,
+            tail: dir + word,
+            links: (0..buckets).map(|i| dir + (2 + i) * word).collect(),
+            past_the_chunks,
+            base,
+        }
+    }
+
+    /// The file offset of the `next` word of the node at address `node`: its
+    /// one word that points back into the pool (key and value do not).
+    fn next_of(&self, path: &Path, node: u64) -> u64 {
+        let slot = node - self.base as u64;
+        (slot..slot + 64)
+            .step_by(WORD_SIZE)
+            .find(|&w| read_word(path, w) >= self.base as u64)
+            .expect("a node links to its successor or the tail")
+    }
+}
+
 #[test]
 fn hostile_hash_table_words_truncate_the_walk() {
     let path = temp_path("hostile-ht-src");
     let expected = build_pool(&path, CommitMode::Immediate);
-    // Locate the words to clobber, as file offsets, on a clean open.
-    let (dir, buckets, head, next_link, last_link, high_water, base) = {
-        let (db, _) = FlitDb::open(&path, policy()).unwrap();
-        let base = db.pool().unwrap().base_addr();
-        let arena = db.arenas().into_iter().next().unwrap();
-        let dir = arena.root(roots::HASH_DIRECTORY).unwrap() - base;
-        // A chain node's one word that points back into the arena is its
-        // `next` link; the tail sentinel has none.
-        let link_of = |slot: usize| {
-            (slot..slot + arena.slot_size())
-                .step_by(WORD_SIZE)
-                .find(|&w| arena.contains(read_word(&path, (w - base) as u64) as usize))
-        };
-        // Bucket 0's head sentinel, its link, and the last link of its chain.
-        let head = arena.addr_of_offset(read_word(&path, (dir + WORD_SIZE) as u64) as usize - 1);
-        let next_link = link_of(head).expect("the head sentinel links to its successor");
-        let mut last_link = next_link;
-        while let Some(link) = link_of(read_word(&path, (last_link - base) as u64) as usize) {
-            last_link = link;
-        }
-        (
-            dir as u64,
-            read_word(&path, dir as u64),
-            head as u64,
-            (next_link - base) as u64,
-            (last_link - base) as u64,
-            arena.high_water() as u64,
-            base,
-        )
-    };
-    let head0 = dir + WORD_SIZE as u64;
-    // Every bucket is bucket 0, and bucket 0's chain closes back on its head:
-    // a walk that budgets per bucket visits the cycle once per bucket.
-    let mut one_cycle: Vec<(u64, u64)> = (1..=buckets)
-        .map(|i| (dir + i * WORD_SIZE as u64, read_word(&path, head0)))
-        .collect();
-    one_cycle.push((last_link, head));
+    let dir = DirWords::read(&path);
+    let tail = read_word(&path, dir.tail);
+    // A non-empty bucket's first node, that node's link, and the last link of
+    // its chain (the one naming the tail).
+    let first = dir
+        .links
+        .iter()
+        .map(|&l| read_word(&path, l))
+        .find(|&node| node != tail)
+        .expect("20 keys over 64 buckets leave some bucket non-empty");
+    let next_link = dir.next_of(&path, first);
+    let mut last_link = next_link;
+    while read_word(&path, last_link) != tail {
+        last_link = dir.next_of(&path, read_word(&path, last_link));
+    }
+    // Every bucket is that bucket, and its chain closes back on its first
+    // node instead of ending at the one tail: a walk that budgets per bucket
+    // visits the cycle once per bucket.
+    let mut one_cycle: Vec<(u64, u64)> = dir.links.iter().map(|&l| (l, first)).collect();
+    one_cycle.push((last_link, first));
+    let head0 = dir.links[0];
     for (name, writes) in [
-        // Panicked in `Arena::addr_of_offset` before the walk checked it.
+        // Panicked in `Arena::addr_of_offset` when the word was a slot offset.
         ("dir-head-max", vec![(head0, u64::MAX)]),
-        ("dir-head-past-high-water", vec![(head0, high_water + 1)]),
-        ("dir-len-max", vec![(dir, u64::MAX)]),
-        ("next-into-superblock", vec![(next_link, base as u64)]),
+        (
+            "dir-head-past-high-water",
+            vec![(head0, dir.past_the_chunks)],
+        ),
+        ("dir-len-max", vec![(dir.count, u64::MAX)]),
+        // Chains end on the tail unvisited: naming a live node would cut the
+        // chain through it short.
+        ("dir-tail-names-a-node", vec![(dir.tail, first)]),
+        ("next-into-superblock", vec![(next_link, dir.base as u64)]),
         ("every-bucket-one-cycle", one_cycle),
     ] {
         recover_corrupted::<Map>(&path, name, &writes, &expected, true);
@@ -576,6 +626,81 @@ fn a_dirty_reopen_keeps_every_hamt_node_the_walk_reaches() {
     let _ = std::fs::remove_file(&path);
 }
 
+/// A pool copied while live is what a SIGKILL leaves: the hash table's 100
+/// removed nodes are on no free list. The reopen's GC must keep every slot
+/// the directory reaches — the directory block, the tail and the live nodes,
+/// read out of the image — and reclaim exactly the rest, and a second pass
+/// reclaims nothing. Inserting keys 1..=200 in order puts key `k`'s node in
+/// slot 9 + k (slot 0 is the tail, slots 1–9 the directory), so removed key
+/// 54's node sits in slot 63: a GC that still read directory words as
+/// `offset + 1` would take the bucket count, 64, for a reference to it.
+#[test]
+fn a_dirty_reopen_keeps_every_hash_node_the_directory_reaches() {
+    let path = temp_path("ht-dirty-src");
+    let crashed = temp_path("ht-dirty");
+    {
+        let db = FlitDb::builder(policy()).create_pool(&path).unwrap();
+        let map = Map::new(&db, 64);
+        let h = db.handle();
+        for k in 1..=200u64 {
+            assert!(map.insert(&h, k, k + 1));
+        }
+        for k in (2..=200u64).step_by(2) {
+            assert!(map.remove(&h, k));
+        }
+        db.sync_pool().unwrap();
+        std::fs::copy(&path, &crashed).unwrap();
+    }
+    let (db, report) = FlitDb::open(&crashed, policy()).unwrap();
+    assert!(!report.clean_close);
+    let arenas = db.arenas();
+    let arena = &arenas[0];
+    let rec = Map::recover_arenas(&arenas, &report.image);
+    assert!(!rec.truncated);
+    let live: Vec<(u64, u64)> = (1..=200u64).step_by(2).map(|k| (k, k + 1)).collect();
+    assert_eq!(rec.sorted_pairs(), live);
+
+    // What the directory reaches: its own slots, the tail, every chain node.
+    let image = &report.image;
+    let dir = arena.root(roots::HASH_DIRECTORY).unwrap();
+    let buckets = image.read(dir).unwrap() as usize;
+    let tail = image.read(dir + WORD_SIZE).unwrap() as usize;
+    let dir_bytes = (2 + buckets) * WORD_SIZE;
+    let mut reached: Vec<usize> = (dir..dir + dir_bytes).step_by(arena.slot_size()).collect();
+    reached.push(tail);
+    for i in 0..buckets {
+        let mut node = image.read(dir + (2 + i) * WORD_SIZE).unwrap() as usize;
+        while node != tail {
+            reached.push(node);
+            // The one word of a node that names an arena slot is its `next`.
+            node = (node..node + arena.slot_size())
+                .step_by(WORD_SIZE)
+                .filter_map(|w| image.read(w))
+                .map(|w| w as usize)
+                .find(|&w| arena.contains(w))
+                .unwrap();
+        }
+    }
+    assert_eq!(reached.len(), 9 + 1 + 100);
+    let free: std::collections::HashSet<usize> = arena.durable_free_offsets().into_iter().collect();
+    let freed = reached
+        .iter()
+        .filter(|&&a| free.contains(&arena.offset_of_addr(a).unwrap()))
+        .count();
+    assert_eq!(freed, 0, "GC freed {freed} reachable slot(s)");
+    assert_eq!(arena.high_water(), 210);
+    assert_eq!(
+        report.leaked_slots(),
+        arena.high_water() - reached.len(),
+        "GC reclaims exactly the removed nodes"
+    );
+    assert_eq!(post_crash_gc(&arenas).total_reclaimed(), 0);
+    drop((db, report));
+    for p in [path, crashed] {
+        let _ = std::fs::remove_file(p);
+    }
+}
+
 #[test]
 fn commit_mode_is_recorded_and_enforced() {
     let path = temp_path("commit");
@@ -639,20 +764,14 @@ fn killed_process_pools_verify_against_the_prefix_model() {
 
 #[test]
 fn a_truncated_walk_fails_the_kill_verdict() {
-    // Bucket 0's directory word names no allocated slot, so the walk stops
-    // before its first pair. An empty recovery is the model after 0 ops, so
-    // with floor 0 only the truncation itself can fail the round.
+    // Bucket 0's directory word links past the arena's chunks, so the walk
+    // stops before its first pair. An empty recovery is the model after 0
+    // ops, so with floor 0 only the truncation itself can fail the round.
     use flit_crashtest::kill::{verify_pool, KillViolation};
     let path = temp_path("kill-truncated");
     let _ = build_pool(&path, CommitMode::Immediate);
-    let (head0, high_water) = {
-        let (db, _) = FlitDb::open(&path, policy()).unwrap();
-        let base = db.pool().unwrap().base_addr();
-        let arena = &db.arenas()[0];
-        let dir = arena.root(roots::HASH_DIRECTORY).unwrap() - base;
-        ((dir + WORD_SIZE) as u64, arena.high_water() as u64)
-    };
-    write_word(&path, head0, high_water + 1);
+    let dir = DirWords::read(&path);
+    write_word(&path, dir.links[0], dir.past_the_chunks);
     match verify_pool(&path, 40, 0) {
         Err(KillViolation::Inconsistent(details)) => assert!(
             details.len() == 1 && details[0].starts_with("recovery walk truncated"),
