@@ -27,8 +27,8 @@
 //!   the live table *is* the durable table).
 //! * **Slot scanning is conservative** — every word of a marked slot is
 //!   treated as a *potential* pointer: keep only the address bits (3–46),
-//!   stripping the link-and-persist flag (bit 63), a HAMT entry's bitmap
-//!   (bits 47–62) and the low mark/tag bits, then ask each arena whether the
+//!   stripping the link-and-persist flag (bit 63), a HAMT entry's bitmap or
+//!   pair count (bits 47–62) and the low mark/tag bits, then ask each arena whether the
 //!   address falls inside a chunk. False positives (a value that happens to
 //!   look like a live slot address) keep garbage alive — acceptable; false
 //!   negatives are impossible because structures store plain tagged addresses.
@@ -59,8 +59,8 @@ use flit_pmem::WORD_SIZE;
 use crate::Arena;
 
 /// The address bits (3–46) of a word treated as a candidate pointer: strips
-/// the link-and-persist flag (bit 63), the occupancy bitmap a HAMT interior
-/// entry carries in bits 47–62, and the low mark/tag bits. User-space
+/// the link-and-persist flag (bit 63), the occupancy bitmap or pair count a
+/// HAMT entry carries in bits 47–62, and the low mark/tag bits. User-space
 /// addresses on x86-64 Linux fit in 47 bits, so no real address loses a bit.
 const CANDIDATE_MASK: u64 = ((1 << 47) - 1) & !0b111;
 

@@ -250,10 +250,11 @@ impl ArenaConfig {
         }
     }
 
-    /// The small-slot preset for the interior nodes of a copy-on-write HAMT
-    /// (`flit-hamt`): [`HAMT_NODE_SLOT_BYTES`]-byte slots — a bitmap-compressed
-    /// array of at most 16 entries, whose bitmap travels in the entry that
-    /// points at the node — with a chunk count derived from
+    /// The small-slot preset for the nodes of a copy-on-write HAMT
+    /// (`flit-hamt`): [`HAMT_NODE_SLOT_BYTES`]-byte slots — an interior node
+    /// is a bitmap-compressed array of at most 16 entries and a bucket at most
+    /// 8 `(key, value)` pairs, each node's bitmap or pair count travelling in
+    /// the entry that points at it — with a chunk count derived from
     /// `capacity` via [`ArenaConfig::for_capacity`]. Copy-on-write churns
     /// through slots faster than in-place structures (every update allocates a
     /// whole path), so HAMT arenas want small slots and capacity-proportional
@@ -263,9 +264,10 @@ impl ArenaConfig {
     }
 }
 
-/// Slot size of [`ArenaConfig::hamt_nodes`]: 16 words, at most 16 packed
-/// entry words and no header (the 16-bit occupancy bitmap lives in bits 47–62
-/// of the entry naming the node), so a full node is two cache lines.
+/// Slot size of [`ArenaConfig::hamt_nodes`]: 16 words, so two cache lines.
+/// An interior node packs at most 16 entry words and a bucket at most 8
+/// `(key, value)` pairs, with no header: the 16-bit occupancy bitmap or the
+/// pair count lives from bit 47 up in the entry naming the node.
 pub const HAMT_NODE_SLOT_BYTES: usize = 16 * WORD_SIZE;
 
 /// What the persisted arena header looks like inside a [`CrashImage`].

@@ -675,22 +675,32 @@ mod tests {
             SimNvram::builder().latency(LatencyModel::none()).build(),
         ));
         let w = std::sync::Arc::new(FlitAtomic::<u64, HashedScheme, SimNvram>::new(0));
-        std::thread::scope(|s| {
-            for t in 0..4u64 {
-                let db = &db;
-                let w = std::sync::Arc::clone(&w);
-                s.spawn(move || {
-                    let h = db.handle();
-                    for i in 0..1000u64 {
-                        w.fetch_add(&h, 1, PFlag::Persisted);
-                        let _ = w.load(&h, PFlag::Persisted);
-                        let _ = w.compare_exchange(&h, t * i, i, PFlag::Persisted);
-                    }
-                });
-            }
+        // Every update adds one, so the word ends at the adds plus the CASes
+        // that won.
+        let cas_wins: u64 = std::thread::scope(|s| {
+            let workers: Vec<_> = (0..4)
+                .map(|_| {
+                    let db = &db;
+                    let w = std::sync::Arc::clone(&w);
+                    s.spawn(move || {
+                        let h = db.handle();
+                        let mut wins = 0;
+                        for _ in 0..1000 {
+                            w.fetch_add(&h, 1, PFlag::Persisted);
+                            let seen = w.load(&h, PFlag::Persisted);
+                            wins += u64::from(
+                                w.compare_exchange(&h, seen, seen + 1, PFlag::Persisted)
+                                    .is_ok(),
+                            );
+                        }
+                        wins
+                    })
+                })
+                .collect();
+            workers.into_iter().map(|t| t.join().unwrap()).sum()
         });
         assert_eq!(scheme.table().tagged_count(), 0);
-        assert!(w.load_direct() >= 4000);
+        assert_eq!(w.load_direct(), 4000 + cas_wins);
     }
 
     /// The non-persistent baseline is this policy over `NullPmem`

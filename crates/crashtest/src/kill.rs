@@ -217,7 +217,7 @@ pub fn child_main_hamt(
         .commit_mode(commit)
         .create_pool(pool)
         .map_err(|e| format!("child: create_pool: {e}"))?;
-    // COW churn: every update allocates a fresh path (leaf + interior copies),
+    // COW churn: every update allocates a fresh path (bucket + interior copies),
     // and after the snapshot the retired old paths pile up in the pinned
     // backlog instead of recycling. The pool directory caps an arena at 40
     // chunks, so slots per chunk must scale with the op count, not the

@@ -40,20 +40,28 @@
 //!   is `8·popcount` bytes to write and flush — a full node is two cache
 //!   lines. The node holds no header: its occupancy bitmap travels in the
 //!   entry that points at it.
-//! * **leaf** — `[key, value]`.
+//! * **bucket** — `[key₀, value₀, …, keyₙ₋₁, valueₙ₋₁]`: 1 to
+//!   [`BUCKET_PAIRS`] (8) pairs in one slot, in trie order of their mixed
+//!   hashes, so a snapshot iterates in trie order. The pairs of a bucket at
+//!   depth `d` share their first `d` nibbles. An insert copies the bucket
+//!   with its pair; a 9th pair splits it into an interior node over fresh
+//!   buckets, one level at a time until the pairs diverge. A remove copies it
+//!   without the pair. A bottom subtree of up to eight keys is thus one slot,
+//!   not a slot per key.
 //! * **entry encoding** — the word that names a node (a parent's child slot,
 //!   the root word, a retained-root entry): `0` = absent; bit 0 set = an
 //!   interior node at bits 3–46, with its 16-bit bitmap in bits 47–62;
-//!   otherwise a leaf at `enc`. Bit 63 stays clear for link-and-persist's
-//!   dirty flag. Node addresses must fit in 47 bits, which holds for x86-64
-//!   Linux user space and is asserted at allocation. A lookup therefore reads
-//!   one word per level: the bitmap and the child's rank come with the
-//!   entry.
+//!   otherwise a bucket at bits 3–46, with its pair count in bits 47–50.
+//!   Bit 63 stays clear for link-and-persist's dirty flag. Node addresses
+//!   must fit in 47 bits, which holds for x86-64 Linux user space and is
+//!   asserted at allocation. A lookup therefore reads one word per level
+//!   (the bitmap and the child's rank come with the entry) and then scans one
+//!   bucket, whose length comes with its entry too.
 //!
 //! Keys are mixed through a **bijective** finaliser ([`mix_key`], the
 //! splitmix64 finaliser), so distinct `u64` keys have distinct 64-bit hashes:
-//! with 4-bit branching the trie is at most [`MAX_DEPTH`] levels deep and
-//! needs no collision buckets at all.
+//! with 4-bit branching any nine keys diverge within [`MAX_DEPTH`] levels,
+//! so a bucket never needs to hold more than eight pairs.
 //!
 //! ## Snapshots and retained roots
 //!
@@ -134,15 +142,20 @@ pub const FANOUT: usize = 16;
 const NIBBLE_BITS: u32 = 4;
 const BITMAP_MASK: u64 = (1 << FANOUT) - 1;
 /// Maximum trie depth: 64 hash bits / 4 bits per level. Because [`mix_key`] is
-/// bijective, two distinct keys always diverge at some level above this.
+/// bijective, two distinct keys always diverge at some level above this, so a
+/// full bucket always splits.
 pub const MAX_DEPTH: usize = (u64::BITS / NIBBLE_BITS) as usize;
 /// Capacity of the retained-root (snapshot) table.
 pub const RETAINED_CAPACITY: usize = 64;
 /// Words per retained-root entry: `[root, refcount, version]`.
 pub const RETAINED_ENTRY_WORDS: usize = 3;
 const RETAINED_BYTES: usize = RETAINED_CAPACITY * RETAINED_ENTRY_WORDS * WORD_SIZE;
+/// Pairs per bucket: a node slot of `(key, value)` pairs.
+pub const BUCKET_PAIRS: usize = HAMT_NODE_SLOT_BYTES / PAIR_BYTES;
+const PAIR_BYTES: usize = 2 * WORD_SIZE;
 const INTERIOR_TAG: u64 = 0b1;
-/// An interior entry's bitmap sits in bits 47–62, above every node address.
+/// An interior entry's bitmap, or a bucket entry's pair count, sits from bit
+/// 47 up, above every node address.
 const BITMAP_SHIFT: u32 = 47;
 const ADDR_MASK: u64 = (1 << BITMAP_SHIFT) - 1;
 
@@ -173,7 +186,8 @@ fn encode(node: *mut u64, bitmap: u64) -> u64 {
     node as u64 | bitmap << BITMAP_SHIFT | INTERIOR_TAG
 }
 
-/// `(node address, occupancy bitmap)` of an entry; a leaf's bitmap is 0.
+/// `(node address, occupancy bitmap)` of an interior entry, `(node address,
+/// pair count)` of a bucket entry.
 #[inline]
 fn decode(enc: u64) -> (usize, u64) {
     (
@@ -216,6 +230,21 @@ fn read_word(addr: usize) -> u64 {
     unsafe { *(addr as *const u64) }
 }
 
+/// Pair `i` of the bucket at `addr`.
+#[inline]
+fn read_pair(addr: usize, i: usize) -> (u64, u64) {
+    let p = addr + i * PAIR_BYTES;
+    (read_word(p), read_word(p + WORD_SIZE))
+}
+
+/// Whether hash `a` comes before the distinct hash `b` in trie order: lower
+/// nibble at the first level where they differ.
+#[inline]
+fn trie_before(a: u64, b: u64) -> bool {
+    let shift = (a ^ b).trailing_zeros() & !(NIBBLE_BITS - 1);
+    (a >> shift & 0xF) < (b >> shift & 0xF)
+}
+
 /// Write one word of an *unpublished* node and notify the crash tracker.
 #[inline]
 fn write_word<B: PmemBackend>(pm: &B, base: *mut u64, idx: usize, val: u64) {
@@ -242,12 +271,12 @@ fn pwb_range<B: PmemBackend>(pm: &B, start: usize, bytes: usize) {
     }
 }
 
-/// Node addresses of one copied path. A path is at most [`MAX_DEPTH`]
-/// interior nodes plus a leaf, so the buffer lives on the stack.
+/// Node addresses of one copied path: at most [`MAX_DEPTH`] interior nodes
+/// plus the buckets a 9th pair splits into, so the buffer lives on the stack.
 #[derive(Default)]
 struct NodeBuf {
     len: usize,
-    addrs: [usize; MAX_DEPTH + 1],
+    addrs: [usize; MAX_DEPTH + BUCKET_PAIRS + 1],
 }
 
 impl NodeBuf {
@@ -393,7 +422,9 @@ impl<P: Policy> Hamt<P> {
         while enc != 0 {
             let (addr, bitmap) = decode(enc);
             if !is_interior(enc) {
-                return (read_word(addr) == key).then(|| read_word(addr + WORD_SIZE));
+                return (0..bitmap as usize)
+                    .map(|i| read_pair(addr, i))
+                    .find_map(|(k, v)| (k == key).then_some(v));
             }
             let nib = nibble(hash, depth);
             if bitmap & (1 << nib) == 0 {
@@ -444,54 +475,51 @@ impl<P: Policy> Hamt<P> {
         encode(node, new_bitmap)
     }
 
-    fn new_leaf<B: PmemBackend>(&self, pm: &B, key: u64, value: u64, fresh: &mut NodeBuf) -> u64 {
-        let leaf = self.alloc_node(pm, fresh);
-        write_word(pm, leaf, 0, key);
-        write_word(pm, leaf, 1, value);
-        pwb_range(pm, leaf as usize, 2 * WORD_SIZE);
-        leaf as u64
-    }
-
-    /// Replace a colliding leaf with the interior chain that separates the two
-    /// hashes, sharing the existing leaf by address (structural sharing).
-    #[allow(clippy::too_many_arguments)]
-    fn split<B: PmemBackend>(
+    /// Lay `pairs` (distinct keys in trie order, sharing their first `depth`
+    /// nibbles) out at `depth`: one bucket when they fit, otherwise an
+    /// interior node over one subtree per nibble value. Every node is written
+    /// and `pwb`-ed (no fence); returns the subtree's entry.
+    fn subtree<B: PmemBackend>(
         &self,
         pm: &B,
-        old_leaf: u64,
-        old_hash: u64,
-        key: u64,
-        value: u64,
-        new_hash: u64,
+        pairs: &[(u64, u64)],
         depth: usize,
         fresh: &mut NodeBuf,
     ) -> u64 {
-        let new_leaf = self.new_leaf(pm, key, value, fresh);
-        let mut d = depth;
-        while nibble(old_hash, d) == nibble(new_hash, d) {
-            d += 1;
-        }
-        debug_assert!(d < MAX_DEPTH, "bijective hashes diverge within 16 nibbles");
-        // Two-child node at the diverging level…
-        let (no, nn) = (nibble(old_hash, d), nibble(new_hash, d));
         let node = self.alloc_node(pm, fresh);
-        let (first, second) = if no < nn {
-            (old_leaf, new_leaf)
-        } else {
-            (new_leaf, old_leaf)
-        };
-        write_word(pm, node, 0, first);
-        write_word(pm, node, 1, second);
-        pwb_range(pm, node as usize, 2 * WORD_SIZE);
-        let mut enc = encode(node, (1u64 << no) | (1u64 << nn));
-        // …wrapped in single-entry nodes for every shared level above it.
-        for dd in (depth..d).rev() {
-            let wrap = self.alloc_node(pm, fresh);
-            write_word(pm, wrap, 0, enc);
-            pwb_range(pm, wrap as usize, WORD_SIZE);
-            enc = encode(wrap, 1u64 << nibble(new_hash, dd));
+        if pairs.len() <= BUCKET_PAIRS {
+            for (i, &(k, v)) in pairs.iter().enumerate() {
+                write_word(pm, node, 2 * i, k);
+                write_word(pm, node, 2 * i + 1, v);
+            }
+            pwb_range(pm, node as usize, pairs.len() * PAIR_BYTES);
+            // A bucket's entry is untagged, its pair count above the address.
+            return node as u64 | (pairs.len() as u64) << BITMAP_SHIFT;
         }
-        enc
+        debug_assert!(depth < MAX_DEPTH, "distinct hashes diverge in 16 nibbles");
+        // Trie order groups the pairs by their nibble at `depth`.
+        let (mut rest, mut bitmap, mut w) = (pairs, 0, 0);
+        while let Some(&(k, _)) = rest.first() {
+            let nib = nibble(mix_key(k), depth);
+            let run = rest.partition_point(|&(k, _)| nibble(mix_key(k), depth) == nib);
+            let child = self.subtree(pm, &rest[..run], depth + 1, fresh);
+            write_word(pm, node, w, child);
+            bitmap |= 1 << nib;
+            w += 1;
+            rest = &rest[run..];
+        }
+        pwb_range(pm, node as usize, w * WORD_SIZE);
+        encode(node, bitmap)
+    }
+
+    /// The pairs of the bucket at `addr`, with room for one more, and their
+    /// `count`.
+    fn bucket_pairs(addr: usize, count: u64) -> ([(u64, u64); BUCKET_PAIRS + 1], usize) {
+        let mut pairs = [(0, 0); BUCKET_PAIRS + 1];
+        for (i, pair) in pairs[..count as usize].iter_mut().enumerate() {
+            *pair = read_pair(addr, i);
+        }
+        (pairs, count as usize)
     }
 
     /// Build the copy-on-write path for inserting `(key, value)` under `enc`.
@@ -511,16 +539,20 @@ impl<P: Policy> Hamt<P> {
         path: &mut Path,
     ) -> Option<u64> {
         if enc == 0 {
-            return Some(self.new_leaf(pm, key, value, &mut path.fresh));
+            return Some(self.subtree(pm, &[(key, value)], depth, &mut path.fresh));
         }
         let (addr, bitmap) = decode(enc);
         if !is_interior(enc) {
-            let k0 = read_word(addr);
-            if k0 == key {
+            // Copy the bucket with the pair in trie order; a 9th pair splits it.
+            let (mut pairs, n) = Self::bucket_pairs(addr, bitmap);
+            if pairs[..n].iter().any(|&(k, _)| k == key) {
                 return None;
             }
-            let fresh = &mut path.fresh;
-            return Some(self.split(pm, enc, mix_key(k0), key, value, hash, depth, fresh));
+            let at = pairs[..n].partition_point(|&(k, _)| trie_before(mix_key(k), hash));
+            pairs.copy_within(at..n, at + 1);
+            pairs[at] = (key, value);
+            path.stale.push(addr);
+            return Some(self.subtree(pm, &pairs[..=n], depth, &mut path.fresh));
         }
         let nib = nibble(hash, depth);
         let bit = 1u64 << nib;
@@ -537,7 +569,8 @@ impl<P: Policy> Hamt<P> {
 
     /// Build the copy-on-write path for removing `key` under `enc`. Returns
     /// the new entry encoding (`0` when the subtree vanishes), or `None` when
-    /// the key is absent. Single-leaf interiors contract to the leaf itself.
+    /// the key is absent. An interior left with one child that is a bucket
+    /// contracts to that bucket.
     fn cow_remove<B: PmemBackend>(
         &self,
         pm: &B,
@@ -552,11 +585,14 @@ impl<P: Policy> Hamt<P> {
         }
         let (addr, bitmap) = decode(enc);
         if !is_interior(enc) {
-            if read_word(addr) != key {
-                return None;
-            }
+            let (mut pairs, n) = Self::bucket_pairs(addr, bitmap);
+            let at = pairs[..n].iter().position(|&(k, _)| k == key)?;
             path.stale.push(addr);
-            return Some(0);
+            if n == 1 {
+                return Some(0);
+            }
+            pairs.copy_within(at + 1..n, at);
+            return Some(self.subtree(pm, &pairs[..n - 1], depth, &mut path.fresh));
         }
         let nib = nibble(hash, depth);
         let bit = 1u64 << nib;
@@ -575,8 +611,8 @@ impl<P: Policy> Hamt<P> {
             return Some(0);
         }
         if new_bitmap.count_ones() == 1 {
-            // Contract: hoist a sole remaining leaf (interiors cannot hoist —
-            // their children are indexed by depth).
+            // Contract: hoist a sole remaining bucket (interiors cannot hoist
+            // — their children are indexed by depth).
             let only = match new_child {
                 0 => child(addr, bitmap, new_bitmap.trailing_zeros() as usize),
                 c => c,
@@ -796,7 +832,13 @@ fn walk_enc(
     let (addr, bitmap) = decode(enc);
     let addr = walk.visit(addr)?;
     if !is_interior(enc) {
-        pairs.push((walk.read(addr)?, walk.read(addr + WORD_SIZE)?));
+        // Only hostile bytes name an empty bucket or one past its slot.
+        if !(1..=BUCKET_PAIRS as u64).contains(&bitmap) {
+            return Err(Truncated);
+        }
+        for p in (0..bitmap as usize).map(|i| addr + i * PAIR_BYTES) {
+            pairs.push((walk.read(p)?, walk.read(p + WORD_SIZE)?));
+        }
         return Ok(());
     }
     // At most 16 words: a hostile bitmap cannot read past a node's slot.
@@ -867,30 +909,22 @@ impl<'s, P: Policy> IntoIterator for &'s Snapshot<'_, P> {
 
 /// Iterator over a [`Snapshot`]'s frozen pairs in trie order.
 pub struct SnapshotIter<'s> {
-    /// `(node address, entry count, next entry index)` per open interior node.
-    stack: Vec<(usize, usize, usize)>,
-    /// Set when the snapshot root is itself a leaf (or empty).
-    root_leaf: Option<u64>,
+    /// `(entry, next index)` per open node: an interior node's next child or
+    /// a bucket's next pair.
+    stack: Vec<(u64, usize)>,
     _snapshot: std::marker::PhantomData<&'s ()>,
 }
 
 impl SnapshotIter<'_> {
     fn new(root: u64) -> Self {
-        let mut it = SnapshotIter {
-            stack: Vec::new(),
-            root_leaf: None,
+        SnapshotIter {
+            stack: if root == 0 {
+                Vec::new()
+            } else {
+                vec![(root, 0)]
+            },
             _snapshot: std::marker::PhantomData,
-        };
-        if root == 0 {
-            return it;
         }
-        if is_interior(root) {
-            let (addr, bitmap) = decode(root);
-            it.stack.push((addr, bitmap.count_ones() as usize, 0));
-        } else {
-            it.root_leaf = Some(root);
-        }
-        it
     }
 }
 
@@ -898,24 +932,25 @@ impl Iterator for SnapshotIter<'_> {
     type Item = (u64, u64);
 
     fn next(&mut self) -> Option<(u64, u64)> {
-        if let Some(leaf) = self.root_leaf.take() {
-            let (addr, _) = decode(leaf);
-            return Some((read_word(addr), read_word(addr + WORD_SIZE)));
-        }
         loop {
-            let (addr, count, idx) = self.stack.last_mut()?;
-            if idx == count {
+            let (enc, idx) = self.stack.last_mut()?;
+            let (addr, field) = decode(*enc);
+            let interior = is_interior(*enc);
+            let len = if interior {
+                field.count_ones() as usize
+            } else {
+                field as usize
+            };
+            if *idx == len {
                 self.stack.pop();
                 continue;
             }
-            let entry = read_word(*addr + *idx * WORD_SIZE);
+            let i = *idx;
             *idx += 1;
-            let (node, bitmap) = decode(entry);
-            if is_interior(entry) {
-                self.stack.push((node, bitmap.count_ones() as usize, 0));
-                continue;
+            if !interior {
+                return Some(read_pair(addr, i));
             }
-            return Some((read_word(node), read_word(node + WORD_SIZE)));
+            self.stack.push((read_word(addr + i * WORD_SIZE), 0));
         }
     }
 }
@@ -1194,6 +1229,12 @@ mod tests {
         let first: Vec<(u64, u64)> = snap.iter().collect();
         let second: Vec<(u64, u64)> = snap.iter().collect();
         assert_eq!(first, second, "iteration order is stable within a snapshot");
+        assert!(
+            first
+                .windows(2)
+                .all(|w| trie_before(mix_key(w[0].0), mix_key(w[1].0))),
+            "buckets keep their pairs in trie order"
+        );
         let mut sorted = first.clone();
         sorted.sort_unstable();
         let expected: Vec<(u64, u64)> = (0..50u64).map(|k| (k, k * 2)).collect();
@@ -1281,8 +1322,10 @@ mod tests {
         assert_eq!(enc >> 63, 0, "bit 63 is link-and-persist's");
         let low = encode(0x1000 as *mut u64, 1);
         assert_eq!(decode(low), (0x1000, 1));
-        // A leaf is its bare address: no tag, no bitmap.
-        assert_eq!(decode(top as u64), (top as usize, 0));
+        // A bucket is its untagged address under its pair count.
+        let bucket = top as u64 | (BUCKET_PAIRS as u64) << BITMAP_SHIFT;
+        assert!(!is_interior(bucket));
+        assert_eq!(decode(bucket), (top as usize, BUCKET_PAIRS as u64));
     }
 
     /// Keys whose mixed hashes start with `nibbles`, one per nibble value.
@@ -1322,29 +1365,42 @@ mod tests {
         let sim = SimNvram::for_crash_testing();
         let db = FlitDb::flit_ht(sim.clone());
         let h = db.handle();
-        let t = db.hamt(64);
-        // Two keys split the root: a fresh two-child node whose other 14
-        // words were never written.
+        let (buckets, t) = (db.hamt(64), db.hamt(64));
+        // Two keys make a root bucket whose other 6 pairs were never written.
         for k in keys_with_prefix(&[], 2) {
+            assert!(buckets.insert(&h, k, k));
+        }
+        // Nine keys split the root: a fresh nine-child node whose other 7
+        // words were never written.
+        for k in keys_with_prefix(&[], BUCKET_PAIRS + 1) {
             assert!(t.insert(&h, k, k));
         }
+        let (bucket, count) = decode(buckets.root().load_direct());
+        assert_eq!(count, 2);
         let (node, bitmap) = decode(t.root().load_direct());
-        assert_eq!(bitmap.count_ones(), 2);
+        assert_eq!(bitmap.count_ones(), 9);
         assert_eq!(FANOUT * WORD_SIZE, HAMT_NODE_SLOT_BYTES);
         let image = sim.tracker().unwrap().crash_image();
-        let mut walk = ImageWalk::new(t.arena(), &image);
-        let mut pairs = Vec::new();
-        let forged = encode(node as *mut u64, BITMAP_MASK);
-        assert_eq!(walk_enc(&mut walk, forged, 0, &mut pairs), Err(Truncated));
-        assert_eq!(
-            pairs.len(),
-            2,
-            "the walk stopped at the first unwritten word"
-        );
+        let walk = |arena, forged| {
+            let mut walk = ImageWalk::new(arena, &image);
+            let mut pairs = Vec::new();
+            (walk_enc(&mut walk, forged, 0, &mut pairs), pairs.len())
+        };
+        let full = encode(node as *mut u64, BITMAP_MASK);
+        // The walk stops at the first unwritten word…
+        assert_eq!(walk(t.arena(), full), (Err(Truncated), 9));
+        let full = bucket as u64 | (BUCKET_PAIRS as u64) << BITMAP_SHIFT;
+        assert_eq!(walk(buckets.arena(), full), (Err(Truncated), 2));
+        // …and reads no pair of a bucket that would run past its slot.
+        for count in BUCKET_PAIRS as u64 + 1..=15 {
+            let forged = bucket as u64 | count << BITMAP_SHIFT;
+            assert_eq!(walk(buckets.arena(), forged), (Err(Truncated), 0));
+        }
     }
 
-    /// One successful insert pays ⌈8·c/64⌉ `pwb`s per copied c-child node,
-    /// one per new leaf and one for the root word; two fences.
+    /// One successful insert pays ⌈c·16/64⌉ `pwb`s per written c-pair bucket,
+    /// ⌈8·c/64⌉ per written c-child interior node and one for the root word;
+    /// two fences.
     #[test]
     fn a_successful_insert_pays_one_pwb_per_copied_line() {
         let db = db();
@@ -1355,7 +1411,7 @@ mod tests {
             let d = db.stats_snapshot().unwrap().delta_since(&before);
             (d.pwbs, d.pfences)
         };
-        // A 7-child root gains an 8th leaf: leaf 1 + root copy ⌈64/64⌉ = 1 +
+        // A 7-pair root bucket gains an 8th pair: bucket copy ⌈128/64⌉ = 2 +
         // root word 1.
         let keys = keys_with_prefix(&[], FANOUT);
         let t = db.hamt(64);
@@ -1363,21 +1419,33 @@ mod tests {
             assert!(t.insert(&h, k, k));
         }
         assert_eq!(cost(&t, keys[7]), (3, 2));
-        // A full 16-child root of leaves, and a key sharing nibbles 0 and 1
-        // with one of them: leaf 1 + two-child node at depth 2 (16 B) 1 +
-        // wrap at depth 1 (8 B) 1 + root copy ⌈128/64⌉ = 2 + root word 1.
-        let t = db.hamt(64);
-        for &k in &keys {
+        // A 9th pair with a fresh top nibble splits the root: nine one-pair
+        // buckets 9 + a nine-child root ⌈72/64⌉ = 2 + root word 1.
+        assert_eq!(cost(&t, keys[8]), (12, 2));
+        // A full 16-child root of one-pair buckets, and a key sharing nibble 0
+        // with one of them: two-pair bucket ⌈32/64⌉ = 1 + root copy
+        // ⌈128/64⌉ = 2 + root word 1.
+        for &k in &keys[9..] {
             assert!(t.insert(&h, k, k));
         }
         let sibling = mix_key(keys[3]);
-        let deep = keys_with_prefix(&[nibble(sibling, 0), nibble(sibling, 1)], FANOUT)
+        let near = keys_with_prefix(&[nibble(sibling, 0)], FANOUT)
             .into_iter()
-            .find(|&k| nibble(mix_key(k), 2) != nibble(sibling, 2))
+            .find(|&k| k != keys[3])
             .unwrap();
-        assert_eq!(cost(&t, deep), (6, 2));
-        assert_eq!(t.get(&h, deep), Some(deep));
+        assert_eq!(cost(&t, near), (4, 2));
+        assert_eq!(t.get(&h, near), Some(near));
         assert_eq!(t.get(&h, keys[3]), Some(keys[3]));
+        // Nine keys sharing nibbles 0 and 1 split a root bucket two levels
+        // down: nine buckets 9 + the nine-child node 2 + two one-child wraps
+        // 2 + root word 1.
+        let deep = keys_with_prefix(&[5, 9], BUCKET_PAIRS + 1);
+        let t = db.hamt(64);
+        for &k in &deep[..BUCKET_PAIRS] {
+            assert!(t.insert(&h, k, k));
+        }
+        assert_eq!(cost(&t, deep[BUCKET_PAIRS]), (14, 2));
+        assert!(deep.iter().all(|&k| t.get(&h, k) == Some(k)));
     }
 
     #[test]

@@ -275,7 +275,12 @@ fn instruction_stream_is_pinned() {
     // The HAMT's pwbs were re-recorded when its nodes lost their bitmap header
     // word (each copied node flushes ⌈8·children/64⌉ lines, not
     // ⌈8·(children + 1)/64⌉): 957 fewer in each of its four streams, every
-    // other counter unchanged.
+    // other counter unchanged. They moved again when one-pair leaves became
+    // buckets of up to eight pairs: the stream's 986 successful updates write
+    // back 4 800 node and root lines, not 4 828 (construction's 32 are
+    // unchanged), so 28 fewer in each of the four streams. A bucket rewrite
+    // flushes up to two lines where a new leaf flushed one, and ~128 live keys
+    // leave few interior levels for buckets to remove.
     // The table's four streams were re-recorded when its buckets became words
     // of its directory. Only construction moved. The 256 buckets' 2 × 256
     // sentinel persists (one line and one fence each) went, and the one tail
@@ -288,15 +293,15 @@ fn instruction_stream_is_pinned() {
         [2011, 1976, 0, 5410, 0]
     );
     assert_eq!(drive(backend_with(off), now, table), [2011, 7386, 0, 0, 0]);
-    assert_eq!(drive(backend_with(on), now, hamt), [4860, 1980, 0, 4000, 0]);
-    assert_eq!(drive(backend_with(off), now, hamt), [4860, 5980, 0, 0, 0]);
+    assert_eq!(drive(backend_with(on), now, hamt), [4832, 1980, 0, 4000, 0]);
+    assert_eq!(drive(backend_with(off), now, hamt), [4832, 5980, 0, 0, 0]);
     assert_eq!(drive(tracked(on), batched, table), [2020, 1669, 9, 807, 0]);
     assert_eq!(drive(tracked(off), batched, table), [2020, 2476, 9, 0, 0]);
     assert_eq!(
         drive(tracked(on), batched, hamt),
-        [5720, 1444, 860, 50, 1304]
+        [5692, 1444, 860, 50, 1304]
     );
-    assert_eq!(drive(tracked(off), batched, hamt), [7024, 1494, 2164, 0, 0]);
+    assert_eq!(drive(tracked(off), batched, hamt), [6996, 1494, 2164, 0, 0]);
     let list = |db: &FlitDb<HtPolicy>| HarrisList::<_, Automatic>::with_capacity(db, 256);
     let skip = |db: &FlitDb<HtPolicy>| SkipList::<_, Automatic>::with_capacity(db, 256);
     let bst = |db: &FlitDb<HtPolicy>| NatarajanTree::<_, Automatic>::with_capacity(db, 256);

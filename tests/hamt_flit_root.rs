@@ -60,11 +60,11 @@ fn a_successful_insert_costs_two_fences_and_its_root_write_back() {
     let h = db.handle();
     h.arm_flight_recorder();
 
-    // Into the empty trie: one leaf to write back, then the root.
+    // Into the empty trie: one one-pair bucket to write back, then the root.
     let before = stats(&db);
     assert!(map.insert(&h, 5, 50));
     let delta = stats(&db).delta_since(&before);
-    assert_eq!(delta.pwbs, 2, "the leaf and the root word");
+    assert_eq!(delta.pwbs, 2, "the bucket and the root word");
     assert_eq!(
         delta.pfences, 2,
         "pre-publish fence + the p-CAS's trailing fence"

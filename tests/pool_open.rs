@@ -208,7 +208,7 @@ fn corrupted_pools_yield_typed_errors_not_panics() {
                 e,
                 OpenError::BadVersion {
                     found: 1,
-                    supported: 3
+                    supported: 4
                 }
             )
         },
@@ -223,7 +223,22 @@ fn corrupted_pools_yield_typed_errors_not_panics() {
                 e,
                 OpenError::BadVersion {
                     found: 2,
-                    supported: 3
+                    supported: 4
+                }
+            )
+        },
+    );
+    // A version-3 pool's HAMT leaf entries are bare addresses; this build
+    // reads a pair count above the address and finds zero pairs there.
+    case(
+        "version-3",
+        &|p| write_word(p, superblock::VERSION as u64, 3),
+        &|e| {
+            matches!(
+                e,
+                OpenError::BadVersion {
+                    found: 3,
+                    supported: 4
                 }
             )
         },
@@ -498,8 +513,10 @@ fn hostile_hamt_roots_truncate_the_walk() {
         )
     };
     const INTERIOR: u64 = 1;
-    // An interior entry carries its node's 16-bit bitmap in bits 47–62.
+    // An interior entry carries its node's 16-bit bitmap in bits 47–62, a
+    // bucket entry its pair count in bits 47–50.
     const FULL: u64 = (0xFFFF << 47) | INTERIOR;
+    let pairs = |count: u64| count << 47;
     let root = |value: u64| vec![(root_word, value)];
     // The root node claiming a full bitmap whose every child is the root
     // itself: bounded only by depth, that is 16^16 visits.
@@ -518,13 +535,16 @@ fn hostile_hamt_roots_truncate_the_walk() {
         ("root-into-superblock", root(base), true),
         ("root-node-in-superblock", root(base | FULL), true),
         ("root-past-the-mapping", root(base + pool_len + 64), true),
-        // A leaf whose value word, and a node whose children, would lie past
+        // A bucket whose pairs, and a node whose children, would lie past
         // the end of the chunk: whatever follows is not this arena's to read.
         (
-            "root-leaf-at-chunk-end",
-            root(chunk_end - WORD_SIZE as u64),
-            false,
+            "root-bucket-at-chunk-end",
+            root((chunk_end - 2 * WORD_SIZE as u64) | pairs(8)),
+            true,
         ),
+        // A bucket claiming more pairs than a slot holds.
+        ("root-bucket-of-9", root((node + base) | pairs(9)), true),
+        ("root-bucket-of-15", root((node + base) | pairs(15)), true),
         (
             "root-node-at-chunk-end",
             root((chunk_end - WORD_SIZE as u64) | FULL),
@@ -539,7 +559,7 @@ fn hostile_hamt_roots_truncate_the_walk() {
 
 /// Every slot the HAMT entry `enc` reaches in `image`, read with the entry
 /// encoding: bit 0 tags an interior node, whose bitmap is bits 47–62 and whose
-/// address is bits 3–46; a leaf entry is its bare address.
+/// address is bits 3–46; an untagged entry names a bucket at bits 3–46.
 fn hamt_slots(image: &flit_pmem::CrashImage, enc: u64, slots: &mut Vec<usize>) {
     if enc == 0 {
         return;
