@@ -84,7 +84,9 @@
 //!   is used for nodes that were never published (failed CAS), where the freeing
 //!   thread still holds the backend.
 //! * the **volatile recycle list** — [`Arena::recycle`], used by epoch-based
-//!   reclamation callbacks that run without backend context. An orderly close
+//!   reclamation callbacks that run without backend context
+//!   ([`Arena::defer_recycle_all`] retires several slots as one callback). It
+//!   holds slot addresses, so reusing one takes no chunk lookup. An orderly close
 //!   moves it onto the durable free list ([`Arena::persist_recycled`]); after a
 //!   crash these slots are unreachable garbage below the high-water mark, which
 //!   the root-walk GC pass ([`post_crash_gc`]) reclaims.
@@ -294,7 +296,8 @@ pub struct ImageHeader {
 struct AllocState {
     /// Mirror of the durable free-list head word (offset + 1; 0 = empty).
     durable_free: usize,
-    /// Volatile recycle list (EBR-freed slots; lost on crash).
+    /// Volatile recycle list (EBR-freed slots; lost on crash), as slot base
+    /// addresses, so reusing one needs no chunk lookup.
     recycled: Vec<usize>,
     /// Multi-slot blocks handed out by [`Arena::alloc_block`], as
     /// `(first_slot, slot_count)` spans. Pool-backed arenas persist these in
@@ -551,7 +554,12 @@ impl Arena {
 
     /// The base address of the slot at `offset`, which must have been allocated.
     pub fn addr_of_offset(&self, offset: usize) -> usize {
-        let chunks = self.chunks.read();
+        self.addr_in(&self.chunks.read(), offset)
+    }
+
+    /// [`addr_of_offset`](Self::addr_of_offset) against a chunk table the
+    /// caller already holds.
+    fn addr_in(&self, chunks: &[PmemRegion], offset: usize) -> usize {
         let chunk = offset / self.chunk_slots;
         assert!(chunk < chunks.len(), "offset {offset} beyond the arena");
         chunks[chunk].base_addr() + (offset % self.chunk_slots) * self.slot_size
@@ -560,13 +568,14 @@ impl Arena {
     /// The slot offset containing `addr`, or `None` when `addr` is outside every
     /// chunk of this arena.
     pub fn offset_of_addr(&self, addr: usize) -> Option<usize> {
-        let chunks = self.chunks.read();
-        for (i, chunk) in chunks.iter().enumerate() {
-            if chunk.contains(addr) {
-                return Some(i * self.chunk_slots + (addr - chunk.base_addr()) / self.slot_size);
-            }
-        }
-        None
+        self.offset_in(&self.chunks.read(), addr)
+    }
+
+    /// [`offset_of_addr`](Self::offset_of_addr) against a chunk table the
+    /// caller already holds.
+    fn offset_in(&self, chunks: &[PmemRegion], addr: usize) -> Option<usize> {
+        let (i, chunk) = chunks.iter().enumerate().find(|(_, c)| c.contains(addr))?;
+        Some(i * self.chunk_slots + (addr - chunk.base_addr()) / self.slot_size)
     }
 
     /// `true` when `addr` falls inside this arena's slot storage.
@@ -587,8 +596,8 @@ impl Arena {
     pub fn alloc<B: PmemBackend>(&self, backend: &B) -> *mut u8 {
         {
             let mut state = self.state.lock();
-            if let Some(offset) = state.recycled.pop() {
-                return self.addr_of_offset(offset) as *mut u8;
+            if let Some(addr) = state.recycled.pop() {
+                return addr as *mut u8;
             }
             if state.durable_free != 0 {
                 let offset = state.durable_free - 1;
@@ -665,9 +674,10 @@ impl Arena {
             // publish a root that reaches it): post-crash GC must treat the
             // whole block as one object. The skipped gap, if any, is free like
             // any recycled slot.
+            let gap = self.addrs_of_offsets(cur..index);
             let mut state = self.state.lock();
             state.blocks.push((index, nslots));
-            state.recycled.extend(cur..index);
+            state.recycled.extend(gap);
             drop(state);
             if let Backing::Pool(slot) = &self.backing {
                 slot.note_block(index, nslots)
@@ -733,10 +743,24 @@ impl Arena {
     /// # Safety
     /// Same contract as [`free`](Self::free).
     pub unsafe fn recycle(&self, ptr: *mut u8) {
-        let offset = self
-            .offset_of_addr(ptr as usize)
-            .expect("recycled pointer belongs to this arena");
-        self.state.lock().recycled.push(offset);
+        // SAFETY: forwarded contract.
+        unsafe { self.recycle_all(&[ptr as usize]) };
+    }
+
+    /// [`recycle`](Self::recycle) every slot base in `addrs`: one chunk-table
+    /// read for the ownership checks, one state lock for the pushes.
+    ///
+    /// # Safety
+    /// Same contract as [`free`](Self::free), for each address.
+    pub unsafe fn recycle_all(&self, addrs: &[usize]) {
+        {
+            let chunks = self.chunks.read();
+            for &addr in addrs {
+                self.offset_in(&chunks, addr)
+                    .expect("recycled pointer belongs to this arena");
+            }
+        }
+        self.state.lock().recycled.extend_from_slice(addrs);
     }
 
     /// Retire the slot at `addr` through an EBR guard: once the two-epoch rule
@@ -749,11 +773,27 @@ impl Arena {
     /// from all shared (and durable-reachable) state before this call, and it
     /// must be retired exactly once.
     pub unsafe fn defer_recycle(self: &Arc<Self>, guard: &Guard<'_>, addr: usize) {
+        // SAFETY: forwarded contract.
+        unsafe { self.defer_recycle_all(guard, [addr]) };
+    }
+
+    /// Retire every slot in `addrs` through an EBR guard as **one** deferred
+    /// action (one closure, one garbage-bag push), which recycles them
+    /// with [`recycle_all`](Self::recycle_all) once quiescence is proved: a
+    /// structure that unlinks several slots at once (a copy-on-write path)
+    /// pays for one retirement.
+    ///
+    /// # Safety
+    /// [`defer_recycle`](Self::defer_recycle)'s contract, for each address.
+    pub unsafe fn defer_recycle_all<A>(self: &Arc<Self>, guard: &Guard<'_>, addrs: A)
+    where
+        A: AsRef<[usize]> + Send + 'static,
+    {
         let arena = Arc::clone(self);
         guard.defer(move || {
             // SAFETY: caller's contract (unlinked + unique retirement) plus EBR
-            // quiescence make the slot dead by the time this runs.
-            unsafe { arena.recycle(addr as *mut u8) };
+            // quiescence make the slots dead by the time this runs.
+            unsafe { arena.recycle_all(addrs.as_ref()) };
         });
     }
 
@@ -898,9 +938,32 @@ impl Arena {
         None
     }
 
-    /// Snapshot of the volatile recycle list.
+    /// Snapshot of the volatile recycle list, as slot offsets.
     pub fn recycled_offsets(&self) -> Vec<usize> {
-        self.state.lock().recycled.clone()
+        let addrs = self.state.lock().recycled.clone();
+        self.offsets_of_addrs(&addrs)
+    }
+
+    /// The slot offsets of the recycled slot bases `addrs`, under one
+    /// chunk-table read.
+    fn offsets_of_addrs(&self, addrs: &[usize]) -> Vec<usize> {
+        let chunks = self.chunks.read();
+        addrs
+            .iter()
+            .map(|&addr| {
+                self.offset_in(&chunks, addr)
+                    .expect("recycled pointer belongs to this arena")
+            })
+            .collect()
+    }
+
+    /// The base addresses of the slots at `offsets`, under one chunk-table read.
+    fn addrs_of_offsets(&self, offsets: impl IntoIterator<Item = usize>) -> Vec<usize> {
+        let chunks = self.chunks.read();
+        offsets
+            .into_iter()
+            .map(|off| self.addr_in(&chunks, off))
+            .collect()
     }
 
     /// Multi-slot block spans handed out by [`alloc_block`](Self::alloc_block),
@@ -919,12 +982,12 @@ impl Arena {
     /// record). Heap arenas have no durable file; their slots go to the
     /// volatile recycle list for in-process reuse.
     pub fn reclaim_leaked(&self, offsets: &[usize]) {
+        let addrs = self.addrs_of_offsets(offsets.iter().copied());
         let mut state = self.state.lock();
         match &self.backing {
-            Backing::Heap => state.recycled.extend_from_slice(offsets),
+            Backing::Heap => state.recycled.extend(addrs),
             Backing::Pool(_) => {
-                for &off in offsets {
-                    let addr = self.addr_of_offset(off);
+                for (&off, addr) in offsets.iter().zip(addrs) {
                     let old_head = state.durable_free as u64;
                     // SAFETY: GC (or, for a recycled slot, EBR) proved the
                     // slot unreachable; its first word is the allocator's to
@@ -956,7 +1019,7 @@ impl Arena {
             let mut state = self.state.lock();
             (std::mem::take(&mut state.recycled), state.unaccounted)
         };
-        self.reclaim_leaked(&recycled);
+        self.reclaim_leaked(&self.offsets_of_addrs(&recycled));
         !unaccounted
     }
 
@@ -988,7 +1051,7 @@ impl std::fmt::Debug for Arena {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use flit_pmem::{LatencyModel, NullPmem, SimNvram};
+    use flit_pmem::{LatencyModel, NullPmem, PoolOptions, SimNvram};
 
     fn tracking() -> SimNvram {
         SimNvram::for_crash_testing()
@@ -1317,5 +1380,108 @@ mod tests {
             }
         });
         assert_eq!(arena.high_water(), 800);
+    }
+
+    #[test]
+    fn a_batched_recycle_of_a_foreign_address_panics_before_pushing_any() {
+        let b = counting();
+        let arena = Arena::new(&b, 64, 8);
+        let other = Arena::new(&b, 64, 8);
+        let mine = arena.alloc(&b) as usize;
+        let foreign = other.alloc(&b) as usize;
+        let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            // SAFETY: `mine` is an unreachable test allocation; `foreign` is
+            // the contract violation under test, caught before any push.
+            unsafe { arena.recycle_all(&[mine, foreign]) };
+        }))
+        .expect_err("a foreign address must not be recycled");
+        let message = panicked
+            .downcast_ref::<String>()
+            .map(String::as_str)
+            .or_else(|| panicked.downcast_ref::<&str>().copied())
+            .unwrap_or_default();
+        assert!(
+            message.contains("recycled pointer belongs to this arena"),
+            "{message:?}"
+        );
+        assert!(arena.recycled_offsets().is_empty(), "no slot was pushed");
+    }
+
+    /// The recycle list holds addresses; every reader of it still speaks slot
+    /// offsets, in list order, across chunk boundaries.
+    #[test]
+    fn recycled_slots_report_as_offsets() {
+        let b = counting();
+        let recycle_in_order = |arena: &Arena| {
+            let addrs: Vec<usize> = (0..10).map(|_| arena.alloc(&b) as usize).collect();
+            // SAFETY: unreachable test allocations, each recycled once.
+            unsafe {
+                arena.recycle(addrs[9] as *mut u8);
+                arena.recycle_all(&[addrs[2], addrs[5]]);
+            }
+        };
+
+        let arena = Arc::new(Arena::new(&b, 64, 4)); // three chunks
+        recycle_in_order(&arena);
+        assert_eq!(arena.recycled_offsets(), [9, 2, 5]);
+        let gc = crate::post_crash_gc(&[Arc::clone(&arena)]);
+        assert_eq!(gc.arenas[0].recycled, 3);
+        assert_eq!(gc.arenas[0].reclaimed, 7, "the other slots are leaks");
+        let mut after_gc = arena.recycled_offsets();
+        assert_eq!(after_gc[..3], [9, 2, 5]);
+        after_gc[3..].sort_unstable();
+        assert_eq!(
+            after_gc[3..],
+            [0, 1, 3, 4, 6, 7, 8],
+            "GC skipped the recycled set"
+        );
+        // A heap arena's clean close keeps its slots on the volatile list.
+        assert!(arena.persist_recycled());
+        assert_eq!(arena.recycled_offsets().len(), 10);
+
+        let dir = std::env::temp_dir().join("flit-alloc-unit");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join(format!("recycled-{}.pool", std::process::id()));
+        let pool = PoolFile::create(&path, &PoolOptions::with_capacity(1 << 20), 1).unwrap();
+        let config = ArenaConfig {
+            slot_size: 64,
+            slots_per_chunk: 4,
+        };
+        let pooled = Arena::create_on_pool(&b, &pool, config).unwrap();
+        recycle_in_order(&pooled);
+        assert!(pooled.persist_recycled());
+        assert!(pooled.recycled_offsets().is_empty());
+        assert_eq!(
+            pooled.durable_free_offsets(),
+            [5, 2, 9],
+            "pushed in list order"
+        );
+        drop((pooled, pool));
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn a_path_retired_in_one_action_recycles_each_slot_once() {
+        let b = counting();
+        let arena = Arc::new(Arena::new(&b, 64, 4));
+        let mut path: Vec<usize> = (0..6).map(|_| arena.alloc(&b) as usize).collect();
+        let collector = flit_ebr::Collector::new();
+        let local = collector.register();
+        {
+            let guard = local.pin();
+            // SAFETY: the slots are unreachable test allocations, retired once.
+            unsafe { arena.defer_recycle_all(&guard, path.clone()) };
+            assert_eq!(collector.garbage_len(), 1, "one deferred action");
+            assert!(arena.recycled_offsets().is_empty(), "pinned: not yet");
+        }
+        assert!(collector.drain());
+        let mut recycled = arena.recycled_offsets();
+        recycled.sort_unstable();
+        assert_eq!(recycled, [0, 1, 2, 3, 4, 5]);
+        let mut reused: Vec<usize> = (0..6).map(|_| arena.alloc(&b) as usize).collect();
+        reused.sort_unstable();
+        path.sort_unstable();
+        assert_eq!(reused, path);
+        assert_eq!(arena.high_water(), 6, "every slot came back exactly once");
     }
 }

@@ -196,7 +196,7 @@ impl<T: PWord, S: TagScheme, B: PmemBackend + Send + Sync + 'static> FlitAtomic<
             let addr = self.word_addr();
             ctx.scheme.begin_store(&self.tag, addr);
             let (result, now) = update();
-            pm.record_store(self.word_ptr(), now);
+            pm.record_pword_store(self.word_ptr(), now);
             pm.pwb(self.word_ptr());
             if h.defers_store_fence() {
                 // Group commit: the trailing fence moves to the handle's next
@@ -213,7 +213,7 @@ impl<T: PWord, S: TagScheme, B: PmemBackend + Send + Sync + 'static> FlitAtomic<
             result
         } else {
             let (result, now) = update();
-            pm.record_store(self.word_ptr(), now);
+            pm.record_pword_store(self.word_ptr(), now);
             result
         }
     }
@@ -299,7 +299,7 @@ impl<T: PWord, S: TagScheme, B: PmemBackend + Send + Sync + 'static>
             return;
         }
         let pm = h.pmem();
-        pm.record_store(self.word_ptr(), word);
+        pm.record_pword_store(self.word_ptr(), word);
         if flag.is_persisted() {
             pm.pwb(self.word_ptr());
             pm.pfence();

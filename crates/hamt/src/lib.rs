@@ -77,8 +77,8 @@
 //! it is stable within one snapshot (and `range` is a filtered full walk —
 //! the trie is hash-ordered, not key-ordered).
 //!
-//! Old paths are reclaimed through EBR ([`Guard::defer`]-based
-//! [`Arena::defer_recycle`]) — **unless a snapshot is live**, in which case
+//! Old paths are reclaimed through EBR, each as one deferred action
+//! ([`Arena::defer_recycle_all`]) — **unless a snapshot is live**, in which case
 //! retired nodes park on a backlog that drains only when the live-snapshot
 //! count returns to zero. A snapshot taken after a node was unlinked can never
 //! reach it (new roots only share still-linked subtrees), so the conservative
@@ -272,7 +272,8 @@ fn pwb_range<B: PmemBackend>(pm: &B, start: usize, bytes: usize) {
 }
 
 /// Node addresses of one copied path: at most [`MAX_DEPTH`] interior nodes
-/// plus the buckets a 9th pair splits into, so the buffer lives on the stack.
+/// plus the buckets a 9th pair splits into, so the buffer lives on the stack
+/// (and a stale path is retired as one boxed value).
 #[derive(Default)]
 struct NodeBuf {
     len: usize,
@@ -288,6 +289,12 @@ impl NodeBuf {
 
     fn as_slice(&self) -> &[usize] {
         &self.addrs[..self.len]
+    }
+}
+
+impl AsRef<[usize]> for NodeBuf {
+    fn as_ref(&self) -> &[usize] {
+        self.as_slice()
     }
 }
 
@@ -626,21 +633,20 @@ impl<P: Policy> Hamt<P> {
     }
 
     /// Retire the replaced path nodes: straight to the arena's deferred
-    /// recycle when no snapshot is live, onto the backlog otherwise.
-    fn retire(&self, guard: &Guard<'_>, old_nodes: &[usize]) {
-        if old_nodes.is_empty() {
+    /// recycle as one action when no snapshot is live, onto the backlog
+    /// otherwise.
+    fn retire(&self, guard: &Guard<'_>, stale: NodeBuf) {
+        if stale.len == 0 {
             return;
         }
         let mut st = self.snaps.lock();
         if st.live == 0 {
-            for &a in old_nodes {
-                // SAFETY: `a` was just unlinked from the published trie by a
-                // successful root CAS; only EBR-pinned traversals of older
-                // roots can still reach it, which `defer_recycle` waits out.
-                unsafe { self.arena.defer_recycle(guard, a) };
-            }
+            // SAFETY: the path was just unlinked from the published trie by a
+            // successful root CAS; only EBR-pinned traversals of older roots
+            // can still reach it, which `defer_recycle_all` waits out.
+            unsafe { self.arena.defer_recycle_all(guard, stale) };
         } else {
-            st.backlog.extend_from_slice(old_nodes);
+            st.backlog.extend_from_slice(stale.as_slice());
         }
     }
 
@@ -667,14 +673,12 @@ impl<P: Policy> Hamt<P> {
                 .root()
                 .compare_exchange(h, root, new_root, self.root_flag);
             if cas.is_ok() {
-                self.retire(guard, path.stale.as_slice());
+                self.retire(guard, path.stale);
                 break true;
             }
-            for &n in path.fresh.as_slice() {
-                // SAFETY: the CAS lost, so these freshly built nodes were
-                // never published; no other thread can hold a reference.
-                unsafe { self.arena.recycle(n as *mut u8) };
-            }
+            // SAFETY: the CAS lost, so these freshly built nodes were never
+            // published; no other thread can hold a reference.
+            unsafe { self.arena.recycle_all(path.fresh.as_slice()) };
         }
     }
 
@@ -734,11 +738,10 @@ impl<P: Policy> Hamt<P> {
         if st.live == 0 && !st.backlog.is_empty() {
             let local = self.db.collector().register();
             let guard = local.pin();
-            for a in st.backlog.drain(..) {
-                // SAFETY: backlogged nodes were unlinked from the published
-                // trie before being parked; the last pinning snapshot is gone.
-                unsafe { self.arena.defer_recycle(&guard, a) };
-            }
+            let backlog = std::mem::take(&mut st.backlog);
+            // SAFETY: backlogged nodes were unlinked from the published trie
+            // before being parked; the last pinning snapshot is gone.
+            unsafe { self.arena.defer_recycle_all(&guard, backlog) };
         }
     }
 

@@ -1,7 +1,7 @@
 //! The [`PmemBackend`] trait: the paper's instruction set (`pwb` + `pfence`, §2)
 //! plus the four things a [`PmemSession`](crate::PmemSession) must ask of the
-//! substrate below it — the store hook and its version counter, the configured
-//! [`ElisionMode`], and the optional statistics and tracker.
+//! substrate below it — the store hooks and the p-word version counter, the
+//! configured [`ElisionMode`], and the optional statistics and tracker.
 //!
 //! Nothing here decides *whether* an instruction is issued: a backend executes
 //! what it is handed. Minimising the stream (persist-epoch elision) is the
@@ -39,20 +39,37 @@ pub trait PmemBackend {
 
     /// Notify the backend that an 8-byte word at `addr` now holds `val` in volatile
     /// memory. Called by the FliT library immediately after every store it performs on
-    /// a tracked (`persist<T>`) variable.
+    /// a persisted word that is *not* a p-word: an unpublished node's fields, a
+    /// retained-root entry, an allocator header or free link, a link-and-persist
+    /// word (whose flushes are never deduplicated). Such a store does not advance
+    /// [`store_version`](Self::store_version); p-word stores go through
+    /// [`record_pword_store`](Self::record_pword_store).
     ///
     /// The default implementation does nothing; only tracking backends (e.g.
     /// [`SimNvram`](crate::SimNvram) with a [`PersistenceTracker`]) use it.
     #[inline]
     fn record_store(&self, _addr: *const u8, _val: u64) {}
 
-    /// A monotone counter of the stores this backend has observed through
-    /// [`record_store`](Self::record_store). A session's
+    /// [`record_store`](Self::record_store) for a store to a **p-word**: a
+    /// `flit::FlitAtomic` word, the only kind of word a session's
+    /// [`pwb_dedup`](crate::PmemSession::pwb_dedup) is ever asked about. Besides
+    /// recording the store, it advances [`store_version`](Self::store_version).
+    ///
+    /// The default implementation forwards to `record_store`.
+    #[inline]
+    fn record_pword_store(&self, addr: *const u8, val: u64) {
+        self.record_store(addr, val);
+    }
+
+    /// A monotone counter of the p-word stores this backend has observed through
+    /// [`record_pword_store`](Self::record_pword_store); with a
+    /// [`PersistenceTracker`] attached it is the tracker's count of *every*
+    /// recorded store, which only advances more often. A session's
     /// [`pwb_dedup`](crate::PmemSession::pwb_dedup) stamps each dedup entry with
     /// this version at flush time and requires it to be *unchanged* at dedup
-    /// time, which closes the overwrite-and-restore (ABA) window: if no store at
-    /// all was recorded since the flush, the word cannot have been overwritten
-    /// (see [`crate::epoch`]).
+    /// time, which closes the overwrite-and-restore (ABA) window: if no p-word
+    /// store was recorded since the flush, the p-word cannot have been
+    /// overwritten (see [`crate::epoch`] for why plain stores need no stamp).
     ///
     /// The default implementation returns `0` — for backends that observe no
     /// stores ([`NullPmem`], where a stale dedup hit loses nothing).

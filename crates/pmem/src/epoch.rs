@@ -45,12 +45,30 @@
 //! the dedup hit — the reader's pending set then holds a snapshot that is
 //! value-equal but *persistence*-stale. Each dedup entry therefore additionally
 //! carries the backend's [`store_version`](crate::PmemBackend::store_version) — a
-//! monotone counter of every store recorded through the backend — at flush time,
-//! and a dedup hit requires the version to be **unchanged**. If no store at all was
-//! recorded since the flush, no overwrite (let alone an overwrite-and-restore) can
-//! have happened, so the pending snapshot is exactly the current value and skipping
-//! the re-flush is sound with no caveat. Fence elision never needed a caveat: a
-//! clean handle's fence persists nothing under any interleaving.
+//! monotone counter of the **p-word** stores recorded through the backend
+//! ([`record_pword_store`](crate::PmemBackend::record_pword_store)) — at flush
+//! time, and a dedup hit requires the version to be **unchanged**.
+//!
+//! Plain recorded stores (unpublished node fields, retained-root entries,
+//! allocator headers and free links) need no stamp, because of what a dedup
+//! entry can name:
+//!
+//! * a dedup entry names a p-word: `pwb_dedup` is only asked about a
+//!   `flit::FlitAtomic` word that the reader just p-loaded out of a live node;
+//! * a plain store reaches that address only while its slot is dead — freed,
+//!   recycled, or reused by a node whose word there is not a p-word — because a
+//!   live p-word is only ever written through its own (stamped) store paths;
+//! * the slot's next life as a p-word starts with a stamped `store_private`
+//!   of that word, before the node is published.
+//!
+//! So if no p-word store was recorded since the flush, the word was neither
+//! overwritten within its life nor reborn, and the pending snapshot is exactly
+//! the current value: skipping the re-flush is sound with no caveat. Unpublished
+//! nodes are persisted before they are published (MOD, arXiv 1908.11850), so no
+//! reader's flush is ever owed for them. With a tracker attached the stamp is
+//! the tracker's count of every recorded store, which only invalidates more
+//! entries. Fence elision never needed a caveat: a clean handle's fence persists
+//! nothing under any interleaving.
 
 use std::cell::{Cell, OnceCell};
 use std::sync::atomic::{AtomicU64, Ordering};

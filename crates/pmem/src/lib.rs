@@ -11,7 +11,8 @@
 //! ## The instruction set: [`PmemBackend`]
 //!
 //! `pwb` and `pfence`, plus what a session must ask of whatever executes them:
-//! the store hook (`record_store`) and its version counter, the configured
+//! the store hooks (`record_store`, and `record_pword_store` for p-words) and
+//! the p-word version counter, the configured
 //! [`ElisionMode`], and the optional [`PmemStats`] / [`PersistenceTracker`].
 //! A backend issues every instruction it is handed; it never decides that one
 //! is redundant.

@@ -210,6 +210,12 @@ impl<'h, B: PmemBackend + ?Sized> PmemBackend for PmemSession<'h, B> {
     }
 
     #[inline]
+    fn record_pword_store(&self, addr: *const u8, val: u64) {
+        self.backend.record_pword_store(addr, val);
+        self.flight_record(FlightEventKind::Store, word_of(addr as usize));
+    }
+
+    #[inline]
     fn store_version(&self) -> u64 {
         self.backend.store_version()
     }
@@ -303,11 +309,25 @@ mod tests {
         let x = 7u64;
         let addr = &x as *const u64 as *const u8;
         assert!(s.pwb_dedup(addr, 7));
-        // A store recorded through the backend bumps the version; the entry's
-        // stamp no longer matches, so the flush must be re-issued (ABA closed).
-        s.record_store(addr, 9);
+        // An overwrite-and-restore of the p-word bumps the version; the
+        // entry's stamp no longer matches, so the flush must be re-issued
+        // (ABA closed).
+        s.record_pword_store(addr, 9);
+        s.record_pword_store(addr, 7);
         assert!(s.pwb_dedup(addr, 7));
         assert_eq!(sim.stats().pwbs(), 2);
+        // A plain recorded store (an unpublished node's word) is not stamped
+        // on a non-tracking backend…
+        let y = 0u64;
+        let before = s.store_version();
+        s.record_store(&y as *const u64 as *const u8, 1);
+        assert_eq!(s.store_version(), before);
+        // …while a tracker's count of every store still advances it.
+        let tracked = SimNvram::for_crash_testing();
+        let ts = PmemSession::for_backend(&tracked, &epoch);
+        let before = ts.store_version();
+        ts.record_store(&y as *const u64 as *const u8, 2);
+        assert!(ts.store_version() > before);
     }
 
     #[test]

@@ -22,6 +22,7 @@
 //! `SimNvram` is internally reference counted, so it can be cloned cheaply and shared
 //! between a data structure, the workload runner and the test harness.
 
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use crate::backend::PmemBackend;
@@ -37,9 +38,9 @@ struct Inner {
     tracker: Option<PersistenceTracker>,
     crash_plan: Option<CrashPlan>,
     elision: ElisionMode,
-    /// Store counter for non-tracking instances (dedup stamps); tracking instances
-    /// use the tracker's own version counter instead.
-    store_version: std::sync::atomic::AtomicU64,
+    /// P-word store counter for non-tracking instances (dedup stamps); tracking
+    /// instances use the tracker's own store counter instead.
+    store_version: AtomicU64,
 }
 
 /// Simulated NVRAM: ordinary memory plus modelled persistence costs, statistics and
@@ -128,15 +129,12 @@ impl SimNvram {
 impl SimNvram {
     /// The store version used to stamp dedup entries: the tracker's global store
     /// counter when tracking is on (the counter the monotone-commit logic already
-    /// maintains), a private per-backend counter otherwise.
+    /// maintains), a private per-backend count of p-word stores otherwise.
     #[inline]
     fn current_store_version(&self) -> u64 {
         match &self.inner.tracker {
             Some(tracker) => tracker.stores_recorded(),
-            None => self
-                .inner
-                .store_version
-                .load(std::sync::atomic::Ordering::Relaxed),
+            None => self.inner.store_version.load(Ordering::Relaxed),
         }
     }
 }
@@ -168,23 +166,29 @@ impl PmemBackend for SimNvram {
         self.inner.latency.charge_pfence();
     }
 
+    /// Every recorded store is a crash-plan event and, with a tracker, an
+    /// image update (the tracker's store count is a tracking instance's stamp).
+    /// Without a tracker a plain store touches no shared counter: only p-word
+    /// stores bump the stamp ([`record_pword_store`](PmemBackend::record_pword_store)).
     #[inline]
     fn record_store(&self, addr: *const u8, val: u64) {
         if let Some(plan) = &self.inner.crash_plan {
             plan.observe(CrashEventKind::Store, self.inner.tracker.as_ref());
         }
-        match &self.inner.tracker {
-            // The tracker's global store counter doubles as the version source.
-            Some(tracker) => tracker.record_store(addr as usize, val),
-            None => {
-                // Nothing consumes the stamp on the literal stream: skip the
-                // shared-counter bump when elision is disabled.
-                if self.inner.elision.is_enabled() {
-                    self.inner
-                        .store_version
-                        .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                }
-            }
+        if let Some(tracker) = &self.inner.tracker {
+            tracker.record_store(addr as usize, val);
+        }
+    }
+
+    /// A p-word store also advances the dedup stamp. With a tracker attached,
+    /// its global store counter (advanced by `record_store`) is the stamp; on
+    /// the literal stream nothing consumes a stamp, so the shared-counter bump
+    /// is skipped when elision is disabled.
+    #[inline]
+    fn record_pword_store(&self, addr: *const u8, val: u64) {
+        self.record_store(addr, val);
+        if self.inner.tracker.is_none() && self.inner.elision.is_enabled() {
+            self.inner.store_version.fetch_add(1, Ordering::Relaxed);
         }
     }
 
@@ -261,7 +265,7 @@ impl SimNvramBuilder {
                 },
                 crash_plan: self.crash_plan,
                 elision: self.elision,
-                store_version: std::sync::atomic::AtomicU64::new(0),
+                store_version: AtomicU64::new(0),
             }),
         }
     }
@@ -317,6 +321,29 @@ mod tests {
         let x = 0u64;
         sim.record_store(&x as *const u64 as *const u8, 5);
         assert!(sim.tracker().is_none());
+    }
+
+    #[test]
+    fn only_p_word_stores_advance_the_stamp_without_a_tracker() {
+        let x = 0u64;
+        let addr = &x as *const u64 as *const u8;
+        let sim = SimNvram::for_counting();
+        sim.record_store(addr, 1);
+        assert_eq!(sim.store_version(), 0, "a plain store is not stamped");
+        sim.record_pword_store(addr, 2);
+        assert_eq!(sim.store_version(), 1);
+        // The literal stream consumes no stamp, so it keeps none.
+        let literal = SimNvram::builder()
+            .latency(LatencyModel::none())
+            .elision(ElisionMode::Disabled)
+            .build();
+        literal.record_pword_store(addr, 3);
+        assert_eq!(literal.store_version(), 0);
+        // A tracker counts every recorded store, and that count is the stamp.
+        let tracked = SimNvram::for_crash_testing();
+        tracked.record_store(addr, 4);
+        tracked.record_pword_store(addr, 5);
+        assert_eq!(tracked.store_version(), 2);
     }
 
     #[test]

@@ -15,6 +15,7 @@
 
 use flit::{presets, FlitAtomic, FlitDb, FlitPolicy, HashedScheme, PFlag, PersistWord, Policy};
 use flit_datastructs::{Automatic, ConcurrentMap, HarrisList, HashTable, NatarajanTree, SkipList};
+use flit_hamt::HamtExt;
 use flit_pmem::{ElisionMode, LatencyModel, PersistEpoch, PmemBackend, PmemSession, SimNvram};
 use flit_workload::runner::prefill;
 use flit_workload::{run_workload, WorkloadConfig};
@@ -163,9 +164,13 @@ fn epoch_state_is_keyed_per_handle() {
 
 /// The dedup ABA window is closed (ROADMAP, PR 3): every dedup entry carries the
 /// backend's store version at flush time, and a hit requires the version to be
-/// unchanged. Any store recorded in between — such as a remote thread's
+/// unchanged. Any p-word store recorded in between — such as a remote thread's
 /// overwrite-and-restore of the very word being deduped — invalidates the entry,
 /// so the stale-snapshot elision can no longer happen. Unconditionally sound.
+///
+/// Only p-word stores are stamped on a non-tracking backend: a dedup entry
+/// names a p-word, and a plain store (an unpublished node's field) reaches that
+/// address only while its slot is dead (`flit_pmem::epoch`).
 #[test]
 fn dedup_entries_are_invalidated_by_any_intervening_store() {
     let nvram = backend_with(ElisionMode::Enabled);
@@ -180,12 +185,21 @@ fn dedup_entries_are_invalidated_by_any_intervening_store() {
         "same epoch, no intervening store: dedup hit"
     );
 
-    // A "remote" overwrite-and-restore: two stores recorded through the backend
-    // without any fence on this handle. The observed value is unchanged, but the
-    // store version is not — the dedup entry must be dead.
+    // A plain recorded store leaves the stamp alone on a non-tracking backend.
     let y = 0u64;
-    s.record_store(&y as *const u64 as *const u8, 1);
-    s.record_store(&y as *const u64 as *const u8, 7);
+    let before = nvram.store_version();
+    s.record_store(&y as *const u64 as *const u8, 5);
+    assert_eq!(
+        nvram.store_version(),
+        before,
+        "plain stores are not stamped"
+    );
+
+    // A "remote" overwrite-and-restore: two p-word stores recorded through the
+    // backend without any fence on this handle. The observed value is
+    // unchanged, but the store version is not — the dedup entry must be dead.
+    s.record_pword_store(&y as *const u64 as *const u8, 1);
+    s.record_pword_store(&y as *const u64 as *const u8, 7);
     assert!(
         s.pwb_dedup(addr, 7),
         "a version bump must force a re-flush: the ABA window is closed"
@@ -193,7 +207,7 @@ fn dedup_entries_are_invalidated_by_any_intervening_store() {
     assert_eq!(nvram.stats().elided_pwbs(), 1, "exactly one (sound) dedup");
 
     // Version stamping composes with tracking backends too: there the stamp is
-    // the tracker's own store counter.
+    // the tracker's own store counter, which every recorded store advances.
     let tracked = SimNvram::for_crash_testing();
     let te = PersistEpoch::new();
     let ts = PmemSession::for_backend(&tracked, &te);
@@ -201,8 +215,50 @@ fn dedup_entries_are_invalidated_by_any_intervening_store() {
     let zaddr = &z as *const u64 as *const u8;
     assert!(ts.pwb_dedup(zaddr, 3));
     assert!(!ts.pwb_dedup(zaddr, 3));
+    let before = tracked.store_version();
     ts.record_store(&y as *const u64 as *const u8, 9);
+    assert!(
+        tracked.store_version() > before,
+        "a tracker stamps plain stores"
+    );
     assert!(ts.pwb_dedup(zaddr, 3), "tracker version bump re-flushes");
+}
+
+/// The stamp counts p-word stores, exactly, end to end: on a non-tracking
+/// backend a HAMT update advances it by its one root p-CAS — the path it
+/// copied is plain words — and a flit-HT insert by its two FlitAtomic stores
+/// (the new node's `next`, then the publishing p-CAS). Reads and failed
+/// updates store nothing.
+#[test]
+fn only_p_word_stores_advance_the_dedup_stamp() {
+    let nvram = backend_with(ElisionMode::Enabled);
+    let db = FlitDb::flit_ht(nvram.clone());
+    let h = db.handle();
+    let hamt = db.hamt(256);
+    for k in 0..40u64 {
+        hamt.insert(&h, k, k);
+    }
+    let stamp_delta = |op: &mut dyn FnMut()| {
+        let before = nvram.store_version();
+        op();
+        nvram.store_version() - before
+    };
+    assert_eq!(stamp_delta(&mut || assert!(hamt.insert(&h, 100, 1))), 1);
+    assert_eq!(stamp_delta(&mut || assert!(hamt.remove(&h, 3))), 1);
+    assert_eq!(stamp_delta(&mut || assert!(!hamt.insert(&h, 100, 2))), 0);
+    assert_eq!(stamp_delta(&mut || assert!(!hamt.remove(&h, 3))), 0);
+    assert_eq!(stamp_delta(&mut || assert_eq!(hamt.get(&h, 7), Some(7))), 0);
+
+    let table = HashTable::<HtPolicy, Automatic>::with_capacity(&db, 64);
+    for k in 0..40u64 {
+        table.insert(&h, k, k);
+    }
+    assert_eq!(stamp_delta(&mut || assert!(table.insert(&h, 100, 1))), 2);
+    assert_eq!(stamp_delta(&mut || assert!(!table.insert(&h, 100, 2))), 0);
+    assert_eq!(
+        stamp_delta(&mut || assert_eq!(table.get(&h, 7), Some(7))),
+        0
+    );
 }
 
 #[test]
